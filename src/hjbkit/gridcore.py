@@ -15,6 +15,7 @@ functions, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,6 +254,25 @@ def cn_step(sigma: Field, zeroth: Field, y: Field, source: Field,
     return Field(y.grid, out)
 
 
+def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """Second-order first derivative on a uniform grid (3-point one-sided
+    stencils at both ends)."""
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    return out
+
+
+def restrict(fine: Field, grid: CircleGrid) -> Field:
+    """Samples of ``fine`` at the nodes of ``grid``, of which its grid must
+    be an integer refinement."""
+    factor = fine.grid.n // grid.n
+    if factor * grid.n != fine.grid.n:
+        raise ValueError("reference grid must be an integer refinement")
+    return Field(grid, fine.values[::factor])
+
+
 @dataclass(frozen=True)
 class HistorySegment:
     """Uniform samples of a lag function on [-d, 0].
@@ -272,7 +292,7 @@ class HistorySegment:
             raise GridError(
                 f"history needs m >= 4 intervals (>= 5 samples), got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise GridError("history contains non-finite samples")
         object.__setattr__(self, "values", vals)
 
@@ -313,19 +333,6 @@ def history_advance(hseg: HistorySegment, dt: float,
     return HistorySegment(hseg.d, vals)
 
 
-def history_replace_last(hseg: HistorySegment, value: float) -> HistorySegment:
-    """Copy of the segment with the s = 0 sample replaced.
-
-    Simulations march a window of applied controls: the newest slot starts
-    as a placeholder (the previous control) and is corrected once the
-    current control is chosen, keeping every slot aligned with the time it
-    was actually applied.
-    """
-    vals = hseg.values.copy()
-    vals[-1] = float(value)
-    return HistorySegment(hseg.d, vals)
-
-
 def history_weighted_sum(hseg: HistorySegment, rate: float) -> float:
     """Trapezoid quadrature of exp(rate*s) * x1(s) over [-d, 0]."""
     s = hseg.nodes
@@ -340,7 +347,7 @@ class StructuralState:
     tail: HistorySegment
 
     def __post_init__(self):
-        if not np.isfinite(self.head):
+        if not math.isfinite(self.head):
             raise GridError(f"head must be finite, got {self.head}")
 
     def scaled(self, k: float) -> "StructuralState":

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .gridcore import (CircleGrid, Field, Trajectory, cn_step,
-                       discounted_quadrature, inner_product, quad_circle)
+                       discounted_quadrature, inner_product, quad_circle,
+                       restrict)
 from .spectral import solve_elliptic
 
 
@@ -173,10 +174,7 @@ def hjb_residual_pollution(spec: PollutionSpec, x: Field,
     if ref_spec is None:
         alpha, q = spec.alpha_shadow, spec.q_const
     else:
-        factor = ref_spec.grid.n // spec.grid.n
-        if factor * spec.grid.n != ref_spec.grid.n:
-            raise ValueError("reference grid must be an integer refinement")
-        alpha = Field(spec.grid, ref_spec.alpha_shadow.values[::factor])
+        alpha = restrict(ref_spec.alpha_shadow, spec.grid)
         q = ref_spec.q_const
     v = -inner_product(alpha, x) + q
     lo, di, up = _stencil_coefficients(spec.sigma_diff, -1.0 * spec.delta_dec)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import (pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
-from .errors import ConfigError
+from .errors import AssumptionError, ConfigError
 from .gridcore import (AgeGrid, CircleGrid, HistorySegment, Trajectory,
                        inner_product, quad_circle)
 from .verify import (ModelHandle, OracleBracket, VerifyReport,
@@ -47,48 +47,56 @@ REFERENCE_FACTOR = 4  # reference-grid refinement for the parabolic residuals
 # ---------------------------------------------------------------------------
 # profile descriptors
 
+def _number(desc: dict, key: str, default: float | None = None) -> float:
+    kind = desc.get("type")
+    if key not in desc and default is None:
+        raise ConfigError(f"{kind!r} profile is missing key {key!r}")
+    return _finite(f"{kind!r} profile key {key!r}", desc.get(key, default))
+
+
 def circle_profile(desc: dict) -> Callable:
     """Profile on the circle: constant or a single-harmonic perturbation."""
     kind = desc.get("type")
     if kind == "constant":
-        v = float(desc["value"])
+        v = _number(desc, "value")
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), v)
     if kind == "harmonic":
-        mean = float(desc["mean"])
-        cos_a = float(desc.get("cos", 0.0))
-        sin_a = float(desc.get("sin", 0.0))
-        k = int(desc.get("k", 1))
+        mean = _number(desc, "mean")
+        cos_a = _number(desc, "cos", 0.0)
+        sin_a = _number(desc, "sin", 0.0)
+        k = int(_number(desc, "k", 1))
         return lambda theta: (mean + cos_a * np.cos(k * np.asarray(theta))
                               + sin_a * np.sin(k * np.asarray(theta)))
     raise ConfigError(f"unknown circle profile type {kind!r}")
 
 
-def interval_profile(desc: dict) -> Callable:
-    """Profile on a bounded interval (lag or age coordinate)."""
+def interval_profile(desc: dict, lo: float, hi: float) -> Callable:
+    """Profile on the interval [lo, hi] (lag or age coordinate); ``linear``
+    runs from ``start`` at lo to ``end`` at hi, ``power_decreasing`` from
+    ``start`` at lo down to 0 at hi."""
     kind = desc.get("type")
     if kind == "constant":
-        v = float(desc["value"])
+        v = _number(desc, "value")
         return lambda s: np.full_like(np.asarray(s, dtype=float), v)
     if kind == "exponential":
-        scale = float(desc["scale"])
-        rate = float(desc["rate"])
+        scale = _number(desc, "scale")
+        rate = _number(desc, "rate")
         return lambda s: scale * np.exp(rate * np.asarray(s, dtype=float))
     if kind == "linear":
-        a, b = float(desc["start"]), float(desc["end"])
+        a, b = _number(desc, "start"), _number(desc, "end")
 
         def fn(s):
             s = np.asarray(s, dtype=float)
-            lo, hi = s[0], s[-1]
             return a + (b - a) * (s - lo) / (hi - lo)
 
         return fn
     if kind == "power_decreasing":
-        start = float(desc["start"])
-        p = float(desc.get("power", 1.0))
+        start = _number(desc, "start")
+        p = _number(desc, "power", 1.0)
 
         def fn(s):
             s = np.asarray(s, dtype=float)
-            return start * (1.0 - s / s[-1]) ** p
+            return start * (1.0 - (s - lo) / (hi - lo)) ** p
 
         return fn
     raise ConfigError(f"unknown interval profile type {kind!r}")
@@ -203,6 +211,8 @@ def validate_config(config: dict) -> dict:
         got = config.get(block)
         if got is None:
             raise ConfigError(f"missing required block {block!r}")
+        if not isinstance(got, dict):
+            raise ConfigError(f"block {block!r} must be an object")
         unknown = set(got) - set(schema)
         if unknown:
             raise ConfigError(f"unknown keys in {block!r}: {sorted(unknown)}")
@@ -211,23 +221,34 @@ def validate_config(config: dict) -> dict:
             if key not in got:
                 raise ConfigError(f"missing required key {block}.{key}")
             val = got[key]
-            if typ is float:
-                cleaned[key] = float(val)
-            elif typ is int:
-                cleaned[key] = int(val)
-            else:
+            if typ is dict:
                 if not isinstance(val, dict):
                     raise ConfigError(f"{block}.{key} must be a profile object")
                 cleaned[key] = dict(val)
+            else:
+                cleaned[key] = typ(_finite(f"{block}.{key}", val))
+            if key in ("dt", "T_end") and cleaned[key] <= 0.0:
+                raise ConfigError(f"{block}.{key} must be positive, got {val}")
         out[block] = cleaned
     tol = dict(DEFAULT_TOLERANCES)
     extra = config.get("tolerances") or {}
     unknown_tol = set(extra) - set(tol)
     if unknown_tol:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown_tol)}")
-    tol.update({k: float(v) for k, v in extra.items()})
+    tol.update({k: _finite(f"tolerances.{k}", v) for k, v in extra.items()})
     out["tolerances"] = tol
     return out
+
+
+def _finite(name: str, val) -> float:
+    """``val`` as a finite float, or a ConfigError naming ``name``."""
+    try:
+        x = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {val!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {val!r}")
+    return x
 
 
 def refine_config(config: dict, k: int) -> dict:
@@ -275,6 +296,26 @@ def _smooth_positive_circle(rng, grid: CircleGrid):
     return grid.field(vals)
 
 
+def _circle_hooks(spec, spec_at: Callable, residual: Callable):
+    """The residual hook (against a REFERENCE_FACTOR-finer reference spec,
+    built once per working resolution) and the random-state sampler that
+    both circle models share."""
+    ref_cache = {}
+
+    def residual_fn(x, working_spec=None):
+        working_spec = working_spec or spec
+        n_ref = REFERENCE_FACTOR * working_spec.grid.n
+        if n_ref not in ref_cache:
+            ref_cache[n_ref] = spec_at(n_ref)
+        return residual(working_spec, x, ref_cache[n_ref])
+
+    def sample_state(rng, n=None):
+        return _smooth_positive_circle(rng,
+                                       CircleGrid(n) if n else spec.grid)
+
+    return residual_fn, sample_state
+
+
 def _smooth_positive_interval(rng, nodes, scale=1.0, amp=0.3):
     x = np.pi * (nodes - nodes[0]) / (nodes[-1] - nodes[0])
     c = rng.normal(size=4) * np.array([1.0, 0.6, 0.3, 0.15]) * amp
@@ -283,6 +324,9 @@ def _smooth_positive_interval(rng, nodes, scale=1.0, amp=0.3):
 
 
 def build_scenario(config: dict) -> Scenario:
+    """Validate ``config`` and wire its model; a parameter the model
+    rejects is a configuration error, a failed model assumption stays an
+    :class:`AssumptionError`."""
     config = validate_config(config)
     model = config["model"]
     builder = {
@@ -292,7 +336,12 @@ def build_scenario(config: dict) -> Scenario:
         "vintage-transport": _build_transport,
         "time-to-build": _build_ttb,
     }[model]
-    return builder(config)
+    try:
+        return builder(config)
+    except (AssumptionError, ConfigError):
+        raise
+    except ValueError as exc:  # GridError is a ValueError too
+        raise ConfigError(f"{model}: {exc}") from exc
 
 
 def _build_spatial(config):
@@ -309,15 +358,8 @@ def _build_spatial(config):
     grid = spec.grid
     x0 = grid.from_function(circle_profile(init["x0"]))
     handle = spatial_growth.make_handle(spec, num["dt"])
-    ref_cache = {}
-
-    def residual_fn(x, working_spec=None):
-        working_spec = working_spec or spec
-        n_ref = REFERENCE_FACTOR * working_spec.grid.n
-        if n_ref not in ref_cache:
-            ref_cache[n_ref] = spec_at(n_ref)
-        return spatial_growth.hjb_residual_spatial(working_spec, x,
-                                                   ref_cache[n_ref])
+    residual_fn, sample_state = _circle_hooks(
+        spec, spec_at, spatial_growth.hjb_residual_spatial)
 
     def columns(state, control):
         return {
@@ -332,8 +374,7 @@ def _build_spatial(config):
         state0=x0, dt=num["dt"], T_end=num["T_end"],
         simulate=lambda scale=1.0: spatial_growth.simulate_spatial(
             spec, x0, num["T_end"], num["dt"], control_scale=scale),
-        sample_state=lambda rng, n=None: _smooth_positive_circle(
-            rng, CircleGrid(n) if n else grid),
+        sample_state=sample_state,
         residual_fn=residual_fn,
         derived={"lambda0": spec.eigen.lambda0, "alpha0": spec.alpha0,
                  "growth_rate": spec.growth_rate},
@@ -359,15 +400,8 @@ def _build_pollution(config):
     grid = spec.grid
     p0 = grid.from_function(circle_profile(init["p0"]))
     handle = pollution.make_handle(spec, num["dt"])
-    ref_cache = {}
-
-    def residual_fn(x, working_spec=None):
-        working_spec = working_spec or spec
-        n_ref = REFERENCE_FACTOR * working_spec.grid.n
-        if n_ref not in ref_cache:
-            ref_cache[n_ref] = spec_at(n_ref)
-        return pollution.hjb_residual_pollution(working_spec, x,
-                                                ref_cache[n_ref])
+    residual_fn, sample_state = _circle_hooks(
+        spec, spec_at, pollution.hjb_residual_pollution)
 
     def columns(state, control):
         return {
@@ -382,8 +416,7 @@ def _build_pollution(config):
         state0=p0, dt=num["dt"], T_end=num["T_end"],
         simulate=lambda scale=1.0: pollution.simulate_pollution(
             spec, p0, num["T_end"], num["dt"], control_scale=scale),
-        sample_state=lambda rng, n=None: _smooth_positive_circle(
-            rng, CircleGrid(n) if n else grid),
+        sample_state=sample_state,
         residual_fn=residual_fn,
         derived={"q_const": spec.q_const,
                  "alpha_shadow_mean": quad_circle(spec.alpha_shadow)
@@ -396,7 +429,7 @@ def _build_pollution(config):
 def _build_vintage(config):
     p, num, init = config["params"], config["numerics"], config["initial"]
     spec = vintage_dde.build_vintage_spec(p["A"], p["T"], p["sigma"], p["rho"])
-    iota_fn = interval_profile(init["iota0"])
+    iota_fn = interval_profile(init["iota0"], -p["T"], 0.0)
     iota0 = HistorySegment.from_function(p["T"], num["m"], iota_fn)
     state0 = vintage_dde.lift_vintage(None, iota0)
     handle = vintage_dde.make_handle(spec, iota0.dt)
@@ -430,10 +463,9 @@ def _build_vintage(config):
 
 def _build_transport(config):
     p, num, init = config["params"], config["numerics"], config["initial"]
-    alpha_fn = interval_profile(p["alpha"])
-    q1_fn = interval_profile(p["q1"])
-    beta1_fn = interval_profile(p["beta1"])
-    z0_fn = interval_profile(init["z0"])
+    alpha_fn, q1_fn, beta1_fn, z0_fn = (
+        interval_profile(desc, 0.0, p["sbar"])
+        for desc in (p["alpha"], p["q1"], p["beta1"], init["z0"]))
 
     def spec_at(m_age):
         age = AgeGrid(p["sbar"], m_age)
@@ -481,7 +513,7 @@ def _build_ttb(config):
     p, num, init = config["params"], config["numerics"], config["initial"]
     spec = time_to_build.build_ttb_spec(p["A"], p["delta"], p["d"],
                                         p["sigma"], p["rho"])
-    u0_fn = interval_profile(init["u0"])
+    u0_fn = interval_profile(init["u0"], -p["d"], 0.0)
     u0 = HistorySegment.from_function(p["d"], num["m"], u0_fn)
     q0 = init["q0"]
     state0 = time_to_build.structural_state(spec, q0, u0)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AssumptionError, DomainError, DomainExitError
 from .gridcore import (CircleGrid, Field, Trajectory, cn_step,
                        discounted_quadrature, inner_product, quad_circle,
-                       sl_apply)
+                       restrict, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
 
 
@@ -170,14 +170,9 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
     error of the stencil; without it the residual collapses to the eigen
     iteration tolerance.
     """
-    if ref_spec is None:
-        lam0, beta = spec.eigen.lambda0, spec.beta
-    else:
-        factor = ref_spec.grid.n // spec.grid.n
-        if factor * spec.grid.n != ref_spec.grid.n:
-            raise ValueError("reference grid must be an integer refinement")
-        lam0 = ref_spec.eigen.lambda0
-        beta = Field(spec.grid, ref_spec.beta.values[::factor])
+    beta = spec.beta
+    if ref_spec is not None:
+        beta = restrict(ref_spec.beta, spec.grid)
     s = spec.sigma_crra
     p = inner_product(x, beta)
     if p <= 0.0:

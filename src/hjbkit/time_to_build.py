@@ -24,16 +24,18 @@ utility of consumption c = (Atilde/A)(q-u) differs by the constant factor
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import AssumptionError, DomainError, DomainExitError
+from . import delay
+from .delay import DelayModel, gamma as gamma_ttb
+from .errors import AssumptionError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
-                       discounted_quadrature, history_advance,
-                       history_replace_last, history_weighted_sum)
+                       discounted_quadrature, fd_derivative,
+                       history_weighted_sum)
 from .spectral import CharRoot, char_root_ttb
-from .vintage_dde import _fd_derivative
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,16 @@ class TTBSpec:
         """Factor (Atilde/A)^(1-sigma) converting the (q-u)-form payoff to
         consumption units."""
         return (self.Atilde / self.A) ** (1.0 - self.sigma_crra)
+
+    @cached_property
+    def delay(self) -> DelayModel:
+        """Delay-core constants; the output is not determined by the
+        control window, so it enters the tail bound's envelope."""
+        return DelayModel(lag=self.d, xi=self.xi.xi, nu=self.nu,
+                          sigma=self.sigma_crra, rho=self.rho, a=1.0, b=0.0,
+                          c=self.Atilde, kappa=self.alpha_mpc,
+                          room=self.A / self.Atilde, head_envelope=1.0,
+                          head_name="output")
 
 
 def build_ttb_spec(A: float, delta_dep: float, d: float, sigma_crra: float,
@@ -106,7 +118,7 @@ def to_output_coords(spec: TTBSpec, k_history: HistorySegment,
             f"capital history covers [-{k_history.d}, 0], expected [-{spec.d}, 0]"
         )
     if k_derivative is None:
-        kdot = _fd_derivative(k_history.values, k_history.dt)
+        kdot = fd_derivative(k_history.values, k_history.dt)
     else:
         if len(k_derivative.values) != len(k_history.values):
             raise ValueError("derivative samples must match the history grid")
@@ -130,32 +142,15 @@ def control_history(spec: TTBSpec, state: StructuralState) -> HistorySegment:
     return HistorySegment(state.tail.d, state.tail.values[::-1] / spec.Atilde)
 
 
-def gamma_ttb(state: StructuralState, xi: float) -> float:
-    """Equivalent capital x0 + int_{-d}^0 e^{xi s} x1(s) ds."""
-    return state.head + history_weighted_sum(state.tail, xi)
-
-
 def value_ttb(spec: TTBSpec, state: StructuralState) -> float:
     """Closed-form value nu * Gamma^(1-sigma) / (1-sigma)."""
-    g = gamma_ttb(state, spec.xi.xi)
-    if g <= 0.0:
-        raise DomainError(f"equivalent capital must be positive, got {g}")
-    return spec.nu * g ** (1.0 - spec.sigma_crra) / (1.0 - spec.sigma_crra)
+    return delay.value(spec.delay, state)
 
 
 def feedback_ttb(spec: TTBSpec, state: StructuralState) -> float:
     """Optimal control u* = x0 - alpha Gamma(x), interior to the
     irreversibility band exactly when the state is in the domain."""
-    g = gamma_ttb(state, spec.xi.xi)
-    if g <= 0.0:
-        raise DomainError(f"equivalent capital must be positive, got {g}")
-    bound = state.head * spec.A / (spec.alpha_mpc * spec.Atilde)
-    if g >= bound:
-        raise DomainError(
-            f"state violates Gamma < x0*A/(alpha*Atilde): Gamma = {g}, "
-            f"bound = {bound} (the lower irreversibility constraint binds)"
-        )
-    return state.head - spec.alpha_mpc * g
+    return delay.feedback(spec.delay, state)
 
 
 def control_band(spec: TTBSpec, q: float) -> tuple[float, float]:
@@ -173,64 +168,19 @@ def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
     right-hand side, so the path error is O(dt^2).  Domain exits abort
     with diagnostics; band violations of the scaled control are flagged.
     """
-    if not np.isclose(u0_history.d, spec.d, rtol=1e-12):
-        raise ValueError(
-            f"history covers [-{u0_history.d}, 0], expected [-{spec.d}, 0]"
-        )
-    if dt is None:
-        dt = u0_history.dt
-    elif not np.isclose(dt, u0_history.dt, rtol=1e-12):
-        raise ValueError(f"dt = {dt} must equal the history spacing {u0_history.dt}")
-
-    n_steps = int(round(T_end / dt))
-    times = dt * np.arange(n_steps + 1)
-    states, controls = [], []
-    integrand = np.empty(n_steps + 1)
-    q = float(q0)
-    hist = u0_history  # newest slot doubles as the u(t) placeholder
-    s_par = spec.sigma_crra
-    band_ok = True
-    min_consumption = np.inf
-
-    def control(q_now, window, t):
-        state = structural_state(spec, q_now, window)
-        try:
-            return control_scale * feedback_ttb(spec, state), state
-        except DomainError as exc:
-            raise DomainExitError(
-                f"trajectory left the domain at t = {t:.6g}: {exc}",
-                time=t,
-                diagnostics={"output": q_now,
-                             "gamma": gamma_ttb(state, spec.xi.xi)},
-            ) from exc
-
-    for n in range(n_steps + 1):
-        t = float(times[n])
-        u_raw, _ = control(q, hist, t)
-        hist = history_replace_last(hist, u_raw)
-        u_now, _ = control(q, hist, t)
-        hist = history_replace_last(hist, u_now)
-        state = structural_state(spec, q, hist)
-        lo, hi = control_band(spec, q)
-        if not (lo - 1e-12 <= u_now <= hi + 1e-12):
-            band_ok = False
-        states.append(state)
-        controls.append(u_now)
-        integrand[n] = (q - u_now) ** (1.0 - s_par) / (1.0 - s_par)
-        min_consumption = min(min_consumption,
-                              (spec.Atilde / spec.A) * (q - u_now))
-        if n == n_steps:
-            break
-        q = q + 0.5 * dt * spec.Atilde * (hist.values[0] + hist.values[1])
-        hist = history_advance(hist, dt, u_now)
-    running = discounted_quadrature(times, integrand, spec.rho)
-    meta = {
-        "band_ok": band_ok,
-        "min_consumption": float(min_consumption),
-        "consumption_positive": bool(min_consumption > 0.0),
-        "raw_payoff": float(spec.utility_rescale * running[-1]),
+    traj = delay.simulate(spec.delay, structural_state(spec, q0, u0_history),
+                          T_end, dt, control_scale)
+    q = np.array([st.head for st in traj.states])
+    u = np.array(traj.controls)
+    lo, hi = control_band(spec, q)
+    consumption = (spec.Atilde / spec.A) * (q - u)
+    traj.meta = {
+        "band_ok": bool(np.all((lo - 1e-12 <= u) & (u <= hi + 1e-12))),
+        "min_consumption": float(consumption.min()),
+        "consumption_positive": bool(consumption.min() > 0.0),
+        "raw_payoff": float(spec.utility_rescale * traj.payoff),
     }
-    return Trajectory(times, states, controls, running, meta)
+    return traj
 
 
 def openloop_dde_residual(spec: TTBSpec, traj: Trajectory) -> float:
@@ -343,97 +293,9 @@ def hjb_residual_ttb(spec: TTBSpec, state: StructuralState) -> float:
     with the generator acting on the gradient's lag profile by finite
     differences and the lag-endpoint evaluation delta_{-d} taken exactly;
     genuinely O(m^-2)."""
-    s_par = spec.sigma_crra
-    xi = spec.xi.xi
-    g = gamma_ttb(state, xi)
-    if g <= 0.0:
-        raise DomainError(f"equivalent capital must be positive, got {g}")
-    v = spec.nu * g ** (1.0 - s_par) / (1.0 - s_par)
-    grad_coeff = spec.nu * g ** (-s_par)
-    nodes = state.tail.nodes
-    h = state.tail.dt
-    weight = np.exp(xi * nodes)
-    dweight = _fd_derivative(weight, h)
-    drift = grad_coeff * float(trapezoid(dweight * state.tail.values, dx=h))
-    # delta_{-d}(Dv) = grad_coeff * e^{-xi d}, exact endpoint evaluation
-    p = spec.Atilde * grad_coeff * weight[0]
-    u_star = state.head - p ** (-1.0 / s_par)
-    ham = u_star * p + (state.head - u_star) ** (1.0 - s_par) / (1.0 - s_par)
-    residual = spec.rho * v - drift - ham
-    scale = max(abs(spec.rho * v), abs(drift), abs(ham))
-    return abs(residual) / scale
+    return delay.hjb_residual(spec.delay, state)
 
 
 def make_handle(spec: TTBSpec, dt_hint: float | None = None):
     """Uniform verification interface; states are lifted structural states."""
-    from .verify import ModelHandle
-
-    s = spec.sigma_crra
-    xi = spec.xi.xi
-    weight_cache = {}
-
-    def gamma_fast(state):
-        # trapezoid weights for int e^{xi s} x1(s) ds, cached per grid size
-        tail = state.tail
-        key = (len(tail.values), tail.d)
-        w = weight_cache.get(key)
-        if w is None:
-            w = np.exp(xi * tail.nodes) * tail.dt
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            weight_cache[key] = w
-        return state.head + float(w @ tail.values)
-
-    def step(state, u, dt):
-        # exact integration of the piecewise-constant policy, written
-        # directly on the tail x1(s) = Atilde*u(t-d-s): the delayed term
-        # Atilde*u(t-d) is the tail's last entry, the newest control
-        # window slot is x1[0] (a placeholder for u, corrected first), and
-        # shifting the window prepends Atilde*u and drops the last entry.
-        tail = state.tail.values
-        vals = np.empty_like(tail)
-        vals[0] = vals[1] = spec.Atilde * u
-        vals[2:] = tail[1:-1]
-        q_new = state.head + dt * tail[-1]
-        return StructuralState(q_new, HistorySegment(state.tail.d, vals))
-
-    bound_coeff = spec.A / (spec.alpha_mpc * spec.Atilde)
-
-    def in_domain(state):
-        g = gamma_fast(state)
-        return 0.0 < g < state.head * bound_coeff
-
-    def feedback_fast(state):
-        g = gamma_fast(state)
-        if not (0.0 < g < state.head * bound_coeff):
-            return feedback_ttb(spec, state)  # raise with the named error
-        return state.head - spec.alpha_mpc * g
-
-    def tail_bound(state, t_abs):
-        # q(t) <= M e^{xi (t - t_abs)} for any admissible continuation
-        # (characteristic supersolution of q' = Atilde u(t-d), u <= q)
-        if s >= 1.0:
-            raise NotImplementedError("tail bound implemented for sigma < 1")
-        hist = control_history(spec, state)
-        m0 = float(np.max(hist.values * np.exp(-xi * hist.nodes)))
-        M = max(state.head, m0, 0.0)
-        return np.exp(-spec.rho * t_abs) * M ** (1.0 - s) / (
-            (1.0 - s) * (spec.rho - xi * (1.0 - s)))
-
-    def payoff(st, u):
-        c = st.head - u
-        if c < 0.0:
-            return -np.inf  # inadmissible consumption, flags the policy
-        return c ** (1.0 - s) / (1.0 - s)
-
-    return ModelHandle(
-        value=lambda st: value_ttb(spec, st),
-        feedback=feedback_fast,
-        step=step,
-        running_payoff=payoff,
-        rho=spec.rho,
-        domain_check=in_domain,
-        control_bounds=lambda st: control_band(spec, st.head),
-        payoff_tail_bound=tail_bound,
-        dt_hint=dt_hint,
-    )
+    return delay.make_handle(spec.delay, dt_hint)

@@ -23,14 +23,15 @@ Gamma0 grows along the closed loop at exactly (xi - rho)/sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import AssumptionError, DomainError, DomainExitError
-from .gridcore import (HistorySegment, StructuralState, Trajectory,
-                       discounted_quadrature, history_advance,
-                       history_replace_last, history_weighted_sum)
+from . import delay
+from .delay import DelayModel, gamma as gamma0
+from .errors import AssumptionError, DomainError
+from .gridcore import HistorySegment, StructuralState, Trajectory
 from .spectral import CharRoot, char_root_vintage
 
 
@@ -63,6 +64,16 @@ class VintageSpec:
         """Closed-loop growth rate (xi - rho)/sigma of Gamma0."""
         return (self.xi.xi - self.rho) / self.sigma_crra
 
+    @cached_property
+    def delay(self) -> DelayModel:
+        """Delay-core constants; the head is the window's integral, so it
+        adds nothing to the tail bound's envelope."""
+        return DelayModel(lag=self.T_scrap, xi=self.xi.xi, nu=self.nu,
+                          sigma=self.sigma_crra, rho=self.rho, a=self.A,
+                          b=1.0, c=-1.0, kappa=self.feedback_coefficient,
+                          room=self.A, head_envelope=0.0,
+                          head_name="capital")
+
 
 def build_vintage_spec(A: float, T_scrap: float, sigma_crra: float,
                        rho: float) -> VintageSpec:
@@ -92,16 +103,16 @@ def lift_vintage(k0: float | None, iota: HistorySegment,
     which the value function's domain allows).  ``k0=None`` uses the
     integral itself.
     """
+    integral = float(trapezoid(iota.values, dx=iota.dt))
     if k0 is None:
-        k0 = float(trapezoid(iota.values, dx=iota.dt))
-    elif enforce_consistency:
-        integral = float(trapezoid(iota.values, dx=iota.dt))
-        if not np.isclose(k0, integral, rtol=1e-9, atol=1e-12):
-            raise ValueError(
-                f"k0 = {k0} is inconsistent with the history integral "
-                f"{integral}; pass enforce_consistency=False to lift the "
-                "pair anyway"
-            )
+        k0 = integral
+    elif enforce_consistency and not np.isclose(k0, integral, rtol=1e-9,
+                                                atol=1e-12):
+        raise ValueError(
+            f"k0 = {k0} is inconsistent with the history integral "
+            f"{integral}; pass enforce_consistency=False to lift the "
+            "pair anyway"
+        )
     tail = HistorySegment(iota.d, -iota.values[::-1])
     return StructuralState(float(k0), tail)
 
@@ -110,11 +121,6 @@ def unlift_vintage(state: StructuralState) -> tuple[float, HistorySegment]:
     """Inverse of :func:`lift_vintage` (the tail map is an involution)."""
     iota = HistorySegment(state.tail.d, -state.tail.values[::-1])
     return state.head, iota
-
-
-def gamma0(state: StructuralState, xi: float) -> float:
-    """Equivalent capital x0 + int_{-T}^0 e^{xi s} x1(s) ds."""
-    return state.head + history_weighted_sum(state.tail, xi)
 
 
 def gamma0_from_history(iota: HistorySegment, xi: float) -> float:
@@ -127,10 +133,7 @@ def gamma0_from_history(iota: HistorySegment, xi: float) -> float:
 
 def value_vintage(spec: VintageSpec, state: StructuralState) -> float:
     """Closed-form value nu * Gamma0^(1-sigma) / (1-sigma)."""
-    g0 = gamma0(state, spec.xi.xi)
-    if g0 <= 0.0:
-        raise DomainError(f"equivalent capital must be positive, got {g0}")
-    return spec.nu * g0 ** (1.0 - spec.sigma_crra) / (1.0 - spec.sigma_crra)
+    return delay.value(spec.delay, state)
 
 
 def feedback_vintage(spec: VintageSpec, state: StructuralState) -> float:
@@ -140,18 +143,7 @@ def feedback_vintage(spec: VintageSpec, state: StructuralState) -> float:
     the equation: Gamma0 > 0 and i* > 0 (equivalently A x0 above the
     consumption level); the violated inequality is named on error.
     """
-    g0 = gamma0(state, spec.xi.xi)
-    if g0 <= 0.0:
-        raise DomainError(f"equivalent capital must be positive, got {g0}")
-    consumption = spec.feedback_coefficient * g0
-    i_star = spec.A * state.head - consumption
-    if i_star <= 0.0:
-        raise DomainError(
-            "state violates A*x0 > nu^(-1/sigma) (A/xi)^(1/sigma) Gamma0: "
-            f"output A*x0 = {spec.A * state.head} does not exceed the "
-            f"feedback consumption {consumption}"
-        )
-    return i_star
+    return delay.feedback(spec.delay, state)
 
 
 def interior_condition(spec: VintageSpec) -> bool:
@@ -188,61 +180,16 @@ def simulate_vintage(spec: VintageSpec, iota0: HistorySegment, T_end: float,
     second-order in dt.  A domain exit aborts with the offending time and
     state diagnostics.
     """
-    if not np.isclose(iota0.d, spec.T_scrap, rtol=1e-12):
-        raise ValueError(
-            f"history covers [-{iota0.d}, 0] but the scrapping time is "
-            f"{spec.T_scrap}"
-        )
-    if dt is None:
-        dt = iota0.dt
-    elif not np.isclose(dt, iota0.dt, rtol=1e-12):
-        raise ValueError(f"dt = {dt} must equal the history spacing {iota0.dt}")
     if iota0.values.min() < 0.0 or not np.any(iota0.values > 0.0):
         raise DomainError("initial investments must be nonnegative and not "
                           "identically zero")
-
-    def control(k, hist, t):
-        state = lift_vintage(k, hist, enforce_consistency=False)
-        try:
-            return control_scale * feedback_vintage(spec, state), state
-        except DomainError as exc:
-            raise DomainExitError(
-                f"trajectory left the domain at t = {t:.6g}: {exc}",
-                time=t,
-                diagnostics={"capital": k,
-                             "gamma0": gamma0(state, spec.xi.xi)},
-            ) from exc
-
-    n_steps = int(round(T_end / dt))
-    times = dt * np.arange(n_steps + 1)
-    states, controls = [], []
-    integrand = np.empty(n_steps + 1)
-    k = float(trapezoid(iota0.values, dx=iota0.dt))
-    hist = iota0  # newest slot doubles as the i(t) placeholder
-    min_i, min_k = np.inf, k
-    for n in range(n_steps + 1):
-        t = float(times[n])
-        i_raw, _ = control(k, hist, t)
-        hist = history_replace_last(hist, i_raw)
-        i_now, _ = control(k, hist, t)
-        hist = history_replace_last(hist, i_now)
-        states.append(lift_vintage(k, hist, enforce_consistency=False))
-        controls.append(i_now)
-        s = spec.sigma_crra
-        integrand[n] = (spec.A * k - i_now) ** (1.0 - s) / (1.0 - s)
-        min_i, min_k = min(min_i, i_now), min(min_k, k)
-        if n == n_steps:
-            break
-        rhs_left = i_now - hist.values[0]
-        hist_next = history_advance(hist, dt, i_now)
-        i_pred, _ = control(k + dt * rhs_left, hist_next, float(times[n + 1]))
-        rhs_right = i_pred - hist.values[1]
-        k = k + 0.5 * dt * (rhs_left + rhs_right)
-        hist = hist_next
-    running = discounted_quadrature(times, integrand, spec.rho)
-    meta = {"min_investment": float(min_i), "min_capital": float(min_k),
-            "positivity_ok": bool(min_i > 0.0 and min_k > 0.0)}
-    return Trajectory(times, states, controls, running, meta)
+    traj = delay.simulate(spec.delay, lift_vintage(None, iota0), T_end, dt,
+                          control_scale)
+    min_i = min(traj.controls)
+    min_k = min(st.head for st in traj.states)
+    traj.meta = {"min_investment": float(min_i), "min_capital": float(min_k),
+                 "positivity_ok": bool(min_i > 0.0 and min_k > 0.0)}
+    return traj
 
 
 def hjb_residual_vintage(spec: VintageSpec, state: StructuralState) -> float:
@@ -254,110 +201,9 @@ def hjb_residual_vintage(spec: VintageSpec, state: StructuralState) -> float:
     boundary pairing B(Dv) uses the exact endpoint values.  The residual is
     therefore a genuine O(m^-2) truncation-error measurement.
     """
-    s_par = spec.sigma_crra
-    xi = spec.xi.xi
-    g0 = gamma0(state, xi)
-    if g0 <= 0.0:
-        raise DomainError(f"equivalent capital must be positive, got {g0}")
-    v = spec.nu * g0 ** (1.0 - s_par) / (1.0 - s_par)
-    grad_coeff = spec.nu * g0 ** (-s_par)
-    nodes = state.tail.nodes
-    h = state.tail.dt
-    weight = np.exp(xi * nodes)
-    dweight = _fd_derivative(weight, h)
-    # <A Dv, x> = coeff * int (d/ds weight) * x1
-    drift = grad_coeff * float(trapezoid(dweight * state.tail.values, dx=h))
-    # Hamiltonian sup with p = B(Dv) = coeff*(weight(0) - weight(-T))
-    p = grad_coeff * (weight[-1] - weight[0])
-    i_star = spec.A * state.head - p ** (-1.0 / s_par)
-    ham = (spec.A * state.head - i_star) ** (1.0 - s_par) / (1.0 - s_par) \
-        + i_star * p
-    residual = spec.rho * v - drift - ham
-    scale = max(abs(spec.rho * v), abs(drift), abs(ham))
-    return abs(residual) / scale
-
-
-def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order first derivative on a uniform grid (3-point one-sided
-    stencils at both ends)."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return out
+    return delay.hjb_residual(spec.delay, state)
 
 
 def make_handle(spec: VintageSpec, dt_hint: float | None = None):
     """Uniform verification interface; states are lifted structural states."""
-    from .verify import ModelHandle
-
-    s = spec.sigma_crra
-    xi = spec.xi.xi
-    weight_cache = {}
-
-    def gamma_fast(state):
-        # trapezoid weights for int e^{xi s} x1(s) ds, cached per grid size
-        tail = state.tail
-        key = (len(tail.values), tail.d)
-        w = weight_cache.get(key)
-        if w is None:
-            w = np.exp(xi * tail.nodes) * tail.dt
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            weight_cache[key] = w
-        return state.head + float(w @ tail.values)
-
-    def step(state, i, dt):
-        # exact integration of the piecewise-constant policy, written
-        # directly on the involuted tail x1(s) = -iota(-T-s): the control
-        # window's newest slot is x1[0] (a placeholder for i, corrected
-        # first), its oldest slot is -x1[-1] (the delayed control), and
-        # shifting the window prepends -i and drops the last entry.
-        tail = state.tail.values
-        vals = np.empty_like(tail)
-        vals[0] = vals[1] = -i  # corrected newest slot and its shifted copy
-        vals[2:] = tail[1:-1]
-        k_new = state.head + dt * (i + tail[-1])
-        return StructuralState(k_new, HistorySegment(state.tail.d, vals))
-
-    coeff = spec.feedback_coefficient
-
-    def in_domain(state):
-        g0 = gamma_fast(state)
-        return g0 > 0.0 and spec.A * state.head > coeff * g0
-
-    def feedback_fast(state):
-        g0 = gamma_fast(state)
-        i_star = spec.A * state.head - coeff * g0
-        if g0 <= 0.0 or i_star <= 0.0:
-            return feedback_vintage(spec, state)  # raise with the named error
-        return i_star
-
-    def tail_bound(state, t_abs):
-        # any admissible continuation has c(t) <= m0 * e^{xi (t - t_abs)},
-        # by the renewal comparison with the characteristic supersolution
-        if s >= 1.0:
-            raise NotImplementedError("tail bound implemented for sigma < 1")
-        _, hist = unlift_vintage(state)
-        m0 = float(np.max(hist.values * np.exp(-xi * hist.nodes)))
-        m0 = max(m0, 0.0)
-        return np.exp(-spec.rho * t_abs) * m0 ** (1.0 - s) / (
-            (1.0 - s) * (spec.rho - xi * (1.0 - s)))
-
-    def payoff(st, i):
-        c = spec.A * st.head - i
-        if c < 0.0:
-            return -np.inf  # inadmissible consumption, flags the policy
-        return c ** (1.0 - s) / (1.0 - s)
-
-    return ModelHandle(
-        value=lambda st: value_vintage(spec, st),
-        feedback=feedback_fast,
-        step=step,
-        running_payoff=payoff,
-        rho=spec.rho,
-        domain_check=in_domain,
-        control_bounds=lambda st: (0.0, spec.A * st.head),
-        payoff_tail_bound=tail_bound,
-        dt_hint=dt_hint,
-    )
+    return delay.make_handle(spec.delay, dt_hint)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError
-from .gridcore import AgeGrid, Trajectory, discounted_quadrature
+from .gridcore import (AgeGrid, Trajectory, discounted_quadrature,
+                       fd_derivative)
 from .spectral import _exp_cell_weights, transport_resolvent
 
 _MONOTONE_SLACK = 1e-12
@@ -254,11 +255,9 @@ def hjb_residual_transport(spec: TransportSpec, x) -> float:
     quadratic supremum cancels the constant part exactly, so the residual
     is a genuine O(h^2) consistency measurement of the resolvent profile.
     """
-    from .vintage_dde import _fd_derivative
-
     x = spec.age.profile(x)
     v = value_transport(spec, x)
-    dabar = _fd_derivative(spec.abar, spec.age.h)
+    dabar = fd_derivative(spec.abar, spec.age.h)
     # <alpha + A* Dv, x> with A* abar = abar' - mu abar
     drift = spec.age.quad((spec.alpha_rev + dabar - spec.mu * spec.abar) * x)
     _, _, ham = hamiltonian_transport(spec, spec.abar)

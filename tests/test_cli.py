@@ -124,6 +124,47 @@ class TestRun:
         assert (out1 / "summary.json").read_bytes() \
             == (out2 / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("model, key", [("vintage-dde", "iota0"),
+                                            ("time-to-build", "u0")])
+    def test_decreasing_history_profile(self, tmp_path, model, key):
+        # power_decreasing is normalised by the history domain [-lag, 0]
+        cfg = default_config(model)
+        cfg["initial"][key] = {"type": "power_decreasing", "start": 1.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for cmd in ("run", "verify"):
+            assert run_cli([cmd, "--config", str(path),
+                            "--out", str(tmp_path / cmd)]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["value_gap"] < 5e-3
+
+
+BAD_INPUTS = [
+    ("vintage-dde", "params", "sigma", 1.0, "sigma"),
+    ("spatial-growth", "numerics", "n", 4, "n >= 8"),
+    ("vintage-dde", "numerics", "m", 2, "m >= 4"),
+    ("vintage-transport", "params", "mu", -0.1, "mu"),
+    ("spatial-growth", "numerics", "dt", -0.01, "numerics.dt"),
+    ("vintage-dde", "params", "rho", "abc", "params.rho"),
+    ("vintage-dde", "params", "rho", float("nan"), "params.rho"),
+    ("time-to-build", "numerics", "T_end", float("inf"), "numerics.T_end"),
+    ("vintage-dde", "initial", "iota0", {"type": "constant"}, "'value'"),
+    ("spatial-growth", "initial", "x0",
+     {"type": "constant", "value": float("nan")}, "'value'"),
+]
+
+
+@pytest.mark.parametrize("model, block, key, value, named", BAD_INPUTS)
+def test_bad_input_exits_2(tmp_path, capsys, model, block, key, value,
+                           named):
+    cfg = default_config(model)
+    cfg[block][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity as JSON extensions
+    code = run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
 
 class TestVerify:
     def test_vintage_report(self, tmp_path):

@@ -229,7 +229,7 @@ class TestSimulate:
 class TestHJBResidual:
     def test_discrete_costate_identity(self, spec):
         # rho*abar - abar' + mu*abar = alpha within O(h)
-        from hjbkit.vintage_dde import _fd_derivative
+        from hjbkit.gridcore import fd_derivative as _fd_derivative
         lhs = (spec.rho + spec.mu) * spec.abar \
             - _fd_derivative(spec.abar, spec.age.h)
         assert np.max(np.abs(lhs - spec.alpha_rev)) < 10.0 * spec.age.h ** 2
