@@ -53,9 +53,22 @@ def _write_json(path: Path, obj) -> None:
                     + "\n")
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in ``path``; an unreadable file, malformed JSON or a
+    top-level value that is not an object is a ConfigError naming it."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: JSON or UTF-8 decoding
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got "
+                          f"{type(raw).__name__}")
+    return raw
+
+
 def _load_config(args) -> dict:
     if args.config is not None:
-        raw = json.loads(Path(args.config).read_text())
+        raw = _read_config(args.config)
         if "config" in raw and isinstance(raw["config"], dict) \
                 and "model" in raw["config"]:
             raw = raw["config"]  # summary.json round trip

@@ -30,6 +30,7 @@ from scipy.integrate import trapezoid
 from .errors import DomainError, DomainExitError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative)
+from .verify import ModelHandle
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,11 @@ def in_domain(model: DelayModel, state: StructuralState) -> bool:
     return g > 0.0 and model.kappa * g < model.room * state.head
 
 
+def diagnostics(model: DelayModel, state: StructuralState) -> dict:
+    """Head and equivalent capital of a state, for domain-exit reports."""
+    return {model.head_name: state.head, "gamma": gamma(state, model.xi)}
+
+
 def shift(model: DelayModel, state: StructuralState, u: float,
           dt: float) -> StructuralState:
     """Exact integration of a control held at u over one sample, written
@@ -116,8 +122,7 @@ def shift(model: DelayModel, state: StructuralState, u: float,
 
 
 def simulate(model: DelayModel, state0: StructuralState, T_end: float,
-             dt: float | None = None,
-             control_scale: float = 1.0) -> Trajectory:
+             dt: float | None = None) -> Trajectory:
     """Closed-loop Heun integration of x0' = b u(t) + c u(t-L).
 
     dt is locked to the history spacing L/m, so the delayed term is always
@@ -139,14 +144,11 @@ def simulate(model: DelayModel, state0: StructuralState, T_end: float,
 
     def control(state, t):
         try:
-            return control_scale * feedback(model, state)
+            return feedback(model, state)
         except DomainError as exc:
             raise DomainExitError(
                 f"trajectory left the domain at t = {t:.6g}: {exc}",
-                time=t,
-                diagnostics={model.head_name: state.head,
-                             "gamma": gamma(state, model.xi)},
-            ) from exc
+                time=t, diagnostics=diagnostics(model, state)) from exc
 
     a, b, c, s = model.a, model.b, model.c, model.sigma
     n_steps = int(round(T_end / dt))
@@ -198,10 +200,8 @@ def hjb_residual(model: DelayModel, state: StructuralState) -> float:
     return abs(residual) / scale
 
 
-def make_handle(model: DelayModel, dt_hint: float | None = None):
+def make_handle(model: DelayModel) -> ModelHandle:
     """Uniform verification interface; states are lifted structural states."""
-    from .verify import ModelHandle
-
     s, xi = model.sigma, model.xi
     lo, hi = model.a - model.room, model.a  # band per unit of x0
 
@@ -232,5 +232,5 @@ def make_handle(model: DelayModel, dt_hint: float | None = None):
         domain_check=functools.partial(in_domain, model),
         control_bounds=lambda st: (lo * st.head, hi * st.head),
         payoff_tail_bound=tail_bound,
-        dt_hint=dt_hint,
+        diagnostics=functools.partial(diagnostics, model),
     )

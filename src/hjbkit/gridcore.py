@@ -385,8 +385,10 @@ class AgeGrid:
         return vals
 
     def quad(self, values) -> float:
-        """Trapezoid quadrature over [0, sbar]."""
-        return float(trapezoid(self.profile(values), dx=self.h))
+        """Trapezoid quadrature over [0, sbar] (scipy's ``trapezoid``
+        arithmetic, without its per-call argument handling)."""
+        v = self.profile(values)
+        return float((self.h * (v[1:] + v[:-1]) / 2.0).sum())
 
 
 @dataclass

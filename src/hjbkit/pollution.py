@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .gridcore import (CircleGrid, Field, Trajectory, cn_step,
-                       discounted_quadrature, inner_product, quad_circle,
-                       restrict)
+from .gridcore import (CircleGrid, Field, Trajectory, cn_step, inner_product,
+                       quad_circle, restrict)
 from .spectral import solve_elliptic
+from .verify import ModelHandle, _rollout
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,9 @@ def running_gain(spec: PollutionSpec, p: Field, i: Field) -> float:
 
 
 def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
-                       dt: float = 1e-2,
-                       control_scale: float = 1.0) -> Trajectory:
+                       dt: float = 1e-2) -> Trajectory:
     """Forward Crank-Nicolson run under the (constant-in-time) optimal
-    investment, scaled by ``control_scale``.
+    investment: the verification rollout over :func:`make_handle`.
 
     The discrete maximum principle is asserted: with p0 >= 0 and a
     nonnegative source the trajectory must stay above -1e-10.
@@ -136,26 +135,13 @@ def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
         raise ValueError(f"dt must be positive, got {dt}")
     if p0.min() < 0.0:
         raise DomainError(f"initial pollution must be nonnegative, min = {p0.min()}")
-    i = control_scale * spec.i_star
-    source = spec.eta * i
-    zeroth = -1.0 * spec.delta_dec
-    n_steps = int(round(T_end / dt))
-    times = dt * np.arange(n_steps + 1)
-    states, controls, integrand = [], [], np.empty(n_steps + 1)
-    p = p0
-    min_p = p.min()
-    for k in range(n_steps + 1):
-        states.append(p)
-        controls.append(i)
-        integrand[k] = running_gain(spec, p, i)
-        min_p = min(min_p, p.min())
-        if k < n_steps:
-            p = cn_step(spec.sigma_diff, zeroth, p, source, dt)
+    times, states, controls, running = _rollout(
+        make_handle(spec), p0, int(round(T_end / dt)), dt)
+    min_p = min(p.min() for p in states)
     if min_p < -1e-10:
         raise NumericsError(
             f"discrete maximum principle violated: min p = {min_p}"
         )
-    running = discounted_quadrature(times, integrand, spec.rho)
     return Trajectory(times, states, controls, running,
                       {"min_state": min_p})
 
@@ -188,10 +174,8 @@ def hjb_residual_pollution(spec: PollutionSpec, x: Field,
     return abs(residual) / scale
 
 
-def make_handle(spec: PollutionSpec, dt_hint: float = 1e-2):
+def make_handle(spec: PollutionSpec) -> ModelHandle:
     """Uniform verification interface over the pollution model."""
-    from .verify import ModelHandle
-
     zeroth = -1.0 * spec.delta_dec
 
     def step(p, i, dt):
@@ -204,5 +188,4 @@ def make_handle(spec: PollutionSpec, dt_hint: float = 1e-2):
         running_payoff=lambda p, i: running_gain(spec, p, i),
         rho=spec.rho,
         domain_check=lambda p: True,
-        dt_hint=dt_hint,
     )

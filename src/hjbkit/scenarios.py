@@ -93,6 +93,9 @@ def interval_profile(desc: dict, lo: float, hi: float) -> Callable:
     if kind == "power_decreasing":
         start = _number(desc, "start")
         p = _number(desc, "power", 1.0)
+        if p <= 0.0:  # else the profile does not fall to 0 at hi
+            raise ConfigError(f"{kind!r} profile key 'power' must be "
+                              f"positive, got {p}")
 
         def fn(s):
             s = np.asarray(s, dtype=float)
@@ -316,6 +319,18 @@ def _circle_hooks(spec, spec_at: Callable, residual: Callable):
     return residual_fn, sample_state
 
 
+def _check_initial(key: str, values: np.ndarray, nonzero: bool = False):
+    """Reject an initial profile ``initial.<key>`` with a negative or
+    non-finite sample (or, with ``nonzero``, one that vanishes
+    identically), which the simulator would refuse or carry into NaN."""
+    if not np.isfinite(values).all() or values.min() < 0.0 \
+            or (nonzero and not values.any()):
+        raise ConfigError(
+            f"initial.{key} must be finite and nonnegative"
+            f"{' and not identically zero' if nonzero else ''}, "
+            f"min = {values.min()}")
+
+
 def _smooth_positive_interval(rng, nodes, scale=1.0, amp=0.3):
     x = np.pi * (nodes - nodes[0]) / (nodes[-1] - nodes[0])
     c = rng.normal(size=4) * np.array([1.0, 0.6, 0.3, 0.15]) * amp
@@ -355,9 +370,9 @@ def _build_spatial(config):
             g.from_function(A_fn), g.from_function(N_fn), p["sigma"], p["rho"])
 
     spec = spec_at(num["n"])
-    grid = spec.grid
-    x0 = grid.from_function(circle_profile(init["x0"]))
-    handle = spatial_growth.make_handle(spec, num["dt"])
+    x0 = spec.grid.from_function(circle_profile(init["x0"]))
+    _check_initial("x0", x0.values, nonzero=True)
+    handle = spatial_growth.make_handle(spec)
     residual_fn, sample_state = _circle_hooks(
         spec, spec_at, spatial_growth.hjb_residual_spatial)
 
@@ -372,8 +387,8 @@ def _build_spatial(config):
     return Scenario(
         name="spatial-growth", config=config, spec=spec, handle=handle,
         state0=x0, dt=num["dt"], T_end=num["T_end"],
-        simulate=lambda scale=1.0: spatial_growth.simulate_spatial(
-            spec, x0, num["T_end"], num["dt"], control_scale=scale),
+        simulate=lambda: spatial_growth.simulate_spatial(
+            spec, x0, num["T_end"], num["dt"]),
         sample_state=sample_state,
         residual_fn=residual_fn,
         derived={"lambda0": spec.eigen.lambda0, "alpha0": spec.alpha0,
@@ -390,16 +405,18 @@ def _build_pollution(config):
 
     def spec_at(n):
         g = CircleGrid(n)
-        return pollution.build_pollution_spec(
-            g.from_function(fns["sigma_diff"]), g.from_function(fns["delta"]),
-            g.from_function(fns["eta"]), g.from_function(fns["a"]),
-            g.from_function(fns["gamma"]), g.from_function(fns["w"]),
-            p["rho"])
+        fields = {key: g.from_function(fn) for key, fn in fns.items()}
+        if fields["eta"].min() <= 0.0:
+            # eta*alpha = 0 leaves the pointwise investment problem
+            # without an interior maximizer
+            raise ConfigError("params.eta must be positive, min = "
+                              f"{fields['eta'].min()}")
+        return pollution.build_pollution_spec(*fields.values(), p["rho"])
 
     spec = spec_at(num["n"])
-    grid = spec.grid
-    p0 = grid.from_function(circle_profile(init["p0"]))
-    handle = pollution.make_handle(spec, num["dt"])
+    p0 = spec.grid.from_function(circle_profile(init["p0"]))
+    _check_initial("p0", p0.values)
+    handle = pollution.make_handle(spec)
     residual_fn, sample_state = _circle_hooks(
         spec, spec_at, pollution.hjb_residual_pollution)
 
@@ -414,8 +431,8 @@ def _build_pollution(config):
     return Scenario(
         name="pollution", config=config, spec=spec, handle=handle,
         state0=p0, dt=num["dt"], T_end=num["T_end"],
-        simulate=lambda scale=1.0: pollution.simulate_pollution(
-            spec, p0, num["T_end"], num["dt"], control_scale=scale),
+        simulate=lambda: pollution.simulate_pollution(
+            spec, p0, num["T_end"], num["dt"]),
         sample_state=sample_state,
         residual_fn=residual_fn,
         derived={"q_const": spec.q_const,
@@ -431,8 +448,9 @@ def _build_vintage(config):
     spec = vintage_dde.build_vintage_spec(p["A"], p["T"], p["sigma"], p["rho"])
     iota_fn = interval_profile(init["iota0"], -p["T"], 0.0)
     iota0 = HistorySegment.from_function(p["T"], num["m"], iota_fn)
+    _check_initial("iota0", iota0.values, nonzero=True)
     state0 = vintage_dde.lift_vintage(None, iota0)
-    handle = vintage_dde.make_handle(spec, iota0.dt)
+    handle = vintage_dde.make_handle(spec)
 
     def sample_state(rng, m=None):
         m = m or num["m"]
@@ -450,8 +468,8 @@ def _build_vintage(config):
     return Scenario(
         name="vintage-dde", config=config, spec=spec, handle=handle,
         state0=state0, dt=iota0.dt, T_end=num["T_end"],
-        simulate=lambda scale=1.0: vintage_dde.simulate_vintage(
-            spec, iota0, num["T_end"], control_scale=scale),
+        simulate=lambda: vintage_dde.simulate_vintage(
+            spec, iota0, num["T_end"]),
         sample_state=sample_state,
         residual_fn=lambda st: vintage_dde.hjb_residual_vintage(spec, st),
         derived={"xi": spec.xi.xi, "nu": spec.nu, "mpc": spec.mpc,
@@ -476,15 +494,12 @@ def _build_transport(config):
 
     spec = spec_at(num["m_age"])
     z0 = z0_fn(spec.age.nodes)
+    _check_initial("z0", z0)
     handle = vintage_transport.make_handle(spec)
 
     def sample_state(rng, m_age=None):
         age = AgeGrid(p["sbar"], m_age or num["m_age"])
         return _smooth_positive_interval(rng, age.nodes, scale=0.5)
-
-    def residual_fn(x, working_spec=None):
-        working_spec = working_spec or spec
-        return vintage_transport.hjb_residual_transport(working_spec, x)
 
     def columns(state, control):
         u0_now, _ = control
@@ -497,11 +512,11 @@ def _build_transport(config):
     return Scenario(
         name="vintage-transport", config=config, spec=spec, handle=handle,
         state0=z0, dt=spec.age.h, T_end=num["T_end"],
-        simulate=lambda scale=1.0: vintage_transport.simulate_transport(
-            spec, z0, u0=scale * spec.u0_star, u1=scale * spec.u1_star,
-            T_end=num["T_end"]),
+        simulate=lambda: vintage_transport.simulate_transport(
+            spec, z0, T_end=num["T_end"]),
         sample_state=sample_state,
-        residual_fn=residual_fn,
+        residual_fn=lambda x, working_spec=None:
+            vintage_transport.hjb_residual_transport(working_spec or spec, x),
         derived={"abar0": float(spec.abar[0]), "u0_star": spec.u0_star,
                  "positivity_ok": spec.positivity_ok},
         state_columns=columns,
@@ -517,7 +532,7 @@ def _build_ttb(config):
     u0 = HistorySegment.from_function(p["d"], num["m"], u0_fn)
     q0 = init["q0"]
     state0 = time_to_build.structural_state(spec, q0, u0)
-    handle = time_to_build.make_handle(spec, u0.dt)
+    handle = time_to_build.make_handle(spec)
 
     def sample_state(rng, m=None):
         m = m or num["m"]
@@ -545,8 +560,8 @@ def _build_ttb(config):
     return Scenario(
         name="time-to-build", config=config, spec=spec, handle=handle,
         state0=state0, dt=u0.dt, T_end=num["T_end"],
-        simulate=lambda scale=1.0: time_to_build.simulate_ttb(
-            spec, q0, u0, num["T_end"], control_scale=scale),
+        simulate=lambda: time_to_build.simulate_ttb(
+            spec, q0, u0, num["T_end"]),
         sample_state=sample_state,
         residual_fn=lambda st: time_to_build.hjb_residual_ttb(spec, st),
         derived={"xi": spec.xi.xi, "nu": spec.nu, "alpha_mpc": spec.alpha_mpc,
@@ -631,7 +646,7 @@ def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
     dt = sc.dt
     T_end = ORACLE_EFOLDINGS / sc.handle.rho
     n_steps = int(round(T_end / dt))
-    _, _, controls, _ = _rollout(sc.handle, sc.state0, n_steps, dt, 1.0)
+    _, _, controls, _ = _rollout(sc.handle, sc.state0, n_steps, dt)
     seed_controls = [float(c) for c in controls[:n_steps]]
     bracket = brute_force_value(sc.handle.oracle_problem(), sc.state0, dt,
                                 T_end, n_controls=n_controls,

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, DomainExitError
-from .gridcore import (CircleGrid, Field, Trajectory, cn_step,
-                       discounted_quadrature, inner_product, quad_circle,
-                       restrict, sl_apply)
+from .errors import AssumptionError, DomainError
+from .gridcore import (CircleGrid, Field, Trajectory, cn_step, inner_product,
+                       quad_circle, restrict, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
+from .verify import ModelHandle, _rollout
 
 
 @dataclass(frozen=True)
@@ -105,51 +105,28 @@ def utility(spec: SpatialGrowthSpec, c: Field) -> float:
 
 
 def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
-                     dt: float = 1e-2, control_scale: float = 1.0) -> Trajectory:
+                     dt: float = 1e-2) -> Trajectory:
     """Closed-loop Crank-Nicolson run under the consumption feedback.
 
-    The feedback is frozen within each step and enters the CN right-hand
-    side as an explicit source; the linear part stays implicit.  Positivity
-    of the state is reported, not enforced: ``meta['positivity_ok']`` turns
-    False at the first time min y < 0 (the run itself continues while
-    <y, beta> > 0 holds).
-
-    ``control_scale`` multiplies the feedback (used by verification to
-    score deliberately suboptimal controls).
+    This is the verification rollout over :func:`make_handle`: the
+    feedback is held over each step and enters the CN right-hand side as
+    an explicit source; the linear part stays implicit.  Positivity of the
+    state is reported, not enforced: ``meta['positivity_ok']`` turns False
+    at the first time min y < 0 (the run itself continues while
+    <y, beta> > 0 holds, and a domain exit reports the pairing and the
+    state's minimum).
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if x0.min() < 0.0:
         raise DomainError(f"initial capital must be nonnegative, min = {x0.min()}")
     _pairing(spec, x0)
-    grid = spec.grid
-    one = grid.constant(1.0)
-    n_steps = int(round(T_end / dt))
-    times = dt * np.arange(n_steps + 1)
-    states, controls, integrand = [], [], np.empty(n_steps + 1)
-    first_negative = None
-    y = x0
-    for k in range(n_steps + 1):
-        try:
-            c = control_scale * feedback_spatial(spec, y)
-        except DomainError as exc:
-            raise DomainExitError(
-                f"trajectory left the domain at t = {times[k]:.6g}: {exc}",
-                time=float(times[k]),
-                diagnostics={"pairing": inner_product(y, spec.beta),
-                             "min_state": y.min()},
-            ) from exc
-        states.append(y)
-        controls.append(c)
-        integrand[k] = utility(spec, c)
-        if first_negative is None and y.min() < 0.0:
-            first_negative = float(times[k])
-        if k < n_steps:
-            y = cn_step(one, spec.A_coeff, y, -1.0 * (c * spec.N_pop), dt)
-    running = discounted_quadrature(times, integrand, spec.rho)
+    times, states, controls, running = _rollout(
+        make_handle(spec), x0, int(round(T_end / dt)), dt)
+    negative = [t for t, y in zip(times, states) if y.min() < 0.0]
     meta = {
-        "positivity_ok": first_negative is None,
-        "first_negative_time": first_negative,
+        "positivity_ok": not negative,
+        "first_negative_time": float(negative[0]) if negative else None,
         "pairing_initial": inner_product(x0, spec.beta),
         "pairing_final": inner_product(states[-1], spec.beta),
     }
@@ -190,10 +167,8 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
     return abs(residual) / scale
 
 
-def make_handle(spec: SpatialGrowthSpec, dt_hint: float = 1e-2):
+def make_handle(spec: SpatialGrowthSpec) -> ModelHandle:
     """Uniform verification interface over the spatial model."""
-    from .verify import ModelHandle
-
     one = spec.grid.constant(1.0)
 
     def step(y, c, dt):
@@ -206,5 +181,6 @@ def make_handle(spec: SpatialGrowthSpec, dt_hint: float = 1e-2):
         running_payoff=lambda y, c: utility(spec, c),
         rho=spec.rho,
         domain_check=lambda y: inner_product(y, spec.beta) > 0.0,
-        dt_hint=dt_hint,
+        diagnostics=lambda y: {"pairing": inner_product(y, spec.beta),
+                               "min_state": y.min()},
     )

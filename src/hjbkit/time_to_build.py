@@ -36,6 +36,7 @@ from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative,
                        history_weighted_sum)
 from .spectral import CharRoot, char_root_ttb
+from .verify import ModelHandle
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,6 @@ def structural_state(spec: TTBSpec, q: float,
     return StructuralState(float(q), tail)
 
 
-def control_history(spec: TTBSpec, state: StructuralState) -> HistorySegment:
-    """Inverse of :func:`structural_state`."""
-    return HistorySegment(state.tail.d, state.tail.values[::-1] / spec.Atilde)
-
-
 def value_ttb(spec: TTBSpec, state: StructuralState) -> float:
     """Closed-form value nu * Gamma^(1-sigma) / (1-sigma)."""
     return delay.value(spec.delay, state)
@@ -159,17 +155,16 @@ def control_band(spec: TTBSpec, q: float) -> tuple[float, float]:
 
 
 def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
-                 T_end: float, dt: float | None = None,
-                 control_scale: float = 1.0) -> Trajectory:
+                 T_end: float, dt: float | None = None) -> Trajectory:
     """Closed-loop integration of q'(t) = Atilde u(t-d) under the feedback.
 
     dt is locked to d/m so the delayed control is a stored sample; the
     output advance is the exact trapezoid of the (purely delayed)
     right-hand side, so the path error is O(dt^2).  Domain exits abort
-    with diagnostics; band violations of the scaled control are flagged.
+    with diagnostics; band violations of the control are flagged.
     """
     traj = delay.simulate(spec.delay, structural_state(spec, q0, u0_history),
-                          T_end, dt, control_scale)
+                          T_end, dt)
     q = np.array([st.head for st in traj.states])
     u = np.array(traj.controls)
     lo, hi = control_band(spec, q)
@@ -296,6 +291,6 @@ def hjb_residual_ttb(spec: TTBSpec, state: StructuralState) -> float:
     return delay.hjb_residual(spec.delay, state)
 
 
-def make_handle(spec: TTBSpec, dt_hint: float | None = None):
+def make_handle(spec: TTBSpec) -> ModelHandle:
     """Uniform verification interface; states are lifted structural states."""
-    return delay.make_handle(spec.delay, dt_hint)
+    return delay.make_handle(spec.delay)

@@ -44,7 +44,8 @@ class ModelHandle:
     ``control_bounds`` (box per state) and ``payoff_tail_bound`` (an upper
     bound on any admissible continuation's remaining discounted payoff) are
     only needed by the DP oracle; ``scale_control`` adapts scalar scaling
-    to composite controls.
+    to composite controls; ``diagnostics`` (state -> dict) summarizes a
+    state that left the domain.
     """
 
     value: Callable
@@ -56,7 +57,7 @@ class ModelHandle:
     control_bounds: Callable | None = None
     payoff_tail_bound: Callable | None = None
     scale_control: Callable = _default_scale
-    dt_hint: float | None = None
+    diagnostics: Callable | None = None
 
     def oracle_problem(self) -> "OracleProblem":
         """Strip the handle down to what the DP oracle may consume; the
@@ -92,45 +93,48 @@ class ValueMatch:
 
 
 def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
-             control_scale: float):
+             control_scale: float = 1.0):
     """Closed-loop run under the (scaled) feedback.
 
     Controls are held constant on each step (the handle's step map
     integrates that piecewise-constant policy), and the payoff trapezoid
     uses the step's own control at both endpoints, so the run evaluates an
     explicit admissible policy with O(dt^2) quadrature error regardless of
-    horizon length.
+    horizon length.  A state outside the domain aborts the run with the
+    handle's diagnostics of that state.
     """
     times = dt * np.arange(n_steps + 1)
     states, controls = [], []
     running = np.zeros(n_steps + 1)
-    state = state0
-    for k in range(n_steps):
+
+    def control(state, t):
         if not handle.domain_check(state):
+            diag = handle.diagnostics(state) if handle.diagnostics else {}
+            detail = "".join(f", {k} = {v:.6g}" for k, v in diag.items())
             raise DomainExitError(
-                f"state left the domain at t = {times[k]:.6g}",
-                time=float(times[k]))
-        u = handle.scale_control(handle.feedback(state), control_scale)
+                f"state left the domain at t = {t:.6g}{detail}",
+                time=float(t), diagnostics=diag)
+        u = handle.feedback(state)
+        if control_scale != 1.0:
+            u = handle.scale_control(u, control_scale)
         states.append(state)
         controls.append(u)
+        return u
+
+    state = state0
+    for k in range(n_steps):
+        u = control(state, times[k])
         g_left = handle.running_payoff(state, u)
         state = handle.step(state, u, dt)
         g_right = handle.running_payoff(state, u)
         running[k + 1] = running[k] + 0.5 * dt * (
             np.exp(-handle.rho * times[k]) * g_left
             + np.exp(-handle.rho * times[k + 1]) * g_right)
-    if not handle.domain_check(state):
-        raise DomainExitError(
-            f"state left the domain at t = {times[-1]:.6g}",
-            time=float(times[-1]))
-    states.append(state)
-    controls.append(handle.scale_control(handle.feedback(state),
-                                         control_scale))
+    control(state, times[-1])
     return times, states, controls, running
 
 
-def value_match(handle: ModelHandle, state0, T_end: float,
-                dt: float | None = None,
+def value_match(handle: ModelHandle, state0, T_end: float, dt: float,
                 control_scale: float = 1.0) -> ValueMatch:
     """Truncated payoff + discounted analytic tail vs. the analytic value.
 
@@ -139,10 +143,8 @@ def value_match(handle: ModelHandle, state0, T_end: float,
     ``control_scale != 1`` the result must fall strictly below the value
     (suboptimality direction of the verification theorem).
     """
-    dt = dt if dt is not None else (handle.dt_hint or 1e-2)
-    n_steps = int(round(T_end / dt))
-    times, states, _, running = _rollout(handle, state0, n_steps, dt,
-                                         control_scale)
+    times, states, _, running = _rollout(
+        handle, state0, int(round(T_end / dt)), dt, control_scale)
     payoff = float(running[-1])
     tail = float(np.exp(-handle.rho * times[-1]) * handle.value(states[-1]))
     analytic = float(handle.value(state0))
@@ -150,16 +152,11 @@ def value_match(handle: ModelHandle, state0, T_end: float,
     return ValueMatch(analytic, payoff, tail, rel_gap)
 
 
-def dpp_check(handle: ModelHandle, state0, r: float,
-              dt: float | None = None) -> float:
+def dpp_check(handle: ModelHandle, state0, r: float, dt: float) -> float:
     """Relative gap in the dynamic-programming identity on [0, r] along the
     feedback (zero at r = 0, O(dt^2) for a single step, growing linearly
     in r at fixed dt)."""
-    dt = dt if dt is not None else (handle.dt_hint or 1e-2)
-    if r == 0.0:
-        return 0.0
-    vm = value_match(handle, state0, r, dt)
-    return vm.rel_gap
+    return value_match(handle, state0, r, dt).rel_gap if r else 0.0
 
 
 def transversality(handle: ModelHandle, traj) -> float:
@@ -179,8 +176,7 @@ def transversality(handle: ModelHandle, traj) -> float:
 
 
 def suboptimality_margin(handle: ModelHandle, state0, T_end: float,
-                         dt: float | None = None,
-                         control_scale: float = 0.5) -> float:
+                         dt: float, control_scale: float = 0.5) -> float:
     """How far a deliberately perturbed control scores below the value:
     (analytic - (payoff+tail)) / |analytic|.  Positive for genuinely
     suboptimal controls."""

@@ -33,6 +33,7 @@ from .delay import DelayModel, gamma as gamma0
 from .errors import AssumptionError, DomainError
 from .gridcore import HistorySegment, StructuralState, Trajectory
 from .spectral import CharRoot, char_root_vintage
+from .verify import ModelHandle
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,7 @@ def positivity_kernel(spec: VintageSpec, s) -> np.ndarray | float:
 
 
 def simulate_vintage(spec: VintageSpec, iota0: HistorySegment, T_end: float,
-                     dt: float | None = None,
-                     control_scale: float = 1.0) -> Trajectory:
+                     dt: float | None = None) -> Trajectory:
     """Closed-loop integration of k'(t) = i(t) - i(t-T) under the feedback.
 
     The step is locked to the history spacing (dt = T/m), so the delayed
@@ -183,8 +183,7 @@ def simulate_vintage(spec: VintageSpec, iota0: HistorySegment, T_end: float,
     if iota0.values.min() < 0.0 or not np.any(iota0.values > 0.0):
         raise DomainError("initial investments must be nonnegative and not "
                           "identically zero")
-    traj = delay.simulate(spec.delay, lift_vintage(None, iota0), T_end, dt,
-                          control_scale)
+    traj = delay.simulate(spec.delay, lift_vintage(None, iota0), T_end, dt)
     min_i = min(traj.controls)
     min_k = min(st.head for st in traj.states)
     traj.meta = {"min_investment": float(min_i), "min_capital": float(min_k),
@@ -204,6 +203,6 @@ def hjb_residual_vintage(spec: VintageSpec, state: StructuralState) -> float:
     return delay.hjb_residual(spec.delay, state)
 
 
-def make_handle(spec: VintageSpec, dt_hint: float | None = None):
+def make_handle(spec: VintageSpec) -> ModelHandle:
     """Uniform verification interface; states are lifted structural states."""
-    return delay.make_handle(spec.delay, dt_hint)
+    return delay.make_handle(spec.delay)

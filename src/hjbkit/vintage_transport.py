@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError
-from .gridcore import (AgeGrid, Trajectory, discounted_quadrature,
-                       fd_derivative)
+from .gridcore import AgeGrid, Trajectory, fd_derivative
 from .spectral import _exp_cell_weights, transport_resolvent
+from .verify import ModelHandle, _rollout
 
 _MONOTONE_SLACK = 1e-12
 
@@ -195,56 +195,30 @@ def optimal_trajectory_closed_form(spec: TransportSpec, z0, t: float) -> np.ndar
     return out
 
 
-def _as_stream(control, default):
-    if control is None:
-        return lambda t: default
-    if callable(control):
-        return control
-    return lambda t: control
-
-
 def simulate_transport(spec: TransportSpec, z0, u0=None, u1=None,
                        T_end: float = 1.0, dt: float | None = None) -> Trajectory:
-    """March the transport PDE with the exact-shift upwind scheme.
+    """March the transport PDE with the exact-shift upwind scheme: the
+    verification rollout over :func:`make_handle`.
 
     ``dt`` must equal the age step (CFL = 1), so interior values move one
     age cell per step with decay e^{-mu dt} plus the source integral; the
     boundary node is set directly from u0 (the discrete footprint of the
     boundary injection).  ``u0``/``u1`` default to the optimal open-loop
-    controls and may be constants or callables of time.
+    controls; given, they are held constant over the run.
     """
     h = spec.age.h
     if dt is None:
         dt = h
     elif not np.isclose(dt, h, rtol=1e-12):
         raise ValueError(f"dt = {dt} must equal the age step {h} (CFL = 1)")
-    z = spec.age.profile(z0).copy()
-    u0_fn = _as_stream(u0, spec.u0_star)
-    u1_fn = _as_stream(u1, spec.u1_star)
-    n_steps = int(round(T_end / dt))
-    times = dt * np.arange(n_steps + 1)
-    states, controls = [], []
-    integrand = np.empty(n_steps + 1)
-    decay = np.exp(-spec.mu * dt)
-    min_z = z.min()
-    for n in range(n_steps + 1):
-        u0_now = float(u0_fn(times[n]))
-        u1_now = spec.age.profile(u1_fn(times[n]))
-        states.append(z.copy())
-        controls.append((u0_now, u1_now))
-        integrand[n] = (spec.age.quad(spec.alpha_rev * z)
-                        - spec.age.quad(spec.q1 * u1_now + spec.beta1 * u1_now ** 2)
-                        - spec.q0 * u0_now - spec.beta0 * u0_now ** 2)
-        min_z = min(min_z, z.min())
-        if n == n_steps:
-            break
-        z_new = np.empty_like(z)
-        z_new[1:] = decay * z[:-1] + _source_cell_integrals(u1_now, spec.mu, h)
-        z_new[0] = float(u0_fn(times[n + 1]))
-        z = z_new
-    running = discounted_quadrature(times, integrand, spec.rho)
+    control = (spec.u0_star if u0 is None else float(u0),
+               spec.u1_star if u1 is None else spec.age.profile(u1))
+    handle = make_handle(spec)
+    handle.feedback = lambda z: control
+    times, states, controls, running = _rollout(
+        handle, spec.age.profile(z0).copy(), int(round(T_end / dt)), dt)
     return Trajectory(times, states, controls, running,
-                      {"min_state": float(min_z)})
+                      {"min_state": float(min(z.min() for z in states))})
 
 
 def hjb_residual_transport(spec: TransportSpec, x) -> float:
@@ -266,10 +240,8 @@ def hjb_residual_transport(spec: TransportSpec, x) -> float:
     return abs(residual) / scale
 
 
-def make_handle(spec: TransportSpec, dt_hint: float | None = None):
+def make_handle(spec: TransportSpec) -> ModelHandle:
     """Uniform verification interface; controls are (u0, u1) pairs."""
-    from .verify import ModelHandle
-
     h = spec.age.h
 
     def step(z, control, dt):
@@ -294,5 +266,4 @@ def make_handle(spec: TransportSpec, dt_hint: float | None = None):
         rho=spec.rho,
         domain_check=lambda z: True,
         scale_control=lambda c, s: (s * c[0], s * c[1]),
-        dt_hint=dt_hint if dt_hint is not None else h,
     )

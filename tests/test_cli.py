@@ -151,6 +151,16 @@ BAD_INPUTS = [
     ("vintage-dde", "initial", "iota0", {"type": "constant"}, "'value'"),
     ("spatial-growth", "initial", "x0",
      {"type": "constant", "value": float("nan")}, "'value'"),
+    ("pollution", "params", "eta", {"type": "constant", "value": 0.0},
+     "params.eta"),
+    ("spatial-growth", "initial", "x0", {"type": "constant", "value": -1.0},
+     "initial.x0"),
+    ("pollution", "initial", "p0", {"type": "constant", "value": -1.0},
+     "initial.p0"),
+    ("vintage-dde", "initial", "iota0", {"type": "constant", "value": -1.0},
+     "initial.iota0"),
+    ("vintage-transport", "initial", "z0",
+     {"type": "constant", "value": -1.0}, "initial.z0"),
 ]
 
 
@@ -164,6 +174,22 @@ def test_bad_input_exits_2(tmp_path, capsys, model, block, key, value,
     code = run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ['{"model": "vintage-dde", "params"',
+                                     "5", None])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, content):
+    # truncated JSON, a top-level value that is not an object, and a
+    # missing file
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    code = run_cli([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 class TestVerify:

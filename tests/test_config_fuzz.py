@@ -1,0 +1,77 @@
+"""Mutated default configurations either build or fail with a named
+configuration or assumption error, never with any other exception.
+
+A mutation drops a key, swaps a number for a string, a non-finite value,
+zero or a negative, or swaps a profile for a non-object.  Grid resolutions
+are only ever replaced from a small fixed set, so no example allocates a
+large grid.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from hjbkit.errors import AssumptionError, ConfigError
+from hjbkit.scenarios import MODELS, build_scenario, default_config
+
+RESOLUTION_KEYS = ("n", "m", "m_age")
+BAD_NUMBERS = ("abc", "1.0", math.nan, math.inf, -math.inf, 0, 0.0)
+BAD_RESOLUTIONS = BAD_NUMBERS + (-8, 2, 3, 7, 16)
+NOT_OBJECTS = (1.0, "constant", [1.0], None, True)
+
+
+def _paths(config):
+    """Key paths of every value inside the params/numerics/initial blocks,
+    profile entries included."""
+    out = []
+
+    def walk(node, path):
+        for key, val in node.items():
+            out.append(path + (key,))
+            if isinstance(val, dict):
+                walk(val, path + (key,))
+
+    for block in ("params", "numerics", "initial"):
+        walk(config[block], (block,))
+    return out
+
+
+def _parent(config, path):
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated_configs(draw):
+    config = default_config(draw(st.sampled_from(MODELS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _paths(config)
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        node, key = _parent(config, path), path[-1]
+        value = node[key]
+        if draw(st.booleans()):
+            del node[key]
+        elif isinstance(value, dict):
+            node[key] = draw(st.sampled_from(NOT_OBJECTS))
+        elif key in RESOLUTION_KEYS:
+            node[key] = draw(st.sampled_from(BAD_RESOLUTIONS))
+        elif isinstance(value, (int, float)):
+            node[key] = draw(st.one_of(
+                st.sampled_from(BAD_NUMBERS),
+                st.floats(1e-3, 1e3).map(lambda x: -x)))
+        else:  # a profile's type name
+            node[key] = draw(st.sampled_from(("bogus", 1.0)))
+    return config
+
+
+@given(config=mutated_configs())
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_builds_or_raises_config_error(config):
+    try:
+        build_scenario(config)
+    except (ConfigError, AssumptionError):
+        pass

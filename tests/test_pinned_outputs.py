@@ -1,4 +1,4 @@
-"""Default delay-model outputs pinned to their recorded values.
+"""Default outputs pinned to their recorded values.
 
 Criterion 10 only compares a run with a second run of the same code; these
 numbers catch a change that moves the outputs themselves.  Floats must
@@ -10,8 +10,23 @@ import json
 import pytest
 
 from hjbkit.cli import main
+from hjbkit.errors import DomainExitError
+from hjbkit.scenarios import build_scenario, default_config
+from hjbkit.spatial_growth import simulate_spatial
 
 RUN_SUMMARY = {
+    "spatial-growth": {"analytic_value": 51.324665703404136,
+                       "simulated_payoff": 46.659833076482215,
+                       "discounted_tail": 4.664833418508301,
+                       "value_gap": 1.542311809722483e-08},
+    "pollution": {"analytic_value": 20.308391166124707,
+                  "simulated_payoff": 18.611973792746628,
+                  "discounted_tail": 1.6964128042799675,
+                  "value_gap": 2.2498572497770293e-07},
+    "vintage-transport": {"analytic_value": 6.175614497187364,
+                          "simulated_payoff": 2.583253134283505,
+                          "discounted_tail": 3.5908175796451403,
+                          "value_gap": 2.499805095383093e-4},
     "vintage-dde": {"analytic_value": 6.974877017846093,
                     "simulated_payoff": 6.086267679846627,
                     "discounted_tail": 0.8851292464863295,
@@ -29,6 +44,29 @@ def test_default_run_summary(tmp_path, model):
     summary = json.loads((tmp_path / "summary.json").read_text())
     for key, want in RUN_SUMMARY[model].items():
         assert summary[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.parametrize("model", ["spatial-growth", "pollution",
+                                   "vintage-transport"])
+def test_run_and_verify_share_the_rollout(tmp_path, model):
+    # run's trajectory and verify's value match are one closed-loop run
+    runs, verifies = tmp_path / "run", tmp_path / "verify"
+    assert main(["run", "--model", model, "--out", str(runs)]) == 0
+    assert main(["verify", "--model", model, "--out", str(verifies)]) == 0
+    summary = json.loads((runs / "summary.json").read_text())
+    report = json.loads((verifies / "report.json").read_text())
+    assert summary["value_gap"] == report["value_match_gap"]
+
+
+def test_spatial_domain_exit_diagnostics():
+    # at dt = 20 the Crank-Nicolson run drives <y, beta> through zero
+    sc = build_scenario(default_config("spatial-growth"))
+    with pytest.raises(DomainExitError) as err:
+        simulate_spatial(sc.spec, sc.state0, 800.0, 20.0)
+    diag = err.value.diagnostics
+    assert set(diag) == {"pairing", "min_state"}
+    assert diag["pairing"] <= 0.0
+    assert 0.0 < err.value.time < 800.0
 
 
 def test_vintage_oracle_bracket(tmp_path):
