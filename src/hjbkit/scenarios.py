@@ -12,6 +12,8 @@ by the command-line front end and the acceptance tests.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,14 +23,11 @@ import numpy as np
 from . import (pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
 from .errors import AssumptionError, ConfigError
-from .gridcore import (AgeGrid, CircleGrid, HistorySegment, Trajectory,
-                       inner_product, quad_circle)
+from .gridcore import (AgeGrid, CircleGrid, HistorySegment, inner_product,
+                       quad_circle)
 from .verify import (ModelHandle, OracleBracket, VerifyReport,
                      brute_force_value, suboptimality_margin, transversality,
                      value_match, _rollout)
-
-MODELS = ("spatial-growth", "pollution", "vintage-dde", "vintage-transport",
-          "time-to-build")
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-5,        # max relative HJB defect at criterion resolution
@@ -108,93 +107,64 @@ def interval_profile(desc: dict, lo: float, hi: float) -> Callable:
 # ---------------------------------------------------------------------------
 # configuration schema
 
-_SCHEMAS = {
+RESOLUTION_KEYS = ("n", "m", "m_age")  # grid sizes: the only integer keys
+
+# The canonical scenario of each model (the 'default spec' of the
+# acceptance suite).  It is also the schema: a key's kind follows its
+# default -- a dict is a profile descriptor, a RESOLUTION_KEYS entry an
+# int, and anything else a float.
+_DEFAULTS = {
     "spatial-growth": {
-        "params": {"A": dict, "N": dict, "sigma": float, "rho": float},
-        "numerics": {"n": int, "dt": float, "T_end": float},
-        "initial": {"x0": dict},
+        "params": {"A": {"type": "harmonic", "mean": 0.04, "cos": 0.01},
+                   "N": {"type": "constant", "value": 1.0},
+                   "sigma": 0.5, "rho": 0.05},
+        "numerics": {"n": 256, "dt": 0.01, "T_end": 40.0},
+        "initial": {"x0": {"type": "constant", "value": 1.0}},
     },
     "pollution": {
-        "params": {"sigma_diff": dict, "delta": dict, "eta": dict, "a": dict,
-                   "gamma": dict, "w": dict, "rho": float},
-        "numerics": {"n": int, "dt": float, "T_end": float},
-        "initial": {"p0": dict},
+        "params": {"sigma_diff": {"type": "harmonic", "mean": 1.0, "cos": 0.2},
+                   "delta": {"type": "harmonic", "mean": 0.1, "sin": 0.02},
+                   "eta": {"type": "harmonic", "mean": 0.5, "cos": 0.1},
+                   "a": {"type": "harmonic", "mean": 2.5, "cos": 0.3},
+                   "gamma": {"type": "harmonic", "mean": 0.5, "sin": 0.1},
+                   "w": {"type": "harmonic", "mean": 1.0, "sin": 0.2},
+                   "rho": 0.05},
+        "numerics": {"n": 256, "dt": 0.02, "T_end": 60.0},
+        "initial": {"p0": {"type": "harmonic", "mean": 1.0, "cos": 0.5}},
     },
     "vintage-dde": {
-        "params": {"A": float, "T": float, "sigma": float, "rho": float},
-        "numerics": {"m": int, "T_end": float},
-        "initial": {"iota0": dict},
+        "params": {"A": 1.0, "T": 2.0, "sigma": 0.5, "rho": 0.45},
+        "numerics": {"m": 200, "T_end": 20.0},
+        "initial": {"iota0": {"type": "constant", "value": 1.0}},
     },
     "vintage-transport": {
-        "params": {"mu": float, "rho": float, "sbar": float, "alpha": dict,
-                   "q0": float, "beta0": float, "q1": dict, "beta1": dict},
-        "numerics": {"m_age": int, "T_end": float},
-        "initial": {"z0": dict},
+        "params": {"mu": 0.15, "rho": 0.06, "sbar": 2.0,
+                   "alpha": {"type": "power_decreasing", "start": 1.0,
+                             "power": 1.0},
+                   "q0": 0.12, "beta0": 0.6,
+                   "q1": {"type": "power_decreasing", "start": 0.1,
+                          "power": 2.0},
+                   "beta1": {"type": "constant", "value": 0.5}},
+        "numerics": {"m_age": 200, "T_end": 10.0},
+        "initial": {"z0": {"type": "power_decreasing", "start": 0.3,
+                           "power": 1.0}},
     },
     "time-to-build": {
-        "params": {"A": float, "delta": float, "d": float, "sigma": float,
-                   "rho": float},
-        "numerics": {"m": int, "T_end": float},
-        "initial": {"q0": float, "u0": dict},
+        "params": {"A": 0.35, "delta": 0.05, "d": 1.0, "sigma": 0.5,
+                   "rho": 0.2},
+        "numerics": {"m": 200, "T_end": 20.0},
+        "initial": {"q0": 1.0, "u0": {"type": "constant", "value": 1.0}},
     },
 }
 
+MODELS = tuple(_DEFAULTS)
+
 
 def default_config(model: str) -> dict:
-    """Canonical scenario for each model (the 'default spec' of the
-    acceptance suite)."""
-    if model == "spatial-growth":
-        return {
-            "model": model,
-            "params": {"A": {"type": "harmonic", "mean": 0.04, "cos": 0.01},
-                       "N": {"type": "constant", "value": 1.0},
-                       "sigma": 0.5, "rho": 0.05},
-            "numerics": {"n": 256, "dt": 0.01, "T_end": 40.0},
-            "initial": {"x0": {"type": "constant", "value": 1.0}},
-        }
-    if model == "pollution":
-        return {
-            "model": model,
-            "params": {"sigma_diff": {"type": "harmonic", "mean": 1.0, "cos": 0.2},
-                       "delta": {"type": "harmonic", "mean": 0.1, "sin": 0.02},
-                       "eta": {"type": "harmonic", "mean": 0.5, "cos": 0.1},
-                       "a": {"type": "harmonic", "mean": 2.5, "cos": 0.3},
-                       "gamma": {"type": "harmonic", "mean": 0.5, "sin": 0.1},
-                       "w": {"type": "harmonic", "mean": 1.0, "sin": 0.2},
-                       "rho": 0.05},
-            "numerics": {"n": 256, "dt": 0.02, "T_end": 60.0},
-            "initial": {"p0": {"type": "harmonic", "mean": 1.0, "cos": 0.5}},
-        }
-    if model == "vintage-dde":
-        return {
-            "model": model,
-            "params": {"A": 1.0, "T": 2.0, "sigma": 0.5, "rho": 0.45},
-            "numerics": {"m": 200, "T_end": 20.0},
-            "initial": {"iota0": {"type": "constant", "value": 1.0}},
-        }
-    if model == "vintage-transport":
-        return {
-            "model": model,
-            "params": {"mu": 0.15, "rho": 0.06, "sbar": 2.0,
-                       "alpha": {"type": "power_decreasing", "start": 1.0,
-                                 "power": 1.0},
-                       "q0": 0.12, "beta0": 0.6,
-                       "q1": {"type": "power_decreasing", "start": 0.1,
-                              "power": 2.0},
-                       "beta1": {"type": "constant", "value": 0.5}},
-            "numerics": {"m_age": 200, "T_end": 10.0},
-            "initial": {"z0": {"type": "power_decreasing", "start": 0.3,
-                               "power": 1.0}},
-        }
-    if model == "time-to-build":
-        return {
-            "model": model,
-            "params": {"A": 0.35, "delta": 0.05, "d": 1.0, "sigma": 0.5,
-                       "rho": 0.2},
-            "numerics": {"m": 200, "T_end": 20.0},
-            "initial": {"q0": 1.0, "u0": {"type": "constant", "value": 1.0}},
-        }
-    raise ConfigError(f"unknown model {model!r}; choose one of {MODELS}")
+    """A fresh copy of the canonical scenario for ``model``."""
+    if model not in _DEFAULTS:
+        raise ConfigError(f"unknown model {model!r}; choose one of {MODELS}")
+    return {"model": model, **copy.deepcopy(_DEFAULTS[model])}
 
 
 def validate_config(config: dict) -> dict:
@@ -206,11 +176,11 @@ def validate_config(config: dict) -> dict:
     if unknown_top:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown_top)}")
     model = config.get("model")
-    if model not in _SCHEMAS:
+    if model not in _DEFAULTS:
         raise ConfigError(
             f"missing or unknown 'model' (got {model!r}); choose one of {MODELS}")
     out = {"model": model}
-    for block, schema in _SCHEMAS[model].items():
+    for block, schema in _DEFAULTS[model].items():
         got = config.get(block)
         if got is None:
             raise ConfigError(f"missing required block {block!r}")
@@ -220,16 +190,17 @@ def validate_config(config: dict) -> dict:
         if unknown:
             raise ConfigError(f"unknown keys in {block!r}: {sorted(unknown)}")
         cleaned = {}
-        for key, typ in schema.items():
+        for key, default in schema.items():
             if key not in got:
                 raise ConfigError(f"missing required key {block}.{key}")
             val = got[key]
-            if typ is dict:
+            if isinstance(default, dict):
                 if not isinstance(val, dict):
                     raise ConfigError(f"{block}.{key} must be a profile object")
                 cleaned[key] = dict(val)
             else:
-                cleaned[key] = typ(_finite(f"{block}.{key}", val))
+                x = _finite(f"{block}.{key}", val)
+                cleaned[key] = int(x) if key in RESOLUTION_KEYS else x
             if key in ("dt", "T_end") and cleaned[key] <= 0.0:
                 raise ConfigError(f"{block}.{key} must be positive, got {val}")
         out[block] = cleaned
@@ -260,7 +231,7 @@ def refine_config(config: dict, k: int) -> dict:
            for key, val in config.items()}
     num = out["numerics"]
     factor = 2 ** k
-    for key in ("n", "m", "m_age"):
+    for key in RESOLUTION_KEYS:
         if key in num:
             num[key] = int(num[key] * factor)
     if "dt" in num:
@@ -287,11 +258,11 @@ class Scenario:
     residual_fn: Callable         # (state) -> float, at the state's resolution
     derived: dict                 # derived analytic constants for reports
     state_columns: Callable       # (state, control) -> dict of CSV columns
-    spec_at: Callable | None = None  # (resolution) -> spec on a finer grid
     suboptimal_scale: float = 0.5    # feedback scaling for the probe control
 
 
-def _smooth_positive_circle(rng, grid: CircleGrid):
+def _smooth_positive_circle(rng, n: int):
+    grid = CircleGrid(n)
     theta = grid.nodes
     c = rng.normal(size=5) * np.array([0.4, 0.3, 0.2, 0.1, 0.05])
     vals = np.exp(c[0] + c[1] * np.cos(theta) + c[2] * np.sin(theta)
@@ -299,24 +270,25 @@ def _smooth_positive_circle(rng, grid: CircleGrid):
     return grid.field(vals)
 
 
-def _circle_hooks(spec, spec_at: Callable, residual: Callable):
-    """The residual hook (against a REFERENCE_FACTOR-finer reference spec,
-    built once per working resolution) and the random-state sampler that
-    both circle models share."""
-    ref_cache = {}
+def _circle_parts(config, spec_at: Callable, key: str, residual: Callable,
+                  nonzero: bool = False):
+    """What both circle models share: the spec at ``numerics.n``, the
+    checked initial field ``initial.<key>``, and the Scenario fields spec,
+    state0, dt, the random-state sampler and the residual hook.  The hook
+    takes the working spec and its REFERENCE_FACTOR-finer reference spec
+    from the state's own grid; ``spec_at`` runs once per resolution."""
+    spec_at = functools.cache(spec_at)
+    spec = spec_at(config["numerics"]["n"])
+    x0 = spec.grid.from_function(circle_profile(config["initial"][key]))
+    _check_initial(key, x0.values, nonzero)
 
-    def residual_fn(x, working_spec=None):
-        working_spec = working_spec or spec
-        n_ref = REFERENCE_FACTOR * working_spec.grid.n
-        if n_ref not in ref_cache:
-            ref_cache[n_ref] = spec_at(n_ref)
-        return residual(working_spec, x, ref_cache[n_ref])
+    def residual_fn(x):
+        n = x.grid.n
+        return residual(spec_at(n), x, spec_at(REFERENCE_FACTOR * n))
 
-    def sample_state(rng, n=None):
-        return _smooth_positive_circle(rng,
-                                       CircleGrid(n) if n else spec.grid)
-
-    return residual_fn, sample_state
+    return spec, x0, dict(spec=spec, state0=x0, dt=config["numerics"]["dt"],
+                          sample_state=_smooth_positive_circle,
+                          residual_fn=residual_fn)
 
 
 def _check_initial(key: str, values: np.ndarray, nonzero: bool = False):
@@ -341,40 +313,35 @@ def _smooth_positive_interval(rng, nodes, scale=1.0, amp=0.3):
 def build_scenario(config: dict) -> Scenario:
     """Validate ``config`` and wire its model; a parameter the model
     rejects is a configuration error, a failed model assumption stays an
-    :class:`AssumptionError`."""
+    :class:`AssumptionError`.  Each ``_build_*`` returns the Scenario
+    fields that are particular to its model."""
     config = validate_config(config)
     model = config["model"]
-    builder = {
-        "spatial-growth": _build_spatial,
-        "pollution": _build_pollution,
-        "vintage-dde": _build_vintage,
-        "vintage-transport": _build_transport,
-        "time-to-build": _build_ttb,
-    }[model]
+    builder = {"spatial-growth": _build_spatial, "pollution": _build_pollution,
+               "vintage-dde": _build_vintage, "time-to-build": _build_ttb,
+               "vintage-transport": _build_transport}[model]
     try:
-        return builder(config)
+        parts = builder(config)
     except (AssumptionError, ConfigError):
         raise
     except ValueError as exc:  # GridError is a ValueError too
         raise ConfigError(f"{model}: {exc}") from exc
+    return Scenario(name=model, config=config,
+                    T_end=config["numerics"]["T_end"], **parts)
 
 
 def _build_spatial(config):
-    p, num, init = config["params"], config["numerics"], config["initial"]
-    A_fn = circle_profile(p["A"])
-    N_fn = circle_profile(p["N"])
+    p, num = config["params"], config["numerics"]
+    A_fn, N_fn = circle_profile(p["A"]), circle_profile(p["N"])
 
     def spec_at(n):
         g = CircleGrid(n)
         return spatial_growth.build_spatial_spec(
             g.from_function(A_fn), g.from_function(N_fn), p["sigma"], p["rho"])
 
-    spec = spec_at(num["n"])
-    x0 = spec.grid.from_function(circle_profile(init["x0"]))
-    _check_initial("x0", x0.values, nonzero=True)
-    handle = spatial_growth.make_handle(spec)
-    residual_fn, sample_state = _circle_hooks(
-        spec, spec_at, spatial_growth.hjb_residual_spatial)
+    spec, x0, shared = _circle_parts(config, spec_at, "x0",
+                                     spatial_growth.hjb_residual_spatial,
+                                     nonzero=True)
 
     def columns(state, control):
         return {
@@ -384,22 +351,18 @@ def _build_spatial(config):
             "total_consumption": quad_circle(control * spec.N_pop),
         }
 
-    return Scenario(
-        name="spatial-growth", config=config, spec=spec, handle=handle,
-        state0=x0, dt=num["dt"], T_end=num["T_end"],
+    return dict(
+        shared, handle=spatial_growth.make_handle(spec),
         simulate=lambda: spatial_growth.simulate_spatial(
             spec, x0, num["T_end"], num["dt"]),
-        sample_state=sample_state,
-        residual_fn=residual_fn,
         derived={"lambda0": spec.eigen.lambda0, "alpha0": spec.alpha0,
                  "growth_rate": spec.growth_rate},
         state_columns=columns,
-        spec_at=spec_at,
     )
 
 
 def _build_pollution(config):
-    p, num, init = config["params"], config["numerics"], config["initial"]
+    p, num = config["params"], config["numerics"]
     fns = {key: circle_profile(p[key])
            for key in ("sigma_diff", "delta", "eta", "a", "gamma", "w")}
 
@@ -413,12 +376,8 @@ def _build_pollution(config):
                               f"{fields['eta'].min()}")
         return pollution.build_pollution_spec(*fields.values(), p["rho"])
 
-    spec = spec_at(num["n"])
-    p0 = spec.grid.from_function(circle_profile(init["p0"]))
-    _check_initial("p0", p0.values)
-    handle = pollution.make_handle(spec)
-    residual_fn, sample_state = _circle_hooks(
-        spec, spec_at, pollution.hjb_residual_pollution)
+    spec, p0, shared = _circle_parts(config, spec_at, "p0",
+                                     pollution.hjb_residual_pollution)
 
     def columns(state, control):
         return {
@@ -428,18 +387,14 @@ def _build_pollution(config):
             "total_emission": quad_circle(spec.eta * control),
         }
 
-    return Scenario(
-        name="pollution", config=config, spec=spec, handle=handle,
-        state0=p0, dt=num["dt"], T_end=num["T_end"],
+    return dict(
+        shared, handle=pollution.make_handle(spec),
         simulate=lambda: pollution.simulate_pollution(
             spec, p0, num["T_end"], num["dt"]),
-        sample_state=sample_state,
-        residual_fn=residual_fn,
         derived={"q_const": spec.q_const,
                  "alpha_shadow_mean": quad_circle(spec.alpha_shadow)
                  / (2.0 * math.pi)},
         state_columns=columns,
-        spec_at=spec_at,
     )
 
 
@@ -449,11 +404,8 @@ def _build_vintage(config):
     iota_fn = interval_profile(init["iota0"], -p["T"], 0.0)
     iota0 = HistorySegment.from_function(p["T"], num["m"], iota_fn)
     _check_initial("iota0", iota0.values, nonzero=True)
-    state0 = vintage_dde.lift_vintage(None, iota0)
-    handle = vintage_dde.make_handle(spec)
 
-    def sample_state(rng, m=None):
-        m = m or num["m"]
+    def sample_state(rng, m):
         nodes = np.linspace(-p["T"], 0.0, m + 1)
         iota = HistorySegment(p["T"], _smooth_positive_interval(rng, nodes))
         return vintage_dde.lift_vintage(None, iota)
@@ -465,9 +417,9 @@ def _build_vintage(config):
             "gamma0": vintage_dde.gamma0(state, spec.xi.xi),
         }
 
-    return Scenario(
-        name="vintage-dde", config=config, spec=spec, handle=handle,
-        state0=state0, dt=iota0.dt, T_end=num["T_end"],
+    return dict(
+        spec=spec, handle=vintage_dde.make_handle(spec),
+        state0=vintage_dde.lift_vintage(None, iota0), dt=iota0.dt,
         simulate=lambda: vintage_dde.simulate_vintage(
             spec, iota0, num["T_end"]),
         sample_state=sample_state,
@@ -485,6 +437,7 @@ def _build_transport(config):
         interval_profile(desc, 0.0, p["sbar"])
         for desc in (p["alpha"], p["q1"], p["beta1"], init["z0"]))
 
+    @functools.cache
     def spec_at(m_age):
         age = AgeGrid(p["sbar"], m_age)
         s = age.nodes
@@ -495,11 +448,6 @@ def _build_transport(config):
     spec = spec_at(num["m_age"])
     z0 = z0_fn(spec.age.nodes)
     _check_initial("z0", z0)
-    handle = vintage_transport.make_handle(spec)
-
-    def sample_state(rng, m_age=None):
-        age = AgeGrid(p["sbar"], m_age or num["m_age"])
-        return _smooth_positive_interval(rng, age.nodes, scale=0.5)
 
     def columns(state, control):
         u0_now, _ = control
@@ -509,18 +457,19 @@ def _build_transport(config):
             "boundary_investment": float(u0_now),
         }
 
-    return Scenario(
-        name="vintage-transport", config=config, spec=spec, handle=handle,
-        state0=z0, dt=spec.age.h, T_end=num["T_end"],
+    return dict(
+        spec=spec, handle=vintage_transport.make_handle(spec),
+        state0=z0, dt=spec.age.h,
         simulate=lambda: vintage_transport.simulate_transport(
             spec, z0, T_end=num["T_end"]),
-        sample_state=sample_state,
-        residual_fn=lambda x, working_spec=None:
-            vintage_transport.hjb_residual_transport(working_spec or spec, x),
+        sample_state=lambda rng, m_age: _smooth_positive_interval(
+            rng, AgeGrid(p["sbar"], m_age).nodes, scale=0.5),
+        # a profile on m_age cells has m_age + 1 nodes
+        residual_fn=lambda x: vintage_transport.hjb_residual_transport(
+            spec_at(len(x) - 1), x),
         derived={"abar0": float(spec.abar[0]), "u0_star": spec.u0_star,
                  "positivity_ok": spec.positivity_ok},
         state_columns=columns,
-        spec_at=spec_at,
     )
 
 
@@ -531,11 +480,8 @@ def _build_ttb(config):
     u0_fn = interval_profile(init["u0"], -p["d"], 0.0)
     u0 = HistorySegment.from_function(p["d"], num["m"], u0_fn)
     q0 = init["q0"]
-    state0 = time_to_build.structural_state(spec, q0, u0)
-    handle = time_to_build.make_handle(spec)
 
-    def sample_state(rng, m=None):
-        m = m or num["m"]
+    def sample_state(rng, m):
         nodes = np.linspace(-p["d"], 0.0, m + 1)
         for _ in range(100):
             q = float(rng.uniform(0.8, 1.6))
@@ -546,7 +492,10 @@ def _build_ttb(config):
             g = time_to_build.gamma_ttb(st, spec.xi.xi)
             if 0.0 < g < 0.9 * q * spec.A / (spec.alpha_mpc * spec.Atilde):
                 return st
-        raise RuntimeError("could not sample an interior state")
+        raise AssumptionError(
+            "time-to-build: no test state with q in [0.8, 1.6] met the "
+            "interior bound 0 < Gamma < 0.9*q*A/(alpha_mpc*Atilde) in 100 "
+            "draws")
 
     def columns(state, control):
         return {
@@ -557,9 +506,9 @@ def _build_ttb(config):
             * (state.head - float(control)),
         }
 
-    return Scenario(
-        name="time-to-build", config=config, spec=spec, handle=handle,
-        state0=state0, dt=u0.dt, T_end=num["T_end"],
+    return dict(
+        spec=spec, handle=time_to_build.make_handle(spec),
+        state0=time_to_build.structural_state(spec, q0, u0), dt=u0.dt,
         simulate=lambda: time_to_build.simulate_ttb(
             spec, q0, u0, num["T_end"]),
         sample_state=sample_state,
@@ -582,35 +531,31 @@ def residual_study(scenario: Scenario, rng, count: int = 10,
     """HJB residuals at ``count`` random in-domain states, at the criterion
     resolution and at its 2x refinement (same random draws at both)."""
     res = resolution or RESIDUAL_RESOLUTION[scenario.name]
-    working = None
-    if scenario.spec_at is not None:
-        working = {r: scenario.spec_at(r) for r in (res, 2 * res)}
     base, refined = [], []
     for _ in range(count):
         seed_child = rng.integers(0, 2 ** 63 - 1)
         for r, sink in ((res, base), (2 * res, refined)):
             state = scenario.sample_state(np.random.default_rng(seed_child), r)
-            if working is None:
-                sink.append(scenario.residual_fn(state))
-            else:
-                sink.append(scenario.residual_fn(state, working[r]))
+            sink.append(scenario.residual_fn(state))
     return base, refined
 
 
 def verify_scenario(config: dict, seed: int = 0,
                     residual_states: int = 10) -> VerifyReport:
-    """Run the verification suite for one scenario and aggregate the report."""
+    """Run the verification suite for one scenario and aggregate the report.
+
+    The closed-loop checks run first, so a start state outside the domain
+    exits as ``run`` does; the seeded draws feed only the residual study.
+    """
     scenario = build_scenario(config)
-    tol = scenario.config["tolerances"]
-    rng = np.random.default_rng(seed)
-    base, refined = residual_study(scenario, rng, residual_states)
+    slope = transversality(scenario.handle, scenario.simulate())
     vm = value_match(scenario.handle, scenario.state0, scenario.T_end,
                      scenario.dt)
     margin = suboptimality_margin(scenario.handle, scenario.state0,
                                   scenario.T_end, scenario.dt,
                                   control_scale=scenario.suboptimal_scale)
-    traj = scenario.simulate()
-    slope = transversality(scenario.handle, traj)
+    base, refined = residual_study(scenario, np.random.default_rng(seed),
+                                   residual_states)
     report = VerifyReport(
         model=scenario.name,
         residual_max=float(np.max(base)),
@@ -619,7 +564,7 @@ def verify_scenario(config: dict, seed: int = 0,
         value_match_gap=vm.rel_gap,
         suboptimal_margin=margin,
         transversality_slope=slope,
-        tolerances=tol,
+        tolerances=scenario.config["tolerances"],
     )
     return report.check()
 
@@ -639,10 +584,8 @@ def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
     if model not in ("vintage-dde", "time-to-build"):
         raise ConfigError(
             f"the DP oracle applies to the delay models, not {model!r}")
-    coarse = dict(config)
-    coarse["numerics"] = dict(config["numerics"])
-    coarse["numerics"]["m"] = coarse_cells
-    sc = build_scenario(coarse)
+    sc = build_scenario(
+        dict(config, numerics=dict(config["numerics"], m=coarse_cells)))
     dt = sc.dt
     T_end = ORACLE_EFOLDINGS / sc.handle.rho
     n_steps = int(round(T_end / dt))
@@ -651,5 +594,4 @@ def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
     bracket = brute_force_value(sc.handle.oracle_problem(), sc.state0, dt,
                                 T_end, n_controls=n_controls,
                                 seed_controls=seed_controls, budget=budget)
-    analytic = float(sc.handle.value(sc.state0))
-    return bracket, analytic
+    return bracket, float(sc.handle.value(sc.state0))

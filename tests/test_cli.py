@@ -6,7 +6,8 @@ import pytest
 
 from hjbkit.cli import main
 from hjbkit.errors import ConfigError
-from hjbkit.scenarios import default_config, refine_config, validate_config
+from hjbkit.scenarios import (MODELS, default_config, refine_config,
+                              validate_config)
 
 
 def run_cli(args):
@@ -36,6 +37,25 @@ class TestConfigValidation:
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError, match="model"):
             validate_config({"model": "nonsense"})
+
+    def test_default_config_is_independent_copy(self):
+        for model in MODELS:
+            default_config(model)["params"]["mystery"] = 1
+            cfg = default_config(model)
+            assert validate_config(cfg)["model"] == model
+            cfg["params"]["mystery"] = 1
+            with pytest.raises(ConfigError, match="mystery"):
+                validate_config(cfg)
+
+    def test_key_type_follows_default(self):
+        cfg = default_config("vintage-dde")
+        cfg["numerics"]["m"] = 200.0
+        cfg["params"]["T"] = 2
+        out = validate_config(cfg)
+        assert out["numerics"]["m"] == 200
+        assert type(out["numerics"]["m"]) is int
+        assert out["params"]["T"] == 2.0
+        assert type(out["params"]["T"]) is float
 
     def test_refine_scales_numerics(self):
         cfg = validate_config(default_config("spatial-growth"))
@@ -213,6 +233,34 @@ class TestVerify:
         report = json.loads((tmp_path / "report.json").read_text())
         assert not report["passed"]
         assert any("value-match" in f for f in report["failures"])
+
+    def test_start_outside_domain_exits_4_as_run_does(self, tmp_path,
+                                                      capsys):
+        # at rho = 1 the time-to-build start state is outside the domain
+        cfg = default_config("time-to-build")
+        cfg["params"]["rho"] = 1.0
+        path = tmp_path / "rho1.json"
+        path.write_text(json.dumps(cfg))
+        errors = []
+        for cmd in ("run", "verify"):
+            assert run_cli([cmd, "--config", str(path),
+                            "--out", str(tmp_path / cmd)]) == 4
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "domain exit" in errors[0]
+
+    def test_no_interior_test_state_exits_2(self, tmp_path, capsys):
+        # the start state is interior, but no residual test state in the
+        # sampling box is
+        cfg = default_config("time-to-build")
+        cfg["params"]["rho"] = 0.25
+        cfg["initial"]["q0"] = 20.0
+        path = tmp_path / "q20.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["verify", "--config", str(path),
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "interior bound" in capsys.readouterr().err
 
     def test_seeded_reports_byte_identical(self, tmp_path):
         outs = []

@@ -5,7 +5,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hjbkit.scenarios import build_scenario, default_config
+from hjbkit.verify import value_match
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +40,35 @@ def test_model_module_has_make_handle(module):
 def test_counted_class_has_post_init(module, name):
     cls = getattr(importlib.import_module(f"hjbkit.{module}"), name)
     assert callable(cls.__post_init__)
+
+
+# model -> (module, suffix of its simulate_* and hjb_residual_*)
+MODEL_NAMES = {"spatial-growth": ("spatial_growth", "spatial"),
+               "pollution": ("pollution", "pollution"),
+               "vintage-dde": ("vintage_dde", "vintage"),
+               "vintage-transport": ("vintage_transport", "transport"),
+               "time-to-build": ("time_to_build", "ttb")}
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_NAMES))
+def test_scenario_calls_are_traced(model):
+    # a scenario must reach its model's functions through the module at
+    # call time; a function object captured at import would escape the
+    # tracer's rebinding and read 0 calls
+    cfg = default_config(model)
+    cfg["numerics"]["T_end"] = 0.1
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        sc = build_scenario(cfg)
+        sc.simulate()
+        value_match(sc.handle, sc.state0, sc.T_end, sc.dt)
+        (res,) = (v for k, v in cfg["numerics"].items()
+                  if k in ("n", "m", "m_age"))
+        sc.residual_fn(sc.sample_state(np.random.default_rng(0), res))
+    finally:
+        trace.uninstall()
+    module, suffix = MODEL_NAMES[model]
+    for span in (f"simulate_{suffix}", f"hjb_residual_{suffix}",
+                 "handle.step"):
+        assert trace.calls[f"{module}.{span}"] > 0, span

@@ -7,9 +7,9 @@ from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_han
 from hjbkit.spatial_growth import simulate_spatial
 from hjbkit.vintage_dde import (build_vintage_spec, lift_vintage,
                                 make_handle as vintage_handle, value_vintage)
-from hjbkit.verify import (OracleProblem, brute_force_value, dpp_check,
-                           suboptimality_margin, transversality, value_match,
-                           _rollout)
+from hjbkit.verify import (OracleProblem, VerifyReport, brute_force_value,
+                           dpp_check, suboptimality_margin, transversality,
+                           value_match, _rollout)
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +182,37 @@ def test_rollout_reports_domain_exit():
     assert not handle.domain_check(st)
     with pytest.raises(DomainExitError):
         _rollout(handle, st, 10, iota.dt, 1.0)
+
+
+CHECKED_FIGURES = ("residual_max", "residual_refined_max", "value_match_gap",
+                   "suboptimal_margin", "transversality_slope")
+
+
+def _report(**figures):
+    passing = dict(residual_max=1e-7, residual_mean=5e-8,
+                   residual_refined_max=2e-8, value_match_gap=1e-4,
+                   suboptimal_margin=0.1, transversality_slope=-0.2)
+    passing.update(figures)
+    return VerifyReport(model="vintage-dde",
+                        tolerances={"residual": 1e-5, "value_match": 5e-3,
+                                    "oracle_slack": 0.03}, **passing)
+
+
+def test_report_passes_on_good_figures():
+    assert _report().check().passed
+
+
+@pytest.mark.parametrize("figure", CHECKED_FIGURES)
+def test_nan_figure_fails_report(figure):
+    report = _report(**{figure: float("nan")}).check()
+    assert not report.passed
+    assert any("nan" in failure for failure in report.failures)
+
+
+def test_nan_report_exits_3(tmp_path, monkeypatch):
+    import hjbkit.cli as cli
+    nan_report = _report(**dict.fromkeys(CHECKED_FIGURES, float("nan")))
+    monkeypatch.setattr(cli, "verify_scenario",
+                        lambda config, seed: nan_report.check())
+    assert cli.main(["verify", "--model", "vintage-dde",
+                     "--out", str(tmp_path)]) == 3
