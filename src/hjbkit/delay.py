@@ -146,9 +146,7 @@ def simulate(model: DelayModel, state0: StructuralState, T_end: float,
         try:
             return feedback(model, state)
         except DomainError as exc:
-            raise DomainExitError(
-                f"trajectory left the domain at t = {t:.6g}: {exc}",
-                time=t, diagnostics=diagnostics(model, state)) from exc
+            raise DomainExitError(t, diagnostics(model, state)) from exc
 
     a, b, c, s = model.a, model.b, model.c, model.sigma
     n_steps = int(round(T_end / dt))

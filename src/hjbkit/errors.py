@@ -26,6 +26,10 @@ class DomainError(HJBKitError, ValueError):
 class DomainExitError(HJBKitError, RuntimeError):
     """A closed-loop trajectory left the value function's domain.
 
+    The message is built from ``time`` and ``diagnostics``, so every
+    closed loop words the same exit the same way; ``message`` overrides
+    it where no single state is at fault.
+
     Attributes
     ----------
     time : float
@@ -34,10 +38,14 @@ class DomainExitError(HJBKitError, RuntimeError):
         State summary at exit (model specific).
     """
 
-    def __init__(self, message, time, diagnostics=None):
-        super().__init__(message)
+    def __init__(self, time, diagnostics=None, message=None):
         self.time = time
         self.diagnostics = diagnostics or {}
+        if message is None:
+            detail = "".join(f", {k} = {v:.6g}"
+                             for k, v in self.diagnostics.items())
+            message = f"state left the domain at t = {time:.6g}{detail}"
+        super().__init__(message)
 
 
 class NumericsError(HJBKitError, RuntimeError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import trapezoid
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import GridError, NumericsError
 
@@ -172,86 +172,111 @@ def sl_apply(sigma: Field, zeroth: Field, f: Field) -> Field:
         raise GridError(f"sigma must be positive, min = {sigma.min()}")
     sigma._check(f)
     lo, di, up = _stencil_coefficients(sigma, zeroth)
-    v = f.values
-    out = lo * np.roll(v, 1) + di * v + up * np.roll(v, -1)
-    return Field(f.grid, out)
+    return Field(f.grid, apply_periodic_tridiagonal(lo, di, up, f.values))
 
 
 def apply_periodic_tridiagonal(lo, di, up, v):
     """Matrix-vector product for the periodic tridiagonal layout above."""
-    return lo * np.roll(v, 1) + di * v + up * np.roll(v, -1)
+    before = np.concatenate((v[-1:], v[:-1]))   # v[j-1]
+    after = np.concatenate((v[1:], v[:1]))      # v[j+1]
+    return lo * before + di * v + up * after
+
+
+class CyclicTridiagonal:
+    """Factored cyclic tridiagonal matrix with rows lo,di,up (indices mod n).
+
+    Sherman-Morrison reduction: the two periodic corner entries are split
+    off as a rank-one update of a plain tridiagonal matrix, which LAPACK
+    factors once (``gttrf``).  The correction vector and the rank-one
+    denominator depend only on the matrix, so each :meth:`solve` is one
+    ``gttrs`` back-solve plus the update.
+    """
+
+    def __init__(self, lo, di, up):
+        n = len(di)
+        if n < 3:
+            raise GridError("cyclic tridiagonal solve needs n >= 3")
+        self.lo, self.di, self.up = lo, di, up
+        corner_tr = lo[0]    # entry (0, n-1)
+        corner_bl = up[-1]   # entry (n-1, 0)
+        gamma = -di[0] if di[0] != 0.0 else 1.0
+        dmod = di.copy()
+        dmod[0] -= gamma
+        dmod[-1] -= corner_tr * corner_bl / gamma
+        *self._lu, info = dgttrf(lo[1:], dmod, up[:-1])
+        if info != 0:
+            raise NumericsError("singular cyclic tridiagonal system: "
+                                f"LAPACK gttrf info {info}")
+        u = np.zeros(n)
+        u[0] = gamma
+        u[-1] = corner_bl
+        z, _ = dgttrs(*self._lu, u)
+        denom = 1.0 + z[0] + corner_tr * z[-1] / gamma
+        if denom == 0.0 or not np.isfinite(denom):
+            raise NumericsError(
+                "singular cyclic tridiagonal system (rank-one update)")
+        self._corner_tr, self._gamma = corner_tr, gamma
+        self._z, self._denom = z, denom
+
+    def solve(self, rhs):
+        y, _ = dgttrs(*self._lu, rhs)
+        x = y - ((y[0] + self._corner_tr * y[-1] / self._gamma)
+                 / self._denom) * self._z
+        # LAPACK does not flag (near-)singular systems -- it returns a
+        # backward-stable but meaningless vector -- so verify the defect
+        # against the right-hand side
+        defect = np.abs(apply_periodic_tridiagonal(self.lo, self.di, self.up,
+                                                   x) - rhs).max()
+        if not np.isfinite(x).all() \
+                or defect > 1e-8 * max(np.abs(rhs).max(), 1e-300):
+            raise NumericsError(
+                f"cyclic tridiagonal solve failed its residual check (defect "
+                f"{defect:.3e}); the system is singular or severely "
+                "ill-conditioned"
+            )
+        return x
 
 
 def solve_periodic_tridiagonal(lo, di, up, rhs):
-    """Solve the cyclic tridiagonal system with rows lo,di,up (indices mod n).
+    """Solve the cyclic tridiagonal system with rows lo,di,up (indices mod n)
+    once; see :class:`CyclicTridiagonal` to reuse the factorization."""
+    return CyclicTridiagonal(lo, di, up).solve(rhs)
 
-    Sherman-Morrison reduction: the two periodic corner entries are split
-    off as a rank-one update of a plain tridiagonal matrix, which is solved
-    twice with the banded LAPACK driver.
+
+class CNOperator:
+    """Crank-Nicolson step operator of y' = L y + source with
+    L = (sigma y')' + zeroth*y and a fixed step dt.
+
+    It holds the explicit side ``I + dt/2 L`` as coefficients and the
+    implicit side ``I - dt/2 L`` factored.  The implicit matrix is strictly
+    diagonally dominant (hence nonsingular) for every dt > 0 when
+    zeroth <= 0, and for dt * max(zeroth) < 2 otherwise.
     """
-    n = len(di)
-    if n < 3:
-        raise GridError("cyclic tridiagonal solve needs n >= 3")
-    corner_tr = lo[0]    # entry (0, n-1)
-    corner_bl = up[-1]   # entry (n-1, 0)
-    gamma = -di[0] if di[0] != 0.0 else 1.0
-    dmod = di.copy()
-    dmod[0] -= gamma
-    dmod[-1] -= corner_tr * corner_bl / gamma
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = dmod
-    ab[2, :-1] = lo[1:]
-
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = corner_bl
-    try:
-        y, z = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
-                            check_finite=False).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"singular cyclic tridiagonal system: {exc}") from exc
-    denom = 1.0 + z[0] + corner_tr * z[-1] / gamma
-    if denom == 0.0 or not np.isfinite(denom):
-        raise NumericsError("singular cyclic tridiagonal system (rank-one update)")
-    x = y - ((y[0] + corner_tr * y[-1] / gamma) / denom) * z
-    # LAPACK does not flag (near-)singular banded systems -- it returns a
-    # backward-stable but meaningless vector -- so verify the defect
-    # against the right-hand side
-    defect = np.abs(apply_periodic_tridiagonal(lo, di, up, x) - rhs).max()
-    if not np.isfinite(x).all() \
-            or defect > 1e-8 * max(np.abs(rhs).max(), 1e-300):
-        raise NumericsError(
-            f"cyclic tridiagonal solve failed its residual check (defect "
-            f"{defect:.3e}); the system is singular or severely "
-            "ill-conditioned"
-        )
-    return x
+    def __init__(self, sigma: Field, zeroth: Field, dt: float):
+        if dt <= 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if sigma.min() <= 0.0:
+            raise GridError(f"sigma must be positive, min = {sigma.min()}")
+        lo, di, up = _stencil_coefficients(sigma, zeroth)
+        half = 0.5 * dt
+        self.sigma, self.dt = sigma, dt
+        self.explicit = (half * lo, 1.0 + half * di, half * up)
+        self.implicit = CyclicTridiagonal(-half * lo, 1.0 - half * di,
+                                          -half * up)
 
 
-def cn_step(sigma: Field, zeroth: Field, y: Field, source: Field,
-            dt: float) -> Field:
-    """One Crank-Nicolson step of y' = L y + source, L = (sigma y')' + zeroth*y.
+def cn_step(op: CNOperator, y: Field, source: Field) -> Field:
+    """One Crank-Nicolson step: solves
+    ``(I - dt/2 L) y+ = (I + dt/2 L) y + dt*source``.
 
-    Solves ``(I - dt/2 L) y+ = (I + dt/2 L) y + dt*source``.  The scheme is
-    A-stable and second order; the left-hand matrix is strictly diagonally
-    dominant (hence nonsingular) for every dt > 0 when zeroth <= 0, and for
-    dt * max(zeroth) < 2 otherwise.
+    The scheme is A-stable and second order.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if sigma.min() <= 0.0:
-        raise GridError(f"sigma must be positive, min = {sigma.min()}")
-    sigma._check(y)
-    sigma._check(source)
-    lo, di, up = _stencil_coefficients(sigma, zeroth)
-    half = 0.5 * dt
-    rhs = apply_periodic_tridiagonal(half * lo, 1.0 + half * di, half * up,
-                                     y.values) + dt * source.values
-    out = solve_periodic_tridiagonal(-half * lo, 1.0 - half * di, -half * up,
-                                     rhs)
-    return Field(y.grid, out)
+    op.sigma._check(y)
+    op.sigma._check(source)
+    rhs = apply_periodic_tridiagonal(*op.explicit, y.values) \
+        + op.dt * source.values
+    return Field(y.grid, op.implicit.solve(rhs))
 
 
 def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .gridcore import (CircleGrid, Field, Trajectory, cn_step, inner_product,
-                       quad_circle, restrict)
+from .gridcore import (CircleGrid, CNOperator, Field, Trajectory,
+                       _stencil_coefficients, apply_periodic_tridiagonal,
+                       cn_step, inner_product, quad_circle, restrict)
 from .spectral import solve_elliptic
 from .verify import ModelHandle, _rollout
 
@@ -155,8 +156,6 @@ def hjb_residual_pollution(spec: PollutionSpec, x: Field,
     ``ref_spec`` from a finer grid (restricted to this one) it measures the
     stencil's O(h^2) truncation error on the near-exact shadow price.
     """
-    from .gridcore import _stencil_coefficients, apply_periodic_tridiagonal
-
     if ref_spec is None:
         alpha, q = spec.alpha_shadow, spec.q_const
     else:
@@ -177,9 +176,12 @@ def hjb_residual_pollution(spec: PollutionSpec, x: Field,
 def make_handle(spec: PollutionSpec) -> ModelHandle:
     """Uniform verification interface over the pollution model."""
     zeroth = -1.0 * spec.delta_dec
+    ops = {}  # dt -> factored CN operator
 
     def step(p, i, dt):
-        return cn_step(spec.sigma_diff, zeroth, p, spec.eta * i, dt)
+        if dt not in ops:
+            ops[dt] = CNOperator(spec.sigma_diff, zeroth, dt)
+        return cn_step(ops[dt], p, spec.eta * i)
 
     return ModelHandle(
         value=lambda p: value_pollution(spec, p),

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DomainError
-from .gridcore import (CircleGrid, Field, Trajectory, cn_step, inner_product,
-                       quad_circle, restrict, sl_apply)
+from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
+                       inner_product, quad_circle, restrict, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
 from .verify import ModelHandle, _rollout
 
@@ -170,9 +170,12 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
 def make_handle(spec: SpatialGrowthSpec) -> ModelHandle:
     """Uniform verification interface over the spatial model."""
     one = spec.grid.constant(1.0)
+    ops = {}  # dt -> factored CN operator
 
     def step(y, c, dt):
-        return cn_step(one, spec.A_coeff, y, -1.0 * (c * spec.N_pop), dt)
+        if dt not in ops:
+            ops[dt] = CNOperator(one, spec.A_coeff, dt)
+        return cn_step(ops[dt], y, -1.0 * (c * spec.N_pop))
 
     return ModelHandle(
         value=lambda y: value_spatial(spec, y),

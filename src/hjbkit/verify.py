@@ -109,11 +109,9 @@ def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
 
     def control(state, t):
         if not handle.domain_check(state):
-            diag = handle.diagnostics(state) if handle.diagnostics else {}
-            detail = "".join(f", {k} = {v:.6g}" for k, v in diag.items())
             raise DomainExitError(
-                f"state left the domain at t = {t:.6g}{detail}",
-                time=float(t), diagnostics=diag)
+                float(t),
+                handle.diagnostics(state) if handle.diagnostics else None)
         u = handle.feedback(state)
         if control_scale != 1.0:
             u = handle.scale_control(u, control_scale)
@@ -266,7 +264,8 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
 
     best, final_state = forward(controls, state0, 0, 0.0)
     if not np.isfinite(best):
-        raise DomainExitError("seed control path leaves the domain", time=0.0)
+        raise DomainExitError(0.0,
+                              message="seed control path leaves the domain")
 
     offsets = np.linspace(-1.0, 1.0, n_controls) if n_controls > 1 \
         else np.array([0.0])

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hjbkit.errors import GridError
-from hjbkit.gridcore import (CircleGrid, HistorySegment, StructuralState,
-                             AgeGrid, Trajectory, cn_step, history_advance,
-                             history_weighted_sum, inner_product, quad_circle,
+from hjbkit.errors import GridError, NumericsError
+from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
+                             StructuralState, AgeGrid, Trajectory, cn_step,
+                             history_advance, history_weighted_sum,
+                             inner_product, quad_circle,
                              sl_apply, solve_periodic_tridiagonal,
                              apply_periodic_tridiagonal)
 
@@ -156,16 +157,16 @@ class TestCyclicSolve:
 class TestCnStep:
     def test_constant_invariant_under_pure_diffusion(self):
         y = GRID.constant(3.2)
-        out = cn_step(GRID.constant(1.0), GRID.constant(0.0), y,
-                      GRID.constant(0.0), 0.05)
+        out = cn_step(CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.05),
+                      y, GRID.constant(0.0))
         assert np.allclose(out.values, 3.2, atol=1e-13)
 
     def test_scalar_reduction(self):
         # constant-in-theta state: CN reduces to the scalar map
         lam, dt = -0.4, 0.02
         y = GRID.constant(1.0)
-        out = cn_step(GRID.constant(1.0), GRID.constant(lam), y,
-                      GRID.constant(0.0), dt)
+        out = cn_step(CNOperator(GRID.constant(1.0), GRID.constant(lam), dt),
+                      y, GRID.constant(0.0))
         expected = (1.0 + lam * dt / 2.0) / (1.0 - lam * dt / 2.0)
         assert np.allclose(out.values, expected, atol=1e-13)
 
@@ -176,7 +177,7 @@ class TestCnStep:
         y = g.from_function(np.cos)
         sigma, zeroth, src = g.constant(1.0), g.constant(0.0), g.constant(0.0)
         for _ in range(int(round(t_end / dt))):
-            y = cn_step(sigma, zeroth, y, src, dt)
+            y = cn_step(CNOperator(sigma, zeroth, dt), y, src)
         # discrete decay rate is the stencil eigenvalue, off by O(h^2)
         err = np.max(np.abs(y.values - np.exp(-t_end) * np.cos(g.nodes)))
         assert err < t_end * ((2 * np.pi / n) ** 2 + dt ** 2)
@@ -185,13 +186,67 @@ class TestCnStep:
         rng = np.random.default_rng(11)
         y = GRID.field(1.0 + 0.5 * rng.random(GRID.n))
         sigma = GRID.from_function(lambda t: 1.0 + 0.4 * np.cos(t))
-        out = cn_step(sigma, GRID.constant(0.0), y, GRID.constant(0.0), 0.1)
+        out = cn_step(CNOperator(sigma, GRID.constant(0.0), 0.1), y,
+                      GRID.constant(0.0))
         assert abs(quad_circle(out) - quad_circle(y)) < 1e-10
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            cn_step(GRID.constant(1.0), GRID.constant(0.0), GRID.constant(1.0),
-                    GRID.constant(0.0), 0.0)
+            cn_step(CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.0),
+                    GRID.constant(1.0), GRID.constant(0.0))
+
+    def test_against_dense(self):
+        n, dt = 24, 0.3
+        g = CircleGrid(n)
+        sigma = g.from_function(lambda t: 1.0 + 0.5 * np.sin(t))
+        zeroth = g.from_function(lambda t: 0.3 * np.cos(2.0 * t) - 0.2)
+        src = g.from_function(lambda t: 1.0 + np.sin(3.0 * t))
+        y = g.from_function(lambda t: 2.0 + np.cos(t))
+        # dense L from the stencil's action on the unit vectors
+        L = np.column_stack([sl_apply(sigma, zeroth, g.field(e)).values
+                             for e in np.eye(n)])
+        eye = np.eye(n)
+        want = np.linalg.solve(eye - 0.5 * dt * L,
+                               (eye + 0.5 * dt * L) @ y.values
+                               + dt * src.values)
+        out = cn_step(CNOperator(sigma, zeroth, dt), y, src)
+        assert np.allclose(out.values, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, check", [(16, "rank-one update"),
+                                          (64, "residual check")])
+    def test_singular_left_matrix(self, n, check):
+        # zeroth = 2/dt cancels the identity: I - dt/2 L is -dt/2 times the
+        # periodic Laplacian, whose nullspace holds the constants.  At
+        # n = 16 the rank-one denominator rounds to 0 when the operator is
+        # built; at n = 64 it does not, and the solve's defect check fires
+        g, dt = CircleGrid(n), 0.1
+        with pytest.raises(NumericsError, match=check):
+            op = CNOperator(g.constant(1.0), g.constant(2.0 / dt), dt)
+            cn_step(op, g.constant(1.0), g.constant(0.0))
+
+    def test_rejects_nonpositive_sigma(self):
+        with pytest.raises(GridError):
+            CNOperator(GRID.constant(0.0), GRID.constant(0.0), 0.1)
+
+    def test_rejects_other_grid(self):
+        op = CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.1)
+        other = CircleGrid(32)
+        with pytest.raises(GridError):
+            cn_step(op, other.constant(1.0), GRID.constant(0.0))
+        with pytest.raises(GridError):
+            cn_step(op, GRID.constant(1.0), other.constant(0.0))
+
+    def test_operator_reuse_matches_fresh(self):
+        # one factorization serves every step of a given dt
+        sigma = GRID.from_function(lambda t: 1.0 + 0.4 * np.cos(t))
+        zeroth = GRID.constant(-0.3)
+        op = CNOperator(sigma, zeroth, 0.05)
+        y = fresh = GRID.from_function(np.cos)
+        for _ in range(5):
+            y = cn_step(op, y, GRID.constant(0.5))
+            fresh = cn_step(CNOperator(sigma, zeroth, 0.05), fresh,
+                            GRID.constant(0.5))
+        assert np.array_equal(y.values, fresh.values)
 
 
 class TestHistory:

@@ -46,6 +46,28 @@ def test_default_run_summary(tmp_path, model):
         assert summary[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
 
 
+# verify --seed 3: the three closed-loop rollouts per circle model (value
+# match, suboptimal probe, transversality) all run Crank-Nicolson
+VERIFY_REPORT = {
+    "spatial-growth": {"residual_max": 3.0476551495464385e-07,
+                       "value_match_gap": 1.542311809722483e-08,
+                       "suboptimal_margin": 0.04772946749628844,
+                       "transversality_slope": -0.05995298311700353},
+    "pollution": {"residual_max": 8.130933226786225e-08,
+                  "value_match_gap": 2.2498572497770293e-07,
+                  "suboptimal_margin": 0.2341840627193566,
+                  "transversality_slope": -0.049773021247187556},
+}
+
+
+@pytest.mark.parametrize("model", sorted(VERIFY_REPORT))
+def test_circle_verify_report(tmp_path, model):
+    assert main(["verify", "--model", model, "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    for key, want in VERIFY_REPORT[model].items():
+        assert report[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
 @pytest.mark.parametrize("model", ["spatial-growth", "pollution",
                                    "vintage-transport"])
 def test_run_and_verify_share_the_rollout(tmp_path, model):

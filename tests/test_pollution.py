@@ -137,12 +137,12 @@ class TestValue:
 class TestSimulate:
     def test_pure_decay_without_source(self):
         spec = constant_spec()
-        from hjbkit.gridcore import cn_step
+        from hjbkit.gridcore import CNOperator, cn_step
         p = GRID.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
         masses = [quad_circle(p)]
         for _ in range(200):
-            p = cn_step(spec.sigma_diff, -1.0 * spec.delta_dec, p,
-                        GRID.constant(0.0), 0.05)
+            p = cn_step(CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec,
+                                   0.05), p, GRID.constant(0.0))
             masses.append(quad_circle(p))
         assert np.all(np.diff(masses) < 0.0)
 

@@ -146,12 +146,12 @@ class TestSimulate:
     def test_uncontrolled_heat_reaction_growth(self, const_spec):
         # source off: masses obey d/dt quad(y) = a quad(y) for constant A
         grid = const_spec.grid
-        from hjbkit.gridcore import cn_step
+        from hjbkit.gridcore import CNOperator, cn_step
         y = grid.constant(1.0)
         dt, n = 1e-2, 100
         for _ in range(n):
-            y = cn_step(grid.constant(1.0), const_spec.A_coeff, y,
-                        grid.constant(0.0), dt)
+            y = cn_step(CNOperator(grid.constant(1.0), const_spec.A_coeff, dt),
+                        y, grid.constant(0.0))
         assert quad_circle(y) == pytest.approx(
             2 * np.pi * np.exp(0.04 * n * dt), rel=1e-6)
 

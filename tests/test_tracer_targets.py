@@ -72,3 +72,21 @@ def test_scenario_calls_are_traced(model):
     for span in (f"simulate_{suffix}", f"hjb_residual_{suffix}",
                  "handle.step"):
         assert trace.calls[f"{module}.{span}"] > 0, span
+
+
+@pytest.mark.parametrize("model", ["spatial-growth", "pollution"])
+def test_circle_steps_reach_cn_step(model):
+    # the benchmark's coverage check counts one cn_step span per step; a
+    # handle that bound the kernel (or its operator's method) at build
+    # time would escape the tracer and read 0
+    cfg = default_config(model)
+    cfg["numerics"]["T_end"] = 0.2
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        sc = build_scenario(cfg)
+        sc.simulate()
+    finally:
+        trace.uninstall()
+    num = cfg["numerics"]
+    assert trace.calls["gridcore.cn_step"] == round(num["T_end"] / num["dt"])

@@ -3,6 +3,7 @@ import pytest
 
 from hjbkit.errors import DomainExitError
 from hjbkit.gridcore import CircleGrid, HistorySegment, Trajectory
+from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_handle
 from hjbkit.spatial_growth import simulate_spatial
 from hjbkit.vintage_dde import (build_vintage_spec, lift_vintage,
@@ -183,6 +184,21 @@ def test_rollout_reports_domain_exit():
     with pytest.raises(DomainExitError):
         _rollout(handle, st, 10, iota.dt, 1.0)
 
+
+
+def test_both_closed_loops_word_a_domain_exit_alike():
+    # at rho = 1 the time-to-build start state is outside the domain; the
+    # Heun loop and the verification rollout must report it identically
+    cfg = default_config("time-to-build")
+    cfg["params"]["rho"] = 1.0
+    sc = build_scenario(cfg)
+    with pytest.raises(DomainExitError) as heun:
+        sc.simulate()
+    with pytest.raises(DomainExitError) as rollout:
+        value_match(sc.handle, sc.state0, sc.T_end, sc.dt)
+    assert str(heun.value) == str(rollout.value)
+    assert heun.value.time == rollout.value.time == 0.0
+    assert heun.value.diagnostics == rollout.value.diagnostics
 
 CHECKED_FIGURES = ("residual_max", "residual_refined_max", "value_match_gap",
                    "suboptimal_margin", "transversality_slope")
