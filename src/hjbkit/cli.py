@@ -202,9 +202,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Integer flags below their least meaningful value are configuration
+    errors, not silent no-ops or numpy tracebacks."""
+    for flag, least in (("seed", 0), ("refine", 0), ("levels", 1),
+                        ("budget", 1)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise ConfigError(f"--{flag} must be an integer >= {least}, "
+                              f"got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except (ConfigError, AssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

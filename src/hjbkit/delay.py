@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import DomainError, DomainExitError
+from .errors import DomainError, DomainExitError, GridError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative)
-from .verify import ModelHandle
+from .verify import ModelHandle, OracleProblem
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,30 @@ def shift(model: DelayModel, state: StructuralState, u: float,
                            HistorySegment(state.tail.d, vals))
 
 
+def _checked_history(model: DelayModel,
+                     state: StructuralState) -> HistorySegment:
+    hist = state.tail
+    if not np.isclose(hist.d, model.lag, rtol=1e-12):
+        raise ValueError(
+            f"history covers [-{hist.d}, 0], expected [-{model.lag}, 0]")
+    return hist
+
+
+def shift_batch(model: DelayModel, batch: tuple, u, dt: float) -> tuple:
+    """:func:`shift` on a batch of heads (k,) and tails (k, m+1), with u a
+    scalar or one control per row.  A non-finite state raises GridError,
+    as the validating containers do."""
+    heads, tails = batch
+    vals = np.empty_like(tails)
+    vals[:, 0] = vals[:, 1] = model.c * u
+    vals[:, 2:] = tails[:, 1:-1]
+    heads = heads + dt * (model.b * u + tails[:, -1])
+    # the shifted samples were finite already; only the new ones can fail
+    if not (np.isfinite(heads).all() and np.isfinite(vals[:, 0]).all()):
+        raise GridError("batched step produced a non-finite state")
+    return heads, vals
+
+
 def simulate(model: DelayModel, state0: StructuralState, T_end: float,
              dt: float | None = None) -> Trajectory:
     """Closed-loop Heun integration of x0' = b u(t) + c u(t-L).
@@ -133,10 +157,7 @@ def simulate(model: DelayModel, state0: StructuralState, T_end: float,
     predictor when the drift has an undelayed part (b != 0).  A domain
     exit aborts with the offending time and diagnostics.
     """
-    hist = state0.tail
-    if not np.isclose(hist.d, model.lag, rtol=1e-12):
-        raise ValueError(
-            f"history covers [-{hist.d}, 0], expected [-{model.lag}, 0]")
+    hist = _checked_history(model, state0)
     if dt is None:
         dt = hist.dt
     elif not np.isclose(dt, hist.dt, rtol=1e-12):
@@ -221,6 +242,30 @@ def make_handle(model: DelayModel) -> ModelHandle:
             return -np.inf  # inadmissible consumption, flags the policy
         return c ** (1.0 - s) / (1.0 - s)
 
+    def batch_payoff(batch, u):
+        # the power is taken per row in scalar arithmetic: numpy's array
+        # power may differ from it in the last bit, and the oracle must
+        # score exactly what the scalar payoff scores
+        return np.array([-np.inf if c < 0.0 else c ** (1.0 - s) / (1.0 - s)
+                         for c in (model.a * batch[0] - u).tolist()])
+
+    def batch_in_domain(batch):
+        heads, tails = batch
+        g = heads + tails @ _trapezoid_weights(xi, tails.shape[1], model.lag)
+        return (g > 0.0) & (model.kappa * g < model.room * heads)
+
+    oracle = OracleProblem(
+        step=functools.partial(shift_batch, model),
+        running_payoff=batch_payoff,
+        rho=model.rho,
+        domain_check=batch_in_domain,
+        to_batch=lambda st: (np.array([st.head]),
+                             _checked_history(model, st).values[np.newaxis]),
+        from_row=lambda batch, i: StructuralState(
+            batch[0][i], HistorySegment(model.lag, batch[1][i].copy())),
+        control_bounds=lambda batch: (lo * batch[0], hi * batch[0]),
+        payoff_tail_bound=tail_bound,
+    )
     return ModelHandle(
         value=functools.partial(value, model),
         feedback=functools.partial(feedback, model),
@@ -228,7 +273,6 @@ def make_handle(model: DelayModel) -> ModelHandle:
         running_payoff=payoff,
         rho=model.rho,
         domain_check=functools.partial(in_domain, model),
-        control_bounds=lambda st: (lo * st.head, hi * st.head),
-        payoff_tail_bound=tail_bound,
         diagnostics=functools.partial(diagnostics, model),
+        oracle=oracle,
     )

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, NumericsError
-from .gridcore import (AgeGrid, CircleGrid, Field, _stencil_coefficients,
-                       apply_periodic_tridiagonal, inner_product,
-                       solve_periodic_tridiagonal)
+from .gridcore import (AgeGrid, CircleGrid, CyclicTridiagonal, Field,
+                       _stencil_coefficients, apply_periodic_tridiagonal,
+                       inner_product, solve_periodic_tridiagonal)
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,12 @@ def principal_eigenpair(A_coeff: Field, grid: CircleGrid | None = None,
     one = grid.constant(1.0)
     lo, di, up = _stencil_coefficients(one, A_coeff)
     shift = float(A_coeff.values.max()) + 1.0
+    shifted = CyclicTridiagonal(-lo, shift - di, -up)  # factored once
 
     v = np.full(grid.n, 1.0 / np.sqrt(2.0 * np.pi))
     lam = None
     for _ in range(max_iter):
-        w = solve_periodic_tridiagonal(-lo, shift - di, -up, v)
+        w = shifted.solve(v)
         w /= np.sqrt(grid.h * (w @ w))
         Lw = apply_periodic_tridiagonal(lo, di, up, w)
         lam = grid.h * (w @ Lw)

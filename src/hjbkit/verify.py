@@ -37,15 +37,40 @@ def _default_scale(control, s):
     return s * control
 
 
+@dataclass(frozen=True)
+class OracleProblem:
+    """Batched step/payoff view of a model, structurally unable to peek at
+    the closed-form value.
+
+    A batch is a tuple of arrays sharing a leading row axis, one row per
+    state.  ``step(batch, u, dt)``, ``running_payoff(batch, u)`` and
+    ``domain_check(batch)`` act row by row, with ``u`` a scalar or one
+    control per row; ``step`` raises :class:`GridError` on a non-finite
+    state.  ``to_batch`` stacks one validated state into a batch and
+    ``from_row(batch, i)`` validates row i back into a state.
+    ``control_bounds`` (the admissible box of each row) and
+    ``payoff_tail_bound`` (state, time -> an upper bound on any admissible
+    continuation's remaining discounted payoff) are optional.
+    """
+
+    step: Callable
+    running_payoff: Callable
+    rho: float
+    domain_check: Callable
+    to_batch: Callable
+    from_row: Callable
+    control_bounds: Callable | None = None
+    payoff_tail_bound: Callable | None = None
+
+
 @dataclass
 class ModelHandle:
     """Uniform face over one model instance.
 
-    ``control_bounds`` (box per state) and ``payoff_tail_bound`` (an upper
-    bound on any admissible continuation's remaining discounted payoff) are
-    only needed by the DP oracle; ``scale_control`` adapts scalar scaling
-    to composite controls; ``diagnostics`` (state -> dict) summarizes a
-    state that left the domain.
+    ``scale_control`` adapts scalar scaling to composite controls;
+    ``diagnostics`` (state -> dict) summarizes a state that left the
+    domain; ``oracle`` is the batched view the DP oracle runs on, for the
+    models that have one.
     """
 
     value: Callable
@@ -54,30 +79,16 @@ class ModelHandle:
     running_payoff: Callable
     rho: float
     domain_check: Callable
-    control_bounds: Callable | None = None
-    payoff_tail_bound: Callable | None = None
     scale_control: Callable = _default_scale
     diagnostics: Callable | None = None
+    oracle: OracleProblem | None = None
 
-    def oracle_problem(self) -> "OracleProblem":
-        """Strip the handle down to what the DP oracle may consume; the
-        value callback is deliberately absent."""
-        return OracleProblem(self.step, self.running_payoff, self.rho,
-                             self.domain_check, self.control_bounds,
-                             self.payoff_tail_bound)
-
-
-@dataclass(frozen=True)
-class OracleProblem:
-    """Step/payoff view of a model, structurally unable to peek at the
-    closed-form value."""
-
-    step: Callable
-    running_payoff: Callable
-    rho: float
-    domain_check: Callable
-    control_bounds: Callable | None
-    payoff_tail_bound: Callable | None
+    def oracle_problem(self) -> OracleProblem:
+        """What the DP oracle may consume; the value callback is
+        deliberately absent."""
+        if self.oracle is None:
+            raise ValueError("this model has no DP oracle problem")
+        return self.oracle
 
 
 @dataclass
@@ -218,6 +229,12 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
     edge.  ``lo`` always corresponds to an explicitly evaluated feasible
     policy, whatever the pass count.
 
+    All candidates of one step are scored together, as one batch run
+    forward to the horizon, and the states and payoffs before each step
+    are walked once per sweep, since a backward sweep never changes the
+    controls ahead of its current step.  ``evaluations`` still counts two
+    payoff evaluations per candidate per step, up to a domain exit.
+
     The recursion consumes only the step/payoff callbacks (no value
     callback exists on :class:`OracleProblem`).
     """
@@ -226,32 +243,53 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
     disc = np.exp(-problem.rho * times)
     evals = 0
 
-    def clip(u, state):
-        if problem.control_bounds is None:
-            return u
-        lo, hi = problem.control_bounds(state)
-        eps = 1e-12 * max(1.0, abs(hi))
-        return min(max(u, lo + eps), hi - eps)
+    def rows(batch, keep):
+        return tuple(a[keep] for a in batch)
 
-    def forward(controls, start_state, start_idx, prefix_payoff):
-        """Payoff of the truncated problem when following ``controls`` from
-        ``start_idx`` on; each step holds its control and contributes a
-        control-consistent trapezoid cell; zero tail."""
+    def clip(candidates, state):
+        """Candidates clipped to just inside the admissible box of the
+        one-row batch ``state``, duplicates dropped (first one kept)."""
+        if problem.control_bounds is not None:
+            lo, hi = (float(b[0]) for b in problem.control_bounds(state))
+            eps = 1e-12 * max(1.0, abs(hi))
+            candidates = [min(max(u, lo + eps), hi - eps) for u in candidates]
+        return np.array(list(dict.fromkeys(candidates)))
+
+    def cell(batch, u, k):
+        """Step k holding u, and its control-consistent trapezoid cell."""
+        g_left = problem.running_payoff(batch, u)
+        batch = problem.step(batch, u, dt)
+        g_right = problem.running_payoff(batch, u)
+        return batch, 0.5 * dt * (disc[k] * g_left + disc[k + 1] * g_right)
+
+    def forward(batch, first, start_idx, prefix_payoff):
+        """Payoffs of the truncated problem for each row of ``batch``, which
+        holds its control in ``first`` at step ``start_idx`` and follows
+        ``controls`` after it, with zero tail.  A row that leaves the
+        domain scores -inf and stops counting evaluations.  Returns the
+        payoffs, the final states of the rows still inside and those rows'
+        indices."""
         nonlocal evals
-        state = start_state
-        total = prefix_payoff
+        n_rows = len(batch[0])
+        live = np.arange(n_rows)
+        total = np.full(n_rows, prefix_payoff)
         for k in range(start_idx, n_steps):
-            if not problem.domain_check(state):
-                return -np.inf, None
-            u = controls[k]
-            g_left = problem.running_payoff(state, u)
-            state = problem.step(state, u, dt)
-            g_right = problem.running_payoff(state, u)
-            evals += 2
-            total += 0.5 * dt * (disc[k] * g_left + disc[k + 1] * g_right)
-        if not problem.domain_check(state):
-            return -np.inf, None
-        return total, state
+            u = first if k == start_idx else controls[k]
+            inside = problem.domain_check(batch)
+            if not inside.all():
+                live, total, batch = live[inside], total[inside], \
+                    rows(batch, inside)
+                if not len(live):
+                    break
+                if k == start_idx:
+                    u = u[inside]
+            batch, gain = cell(batch, u, k)
+            evals += 2 * len(live)
+            total += gain
+        inside = problem.domain_check(batch)
+        values = np.full(n_rows, -np.inf)
+        values[live[inside]] = total[inside]
+        return values, rows(batch, inside), live[inside]
 
     if seed_controls is None:
         raise ValueError("seed_controls is required (e.g. the feedback path)")
@@ -262,7 +300,9 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
             f"got {len(controls)}"
         )
 
-    best, final_state = forward(controls, state0, 0, 0.0)
+    start = problem.to_batch(state0)
+    values, final, _ = forward(start, np.array(controls[:1]), 0, 0.0)
+    best = values[0]
     if not np.isfinite(best):
         raise DomainExitError(0.0,
                               message="seed control path leaves the domain")
@@ -274,28 +314,28 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
     while passes < max_passes and cur_span > span_min:
         best_at_pass_start = best
         passes += 1
+        # the state and accumulated payoff at each step, walked once per
+        # pass (no domain test, no evaluations counted): a backward sweep
+        # never changes the controls ahead of its current step
+        states, prefixes = [start], [0.0]
+        for k in range(n_steps - 1):
+            state, gain = cell(states[-1], controls[k], k)
+            states.append(state)
+            prefixes.append(prefixes[-1] + gain[0])
         for j in range(n_steps - 1, -1, -1):
-            # walk the fixed prefix [0, j) once
-            state = state0
-            prefix = 0.0
-            for k in range(j):
-                u = controls[k]
-                g_left = problem.running_payoff(state, u)
-                state = problem.step(state, u, dt)
-                g_right = problem.running_payoff(state, u)
-                prefix += 0.5 * dt * (disc[k] * g_left + disc[k + 1] * g_right)
+            state = states[j]
             base = controls[j]
-            candidates = base * (1.0 + cur_span * offsets)
-            best_j, best_u, best_final = -np.inf, base, None
-            for cand in dict.fromkeys(float(clip(c, state)) for c in candidates):
-                controls[j] = cand
-                val, fstate = forward(controls, state, j, prefix)
-                if val > best_j:
-                    best_j, best_u, best_final = val, cand, fstate
-            controls[j] = best_u
-            if best_j > best:
-                best = best_j
-                final_state = best_final
+            candidates = clip((base * (1.0 + cur_span * offsets)).tolist(),
+                              state)
+            values, finals, live = forward(
+                rows(state, np.zeros(len(candidates), dtype=int)),
+                candidates, j, prefixes[j])
+            i = int(np.argmax(values))  # the first of the best candidates
+            if values[i] > -np.inf:
+                controls[j] = float(candidates[i])
+                if values[i] > best:
+                    best = values[i]
+                    final = rows(finals, live == i)
             if evals > budget:
                 raise OracleBudgetError(
                     f"DP oracle exceeded its evaluation budget ({budget})"
@@ -306,7 +346,8 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
     if problem.payoff_tail_bound is None:
         tail_bound = 0.0
     else:
-        tail_bound = float(problem.payoff_tail_bound(final_state, times[-1]))
+        tail_bound = float(problem.payoff_tail_bound(
+            problem.from_row(final, 0), times[-1]))
     return OracleBracket(lo=float(best), hi=float(best + tail_bound),
                          truncated_value=float(best),
                          tail_bound=float(tail_bound),

@@ -212,6 +212,23 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--model", "vintage-dde", "--seed", "-1"], "--seed"),
+    (["run", "--model", "vintage-dde", "--refine", "-5"], "--refine"),
+    (["oracle", "--model", "vintage-dde", "--levels", "0"], "--levels"),
+    (["oracle", "--model", "vintage-dde", "--budget", "-1"], "--budget"),
+])
+def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv, flag):
+    # a negative seed used to raise inside numpy, a negative refine
+    # silently coarsened the grid, zero levels silently ran one and a
+    # negative budget read as a tolerance failure (exit 3)
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 class TestVerify:
     def test_vintage_report(self, tmp_path):
         code = run_cli(["verify", "--model", "vintage-dde",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjbkit.errors import DomainExitError
+from hjbkit.errors import DomainExitError, GridError
 from hjbkit.gridcore import CircleGrid, HistorySegment, Trajectory
 from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_handle
@@ -86,6 +86,71 @@ class TestTransversality:
                                                              abs=1e-10)
 
 
+def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
+                 span=0.5, span_min=4e-3, max_passes=12):
+    """Reference for ``brute_force_value``: the same backward sweep, one
+    candidate at a time on validated states through the handle's scalar
+    step, payoff and domain test, re-walking each step's prefix.  Returns
+    (lo, hi, evaluations, passes) and counts of the candidate runs that
+    left the domain before the horizon but after their own step, and of
+    the candidates that clipping made duplicates."""
+    n_steps = int(round(T_end / dt))
+    disc = np.exp(-handle.rho * dt * np.arange(n_steps + 1))
+    counts = {"evaluations": 0, "exits": 0, "duplicates": 0}
+
+    def cell(state, u, k):
+        g_left = handle.running_payoff(state, u)
+        nxt = handle.step(state, u, dt)
+        g_right = handle.running_payoff(nxt, u)
+        return nxt, 0.5 * dt * (disc[k] * g_left + disc[k + 1] * g_right)
+
+    def forward(controls, state, start, total):
+        for k in range(start, n_steps):
+            if not handle.domain_check(state):
+                counts["exits"] += k > start  # its evaluations stop early
+                return -np.inf, None
+            state, payoff = cell(state, controls[k], k)
+            counts["evaluations"] += 2
+            total += payoff
+        if not handle.domain_check(state):
+            return -np.inf, None
+        return total, state
+
+    controls = list(seed)
+    best, final = forward(controls, state0, 0, 0.0)
+    offsets = np.linspace(-1.0, 1.0, n_controls)
+    cur_span, passes = span, 0
+    while passes < max_passes and cur_span > span_min:
+        at_pass_start = best
+        passes += 1
+        for j in range(n_steps - 1, -1, -1):
+            state, prefix = state0, 0.0
+            for k in range(j):
+                state, payoff = cell(state, controls[k], k)
+                prefix += payoff
+            lo = (model.a - model.room) * state.head
+            hi = model.a * state.head
+            eps = 1e-12 * max(1.0, abs(hi))
+            clipped = [float(min(max(c, lo + eps), hi - eps))
+                       for c in controls[j] * (1.0 + cur_span * offsets)]
+            candidates = dict.fromkeys(clipped)
+            counts["duplicates"] += len(clipped) - len(candidates)
+            best_j, best_u, best_final = -np.inf, controls[j], None
+            for cand in candidates:
+                controls[j] = cand
+                val, fstate = forward(controls, state, j, prefix)
+                if val > best_j:
+                    best_j, best_u, best_final = val, cand, fstate
+            controls[j] = best_u
+            if best_j > best:
+                best, final = best_j, best_final
+        if best - at_pass_start < 1e-7 * max(1.0, abs(best)):
+            cur_span *= 0.5
+    tail = handle.oracle_problem().payoff_tail_bound(final, dt * n_steps)
+    return (float(best), float(best + tail), counts["evaluations"],
+            passes), counts
+
+
 class TestBruteForce:
     def seed_for(self, handle, state, dt, T_end):
         n_steps = int(round(T_end / dt))
@@ -97,6 +162,20 @@ class TestBruteForce:
         problem = handle.oracle_problem()
         assert isinstance(problem, OracleProblem)
         assert not hasattr(problem, "value")
+
+    def test_handle_without_oracle_problem_says_so(self, spatial):
+        _, handle, _ = spatial
+        with pytest.raises(ValueError, match="no DP oracle problem"):
+            handle.oracle_problem()
+
+    def test_history_off_the_model_lag_rejected(self, vintage):
+        # the batched problem reads the lag from the model, so a start
+        # whose history spans another lag is refused, as simulate does
+        _, handle, _ = vintage
+        st = lift_vintage(None, HistorySegment.constant(3.0, 8, 1.0))
+        with pytest.raises(ValueError, match="history covers"):
+            brute_force_value(handle.oracle_problem(), st, 0.375, 1.5,
+                              seed_controls=[1.0] * 4)
 
     def test_single_level_returns_seed_policy_payoff(self, vintage):
         _, handle, st = vintage
@@ -156,6 +235,47 @@ class TestBruteForce:
         with pytest.raises(OracleBudgetError):
             brute_force_value(handle.oracle_problem(), st, dt, T_end,
                               n_controls=33, seed_controls=seed, budget=100)
+
+    @pytest.mark.parametrize("sigma, k0, n_controls, span, T_end, exercised", [
+        (0.5, None, 9, 0.5, 3.0, None),
+        # a small head starts near the domain's edge, where some candidate
+        # runs leave it and stop counting evaluations
+        (0.5, 1.1, 9, 2.0, 3.0, "exits"),
+        # most of a wide span clips onto the band's edges
+        (0.5, None, 33, 8.0, 3.0, "duplicates"),
+        # at this exponent numpy's array power differs from the scalar
+        # power in the last bit for about one value in twenty, and on
+        # AVX-512 hardware this case's bracket shows it
+        (0.7, None, 17, 0.5, 4.0, None),
+    ])
+    def test_batched_sweep_equals_scalar_reference(self, sigma, k0,
+                                                   n_controls, span, T_end,
+                                                   exercised):
+        # the vintage fixture's model, with sigma varied
+        spec = build_vintage_spec(1.0, 2.0, sigma, 0.45)
+        handle = vintage_handle(spec)
+        st = lift_vintage(k0, HistorySegment.constant(2.0, 8, 1.0),
+                          enforce_consistency=False)
+        dt = 0.25
+        seed = self.seed_for(handle, st, dt, T_end)
+        bracket = brute_force_value(handle.oracle_problem(), st, dt, T_end,
+                                    n_controls=n_controls, span=span,
+                                    seed_controls=seed)
+        want, counts = scalar_sweep(handle, spec.delay, st, dt, T_end, seed,
+                                    n_controls, span)
+        assert (bracket.lo, bracket.hi, bracket.evaluations,
+                bracket.passes) == want
+        if exercised:
+            assert counts[exercised] > 0
+
+    def test_non_finite_batch_state_raises(self, vintage):
+        _, handle, st = vintage
+        dt, T_end = 0.25, 3.0
+        seed = self.seed_for(handle, st, dt, T_end)
+        seed[2] = np.inf
+        with pytest.raises(GridError, match="non-finite"):
+            brute_force_value(handle.oracle_problem(), st, dt, T_end,
+                              seed_controls=seed)
 
     def test_suboptimality_direction_random_perturbations(self):
         # any admissible perturbed control scores at most the value, for
