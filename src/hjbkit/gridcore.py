@@ -266,17 +266,19 @@ class CNOperator:
                                           -half * up)
 
 
-def cn_step(op: CNOperator, y: Field, source: Field) -> Field:
-    """One Crank-Nicolson step: solves
-    ``(I - dt/2 L) y+ = (I + dt/2 L) y + dt*source``.
+def cn_step(op: CNOperator, y: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """One Crank-Nicolson step on node values: solves
+    ``(I - dt/2 L) y+ = (I + dt/2 L) y + dt*source`` for the values of y+.
 
-    The scheme is A-stable and second order.
+    ``y`` and ``source`` are 1-D arrays on the operator's grid.  The scheme
+    is A-stable and second order.
     """
-    op.sigma._check(y)
-    op.sigma._check(source)
-    rhs = apply_periodic_tridiagonal(*op.explicit, y.values) \
-        + op.dt * source.values
-    return Field(y.grid, op.implicit.solve(rhs))
+    n = op.sigma.grid.n
+    if np.shape(y) != (n,) or np.shape(source) != (n,):
+        raise GridError(f"cn_step needs {n} node values, got shapes "
+                        f"{np.shape(y)} and {np.shape(source)}")
+    rhs = apply_periodic_tridiagonal(*op.explicit, y) + op.dt * source
+    return op.implicit.solve(rhs)
 
 
 def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -341,21 +343,6 @@ class HistorySegment:
     @classmethod
     def constant(cls, d: float, m: int, c: float) -> "HistorySegment":
         return cls(d, np.full(m + 1, float(c)))
-
-
-def history_advance(hseg: HistorySegment, dt: float,
-                    new_value: float) -> HistorySegment:
-    """Shift the segment one sample into the past and append ``new_value``
-    at s = 0.  ``dt`` must equal the sample spacing (simulations lock
-    dt = d/m, so the shift is exact and never interpolates)."""
-    if not np.isclose(dt, hseg.dt, rtol=1e-12, atol=0.0):
-        raise GridError(
-            f"dt = {dt} does not match the history spacing {hseg.dt}"
-        )
-    vals = np.empty_like(hseg.values)
-    vals[:-1] = hseg.values[1:]
-    vals[-1] = float(new_value)
-    return HistorySegment(hseg.d, vals)
 
 
 def history_weighted_sum(hseg: HistorySegment, rate: float) -> float:

@@ -27,7 +27,7 @@ from .gridcore import (CircleGrid, CNOperator, Field, Trajectory,
                        _stencil_coefficients, apply_periodic_tridiagonal,
                        cn_step, inner_product, quad_circle, restrict)
 from .spectral import solve_elliptic
-from .verify import ModelHandle, _rollout
+from .verify import ModelHandle, _rollout, memo_last
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,32 @@ def value_pollution(spec: PollutionSpec, p0: Field) -> float:
     return -inner_product(spec.alpha_shadow, p0) + spec.q_const
 
 
+def _utility_shape(spec: PollutionSpec):
+    """a - 1 and 1 - gamma, the node arrays the utility of consumption
+    ((a-1) i)^(1-gamma) / (1-gamma) is built from."""
+    return spec.a_prod.values - 1.0, 1.0 - spec.gamma.values
+
+
+def _utility_of(h: float, a1: np.ndarray, g1: np.ndarray,
+                i: np.ndarray) -> float:
+    """Utility of consumption from node values, with a1 = a - 1 and
+    g1 = 1 - gamma."""
+    return float(h * ((a1 * i) ** g1 / g1).sum())
+
+
+def _gain_of(util: float, h: float, w: np.ndarray, p: np.ndarray) -> float:
+    """Utility of consumption minus the disutility <w, p> of pollution p,
+    from node values."""
+    return util - float(h * (w * p).sum())
+
+
 def running_gain(spec: PollutionSpec, p: Field, i: Field) -> float:
     """Utility-of-consumption minus pollution disutility at one instant."""
-    a, g = spec.a_prod.values, spec.gamma.values
-    util = quad_circle(Field(spec.grid,
-                             ((a - 1.0) * i.values) ** (1.0 - g) / (1.0 - g)))
-    return util - inner_product(spec.w_dis, p)
+    spec.a_prod._check(i)
+    spec.w_dis._check(p)
+    h = spec.grid.h
+    return _gain_of(_utility_of(h, *_utility_shape(spec), i.values), h,
+                    spec.w_dis.values, p.values)
 
 
 def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
@@ -174,20 +194,33 @@ def hjb_residual_pollution(spec: PollutionSpec, x: Field,
 
 
 def make_handle(spec: PollutionSpec) -> ModelHandle:
-    """Uniform verification interface over the pollution model."""
+    """Uniform verification interface over the pollution model.
+
+    States and controls are Fields at the handle's edge; inside, the
+    payoff and step work on node arrays computed once per handle.  The
+    utility of the control last scored is reused: the optimal investment
+    is the one object ``spec.i_star`` at every step, so along the feedback
+    its utility is computed once.
+    """
+    grid, h = spec.grid, spec.grid.h
+    eta, w = spec.eta.values, spec.w_dis.values
+    a1, g1 = _utility_shape(spec)
     zeroth = -1.0 * spec.delta_dec
     ops = {}  # dt -> factored CN operator
 
     def step(p, i, dt):
         if dt not in ops:
             ops[dt] = CNOperator(spec.sigma_diff, zeroth, dt)
-        return cn_step(ops[dt], p, spec.eta * i)
+        return Field(grid, cn_step(ops[dt], p.values, eta * i.values))
+
+    scored_utility = memo_last(lambda i: _utility_of(h, a1, g1, i.values))
 
     return ModelHandle(
         value=lambda p: value_pollution(spec, p),
         feedback=lambda p: spec.i_star,
         step=step,
-        running_payoff=lambda p, i: running_gain(spec, p, i),
+        running_payoff=lambda p, i: _gain_of(scored_utility(i), h, w,
+                                             p.values),
         rho=spec.rho,
         domain_check=lambda p: True,
     )

@@ -109,6 +109,16 @@ def interval_profile(desc: dict, lo: float, hi: float) -> Callable:
 
 RESOLUTION_KEYS = ("n", "m", "m_age")  # grid sizes: the only integer keys
 
+# The most steps x state size one closed-loop run may take: about 100 times
+# the largest default (spatial-growth, 4,000 steps of 256 nodes).  A rollout
+# keeps every state, about 8 bytes per unit of work (up to twice that when
+# each control is a profile too).
+WORK_BUDGET = 1e8
+
+# the lag or age span whose m cells set a delay model's step, dt = span/m
+_STEP_SPAN = {"vintage-dde": "T", "time-to-build": "d",
+              "vintage-transport": "sbar"}
+
 # The canonical scenario of each model (the 'default spec' of the
 # acceptance suite).  It is also the schema: a key's kind follows its
 # default -- a dict is a profile descriptor, a RESOLUTION_KEYS entry an
@@ -211,7 +221,32 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown_tol)}")
     tol.update({k: _finite(f"tolerances.{k}", v) for k, v in extra.items()})
     out["tolerances"] = tol
+    _check_work(out)
     return out
+
+
+def _check_work(config: dict) -> None:
+    """Reject a configuration whose closed loop takes more than
+    WORK_BUDGET steps x state size, before any array is allocated.  A
+    span or size the model itself rejects is left to the model."""
+    num = config["numerics"]
+    key = next(k for k in RESOLUTION_KEYS if k in num)
+    if "dt" in num:  # the circle models: n nodes and a free step
+        steps, size = num["T_end"] / num["dt"], num[key]
+        keys = f"numerics.T_end / numerics.dt x numerics.{key}"
+    else:            # dt = span / m and m + 1 samples
+        span_key = _STEP_SPAN[config["model"]]
+        span = config["params"][span_key]
+        if span <= 0.0:
+            return
+        steps, size = num["T_end"] * num[key] / span, num[key] + 1
+        keys = (f"numerics.T_end / (params.{span_key} / numerics.{key}) "
+                f"x (numerics.{key} + 1)")
+    work = max(steps, 1.0) * size
+    if work > WORK_BUDGET:
+        raise ConfigError(
+            f"{keys} = {steps:.4g} steps x {size} = {work:.3g} exceeds the "
+            f"work budget {WORK_BUDGET:.0e} of one run")
 
 
 def _finite(name: str, val) -> float:
@@ -226,16 +261,22 @@ def _finite(name: str, val) -> float:
 
 
 def refine_config(config: dict, k: int) -> dict:
-    """Double the spatial resolution (and halve dt) k times."""
+    """Double the spatial resolution (and halve dt) k times.  Each
+    doubling about quadruples the work, and the first one past the work
+    budget is a ConfigError, so a large k ends after a few rounds."""
     out = {key: (dict(val) if isinstance(val, dict) else val)
            for key, val in config.items()}
     num = out["numerics"]
-    factor = 2 ** k
-    for key in RESOLUTION_KEYS:
-        if key in num:
-            num[key] = int(num[key] * factor)
-    if "dt" in num:
-        num["dt"] = num["dt"] / factor
+    for done in range(1, k + 1):
+        for key in RESOLUTION_KEYS:
+            if key in num:
+                num[key] = int(num[key] * 2)
+        if "dt" in num:
+            num["dt"] = num["dt"] / 2
+        try:
+            _check_work(out)
+        except ConfigError as exc:
+            raise ConfigError(f"refinement {done} of {k}: {exc}") from None
     return out
 
 

@@ -22,7 +22,7 @@ from .errors import AssumptionError, DomainError
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
                        inner_product, quad_circle, restrict, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
-from .verify import ModelHandle, _rollout
+from .verify import ModelHandle, _rollout, memo_last
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,33 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
                              float(alpha0), beta)
 
 
-def _pairing(spec: SpatialGrowthSpec, x: Field) -> float:
-    p = inner_product(x, spec.beta)
+def _pairing_of(h: float, beta: np.ndarray, x: np.ndarray) -> float:
+    """<x, beta> from node values."""
+    return float(h * (x * beta).sum())
+
+
+def _in_domain(p: float) -> float:
+    """The pairing p = <x, beta>, or a DomainError off the half-space."""
     if p <= 0.0:
         raise DomainError(
             f"state outside the value function's domain: <x, beta> = {p} <= 0"
         )
     return p
+
+
+def _pairing(spec: SpatialGrowthSpec, x: Field) -> float:
+    x._check(spec.beta)
+    return _in_domain(_pairing_of(spec.grid.h, spec.beta.values, x.values))
+
+
+def _consumption_profile(spec: SpatialGrowthSpec) -> np.ndarray:
+    """beta^(-1/sigma), the shape of every optimal consumption profile."""
+    return spec.beta.values ** float(-1.0 / spec.sigma_crra)
+
+
+def _utility_of(h: float, c: np.ndarray, N: np.ndarray, s: float) -> float:
+    """Benthamite utility integral from node values."""
+    return float(h * ((c ** float(1.0 - s)) * N).sum()) / (1.0 - s)
 
 
 def value_spatial(spec: SpatialGrowthSpec, x: Field) -> float:
@@ -94,14 +114,14 @@ def value_spatial(spec: SpatialGrowthSpec, x: Field) -> float:
 
 def feedback_spatial(spec: SpatialGrowthSpec, x: Field) -> Field:
     """Optimal consumption profile c*(theta) = <x, beta> beta^(-1/sigma)."""
-    p = _pairing(spec, x)
-    return p * (spec.beta ** (-1.0 / spec.sigma_crra))
+    return Field(spec.grid, _consumption_profile(spec) * _pairing(spec, x))
 
 
 def utility(spec: SpatialGrowthSpec, c: Field) -> float:
     """Benthamite utility integral of a consumption profile."""
-    s = spec.sigma_crra
-    return quad_circle((c ** (1.0 - s)) * spec.N_pop) / (1.0 - s)
+    spec.N_pop._check(c)
+    return _utility_of(spec.grid.h, c.values, spec.N_pop.values,
+                       spec.sigma_crra)
 
 
 def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
@@ -168,22 +188,39 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
 
 
 def make_handle(spec: SpatialGrowthSpec) -> ModelHandle:
-    """Uniform verification interface over the spatial model."""
-    one = spec.grid.constant(1.0)
+    """Uniform verification interface over the spatial model.
+
+    States and controls are Fields at the handle's edge; inside, the
+    feedback, payoff and step work on node arrays computed once per handle.
+    A rollout tests each state's domain just before it asks for the
+    feedback, and scores each control at both ends of its step, so the
+    pairing of the state and the utility of the control (the payoff does
+    not depend on the state) are each reused for the object last given.
+    """
+    grid, s = spec.grid, spec.sigma_crra
+    h, beta, N = grid.h, spec.beta.values, spec.N_pop.values
+    profile = _consumption_profile(spec)
+    one = grid.constant(1.0)
     ops = {}  # dt -> factored CN operator
+    pairing = memo_last(lambda y: _pairing_of(h, beta, y.values))
+
+    def feedback(y):
+        return Field(grid, profile * _in_domain(pairing(y)))
 
     def step(y, c, dt):
         if dt not in ops:
             ops[dt] = CNOperator(one, spec.A_coeff, dt)
-        return cn_step(ops[dt], y, -1.0 * (c * spec.N_pop))
+        return Field(grid, cn_step(ops[dt], y.values, -1.0 * (c.values * N)))
+
+    scored_utility = memo_last(lambda c: _utility_of(h, c.values, N, s))
 
     return ModelHandle(
         value=lambda y: value_spatial(spec, y),
-        feedback=lambda y: feedback_spatial(spec, y),
+        feedback=feedback,
         step=step,
-        running_payoff=lambda y, c: utility(spec, c),
+        running_payoff=lambda y, c: scored_utility(c),
         rho=spec.rho,
-        domain_check=lambda y: inner_product(y, spec.beta) > 0.0,
-        diagnostics=lambda y: {"pairing": inner_product(y, spec.beta),
+        domain_check=lambda y: pairing(y) > 0.0,
+        diagnostics=lambda y: {"pairing": pairing(y),
                                "min_state": y.min()},
     )

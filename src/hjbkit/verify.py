@@ -91,6 +91,21 @@ class ModelHandle:
         return self.oracle
 
 
+def memo_last(fn: Callable) -> Callable:
+    """``fn`` of one argument, reusing its result while it is called again
+    with the very object (by identity) it was last called with.  A rollout
+    scores each held control at both ends of its step, so a payoff term
+    that depends on the control alone is computed once per step."""
+    last = [object(), None]
+
+    def cached(x):
+        if x is not last[0]:
+            last[:] = x, fn(x)
+        return last[1]
+
+    return cached
+
+
 @dataclass
 class ValueMatch:
     analytic: float

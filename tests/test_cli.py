@@ -63,6 +63,23 @@ class TestConfigValidation:
         assert fine["numerics"]["n"] == 4 * cfg["numerics"]["n"]
         assert fine["numerics"]["dt"] == cfg["numerics"]["dt"] / 4
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_work_budget_leaves_room_to_refine(self, model):
+        # every default, refined twice (16x its work), stays inside
+        refine_config(validate_config(default_config(model)), 2)
+
+    @pytest.mark.parametrize("model, key, value, named", [
+        ("spatial-growth", "dt", 1e-9, "numerics.dt x numerics.n"),
+        ("vintage-dde", "m", 10 ** 7, "(numerics.m + 1)"),
+        ("vintage-transport", "T_end", 1e9, "numerics.T_end"),
+    ])
+    def test_work_budget_rejects(self, model, key, value, named):
+        cfg = default_config(model)
+        cfg["numerics"][key] = value
+        with pytest.raises(ConfigError, match=r"work budget") as err:
+            validate_config(cfg)
+        assert named in str(err.value)
+
 
 class TestRun:
     def test_writes_outputs(self, tmp_path):
@@ -227,6 +244,34 @@ def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv, flag):
     assert flag in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "spatial-growth", "--refine", "40"],
+    ["verify", "--model", "time-to-build", "--refine", "40"],
+    ["oracle", "--model", "vintage-dde", "--refine", "1000000000"],
+])
+def test_refinement_past_work_budget_exits_2(tmp_path, capsys, argv):
+    # 2**40 times the default grid used to be allocated as asked
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "work budget" in err and "numerics." in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_tiny_dt_exits_2(tmp_path, capsys):
+    # 4e10 steps used to be allocated as asked
+    cfg = default_config("pollution")
+    cfg["numerics"]["dt"] = 1.5e-9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerics.T_end / numerics.dt x numerics.n" in err
+    assert "work budget" in err
+    assert not out.exists()
 
 
 class TestVerify:

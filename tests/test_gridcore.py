@@ -5,7 +5,7 @@ import sympy as sp
 from hjbkit.errors import GridError, NumericsError
 from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
                              StructuralState, AgeGrid, Trajectory, cn_step,
-                             history_advance, history_weighted_sum,
+                             history_weighted_sum,
                              inner_product, quad_circle,
                              sl_apply, solve_periodic_tridiagonal,
                              apply_periodic_tridiagonal)
@@ -157,16 +157,18 @@ class TestCyclicSolve:
 class TestCnStep:
     def test_constant_invariant_under_pure_diffusion(self):
         y = GRID.constant(3.2)
-        out = cn_step(CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.05),
-                      y, GRID.constant(0.0))
+        out = GRID.field(cn_step(
+            CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.05),
+            y.values, GRID.constant(0.0).values))
         assert np.allclose(out.values, 3.2, atol=1e-13)
 
     def test_scalar_reduction(self):
         # constant-in-theta state: CN reduces to the scalar map
         lam, dt = -0.4, 0.02
         y = GRID.constant(1.0)
-        out = cn_step(CNOperator(GRID.constant(1.0), GRID.constant(lam), dt),
-                      y, GRID.constant(0.0))
+        out = GRID.field(cn_step(
+            CNOperator(GRID.constant(1.0), GRID.constant(lam), dt),
+            y.values, GRID.constant(0.0).values))
         expected = (1.0 + lam * dt / 2.0) / (1.0 - lam * dt / 2.0)
         assert np.allclose(out.values, expected, atol=1e-13)
 
@@ -177,7 +179,8 @@ class TestCnStep:
         y = g.from_function(np.cos)
         sigma, zeroth, src = g.constant(1.0), g.constant(0.0), g.constant(0.0)
         for _ in range(int(round(t_end / dt))):
-            y = cn_step(CNOperator(sigma, zeroth, dt), y, src)
+            y = g.field(cn_step(CNOperator(sigma, zeroth, dt), y.values,
+                                src.values))
         # discrete decay rate is the stencil eigenvalue, off by O(h^2)
         err = np.max(np.abs(y.values - np.exp(-t_end) * np.cos(g.nodes)))
         assert err < t_end * ((2 * np.pi / n) ** 2 + dt ** 2)
@@ -186,14 +189,14 @@ class TestCnStep:
         rng = np.random.default_rng(11)
         y = GRID.field(1.0 + 0.5 * rng.random(GRID.n))
         sigma = GRID.from_function(lambda t: 1.0 + 0.4 * np.cos(t))
-        out = cn_step(CNOperator(sigma, GRID.constant(0.0), 0.1), y,
-                      GRID.constant(0.0))
+        out = GRID.field(cn_step(CNOperator(sigma, GRID.constant(0.0), 0.1),
+                                 y.values, GRID.constant(0.0).values))
         assert abs(quad_circle(out) - quad_circle(y)) < 1e-10
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             cn_step(CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.0),
-                    GRID.constant(1.0), GRID.constant(0.0))
+                    GRID.constant(1.0).values, GRID.constant(0.0).values)
 
     def test_against_dense(self):
         n, dt = 24, 0.3
@@ -209,7 +212,8 @@ class TestCnStep:
         want = np.linalg.solve(eye - 0.5 * dt * L,
                                (eye + 0.5 * dt * L) @ y.values
                                + dt * src.values)
-        out = cn_step(CNOperator(sigma, zeroth, dt), y, src)
+        out = g.field(cn_step(CNOperator(sigma, zeroth, dt), y.values,
+                              src.values))
         assert np.allclose(out.values, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n, check", [(16, "rank-one update"),
@@ -222,7 +226,7 @@ class TestCnStep:
         g, dt = CircleGrid(n), 0.1
         with pytest.raises(NumericsError, match=check):
             op = CNOperator(g.constant(1.0), g.constant(2.0 / dt), dt)
-            cn_step(op, g.constant(1.0), g.constant(0.0))
+            cn_step(op, g.constant(1.0).values, g.constant(0.0).values)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(GridError):
@@ -232,9 +236,17 @@ class TestCnStep:
         op = CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.1)
         other = CircleGrid(32)
         with pytest.raises(GridError):
-            cn_step(op, other.constant(1.0), GRID.constant(0.0))
+            cn_step(op, other.constant(1.0).values, GRID.constant(0.0).values)
         with pytest.raises(GridError):
-            cn_step(op, GRID.constant(1.0), other.constant(0.0))
+            cn_step(op, GRID.constant(1.0).values, other.constant(0.0).values)
+
+    @pytest.mark.parametrize("y_len, source_len", [(GRID.n - 1, GRID.n),
+                                                   (GRID.n, GRID.n + 1),
+                                                   (0, GRID.n)])
+    def test_rejects_wrong_length(self, y_len, source_len):
+        op = CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.1)
+        with pytest.raises(GridError, match=f"needs {GRID.n} node values"):
+            cn_step(op, np.ones(y_len), np.zeros(source_len))
 
     def test_operator_reuse_matches_fresh(self):
         # one factorization serves every step of a given dt
@@ -243,46 +255,14 @@ class TestCnStep:
         op = CNOperator(sigma, zeroth, 0.05)
         y = fresh = GRID.from_function(np.cos)
         for _ in range(5):
-            y = cn_step(op, y, GRID.constant(0.5))
-            fresh = cn_step(CNOperator(sigma, zeroth, 0.05), fresh,
-                            GRID.constant(0.5))
+            y = GRID.field(cn_step(op, y.values, GRID.constant(0.5).values))
+            fresh = GRID.field(cn_step(CNOperator(sigma, zeroth, 0.05),
+                                       fresh.values,
+                                       GRID.constant(0.5).values))
         assert np.array_equal(y.values, fresh.values)
 
 
 class TestHistory:
-    def test_constant_stays_constant(self):
-        h = HistorySegment.constant(2.0, 8, 1.5)
-        out = history_advance(h, h.dt, 1.5)
-        assert np.allclose(out.values, 1.5)
-
-    def test_impulse_lands_at_zero(self):
-        h = HistorySegment.constant(1.0, 8, 0.0)
-        out = history_advance(h, h.dt, 1.0)
-        assert out.values[-1] == 1.0
-        assert np.all(out.values[:-1] == 0.0)
-
-    def test_m_advances_enumerate_inputs(self):
-        m = 6
-        h = HistorySegment.constant(3.0, m, 0.0)
-        vals = [float(v) for v in np.arange(1, m + 1)]
-        for v in vals:
-            h = history_advance(h, h.dt, v)
-        assert np.allclose(h.values[1:], vals)
-
-    def test_translation_property(self):
-        # feeding the segment's own future reproduces exact shifts
-        m = 10
-        samples = np.sin(np.linspace(0.0, 3.0, 2 * m + 1))
-        h = HistorySegment(1.0, samples[: m + 1])
-        for k in range(m):
-            h = history_advance(h, h.dt, samples[m + 1 + k])
-        assert np.array_equal(h.values, samples[m:])
-
-    def test_advance_rejects_wrong_dt(self):
-        h = HistorySegment.constant(1.0, 8, 0.0)
-        with pytest.raises(GridError):
-            history_advance(h, 0.3, 1.0)
-
     def test_weighted_sum_zero_history(self):
         assert history_weighted_sum(HistorySegment.constant(1.0, 8, 0.0), 1.0) == 0.0
 

@@ -103,10 +103,10 @@ def test_vintage_oracle_bracket(tmp_path):
     assert data["passes"] == 12
 
 
-def test_ttb_oracle_bracket(tmp_path):
-    assert main(["oracle", "--model", "time-to-build",
-                 "--out", str(tmp_path)]) == 0
-    data = json.loads((tmp_path / "oracle.json").read_text())
+def test_ttb_oracle_bracket(ttb_oracle):
+    # the one run of the command that the tests share (conftest.py)
+    code, data, _ = ttb_oracle
+    assert code == 0
     assert data["bracket_lo"] == pytest.approx(11.313716105320314,
                                                rel=1e-12, abs=0.0)
     assert data["bracket_hi"] == pytest.approx(11.591712675743848,

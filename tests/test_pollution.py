@@ -3,10 +3,12 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from hjbkit.errors import NumericsError
-from hjbkit.gridcore import CircleGrid, quad_circle
+from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
+                             quad_circle)
 from hjbkit.pollution import (build_pollution_spec, hjb_residual_pollution,
-                              make_handle, optimal_investment,
+                              make_handle, optimal_investment, running_gain,
                               simulate_pollution, value_pollution)
+from hjbkit.verify import _rollout
 
 GRID = CircleGrid(128)
 
@@ -141,8 +143,9 @@ class TestSimulate:
         p = GRID.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
         masses = [quad_circle(p)]
         for _ in range(200):
-            p = cn_step(CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec,
-                                   0.05), p, GRID.constant(0.0))
+            p = GRID.field(cn_step(
+                CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec, 0.05),
+                p.values, GRID.constant(0.0).values))
             masses.append(quad_circle(p))
         assert np.all(np.diff(masses) < 0.0)
 
@@ -195,3 +198,76 @@ def test_value_match_and_suboptimality():
     vm = value_match(handle, p0, 60.0, 0.02)
     assert vm.rel_gap < 5e-3
     assert suboptimality_margin(handle, p0, 60.0, 0.02) > 5e-3
+
+
+def skewed_spec(grid=CircleGrid(96)):
+    # off the defaults: gamma > 1, another grid, every profile varying
+    return build_pollution_spec(
+        grid.from_function(lambda t: 0.8 + 0.3 * np.sin(t)),
+        grid.from_function(lambda t: 0.2 + 0.05 * np.cos(2.0 * t)),
+        grid.from_function(lambda t: 0.7 + 0.2 * np.sin(t)),
+        grid.from_function(lambda t: 3.0 + 0.5 * np.cos(t)),
+        grid.from_function(lambda t: 1.6 + 0.2 * np.cos(t)),
+        grid.from_function(lambda t: 0.5 + 0.1 * np.cos(3.0 * t)),
+        0.07)
+
+
+class TestHandleArrays:
+    """The handle steps and scores on node arrays; every number must be
+    the bits the public Field functions and a fresh CN operator give."""
+
+    @pytest.fixture(params=["wavy", "skewed"])
+    def spec(self, request):
+        return {"wavy": wavy_spec, "skewed": skewed_spec}[request.param]()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_callbacks_match_field_functions(self, spec, scale):
+        handle, dt = make_handle(spec), 0.02
+        op = CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec, dt)
+        p = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
+        for _ in range(3):
+            i = handle.feedback(p)
+            assert np.array_equal(i.values, optimal_investment(spec).values)
+            if scale != 1.0:
+                i = handle.scale_control(i, scale)
+            assert handle.running_payoff(p, i) == running_gain(spec, p, i)
+            nxt = handle.step(p, i, dt)
+            want = cn_step(op, p.values, (spec.eta * i).values)
+            assert np.array_equal(nxt.values, want)
+            assert handle.running_payoff(nxt, i) == running_gain(spec, nxt, i)
+            p = nxt
+
+    def test_payoff_follows_a_new_control(self, spec):
+        # the reused utility belongs to the control object last scored
+        handle = make_handle(spec)
+        p = spec.grid.constant(0.5)
+        for i in (spec.i_star, 0.5 * spec.i_star, spec.i_star,
+                  2.0 * spec.i_star):
+            assert handle.running_payoff(p, i) == running_gain(spec, p, i)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_rollout_matches_field_loop(self, spec, scale):
+        # the closed loop written out in Field arithmetic
+        handle, dt, n_steps = make_handle(spec), 0.05, 25
+        op = CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec, dt)
+        a, g = spec.a_prod.values, spec.gamma.values
+        p0 = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
+        _, states, controls, running = _rollout(handle, p0, n_steps, dt,
+                                                control_scale=scale)
+
+        def gain(p, i):
+            util = quad_circle(spec.grid.field(
+                ((a - 1.0) * i.values) ** (1.0 - g) / (1.0 - g)))
+            return util - inner_product(spec.w_dis, p)
+
+        p, total = p0, 0.0
+        for k in range(n_steps):
+            i = spec.i_star if scale == 1.0 else scale * spec.i_star
+            assert np.array_equal(controls[k].values, i.values)
+            g_left = gain(p, i)
+            p = spec.grid.field(cn_step(op, p.values, (spec.eta * i).values))
+            total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g_left
+                                 + np.exp(-spec.rho * (dt * (k + 1)))
+                                 * gain(p, i))
+            assert np.array_equal(states[k + 1].values, p.values)
+            assert running[k + 1] == total

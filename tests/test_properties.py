@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjbkit.gridcore import (AgeGrid, CircleGrid, HistorySegment,
-                             history_advance, quad_circle)
+from hjbkit.gridcore import AgeGrid, CircleGrid, HistorySegment, quad_circle
 from hjbkit.spectral import char_root_vintage, transport_resolvent
 
 GRID = CircleGrid(64)
@@ -25,16 +24,6 @@ def test_quad_exact_for_constants(c):
     assert quad_circle(GRID.constant(c)) == pytest.approx(2 * np.pi * c,
                                                           rel=1e-13,
                                                           abs=1e-12)
-
-
-@given(values=st.lists(finite_floats, min_size=6, max_size=12),
-       new=finite_floats)
-@settings(max_examples=30, deadline=None)
-def test_history_advance_is_exact_shift(values, new):
-    h = HistorySegment(1.0, np.array(values))
-    out = history_advance(h, h.dt, new)
-    assert np.array_equal(out.values[:-1], h.values[1:])
-    assert out.values[-1] == new
 
 
 @given(a=st.floats(min_value=0.6, max_value=5.0),

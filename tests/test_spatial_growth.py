@@ -3,10 +3,12 @@ import pytest
 
 
 from hjbkit.errors import AssumptionError, DomainError
-from hjbkit.gridcore import CircleGrid, inner_product, quad_circle
+from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
+                             quad_circle)
 from hjbkit.spatial_growth import (build_spatial_spec, feedback_spatial,
                                    hjb_residual_spatial, make_handle,
-                                   simulate_spatial, value_spatial)
+                                   simulate_spatial, utility, value_spatial)
+from hjbkit.verify import _rollout
 from hjbkit.spectral import rayleigh_residual
 
 
@@ -150,8 +152,9 @@ class TestSimulate:
         y = grid.constant(1.0)
         dt, n = 1e-2, 100
         for _ in range(n):
-            y = cn_step(CNOperator(grid.constant(1.0), const_spec.A_coeff, dt),
-                        y, grid.constant(0.0))
+            y = grid.field(cn_step(
+                CNOperator(grid.constant(1.0), const_spec.A_coeff, dt),
+                y.values, grid.constant(0.0).values))
         assert quad_circle(y) == pytest.approx(
             2 * np.pi * np.exp(0.04 * n * dt), rel=1e-6)
 
@@ -210,3 +213,74 @@ def test_value_match_and_suboptimality(wavy_spec):
     vm = value_match(handle, x0, 40.0, 0.01)
     assert vm.rel_gap < 5e-3
     assert suboptimality_margin(handle, x0, 40.0, 0.01) > 5e-3
+
+
+@pytest.fixture(scope="module")
+def skewed_spec():
+    # off the defaults: sigma 0.7 takes numpy's general power path (0.5
+    # hits its sqrt and square shortcuts), N varies, n is not a power of 2
+    grid = CircleGrid(96)
+    A = grid.from_function(lambda t: 0.05 + 0.02 * np.sin(2.0 * t))
+    N = grid.from_function(lambda t: 1.0 + 0.3 * np.cos(t))
+    return build_spatial_spec(A, N, 0.7, 0.06)
+
+
+class TestHandleArrays:
+    """The handle steps, steers and scores on node arrays; every number
+    must be the bits the public Field functions and a fresh CN operator
+    give."""
+
+    @pytest.fixture(params=["wavy", "skewed"])
+    def spec(self, request, wavy_spec, skewed_spec):
+        return {"wavy": wavy_spec, "skewed": skewed_spec}[request.param]
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_callbacks_match_field_functions(self, spec, scale):
+        handle, dt = make_handle(spec), 0.01
+        op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
+        y = smooth_positive(spec.grid, 4)
+        for _ in range(3):
+            assert handle.domain_check(y)
+            assert handle.diagnostics(y)["pairing"] == inner_product(
+                y, spec.beta)
+            c = handle.feedback(y)
+            assert np.array_equal(c.values, feedback_spatial(spec, y).values)
+            if scale != 1.0:
+                c = handle.scale_control(c, scale)
+            assert handle.running_payoff(y, c) == utility(spec, c)
+            nxt = handle.step(y, c, dt)
+            want = cn_step(op, y.values, (-1.0 * (c * spec.N_pop)).values)
+            assert np.array_equal(nxt.values, want)
+            assert handle.running_payoff(nxt, c) == utility(spec, c)
+            y = nxt
+
+    def test_payoff_follows_a_new_control(self, spec):
+        # the reused utility belongs to the control object last scored
+        handle = make_handle(spec)
+        y = smooth_positive(spec.grid, 6)
+        c = handle.feedback(y)
+        for control in (c, 0.5 * c, c, 2.0 * c):
+            assert handle.running_payoff(y, control) == utility(spec, control)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_rollout_matches_field_loop(self, spec, scale):
+        # the closed loop written out in Field arithmetic
+        handle, dt, n_steps = make_handle(spec), 0.02, 25
+        op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
+        s, N = spec.sigma_crra, spec.N_pop
+        y0 = smooth_positive(spec.grid, 8)
+        _, states, controls, running = _rollout(handle, y0, n_steps, dt,
+                                                control_scale=scale)
+        y, total = y0, 0.0
+        for k in range(n_steps):
+            p = inner_product(y, spec.beta)
+            c = p * (spec.beta ** (-1.0 / s))
+            if scale != 1.0:
+                c = scale * c
+            assert np.array_equal(controls[k].values, c.values)
+            g = quad_circle((c ** (1.0 - s)) * N) / (1.0 - s)
+            y = spec.grid.field(cn_step(op, y.values, (-1.0 * (c * N)).values))
+            total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g
+                                 + np.exp(-spec.rho * (dt * (k + 1))) * g)
+            assert np.array_equal(states[k + 1].values, y.values)
+            assert running[k + 1] == total
