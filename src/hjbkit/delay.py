@@ -22,6 +22,7 @@ from its own parameters and keeps its own coordinate lift.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy.integrate import trapezoid
 from .errors import DomainError, DomainExitError, GridError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative)
-from .verify import ModelHandle, OracleProblem
+from .verify import ModelHandle, OracleProblem, memo_last
 
 
 @dataclass(frozen=True)
@@ -68,57 +69,77 @@ def gamma(state: StructuralState, xi: float) -> float:
                               @ x1)
 
 
-def _positive_gamma(model: DelayModel, state: StructuralState) -> float:
-    g = gamma(state, model.xi)
+def _positive(g: float) -> float:
     if g <= 0.0:
         raise DomainError(f"equivalent capital must be positive, got {g}")
     return g
 
 
+def _value_of(model: DelayModel, g: float) -> float:
+    return model.nu * _positive(g) ** (1.0 - model.sigma) / (1.0 - model.sigma)
+
+
 def value(model: DelayModel, state: StructuralState) -> float:
     """Closed-form value nu * Gamma^(1-sigma) / (1-sigma)."""
-    g = _positive_gamma(model, state)
-    return model.nu * g ** (1.0 - model.sigma) / (1.0 - model.sigma)
+    return _value_of(model, gamma(state, model.xi))
+
+
+def _steer(model: DelayModel, head: float, g: float) -> float:
+    """u* = a x0 - kappa Gamma from a head and its Gamma, or a DomainError
+    naming the violated inequality."""
+    if model.kappa * _positive(g) >= model.room * head:
+        raise DomainError(
+            "state violates kappa*Gamma < room*x0 (the lower control bound "
+            f"(a - room)*x0 binds): kappa*Gamma = {model.kappa * g}, "
+            f"room*x0 = {model.room * head}"
+        )
+    return model.a * head - model.kappa * g
+
+
+def _inside(model: DelayModel, head: float, g: float) -> bool:
+    return g > 0.0 and model.kappa * g < model.room * head
+
+
+def _report(model: DelayModel, head: float, g: float) -> dict:
+    return {model.head_name: head, "gamma": g}
 
 
 def feedback(model: DelayModel, state: StructuralState) -> float:
     """Optimal control u* = a x0 - kappa Gamma; off the open set where it
     lies strictly above the band's lower edge, the violated inequality is
     named."""
-    g = _positive_gamma(model, state)
-    if model.kappa * g >= model.room * state.head:
-        raise DomainError(
-            "state violates kappa*Gamma < room*x0 (the lower control bound "
-            f"(a - room)*x0 binds): kappa*Gamma = {model.kappa * g}, "
-            f"room*x0 = {model.room * state.head}"
-        )
-    return model.a * state.head - model.kappa * g
+    return _steer(model, state.head, gamma(state, model.xi))
 
 
 def in_domain(model: DelayModel, state: StructuralState) -> bool:
     """Whether :func:`feedback` accepts the state."""
-    g = gamma(state, model.xi)
-    return g > 0.0 and model.kappa * g < model.room * state.head
+    return _inside(model, state.head, gamma(state, model.xi))
 
 
 def diagnostics(model: DelayModel, state: StructuralState) -> dict:
     """Head and equivalent capital of a state, for domain-exit reports."""
-    return {model.head_name: state.head, "gamma": gamma(state, model.xi)}
+    return _report(model, state.head, gamma(state, model.xi))
 
 
-def shift(model: DelayModel, state: StructuralState, u: float,
-          dt: float) -> StructuralState:
+def _advance(model: DelayModel, head: float, tail: np.ndarray, u: float,
+             dt: float) -> tuple:
     """Exact integration of a control held at u over one sample, written
     directly on the tail: the delayed term c*u(t-L) is the tail's last
     entry, the newest window slot is x1[0] (a placeholder for u, corrected
     first), and shifting the window prepends c*u and drops the last entry.
-    """
-    tail = state.tail.values
+    Returns the new head and tail samples, unchecked."""
     vals = np.empty_like(tail)
     vals[0] = vals[1] = model.c * u  # corrected newest slot and its copy
     vals[2:] = tail[1:-1]
-    return StructuralState(state.head + dt * (model.b * u + tail[-1]),
-                           HistorySegment(state.tail.d, vals))
+    return head + dt * (model.b * u + tail[-1]), vals
+
+
+def shift(model: DelayModel, state: StructuralState, u: float,
+          dt: float) -> StructuralState:
+    """The state one sample on, holding the control at u (see
+    :func:`_advance`)."""
+    head, vals = _advance(model, state.head, state.tail.values, u, dt)
+    return StructuralState(head, HistorySegment(state.tail.d, vals))
 
 
 def _checked_history(model: DelayModel,
@@ -163,35 +184,44 @@ def simulate(model: DelayModel, state0: StructuralState, T_end: float,
     elif not np.isclose(dt, hist.dt, rtol=1e-12):
         raise ValueError(f"dt = {dt} must equal the history spacing {hist.dt}")
 
-    def control(state, t):
+    # Gamma is x0 + w @ tail, gamma()'s arithmetic on its cached weights
+    w = _trapezoid_weights(model.xi, hist.m + 1, hist.d)
+
+    def control(x0, tail, t):
+        g = x0 + float(w @ tail)
         try:
-            return feedback(model, state)
+            return _steer(model, x0, g)
         except DomainError as exc:
-            raise DomainExitError(t, diagnostics(model, state)) from exc
+            raise DomainExitError(t, _report(model, x0, g)) from exc
 
     a, b, c, s = model.a, model.b, model.c, model.sigma
     n_steps = int(round(T_end / dt))
     times = dt * np.arange(n_steps + 1)
     states, controls = [], []
     integrand = np.empty(n_steps + 1)
-    state = StructuralState(state0.head,
-                            HistorySegment(hist.d, hist.values.copy()))
+    x0, tail = state0.head, hist.values.copy()
+    state = StructuralState(x0, HistorySegment(hist.d, tail))
     for n in range(n_steps + 1):
         t = float(times[n])
-        tail = state.tail.values  # owned by this step until recorded
-        tail[0] = c * control(state, t)
-        u = control(state, t)
+        # the state's tail is owned by this step until recorded
+        tail[0] = c * control(x0, tail, t)
+        u = control(x0, tail, t)
         tail[0] = c * u
         states.append(state)
         controls.append(u)
-        x0 = state.head
         integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
         if n == n_steps:
             break
-        pred = shift(model, state, u, dt)
-        u_pred = control(pred, float(times[n + 1])) if b else 0.0
+        # Euler predictor; its window is the next state's, whose other
+        # samples were finite already
+        head, vals = _advance(model, x0, tail, u, dt)
+        if not (math.isfinite(head) and math.isfinite(vals[0])):
+            raise GridError(f"predictor is not finite: head {head}, newest "
+                            f"sample {vals[0]}")
+        u_pred = control(head, vals, float(times[n + 1])) if b else 0.0
         x0 = x0 + 0.5 * dt * ((b * u + tail[-1]) + (b * u_pred + tail[-2]))
-        state = StructuralState(x0, pred.tail)
+        tail = vals
+        state = StructuralState(x0, HistorySegment(hist.d, tail))
     running = discounted_quadrature(times, integrand, model.rho)
     return Trajectory(times, states, controls, running)
 
@@ -202,8 +232,8 @@ def hjb_residual(model: DelayModel, state: StructuralState) -> float:
     control's price p pairs the gradient with b at the head and c at the
     tail's newest point s = -L, both taken exactly)."""
     s = model.sigma
-    g = _positive_gamma(model, state)
-    v = model.nu * g ** (1.0 - s) / (1.0 - s)
+    g = gamma(state, model.xi)
+    v = _value_of(model, g)
     grad_coeff = model.nu * g ** (-s)
     h = state.tail.dt
     weight = np.exp(model.xi * state.tail.nodes)
@@ -266,13 +296,25 @@ def make_handle(model: DelayModel) -> ModelHandle:
         control_bounds=lambda batch: (lo * batch[0], hi * batch[0]),
         payoff_tail_bound=tail_bound,
     )
+    held = [None, None]  # a tail's (samples, span) and its weights
+
+    @memo_last
+    def gamma_of(state):
+        # gamma()'s arithmetic; the rollout tests a state's domain and then
+        # steers it, so Gamma is computed once per state
+        x1 = state.tail.values
+        key = (len(x1), state.tail.d)
+        if held[0] != key:
+            held[:] = key, _trapezoid_weights(xi, *key)
+        return state.head + float(held[1] @ x1)
+
     return ModelHandle(
-        value=functools.partial(value, model),
-        feedback=functools.partial(feedback, model),
+        value=lambda st: _value_of(model, gamma_of(st)),
+        feedback=lambda st: _steer(model, st.head, gamma_of(st)),
         step=functools.partial(shift, model),
         running_payoff=payoff,
         rho=model.rho,
-        domain_check=functools.partial(in_domain, model),
-        diagnostics=functools.partial(diagnostics, model),
+        domain_check=lambda st: _inside(model, st.head, gamma_of(st)),
+        diagnostics=lambda st: _report(model, st.head, gamma_of(st)),
         oracle=oracle,
     )

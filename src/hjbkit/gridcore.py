@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import GridError, NumericsError
@@ -343,12 +342,6 @@ class HistorySegment:
     @classmethod
     def constant(cls, d: float, m: int, c: float) -> "HistorySegment":
         return cls(d, np.full(m + 1, float(c)))
-
-
-def history_weighted_sum(hseg: HistorySegment, rate: float) -> float:
-    """Trapezoid quadrature of exp(rate*s) * x1(s) over [-d, 0]."""
-    s = hseg.nodes
-    return float(trapezoid(np.exp(rate * s) * hseg.values, dx=hseg.dt))
 
 
 @dataclass(frozen=True)

@@ -389,7 +389,9 @@ def _build_spatial(config):
             "total_capital": quad_circle(state),
             "beta_pairing": inner_product(state, spec.beta),
             "min_capital": state.min(),
-            "total_consumption": quad_circle(control * spec.N_pop),
+            # quad_circle(control * N) without a Field per row
+            "total_consumption": spec.grid.h
+            * (control.values * spec.N_pop.values).sum(),
         }
 
     return dict(
@@ -425,7 +427,8 @@ def _build_pollution(config):
             "total_pollution": quad_circle(state),
             "min_pollution": state.min(),
             "max_pollution": state.max(),
-            "total_emission": quad_circle(spec.eta * control),
+            "total_emission": spec.grid.h
+            * (spec.eta.values * control.values).sum(),
         }
 
     return dict(

@@ -33,8 +33,7 @@ from . import delay
 from .delay import DelayModel, gamma as gamma_ttb
 from .errors import AssumptionError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
-                       discounted_quadrature, fd_derivative,
-                       history_weighted_sum)
+                       discounted_quadrature, fd_derivative)
 from .spectral import CharRoot, char_root_ttb
 from .verify import ModelHandle
 
@@ -246,7 +245,7 @@ def integrate_openloop_dde(spec: TTBSpec, q0: float,
 
     u_full = np.empty(m + n_steps + 1)
     u_full[:m] = u0_history.values[:m]  # u on [-d, 0), m samples
-    u_full[m] = (1.0 - al) * q0 - al * history_weighted_sum(state0.tail, xi)
+    u_full[m] = (1.0 - al) * q0 - al * (gamma_ttb(state0, xi) - state0.head)
     window_weights = np.exp(-xi * dt * np.arange(m + 1))
 
     def rhs_pieces(n, idx):

@@ -25,13 +25,14 @@ their sum; the integrator comparison test arbitrates this reading).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AssumptionError
 from .gridcore import AgeGrid, Trajectory, fd_derivative
 from .spectral import _exp_cell_weights, transport_resolvent
-from .verify import ModelHandle, _rollout
+from .verify import ModelHandle, _rollout, memo_last
 
 _MONOTONE_SLACK = 1e-12
 
@@ -53,6 +54,14 @@ class TransportSpec:
     u0_star: float
     u1_star: np.ndarray
     positivity_ok: bool
+
+    @cached_property
+    def value_constant(self) -> float:
+        """The state-independent part of the value: the quadratic control
+        surplus over rho."""
+        return (self.abar[0] - self.q0) ** 2 / (4.0 * self.rho * self.beta0) \
+            + self.age.quad((self.abar - self.q1) ** 2
+                            / (4.0 * self.rho * self.beta1))
 
 
 def age_cutoff_for_infinite_horizon(rho: float, mu: float,
@@ -117,10 +126,7 @@ def build_transport_spec(mu: float, rho: float, age: AgeGrid,
 def value_transport(spec: TransportSpec, x) -> float:
     """Affine value <abar, x> + quadratic control surplus / rho."""
     x = spec.age.profile(x)
-    lin = spec.age.quad(spec.abar * x)
-    const = (spec.abar[0] - spec.q0) ** 2 / (4.0 * spec.rho * spec.beta0) \
-        + spec.age.quad((spec.abar - spec.q1) ** 2 / (4.0 * spec.rho * spec.beta1))
-    return float(lin + const)
+    return float(spec.age.quad(spec.abar * x) + spec.value_constant)
 
 
 def hamiltonian_transport(spec: TransportSpec, p) -> tuple[float, np.ndarray, float]:
@@ -241,26 +247,37 @@ def hjb_residual_transport(spec: TransportSpec, x) -> float:
 
 
 def make_handle(spec: TransportSpec) -> ModelHandle:
-    """Uniform verification interface; controls are (u0, u1) pairs."""
-    h = spec.age.h
+    """Uniform verification interface; controls are (u0, u1) pairs.
+
+    The optimal feedback is one shared pair, and the terms of a control
+    (its source-cell integrals and its cost) are computed once per control
+    object; the state term of the payoff is computed once per state, which
+    the rollout scores at both ends of a step."""
+    h, quad = spec.age.h, spec.age.quad
+    optimal = (spec.u0_star, spec.u1_star)
+    decay = memo_last(lambda dt: np.exp(-spec.mu * dt))
+    revenue = memo_last(lambda z: quad(spec.alpha_rev * z))
+
+    @memo_last
+    def control_terms(control):
+        u0_now, u1_now = control
+        return (_source_cell_integrals(u1_now, spec.mu, h),
+                quad(spec.q1 * u1_now + spec.beta1 * u1_now ** 2),
+                spec.q0 * u0_now, spec.beta0 * u0_now ** 2)
 
     def step(z, control, dt):
-        u0_now, u1_now = control
         z_new = np.empty_like(z)
-        z_new[1:] = np.exp(-spec.mu * dt) * z[:-1] \
-            + _source_cell_integrals(u1_now, spec.mu, h)
-        z_new[0] = u0_now
+        z_new[1:] = decay(dt) * z[:-1] + control_terms(control)[0]
+        z_new[0] = control[0]
         return z_new
 
     def payoff(z, control):
-        u0_now, u1_now = control
-        return (spec.age.quad(spec.alpha_rev * z)
-                - spec.age.quad(spec.q1 * u1_now + spec.beta1 * u1_now ** 2)
-                - spec.q0 * u0_now - spec.beta0 * u0_now ** 2)
+        _, cost, linear, square = control_terms(control)
+        return revenue(z) - cost - linear - square
 
     return ModelHandle(
         value=lambda z: value_transport(spec, z),
-        feedback=lambda z: (spec.u0_star, spec.u1_star),
+        feedback=lambda z: optimal,
         step=step,
         running_payoff=payoff,
         rho=spec.rho,

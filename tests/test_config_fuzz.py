@@ -1,5 +1,7 @@
 """Mutated default configurations either build or fail with a named
-configuration or assumption error, never with any other exception.
+configuration or assumption error, never with any other exception; and
+``hjbkit run``/``verify`` on them exit with a documented code, never with
+a traceback.
 
 A mutation drops a key, swaps a number for a string, a non-finite value,
 zero or a negative, or swaps a profile for a non-object.  Grid resolutions
@@ -7,10 +9,16 @@ are only ever replaced from a small fixed set, so no example allocates a
 large grid.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from hjbkit.cli import main
 from hjbkit.errors import AssumptionError, ConfigError
 from hjbkit.scenarios import MODELS, build_scenario, default_config
 
@@ -44,8 +52,12 @@ def _parent(config, path):
 
 
 @st.composite
-def mutated_configs(draw):
+def mutated_configs(draw, prepare=None):
+    """A default configuration, passed through ``prepare`` (if given) and
+    then mutated one to three times."""
     config = default_config(draw(st.sampled_from(MODELS)))
+    if prepare is not None:
+        prepare(config)
     for _ in range(draw(st.integers(1, 3))):
         paths = _paths(config)
         if not paths:
@@ -75,3 +87,31 @@ def test_mutated_config_builds_or_raises_config_error(config):
         build_scenario(config)
     except (ConfigError, AssumptionError):
         pass
+
+
+CHEAP_RESOLUTION = {"n": 32, "m": 16, "m_age": 16}
+
+
+def _cheap(config):
+    """A short horizon on small grids, so one command takes milliseconds."""
+    num = config["numerics"]
+    num["T_end"] = 1.0
+    for key, size in CHEAP_RESOLUTION.items():
+        if key in num:
+            num[key] = size
+
+
+@given(config=mutated_configs(prepare=_cheap),
+       command=st.sampled_from(("run", "verify")))
+@settings(max_examples=800, deadline=None)
+def test_mutated_config_cli_exits_with_a_documented_code(config, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,0 +1,349 @@
+"""The delay core's tail integral, and the array-native closed loops of the
+delay and age models checked bit for bit against loops written over the
+public, validating functions."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from hjbkit import delay
+from hjbkit.errors import DomainError, DomainExitError, GridError
+from hjbkit.gridcore import (AgeGrid, HistorySegment, StructuralState,
+                             discounted_quadrature)
+from hjbkit.time_to_build import build_ttb_spec, structural_state
+from hjbkit.verify import ModelHandle, _rollout
+from hjbkit.vintage_dde import build_vintage_spec, lift_vintage
+from hjbkit.vintage_transport import (_source_cell_integrals,
+                                      build_transport_spec, make_handle,
+                                      value_transport)
+
+
+def tail_integral(d, m, c, rate):
+    """int_{-d}^0 e^{rate s} c ds by delay.gamma, on a zero head."""
+    return delay.gamma(StructuralState(0.0, HistorySegment.constant(d, m, c)),
+                       rate)
+
+
+class TestTailIntegral:
+    def test_zero_history(self):
+        assert tail_integral(1.0, 8, 0.0, 1.0) == 0.0
+        st = StructuralState(1.5, HistorySegment.constant(1.0, 8, 0.0))
+        assert delay.gamma(st, 1.0) == 1.5
+
+    def test_plain_length(self):
+        assert tail_integral(2.0, 16, 1.0, 0.0) == pytest.approx(2.0,
+                                                                 abs=1e-12)
+
+    def test_exponential_second_order(self):
+        # analytic: int_{-1}^0 e^s ds = 1 - 1/e
+        exact = 1.0 - np.exp(-1.0)
+        errs = [abs(tail_integral(1.0, m, 1.0, 1.0) - exact)
+                for m in (50, 100)]
+        assert errs[0] < (1.0 / 50) ** 2
+        assert errs[1] < errs[0] / 3.0
+
+
+# -- the Heun loop -----------------------------------------------------------
+
+def reference_simulate(model, state0, T_end):
+    """delay.simulate as it was written over validated states: the
+    predictor is a StructuralState and each step builds two."""
+    hist = state0.tail
+    dt = hist.dt
+
+    def control(state, t):
+        try:
+            return delay.feedback(model, state)
+        except DomainError as exc:
+            raise DomainExitError(t, delay.diagnostics(model, state)) from exc
+
+    a, b, c, s = model.a, model.b, model.c, model.sigma
+    n_steps = int(round(T_end / dt))
+    times = dt * np.arange(n_steps + 1)
+    states, controls = [], []
+    integrand = np.empty(n_steps + 1)
+    state = StructuralState(state0.head,
+                            HistorySegment(hist.d, hist.values.copy()))
+    for n in range(n_steps + 1):
+        t = float(times[n])
+        tail = state.tail.values
+        tail[0] = c * control(state, t)
+        u = control(state, t)
+        tail[0] = c * u
+        states.append(state)
+        controls.append(u)
+        x0 = state.head
+        integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
+        if n == n_steps:
+            break
+        pred = delay.shift(model, state, u, dt)
+        u_pred = control(pred, float(times[n + 1])) if b else 0.0
+        x0 = x0 + 0.5 * dt * ((b * u + tail[-1]) + (b * u_pred + tail[-2]))
+        state = StructuralState(x0, pred.tail)
+    running = discounted_quadrature(times, integrand, model.rho)
+    return times, states, controls, running
+
+
+M = 40  # history samples: off the defaults' 200
+
+
+def vintage_start(spec, m=M):
+    iota = HistorySegment.from_function(
+        spec.T_scrap, m, lambda s: 1.0 + 0.3 * np.sin(2.0 * s) + 0.1 * s)
+    return lift_vintage(None, iota)
+
+
+def ttb_start(spec, m=M):
+    u0 = HistorySegment.from_function(
+        spec.d, m, lambda s: 0.5 + 0.2 * np.cos(3.0 * s))
+    return structural_state(spec, 1.0, u0)
+
+
+# sigma 0.7 on both delay models; vintage has b != 0 (predictor feedback),
+# time-to-build b = 0
+CASES = {
+    "vintage": (lambda: build_vintage_spec(1.0, 2.0, 0.7, 0.45),
+                vintage_start),
+    "ttb": (lambda: build_ttb_spec(0.35, 0.05, 1.0, 0.7, 0.2), ttb_start),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    build, start = CASES[request.param]
+    spec = build()
+    return spec.delay, start(spec)
+
+
+def assert_same_run(got, want):
+    times, states, controls, running = want
+    assert np.array_equal(got[0], times)
+    assert got[2] == controls
+    assert np.array_equal(got[3], running)
+    assert len(got[1]) == len(states)
+    for a, b in zip(got[1], states):
+        assert a.head == b.head
+        assert np.array_equal(a.tail.values, b.tail.values)
+        assert a.tail.d == b.tail.d
+
+
+def assert_same_exit(run, reference):
+    with pytest.raises(DomainExitError) as got:
+        run()
+    with pytest.raises(DomainExitError) as want:
+        reference()
+    assert got.value.time == want.value.time
+    assert got.value.diagnostics == want.value.diagnostics
+    assert str(got.value) == str(want.value)
+    assert str(got.value.__cause__) == str(want.value.__cause__)
+    return got.value
+
+
+class TestSimulate:
+    def test_equals_reference_loop(self, case):
+        model, state0 = case
+        traj = delay.simulate(model, state0, 6.0)
+        assert_same_run((traj.times, traj.states, traj.controls,
+                         traj.running_payoff),
+                        reference_simulate(model, state0, 6.0))
+
+    def test_start_state_is_not_written(self, case):
+        model, state0 = case
+        before = state0.tail.values.copy()
+        delay.simulate(model, state0, 1.0)
+        assert np.array_equal(state0.tail.values, before)
+
+    def test_recorded_tails_are_distinct(self, case):
+        model, state0 = case
+        states = delay.simulate(model, state0, 1.0).states
+        assert len({id(st.tail.values) for st in states}) == len(states)
+
+    def test_domain_exit_mid_run(self):
+        steep = build_vintage_spec(1.0, 2.0, 0.5, 0.95)
+        state0 = vintage_start(steep)
+        exc = assert_same_exit(
+            lambda: delay.simulate(steep.delay, state0, 60.0),
+            lambda: reference_simulate(steep.delay, state0, 60.0))
+        assert exc.time > 1.0
+
+    def test_domain_exit_at_start(self):
+        sp = build_ttb_spec(0.35, 0.05, 1.0, 0.5, 0.34)
+        state0 = structural_state(sp, 1.0, HistorySegment.constant(1.0, M,
+                                                                   0.12))
+        exc = assert_same_exit(
+            lambda: delay.simulate(sp.delay, state0, 10.0),
+            lambda: reference_simulate(sp.delay, state0, 10.0))
+        assert exc.time == 0.0
+
+    def test_non_finite_predictor_raises(self):
+        # a head at the edge of the float range: the control is finite but
+        # the Euler predictor's head overflows
+        spec = build_vintage_spec(1.0, 2.0, 0.7, 0.45)
+        big = StructuralState(1.79e308, vintage_start(spec).tail)
+        with np.errstate(over="ignore"):
+            with pytest.raises(GridError):
+                reference_simulate(spec.delay, big, 1.0)
+            with pytest.raises(GridError):
+                delay.simulate(spec.delay, big, 1.0)
+
+
+# -- the handles' rollouts ---------------------------------------------------
+
+def public_delay_handle(model):
+    """The delay handle written over the public functions."""
+    return ModelHandle(
+        value=functools.partial(delay.value, model),
+        feedback=functools.partial(delay.feedback, model),
+        step=functools.partial(delay.shift, model),
+        running_payoff=delay.make_handle(model).running_payoff,
+        rho=model.rho,
+        domain_check=functools.partial(delay.in_domain, model),
+        diagnostics=functools.partial(delay.diagnostics, model),
+    )
+
+
+class TestDelayHandle:
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_rollout_equals_public_functions(self, case, scale):
+        model, state0 = case
+        dt = state0.tail.dt
+        got = _rollout(delay.make_handle(model), state0, 60, dt, scale)
+        want = _rollout(public_delay_handle(model), state0, 60, dt, scale)
+        assert_same_run(got, want)
+
+    def test_callbacks_follow_each_state(self, case):
+        # Gamma is reused only for the state it was computed for
+        model, state0 = case
+        handle = delay.make_handle(model)
+        other = state0.scaled(1.5)
+        for first, second in ((state0, other), (other, state0)):
+            assert handle.domain_check(first)
+            assert handle.feedback(second) == delay.feedback(model, second)
+            assert handle.diagnostics(first) == delay.diagnostics(model,
+                                                                  first)
+            assert handle.value(second) == delay.value(model, second)
+
+    def test_weights_follow_the_sample_count(self, case):
+        model, state0 = case
+        handle = delay.make_handle(model)
+        finer = StructuralState(state0.head, HistorySegment(
+            state0.tail.d, np.interp(np.linspace(-1.0, 0.0, 2 * M + 1),
+                                     np.linspace(-1.0, 0.0, M + 1),
+                                     state0.tail.values)))
+        for st in (state0, finer, state0):
+            assert handle.feedback(st) == delay.feedback(model, st)
+
+    @pytest.mark.parametrize("rho, scale", [(1.2, 1.0), (0.95, 0.5)])
+    def test_domain_exit_mid_run(self, rho, scale):
+        # the band binds (rho 1.2), or the probe drives Gamma negative
+        steep = build_vintage_spec(1.0, 2.0, 0.5, rho)
+        state0, model = vintage_start(steep), steep.delay
+        exc = assert_same_exit(
+            lambda: _rollout(delay.make_handle(model), state0, 400, 0.05,
+                             scale),
+            lambda: _rollout(public_delay_handle(model), state0, 400, 0.05,
+                             scale))
+        assert exc.time > 1.0
+
+    def test_non_finite_control_raises(self, case):
+        model, state0 = case
+        for handle in (delay.make_handle(model), public_delay_handle(model)):
+            with pytest.raises(GridError):
+                _rollout(handle, state0, 5, state0.tail.dt,
+                         control_scale=np.inf)
+
+
+def reference_transport_handle(spec):
+    """The transport handle as written before its terms were reused: every
+    step and payoff recomputes them."""
+    h = spec.age.h
+
+    def step(z, control, dt):
+        u0_now, u1_now = control
+        z_new = np.empty_like(z)
+        z_new[1:] = np.exp(-spec.mu * dt) * z[:-1] \
+            + _source_cell_integrals(u1_now, spec.mu, h)
+        z_new[0] = u0_now
+        return z_new
+
+    def payoff(z, control):
+        u0_now, u1_now = control
+        return (spec.age.quad(spec.alpha_rev * z)
+                - spec.age.quad(spec.q1 * u1_now + spec.beta1 * u1_now ** 2)
+                - spec.q0 * u0_now - spec.beta0 * u0_now ** 2)
+
+    def value(x):
+        x = spec.age.profile(x)
+        lin = spec.age.quad(spec.abar * x)
+        const = (spec.abar[0] - spec.q0) ** 2 / (4.0 * spec.rho * spec.beta0) \
+            + spec.age.quad((spec.abar - spec.q1) ** 2
+                            / (4.0 * spec.rho * spec.beta1))
+        return float(lin + const)
+
+    return ModelHandle(
+        value=value,
+        feedback=lambda z: (spec.u0_star, spec.u1_star),
+        step=step,
+        running_payoff=payoff,
+        rho=spec.rho,
+        domain_check=lambda z: True,
+        scale_control=lambda c, s: (s * c[0], s * c[1]),
+    )
+
+
+@pytest.fixture(scope="module")
+def skewed_transport():
+    # off the default spec: 40 age cells, other rates, costs and profiles
+    age = AgeGrid(2.0, 40)
+    s = age.nodes
+    return build_transport_spec(0.3, 0.09, age, (1.0 - s / 2.0) ** 1.5, 0.2,
+                                0.9, 0.1 * (1.0 - s / 2.0) ** 2,
+                                0.5 - 0.1 * s / 2.0)
+
+
+def initial_profile(age):
+    return 0.3 * (1.0 - age.nodes / age.sbar) + 0.1 * np.cos(age.nodes)
+
+
+class TestTransportHandle:
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_rollout_equals_reference(self, skewed_transport, scale):
+        spec = skewed_transport
+        z0 = initial_profile(spec.age)
+        got = _rollout(make_handle(spec), z0, 80, spec.age.h, scale)
+        want = _rollout(reference_transport_handle(spec), z0, 80,
+                        spec.age.h, scale)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[3], want[3])
+        for a, b in zip(got[1], want[1]):
+            assert np.array_equal(a, b)
+        for a, b in zip(got[2], want[2]):
+            assert a[0] == b[0] and np.array_equal(a[1], b[1])
+
+    def test_feedback_is_one_shared_pair(self, skewed_transport):
+        handle = make_handle(skewed_transport)
+        z0 = initial_profile(skewed_transport.age)
+        assert handle.feedback(z0) is handle.feedback(2.0 * z0)
+
+    def test_callbacks_follow_each_control_and_state(self, skewed_transport):
+        spec = skewed_transport
+        handle, ref = make_handle(spec), reference_transport_handle(spec)
+        z1 = initial_profile(spec.age)
+        z2 = 0.5 * z1 + 0.2
+        opt = handle.feedback(z1)
+        controls = (opt, handle.scale_control(opt, 0.5), opt,
+                    (0.1, spec.u1_star + 0.05))
+        for u in controls:
+            for z in (z1, z2, z1):
+                assert handle.running_payoff(z, u) == ref.running_payoff(z, u)
+                for dt in (spec.age.h, 0.5 * spec.age.h):
+                    assert np.array_equal(handle.step(z, u, dt),
+                                          ref.step(z, u, dt))
+
+    def test_value_equals_reference(self, skewed_transport):
+        spec = skewed_transport
+        ref = reference_transport_handle(spec)
+        z = initial_profile(spec.age)
+        for x in (z, 3.0 * z, np.zeros_like(z)):
+            assert value_transport(spec, x) == ref.value(x)

@@ -5,7 +5,6 @@ import sympy as sp
 from hjbkit.errors import GridError, NumericsError
 from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
                              StructuralState, AgeGrid, Trajectory, cn_step,
-                             history_weighted_sum,
                              inner_product, quad_circle,
                              sl_apply, solve_periodic_tridiagonal,
                              apply_periodic_tridiagonal)
@@ -260,23 +259,6 @@ class TestCnStep:
                                        fresh.values,
                                        GRID.constant(0.5).values))
         assert np.array_equal(y.values, fresh.values)
-
-
-class TestHistory:
-    def test_weighted_sum_zero_history(self):
-        assert history_weighted_sum(HistorySegment.constant(1.0, 8, 0.0), 1.0) == 0.0
-
-    def test_weighted_sum_plain_length(self):
-        h = HistorySegment.constant(2.0, 16, 1.0)
-        assert history_weighted_sum(h, 0.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_weighted_sum_exponential(self):
-        # analytic: int_{-1}^0 e^s ds = 1 - 1/e
-        exact = 1.0 - np.exp(-1.0)
-        errs = [abs(history_weighted_sum(HistorySegment.constant(1.0, m, 1.0), 1.0)
-                    - exact) for m in (50, 100)]
-        assert errs[0] < (1.0 / 50) ** 2
-        assert errs[1] < errs[0] / 3.0
 
 
 def test_structural_state_rejects_nonfinite_head():
