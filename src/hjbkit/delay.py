@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import DomainError, DomainExitError, GridError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
-                       discounted_quadrature, fd_derivative)
+                       discounted_quadrature, fd_derivative, trapezoid)
 from .verify import ModelHandle, OracleProblem, memo_last
 
 
@@ -239,7 +238,7 @@ def hjb_residual(model: DelayModel, state: StructuralState) -> float:
     weight = np.exp(model.xi * state.tail.nodes)
     dweight = fd_derivative(weight, h)
     # <A Dv, x> = coeff * int (d/ds weight) * x1
-    drift = grad_coeff * float(trapezoid(dweight * state.tail.values, dx=h))
+    drift = grad_coeff * trapezoid(dweight * state.tail.values, h)
     p = grad_coeff * (model.b * weight[-1] + model.c * weight[0])
     x0 = model.a * state.head
     u_star = x0 - p ** (-1.0 / s)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import GridError, NumericsError
 
@@ -136,6 +135,13 @@ def quad_circle(f: Field) -> float:
     return float(f.grid.h * f.values.sum())
 
 
+def trapezoid(y: np.ndarray, dx: float) -> float:
+    """Composite trapezoid rule for samples ``y`` spaced ``dx`` apart
+    (scipy's ``trapezoid`` arithmetic, without its per-call argument
+    handling, so results match it bit for bit)."""
+    return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 def inner_product(f: Field, g: Field) -> float:
     """L2 pairing <f, g> = integral of f*g over the circle."""
     f._check(g)
@@ -192,6 +198,8 @@ class CyclicTridiagonal:
     """
 
     def __init__(self, lo, di, up):
+        # lazy: scipy.linalg takes ~0.2 s to import; only circle models use it
+        from scipy.linalg.lapack import dgttrf, dgttrs
         n = len(di)
         if n < 3:
             raise GridError("cyclic tridiagonal solve needs n >= 3")
@@ -216,9 +224,10 @@ class CyclicTridiagonal:
                 "singular cyclic tridiagonal system (rank-one update)")
         self._corner_tr, self._gamma = corner_tr, gamma
         self._z, self._denom = z, denom
+        self._gttrs = dgttrs
 
     def solve(self, rhs):
-        y, _ = dgttrs(*self._lu, rhs)
+        y, _ = self._gttrs(*self._lu, rhs)
         x = y - ((y[0] + self._corner_tr * y[-1] / self._gamma)
                  / self._denom) * self._z
         # LAPACK does not flag (near-)singular systems -- it returns a
@@ -226,7 +235,7 @@ class CyclicTridiagonal:
         # against the right-hand side
         defect = np.abs(apply_periodic_tridiagonal(self.lo, self.di, self.up,
                                                    x) - rhs).max()
-        if not np.isfinite(x).all() \
+        if np.count_nonzero(np.isfinite(x)) != x.size \
                 or defect > 1e-8 * max(np.abs(rhs).max(), 1e-300):
             raise NumericsError(
                 f"cyclic tridiagonal solve failed its residual check (defect "
@@ -318,7 +327,7 @@ class HistorySegment:
             raise GridError(
                 f"history needs m >= 4 intervals (>= 5 samples), got {vals.shape}"
             )
-        if not np.isfinite(vals).all():
+        if np.count_nonzero(np.isfinite(vals)) != vals.size:
             raise GridError("history contains non-finite samples")
         object.__setattr__(self, "values", vals)
 
@@ -390,10 +399,8 @@ class AgeGrid:
         return vals
 
     def quad(self, values) -> float:
-        """Trapezoid quadrature over [0, sbar] (scipy's ``trapezoid``
-        arithmetic, without its per-call argument handling)."""
-        v = self.profile(values)
-        return float((self.h * (v[1:] + v[:-1]) / 2.0).sum())
+        """Trapezoid quadrature over [0, sbar]."""
+        return trapezoid(self.profile(values), self.h)
 
 
 @dataclass

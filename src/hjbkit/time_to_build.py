@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import delay
 from .delay import DelayModel, gamma as gamma_ttb
 from .errors import AssumptionError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
-                       discounted_quadrature, fd_derivative)
+                       discounted_quadrature, fd_derivative, trapezoid)
 from .spectral import CharRoot, char_root_ttb
 from .verify import ModelHandle
 
@@ -209,7 +208,7 @@ def openloop_dde_residual(spec: TTBSpec, traj: Trajectory) -> float:
         # I0 via w = -d - s: e^{-xi d} int_{t-d}^t e^{-xi w} u(w) dw
         window = u[n - m: n + 1]
         integral = np.exp(-xi * (t - spec.d)) * trapezoid(
-            window * window_weights, dx=dt)
+            window * window_weights, dt)
         i0 = np.exp(-xi * spec.d) * integral
         rhs = spec.Atilde * u_del * (1.0 - al) - al * (
             xi * spec.Atilde * np.exp(xi * t) * i0

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import delay
 from .delay import DelayModel, gamma as gamma0
 from .errors import AssumptionError, DomainError
-from .gridcore import HistorySegment, StructuralState, Trajectory
+from .gridcore import HistorySegment, StructuralState, Trajectory, trapezoid
 from .spectral import CharRoot, char_root_vintage
 from .verify import ModelHandle
 
@@ -104,7 +103,7 @@ def lift_vintage(k0: float | None, iota: HistorySegment,
     which the value function's domain allows).  ``k0=None`` uses the
     integral itself.
     """
-    integral = float(trapezoid(iota.values, dx=iota.dt))
+    integral = trapezoid(iota.values, iota.dt)
     if k0 is None:
         k0 = integral
     elif enforce_consistency and not np.isclose(k0, integral, rtol=1e-9,
@@ -129,7 +128,7 @@ def gamma0_from_history(iota: HistorySegment, xi: float) -> float:
     valid when the head equals the history integral."""
     u = iota.nodes
     w = 1.0 - np.exp(-xi * (u + iota.d))
-    return float(trapezoid(w * iota.values, dx=iota.dt))
+    return trapezoid(w * iota.values, iota.dt)
 
 
 def value_vintage(spec: VintageSpec, state: StructuralState) -> float:

@@ -370,3 +370,27 @@ def test_console_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+COLD_START = """
+import sys
+from hjbkit import cli
+out = sys.argv[1]
+for argv in (["run", "--model", "vintage-dde"],
+             ["verify", "--model", "time-to-build", "--seed", "3"],
+             ["verify", "--model", "vintage-transport", "--seed", "3"]):
+    assert cli.main(argv + ["--out", f"{out}/{argv[0]}-{argv[2]}"]) == 0
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, (argv, loaded[:5])
+from hjbkit.scenarios import build_scenario, default_config
+build_scenario(default_config("spatial-growth"))
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_delay_and_age_commands_load_no_scipy(tmp_path):
+    # scipy costs most of a cold start; only the circle models' cyclic
+    # solve needs it, and it is imported when that solver is first built
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

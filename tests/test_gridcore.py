@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 import sympy as sp
 
 from hjbkit.errors import GridError, NumericsError
@@ -7,7 +8,7 @@ from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
                              StructuralState, AgeGrid, Trajectory, cn_step,
                              inner_product, quad_circle,
                              sl_apply, solve_periodic_tridiagonal,
-                             apply_periodic_tridiagonal)
+                             apply_periodic_tridiagonal, trapezoid)
 
 GRID = CircleGrid(64)
 THETA = GRID.nodes
@@ -152,6 +153,17 @@ class TestCyclicSolve:
         with pytest.raises(NumericsError):
             solve_periodic_tridiagonal(lo, di, up, np.ones(n))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_solution_reported(self, bad):
+        # a non-finite right-hand side makes the defect nan (or the
+        # tolerance inf), so only the finiteness test can reject it
+        n = 16
+        rhs = np.ones(n)
+        rhs[5] = bad
+        with pytest.raises(NumericsError, match="residual check"):
+            solve_periodic_tridiagonal(np.ones(n), 4.0 * np.ones(n),
+                                       np.ones(n), rhs)
+
 
 class TestCnStep:
     def test_constant_invariant_under_pure_diffusion(self):
@@ -266,11 +278,37 @@ def test_structural_state_rejects_nonfinite_head():
         StructuralState(np.nan, HistorySegment.constant(1.0, 8, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_history_rejects_nonfinite_sample(bad):
+    values = np.zeros(9)
+    values[4] = bad
+    with pytest.raises(GridError, match="non-finite samples"):
+        HistorySegment(1.0, values)
+
+
 def test_age_grid_quad():
     g = AgeGrid(2.0, 100)
     assert g.quad(np.ones(101)) == pytest.approx(2.0, abs=1e-13)
     # trapezoid on s: int_0^2 s ds = 2 exactly for a linear integrand
     assert g.quad(g.nodes) == pytest.approx(2.0, abs=1e-13)
+    with pytest.raises(GridError, match="101 values"):
+        g.quad(np.ones(100))
+
+
+@pytest.mark.parametrize("length", [2, 5, 201])
+@pytest.mark.parametrize("dx", [1e-3, 0.1, 1.0 / 3.0, 7.5])
+def test_trapezoid_matches_scipy_bit_for_bit(length, dx):
+    y = np.random.default_rng(length).normal(scale=10.0, size=length)
+    assert trapezoid(y, dx) == scipy.integrate.trapezoid(y, dx=dx)
+
+
+def test_trapezoid_cancelling_terms():
+    # an odd integrand: the cells cancel in pairs, so what is left is
+    # rounding, which depends on the order of summation
+    r = np.random.default_rng(7).normal(scale=10.0, size=100)
+    y = np.concatenate([r, [0.0], -r[::-1]])
+    assert trapezoid(y, 0.1) == scipy.integrate.trapezoid(y, dx=0.1)
+    assert abs(trapezoid(y, 0.1)) < 1e-12
 
 
 def test_trajectory_validates_uniform_times():
