@@ -9,8 +9,12 @@ Everything downstream lives on one of three discretizations:
 * ``AgeGrid`` -- uniform node grid on ``[0, sbar]``, for the age-structured
   transport model.
 
-All containers are plain immutable data; the operations below are pure
-functions, so values can be shared freely across threads.
+All containers are plain immutable data and the operations below are pure
+functions, so values can be shared freely across threads.  The one
+exception is :class:`CNOperator`: it keeps scratch buffers and the explicit
+product of the state it last returned, so an operator belongs to one
+model handle (which builds one per step size) and is not shared across
+threads.
 """
 
 from __future__ import annotations
@@ -222,27 +226,42 @@ class CyclicTridiagonal:
         if denom == 0.0 or not np.isfinite(denom):
             raise NumericsError(
                 "singular cyclic tridiagonal system (rank-one update)")
-        self._corner_tr, self._gamma = corner_tr, gamma
-        self._z, self._denom = z, denom
+        # Python floats: the same bits as numpy scalars, with cheaper
+        # arithmetic in the per-solve update
+        self._corner_tr, self._gamma = float(corner_tr), float(gamma)
+        self._z, self._denom = z, float(denom)
         self._gttrs = dgttrs
 
-    def solve(self, rhs):
+    def back_solve(self, rhs):
+        """The solution of the system, without the defect check."""
         y, _ = self._gttrs(*self._lu, rhs)
-        x = y - ((y[0] + self._corner_tr * y[-1] / self._gamma)
-                 / self._denom) * self._z
-        # LAPACK does not flag (near-)singular systems -- it returns a
-        # backward-stable but meaningless vector -- so verify the defect
-        # against the right-hand side
-        defect = np.abs(apply_periodic_tridiagonal(self.lo, self.di, self.up,
-                                                   x) - rhs).max()
-        if np.count_nonzero(np.isfinite(x)) != x.size \
-                or defect > 1e-8 * max(np.abs(rhs).max(), 1e-300):
-            raise NumericsError(
-                f"cyclic tridiagonal solve failed its residual check (defect "
-                f"{defect:.3e}); the system is singular or severely "
-                "ill-conditioned"
-            )
+        y -= ((y.item(0) + self._corner_tr * y.item(-1) / self._gamma)
+              / self._denom) * self._z
+        return y
+
+    def solve(self, rhs):
+        x = self.back_solve(rhs)
+        check_defect(apply_periodic_tridiagonal(self.lo, self.di, self.up, x),
+                     x, rhs)
         return x
+
+
+def check_defect(ax, x, rhs):
+    """Raise :class:`NumericsError` unless ``x`` is finite and its product
+    ``ax`` with the matrix matches ``rhs`` to ``1e-8 * max|rhs|``.
+
+    LAPACK does not flag (near-)singular systems -- it returns a
+    backward-stable but meaningless vector -- so every solve verifies its
+    defect against the right-hand side.
+    """
+    defect = np.maximum.reduce(np.abs(ax - rhs))
+    if np.count_nonzero(np.isfinite(x)) != x.size \
+            or defect > 1e-8 * max(np.maximum.reduce(np.abs(rhs)), 1e-300):
+        raise NumericsError(
+            f"cyclic tridiagonal solve failed its residual check (defect "
+            f"{defect:.3e}); the system is singular or severely "
+            "ill-conditioned"
+        )
 
 
 def solve_periodic_tridiagonal(lo, di, up, rhs):
@@ -255,10 +274,13 @@ class CNOperator:
     """Crank-Nicolson step operator of y' = L y + source with
     L = (sigma y')' + zeroth*y and a fixed step dt.
 
-    It holds the explicit side ``I + dt/2 L`` as coefficients and the
-    implicit side ``I - dt/2 L`` factored.  The implicit matrix is strictly
-    diagonally dominant (hence nonsingular) for every dt > 0 when
-    zeroth <= 0, and for dt * max(zeroth) < 2 otherwise.
+    It holds the implicit side ``A = I - dt/2 L`` factored, and the rows of
+    ``A`` and of the explicit side ``E = I + dt/2 L`` stacked, so that one
+    product of a state with the stacked rows gives both ``A x`` (the defect
+    of the solve that made x) and ``E x`` (the next step's right-hand
+    side).  The implicit matrix is strictly diagonally dominant (hence
+    nonsingular) for every dt > 0 when zeroth <= 0, and for
+    dt * max(zeroth) < 2 otherwise.
     """
 
     def __init__(self, sigma: Field, zeroth: Field, dt: float):
@@ -268,10 +290,29 @@ class CNOperator:
             raise GridError(f"sigma must be positive, min = {sigma.min()}")
         lo, di, up = _stencil_coefficients(sigma, zeroth)
         half = 0.5 * dt
-        self.sigma, self.dt = sigma, dt
-        self.explicit = (half * lo, 1.0 + half * di, half * up)
-        self.implicit = CyclicTridiagonal(-half * lo, 1.0 - half * di,
-                                          -half * up)
+        n = sigma.grid.n
+        self.sigma, self.dt, self.n = sigma, dt, n
+        # rows[k, i, j]: coefficient of x[j-1], x[j], x[j+1] (i = 0, 1, 2)
+        # in row j of A (k = 0) and of E (k = 1)
+        self._rows = np.array(((-half * lo, 1.0 - half * di, -half * up),
+                               (half * lo, 1.0 + half * di, half * up)))
+        self.explicit = tuple(self._rows[1])
+        self.implicit = CyclicTridiagonal(*self._rows[0])
+        j = np.arange(n)
+        self._neighbours = np.array((j - 1, j, j + 1))  # taken mod n
+        # scratch buffers, rewritten by every product
+        self._gathered = np.empty((3, n))
+        self._terms = np.empty((2, 3, n))
+        self._products = np.empty((2, n))
+        self._last = None  # the state whose E x is in _products[1]
+
+    def _product(self, x):
+        """``(A x, E x)`` as the rows of a scratch array that the next call
+        overwrites.  Each row sums ``lo*x[j-1] + di*x[j] + up*x[j+1]`` in
+        that order, the bits of :func:`apply_periodic_tridiagonal`."""
+        x.take(self._neighbours, out=self._gathered, mode="wrap")
+        np.multiply(self._rows, self._gathered, out=self._terms)
+        return np.add.reduce(self._terms, axis=1, out=self._products)
 
 
 def cn_step(op: CNOperator, y: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -279,14 +320,25 @@ def cn_step(op: CNOperator, y: np.ndarray, source: np.ndarray) -> np.ndarray:
     ``(I - dt/2 L) y+ = (I + dt/2 L) y + dt*source`` for the values of y+.
 
     ``y`` and ``source`` are 1-D arrays on the operator's grid.  The scheme
-    is A-stable and second order.
+    is A-stable and second order.  The result is read-only: the operator
+    keeps its explicit product, and reuses it when the next step starts
+    from this very array.
     """
-    n = op.sigma.grid.n
+    n = op.n
     if np.shape(y) != (n,) or np.shape(source) != (n,):
         raise GridError(f"cn_step needs {n} node values, got shapes "
                         f"{np.shape(y)} and {np.shape(source)}")
-    rhs = apply_periodic_tridiagonal(*op.explicit, y) + op.dt * source
-    return op.implicit.solve(rhs)
+    if y is op._last:
+        explicit = op._products[1]
+    else:
+        explicit = op._product(np.asarray(y, dtype=float))[1]
+    rhs = explicit + op.dt * source
+    op._last = None  # the product below overwrites E y
+    x = op.implicit.back_solve(rhs)
+    check_defect(op._product(x)[0], x, rhs)
+    x.flags.writeable = False
+    op._last = x
+    return x
 
 
 def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:

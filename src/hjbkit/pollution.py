@@ -129,10 +129,9 @@ def _utility_of(h: float, a1: np.ndarray, g1: np.ndarray,
     return float(h * ((a1 * i) ** g1 / g1).sum())
 
 
-def _gain_of(util: float, h: float, w: np.ndarray, p: np.ndarray) -> float:
-    """Utility of consumption minus the disutility <w, p> of pollution p,
-    from node values."""
-    return util - float(h * (w * p).sum())
+def _disutility_of(h: float, w: np.ndarray, p: np.ndarray) -> float:
+    """Disutility <w, p> of pollution p, from node values."""
+    return float(h * (w * p).sum())
 
 
 def running_gain(spec: PollutionSpec, p: Field, i: Field) -> float:
@@ -140,8 +139,8 @@ def running_gain(spec: PollutionSpec, p: Field, i: Field) -> float:
     spec.a_prod._check(i)
     spec.w_dis._check(p)
     h = spec.grid.h
-    return _gain_of(_utility_of(h, *_utility_shape(spec), i.values), h,
-                    spec.w_dis.values, p.values)
+    return _utility_of(h, *_utility_shape(spec), i.values) \
+        - _disutility_of(h, spec.w_dis.values, p.values)
 
 
 def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
@@ -200,7 +199,9 @@ def make_handle(spec: PollutionSpec) -> ModelHandle:
     payoff and step work on node arrays computed once per handle.  The
     utility of the control last scored is reused: the optimal investment
     is the one object ``spec.i_star`` at every step, so along the feedback
-    its utility is computed once.
+    its utility is computed once.  A rollout scores each state at both
+    ends of a step, so the disutility of the state last scored is reused
+    too.
     """
     grid, h = spec.grid, spec.grid.h
     eta, w = spec.eta.values, spec.w_dis.values
@@ -214,13 +215,13 @@ def make_handle(spec: PollutionSpec) -> ModelHandle:
         return Field(grid, cn_step(ops[dt], p.values, eta * i.values))
 
     scored_utility = memo_last(lambda i: _utility_of(h, a1, g1, i.values))
+    scored_disutility = memo_last(lambda p: _disutility_of(h, w, p.values))
 
     return ModelHandle(
         value=lambda p: value_pollution(spec, p),
         feedback=lambda p: spec.i_star,
         step=step,
-        running_payoff=lambda p, i: _gain_of(scored_utility(i), h, w,
-                                             p.values),
+        running_payoff=lambda p, i: scored_utility(i) - scored_disutility(p),
         rho=spec.rho,
         domain_check=lambda p: True,
     )

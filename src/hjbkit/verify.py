@@ -130,6 +130,7 @@ def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
     handle's diagnostics of that state.
     """
     times = dt * np.arange(n_steps + 1)
+    disc = np.exp(-handle.rho * times)
     states, controls = [], []
     running = np.zeros(n_steps + 1)
 
@@ -152,8 +153,7 @@ def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
         state = handle.step(state, u, dt)
         g_right = handle.running_payoff(state, u)
         running[k + 1] = running[k] + 0.5 * dt * (
-            np.exp(-handle.rho * times[k]) * g_left
-            + np.exp(-handle.rho * times[k + 1]) * g_right)
+            disc[k] * g_left + disc[k + 1] * g_right)
     control(state, times[-1])
     return times, states, controls, running
 

@@ -272,6 +272,58 @@ class TestCnStep:
                                        GRID.constant(0.5).values))
         assert np.array_equal(y.values, fresh.values)
 
+    @staticmethod
+    def _varying_operator(dt=0.05):
+        sigma = GRID.from_function(lambda t: 1.0 + 0.4 * np.cos(t))
+        zeroth = GRID.from_function(lambda t: 0.2 * np.sin(2.0 * t) - 0.3)
+        return sigma, zeroth, CNOperator(sigma, zeroth, dt)
+
+    def test_fused_step_matches_reference(self):
+        # the stacked product must give the bits of a separate explicit
+        # matvec followed by a fresh cyclic solve, step after step
+        _, _, op = self._varying_operator()
+        imp = op.implicit
+        rng = np.random.default_rng(5)
+        y = 1.0 + rng.random(GRID.n)
+        for _ in range(200):
+            source = rng.random(GRID.n)
+            want = solve_periodic_tridiagonal(
+                imp.lo, imp.di, imp.up,
+                apply_periodic_tridiagonal(*op.explicit, y) + op.dt * source)
+            y = cn_step(op, y, source)
+            assert (y == want).all()
+
+    def test_cached_product_is_safe(self):
+        # two trajectories alternating on one operator, and a step from a
+        # copy of the last result, give the bits of fresh operators
+        sigma, zeroth, op = self._varying_operator()
+        source = GRID.constant(0.5).values
+        a = shared_a = GRID.from_function(np.cos).values
+        b = shared_b = GRID.from_function(np.sin).values
+        for _ in range(20):
+            shared_a = cn_step(op, shared_a, source)
+            shared_b = cn_step(op, shared_b, source)
+            a = cn_step(CNOperator(sigma, zeroth, op.dt), a, source)
+            b = cn_step(CNOperator(sigma, zeroth, op.dt), b, source)
+            assert np.array_equal(shared_a, a)
+            assert np.array_equal(shared_b, b)
+        copied = cn_step(op, shared_b.copy(), source)
+        want = cn_step(CNOperator(sigma, zeroth, op.dt), b, source)
+        assert np.array_equal(copied, want)
+        # a step that fails its check must not leave its product behind
+        y = cn_step(op, shared_b, source)
+        with pytest.raises(NumericsError, match="residual check"):
+            cn_step(op, y, np.full(GRID.n, np.nan))
+        assert np.array_equal(cn_step(op, y, source),
+                              cn_step(CNOperator(sigma, zeroth, op.dt), y,
+                                      source))
+
+    def test_result_is_read_only(self):
+        _, _, op = self._varying_operator()
+        y = cn_step(op, GRID.constant(1.0).values, GRID.constant(0.0).values)
+        with pytest.raises(ValueError):
+            y[0] = 2.0
+
 
 def test_structural_state_rejects_nonfinite_head():
     with pytest.raises(GridError):
