@@ -28,7 +28,7 @@ from .errors import AssumptionError, ConfigError, DomainExitError
 from .scenarios import (MODELS, build_scenario, default_config,
                         oracle_scenario, refine_config, validate_config,
                         verify_scenario)
-from .verify import OracleBudgetError
+from .verify import OracleBudgetError, match_run
 
 EXIT_OK = 0
 EXIT_ASSUMPTION = 2
@@ -101,25 +101,22 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scenario = build_scenario(config)
     traj = scenario.simulate()
-    analytic = float(scenario.handle.value(scenario.state0))
-    tail = float(np.exp(-scenario.handle.rho * traj.times[-1])
-                 * scenario.handle.value(traj.states[-1]))
-    payoff = traj.payoff
-    gap = abs(payoff + tail - analytic) / max(abs(analytic), 1e-300)
+    vm = match_run(scenario.handle, scenario.state0, traj.times[-1],
+                   traj.states[-1], traj.payoff)
     summary = {
         "model": scenario.name,
         "config": config,
         "derived": scenario.derived,
-        "analytic_value": analytic,
-        "simulated_payoff": payoff,
-        "discounted_tail": tail,
-        "value_gap": gap,
+        "analytic_value": vm.analytic,
+        "simulated_payoff": vm.payoff,
+        "discounted_tail": vm.tail,
+        "value_gap": vm.rel_gap,
         "flags": traj.meta,
     }
     _write_trajectory_csv(out / "trajectory.csv", scenario, traj)
     _write_json(out / "summary.json", summary)
-    print(f"{scenario.name}: analytic {analytic:.6g}, simulated+tail "
-          f"{payoff + tail:.6g} (gap {gap:.2e}) -> {out}")
+    print(f"{scenario.name}: analytic {vm.analytic:.6g}, simulated+tail "
+          f"{vm.total:.6g} (gap {vm.rel_gap:.2e}) -> {out}")
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, DomainExitError, GridError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative, trapezoid)
-from .verify import ModelHandle, OracleProblem, memo_last
+from .verify import ModelHandle, OracleProblem
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def gamma(state: StructuralState, xi: float) -> float:
 
 
 def _positive(g: float) -> float:
-    if g <= 0.0:
+    if not g > 0.0:
         raise DomainError(f"equivalent capital must be positive, got {g}")
     return g
 
@@ -85,18 +85,14 @@ def value(model: DelayModel, state: StructuralState) -> float:
 
 def _steer(model: DelayModel, head: float, g: float) -> float:
     """u* = a x0 - kappa Gamma from a head and its Gamma, or a DomainError
-    naming the violated inequality."""
-    if model.kappa * _positive(g) >= model.room * head:
+    naming the violated inequality (a NaN fails the test too)."""
+    if not model.kappa * _positive(g) < model.room * head:
         raise DomainError(
             "state violates kappa*Gamma < room*x0 (the lower control bound "
             f"(a - room)*x0 binds): kappa*Gamma = {model.kappa * g}, "
             f"room*x0 = {model.room * head}"
         )
     return model.a * head - model.kappa * g
-
-
-def _inside(model: DelayModel, head: float, g: float) -> bool:
-    return g > 0.0 and model.kappa * g < model.room * head
 
 
 def _report(model: DelayModel, head: float, g: float) -> dict:
@@ -108,11 +104,6 @@ def feedback(model: DelayModel, state: StructuralState) -> float:
     lies strictly above the band's lower edge, the violated inequality is
     named."""
     return _steer(model, state.head, gamma(state, model.xi))
-
-
-def in_domain(model: DelayModel, state: StructuralState) -> bool:
-    """Whether :func:`feedback` accepts the state."""
-    return _inside(model, state.head, gamma(state, model.xi))
 
 
 def diagnostics(model: DelayModel, state: StructuralState) -> dict:
@@ -250,6 +241,25 @@ def hjb_residual(model: DelayModel, state: StructuralState) -> float:
 
 def make_handle(model: DelayModel) -> ModelHandle:
     """Uniform verification interface; states are lifted structural states."""
+    def payoff(st, u):
+        c = model.a * st.head - u
+        if c < 0.0:
+            return -np.inf  # inadmissible consumption, flags the policy
+        return c ** (1.0 - model.sigma) / (1.0 - model.sigma)
+
+    return ModelHandle(
+        value=functools.partial(value, model),
+        feedback=functools.partial(feedback, model),
+        step=functools.partial(shift, model),
+        running_payoff=payoff,
+        rho=model.rho,
+        diagnostics=functools.partial(diagnostics, model),
+    )
+
+
+def oracle_problem(model: DelayModel) -> OracleProblem:
+    """The batched step/payoff view the DP oracle runs on.  It has no value
+    callback, so the oracle cannot peek at the closed form."""
     s, xi = model.sigma, model.xi
     lo, hi = model.a - model.room, model.a  # band per unit of x0
 
@@ -265,16 +275,10 @@ def make_handle(model: DelayModel) -> ModelHandle:
         return np.exp(-model.rho * t_abs) * M ** (1.0 - s) / (
             (1.0 - s) * (model.rho - xi * (1.0 - s)))
 
-    def payoff(st, u):
-        c = model.a * st.head - u
-        if c < 0.0:
-            return -np.inf  # inadmissible consumption, flags the policy
-        return c ** (1.0 - s) / (1.0 - s)
-
     def batch_payoff(batch, u):
         # the power is taken per row in scalar arithmetic: numpy's array
         # power may differ from it in the last bit, and the oracle must
-        # score exactly what the scalar payoff scores
+        # score exactly what the handle's scalar payoff scores
         return np.array([-np.inf if c < 0.0 else c ** (1.0 - s) / (1.0 - s)
                          for c in (model.a * batch[0] - u).tolist()])
 
@@ -283,7 +287,7 @@ def make_handle(model: DelayModel) -> ModelHandle:
         g = heads + tails @ _trapezoid_weights(xi, tails.shape[1], model.lag)
         return (g > 0.0) & (model.kappa * g < model.room * heads)
 
-    oracle = OracleProblem(
+    return OracleProblem(
         step=functools.partial(shift_batch, model),
         running_payoff=batch_payoff,
         rho=model.rho,
@@ -294,26 +298,4 @@ def make_handle(model: DelayModel) -> ModelHandle:
             batch[0][i], HistorySegment(model.lag, batch[1][i].copy())),
         control_bounds=lambda batch: (lo * batch[0], hi * batch[0]),
         payoff_tail_bound=tail_bound,
-    )
-    held = [None, None]  # a tail's (samples, span) and its weights
-
-    @memo_last
-    def gamma_of(state):
-        # gamma()'s arithmetic; the rollout tests a state's domain and then
-        # steers it, so Gamma is computed once per state
-        x1 = state.tail.values
-        key = (len(x1), state.tail.d)
-        if held[0] != key:
-            held[:] = key, _trapezoid_weights(xi, *key)
-        return state.head + float(held[1] @ x1)
-
-    return ModelHandle(
-        value=lambda st: _value_of(model, gamma_of(st)),
-        feedback=lambda st: _steer(model, st.head, gamma_of(st)),
-        step=functools.partial(shift, model),
-        running_payoff=payoff,
-        rho=model.rho,
-        domain_check=lambda st: _inside(model, st.head, gamma_of(st)),
-        diagnostics=lambda st: _report(model, st.head, gamma_of(st)),
-        oracle=oracle,
     )

@@ -199,20 +199,21 @@ def make_handle(spec: PollutionSpec) -> ModelHandle:
     payoff and step work on node arrays computed once per handle.  The
     utility of the control last scored is reused: the optimal investment
     is the one object ``spec.i_star`` at every step, so along the feedback
-    its utility is computed once.  A rollout scores each state at both
-    ends of a step, so the disutility of the state last scored is reused
-    too.
+    its utility, and the source ``eta * i`` of the step, are computed once.
+    A rollout scores each state at both ends of a step, so the disutility
+    of the state last scored is reused too.
     """
     grid, h = spec.grid, spec.grid.h
     eta, w = spec.eta.values, spec.w_dis.values
     a1, g1 = _utility_shape(spec)
     zeroth = -1.0 * spec.delta_dec
     ops = {}  # dt -> factored CN operator
+    source = memo_last(lambda i: eta * i.values)
 
     def step(p, i, dt):
         if dt not in ops:
             ops[dt] = CNOperator(spec.sigma_diff, zeroth, dt)
-        return Field(grid, cn_step(ops[dt], p.values, eta * i.values))
+        return Field(grid, cn_step(ops[dt], p.values, source(i)))
 
     scored_utility = memo_last(lambda i: _utility_of(h, a1, g1, i.values))
     scored_disutility = memo_last(lambda p: _disutility_of(h, w, p.values))
@@ -223,5 +224,4 @@ def make_handle(spec: PollutionSpec) -> ModelHandle:
         step=step,
         running_payoff=lambda p, i: scored_utility(i) - scored_disutility(p),
         rho=spec.rho,
-        domain_check=lambda p: True,
     )

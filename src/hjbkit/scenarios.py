@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import (pollution, spatial_growth, time_to_build, vintage_dde,
+from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
 from .errors import AssumptionError, ConfigError
 from .gridcore import (AgeGrid, CircleGrid, HistorySegment, inner_product,
@@ -635,7 +635,7 @@ def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
     n_steps = int(round(T_end / dt))
     _, _, controls, _ = _rollout(sc.handle, sc.state0, n_steps, dt)
     seed_controls = [float(c) for c in controls[:n_steps]]
-    bracket = brute_force_value(sc.handle.oracle_problem(), sc.state0, dt,
-                                T_end, n_controls=n_controls,
+    bracket = brute_force_value(delay.oracle_problem(sc.spec.delay), sc.state0,
+                                dt, T_end, n_controls=n_controls,
                                 seed_controls=seed_controls, budget=budget)
     return bracket, float(sc.handle.value(sc.state0))

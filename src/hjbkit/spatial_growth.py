@@ -83,8 +83,9 @@ def _pairing_of(h: float, beta: np.ndarray, x: np.ndarray) -> float:
 
 
 def _in_domain(p: float) -> float:
-    """The pairing p = <x, beta>, or a DomainError off the half-space."""
-    if p <= 0.0:
+    """The pairing p = <x, beta>, or a DomainError off the half-space (a
+    NaN pairing is off it too)."""
+    if not p > 0.0:
         raise DomainError(
             f"state outside the value function's domain: <x, beta> = {p} <= 0"
         )
@@ -171,9 +172,7 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
     if ref_spec is not None:
         beta = restrict(ref_spec.beta, spec.grid)
     s = spec.sigma_crra
-    p = inner_product(x, beta)
-    if p <= 0.0:
-        raise DomainError(f"state outside the value function's domain: {p} <= 0")
+    p = _in_domain(inner_product(x, beta))
     v = p ** (1.0 - s) / (1.0 - s)
     # drift term <x, A_h Dv> with the stencil acting on the gradient
     grad_coeff = p ** (-s)
@@ -192,20 +191,20 @@ def make_handle(spec: SpatialGrowthSpec) -> ModelHandle:
 
     States and controls are Fields at the handle's edge; inside, the
     feedback, payoff and step work on node arrays computed once per handle.
-    A rollout tests each state's domain just before it asks for the
-    feedback, and scores each control at both ends of its step, so the
-    pairing of the state and the utility of the control (the payoff does
-    not depend on the state) are each reused for the object last given.
+    The feedback is the domain test, raising DomainError off the
+    half-space.  A rollout scores each control at both ends of its step,
+    so the utility of the control last scored is reused (the payoff does
+    not depend on the state).
     """
     grid, s = spec.grid, spec.sigma_crra
     h, beta, N = grid.h, spec.beta.values, spec.N_pop.values
     profile = _consumption_profile(spec)
     one = grid.constant(1.0)
     ops = {}  # dt -> factored CN operator
-    pairing = memo_last(lambda y: _pairing_of(h, beta, y.values))
 
     def feedback(y):
-        return Field(grid, profile * _in_domain(pairing(y)))
+        p = _pairing_of(h, beta, y.values)
+        return Field(grid, profile * _in_domain(p))
 
     def step(y, c, dt):
         if dt not in ops:
@@ -220,7 +219,6 @@ def make_handle(spec: SpatialGrowthSpec) -> ModelHandle:
         step=step,
         running_payoff=lambda y, c: scored_utility(c),
         rho=spec.rho,
-        domain_check=lambda y: pairing(y) > 0.0,
-        diagnostics=lambda y: {"pairing": pairing(y),
+        diagnostics=lambda y: {"pairing": _pairing_of(h, beta, y.values),
                                "min_state": y.min()},
     )

@@ -1,8 +1,9 @@
 """Model-agnostic verification machinery.
 
-Every model exposes a :class:`ModelHandle` bundling the five callbacks the
-dynamic-programming identities need (value, feedback, one-step transition,
-running payoff, domain membership).  On top of it:
+Every model exposes a :class:`ModelHandle` bundling the four callbacks the
+dynamic-programming identities need (value, feedback, which raises
+:class:`DomainError` off the domain, one-step transition, running
+payoff).  On top of it:
 
 * ``value_match`` -- the infinite-horizon identity: truncated discounted
   payoff plus the discounted analytic tail must reproduce the analytic
@@ -16,7 +17,7 @@ running payoff, domain membership).  On top of it:
   a tube of control perturbations around the feedback path, with zero
   terminal value and an explicit truncation bound.  It certifies the
   closed-form value from below and brackets it from above without ever
-  evaluating the value callback.
+  evaluating the value callback (it runs on an :class:`OracleProblem`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainExitError, NumericsError
+from .errors import DomainError, DomainExitError, NumericsError
 
 
 class OracleBudgetError(NumericsError):
@@ -48,9 +49,9 @@ class OracleProblem:
     control per row; ``step`` raises :class:`GridError` on a non-finite
     state.  ``to_batch`` stacks one validated state into a batch and
     ``from_row(batch, i)`` validates row i back into a state.
-    ``control_bounds`` (the admissible box of each row) and
-    ``payoff_tail_bound`` (state, time -> an upper bound on any admissible
-    continuation's remaining discounted payoff) are optional.
+    ``control_bounds(batch)`` gives the admissible box of each row, and
+    ``payoff_tail_bound(state, time)`` an upper bound on any admissible
+    continuation's remaining discounted payoff.
     """
 
     step: Callable
@@ -59,18 +60,18 @@ class OracleProblem:
     domain_check: Callable
     to_batch: Callable
     from_row: Callable
-    control_bounds: Callable | None = None
-    payoff_tail_bound: Callable | None = None
+    control_bounds: Callable
+    payoff_tail_bound: Callable
 
 
 @dataclass
 class ModelHandle:
     """Uniform face over one model instance.
 
-    ``scale_control`` adapts scalar scaling to composite controls;
-    ``diagnostics`` (state -> dict) summarizes a state that left the
-    domain; ``oracle`` is the batched view the DP oracle runs on, for the
-    models that have one.
+    ``feedback`` raises :class:`DomainError` on a state outside the
+    domain, the model's one statement of it; ``scale_control`` adapts
+    scalar scaling to composite controls; ``diagnostics`` (state -> dict)
+    summarizes a state that left the domain.
     """
 
     value: Callable
@@ -78,17 +79,8 @@ class ModelHandle:
     step: Callable
     running_payoff: Callable
     rho: float
-    domain_check: Callable
     scale_control: Callable = _default_scale
     diagnostics: Callable | None = None
-    oracle: OracleProblem | None = None
-
-    def oracle_problem(self) -> OracleProblem:
-        """What the DP oracle may consume; the value callback is
-        deliberately absent."""
-        if self.oracle is None:
-            raise ValueError("this model has no DP oracle problem")
-        return self.oracle
 
 
 def memo_last(fn: Callable) -> Callable:
@@ -126,8 +118,8 @@ def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
     integrates that piecewise-constant policy), and the payoff trapezoid
     uses the step's own control at both endpoints, so the run evaluates an
     explicit admissible policy with O(dt^2) quadrature error regardless of
-    horizon length.  A state outside the domain aborts the run with the
-    handle's diagnostics of that state.
+    horizon length.  A state whose feedback raises :class:`DomainError`
+    aborts the run with the handle's diagnostics of that state.
     """
     times = dt * np.arange(n_steps + 1)
     disc = np.exp(-handle.rho * times)
@@ -135,11 +127,11 @@ def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
     running = np.zeros(n_steps + 1)
 
     def control(state, t):
-        if not handle.domain_check(state):
-            raise DomainExitError(
-                float(t),
-                handle.diagnostics(state) if handle.diagnostics else None)
-        u = handle.feedback(state)
+        try:
+            u = handle.feedback(state)
+        except DomainError as exc:
+            diag = handle.diagnostics(state) if handle.diagnostics else None
+            raise DomainExitError(float(t), diag) from exc
         if control_scale != 1.0:
             u = handle.scale_control(u, control_scale)
         states.append(state)
@@ -169,8 +161,16 @@ def value_match(handle: ModelHandle, state0, T_end: float, dt: float,
     """
     times, states, _, running = _rollout(
         handle, state0, int(round(T_end / dt)), dt, control_scale)
-    payoff = float(running[-1])
-    tail = float(np.exp(-handle.rho * times[-1]) * handle.value(states[-1]))
+    return match_run(handle, state0, times[-1], states[-1],
+                     float(running[-1]))
+
+
+def match_run(handle: ModelHandle, state0, t_end: float, state_end,
+              payoff: float) -> ValueMatch:
+    """The value match of a finished run from ``state0``: its truncated
+    payoff, plus the analytic value of its final state ``state_end``
+    discounted from ``t_end``, against the analytic value of ``state0``."""
+    tail = float(np.exp(-handle.rho * t_end) * handle.value(state_end))
     analytic = float(handle.value(state0))
     rel_gap = abs(payoff + tail - analytic) / max(abs(analytic), 1e-300)
     return ValueMatch(analytic, payoff, tail, rel_gap)
@@ -264,10 +264,9 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
     def clip(candidates, state):
         """Candidates clipped to just inside the admissible box of the
         one-row batch ``state``, duplicates dropped (first one kept)."""
-        if problem.control_bounds is not None:
-            lo, hi = (float(b[0]) for b in problem.control_bounds(state))
-            eps = 1e-12 * max(1.0, abs(hi))
-            candidates = [min(max(u, lo + eps), hi - eps) for u in candidates]
+        lo, hi = (float(b[0]) for b in problem.control_bounds(state))
+        eps = 1e-12 * max(1.0, abs(hi))
+        candidates = [min(max(u, lo + eps), hi - eps) for u in candidates]
         return np.array(list(dict.fromkeys(candidates)))
 
     def cell(batch, u, k):
@@ -358,11 +357,8 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
         if best - best_at_pass_start < 1e-7 * max(1.0, abs(best)):
             cur_span *= 0.5  # sweep stopped paying at this resolution
 
-    if problem.payoff_tail_bound is None:
-        tail_bound = 0.0
-    else:
-        tail_bound = float(problem.payoff_tail_bound(
-            problem.from_row(final, 0), times[-1]))
+    tail_bound = float(problem.payoff_tail_bound(problem.from_row(final, 0),
+                                                 times[-1]))
     return OracleBracket(lo=float(best), hi=float(best + tail_bound),
                          truncated_value=float(best),
                          tail_bound=float(tail_bound),

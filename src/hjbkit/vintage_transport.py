@@ -281,6 +281,5 @@ def make_handle(spec: TransportSpec) -> ModelHandle:
         step=step,
         running_payoff=payoff,
         rho=spec.rho,
-        domain_check=lambda z: True,
         scale_control=lambda c, s: (s * c[0], s * c[1]),
     )

@@ -1,7 +1,7 @@
 """Mutated default configurations either build or fail with a named
 configuration or assumption error, never with any other exception; and
-``hjbkit run``/``verify`` on them exit with a documented code, never with
-a traceback.
+``hjbkit run``/``verify``/``oracle`` on them exit with a documented code,
+never with a traceback.
 
 A mutation drops a key, swaps a number for a string, a non-finite value,
 zero or a negative, or swaps a profile for a non-object.  Grid resolutions
@@ -52,13 +52,13 @@ def _parent(config, path):
 
 
 @st.composite
-def mutated_configs(draw, prepare=None):
+def mutated_configs(draw, prepare=None, least=1):
     """A default configuration, passed through ``prepare`` (if given) and
-    then mutated one to three times."""
+    then mutated ``least`` to three times."""
     config = default_config(draw(st.sampled_from(MODELS)))
     if prepare is not None:
         prepare(config)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(least, 3))):
         paths = _paths(config)
         if not paths:
             break
@@ -101,10 +101,7 @@ def _cheap(config):
             num[key] = size
 
 
-@given(config=mutated_configs(prepare=_cheap),
-       command=st.sampled_from(("run", "verify")))
-@settings(max_examples=800, deadline=None)
-def test_mutated_config_cli_exits_with_a_documented_code(config, command):
+def _assert_documented_exit(config, command, *flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
@@ -112,6 +109,29 @@ def test_mutated_config_cli_exits_with_a_documented_code(config, command):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path),
-                         "--out", str(Path(tmp) / "out")])
+                         "--out", str(Path(tmp) / "out"), *flags])
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@given(config=mutated_configs(prepare=_cheap),
+       command=st.sampled_from(("run", "verify")))
+@settings(max_examples=800, deadline=None)
+def test_mutated_config_cli_exits_with_a_documented_code(config, command):
+    _assert_documented_exit(config, command)
+
+
+# the oracle's coarse grid and horizon come from the model, not from the
+# config's resolution and T_end, so few levels and a small evaluation
+# budget keep each command cheap.  Unmutated configs are drawn too: at one
+# or two levels a vintage-dde run fits the largest budget and exits 0, the
+# other runs exit 3 on the budget, and the three models without an oracle
+# exit 2
+@given(config=mutated_configs(prepare=_cheap, least=0),
+       levels=st.integers(1, 3),
+       budget=st.sampled_from((1, 2_000, 40_000)))
+@settings(max_examples=200, deadline=None)
+def test_mutated_config_oracle_exits_with_a_documented_code(config, levels,
+                                                            budget):
+    _assert_documented_exit(config, "oracle", "--levels", str(levels),
+                            "--budget", str(budget))

@@ -190,15 +190,31 @@ class TestSimulate:
 
 # -- the handles' rollouts ---------------------------------------------------
 
+def in_domain(model, state):
+    """The delay domain stated apart from the feedback, in gamma()'s
+    arithmetic: Gamma > 0 and kappa*Gamma < room*x0."""
+    g = delay.gamma(state, model.xi)
+    return g > 0.0 and model.kappa * g < model.room * state.head
+
+
 def public_delay_handle(model):
-    """The delay handle written over the public functions."""
+    """The delay handle written over the public functions, with the domain
+    tested apart from the feedback; the feedback must raise DomainError on
+    exactly the states that test rejects."""
+
+    def feedback(state):
+        if in_domain(model, state):
+            return delay.feedback(model, state)
+        with pytest.raises(DomainError) as exc:
+            delay.feedback(model, state)
+        raise exc.value
+
     return ModelHandle(
         value=functools.partial(delay.value, model),
-        feedback=functools.partial(delay.feedback, model),
+        feedback=feedback,
         step=functools.partial(delay.shift, model),
         running_payoff=delay.make_handle(model).running_payoff,
         rho=model.rho,
-        domain_check=functools.partial(delay.in_domain, model),
         diagnostics=functools.partial(delay.diagnostics, model),
     )
 
@@ -212,27 +228,13 @@ class TestDelayHandle:
         want = _rollout(public_delay_handle(model), state0, 60, dt, scale)
         assert_same_run(got, want)
 
-    def test_callbacks_follow_each_state(self, case):
-        # Gamma is reused only for the state it was computed for
-        model, state0 = case
-        handle = delay.make_handle(model)
-        other = state0.scaled(1.5)
-        for first, second in ((state0, other), (other, state0)):
-            assert handle.domain_check(first)
-            assert handle.feedback(second) == delay.feedback(model, second)
-            assert handle.diagnostics(first) == delay.diagnostics(model,
-                                                                  first)
-            assert handle.value(second) == delay.value(model, second)
-
-    def test_weights_follow_the_sample_count(self, case):
-        model, state0 = case
-        handle = delay.make_handle(model)
-        finer = StructuralState(state0.head, HistorySegment(
-            state0.tail.d, np.interp(np.linspace(-1.0, 0.0, 2 * M + 1),
-                                     np.linspace(-1.0, 0.0, M + 1),
-                                     state0.tail.values)))
-        for st in (state0, finer, state0):
-            assert handle.feedback(st) == delay.feedback(model, st)
+    def test_nan_gamma_is_outside_the_domain(self, case):
+        # the feedback is the one domain test, so it must reject what the
+        # inequalities cannot order
+        model, _ = case
+        for head, g in ((1.0, np.nan), (np.nan, 1.0)):
+            with pytest.raises(DomainError):
+                delay._steer(model, head, g)
 
     @pytest.mark.parametrize("rho, scale", [(1.2, 1.0), (0.95, 0.5)])
     def test_domain_exit_mid_run(self, rho, scale):
@@ -287,7 +289,6 @@ def reference_transport_handle(spec):
         step=step,
         running_payoff=payoff,
         rho=spec.rho,
-        domain_check=lambda z: True,
         scale_control=lambda c, s: (s * c[0], s * c[1]),
     )
 

@@ -60,13 +60,41 @@ VERIFY_REPORT = {
 }
 
 
-@pytest.mark.parametrize("model", sorted(VERIFY_REPORT))
-def test_circle_verify_report(tmp_path, model):
+# verify --seed 3 for the delay and age models: the same three rollouts
+# per model, on the delay and transport handles
+DELAY_VERIFY_REPORT = {
+    "vintage-dde": {"residual_max": 1.3289782603409759e-06,
+                    "value_match_gap": 0.0005293368404672555,
+                    "suboptimal_margin": 0.38122996017994154,
+                    "transversality_slope": -0.1031947860073305},
+    "vintage-transport": {"residual_max": 7.960212164013589e-07,
+                          "value_match_gap": 0.0002499805095383093,
+                          "suboptimal_margin": 0.11035857093309065,
+                          "transversality_slope": -0.05999999999999994},
+    "time-to-build": {"residual_max": 5.901151725233642e-09,
+                      "value_match_gap": 2.1935155770091185e-07,
+                      "suboptimal_margin": 0.015269978993677538,
+                      "transversality_slope": -0.16324468911355045},
+}
+
+
+def _assert_verify_report(tmp_path, model, figures):
     assert main(["verify", "--model", model, "--seed", "3",
                  "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    for key, want in VERIFY_REPORT[model].items():
+    for key, want in figures.items():
         assert report[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.parametrize("model", sorted(VERIFY_REPORT))
+def test_circle_verify_report(tmp_path, model):
+    _assert_verify_report(tmp_path, model, VERIFY_REPORT[model])
+
+
+@pytest.mark.parametrize("model", sorted(DELAY_VERIFY_REPORT))
+def test_delay_and_age_verify_report(tmp_path, model):
+    _assert_verify_report(tmp_path, model, DELAY_VERIFY_REPORT[model])
+
 
 @pytest.mark.parametrize("model", ["spatial-growth", "pollution",
                                    "vintage-transport"])

@@ -245,6 +245,16 @@ class TestHandleArrays:
                   2.0 * spec.i_star):
             assert handle.running_payoff(p, i) == running_gain(spec, p, i)
 
+    def test_step_follows_a_new_control(self, spec):
+        # the reused source eta * i belongs to the control object last given
+        handle, dt = make_handle(spec), 0.02
+        op = CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec, dt)
+        p = spec.grid.constant(0.5)
+        for i in (spec.i_star, 0.5 * spec.i_star, spec.i_star,
+                  2.0 * spec.i_star):
+            want = cn_step(op, p.values, (spec.eta * i).values)
+            assert np.array_equal(handle.step(p, i, dt).values, want)
+
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_matches_field_loop(self, spec, scale):
         # the closed loop written out in Field arithmetic

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 
-from hjbkit.errors import AssumptionError, DomainError
+from hjbkit.errors import AssumptionError, DomainError, DomainExitError
 from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
                              quad_circle)
 from hjbkit.spatial_growth import (build_spatial_spec, feedback_spatial,
@@ -94,6 +94,23 @@ class TestFeedback:
     def test_domain_edge(self, const_spec):
         with pytest.raises(DomainError):
             feedback_spatial(const_spec, 0.0 * const_spec.grid.constant(1.0))
+
+    def test_nan_state_is_outside_the_domain(self, const_spec):
+        # Field does not check finiteness, and the model states its domain
+        # once: a NaN pairing must fail it, not steer, score or residual
+        nan = const_spec.grid.constant(np.nan)
+        handle = make_handle(const_spec)
+        for fn in (handle.feedback, lambda y: feedback_spatial(const_spec, y),
+                   lambda y: value_spatial(const_spec, y),
+                   lambda y: hjb_residual_spatial(const_spec, y)):
+            with pytest.raises(DomainError):
+                fn(nan)
+        with pytest.raises(DomainExitError) as err:
+            _rollout(handle, nan, 5, 0.01)
+        assert err.value.time == 0.0
+        assert set(err.value.diagnostics) == {"pairing", "min_state"}
+        assert np.isnan(err.value.diagnostics["pairing"])
+        assert np.isnan(err.value.diagnostics["min_state"])
 
     def test_constant_spec_gives_constant_consumption(self, const_spec):
         x = smooth_positive(const_spec.grid, 2)
@@ -240,7 +257,6 @@ class TestHandleArrays:
         op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
         y = smooth_positive(spec.grid, 4)
         for _ in range(3):
-            assert handle.domain_check(y)
             assert handle.diagnostics(y)["pairing"] == inner_product(
                 y, spec.beta)
             c = handle.feedback(y)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracle_helpers import golden_max
 
+from hjbkit import delay
 from hjbkit.errors import AssumptionError, DomainError, DomainExitError
 from hjbkit.gridcore import HistorySegment
 from hjbkit.time_to_build import (build_ttb_spec, control_band, feedback_ttb,
@@ -293,8 +294,8 @@ def test_coarse_dp_oracle_brackets_value(spec):
     dt, T_end = u0.dt, 5.0 / spec.rho
     n_steps = int(round(T_end / dt))
     _, _, controls, _ = _rollout(handle, st, n_steps, dt, 1.0)
-    bracket = brute_force_value(handle.oracle_problem(), st, dt, T_end,
-                                n_controls=9, max_passes=3,
+    bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
+                                T_end, n_controls=9, max_passes=3,
                                 seed_controls=[float(c)
                                                for c in controls[:n_steps]])
     v = value_ttb(spec, st)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hjbkit.errors import DomainExitError, GridError
+from hjbkit import delay
+from hjbkit.errors import DomainError, DomainExitError, GridError
 from hjbkit.gridcore import CircleGrid, HistorySegment, Trajectory
 from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_handle
@@ -27,6 +28,12 @@ def vintage():
     iota = HistorySegment.constant(2.0, 8, 1.0)
     state = lift_vintage(None, iota)
     return spec, vintage_handle(spec), state
+
+
+@pytest.fixture(scope="module")
+def problem(vintage):
+    """The DP oracle's batched view of the vintage fixture's model."""
+    return delay.oracle_problem(vintage[0].delay)
 
 
 class TestValueMatch:
@@ -90,13 +97,18 @@ def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
                  span=0.5, span_min=4e-3, max_passes=12):
     """Reference for ``brute_force_value``: the same backward sweep, one
     candidate at a time on validated states through the handle's scalar
-    step, payoff and domain test, re-walking each step's prefix.  Returns
-    (lo, hi, evaluations, passes) and counts of the candidate runs that
-    left the domain before the horizon but after their own step, and of
-    the candidates that clipping made duplicates."""
+    step and payoff and a scalar domain test, re-walking each step's
+    prefix.  Returns (lo, hi, evaluations, passes) and counts of the
+    candidate runs that left the domain before the horizon but after their
+    own step, and of the candidates that clipping made duplicates."""
     n_steps = int(round(T_end / dt))
     disc = np.exp(-handle.rho * dt * np.arange(n_steps + 1))
     counts = {"evaluations": 0, "exits": 0, "duplicates": 0}
+
+    def inside(state):
+        # the feedback's domain, stated apart from it in gamma()'s arithmetic
+        g = delay.gamma(state, model.xi)
+        return g > 0.0 and model.kappa * g < model.room * state.head
 
     def cell(state, u, k):
         g_left = handle.running_payoff(state, u)
@@ -106,13 +118,13 @@ def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
 
     def forward(controls, state, start, total):
         for k in range(start, n_steps):
-            if not handle.domain_check(state):
+            if not inside(state):
                 counts["exits"] += k > start  # its evaluations stop early
                 return -np.inf, None
             state, payoff = cell(state, controls[k], k)
             counts["evaluations"] += 2
             total += payoff
-        if not handle.domain_check(state):
+        if not inside(state):
             return -np.inf, None
         return total, state
 
@@ -146,7 +158,8 @@ def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
                 best, final = best_j, best_final
         if best - at_pass_start < 1e-7 * max(1.0, abs(best)):
             cur_span *= 0.5
-    tail = handle.oracle_problem().payoff_tail_bound(final, dt * n_steps)
+    tail = delay.oracle_problem(model).payoff_tail_bound(final,
+                                                        dt * n_steps)
     return (float(best), float(best + tail), counts["evaluations"],
             passes), counts
 
@@ -157,31 +170,23 @@ class TestBruteForce:
         _, _, controls, _ = _rollout(handle, state, n_steps, dt, 1.0)
         return [float(c) for c in controls[:n_steps]]
 
-    def test_oracle_problem_has_no_value_callback(self, vintage):
-        _, handle, _ = vintage
-        problem = handle.oracle_problem()
+    def test_oracle_problem_has_no_value_callback(self, problem):
         assert isinstance(problem, OracleProblem)
         assert not hasattr(problem, "value")
 
-    def test_handle_without_oracle_problem_says_so(self, spatial):
-        _, handle, _ = spatial
-        with pytest.raises(ValueError, match="no DP oracle problem"):
-            handle.oracle_problem()
-
-    def test_history_off_the_model_lag_rejected(self, vintage):
+    def test_history_off_the_model_lag_rejected(self, problem):
         # the batched problem reads the lag from the model, so a start
         # whose history spans another lag is refused, as simulate does
-        _, handle, _ = vintage
         st = lift_vintage(None, HistorySegment.constant(3.0, 8, 1.0))
         with pytest.raises(ValueError, match="history covers"):
-            brute_force_value(handle.oracle_problem(), st, 0.375, 1.5,
+            brute_force_value(problem, st, 0.375, 1.5,
                               seed_controls=[1.0] * 4)
 
-    def test_single_level_returns_seed_policy_payoff(self, vintage):
+    def test_single_level_returns_seed_policy_payoff(self, vintage, problem):
         _, handle, st = vintage
         dt, T_end = 0.25, 4.0
         seed = self.seed_for(handle, st, dt, T_end)
-        bracket = brute_force_value(handle.oracle_problem(), st, dt, T_end,
+        bracket = brute_force_value(problem, st, dt, T_end,
                                     n_controls=1, max_passes=1,
                                     seed_controls=seed)
         # recompute the seed policy payoff by hand
@@ -195,14 +200,15 @@ class TestBruteForce:
                                  + np.exp(-handle.rho * (k + 1) * dt) * g_right)
         assert bracket.truncated_value == pytest.approx(total, rel=1e-12)
 
-    def test_one_step_problem_equals_static_maximization(self, vintage):
+    def test_one_step_problem_equals_static_maximization(self, vintage,
+                                                          problem):
         # zero tail, single step, single sweep: the recursion's base case
         # must coincide with a static maximization over its own control grid
         _, handle, st = vintage
         dt = 0.25
         seed = self.seed_for(handle, st, dt, dt)
         span = 0.5
-        bracket = brute_force_value(handle.oracle_problem(), st, dt, dt,
+        bracket = brute_force_value(problem, st, dt, dt,
                                     n_controls=33, span=span, max_passes=1,
                                     seed_controls=seed)
 
@@ -217,23 +223,23 @@ class TestBruteForce:
         assert bracket.truncated_value == pytest.approx(static_best,
                                                         abs=1e-6)
 
-    def test_bracket_contains_analytic_value(self, vintage):
+    def test_bracket_contains_analytic_value(self, vintage, problem):
         spec, handle, st = vintage
         dt, T_end = 0.25, 5.0 / spec.rho
         seed = self.seed_for(handle, st, dt, T_end)
-        bracket = brute_force_value(handle.oracle_problem(), st, dt, T_end,
+        bracket = brute_force_value(problem, st, dt, T_end,
                                     n_controls=33, seed_controls=seed)
         assert bracket.contains(value_vintage(spec, st), 0.03)
         assert bracket.lo <= bracket.hi
         assert bracket.tail_bound > 0.0
 
-    def test_budget_enforced(self, vintage):
+    def test_budget_enforced(self, vintage, problem):
         from hjbkit.verify import OracleBudgetError
         _, handle, st = vintage
         dt, T_end = 0.25, 10.0
         seed = self.seed_for(handle, st, dt, T_end)
         with pytest.raises(OracleBudgetError):
-            brute_force_value(handle.oracle_problem(), st, dt, T_end,
+            brute_force_value(problem, st, dt, T_end,
                               n_controls=33, seed_controls=seed, budget=100)
 
     @pytest.mark.parametrize("sigma, k0, n_controls, span, T_end, exercised", [
@@ -258,8 +264,8 @@ class TestBruteForce:
                           enforce_consistency=False)
         dt = 0.25
         seed = self.seed_for(handle, st, dt, T_end)
-        bracket = brute_force_value(handle.oracle_problem(), st, dt, T_end,
-                                    n_controls=n_controls, span=span,
+        bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
+                                    T_end, n_controls=n_controls, span=span,
                                     seed_controls=seed)
         want, counts = scalar_sweep(handle, spec.delay, st, dt, T_end, seed,
                                     n_controls, span)
@@ -268,13 +274,13 @@ class TestBruteForce:
         if exercised:
             assert counts[exercised] > 0
 
-    def test_non_finite_batch_state_raises(self, vintage):
+    def test_non_finite_batch_state_raises(self, vintage, problem):
         _, handle, st = vintage
         dt, T_end = 0.25, 3.0
         seed = self.seed_for(handle, st, dt, T_end)
         seed[2] = np.inf
         with pytest.raises(GridError, match="non-finite"):
-            brute_force_value(handle.oracle_problem(), st, dt, T_end,
+            brute_force_value(problem, st, dt, T_end,
                               seed_controls=seed)
 
     def test_suboptimality_direction_random_perturbations(self):
@@ -300,7 +306,8 @@ def test_rollout_reports_domain_exit():
     iota = HistorySegment.constant(2.0, 50, 1.0)
     st = lift_vintage(1e-3, iota, enforce_consistency=False)
     handle = vintage_handle(spec)
-    assert not handle.domain_check(st)
+    with pytest.raises(DomainError):
+        handle.feedback(st)
     with pytest.raises(DomainExitError):
         _rollout(handle, st, 10, iota.dt, 1.0)
 

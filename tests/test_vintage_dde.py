@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from hjbkit import delay
 from hjbkit.errors import AssumptionError, DomainError
 from hjbkit.gridcore import HistorySegment
 from hjbkit.vintage_dde import (build_vintage_spec, feedback_vintage, gamma0,
@@ -288,8 +289,8 @@ def test_coarse_dp_oracle_brackets_value(spec):
     dt, T_end = iota.dt, 5.0 / spec.rho
     n_steps = int(round(T_end / dt))
     _, _, controls, _ = _rollout(handle, st, n_steps, dt, 1.0)
-    bracket = brute_force_value(handle.oracle_problem(), st, dt, T_end,
-                                n_controls=33,
+    bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
+                                T_end, n_controls=33,
                                 seed_controls=[float(c)
                                                for c in controls[:n_steps]])
     v = value_vintage(spec, st)
