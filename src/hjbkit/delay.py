@@ -156,11 +156,11 @@ def shift_batch(model: DelayModel, batch: tuple, u, dt: float) -> tuple:
     return heads, vals
 
 
-def simulate(model: DelayModel, state0: StructuralState, T_end: float,
-             dt: float | None = None) -> Trajectory:
+def simulate(model: DelayModel, state0: StructuralState,
+             T_end: float) -> Trajectory:
     """Closed-loop Heun integration of x0' = b u(t) + c u(t-L).
 
-    dt is locked to the history spacing L/m, so the delayed term is always
+    The step dt is the history spacing L/m, so the delayed term is always
     a stored sample and the window shifts exactly.  The newest slot starts
     as a placeholder (the previous control) and is corrected by one
     fixed-point refinement of the feedback.  The head advances by the
@@ -169,10 +169,7 @@ def simulate(model: DelayModel, state0: StructuralState, T_end: float,
     exit aborts with the offending time and diagnostics.
     """
     hist = _checked_history(model, state0)
-    if dt is None:
-        dt = hist.dt
-    elif not np.isclose(dt, hist.dt, rtol=1e-12):
-        raise ValueError(f"dt = {dt} must equal the history spacing {hist.dt}")
+    dt = hist.dt
 
     # Gamma is x0 + w @ tail, gamma()'s arithmetic on its cached weights
     w = _trapezoid_weights(model.xi, hist.m + 1, hist.d)

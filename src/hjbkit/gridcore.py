@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class CircleGrid:
         if self.n < 8:
             raise GridError(f"circle grid needs n >= 8 nodes, got {self.n}")
 
-    @property
+    @cached_property
     def h(self) -> float:
         return TWO_PI / self.n
 
@@ -61,8 +62,9 @@ class CircleGrid:
 class Field:
     """Real-valued function sampled on a :class:`CircleGrid`.
 
-    Arithmetic requires both operands to live on the identical grid;
-    mixing grids raises :class:`GridError`.
+    A Field has no arithmetic: formulas act on its node ``values``.  Each
+    function of two Fields calls :meth:`_check`, so mixing grids raises
+    :class:`GridError`.
     """
 
     grid: CircleGrid
@@ -83,43 +85,6 @@ class Field:
             raise GridError(
                 f"grid mismatch: n={self.grid.n} vs n={other.grid.n}"
             )
-
-    def __add__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            return Field(self.grid, self.values + other.values)
-        return Field(self.grid, self.values + float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            return Field(self.grid, self.values - other.values)
-        return Field(self.grid, self.values - float(other))
-
-    def __rsub__(self, other):
-        return Field(self.grid, float(other) - self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            return Field(self.grid, self.values * other.values)
-        return Field(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Field):
-            self._check(other)
-            return Field(self.grid, self.values / other.values)
-        return Field(self.grid, self.values / float(other))
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
-    def __pow__(self, p):
-        return Field(self.grid, self.values ** float(p))
 
     def min(self) -> float:
         return float(self.values.min())

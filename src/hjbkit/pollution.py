@@ -19,13 +19,13 @@ against a scalar maximizer in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .gridcore import (CircleGrid, CNOperator, Field, Trajectory,
-                       _stencil_coefficients, apply_periodic_tridiagonal,
-                       cn_step, inner_product, quad_circle, restrict)
+from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
+                       inner_product, quad_circle, restrict, sl_apply)
 from .spectral import solve_elliptic
 from .verify import ModelHandle, _rollout, memo_last
 
@@ -45,21 +45,18 @@ class PollutionSpec:
     i_star: Field
     q_const: float
 
-    @property
+    @cached_property
     def grid(self) -> CircleGrid:
         return self.sigma_diff.grid
+
+    @cached_property
+    def zeroth(self) -> Field:
+        """-delta, the zeroth-order coefficient of the generator."""
+        return Field(self.grid, -1.0 * self.delta_dec.values)
 
 
 def _investment_from_foc(a, gamma, eta_alpha):
     return (1.0 / (a - 1.0)) * (eta_alpha / (a - 1.0)) ** (-1.0 / gamma)
-
-
-def optimal_investment(spec: PollutionSpec) -> Field:
-    """State-independent optimal investment profile (recomputed from the
-    first-order condition; identical to ``spec.i_star``)."""
-    return Field(spec.grid, _investment_from_foc(
-        spec.a_prod.values, spec.gamma.values,
-        spec.eta.values * spec.alpha_shadow.values))
 
 
 def _sup_values(a, gamma, eta_alpha):
@@ -116,31 +113,24 @@ def value_pollution(spec: PollutionSpec, p0: Field) -> float:
     return -inner_product(spec.alpha_shadow, p0) + spec.q_const
 
 
-def _utility_shape(spec: PollutionSpec):
-    """a - 1 and 1 - gamma, the node arrays the utility of consumption
-    ((a-1) i)^(1-gamma) / (1-gamma) is built from."""
-    return spec.a_prod.values - 1.0, 1.0 - spec.gamma.values
+def feedback_pollution(spec: PollutionSpec, p: Field) -> Field:
+    """The optimal investment ``spec.i_star``, the same at every state."""
+    return spec.i_star
 
 
-def _utility_of(h: float, a1: np.ndarray, g1: np.ndarray,
-                i: np.ndarray) -> float:
-    """Utility of consumption from node values, with a1 = a - 1 and
-    g1 = 1 - gamma."""
-    return float(h * ((a1 * i) ** g1 / g1).sum())
-
-
-def _disutility_of(h: float, w: np.ndarray, p: np.ndarray) -> float:
-    """Disutility <w, p> of pollution p, from node values."""
-    return float(h * (w * p).sum())
+def utility(spec: PollutionSpec, i: Field) -> float:
+    """Utility of consumption, the integral of ((a-1) i)^(1-gamma) /
+    (1-gamma), of an investment profile i."""
+    spec.a_prod._check(i)
+    g1 = 1.0 - spec.gamma.values
+    return float(spec.grid.h
+                 * (((spec.a_prod.values - 1.0) * i.values) ** g1 / g1).sum())
 
 
 def running_gain(spec: PollutionSpec, p: Field, i: Field) -> float:
-    """Utility-of-consumption minus pollution disutility at one instant."""
-    spec.a_prod._check(i)
-    spec.w_dis._check(p)
-    h = spec.grid.h
-    return _utility_of(h, *_utility_shape(spec), i.values) \
-        - _disutility_of(h, spec.w_dis.values, p.values)
+    """Utility-of-consumption minus pollution disutility <w, p> at one
+    instant."""
+    return utility(spec, i) - inner_product(spec.w_dis, p)
 
 
 def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
@@ -181,47 +171,43 @@ def hjb_residual_pollution(spec: PollutionSpec, x: Field,
         alpha = restrict(ref_spec.alpha_shadow, spec.grid)
         q = ref_spec.q_const
     v = -inner_product(alpha, x) + q
-    lo, di, up = _stencil_coefficients(spec.sigma_diff, -1.0 * spec.delta_dec)
-    A_alpha = Field(spec.grid,
-                    apply_periodic_tridiagonal(lo, di, up, alpha.values))
+    A_alpha = sl_apply(spec.sigma_diff, spec.zeroth, alpha)
+    drift, disutility = inner_product(x, A_alpha), inner_product(spec.w_dis, x)
     # rho*v = -<x, A alpha> - <w, x> + rho*q  (sup term equals rho*q)
-    residual = spec.rho * v + inner_product(x, A_alpha) \
-        + inner_product(spec.w_dis, x) - spec.rho * q
-    scale = max(abs(spec.rho * v), abs(inner_product(x, A_alpha)),
-                abs(inner_product(spec.w_dis, x)), abs(spec.rho * q))
+    residual = spec.rho * v + drift + disutility - spec.rho * q
+    scale = max(abs(spec.rho * v), abs(drift), abs(disutility),
+                abs(spec.rho * q))
     return abs(residual) / scale
 
 
 def make_handle(spec: PollutionSpec) -> ModelHandle:
     """Uniform verification interface over the pollution model.
 
-    States and controls are Fields at the handle's edge; inside, the
-    payoff and step work on node arrays computed once per handle.  The
-    utility of the control last scored is reused: the optimal investment
-    is the one object ``spec.i_star`` at every step, so along the feedback
-    its utility, and the source ``eta * i`` of the step, are computed once.
-    A rollout scores each state at both ends of a step, so the disutility
-    of the state last scored is reused too.
+    The value, the feedback and the two payoff terms are the public
+    functions of this module and :func:`inner_product`; the step works on
+    node arrays, with one factored CN operator per step size.  The optimal
+    investment is the one object ``spec.i_star`` at every step, so along
+    the feedback its utility, and the source ``eta * i`` of the step, are
+    computed once.  A rollout scores each state at both ends of a step, so
+    the disutility of the state last scored is reused too.
     """
-    grid, h = spec.grid, spec.grid.h
-    eta, w = spec.eta.values, spec.w_dis.values
-    a1, g1 = _utility_shape(spec)
-    zeroth = -1.0 * spec.delta_dec
+    grid, eta = spec.grid, spec.eta.values
     ops = {}  # dt -> factored CN operator
     source = memo_last(lambda i: eta * i.values)
 
     def step(p, i, dt):
         if dt not in ops:
-            ops[dt] = CNOperator(spec.sigma_diff, zeroth, dt)
+            ops[dt] = CNOperator(spec.sigma_diff, spec.zeroth, dt)
         return Field(grid, cn_step(ops[dt], p.values, source(i)))
 
-    scored_utility = memo_last(lambda i: _utility_of(h, a1, g1, i.values))
-    scored_disutility = memo_last(lambda p: _disutility_of(h, w, p.values))
+    scored_utility = memo_last(partial(utility, spec))
+    scored_disutility = memo_last(partial(inner_product, spec.w_dis))
 
     return ModelHandle(
-        value=lambda p: value_pollution(spec, p),
-        feedback=lambda p: spec.i_star,
+        value=partial(value_pollution, spec),
+        feedback=partial(feedback_pollution, spec),
         step=step,
         running_payoff=lambda p, i: scored_utility(i) - scored_disutility(p),
         rho=spec.rho,
+        scale_control=lambda c, s: Field(c.grid, s * c.values),
     )

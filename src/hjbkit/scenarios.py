@@ -233,20 +233,27 @@ def _check_work(config: dict) -> None:
     key = next(k for k in RESOLUTION_KEYS if k in num)
     if "dt" in num:  # the circle models: n nodes and a free step
         steps, size = num["T_end"] / num["dt"], num[key]
-        keys = f"numerics.T_end / numerics.dt x numerics.{key}"
+        keys = f"{_step_keys(config)} x numerics.{key}"
     else:            # dt = span / m and m + 1 samples
-        span_key = _STEP_SPAN[config["model"]]
-        span = config["params"][span_key]
+        span = config["params"][_STEP_SPAN[config["model"]]]
         if span <= 0.0:
             return
         steps, size = num["T_end"] * num[key] / span, num[key] + 1
-        keys = (f"numerics.T_end / (params.{span_key} / numerics.{key}) "
-                f"x (numerics.{key} + 1)")
+        keys = f"{_step_keys(config)} x (numerics.{key} + 1)"
     work = max(steps, 1.0) * size
     if work > WORK_BUDGET:
         raise ConfigError(
             f"{keys} = {steps:.4g} steps x {size} = {work:.3g} exceeds the "
             f"work budget {WORK_BUDGET:.0e} of one run")
+
+
+def _step_keys(config: dict) -> str:
+    """The configuration keys that set a closed loop's step count."""
+    num, span = config["numerics"], _STEP_SPAN.get(config["model"])
+    if span is None:
+        return "numerics.T_end / numerics.dt"
+    key = next(k for k in RESOLUTION_KEYS if k in num)
+    return f"numerics.T_end / (params.{span} / numerics.{key})"
 
 
 def _finite(name: str, val) -> float:
@@ -389,9 +396,7 @@ def _build_spatial(config):
             "total_capital": quad_circle(state),
             "beta_pairing": inner_product(state, spec.beta),
             "min_capital": state.min(),
-            # quad_circle(control * N) without a Field per row
-            "total_consumption": spec.grid.h
-            * (control.values * spec.N_pop.values).sum(),
+            "total_consumption": inner_product(control, spec.N_pop),
         }
 
     return dict(
@@ -427,8 +432,7 @@ def _build_pollution(config):
             "total_pollution": quad_circle(state),
             "min_pollution": state.min(),
             "max_pollution": state.max(),
-            "total_emission": spec.grid.h
-            * (spec.eta.values * control.values).sum(),
+            "total_emission": inner_product(spec.eta, control),
         }
 
     return dict(
@@ -570,13 +574,12 @@ def _build_ttb(config):
 # ---------------------------------------------------------------------------
 # orchestration
 
-def residual_study(scenario: Scenario, rng, count: int = 10,
-                   resolution: int | None = None) -> tuple[list, list]:
-    """HJB residuals at ``count`` random in-domain states, at the criterion
+def residual_study(scenario: Scenario, rng) -> tuple[list, list]:
+    """HJB residuals at 10 random in-domain states, at the criterion
     resolution and at its 2x refinement (same random draws at both)."""
-    res = resolution or RESIDUAL_RESOLUTION[scenario.name]
+    res = RESIDUAL_RESOLUTION[scenario.name]
     base, refined = [], []
-    for _ in range(count):
+    for _ in range(10):
         seed_child = rng.integers(0, 2 ** 63 - 1)
         for r, sink in ((res, base), (2 * res, refined)):
             state = scenario.sample_state(np.random.default_rng(seed_child), r)
@@ -584,22 +587,26 @@ def residual_study(scenario: Scenario, rng, count: int = 10,
     return base, refined
 
 
-def verify_scenario(config: dict, seed: int = 0,
-                    residual_states: int = 10) -> VerifyReport:
+def verify_scenario(config: dict, seed: int = 0) -> VerifyReport:
     """Run the verification suite for one scenario and aggregate the report.
 
     The closed-loop checks run first, so a start state outside the domain
     exits as ``run`` does; the seeded draws feed only the residual study.
+    A horizon of fewer than 4 steps is a configuration error: the
+    transversality fit needs two times in its last quartile.
     """
     scenario = build_scenario(config)
+    steps = int(round(scenario.T_end / scenario.dt))
+    if steps < 4:
+        raise ConfigError(f"{_step_keys(scenario.config)} = {steps} steps; "
+                          "verify's transversality fit needs at least 4")
     slope = transversality(scenario.handle, scenario.simulate())
     vm = value_match(scenario.handle, scenario.state0, scenario.T_end,
                      scenario.dt)
     margin = suboptimality_margin(scenario.handle, scenario.state0,
                                   scenario.T_end, scenario.dt,
                                   control_scale=scenario.suboptimal_scale)
-    base, refined = residual_study(scenario, np.random.default_rng(seed),
-                                   residual_states)
+    base, refined = residual_study(scenario, np.random.default_rng(seed))
     report = VerifyReport(
         model=scenario.name,
         residual_max=float(np.max(base)),
@@ -619,17 +626,20 @@ ORACLE_EFOLDINGS = 5.0
 
 
 def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
-                    coarse_cells: int = ORACLE_COARSE_CELLS,
                     budget: int = 20_000_000) -> tuple[OracleBracket, float]:
     """Coarse-scale DP oracle for a delay model: returns the bracket and the
-    analytic value of the same coarse state."""
-    scenario = build_scenario(config)
-    model = scenario.name
+    analytic value of the same coarse state.  A model without an oracle is
+    rejected before anything is built; a delay model is built at full
+    resolution first, to reject a bad ``numerics.m`` before the coarse
+    rebuild overrides it."""
+    config = validate_config(config)
+    model = config["model"]
     if model not in ("vintage-dde", "time-to-build"):
         raise ConfigError(
             f"the DP oracle applies to the delay models, not {model!r}")
-    sc = build_scenario(
-        dict(config, numerics=dict(config["numerics"], m=coarse_cells)))
+    build_scenario(config)
+    sc = build_scenario(dict(config, numerics=dict(config["numerics"],
+                                                   m=ORACLE_COARSE_CELLS)))
     dt = sc.dt
     T_end = ORACLE_EFOLDINGS / sc.handle.rho
     n_steps = int(round(T_end / dt))

@@ -15,12 +15,13 @@ satisfies rho > lambda0 * (1 - sigma).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import AssumptionError, DomainError
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       inner_product, quad_circle, restrict, sl_apply)
+                       inner_product, restrict, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
 from .verify import ModelHandle, _rollout, memo_last
 
@@ -37,7 +38,7 @@ class SpatialGrowthSpec:
     alpha0: float
     beta: Field
 
-    @property
+    @cached_property
     def grid(self) -> CircleGrid:
         return self.A_coeff.grid
 
@@ -46,12 +47,16 @@ class SpatialGrowthSpec:
         """Balanced growth rate (lambda0 - rho) / sigma of <y, beta>."""
         return (self.eigen.lambda0 - self.rho) / self.sigma_crra
 
+    @cached_property
+    def consumption_profile(self) -> np.ndarray:
+        """beta^(-1/sigma), the shape of every optimal consumption profile."""
+        return self.beta.values ** float(-1.0 / self.sigma_crra)
+
 
 def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
-                       rho: float, grid: CircleGrid | None = None,
-                       eigen_tol: float = 1e-10) -> SpatialGrowthSpec:
+                       rho: float) -> SpatialGrowthSpec:
     """Compute the eigenpair and the closed-form constants alpha0, beta."""
-    grid = grid or A_coeff.grid
+    grid = A_coeff.grid
     if N_pop.min() <= 0.0:
         raise ValueError(f"population density must be positive, min = {N_pop.min()}")
     if not np.all(np.isfinite(A_coeff.values)):
@@ -60,7 +65,7 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
         raise ValueError(f"sigma must be positive and != 1, got {sigma_crra}")
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    eigen = principal_eigenpair(A_coeff, grid, tol=eigen_tol)
+    eigen = principal_eigenpair(A_coeff)
     lam0 = eigen.lambda0
     # the margin guard keeps the exact-boundary case rejected despite the
     # eigensolver's last-digit wobble
@@ -69,22 +74,19 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
             "finiteness assumption failed: need rho > lambda0*(1-sigma), "
             f"got rho = {rho}, lambda0*(1-sigma) = {lam0 * (1.0 - sigma_crra)}"
         )
-    weight = quad_circle((eigen.e0 ** (1.0 - 1.0 / sigma_crra)) * N_pop)
+    weight = inner_product(
+        Field(grid, eigen.e0.values ** (1.0 - 1.0 / sigma_crra)), N_pop)
     base = sigma_crra / (rho - lam0 * (1.0 - sigma_crra)) * weight
     alpha0 = base ** (sigma_crra / (1.0 - sigma_crra))
-    beta = alpha0 * eigen.e0
+    beta = Field(grid, alpha0 * eigen.e0.values)
     return SpatialGrowthSpec(A_coeff, N_pop, sigma_crra, rho, eigen,
                              float(alpha0), beta)
 
 
-def _pairing_of(h: float, beta: np.ndarray, x: np.ndarray) -> float:
-    """<x, beta> from node values."""
-    return float(h * (x * beta).sum())
-
-
-def _in_domain(p: float) -> float:
+def _pairing(x: Field, beta: Field) -> float:
     """The pairing p = <x, beta>, or a DomainError off the half-space (a
     NaN pairing is off it too)."""
+    p = inner_product(x, beta)
     if not p > 0.0:
         raise DomainError(
             f"state outside the value function's domain: <x, beta> = {p} <= 0"
@@ -92,37 +94,23 @@ def _in_domain(p: float) -> float:
     return p
 
 
-def _pairing(spec: SpatialGrowthSpec, x: Field) -> float:
-    x._check(spec.beta)
-    return _in_domain(_pairing_of(spec.grid.h, spec.beta.values, x.values))
-
-
-def _consumption_profile(spec: SpatialGrowthSpec) -> np.ndarray:
-    """beta^(-1/sigma), the shape of every optimal consumption profile."""
-    return spec.beta.values ** float(-1.0 / spec.sigma_crra)
-
-
-def _utility_of(h: float, c: np.ndarray, N: np.ndarray, s: float) -> float:
-    """Benthamite utility integral from node values."""
-    return float(h * ((c ** float(1.0 - s)) * N).sum()) / (1.0 - s)
-
-
 def value_spatial(spec: SpatialGrowthSpec, x: Field) -> float:
     """Closed-form value <x, beta>^(1-sigma) / (1-sigma)."""
-    p = _pairing(spec, x)
+    p = _pairing(x, spec.beta)
     return p ** (1.0 - spec.sigma_crra) / (1.0 - spec.sigma_crra)
 
 
 def feedback_spatial(spec: SpatialGrowthSpec, x: Field) -> Field:
     """Optimal consumption profile c*(theta) = <x, beta> beta^(-1/sigma)."""
-    return Field(spec.grid, _consumption_profile(spec) * _pairing(spec, x))
+    return Field(spec.grid, spec.consumption_profile * _pairing(x, spec.beta))
 
 
 def utility(spec: SpatialGrowthSpec, c: Field) -> float:
     """Benthamite utility integral of a consumption profile."""
     spec.N_pop._check(c)
-    return _utility_of(spec.grid.h, c.values, spec.N_pop.values,
-                       spec.sigma_crra)
+    s = spec.sigma_crra
+    return float(spec.grid.h * ((c.values ** float(1.0 - s))
+                                * spec.N_pop.values).sum()) / (1.0 - s)
 
 
 def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
@@ -141,7 +129,7 @@ def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
         raise ValueError(f"dt must be positive, got {dt}")
     if x0.min() < 0.0:
         raise DomainError(f"initial capital must be nonnegative, min = {x0.min()}")
-    _pairing(spec, x0)
+    _pairing(x0, spec.beta)
     times, states, controls, running = _rollout(
         make_handle(spec), x0, int(round(T_end / dt)), dt)
     negative = [t for t, y in zip(times, states) if y.min() < 0.0]
@@ -172,15 +160,15 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
     if ref_spec is not None:
         beta = restrict(ref_spec.beta, spec.grid)
     s = spec.sigma_crra
-    p = _in_domain(inner_product(x, beta))
+    p = _pairing(x, beta)
     v = p ** (1.0 - s) / (1.0 - s)
     # drift term <x, A_h Dv> with the stencil acting on the gradient
     grad_coeff = p ** (-s)
     A_beta = sl_apply(spec.grid.constant(1.0), spec.A_coeff, beta)
     drift = grad_coeff * inner_product(x, A_beta)
     # closed-form supremum: sigma/(1-sigma) * int N * Dv^((sigma-1)/sigma)
-    ham = (s / (1.0 - s)) * p ** (1.0 - s) * quad_circle(
-        spec.N_pop * (beta ** (1.0 - 1.0 / s)))
+    ham = (s / (1.0 - s)) * p ** (1.0 - s) * inner_product(
+        spec.N_pop, Field(spec.grid, beta.values ** (1.0 - 1.0 / s)))
     residual = spec.rho * v - drift - ham
     scale = max(abs(spec.rho * v), abs(drift), abs(ham))
     return abs(residual) / scale
@@ -189,36 +177,30 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
 def make_handle(spec: SpatialGrowthSpec) -> ModelHandle:
     """Uniform verification interface over the spatial model.
 
-    States and controls are Fields at the handle's edge; inside, the
-    feedback, payoff and step work on node arrays computed once per handle.
-    The feedback is the domain test, raising DomainError off the
-    half-space.  A rollout scores each control at both ends of its step,
-    so the utility of the control last scored is reused (the payoff does
-    not depend on the state).
+    The value, the feedback and the payoff are the public functions of
+    this module; the feedback is the domain test, raising DomainError off
+    the half-space.  The step works on node arrays, with one factored CN
+    operator per step size.  A rollout scores each control at both ends of
+    its step, so the utility of the control last scored is reused (the
+    payoff does not depend on the state).
     """
-    grid, s = spec.grid, spec.sigma_crra
-    h, beta, N = grid.h, spec.beta.values, spec.N_pop.values
-    profile = _consumption_profile(spec)
-    one = grid.constant(1.0)
+    grid, N = spec.grid, spec.N_pop.values
     ops = {}  # dt -> factored CN operator
-
-    def feedback(y):
-        p = _pairing_of(h, beta, y.values)
-        return Field(grid, profile * _in_domain(p))
 
     def step(y, c, dt):
         if dt not in ops:
-            ops[dt] = CNOperator(one, spec.A_coeff, dt)
+            ops[dt] = CNOperator(grid.constant(1.0), spec.A_coeff, dt)
         return Field(grid, cn_step(ops[dt], y.values, -1.0 * (c.values * N)))
 
-    scored_utility = memo_last(lambda c: _utility_of(h, c.values, N, s))
+    scored_utility = memo_last(partial(utility, spec))
 
     return ModelHandle(
-        value=lambda y: value_spatial(spec, y),
-        feedback=feedback,
+        value=partial(value_spatial, spec),
+        feedback=partial(feedback_spatial, spec),
         step=step,
         running_payoff=lambda y, c: scored_utility(c),
         rho=spec.rho,
-        diagnostics=lambda y: {"pairing": _pairing_of(h, beta, y.values),
+        scale_control=lambda c, s: Field(c.grid, s * c.values),
+        diagnostics=lambda y: {"pairing": inner_product(y, spec.beta),
                                "min_state": y.min()},
     )

@@ -18,9 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, NumericsError
-from .gridcore import (AgeGrid, CircleGrid, CyclicTridiagonal, Field,
+from .gridcore import (AgeGrid, CyclicTridiagonal, Field,
                        _stencil_coefficients, apply_periodic_tridiagonal,
-                       inner_product, solve_periodic_tridiagonal)
+                       inner_product, sl_apply, solve_periodic_tridiagonal)
+
+EIGEN_TOL = 1e-10         # eigen-residual at which the power iteration stops
+EIGEN_MAX_ITER = 10_000   # iterations before it reports non-convergence
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,9 @@ class CharRoot:
     residual: float
 
 
-def principal_eigenpair(A_coeff: Field, grid: CircleGrid | None = None,
-                        tol: float = 1e-10,
-                        max_iter: int = 10_000) -> EigenPair:
-    """Largest eigenpair of the discrete operator f -> f'' + A_coeff * f.
+def principal_eigenpair(A_coeff: Field) -> EigenPair:
+    """Largest eigenpair of the discrete operator f -> f'' + A_coeff * f on
+    A_coeff's grid.
 
     Shifted inverse power iteration: with shift s = max(A) + 1 the matrix
     s*I - L is positive definite and its smallest eigenvalue corresponds to
@@ -51,30 +53,26 @@ def principal_eigenpair(A_coeff: Field, grid: CircleGrid | None = None,
     positive eigenvector from a constant start.  The sign is fixed by a
     positive mean, and strict positivity is asserted.
     """
-    grid = grid or A_coeff.grid
-    if grid.n != A_coeff.grid.n:
-        raise ValueError("A_coeff does not live on the requested grid")
+    grid = A_coeff.grid
     if not np.all(np.isfinite(A_coeff.values)):
         raise ValueError("A_coeff must be finite")
-    one = grid.constant(1.0)
-    lo, di, up = _stencil_coefficients(one, A_coeff)
+    lo, di, up = _stencil_coefficients(grid.constant(1.0), A_coeff)
     shift = float(A_coeff.values.max()) + 1.0
     shifted = CyclicTridiagonal(-lo, shift - di, -up)  # factored once
 
     v = np.full(grid.n, 1.0 / np.sqrt(2.0 * np.pi))
-    lam = None
-    for _ in range(max_iter):
+    for _ in range(EIGEN_MAX_ITER):
         w = shifted.solve(v)
         w /= np.sqrt(grid.h * (w @ w))
         Lw = apply_periodic_tridiagonal(lo, di, up, w)
         lam = grid.h * (w @ Lw)
         resid = np.sqrt(grid.h * np.sum((Lw - lam * w) ** 2))
         v = w
-        if resid < tol:
+        if resid < EIGEN_TOL:
             break
     else:
         raise NumericsError(
-            f"eigen iteration did not converge in {max_iter} steps, "
+            f"eigen iteration did not converge in {EIGEN_MAX_ITER} steps, "
             f"last residual {resid:.3e}"
         )
     if v.sum() < 0.0:
@@ -101,7 +99,7 @@ def solve_elliptic(rho: float, sigma: Field, delta: Field, w: Field) -> Field:
     if sigma.min() <= 0.0:
         raise ValueError(f"sigma must be positive, min = {sigma.min()}")
     sigma._check(w)
-    lo, di, up = _stencil_coefficients(sigma, -1.0 * delta)
+    lo, di, up = _stencil_coefficients(sigma, Field(delta.grid, -delta.values))
     alpha = solve_periodic_tridiagonal(-lo, rho - di, -up, w.values)
     return Field(w.grid, alpha)
 
@@ -225,9 +223,7 @@ def char_root_ttb(Atilde: float, d: float) -> CharRoot:
 def rayleigh_residual(A_coeff: Field, pair: EigenPair) -> float:
     """Discrete defect ||L e0 - lambda0 e0|| / ||e0|| of an eigenpair."""
     grid = pair.e0.grid
-    one = grid.constant(1.0)
-    lo, di, up = _stencil_coefficients(one, A_coeff)
-    Lv = apply_periodic_tridiagonal(lo, di, up, pair.e0.values)
+    Lv = sl_apply(grid.constant(1.0), A_coeff, pair.e0).values
     num = np.sqrt(grid.h * np.sum((Lv - pair.lambda0 * pair.e0.values) ** 2))
     den = np.sqrt(inner_product(pair.e0, pair.e0))
     return float(num / den)

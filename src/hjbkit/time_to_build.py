@@ -153,16 +153,16 @@ def control_band(spec: TTBSpec, q: float) -> tuple[float, float]:
 
 
 def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
-                 T_end: float, dt: float | None = None) -> Trajectory:
+                 T_end: float) -> Trajectory:
     """Closed-loop integration of q'(t) = Atilde u(t-d) under the feedback.
 
-    dt is locked to d/m so the delayed control is a stored sample; the
+    The step dt is d/m, so the delayed control is a stored sample; the
     output advance is the exact trapezoid of the (purely delayed)
     right-hand side, so the path error is O(dt^2).  Domain exits abort
     with diagnostics; band violations of the control are flagged.
     """
     traj = delay.simulate(spec.delay, structural_state(spec, q0, u0_history),
-                          T_end, dt)
+                          T_end)
     q = np.array([st.head for st in traj.states])
     u = np.array(traj.controls)
     lo, hi = control_band(spec, q)

@@ -34,10 +34,6 @@ class OracleBudgetError(NumericsError):
     """The DP oracle ran out of its evaluation budget."""
 
 
-def _default_scale(control, s):
-    return s * control
-
-
 @dataclass(frozen=True)
 class OracleProblem:
     """Batched step/payoff view of a model, structurally unable to peek at
@@ -69,9 +65,9 @@ class ModelHandle:
     """Uniform face over one model instance.
 
     ``feedback`` raises :class:`DomainError` on a state outside the
-    domain, the model's one statement of it; ``scale_control`` adapts
-    scalar scaling to composite controls; ``diagnostics`` (state -> dict)
-    summarizes a state that left the domain.
+    domain, the model's one statement of it; ``scale_control(u, s)``
+    scales a control by s (the default a float one); ``diagnostics``
+    (state -> dict) summarizes a state that left the domain.
     """
 
     value: Callable
@@ -79,7 +75,7 @@ class ModelHandle:
     step: Callable
     running_payoff: Callable
     rho: float
-    scale_control: Callable = _default_scale
+    scale_control: Callable = lambda control, s: s * control
     diagnostics: Callable | None = None
 
 
@@ -194,9 +190,7 @@ def transversality(handle: ModelHandle, traj) -> float:
     vals = np.maximum(vals, 1e-300)
     logs = -handle.rho * times + np.log(vals)
     q = 3 * len(times) // 4
-    t_tail, l_tail = times[q:], logs[q:]
-    slope = np.polyfit(t_tail, l_tail, 1)[0]
-    return float(slope)
+    return float(np.polyfit(times[q:], logs[q:], 1)[0])
 
 
 def suboptimality_margin(handle: ModelHandle, state0, T_end: float,

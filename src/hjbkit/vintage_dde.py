@@ -166,11 +166,11 @@ def positivity_kernel(spec: VintageSpec, s) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def simulate_vintage(spec: VintageSpec, iota0: HistorySegment, T_end: float,
-                     dt: float | None = None) -> Trajectory:
+def simulate_vintage(spec: VintageSpec, iota0: HistorySegment,
+                     T_end: float) -> Trajectory:
     """Closed-loop integration of k'(t) = i(t) - i(t-T) under the feedback.
 
-    The step is locked to the history spacing (dt = T/m), so the delayed
+    The step is the history spacing (dt = T/m), so the delayed
     term is always a stored sample and the ring buffer shifts exactly: the
     window holds the control applied at each of its sample times (the
     newest slot starts as a placeholder and is corrected by one fixed-point
@@ -182,7 +182,7 @@ def simulate_vintage(spec: VintageSpec, iota0: HistorySegment, T_end: float,
     if iota0.values.min() < 0.0 or not np.any(iota0.values > 0.0):
         raise DomainError("initial investments must be nonnegative and not "
                           "identically zero")
-    traj = delay.simulate(spec.delay, lift_vintage(None, iota0), T_end, dt)
+    traj = delay.simulate(spec.delay, lift_vintage(None, iota0), T_end)
     min_i = min(traj.controls)
     min_k = min(st.head for st in traj.states)
     traj.meta = {"min_investment": float(min_i), "min_capital": float(min_k),

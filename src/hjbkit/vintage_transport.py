@@ -202,21 +202,17 @@ def optimal_trajectory_closed_form(spec: TransportSpec, z0, t: float) -> np.ndar
 
 
 def simulate_transport(spec: TransportSpec, z0, u0=None, u1=None,
-                       T_end: float = 1.0, dt: float | None = None) -> Trajectory:
+                       T_end: float = 1.0) -> Trajectory:
     """March the transport PDE with the exact-shift upwind scheme: the
     verification rollout over :func:`make_handle`.
 
-    ``dt`` must equal the age step (CFL = 1), so interior values move one
+    The step dt is the age step (CFL = 1), so interior values move one
     age cell per step with decay e^{-mu dt} plus the source integral; the
     boundary node is set directly from u0 (the discrete footprint of the
     boundary injection).  ``u0``/``u1`` default to the optimal open-loop
     controls; given, they are held constant over the run.
     """
-    h = spec.age.h
-    if dt is None:
-        dt = h
-    elif not np.isclose(dt, h, rtol=1e-12):
-        raise ValueError(f"dt = {dt} must equal the age step {h} (CFL = 1)")
+    dt = spec.age.h
     control = (spec.u0_star if u0 is None else float(u0),
                spec.u1_star if u1 is None else spec.age.profile(u1))
     handle = make_handle(spec)

@@ -30,12 +30,12 @@ def scenarios():
 
 def test_criterion_1_eigen_correctness():
     grid = CircleGrid(256)
-    pair = principal_eigenpair(grid.constant(0.7), grid)
+    pair = principal_eigenpair(grid.constant(0.7))
     ok1 = abs(pair.lambda0 - 0.7) < 1e-8
     ok2 = np.max(np.abs(pair.e0.values - 1.0 / np.sqrt(2 * np.pi))) < 1e-8
 
     A = grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-    wavy = principal_eigenpair(A, grid)
+    wavy = principal_eigenpair(A)
     from hjbkit.gridcore import _stencil_coefficients
     lo, di, up = _stencil_coefficients(grid.constant(1.0), A)
     dense = np.zeros((grid.n, grid.n))
@@ -77,7 +77,7 @@ def test_criterion_3_hjb_residuals(scenarios):
     all_ok = True
     for name in MODELS:
         rng = np.random.default_rng(202)
-        base, refined = residual_study(scenarios[name], rng, count=10)
+        base, refined = residual_study(scenarios[name], rng)
         worst, worst_ref = max(base), max(refined)
         ok = worst < 1e-5 and (worst < 1e-12 or worst_ref < 0.5 * worst)
         all_ok &= ok

@@ -324,6 +324,42 @@ class TestVerify:
         assert code == 2
         assert "interior bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, numerics, keys", [
+        ("spatial-growth", {"n": 32, "dt": 1.0, "T_end": 0.4},
+         "numerics.T_end / numerics.dt"),
+        ("spatial-growth", {"n": 32, "dt": 1.0, "T_end": 1.0},
+         "numerics.T_end / numerics.dt"),
+        ("spatial-growth", {"n": 32, "dt": 1.0, "T_end": 2.0},
+         "numerics.T_end / numerics.dt"),
+        ("spatial-growth", {"n": 32, "dt": 1.0, "T_end": 3.0},
+         "numerics.T_end / numerics.dt"),
+        ("vintage-dde", {"m": 4, "T_end": 1.5},
+         "numerics.T_end / (params.T / numerics.m)"),
+    ])
+    def test_horizon_below_four_steps_exits_2(self, tmp_path, capsys, model,
+                                              numerics, keys):
+        # the transversality fit runs over the last quartile of the run's
+        # times; below 4 steps that is one time, and no slope
+        cfg = default_config(model)
+        cfg["numerics"].update(numerics)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["verify", "--config", str(path),
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert keys in capsys.readouterr().err
+
+    def test_four_step_horizon_gets_a_slope(self, tmp_path):
+        cfg = default_config("spatial-growth")
+        cfg["numerics"].update(n=32, dt=1.0, T_end=4.0)
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["verify", "--config", str(path),
+                        "--out", str(tmp_path)])
+        assert code in (0, 3)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["transversality_slope"] < 0.0
+
     def test_seeded_reports_byte_identical(self, tmp_path):
         outs = []
         for sub in ("x", "y"):
@@ -339,6 +375,30 @@ class TestOracle:
         code = run_cli(["oracle", "--model", "pollution",
                         "--out", str(tmp_path)])
         assert code == 2
+
+    def test_model_without_oracle_builds_nothing(self, tmp_path):
+        # rejected before any scenario is built: no eigenpair, no scipy
+        script = (
+            "import sys\n"
+            "from hjbkit import cli\n"
+            "assert cli.main(['oracle', '--model', 'spatial-growth', "
+            "'--out', sys.argv[1]]) == 2\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded[:5]\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_bad_full_resolution_m_exits_2(self, tmp_path, capsys):
+        # the oracle runs on a coarse rebuild, which would hide a bad m
+        cfg = default_config("vintage-dde")
+        cfg["numerics"]["m"] = 2
+        path = tmp_path / "m2.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["oracle", "--config", str(path),
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "m >= 4" in capsys.readouterr().err
 
     def test_vintage_bracket(self, tmp_path):
         code = run_cli(["oracle", "--model", "vintage-dde",

@@ -23,10 +23,23 @@ def test_grid_spacing_closes_the_circle():
     assert GRID.h * GRID.n == pytest.approx(2.0 * np.pi, abs=1e-15)
 
 
-def test_field_requires_matching_grid():
-    other = CircleGrid(32)
-    with pytest.raises(GridError):
-        GRID.constant(1.0) + other.constant(1.0)
+def test_circle_handles_reject_a_field_on_another_grid():
+    # the handles call the public model functions, whose pairings check
+    # the grid; a bare numpy broadcast error would not be a GridError
+    from hjbkit import pollution, spatial_growth
+    one, other = GRID.constant(1.0), CircleGrid(128).constant(1.0)
+    spatial = spatial_growth.make_handle(spatial_growth.build_spatial_spec(
+        GRID.constant(0.04), one, 0.5, 0.05))
+    spec = pollution.build_pollution_spec(
+        GRID.constant(1.3), GRID.constant(0.1), one, GRID.constant(2.0),
+        GRID.constant(0.5), one, 0.05)
+    emitting = pollution.make_handle(spec)
+    for call in (lambda: spatial.feedback(other),
+                 lambda: spatial.running_payoff(one, other),
+                 lambda: emitting.running_payoff(other, spec.i_star),
+                 lambda: emitting.running_payoff(one, other)):
+        with pytest.raises(GridError):
+            call()
 
 
 class TestQuadCircle:

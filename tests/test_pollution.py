@@ -6,7 +6,7 @@ from hjbkit.errors import NumericsError
 from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
                              quad_circle)
 from hjbkit.pollution import (build_pollution_spec, hjb_residual_pollution,
-                              make_handle, optimal_investment, running_gain,
+                              feedback_pollution, make_handle, running_gain,
                               simulate_pollution, value_pollution)
 from hjbkit.verify import _rollout
 
@@ -95,11 +95,6 @@ class TestOptimalInvestment:
         hi = constant_spec(w=2.0)
         assert np.all(hi.i_star.values < lo.i_star.values)
 
-    def test_state_independent_and_reproducible(self):
-        spec = wavy_spec()
-        again = optimal_investment(spec)
-        assert np.array_equal(again.values, spec.i_star.values)
-
     def test_printed_variant_fails_oracle(self):
         # dropping the (a-1) inside the power is not the argmax when a != 2
         spec = wavy_spec()
@@ -126,7 +121,7 @@ class TestValue:
         p1 = GRID.field(rng.random(GRID.n))
         p2 = GRID.field(rng.random(GRID.n))
         v0 = value_pollution(spec, GRID.constant(0.0))
-        lhs = value_pollution(spec, p1 + p2) - v0
+        lhs = value_pollution(spec, GRID.field(p1.values + p2.values)) - v0
         rhs = (value_pollution(spec, p1) - v0) + (value_pollution(spec, p2) - v0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -144,7 +139,8 @@ class TestSimulate:
         masses = [quad_circle(p)]
         for _ in range(200):
             p = GRID.field(cn_step(
-                CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec, 0.05),
+                CNOperator(spec.sigma_diff,
+                           GRID.field(-1.0 * spec.delta_dec.values), 0.05),
                 p.values, GRID.constant(0.0).values))
             masses.append(quad_circle(p))
         assert np.all(np.diff(masses) < 0.0)
@@ -223,43 +219,53 @@ class TestHandleArrays:
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_callbacks_match_field_functions(self, spec, scale):
         handle, dt = make_handle(spec), 0.02
-        op = CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec, dt)
+        op = CNOperator(spec.sigma_diff,
+                        spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         p = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
         for _ in range(3):
             i = handle.feedback(p)
-            assert np.array_equal(i.values, optimal_investment(spec).values)
+            assert np.array_equal(i.values, spec.i_star.values)
             if scale != 1.0:
                 i = handle.scale_control(i, scale)
             assert handle.running_payoff(p, i) == running_gain(spec, p, i)
             nxt = handle.step(p, i, dt)
-            want = cn_step(op, p.values, (spec.eta * i).values)
+            want = cn_step(op, p.values, spec.eta.values * i.values)
             assert np.array_equal(nxt.values, want)
             assert handle.running_payoff(nxt, i) == running_gain(spec, nxt, i)
             p = nxt
+
+    def test_value_and_feedback_are_the_public_functions(self, spec):
+        handle = make_handle(spec)
+        for callback, fn in ((handle.value, value_pollution),
+                             (handle.feedback, feedback_pollution)):
+            assert callback.func is fn
+            assert len(callback.args) == 1 and callback.args[0] is spec
 
     def test_payoff_follows_a_new_control(self, spec):
         # the reused utility belongs to the control object last scored
         handle = make_handle(spec)
         p = spec.grid.constant(0.5)
-        for i in (spec.i_star, 0.5 * spec.i_star, spec.i_star,
-                  2.0 * spec.i_star):
+        for i in (spec.i_star, spec.grid.field(0.5 * spec.i_star.values),
+                  spec.i_star, spec.grid.field(2.0 * spec.i_star.values)):
             assert handle.running_payoff(p, i) == running_gain(spec, p, i)
 
     def test_step_follows_a_new_control(self, spec):
         # the reused source eta * i belongs to the control object last given
         handle, dt = make_handle(spec), 0.02
-        op = CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec, dt)
+        op = CNOperator(spec.sigma_diff,
+                        spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         p = spec.grid.constant(0.5)
-        for i in (spec.i_star, 0.5 * spec.i_star, spec.i_star,
-                  2.0 * spec.i_star):
-            want = cn_step(op, p.values, (spec.eta * i).values)
+        for i in (spec.i_star, spec.grid.field(0.5 * spec.i_star.values),
+                  spec.i_star, spec.grid.field(2.0 * spec.i_star.values)):
+            want = cn_step(op, p.values, spec.eta.values * i.values)
             assert np.array_equal(handle.step(p, i, dt).values, want)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_matches_field_loop(self, spec, scale):
-        # the closed loop written out in Field arithmetic
+        # the closed loop written out in array arithmetic
         handle, dt, n_steps = make_handle(spec), 0.05, 25
-        op = CNOperator(spec.sigma_diff, -1.0 * spec.delta_dec, dt)
+        op = CNOperator(spec.sigma_diff,
+                        spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         a, g = spec.a_prod.values, spec.gamma.values
         p0 = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
         _, states, controls, running = _rollout(handle, p0, n_steps, dt,
@@ -272,10 +278,12 @@ class TestHandleArrays:
 
         p, total = p0, 0.0
         for k in range(n_steps):
-            i = spec.i_star if scale == 1.0 else scale * spec.i_star
+            i = spec.i_star if scale == 1.0 \
+                else spec.grid.field(scale * spec.i_star.values)
             assert np.array_equal(controls[k].values, i.values)
             g_left = gain(p, i)
-            p = spec.grid.field(cn_step(op, p.values, (spec.eta * i).values))
+            p = spec.grid.field(cn_step(op, p.values,
+                                        spec.eta.values * i.values))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g_left
                                  + np.exp(-spec.rho * (dt * (k + 1)))
                                  * gain(p, i))

@@ -60,15 +60,16 @@ class TestBuildSpec:
 
 class TestValue:
     def test_unit_pairing(self, const_spec):
-        x = const_spec.beta * (1.0 / inner_product(const_spec.beta,
-                                                   const_spec.beta))
+        x = const_spec.grid.field(const_spec.beta.values * (
+            1.0 / inner_product(const_spec.beta, const_spec.beta)))
         assert value_spatial(const_spec, x) == pytest.approx(2.0, rel=1e-12)
 
     def test_homogeneity(self, wavy_spec):
         x = smooth_positive(wavy_spec.grid, 1)
         v1 = value_spatial(wavy_spec, x)
         for k in (0.5, 3.0):
-            assert value_spatial(wavy_spec, k * x) == pytest.approx(
+            assert value_spatial(wavy_spec, x.grid.field(k * x.values)) \
+                == pytest.approx(
                 k ** 0.5 * v1, rel=1e-12)
 
     def test_eigenstate_value(self, const_spec):
@@ -78,14 +79,16 @@ class TestValue:
 
     def test_domain_violation(self, const_spec):
         with pytest.raises(DomainError):
-            value_spatial(const_spec, -1.0 * const_spec.grid.constant(1.0))
+            value_spatial(const_spec, const_spec.grid.field(
+                -1.0 * const_spec.grid.constant(1.0).values))
 
     def test_concavity_on_segments(self, wavy_spec):
         rng = np.random.default_rng(3)
         for seed in range(5):
             x1 = smooth_positive(wavy_spec.grid, 10 + seed)
             x2 = smooth_positive(wavy_spec.grid, 20 + seed)
-            mid = value_spatial(wavy_spec, 0.5 * x1 + 0.5 * x2)
+            mid = value_spatial(wavy_spec, x1.grid.field(
+                0.5 * x1.values + 0.5 * x2.values))
             assert mid >= 0.5 * (value_spatial(wavy_spec, x1)
                                  + value_spatial(wavy_spec, x2)) - 1e-12
 
@@ -93,7 +96,8 @@ class TestValue:
 class TestFeedback:
     def test_domain_edge(self, const_spec):
         with pytest.raises(DomainError):
-            feedback_spatial(const_spec, 0.0 * const_spec.grid.constant(1.0))
+            feedback_spatial(const_spec, const_spec.grid.field(
+                0.0 * const_spec.grid.constant(1.0).values))
 
     def test_nan_state_is_outside_the_domain(self, const_spec):
         # Field does not check finiteness, and the model states its domain
@@ -142,7 +146,8 @@ class TestFeedback:
 
         x = smooth_positive(wavy_spec.grid, 5)
         c = feedback_spatial(wavy_spec, x)
-        p = inner_product(x, wavy_spec.beta) ** (-0.5) * wavy_spec.beta
+        p = wavy_spec.grid.field(inner_product(x, wavy_spec.beta) ** (-0.5)
+                                 * wavy_spec.beta.values)
         rng = np.random.default_rng(7)
         with mp.workdps(40):
             for j in rng.integers(0, wavy_spec.grid.n, size=5):
@@ -155,7 +160,7 @@ class TestFeedback:
 class TestSimulate:
     def test_one_step_growth_identity(self, const_spec):
         dt = 1e-3
-        x0 = 0.1 * const_spec.eigen.e0
+        x0 = const_spec.grid.field(0.1 * const_spec.eigen.e0.values)
         traj = simulate_spatial(const_spec, x0, dt, dt)
         ratio = (inner_product(traj.states[-1], const_spec.beta)
                  / inner_product(x0, const_spec.beta))
@@ -203,7 +208,7 @@ class TestHJBResidual:
     def test_homogeneity_invariance(self, wavy_spec):
         x = smooth_positive(wavy_spec.grid, 11)
         r1 = hjb_residual_spatial(wavy_spec, x)
-        r2 = hjb_residual_spatial(wavy_spec, 7.0 * x)
+        r2 = hjb_residual_spatial(wavy_spec, x.grid.field(7.0 * x.values))
         assert abs(r1 - r2) < 1e-10
 
     def test_reference_residual_refines_at_second_order(self):
@@ -265,22 +270,30 @@ class TestHandleArrays:
                 c = handle.scale_control(c, scale)
             assert handle.running_payoff(y, c) == utility(spec, c)
             nxt = handle.step(y, c, dt)
-            want = cn_step(op, y.values, (-1.0 * (c * spec.N_pop)).values)
+            want = cn_step(op, y.values, -1.0 * (c.values * spec.N_pop.values))
             assert np.array_equal(nxt.values, want)
             assert handle.running_payoff(nxt, c) == utility(spec, c)
             y = nxt
+
+    def test_value_and_feedback_are_the_public_functions(self, spec):
+        handle = make_handle(spec)
+        for callback, fn in ((handle.value, value_spatial),
+                             (handle.feedback, feedback_spatial)):
+            assert callback.func is fn
+            assert len(callback.args) == 1 and callback.args[0] is spec
 
     def test_payoff_follows_a_new_control(self, spec):
         # the reused utility belongs to the control object last scored
         handle = make_handle(spec)
         y = smooth_positive(spec.grid, 6)
         c = handle.feedback(y)
-        for control in (c, 0.5 * c, c, 2.0 * c):
+        for control in (c, c.grid.field(0.5 * c.values), c,
+                        c.grid.field(2.0 * c.values)):
             assert handle.running_payoff(y, control) == utility(spec, control)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_matches_field_loop(self, spec, scale):
-        # the closed loop written out in Field arithmetic
+        # the closed loop written out in array arithmetic
         handle, dt, n_steps = make_handle(spec), 0.02, 25
         op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
         s, N = spec.sigma_crra, spec.N_pop
@@ -290,12 +303,14 @@ class TestHandleArrays:
         y, total = y0, 0.0
         for k in range(n_steps):
             p = inner_product(y, spec.beta)
-            c = p * (spec.beta ** (-1.0 / s))
+            c = spec.grid.field(p * (spec.beta.values ** (-1.0 / s)))
             if scale != 1.0:
-                c = scale * c
+                c = spec.grid.field(scale * c.values)
             assert np.array_equal(controls[k].values, c.values)
-            g = quad_circle((c ** (1.0 - s)) * N) / (1.0 - s)
-            y = spec.grid.field(cn_step(op, y.values, (-1.0 * (c * N)).values))
+            g = quad_circle(spec.grid.field((c.values ** (1.0 - s))
+                                            * N.values)) / (1.0 - s)
+            y = spec.grid.field(cn_step(op, y.values,
+                                        -1.0 * (c.values * N.values)))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g
                                  + np.exp(-spec.rho * (dt * (k + 1))) * g)
             assert np.array_equal(states[k + 1].values, y.values)

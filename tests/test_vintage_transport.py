@@ -212,11 +212,6 @@ class TestSimulate:
         traj = simulate_transport(spec, z0, T_end=10.0)
         assert traj.meta["min_state"] >= -1e-12
 
-    def test_rejects_wrong_dt(self, spec):
-        with pytest.raises(ValueError):
-            simulate_transport(spec, initial_profile(spec.age), T_end=1.0,
-                               dt=0.5 * spec.age.h)
-
     def test_open_loop_controls_state_independent(self, spec):
         z0 = initial_profile(spec.age)
         traj = simulate_transport(spec, z0, T_end=1.0)
