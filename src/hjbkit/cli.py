@@ -9,9 +9,9 @@ fixed column order) plus ``summary.json``; ``verify`` runs the
 verification suite and writes ``report.json``; ``oracle`` runs the
 coarse-scale dynamic-programming bracket for a delay model.
 
-Exit codes: 0 pass, 2 assumption/configuration failure, 3 tolerance
-failure, 4 domain exit.  All outputs are deterministic for a fixed seed:
-no timestamps, sorted keys, and full-precision floats.
+Exit codes: 0 pass, 2 assumption/configuration failure, 3 tolerance or
+numerics failure, 4 domain exit.  All outputs are deterministic for a
+fixed seed: no timestamps, sorted keys, and full-precision floats.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AssumptionError, ConfigError, DomainExitError
+from .errors import (AssumptionError, ConfigError, DomainExitError,
+                     NumericsError)
 from .scenarios import (MODELS, build_scenario, default_config,
                         oracle_scenario, refine_config, validate_config,
                         verify_scenario)
@@ -101,8 +102,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scenario = build_scenario(config)
     traj = scenario.simulate()
-    vm = match_run(scenario.handle, scenario.state0, traj.times[-1],
-                   traj.states[-1], traj.payoff)
+    vm = match_run(scenario.handle, scenario.state0, traj)
     summary = {
         "model": scenario.name,
         "config": config,
@@ -156,7 +156,7 @@ def cmd_oracle(args) -> int:
         "partial": False,
         "bracket_lo": bracket.lo,
         "bracket_hi": bracket.hi,
-        "truncated_value": bracket.truncated_value,
+        "truncated_value": bracket.lo,
         "tail_bound": bracket.tail_bound,
         "analytic_value": analytic,
         "slack": slack,
@@ -221,6 +221,9 @@ def main(argv=None) -> int:
     except DomainExitError as exc:
         print(f"domain exit: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except NumericsError as exc:  # a failed numerical self-check
+        print(f"numerics failure: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

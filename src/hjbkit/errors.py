@@ -55,3 +55,11 @@ class NumericsError(HJBKitError, RuntimeError):
 
 class ConfigError(HJBKitError, ValueError):
     """Invalid scenario configuration (unknown key, missing key, bad range)."""
+
+
+def closed_form_constant(name: str, value, sigma: float) -> float:
+    """``value``, unless a power of sigma took it out of (0, inf)."""
+    if not 0.0 < value < float("inf"):  # NaN fails too
+        raise AssumptionError(f"closed-form constant {name} = {value} is not "
+                              f"finite and positive at sigma = {sigma}")
+    return float(value)

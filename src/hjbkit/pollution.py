@@ -134,26 +134,23 @@ def running_gain(spec: PollutionSpec, p: Field, i: Field) -> float:
 
 
 def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
-                       dt: float = 1e-2) -> Trajectory:
+                       dt: float) -> Trajectory:
     """Forward Crank-Nicolson run under the (constant-in-time) optimal
     investment: the verification rollout over :func:`make_handle`.
 
     The discrete maximum principle is asserted: with p0 >= 0 and a
     nonnegative source the trajectory must stay above -1e-10.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if p0.min() < 0.0:
         raise DomainError(f"initial pollution must be nonnegative, min = {p0.min()}")
-    times, states, controls, running = _rollout(
-        make_handle(spec), p0, int(round(T_end / dt)), dt)
-    min_p = min(p.min() for p in states)
+    traj = _rollout(make_handle(spec), p0, T_end, dt)
+    min_p = min(p.min() for p in traj.states)
     if min_p < -1e-10:
         raise NumericsError(
             f"discrete maximum principle violated: min p = {min_p}"
         )
-    return Trajectory(times, states, controls, running,
-                      {"min_state": min_p})
+    traj.meta = {"min_state": min_p}
+    return traj
 
 
 def hjb_residual_pollution(spec: PollutionSpec, x: Field,

@@ -12,6 +12,7 @@ by the command-line front end and the acceptance tests.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import math
@@ -325,7 +326,7 @@ def _circle_parts(config, spec_at: Callable, key: str, residual: Callable,
     state0, dt, the random-state sampler and the residual hook.  The hook
     takes the working spec and its REFERENCE_FACTOR-finer reference spec
     from the state's own grid; ``spec_at`` runs once per resolution."""
-    spec_at = functools.cache(spec_at)
+    spec_at = functools.cache(_model_errors(config["model"])(spec_at))
     spec = spec_at(config["numerics"]["n"])
     x0 = spec.grid.from_function(circle_profile(config["initial"][key]))
     _check_initial(key, x0.values, nonzero)
@@ -358,22 +359,29 @@ def _smooth_positive_interval(rng, nodes, scale=1.0, amp=0.3):
                           + c[3] * np.cos(2 * x))
 
 
+@contextlib.contextmanager
+def _model_errors(model: str):
+    """A parameter the model rejects, at any resolution, as a ConfigError
+    naming the model; a failed assumption stays an AssumptionError."""
+    try:
+        yield
+    except (AssumptionError, ConfigError):
+        raise
+    except ValueError as exc:  # GridError is a ValueError too
+        raise ConfigError(f"{model}: {exc}") from exc
+
+
 def build_scenario(config: dict) -> Scenario:
-    """Validate ``config`` and wire its model; a parameter the model
-    rejects is a configuration error, a failed model assumption stays an
-    :class:`AssumptionError`.  Each ``_build_*`` returns the Scenario
-    fields that are particular to its model."""
+    """Validate ``config`` and wire its model, under
+    :func:`_model_errors`.  Each ``_build_*`` returns the Scenario fields
+    that are particular to its model."""
     config = validate_config(config)
     model = config["model"]
     builder = {"spatial-growth": _build_spatial, "pollution": _build_pollution,
                "vintage-dde": _build_vintage, "time-to-build": _build_ttb,
                "vintage-transport": _build_transport}[model]
-    try:
+    with _model_errors(model):
         parts = builder(config)
-    except (AssumptionError, ConfigError):
-        raise
-    except ValueError as exc:  # GridError is a ValueError too
-        raise ConfigError(f"{model}: {exc}") from exc
     return Scenario(name=model, config=config,
                     T_end=config["numerics"]["T_end"], **parts)
 
@@ -486,6 +494,7 @@ def _build_transport(config):
         for desc in (p["alpha"], p["q1"], p["beta1"], init["z0"]))
 
     @functools.cache
+    @_model_errors(config["model"])
     def spec_at(m_age):
         age = AgeGrid(p["sbar"], m_age)
         s = age.nodes
@@ -509,7 +518,7 @@ def _build_transport(config):
         spec=spec, handle=vintage_transport.make_handle(spec),
         state0=z0, dt=spec.age.h,
         simulate=lambda: vintage_transport.simulate_transport(
-            spec, z0, T_end=num["T_end"]),
+            spec, z0, num["T_end"]),
         sample_state=lambda rng, m_age: _smooth_positive_interval(
             rng, AgeGrid(p["sbar"], m_age).nodes, scale=0.5),
         # a profile on m_age cells has m_age + 1 nodes
@@ -640,12 +649,8 @@ def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
     build_scenario(config)
     sc = build_scenario(dict(config, numerics=dict(config["numerics"],
                                                    m=ORACLE_COARSE_CELLS)))
-    dt = sc.dt
-    T_end = ORACLE_EFOLDINGS / sc.handle.rho
-    n_steps = int(round(T_end / dt))
-    _, _, controls, _ = _rollout(sc.handle, sc.state0, n_steps, dt)
-    seed_controls = [float(c) for c in controls[:n_steps]]
+    seed = _rollout(sc.handle, sc.state0, ORACLE_EFOLDINGS / sc.handle.rho, sc.dt)
     bracket = brute_force_value(delay.oracle_problem(sc.spec.delay), sc.state0,
-                                dt, T_end, n_controls=n_controls,
-                                seed_controls=seed_controls, budget=budget)
+                                sc.dt, seed.controls[:-1],
+                                n_controls=n_controls, budget=budget)
     return bracket, float(sc.handle.value(sc.state0))

@@ -19,7 +19,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError
+from .errors import AssumptionError, DomainError, closed_form_constant
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
                        inner_product, restrict, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
@@ -74,13 +74,15 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
             "finiteness assumption failed: need rho > lambda0*(1-sigma), "
             f"got rho = {rho}, lambda0*(1-sigma) = {lam0 * (1.0 - sigma_crra)}"
         )
-    weight = inner_product(
-        Field(grid, eigen.e0.values ** (1.0 - 1.0 / sigma_crra)), N_pop)
-    base = sigma_crra / (rho - lam0 * (1.0 - sigma_crra)) * weight
-    alpha0 = base ** (sigma_crra / (1.0 - sigma_crra))
+    with np.errstate(all="ignore"):  # judged by closed_form_constant
+        weight = inner_product(
+            Field(grid, eigen.e0.values ** (1.0 - 1.0 / sigma_crra)), N_pop)
+        base = sigma_crra / (rho - lam0 * (1.0 - sigma_crra)) * weight
+        alpha0 = np.float64(base) ** (sigma_crra / (1.0 - sigma_crra))
+    alpha0 = closed_form_constant("alpha0", alpha0, sigma_crra)
     beta = Field(grid, alpha0 * eigen.e0.values)
     return SpatialGrowthSpec(A_coeff, N_pop, sigma_crra, rho, eigen,
-                             float(alpha0), beta)
+                             alpha0, beta)
 
 
 def _pairing(x: Field, beta: Field) -> float:
@@ -114,7 +116,7 @@ def utility(spec: SpatialGrowthSpec, c: Field) -> float:
 
 
 def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
-                     dt: float = 1e-2) -> Trajectory:
+                     dt: float) -> Trajectory:
     """Closed-loop Crank-Nicolson run under the consumption feedback.
 
     This is the verification rollout over :func:`make_handle`: the
@@ -122,24 +124,20 @@ def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
     an explicit source; the linear part stays implicit.  Positivity of the
     state is reported, not enforced: ``meta['positivity_ok']`` turns False
     at the first time min y < 0 (the run itself continues while
-    <y, beta> > 0 holds, and a domain exit reports the pairing and the
-    state's minimum).
+    <y, beta> > 0 holds, and a domain exit, at t = 0 too, reports the
+    pairing and the state's minimum).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if x0.min() < 0.0:
         raise DomainError(f"initial capital must be nonnegative, min = {x0.min()}")
-    _pairing(x0, spec.beta)
-    times, states, controls, running = _rollout(
-        make_handle(spec), x0, int(round(T_end / dt)), dt)
-    negative = [t for t, y in zip(times, states) if y.min() < 0.0]
-    meta = {
+    traj = _rollout(make_handle(spec), x0, T_end, dt)
+    negative = [t for t, y in zip(traj.times, traj.states) if y.min() < 0.0]
+    traj.meta = {
         "positivity_ok": not negative,
         "first_negative_time": float(negative[0]) if negative else None,
         "pairing_initial": inner_product(x0, spec.beta),
-        "pairing_final": inner_product(states[-1], spec.beta),
+        "pairing_final": inner_product(traj.states[-1], spec.beta),
     }
-    return Trajectory(times, states, controls, running, meta)
+    return traj
 
 
 def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,

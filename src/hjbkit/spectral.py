@@ -188,16 +188,13 @@ def char_root_vintage(A: float, T: float) -> CharRoot:
             f"fails (A*T = {A * T})"
         )
 
-    def f(z):
-        return A * (1.0 - np.exp(-z * T)) - z
+    def f(z):  # expm1 keeps f(lo) > 0 just above A*T = 1
+        return -A * np.expm1(-z * T) - z
 
     def fp(z):
         return A * T * np.exp(-z * T) - 1.0
 
-    lo = A * 1e-12
-    if f(lo) <= 0.0:  # pathological flatness; widen until sign is positive
-        lo = A * 1e-15
-    xi, resid = _bisect_then_newton(f, fp, lo, A)
+    xi, resid = _bisect_then_newton(f, fp, A * 1e-12, A)
     return CharRoot(float(xi), float(resid))
 
 

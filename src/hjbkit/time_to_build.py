@@ -30,7 +30,7 @@ import numpy as np
 
 from . import delay
 from .delay import DelayModel, gamma as gamma_ttb
-from .errors import AssumptionError
+from .errors import AssumptionError, closed_form_constant
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative, trapezoid)
 from .spectral import CharRoot, char_root_ttb
@@ -99,9 +99,10 @@ def build_ttb_spec(A: float, delta_dep: float, d: float, sigma_crra: float,
             f"got rho = {rho}, xi*(1-sigma) = {xi * (1.0 - sigma_crra)}"
         )
     alpha_mpc = (rho - xi * (1.0 - sigma_crra)) / (sigma_crra * xi)
-    nu = alpha_mpc ** (-sigma_crra) / xi
+    with np.errstate(all="ignore"):  # judged by closed_form_constant
+        nu = np.float64(alpha_mpc) ** (-sigma_crra) / xi
     return TTBSpec(A, delta_dep, d, sigma_crra, rho, Atilde, root,
-                   float(alpha_mpc), float(nu))
+                   float(alpha_mpc), closed_form_constant("nu", nu, sigma_crra))
 
 
 def to_output_coords(spec: TTBSpec, k_history: HistorySegment,

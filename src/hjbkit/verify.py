@@ -5,6 +5,8 @@ dynamic-programming identities need (value, feedback, which raises
 :class:`DomainError` off the domain, one-step transition, running
 payoff).  On top of it:
 
+* ``_rollout`` -- the one closed loop over a handle: the feedback over a
+  horizon, as the :class:`Trajectory` that every check below reads.
 * ``value_match`` -- the infinite-horizon identity: truncated discounted
   payoff plus the discounted analytic tail must reproduce the analytic
   value along the optimal feedback; any admissible control scores at most
@@ -15,19 +17,21 @@ payoff).  On top of it:
   transversality conditions, which are limsup/liminf statements).
 * ``brute_force_value`` -- a backward-sweep dynamic-programming oracle over
   a tube of control perturbations around the feedback path, with zero
-  terminal value and an explicit truncation bound.  It certifies the
-  closed-form value from below and brackets it from above without ever
-  evaluating the value callback (it runs on an :class:`OracleProblem`).
+  terminal value and an explicit truncation bound; the seed path's length
+  sets the horizon.  It certifies the closed-form value from below and
+  brackets it from above without ever evaluating the value callback (it
+  runs on an :class:`OracleProblem`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, DomainExitError, NumericsError
+from .gridcore import Trajectory
 
 
 class OracleBudgetError(NumericsError):
@@ -106,9 +110,10 @@ class ValueMatch:
         return self.payoff + self.tail
 
 
-def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
-             control_scale: float = 1.0):
-    """Closed-loop run under the (scaled) feedback.
+def _rollout(handle: ModelHandle, state0, T_end: float, dt: float,
+             control_scale: float = 1.0) -> Trajectory:
+    """The :class:`Trajectory` of the (scaled) feedback over [0, T_end],
+    in ``int(round(T_end / dt))`` steps of a positive dt.
 
     Controls are held constant on each step (the handle's step map
     integrates that piecewise-constant policy), and the payoff trapezoid
@@ -117,6 +122,9 @@ def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
     horizon length.  A state whose feedback raises :class:`DomainError`
     aborts the run with the handle's diagnostics of that state.
     """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = int(round(T_end / dt))
     times = dt * np.arange(n_steps + 1)
     disc = np.exp(-handle.rho * times)
     states, controls = [], []
@@ -143,7 +151,7 @@ def _rollout(handle: ModelHandle, state0, n_steps: int, dt: float,
         running[k + 1] = running[k] + 0.5 * dt * (
             disc[k] * g_left + disc[k + 1] * g_right)
     control(state, times[-1])
-    return times, states, controls, running
+    return Trajectory(times, states, controls, running)
 
 
 def value_match(handle: ModelHandle, state0, T_end: float, dt: float,
@@ -155,21 +163,19 @@ def value_match(handle: ModelHandle, state0, T_end: float, dt: float,
     ``control_scale != 1`` the result must fall strictly below the value
     (suboptimality direction of the verification theorem).
     """
-    times, states, _, running = _rollout(
-        handle, state0, int(round(T_end / dt)), dt, control_scale)
-    return match_run(handle, state0, times[-1], states[-1],
-                     float(running[-1]))
+    return match_run(handle, state0,
+                     _rollout(handle, state0, T_end, dt, control_scale))
 
 
-def match_run(handle: ModelHandle, state0, t_end: float, state_end,
-              payoff: float) -> ValueMatch:
-    """The value match of a finished run from ``state0``: its truncated
-    payoff, plus the analytic value of its final state ``state_end``
-    discounted from ``t_end``, against the analytic value of ``state0``."""
-    tail = float(np.exp(-handle.rho * t_end) * handle.value(state_end))
+def match_run(handle: ModelHandle, state0, traj: Trajectory) -> ValueMatch:
+    """The value match of a finished run ``traj`` from ``state0``: its
+    payoff, plus the analytic value of its final state discounted from its
+    final time, against the analytic value of ``state0``."""
+    tail = float(np.exp(-handle.rho * traj.times[-1])
+                 * handle.value(traj.states[-1]))
     analytic = float(handle.value(state0))
-    rel_gap = abs(payoff + tail - analytic) / max(abs(analytic), 1e-300)
-    return ValueMatch(analytic, payoff, tail, rel_gap)
+    rel_gap = abs(traj.payoff + tail - analytic) / max(abs(analytic), 1e-300)
+    return ValueMatch(analytic, traj.payoff, tail, rel_gap)
 
 
 def dpp_check(handle: ModelHandle, state0, r: float, dt: float) -> float:
@@ -184,8 +190,11 @@ def transversality(handle: ModelHandle, traj) -> float:
 
     A negative slope is finite-time evidence for the vanishing-discounted-
     value condition closing the infinite-horizon verification argument.
+    Below 4 steps the last quartile is one time, a ValueError.
     """
     times = traj.times
+    if len(times) < 5:
+        raise ValueError(f"transversality needs 5 times, got {len(times)}")
     vals = np.array([abs(handle.value(s)) for s in traj.states])
     vals = np.maximum(vals, 1e-300)
     logs = -handle.rho * times + np.log(vals)
@@ -208,11 +217,13 @@ class OracleBracket:
     the reported truncation bound, and the implied bracket [lo, hi]."""
 
     lo: float
-    hi: float
-    truncated_value: float
     tail_bound: float
     evaluations: int
     passes: int
+
+    @property
+    def hi(self) -> float:
+        return self.lo + self.tail_bound
 
     def contains(self, value: float, slack: float = 0.03) -> bool:
         width = slack * max(abs(self.lo), abs(self.hi), 1e-300)
@@ -220,23 +231,23 @@ class OracleBracket:
 
 
 def brute_force_value(problem: OracleProblem, state0, dt: float,
-                      T_end: float, n_controls: int = 33,
+                      seed_controls, n_controls: int = 33,
                       span: float = 0.5, span_min: float = 4e-3,
-                      max_passes: int = 12, seed_controls=None,
+                      max_passes: int = 12,
                       budget: int = 20_000_000) -> OracleBracket:
     """Backward-sweep dynamic programming over a tube of control levels.
 
-    The control path starts from ``seed_controls`` (one entry per step;
-    typically the feedback path) and is improved by repeated
-    backward-in-time sweeps: at each step the control tries ``n_controls``
-    levels spanning ``+-span`` (relative) around the current choice,
-    clipped to the admissible box, and keeps whatever maximizes the
-    remaining discounted payoff with ZERO terminal value.  The span halves
-    whenever a sweep stops paying.  For these concave problems the sweeps
-    converge to the truncated-discrete optimum, which bounds the analytic
-    value from below; adding the truncation bound gives the upper bracket
-    edge.  ``lo`` always corresponds to an explicitly evaluated feasible
-    policy, whatever the pass count.
+    The control path starts from ``seed_controls`` (one entry per step of
+    dt, so its length sets the horizon; typically the feedback path) and
+    is improved by repeated backward-in-time sweeps: at each step the
+    control tries ``n_controls`` levels spanning ``+-span`` (relative)
+    around the current choice, clipped to the admissible box, and keeps
+    whatever maximizes the remaining discounted payoff with ZERO terminal
+    value.  The span halves whenever a sweep stops paying.  For these
+    concave problems the sweeps converge to the truncated-discrete optimum,
+    which bounds the analytic value from below; adding the truncation bound
+    gives the upper bracket edge.  ``lo`` always corresponds to an
+    explicitly evaluated feasible policy, whatever the pass count.
 
     All candidates of one step are scored together, as one batch run
     forward to the horizon, and the states and payoffs before each step
@@ -247,7 +258,8 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
     The recursion consumes only the step/payoff callbacks (no value
     callback exists on :class:`OracleProblem`).
     """
-    n_steps = int(round(T_end / dt))
+    controls = list(seed_controls)
+    n_steps = len(controls)
     times = dt * np.arange(n_steps + 1)
     disc = np.exp(-problem.rho * times)
     evals = 0
@@ -299,15 +311,6 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
         values[live[inside]] = total[inside]
         return values, rows(batch, inside), live[inside]
 
-    if seed_controls is None:
-        raise ValueError("seed_controls is required (e.g. the feedback path)")
-    controls = list(seed_controls)
-    if len(controls) != n_steps:
-        raise ValueError(
-            f"seed controls must have {n_steps} entries (one per step), "
-            f"got {len(controls)}"
-        )
-
     start = problem.to_batch(state0)
     values, final, _ = forward(start, np.array(controls[:1]), 0, 0.0)
     best = values[0]
@@ -353,9 +356,7 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
 
     tail_bound = float(problem.payoff_tail_bound(problem.from_row(final, 0),
                                                  times[-1]))
-    return OracleBracket(lo=float(best), hi=float(best + tail_bound),
-                         truncated_value=float(best),
-                         tail_bound=float(tail_bound),
+    return OracleBracket(lo=float(best), tail_bound=tail_bound,
                          evaluations=evals, passes=passes)
 
 
@@ -405,15 +406,4 @@ class VerifyReport:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "residual_max": self.residual_max,
-            "residual_mean": self.residual_mean,
-            "residual_refined_max": self.residual_refined_max,
-            "value_match_gap": self.value_match_gap,
-            "suboptimal_margin": self.suboptimal_margin,
-            "transversality_slope": self.transversality_slope,
-            "tolerances": {k: v for k, v in self.tolerances.items()},
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "passed": self.passed}

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import delay
 from .delay import DelayModel, gamma as gamma0
-from .errors import AssumptionError, DomainError
+from .errors import AssumptionError, DomainError, closed_form_constant
 from .gridcore import HistorySegment, StructuralState, Trajectory, trapezoid
 from .spectral import CharRoot, char_root_vintage
 from .verify import ModelHandle
@@ -89,8 +89,10 @@ def build_vintage_spec(A: float, T_scrap: float, sigma_crra: float,
             f"got rho = {rho}, xi*(1-sigma) = {xi * (1.0 - sigma_crra)}"
         )
     g = (rho - xi * (1.0 - sigma_crra)) / sigma_crra
-    nu = g ** (-sigma_crra) * (A / xi) ** (1.0 - sigma_crra)
-    return VintageSpec(A, T_scrap, sigma_crra, rho, root, float(nu))
+    with np.errstate(all="ignore"):  # judged by closed_form_constant
+        nu = np.float64(g) ** -sigma_crra * np.float64(A / xi) ** (1 - sigma_crra)
+    return VintageSpec(A, T_scrap, sigma_crra, rho, root,
+                       closed_form_constant("nu", nu, sigma_crra))
 
 
 def lift_vintage(k0: float | None, iota: HistorySegment,

@@ -201,8 +201,8 @@ def optimal_trajectory_closed_form(spec: TransportSpec, z0, t: float) -> np.ndar
     return out
 
 
-def simulate_transport(spec: TransportSpec, z0, u0=None, u1=None,
-                       T_end: float = 1.0) -> Trajectory:
+def simulate_transport(spec: TransportSpec, z0, T_end: float, u0=None,
+                       u1=None) -> Trajectory:
     """March the transport PDE with the exact-shift upwind scheme: the
     verification rollout over :func:`make_handle`.
 
@@ -212,15 +212,13 @@ def simulate_transport(spec: TransportSpec, z0, u0=None, u1=None,
     boundary injection).  ``u0``/``u1`` default to the optimal open-loop
     controls; given, they are held constant over the run.
     """
-    dt = spec.age.h
     control = (spec.u0_star if u0 is None else float(u0),
                spec.u1_star if u1 is None else spec.age.profile(u1))
     handle = make_handle(spec)
     handle.feedback = lambda z: control
-    times, states, controls, running = _rollout(
-        handle, spec.age.profile(z0).copy(), int(round(T_end / dt)), dt)
-    return Trajectory(times, states, controls, running,
-                      {"min_state": float(min(z.min() for z in states))})
+    traj = _rollout(handle, spec.age.profile(z0).copy(), T_end, spec.age.h)
+    traj.meta = {"min_state": float(min(z.min() for z in traj.states))}
+    return traj
 
 
 def hjb_residual_transport(spec: TransportSpec, x) -> float:

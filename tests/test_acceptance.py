@@ -108,9 +108,7 @@ def test_criterion_5_oracle_containment(ttb_oracle):
     # tests share (conftest.py); its wall time includes oracle_scenario's
     _, data, elapsed = ttb_oracle
     results["time-to-build"] = (
-        OracleBracket(lo=data["bracket_lo"], hi=data["bracket_hi"],
-                      truncated_value=data["truncated_value"],
-                      tail_bound=data["tail_bound"],
+        OracleBracket(lo=data["bracket_lo"], tail_bound=data["tail_bound"],
                       evaluations=data["evaluations"], passes=data["passes"]),
         data["analytic_value"], elapsed)
     details = []

@@ -131,6 +131,18 @@ class TestRun:
         assert code == 2
         assert "growth condition" in capsys.readouterr().err
 
+    def test_root_just_above_unit_growth_product(self, tmp_path, capsys):
+        # A*T = 1.000001 has a positive root; the default start state is
+        # then outside the domain
+        cfg = default_config("vintage-dde")
+        cfg["params"]["T"] = 1.000001
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "domain exit" in err and "Traceback" not in err
+
     def test_domain_exit_exits_4(self, tmp_path):
         cfg = default_config("vintage-dde")
         cfg["params"]["rho"] = 0.95  # interior condition fails; loop exits
@@ -198,6 +210,13 @@ BAD_INPUTS = [
      "initial.iota0"),
     ("vintage-transport", "initial", "z0",
      {"type": "constant", "value": -1.0}, "initial.z0"),
+    # a closed-form constant past the float range: alpha0 overflows or
+    # underflows near sigma = 1 and overflows at a tiny sigma, and nu
+    # is NaN at a huge one
+    ("spatial-growth", "params", "sigma", 0.999999, "sigma"),
+    ("spatial-growth", "params", "sigma", 1.000001, "sigma"),
+    ("spatial-growth", "params", "sigma", 1e-12, "sigma"),
+    ("vintage-dde", "params", "sigma", 1e6, "sigma"),
 ]
 
 
@@ -283,6 +302,26 @@ class TestVerify:
         assert report["passed"] is True
         assert report["residual_max"] < 1e-5
         assert report["residual_refined_max"] < 0.5 * report["residual_max"]
+
+    @pytest.mark.parametrize("key, desc, code, said", [
+        # a <= 1 only on the residual study's finer grids
+        ("a", {"type": "harmonic", "mean": 1.1, "cos": 0.15, "k": 512}, 2,
+         "error: pollution: productivity a must exceed 1"),
+        # the elliptic solve on the reference grid fails its defect check
+        ("sigma_diff", {"type": "harmonic", "mean": 40.0, "cos": 0.2}, 3,
+         "numerics failure: cyclic tridiagonal solve failed"),
+    ])
+    def test_residual_grid_failures_exit_cleanly(self, tmp_path, capsys,
+                                                 key, desc, code, said):
+        cfg = default_config("pollution")
+        cfg["params"][key] = desc
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["verify", "--config", str(path),
+                        "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert said in err
+        assert "Traceback" not in err
 
     def test_tightened_tolerance_fails_controlled(self, tmp_path, capsys):
         cfg = default_config("vintage-dde")

@@ -118,11 +118,11 @@ def case(request):
 
 def assert_same_run(got, want):
     times, states, controls, running = want
-    assert np.array_equal(got[0], times)
-    assert got[2] == controls
-    assert np.array_equal(got[3], running)
-    assert len(got[1]) == len(states)
-    for a, b in zip(got[1], states):
+    assert np.array_equal(got.times, times)
+    assert got.controls == controls
+    assert np.array_equal(got.running_payoff, running)
+    assert len(got.states) == len(states)
+    for a, b in zip(got.states, states):
         assert a.head == b.head
         assert np.array_equal(a.tail.values, b.tail.values)
         assert a.tail.d == b.tail.d
@@ -144,9 +144,7 @@ class TestSimulate:
     def test_equals_reference_loop(self, case):
         model, state0 = case
         traj = delay.simulate(model, state0, 6.0)
-        assert_same_run((traj.times, traj.states, traj.controls,
-                         traj.running_payoff),
-                        reference_simulate(model, state0, 6.0))
+        assert_same_run(traj, reference_simulate(model, state0, 6.0))
 
     def test_start_state_is_not_written(self, case):
         model, state0 = case
@@ -224,9 +222,10 @@ class TestDelayHandle:
     def test_rollout_equals_public_functions(self, case, scale):
         model, state0 = case
         dt = state0.tail.dt
-        got = _rollout(delay.make_handle(model), state0, 60, dt, scale)
-        want = _rollout(public_delay_handle(model), state0, 60, dt, scale)
-        assert_same_run(got, want)
+        got = _rollout(delay.make_handle(model), state0, 60 * dt, dt, scale)
+        want = _rollout(public_delay_handle(model), state0, 60 * dt, dt, scale)
+        assert_same_run(got, (want.times, want.states, want.controls,
+                              want.running_payoff))
 
     def test_nan_gamma_is_outside_the_domain(self, case):
         # the feedback is the one domain test, so it must reject what the
@@ -242,17 +241,17 @@ class TestDelayHandle:
         steep = build_vintage_spec(1.0, 2.0, 0.5, rho)
         state0, model = vintage_start(steep), steep.delay
         exc = assert_same_exit(
-            lambda: _rollout(delay.make_handle(model), state0, 400, 0.05,
-                             scale),
-            lambda: _rollout(public_delay_handle(model), state0, 400, 0.05,
-                             scale))
+            lambda: _rollout(delay.make_handle(model), state0, 400 * 0.05,
+                             0.05, scale),
+            lambda: _rollout(public_delay_handle(model), state0, 400 * 0.05,
+                             0.05, scale))
         assert exc.time > 1.0
 
     def test_non_finite_control_raises(self, case):
         model, state0 = case
         for handle in (delay.make_handle(model), public_delay_handle(model)):
             with pytest.raises(GridError):
-                _rollout(handle, state0, 5, state0.tail.dt,
+                _rollout(handle, state0, 5 * state0.tail.dt, state0.tail.dt,
                          control_scale=np.inf)
 
 
@@ -312,14 +311,15 @@ class TestTransportHandle:
     def test_rollout_equals_reference(self, skewed_transport, scale):
         spec = skewed_transport
         z0 = initial_profile(spec.age)
-        got = _rollout(make_handle(spec), z0, 80, spec.age.h, scale)
-        want = _rollout(reference_transport_handle(spec), z0, 80,
+        got = _rollout(make_handle(spec), z0, 80 * spec.age.h, spec.age.h,
+                       scale)
+        want = _rollout(reference_transport_handle(spec), z0, 80 * spec.age.h,
                         spec.age.h, scale)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[3], want[3])
-        for a, b in zip(got[1], want[1]):
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.running_payoff, want.running_payoff)
+        for a, b in zip(got.states, want.states):
             assert np.array_equal(a, b)
-        for a, b in zip(got[2], want[2]):
+        for a, b in zip(got.controls, want.controls):
             assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
     def test_feedback_is_one_shared_pair(self, skewed_transport):

@@ -268,8 +268,9 @@ class TestHandleArrays:
                         spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         a, g = spec.a_prod.values, spec.gamma.values
         p0 = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-        _, states, controls, running = _rollout(handle, p0, n_steps, dt,
-                                                control_scale=scale)
+        traj = _rollout(handle, p0, n_steps * dt, dt, control_scale=scale)
+        states, controls, running = (traj.states, traj.controls,
+                                     traj.running_payoff)
 
         def gain(p, i):
             util = quad_circle(spec.grid.field(

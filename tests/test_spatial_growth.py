@@ -110,7 +110,7 @@ class TestFeedback:
             with pytest.raises(DomainError):
                 fn(nan)
         with pytest.raises(DomainExitError) as err:
-            _rollout(handle, nan, 5, 0.01)
+            _rollout(handle, nan, 5 * 0.01, 0.01)
         assert err.value.time == 0.0
         assert set(err.value.diagnostics) == {"pairing", "min_state"}
         assert np.isnan(err.value.diagnostics["pairing"])
@@ -298,8 +298,9 @@ class TestHandleArrays:
         op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
         s, N = spec.sigma_crra, spec.N_pop
         y0 = smooth_positive(spec.grid, 8)
-        _, states, controls, running = _rollout(handle, y0, n_steps, dt,
-                                                control_scale=scale)
+        traj = _rollout(handle, y0, n_steps * dt, dt, control_scale=scale)
+        states, controls, running = (traj.states, traj.controls,
+                                     traj.running_payoff)
         y, total = y0, 0.0
         for k in range(n_steps):
             p = inner_product(y, spec.beta)

@@ -176,6 +176,22 @@ class TestCharRoots:
                                  1e-12, A)
             assert xi == pytest.approx(oracle, abs=1e-10)
 
+    def test_vintage_just_above_unit_product(self):
+        # A(1 - e^{-zT}) - z cancels to <= 0 at the bracket's low end when
+        # A*T is barely above 1, unless it is evaluated through expm1
+        import mpmath as mp
+        for k in range(3, 13):
+            A, T = 1.0, 1.0 + 10.0 ** -k
+            xi = char_root_vintage(A, T).xi
+            assert xi > 0.0, k
+            if k <= 7:
+                with mp.workdps(50):
+                    # the root is near 2(AT - 1)/(A T^2) for AT near 1
+                    exact = mp.findroot(
+                        lambda z: A * (1 - mp.exp(-z * mp.mpf(T))) - z,
+                        mp.mpf(2.0 * (A * T - 1.0) / (A * T * T)))
+                assert xi == pytest.approx(float(exact), rel=1e-9), k
+
     def test_vintage_rejects_at_most_unit_product(self):
         with pytest.raises(AssumptionError):
             char_root_vintage(1.0, 1.0)

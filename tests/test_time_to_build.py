@@ -292,11 +292,8 @@ def test_coarse_dp_oracle_brackets_value(spec):
     st = structural_state(spec, 1.0, u0)
     handle = make_handle(spec)
     dt, T_end = u0.dt, 5.0 / spec.rho
-    n_steps = int(round(T_end / dt))
-    _, _, controls, _ = _rollout(handle, st, n_steps, dt, 1.0)
+    seed = _rollout(handle, st, T_end, dt, 1.0).controls[:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
-                                T_end, n_controls=9, max_passes=3,
-                                seed_controls=[float(c)
-                                               for c in controls[:n_steps]])
+                                seed, n_controls=9, max_passes=3)
     v = value_ttb(spec, st)
     assert bracket.contains(v, 0.03)

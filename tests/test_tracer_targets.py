@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps hjbkit functions by name; every name it
 wraps must still exist, so that a refactor cannot silently break it."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjbkit.scenarios import build_scenario, default_config
+from hjbkit.scenarios import build_scenario, default_config, verify_scenario
 from hjbkit.verify import value_match
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer():
@@ -90,3 +92,34 @@ def test_circle_steps_reach_cn_step(model):
         trace.uninstall()
     num = cfg["numerics"]
     assert trace.calls["gridcore.cn_step"] == round(num["T_end"] / num["dt"])
+
+
+def _perfbench_constant(name):
+    """A literal module constant of ``perfbench/run.py``, read without
+    importing it: the import sets BLAS thread variables in this process."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    (value,) = (node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+    return ast.literal_eval(value)
+
+
+@pytest.mark.parametrize("model", ["spatial-growth", "pollution"])
+def test_verify_meets_perfbench_coverage_counts(model):
+    # perfbench's coverage check expects ROLLOUTS["verify"] rollouts of
+    # one cn_step per step, and one simulate_* call, per circle verify
+    rollouts = _perfbench_constant("ROLLOUTS")["verify"]
+    simulate = _perfbench_constant("SIMULATE_OF")[model]
+    cfg = default_config(model)
+    cfg["numerics"]["T_end"] = 0.2
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        verify_scenario(cfg)
+    finally:
+        trace.uninstall()
+    num = cfg["numerics"]
+    steps = round(num["T_end"] / num["dt"])
+    assert trace.calls["gridcore.cn_step"] == rollouts * steps
+    module = MODEL_NAMES[model][0]
+    assert trace.calls[f"{module}.{simulate}"] == 1

@@ -93,6 +93,20 @@ class TestTransversality:
                                                              abs=1e-10)
 
 
+    @pytest.mark.parametrize("steps", [3, 4])
+    def test_fit_needs_four_steps(self, spatial, steps):
+        # three steps leave one time in the last quartile, no slope
+        _, handle, x0 = spatial
+        times = 0.05 * np.arange(steps + 1)
+        traj = Trajectory(times, [x0] * (steps + 1), [None] * (steps + 1),
+                          np.zeros(steps + 1))
+        if steps < 4:
+            with pytest.raises(ValueError, match="needs 5 times"):
+                transversality(handle, traj)
+        else:
+            assert np.isfinite(transversality(handle, traj))
+
+
 def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
                  span=0.5, span_min=4e-3, max_passes=12):
     """Reference for ``brute_force_value``: the same backward sweep, one
@@ -166,9 +180,8 @@ def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
 
 class TestBruteForce:
     def seed_for(self, handle, state, dt, T_end):
-        n_steps = int(round(T_end / dt))
-        _, _, controls, _ = _rollout(handle, state, n_steps, dt, 1.0)
-        return [float(c) for c in controls[:n_steps]]
+        traj = _rollout(handle, state, T_end, dt, 1.0)
+        return [float(c) for c in traj.controls[:-1]]
 
     def test_oracle_problem_has_no_value_callback(self, problem):
         assert isinstance(problem, OracleProblem)
@@ -179,16 +192,14 @@ class TestBruteForce:
         # whose history spans another lag is refused, as simulate does
         st = lift_vintage(None, HistorySegment.constant(3.0, 8, 1.0))
         with pytest.raises(ValueError, match="history covers"):
-            brute_force_value(problem, st, 0.375, 1.5,
-                              seed_controls=[1.0] * 4)
+            brute_force_value(problem, st, 0.375, [1.0] * 4)
 
     def test_single_level_returns_seed_policy_payoff(self, vintage, problem):
         _, handle, st = vintage
         dt, T_end = 0.25, 4.0
         seed = self.seed_for(handle, st, dt, T_end)
-        bracket = brute_force_value(problem, st, dt, T_end,
-                                    n_controls=1, max_passes=1,
-                                    seed_controls=seed)
+        bracket = brute_force_value(problem, st, dt, seed,
+                                    n_controls=1, max_passes=1)
         # recompute the seed policy payoff by hand
         state = st
         total = 0.0
@@ -198,7 +209,7 @@ class TestBruteForce:
             g_right = handle.running_payoff(state, u)
             total += 0.5 * dt * (np.exp(-handle.rho * k * dt) * g_left
                                  + np.exp(-handle.rho * (k + 1) * dt) * g_right)
-        assert bracket.truncated_value == pytest.approx(total, rel=1e-12)
+        assert bracket.lo == pytest.approx(total, rel=1e-12)
 
     def test_one_step_problem_equals_static_maximization(self, vintage,
                                                           problem):
@@ -208,9 +219,8 @@ class TestBruteForce:
         dt = 0.25
         seed = self.seed_for(handle, st, dt, dt)
         span = 0.5
-        bracket = brute_force_value(problem, st, dt, dt,
-                                    n_controls=33, span=span, max_passes=1,
-                                    seed_controls=seed)
+        bracket = brute_force_value(problem, st, dt, seed,
+                                    n_controls=33, span=span, max_passes=1)
 
         def cell(u):
             g_left = handle.running_payoff(st, u)
@@ -220,15 +230,13 @@ class TestBruteForce:
 
         candidates = seed[0] * (1.0 + span * np.linspace(-1.0, 1.0, 33))
         static_best = max(cell(u) for u in candidates)
-        assert bracket.truncated_value == pytest.approx(static_best,
-                                                        abs=1e-6)
+        assert bracket.lo == pytest.approx(static_best, abs=1e-6)
 
     def test_bracket_contains_analytic_value(self, vintage, problem):
         spec, handle, st = vintage
         dt, T_end = 0.25, 5.0 / spec.rho
         seed = self.seed_for(handle, st, dt, T_end)
-        bracket = brute_force_value(problem, st, dt, T_end,
-                                    n_controls=33, seed_controls=seed)
+        bracket = brute_force_value(problem, st, dt, seed, n_controls=33)
         assert bracket.contains(value_vintage(spec, st), 0.03)
         assert bracket.lo <= bracket.hi
         assert bracket.tail_bound > 0.0
@@ -239,8 +247,8 @@ class TestBruteForce:
         dt, T_end = 0.25, 10.0
         seed = self.seed_for(handle, st, dt, T_end)
         with pytest.raises(OracleBudgetError):
-            brute_force_value(problem, st, dt, T_end,
-                              n_controls=33, seed_controls=seed, budget=100)
+            brute_force_value(problem, st, dt, seed, n_controls=33,
+                              budget=100)
 
     @pytest.mark.parametrize("sigma, k0, n_controls, span, T_end, exercised", [
         (0.5, None, 9, 0.5, 3.0, None),
@@ -265,8 +273,7 @@ class TestBruteForce:
         dt = 0.25
         seed = self.seed_for(handle, st, dt, T_end)
         bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
-                                    T_end, n_controls=n_controls, span=span,
-                                    seed_controls=seed)
+                                    seed, n_controls=n_controls, span=span)
         want, counts = scalar_sweep(handle, spec.delay, st, dt, T_end, seed,
                                     n_controls, span)
         assert (bracket.lo, bracket.hi, bracket.evaluations,
@@ -280,8 +287,7 @@ class TestBruteForce:
         seed = self.seed_for(handle, st, dt, T_end)
         seed[2] = np.inf
         with pytest.raises(GridError, match="non-finite"):
-            brute_force_value(problem, st, dt, T_end,
-                              seed_controls=seed)
+            brute_force_value(problem, st, dt, seed)
 
     def test_suboptimality_direction_random_perturbations(self):
         # any admissible perturbed control scores at most the value, for
@@ -309,7 +315,7 @@ def test_rollout_reports_domain_exit():
     with pytest.raises(DomainError):
         handle.feedback(st)
     with pytest.raises(DomainExitError):
-        _rollout(handle, st, 10, iota.dt, 1.0)
+        _rollout(handle, st, 10 * iota.dt, iota.dt, 1.0)
 
 
 

@@ -287,12 +287,9 @@ def test_coarse_dp_oracle_brackets_value(spec):
     st = lift_vintage(None, iota)
     handle = make_handle(spec)
     dt, T_end = iota.dt, 5.0 / spec.rho
-    n_steps = int(round(T_end / dt))
-    _, _, controls, _ = _rollout(handle, st, n_steps, dt, 1.0)
+    seed = _rollout(handle, st, T_end, dt, 1.0).controls[:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
-                                T_end, n_controls=33,
-                                seed_controls=[float(c)
-                                               for c in controls[:n_steps]])
+                                seed, n_controls=33)
     v = value_vintage(spec, st)
     assert bracket.contains(v, 0.03)
     # the value constant printed with the +sigma exponent lands far outside
