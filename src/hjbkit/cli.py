@@ -29,7 +29,8 @@ from .errors import (AssumptionError, ConfigError, DomainExitError,
 from .scenarios import (MODELS, build_scenario, default_config,
                         oracle_scenario, refine_config, validate_config,
                         verify_scenario)
-from .verify import OracleBudgetError, match_run
+from .verify import (ORACLE_BUDGET, ORACLE_CONTROL_LEVELS, OracleBudgetError,
+                     match_run)
 
 EXIT_OK = 0
 EXIT_ASSUMPTION = 2
@@ -50,8 +51,15 @@ def _json_ready(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_json_ready(obj), sort_keys=True, indent=2)
-                    + "\n")
+    """Strict JSON: a NaN or infinite figure is a NumericsError, and the
+    file is not written."""
+    try:
+        text = json.dumps(_json_ready(obj), sort_keys=True, indent=2,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NumericsError(f"{path.name} would hold a non-finite figure: "
+                            f"{exc}") from None
+    path.write_text(text + "\n")
 
 
 def _read_config(path: str) -> dict:
@@ -190,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random test-state sampling in verify")
         if name == "oracle":
-            p.add_argument("--levels", type=int, default=33,
+            p.add_argument("--levels", type=int, default=ORACLE_CONTROL_LEVELS,
                            help="control levels per step in the DP sweep")
-            p.add_argument("--budget", type=int, default=20_000_000,
+            p.add_argument("--budget", type=int, default=ORACLE_BUDGET,
                            help="payoff-evaluation budget before the DP "
                                 "aborts with a partial report")
         p.set_defaults(fn=fn)

@@ -106,6 +106,12 @@ def feedback(model: DelayModel, state: StructuralState) -> float:
     return _steer(model, state.head, gamma(state, model.xi))
 
 
+def band(model: DelayModel, x0):
+    """The control band ((a - room) x0, a x0) of a head x0, a scalar or an
+    array of heads."""
+    return (model.a - model.room) * x0, model.a * x0
+
+
 def diagnostics(model: DelayModel, state: StructuralState) -> dict:
     """Head and equivalent capital of a state, for domain-exit reports."""
     return _report(model, state.head, gamma(state, model.xi))
@@ -255,20 +261,21 @@ def make_handle(model: DelayModel) -> ModelHandle:
 
 
 def oracle_problem(model: DelayModel) -> OracleProblem:
-    """The batched step/payoff view the DP oracle runs on.  It has no value
-    callback, so the oracle cannot peek at the closed form."""
+    """The batched step/payoff view the DP oracle runs on, over batches of
+    heads (k,) and tails (k, m+1).  It has no value callback, so the oracle
+    cannot peek at the closed form, and it builds no validated state."""
     s, xi = model.sigma, model.xi
-    lo, hi = model.a - model.room, model.a  # band per unit of x0
 
-    def tail_bound(state, t_abs):
+    def tail_bound(batch, t_abs):
         # any admissible continuation keeps the payoff's argument below
         # M e^{xi (t - t_abs)}, by the renewal comparison with the
         # characteristic supersolution
         if s >= 1.0:
             raise NotImplementedError("tail bound implemented for sigma < 1")
-        window = state.tail.values[::-1] / model.c
-        m0 = float(np.max(window * np.exp(-xi * state.tail.nodes)))
-        M = max(model.head_envelope * state.head, m0, 0.0)
+        window = batch[1][0][::-1] / model.c  # the batch's first row
+        m0 = float(np.max(window * np.exp(
+            -xi * np.linspace(-model.lag, 0.0, len(window)))))
+        M = max(model.head_envelope * batch[0][0], m0, 0.0)
         return np.exp(-model.rho * t_abs) * M ** (1.0 - s) / (
             (1.0 - s) * (model.rho - xi * (1.0 - s)))
 
@@ -291,8 +298,6 @@ def oracle_problem(model: DelayModel) -> OracleProblem:
         domain_check=batch_in_domain,
         to_batch=lambda st: (np.array([st.head]),
                              _checked_history(model, st).values[np.newaxis]),
-        from_row=lambda batch, i: StructuralState(
-            batch[0][i], HistorySegment(model.lag, batch[1][i].copy())),
-        control_bounds=lambda batch: (lo * batch[0], hi * batch[0]),
+        control_bounds=lambda batch: band(model, batch[0]),
         payoff_tail_bound=tail_bound,
     )

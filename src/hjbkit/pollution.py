@@ -18,6 +18,7 @@ against a scalar maximizer in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -120,11 +121,18 @@ def feedback_pollution(spec: PollutionSpec, p: Field) -> Field:
 
 def utility(spec: PollutionSpec, i: Field) -> float:
     """Utility of consumption, the integral of ((a-1) i)^(1-gamma) /
-    (1-gamma), of an investment profile i."""
+    (1-gamma), of an investment profile i; a NumericsError where that
+    power leaves the float range."""
     spec.a_prod._check(i)
     g1 = 1.0 - spec.gamma.values
-    return float(spec.grid.h
-                 * (((spec.a_prod.values - 1.0) * i.values) ** g1 / g1).sum())
+    with np.errstate(all="ignore"):  # judged below
+        total = float(spec.grid.h * (((spec.a_prod.values - 1.0) * i.values)
+                                     ** g1 / g1).sum())
+    if not math.isfinite(total):
+        raise NumericsError(
+            f"utility of consumption is {total} in floating point at gamma "
+            f"in [{spec.gamma.min():.6g}, {spec.gamma.max():.6g}]")
+    return total
 
 
 def running_gain(spec: PollutionSpec, p: Field, i: Field) -> float:

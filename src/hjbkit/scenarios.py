@@ -23,12 +23,13 @@ import numpy as np
 
 from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
-from .errors import AssumptionError, ConfigError
-from .gridcore import (AgeGrid, CircleGrid, HistorySegment, inner_product,
-                       quad_circle)
-from .verify import (ModelHandle, OracleBracket, VerifyReport,
-                     brute_force_value, suboptimality_margin, transversality,
-                     value_match, _rollout)
+from .errors import AssumptionError, ConfigError, DomainError
+from .gridcore import (AgeGrid, CircleGrid, HistorySegment, StructuralState,
+                       inner_product, quad_circle)
+from .verify import (ORACLE_BUDGET, ORACLE_CONTROL_LEVELS, ModelHandle,
+                     OracleBracket, VerifyReport, brute_force_value,
+                     suboptimality_margin, transversality, value_match,
+                     _rollout)
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-5,        # max relative HJB defect at criterion resolution
@@ -352,11 +353,36 @@ def _check_initial(key: str, values: np.ndarray, nonzero: bool = False):
             f"min = {values.min()}")
 
 
-def _smooth_positive_interval(rng, nodes, scale=1.0, amp=0.3):
+def _smooth_positive_interval(rng, nodes, scale=1.0):
     x = np.pi * (nodes - nodes[0]) / (nodes[-1] - nodes[0])
-    c = rng.normal(size=4) * np.array([1.0, 0.6, 0.3, 0.15]) * amp
+    c = rng.normal(size=4) * np.array([1.0, 0.6, 0.3, 0.15]) * 0.3
     return scale * np.exp(c[0] + c[1] * np.cos(x) + c[2] * np.sin(x)
                           + c[3] * np.cos(2 * x))
+
+
+def _delay_test_state(model: delay.DelayModel, rng, m: int) -> StructuralState:
+    """A random state on m intervals inside a delay model's domain: the
+    tail c * reversed(window) of a smooth positive control window, whose
+    share of Gamma is ``part``, and the head x0 = kappa*part / (theta*room
+    - kappa) that makes consumption kappa*Gamma a share theta of its band
+    room*x0.  theta is drawn at 10-90 % of the domain 0 < theta < 1, where
+    theta > kappa/room if part > 0 and theta < kappa/room if part < 0.
+    A state ``delay.feedback`` rejects, or an empty interval (head 0, no
+    division), is an AssumptionError."""
+    window = _smooth_positive_interval(rng, np.linspace(-model.lag, 0.0, m + 1))
+    tail = HistorySegment(model.lag, model.c * window[::-1])
+    part = delay.gamma(StructuralState(0.0, tail), model.xi)
+    edge = model.kappa / model.room
+    lo, hi = (edge, 1.0) if part > 0.0 else (0.0, min(edge, 1.0))
+    theta = lo + (hi - lo) * rng.uniform(0.1, 0.9)
+    head = model.kappa * part / (theta * model.room - model.kappa) \
+        if lo < hi else 0.0
+    state = StructuralState(head, tail)
+    try:
+        delay.feedback(model, state)
+    except DomainError as exc:
+        raise AssumptionError(f"no interior test state: {exc}") from None
+    return state
 
 
 @contextlib.contextmanager
@@ -461,16 +487,11 @@ def _build_vintage(config):
     iota0 = HistorySegment.from_function(p["T"], num["m"], iota_fn)
     _check_initial("iota0", iota0.values, nonzero=True)
 
-    def sample_state(rng, m):
-        nodes = np.linspace(-p["T"], 0.0, m + 1)
-        iota = HistorySegment(p["T"], _smooth_positive_interval(rng, nodes))
-        return vintage_dde.lift_vintage(None, iota)
-
     def columns(state, control):
         return {
             "capital": state.head,
             "investment": float(control),
-            "gamma0": vintage_dde.gamma0(state, spec.xi.xi),
+            "gamma0": delay.gamma(state, spec.xi.xi),
         }
 
     return dict(
@@ -478,7 +499,7 @@ def _build_vintage(config):
         state0=vintage_dde.lift_vintage(None, iota0), dt=iota0.dt,
         simulate=lambda: vintage_dde.simulate_vintage(
             spec, iota0, num["T_end"]),
-        sample_state=sample_state,
+        sample_state=functools.partial(_delay_test_state, spec.delay),
         residual_fn=lambda st: vintage_dde.hjb_residual_vintage(spec, st),
         derived={"xi": spec.xi.xi, "nu": spec.nu, "mpc": spec.mpc,
                  "growth_rate": spec.growth_rate,
@@ -538,27 +559,11 @@ def _build_ttb(config):
     u0 = HistorySegment.from_function(p["d"], num["m"], u0_fn)
     q0 = init["q0"]
 
-    def sample_state(rng, m):
-        nodes = np.linspace(-p["d"], 0.0, m + 1)
-        for _ in range(100):
-            q = float(rng.uniform(0.8, 1.6))
-            hist = HistorySegment(
-                p["d"], _smooth_positive_interval(rng, nodes, scale=0.6,
-                                                  amp=0.25))
-            st = time_to_build.structural_state(spec, q, hist)
-            g = time_to_build.gamma_ttb(st, spec.xi.xi)
-            if 0.0 < g < 0.9 * q * spec.A / (spec.alpha_mpc * spec.Atilde):
-                return st
-        raise AssumptionError(
-            "time-to-build: no test state with q in [0.8, 1.6] met the "
-            "interior bound 0 < Gamma < 0.9*q*A/(alpha_mpc*Atilde) in 100 "
-            "draws")
-
     def columns(state, control):
         return {
             "output": state.head,
             "control": float(control),
-            "gamma": time_to_build.gamma_ttb(state, spec.xi.xi),
+            "gamma": delay.gamma(state, spec.xi.xi),
             "consumption": (spec.Atilde / spec.A)
             * (state.head - float(control)),
         }
@@ -568,7 +573,7 @@ def _build_ttb(config):
         state0=time_to_build.structural_state(spec, q0, u0), dt=u0.dt,
         simulate=lambda: time_to_build.simulate_ttb(
             spec, q0, u0, num["T_end"]),
-        sample_state=sample_state,
+        sample_state=functools.partial(_delay_test_state, spec.delay),
         residual_fn=lambda st: time_to_build.hjb_residual_ttb(spec, st),
         derived={"xi": spec.xi.xi, "nu": spec.nu, "alpha_mpc": spec.alpha_mpc,
                  "Atilde": spec.Atilde, "growth_rate": spec.growth_rate},
@@ -630,12 +635,11 @@ def verify_scenario(config: dict, seed: int = 0) -> VerifyReport:
 
 
 ORACLE_COARSE_CELLS = 8
-ORACLE_CONTROL_LEVELS = 33
 ORACLE_EFOLDINGS = 5.0
 
 
 def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
-                    budget: int = 20_000_000) -> tuple[OracleBracket, float]:
+                    budget: int = ORACLE_BUDGET) -> tuple[OracleBracket, float]:
     """Coarse-scale DP oracle for a delay model: returns the bracket and the
     analytic value of the same coarse state.  A model without an oracle is
     rejected before anything is built; a delay model is built at full

@@ -79,7 +79,11 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
             Field(grid, eigen.e0.values ** (1.0 - 1.0 / sigma_crra)), N_pop)
         base = sigma_crra / (rho - lam0 * (1.0 - sigma_crra)) * weight
         alpha0 = np.float64(base) ** (sigma_crra / (1.0 - sigma_crra))
+        # the value's constant: v(x) = alpha0^(1-sigma) <x, e0>^(1-sigma)
+        # / (1-sigma), so past the float range no value is representable
+        value_scale = alpha0 ** (1.0 - sigma_crra)
     alpha0 = closed_form_constant("alpha0", alpha0, sigma_crra)
+    closed_form_constant("alpha0^(1-sigma)", value_scale, sigma_crra)
     beta = Field(grid, alpha0 * eigen.e0.values)
     return SpatialGrowthSpec(A_coeff, N_pop, sigma_crra, rho, eigen,
                              alpha0, beta)

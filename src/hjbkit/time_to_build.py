@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import delay
-from .delay import DelayModel, gamma as gamma_ttb
+from .delay import DelayModel
 from .errors import AssumptionError, closed_form_constant
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative, trapezoid)
@@ -137,22 +137,6 @@ def structural_state(spec: TTBSpec, q: float,
     return StructuralState(float(q), tail)
 
 
-def value_ttb(spec: TTBSpec, state: StructuralState) -> float:
-    """Closed-form value nu * Gamma^(1-sigma) / (1-sigma)."""
-    return delay.value(spec.delay, state)
-
-
-def feedback_ttb(spec: TTBSpec, state: StructuralState) -> float:
-    """Optimal control u* = x0 - alpha Gamma(x), interior to the
-    irreversibility band exactly when the state is in the domain."""
-    return delay.feedback(spec.delay, state)
-
-
-def control_band(spec: TTBSpec, q: float) -> tuple[float, float]:
-    """Irreversibility band [(1 - A/Atilde) q, q] for the adjusted control."""
-    return ((1.0 - spec.A / spec.Atilde) * q, q)
-
-
 def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
                  T_end: float) -> Trajectory:
     """Closed-loop integration of q'(t) = Atilde u(t-d) under the feedback.
@@ -166,7 +150,7 @@ def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
                           T_end)
     q = np.array([st.head for st in traj.states])
     u = np.array(traj.controls)
-    lo, hi = control_band(spec, q)
+    lo, hi = delay.band(spec.delay, q)
     consumption = (spec.Atilde / spec.A) * (q - u)
     traj.meta = {
         "band_ok": bool(np.all((lo - 1e-12 <= u) & (u <= hi + 1e-12))),
@@ -245,7 +229,7 @@ def integrate_openloop_dde(spec: TTBSpec, q0: float,
 
     u_full = np.empty(m + n_steps + 1)
     u_full[:m] = u0_history.values[:m]  # u on [-d, 0), m samples
-    u_full[m] = (1.0 - al) * q0 - al * (gamma_ttb(state0, xi) - state0.head)
+    u_full[m] = (1.0 - al) * q0 - al * (delay.gamma(state0, xi) - state0.head)
     window_weights = np.exp(-xi * dt * np.arange(m + 1))
 
     def rhs_pieces(n, idx):

@@ -47,11 +47,11 @@ class OracleProblem:
     state.  ``step(batch, u, dt)``, ``running_payoff(batch, u)`` and
     ``domain_check(batch)`` act row by row, with ``u`` a scalar or one
     control per row; ``step`` raises :class:`GridError` on a non-finite
-    state.  ``to_batch`` stacks one validated state into a batch and
-    ``from_row(batch, i)`` validates row i back into a state.
-    ``control_bounds(batch)`` gives the admissible box of each row, and
-    ``payoff_tail_bound(state, time)`` an upper bound on any admissible
-    continuation's remaining discounted payoff.
+    state.  ``to_batch`` stacks one validated state into a batch; no
+    callback turns a row back into one.  ``control_bounds(batch)`` gives
+    the admissible box of each row, and ``payoff_tail_bound(batch, time)``
+    an upper bound on the remaining discounted payoff of any admissible
+    continuation from the batch's first row.
     """
 
     step: Callable
@@ -59,7 +59,6 @@ class OracleProblem:
     rho: float
     domain_check: Callable
     to_batch: Callable
-    from_row: Callable
     control_bounds: Callable
     payoff_tail_bound: Callable
 
@@ -225,16 +224,22 @@ class OracleBracket:
     def hi(self) -> float:
         return self.lo + self.tail_bound
 
-    def contains(self, value: float, slack: float = 0.03) -> bool:
+    def contains(self, value: float, slack: float) -> bool:
         width = slack * max(abs(self.lo), abs(self.hi), 1e-300)
         return self.lo - width <= value <= self.hi + width
 
 
+# the DP oracle's defaults: control levels per step, and payoff
+# evaluations before it gives up
+ORACLE_CONTROL_LEVELS = 33
+ORACLE_BUDGET = 20_000_000
+
+
 def brute_force_value(problem: OracleProblem, state0, dt: float,
-                      seed_controls, n_controls: int = 33,
+                      seed_controls, n_controls: int = ORACLE_CONTROL_LEVELS,
                       span: float = 0.5, span_min: float = 4e-3,
                       max_passes: int = 12,
-                      budget: int = 20_000_000) -> OracleBracket:
+                      budget: int = ORACLE_BUDGET) -> OracleBracket:
     """Backward-sweep dynamic programming over a tube of control levels.
 
     The control path starts from ``seed_controls`` (one entry per step of
@@ -354,8 +359,7 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
         if best - best_at_pass_start < 1e-7 * max(1.0, abs(best)):
             cur_span *= 0.5  # sweep stopped paying at this resolution
 
-    tail_bound = float(problem.payoff_tail_bound(problem.from_row(final, 0),
-                                                 times[-1]))
+    tail_bound = float(problem.payoff_tail_bound(final, times[-1]))
     return OracleBracket(lo=float(best), tail_bound=tail_bound,
                          evaluations=evals, passes=passes)
 

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import delay
-from .delay import DelayModel, gamma as gamma0
+from .delay import DelayModel
 from .errors import AssumptionError, DomainError, closed_form_constant
 from .gridcore import HistorySegment, StructuralState, Trajectory, trapezoid
 from .spectral import CharRoot, char_root_vintage
@@ -131,21 +131,6 @@ def gamma0_from_history(iota: HistorySegment, xi: float) -> float:
     u = iota.nodes
     w = 1.0 - np.exp(-xi * (u + iota.d))
     return trapezoid(w * iota.values, iota.dt)
-
-
-def value_vintage(spec: VintageSpec, state: StructuralState) -> float:
-    """Closed-form value nu * Gamma0^(1-sigma) / (1-sigma)."""
-    return delay.value(spec.delay, state)
-
-
-def feedback_vintage(spec: VintageSpec, state: StructuralState) -> float:
-    """Optimal investment i* = A x0 - nu^(-1/sigma)(A/xi)^(1/sigma) Gamma0.
-
-    Requires the state to lie in the open set where the closed form solves
-    the equation: Gamma0 > 0 and i* > 0 (equivalently A x0 above the
-    consumption level); the violated inequality is named on error.
-    """
-    return delay.feedback(spec.delay, state)
 
 
 def interior_condition(spec: VintageSpec) -> bool:

@@ -166,8 +166,7 @@ def test_criterion_7_closed_form_trajectory():
 
 
 def test_criterion_8_balanced_growth(scenarios):
-    from hjbkit.vintage_dde import gamma0
-    from hjbkit.time_to_build import gamma_ttb
+    from hjbkit import delay
     details = []
     all_ok = True
 
@@ -179,12 +178,11 @@ def test_criterion_8_balanced_growth(scenarios):
     all_ok &= ok
     details.append(f"spatial {slope:.6f} vs {sc.spec.growth_rate:.6f}")
 
-    for name, gamma_fn in (("vintage-dde", gamma0), ("time-to-build",
-                                                     gamma_ttb)):
+    for name in ("vintage-dde", "time-to-build"):
         sc = scenarios[name]
         traj = sc.simulate()
         xi = sc.spec.xi.xi
-        gs = np.array([gamma_fn(st, xi) for st in traj.states])
+        gs = np.array([delay.gamma(st, xi) for st in traj.states])
         slope = np.polyfit(traj.times, np.log(gs), 1)[0]
         ok = abs(slope - sc.spec.growth_rate) < 1e-3
         all_ok &= ok

@@ -350,9 +350,10 @@ class TestVerify:
         assert errors[0] == errors[1]
         assert "domain exit" in errors[0]
 
-    def test_no_interior_test_state_exits_2(self, tmp_path, capsys):
-        # the start state is interior, but no residual test state in the
-        # sampling box is
+    def test_large_output_samples_interior_test_states(self, tmp_path):
+        # a start output far above the control history: the residual test
+        # states are drawn inside the domain at any scale, so the residual
+        # study runs and only the suboptimal probe falls short
         cfg = default_config("time-to-build")
         cfg["params"]["rho"] = 0.25
         cfg["initial"]["q0"] = 20.0
@@ -360,8 +361,12 @@ class TestVerify:
         path.write_text(json.dumps(cfg))
         code = run_cli(["verify", "--config", str(path),
                         "--out", str(tmp_path)])
-        assert code == 2
-        assert "interior bound" in capsys.readouterr().err
+        assert code == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(report["failures"]) == 1
+        assert report["failures"][0].startswith("suboptimal control")
+        for key in ("residual_max", "residual_mean", "residual_refined_max"):
+            assert 0.0 < report[key] < 1e-5, key
 
     @pytest.mark.parametrize("model, numerics, keys", [
         ("spatial-growth", {"n": 32, "dt": 1.0, "T_end": 0.4},

@@ -1,12 +1,13 @@
 """Mutated default configurations either build or fail with a named
 configuration or assumption error, never with any other exception; and
 ``hjbkit run``/``verify``/``oracle`` on them exit with a documented code,
-never with a traceback.
+never with a traceback, and write only strict JSON (no NaN or Infinity).
 
 A mutation drops a key, swaps a number for a string, a non-finite value,
 zero or a negative, or swaps a profile for a non-object.  Grid resolutions
 are only ever replaced from a small fixed set, so no example allocates a
-large grid.
+large grid.  A deterministic sweep also scales each valid number of every
+default configuration by 10^k, k in {-12, -6, 6, 12}, one at a time.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjbkit.cli import main
@@ -110,14 +112,52 @@ def _assert_documented_exit(config, command, *flags):
                 contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path),
                          "--out", str(Path(tmp) / "out"), *flags])
+        outputs = [out.read_text()
+                   for out in (Path(tmp) / "out").glob("*.json")]
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    for text in outputs:
+        json.loads(text, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"output holds {name}, which is not strict JSON")
 
 
 @given(config=mutated_configs(prepare=_cheap),
        command=st.sampled_from(("run", "verify")))
 @settings(max_examples=800, deadline=None)
 def test_mutated_config_cli_exits_with_a_documented_code(config, command):
+    _assert_documented_exit(config, command)
+
+
+def _numeric_paths(config):
+    """Key paths of every number in the params/initial blocks, profile
+    entries included."""
+    return [path for path in _paths(config) if path[0] != "numerics"
+            and isinstance(_parent(config, path)[path[-1]], (int, float))]
+
+
+EXTREME_CASES = [
+    (model, path, k)
+    for model in MODELS
+    for path in _numeric_paths(default_config(model))
+    for k in (-12, -6, 6, 12)
+]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize(
+    "model, path, k", EXTREME_CASES,
+    ids=[f"{m}-{'.'.join(p)}-1e{k}" for m, p, k in EXTREME_CASES])
+def test_extreme_valid_number_exits_with_a_documented_code(model, path, k,
+                                                           command):
+    # one finite number of a default config times 10^k, on small grids and
+    # a short horizon: the command may pass or fail, but only with a
+    # documented code, no traceback and strict JSON outputs
+    config = default_config(model)
+    _cheap(config)
+    _parent(config, path)[path[-1]] *= 10.0 ** k
     _assert_documented_exit(config, command)
 
 

@@ -1,16 +1,19 @@
-"""The delay core's tail integral, and the array-native closed loops of the
-delay and age models checked bit for bit against loops written over the
-public, validating functions."""
+"""The delay core's tail integral and residual test states, and the
+array-native closed loops of the delay and age models checked bit for bit
+against loops written over the public, validating functions."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
 
 from hjbkit import delay
 from hjbkit.errors import DomainError, DomainExitError, GridError
+from hjbkit.errors import AssumptionError
 from hjbkit.gridcore import (AgeGrid, HistorySegment, StructuralState,
                              discounted_quadrature)
+from hjbkit.scenarios import build_scenario, default_config, _delay_test_state
 from hjbkit.time_to_build import build_ttb_spec, structural_state
 from hjbkit.verify import ModelHandle, _rollout
 from hjbkit.vintage_dde import build_vintage_spec, lift_vintage
@@ -83,6 +86,70 @@ def reference_simulate(model, state0, T_end):
         state = StructuralState(x0, pred.tail)
     running = discounted_quadrature(times, integrand, model.rho)
     return times, states, controls, running
+
+
+def found_ttb_config():
+    # a start output far above its control history, where a sampler with a
+    # fixed output box found no interior test state
+    cfg = default_config("time-to-build")
+    cfg["params"]["rho"] = 0.25
+    cfg["initial"]["q0"] = 20.0
+    return cfg
+
+
+def consumption_share(model, state):
+    """kappa*Gamma over its band room*x0: in (0, 1) inside the domain."""
+    return model.kappa * delay.gamma(state, model.xi) / (model.room
+                                                          * state.head)
+
+
+def hand_model(c, kappa, room=1.2):
+    return delay.DelayModel(lag=1.0, xi=0.3, nu=1.0, sigma=0.5, rho=0.2,
+                            a=1.0, b=0.0, c=c, kappa=kappa, room=room,
+                            head_envelope=1.0, head_name="head")
+
+
+class TestDelayTestStates:
+    @pytest.mark.parametrize("config", [
+        default_config("vintage-dde"), default_config("time-to-build"),
+        found_ttb_config()], ids=["vintage-dde", "time-to-build", "found"])
+    @pytest.mark.parametrize("m", [16, 400])
+    def test_scenario_samples_are_interior(self, config, m):
+        sc = build_scenario(config)
+        model = sc.spec.delay
+        for seed in range(10):
+            state = sc.sample_state(np.random.default_rng(seed), m)
+            assert state.tail.m == m
+            lower, _ = delay.band(model, state.head)
+            assert delay.feedback(model, state) > lower
+            assert 0.0 < consumption_share(model, state) < 1.0
+
+    @pytest.mark.parametrize("c, kappa", [(-0.5, 0.3), (-0.5, 3.0),
+                                          (0.5, 0.3)])
+    def test_hand_built_models_sample_inside_the_margin(self, c, kappa):
+        model = hand_model(c, kappa)
+        edge = kappa / model.room
+        lo, hi = (edge, 1.0) if c > 0.0 else (0.0, min(edge, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(10):
+                state = _delay_test_state(model, np.random.default_rng(seed),
+                                          16)
+                delay.feedback(model, state)
+                share = consumption_share(model, state)
+                width = hi - lo
+                assert lo + 0.1 * width - 1e-12 <= share \
+                    <= lo + 0.9 * width + 1e-12
+
+    @pytest.mark.parametrize("kappa", [1.2, 3.0])
+    def test_positive_tail_needs_kappa_below_room(self, kappa):
+        # c > 0 gives Gamma > x0, so kappa >= room leaves no interior head;
+        # at kappa == room the head formula would divide by zero
+        model = hand_model(0.5, kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssumptionError, match="no interior test state"):
+                _delay_test_state(model, np.random.default_rng(0), 16)
 
 
 M = 40  # history samples: off the defaults' 200

@@ -63,7 +63,7 @@ VERIFY_REPORT = {
 # verify --seed 3 for the delay and age models: the same three rollouts
 # per model, on the delay and transport handles
 DELAY_VERIFY_REPORT = {
-    "vintage-dde": {"residual_max": 1.3289782603409759e-06,
+    "vintage-dde": {"residual_max": 2.208023408501992e-06,
                     "value_match_gap": 0.0005293368404672555,
                     "suboptimal_margin": 0.38122996017994154,
                     "transversality_slope": -0.1031947860073305},
@@ -71,7 +71,7 @@ DELAY_VERIFY_REPORT = {
                           "value_match_gap": 0.0002499805095383093,
                           "suboptimal_margin": 0.11035857093309065,
                           "transversality_slope": -0.05999999999999994},
-    "time-to-build": {"residual_max": 5.901151725233642e-09,
+    "time-to-build": {"residual_max": 1.2902513854498395e-08,
                       "value_match_gap": 2.1935155770091185e-07,
                       "suboptimal_margin": 0.015269978993677538,
                       "transversality_slope": -0.16324468911355045},

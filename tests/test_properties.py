@@ -40,13 +40,14 @@ def test_char_root_bracket_and_residual(a, t_scrap):
 @given(scale=st.floats(min_value=0.05, max_value=20.0), seed=st.integers(0, 99))
 @settings(max_examples=20, deadline=None)
 def test_value_homogeneity_under_scaling(scale, seed):
-    from hjbkit.vintage_dde import build_vintage_spec, lift_vintage, value_vintage
+    from hjbkit import delay
+    from hjbkit.vintage_dde import build_vintage_spec, lift_vintage
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     rng = np.random.default_rng(seed)
     iota = HistorySegment(2.0, 0.2 + rng.random(9))
     state = lift_vintage(None, iota)
-    v = value_vintage(spec, state)
-    assert value_vintage(spec, state.scaled(scale)) == pytest.approx(
+    v = delay.value(spec.delay, state)
+    assert delay.value(spec.delay, state.scaled(scale)) == pytest.approx(
         scale ** 0.5 * v, rel=1e-11)
 
 

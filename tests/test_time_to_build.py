@@ -5,12 +5,10 @@ from oracle_helpers import golden_max
 from hjbkit import delay
 from hjbkit.errors import AssumptionError, DomainError, DomainExitError
 from hjbkit.gridcore import HistorySegment
-from hjbkit.time_to_build import (build_ttb_spec, control_band, feedback_ttb,
-                                  gamma_ttb, hjb_residual_ttb,
+from hjbkit.time_to_build import (build_ttb_spec, hjb_residual_ttb,
                                   integrate_openloop_dde, make_handle,
                                   openloop_dde_residual, simulate_ttb,
-                                  structural_state, to_output_coords,
-                                  value_ttb)
+                                  structural_state, to_output_coords)
 
 XI_REF = 0.236755310788559  # frozen: bisection of z = 0.3 e^{-z}
 
@@ -102,7 +100,7 @@ class TestGamma:
     def test_zero_tail(self, spec):
         st = structural_state(spec, 2.0,
                               HistorySegment.constant(spec.d, 8, 0.0))
-        assert gamma_ttb(st, spec.xi.xi) == 2.0
+        assert delay.gamma(st, spec.xi.xi) == 2.0
 
     def test_constant_history_characteristic_identity(self, spec):
         # tail = Atilde*c: Gamma = x0 + c (Atilde - xi)/xi, by the identity
@@ -110,7 +108,7 @@ class TestGamma:
         c, m = 0.8, 400
         xi = spec.xi.xi
         _, _, st = default_state(spec, m=m, q0=1.0, level=c)
-        direct = gamma_ttb(st, xi)
+        direct = delay.gamma(st, xi)
         closed = 1.0 + c * (spec.Atilde - xi) / xi
         assert direct == pytest.approx(closed, abs=2.0 / m ** 2)
 
@@ -119,42 +117,43 @@ class TestGamma:
         sp = build_ttb_spec(0.35, 0.05, 1e-6, 0.5, 0.2)
         st = structural_state(sp, 1.0,
                               HistorySegment.constant(1e-6, 8, 1.0))
-        assert gamma_ttb(st, sp.xi.xi) == pytest.approx(1.0, abs=1e-6)
+        assert delay.gamma(st, sp.xi.xi) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestValue:
     def test_unit_gamma(self, spec):
         st = structural_state(spec, 1.0,
                               HistorySegment.constant(spec.d, 8, 0.0))
-        assert value_ttb(spec, st) == pytest.approx(spec.nu / 0.5, rel=1e-12)
+        assert delay.value(spec.delay, st) == pytest.approx(spec.nu / 0.5,
+                                                            rel=1e-12)
 
     def test_homogeneity(self, spec):
         _, _, st = default_state(spec)
-        v = value_ttb(spec, st)
+        v = delay.value(spec.delay, st)
         for k in (0.3, 2.0):
-            assert value_ttb(spec, st.scaled(k)) == pytest.approx(
+            assert delay.value(spec.delay, st.scaled(k)) == pytest.approx(
                 k ** 0.5 * v, rel=1e-12)
 
     def test_rejects_nonpositive_gamma(self, spec):
         st = structural_state(spec, -1.0,
                               HistorySegment.constant(spec.d, 8, 0.0))
         with pytest.raises(DomainError):
-            value_ttb(spec, st)
+            delay.value(spec.delay, st)
 
 
 class TestFeedback:
     def test_zero_tail_gives_linear_rule(self, spec):
         st = structural_state(spec, 2.0,
                               HistorySegment.constant(spec.d, 8, 0.0))
-        assert feedback_ttb(spec, st) == pytest.approx(
+        assert delay.feedback(spec.delay, st) == pytest.approx(
             (1.0 - spec.alpha_mpc) * 2.0, rel=1e-12)
 
     def test_foc_against_scalar_maximizer(self, spec):
         _, _, st = default_state(spec, m=100)
-        u_star = feedback_ttb(spec, st)
-        g = gamma_ttb(st, spec.xi.xi)
+        u_star = delay.feedback(spec.delay, st)
+        g = delay.gamma(st, spec.xi.xi)
         p = spec.Atilde * spec.nu * g ** -0.5 * np.exp(-spec.xi.xi * spec.d)
-        lo, hi = control_band(spec, st.head)
+        lo, hi = delay.band(spec.delay, st.head)
         best = golden_max(lambda u: u * p + 2.0 * (st.head - u) ** 0.5,
                           lo, hi * 0.999999999)
         assert u_star == pytest.approx(best, abs=1e-9)
@@ -169,11 +168,11 @@ class TestFeedback:
         u0 = HistorySegment.constant(spec.d, 400, c * 1.01)
         st = structural_state(spec, q0, u0)
         with pytest.raises(DomainError):
-            feedback_ttb(spec, st)
+            delay.feedback(spec.delay, st)
 
     def test_consumption_positive_in_domain(self, spec):
         _, _, st = default_state(spec)
-        u = feedback_ttb(spec, st)
+        u = delay.feedback(spec.delay, st)
         assert (spec.Atilde / spec.A) * (st.head - u) > 0.0
 
 
@@ -181,7 +180,7 @@ class TestSimulate:
     def test_balanced_growth_rate(self, spec):
         q0, u0, _ = default_state(spec)
         traj = simulate_ttb(spec, q0, u0, 20.0)
-        gs = np.array([gamma_ttb(st, spec.xi.xi) for st in traj.states])
+        gs = np.array([delay.gamma(st, spec.xi.xi) for st in traj.states])
         slope = np.polyfit(traj.times, np.log(gs), 1)[0]
         assert slope == pytest.approx(spec.growth_rate, abs=1e-3)
 
@@ -295,5 +294,5 @@ def test_coarse_dp_oracle_brackets_value(spec):
     seed = _rollout(handle, st, T_end, dt, 1.0).controls[:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
                                 seed, n_controls=9, max_passes=3)
-    v = value_ttb(spec, st)
+    v = delay.value(spec.delay, st)
     assert bracket.contains(v, 0.03)

@@ -8,7 +8,7 @@ from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_handle
 from hjbkit.spatial_growth import simulate_spatial
 from hjbkit.vintage_dde import (build_vintage_spec, lift_vintage,
-                                make_handle as vintage_handle, value_vintage)
+                                make_handle as vintage_handle)
 from hjbkit.verify import (OracleProblem, VerifyReport, brute_force_value,
                            dpp_check, suboptimality_margin, transversality,
                            value_match, _rollout)
@@ -172,8 +172,8 @@ def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
                 best, final = best_j, best_final
         if best - at_pass_start < 1e-7 * max(1.0, abs(best)):
             cur_span *= 0.5
-    tail = delay.oracle_problem(model).payoff_tail_bound(final,
-                                                        dt * n_steps)
+    problem = delay.oracle_problem(model)
+    tail = problem.payoff_tail_bound(problem.to_batch(final), dt * n_steps)
     return (float(best), float(best + tail), counts["evaluations"],
             passes), counts
 
@@ -237,7 +237,7 @@ class TestBruteForce:
         dt, T_end = 0.25, 5.0 / spec.rho
         seed = self.seed_for(handle, st, dt, T_end)
         bracket = brute_force_value(problem, st, dt, seed, n_controls=33)
-        assert bracket.contains(value_vintage(spec, st), 0.03)
+        assert bracket.contains(delay.value(spec.delay, st), 0.03)
         assert bracket.lo <= bracket.hi
         assert bracket.tail_bound > 0.0
 

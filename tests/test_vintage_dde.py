@@ -5,11 +5,10 @@ from scipy.optimize import minimize_scalar
 from hjbkit import delay
 from hjbkit.errors import AssumptionError, DomainError
 from hjbkit.gridcore import HistorySegment
-from hjbkit.vintage_dde import (build_vintage_spec, feedback_vintage, gamma0,
-                                gamma0_from_history, hjb_residual_vintage,
-                                interior_condition, lift_vintage, make_handle,
-                                positivity_kernel, simulate_vintage,
-                                unlift_vintage, value_vintage)
+from hjbkit.vintage_dde import (build_vintage_spec, gamma0_from_history,
+                                hjb_residual_vintage, interior_condition,
+                                lift_vintage, make_handle, positivity_kernel,
+                                simulate_vintage, unlift_vintage)
 
 XI_REF = 0.796812130020020  # frozen: bisection of z = 1*(1 - e^{-2z})
 
@@ -80,7 +79,7 @@ class TestGamma0:
     def test_zero_tail(self, spec):
         st = lift_vintage(1.5, HistorySegment.constant(2.0, 8, 0.0),
                           enforce_consistency=False)
-        assert gamma0(st, spec.xi.xi) == 1.5
+        assert delay.gamma(st, spec.xi.xi) == 1.5
 
     def test_constant_history_closed_form(self, spec):
         # Gamma0 = c [T - (1 - e^{-xi T})/xi] for iota = c
@@ -89,16 +88,16 @@ class TestGamma0:
         iota = HistorySegment.constant(T, m, c)
         st = lift_vintage(None, iota)
         exact = c * (T - (1.0 - np.exp(-xi * T)) / xi)
-        assert gamma0(st, xi) == pytest.approx(exact, abs=2.0 / m ** 2)
+        assert delay.gamma(st, xi) == pytest.approx(exact, abs=2.0 / m ** 2)
         assert gamma0_from_history(iota, xi) == pytest.approx(
-            gamma0(st, xi), abs=1e-12)
+            delay.gamma(st, xi), abs=1e-12)
 
     def test_zero_rate_limit(self, spec):
         iota = positive_history(seed=5)
         st = lift_vintage(None, iota)
         from scipy.integrate import trapezoid
         expected = st.head + trapezoid(st.tail.values, dx=st.tail.dt)
-        assert gamma0(st, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert delay.gamma(st, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFeedback:
@@ -106,8 +105,8 @@ class TestFeedback:
         # default scenario numbers: xi, nu, Gamma0 composed per the formulas
         iota = HistorySegment.constant(2.0, 400, 1.0)
         st = lift_vintage(None, iota)
-        g0 = gamma0(st, spec.xi.xi)
-        i_star = feedback_vintage(spec, st)
+        g0 = delay.gamma(st, spec.xi.xi)
+        i_star = delay.feedback(spec.delay, st)
         expected = spec.A * st.head - spec.nu ** -2.0 * (
             spec.A / spec.xi.xi) ** 2.0 * g0
         assert i_star == pytest.approx(expected, rel=1e-12)
@@ -117,20 +116,20 @@ class TestFeedback:
         # scale the head down until A x0 equals the feedback consumption
         iota = HistorySegment.constant(2.0, 100, 1.0)
         st = lift_vintage(None, iota)
-        g0 = gamma0(st, spec.xi.xi)
+        g0 = delay.gamma(st, spec.xi.xi)
         tail_part = g0 - st.head
         coeff = spec.feedback_coefficient
         # head solving A h = coeff (h + tail_part) exactly
         h_edge = coeff * tail_part / (spec.A - coeff)
         bad = lift_vintage(h_edge, iota, enforce_consistency=False)
         with pytest.raises(DomainError):
-            feedback_vintage(spec, bad)
+            delay.feedback(spec.delay, bad)
 
     def test_foc_against_scalar_maximizer(self, spec):
         iota = positive_history(seed=8)
         st = lift_vintage(None, iota)
-        g0 = gamma0(st, spec.xi.xi)
-        i_star = feedback_vintage(spec, st)
+        g0 = delay.gamma(st, spec.xi.xi)
+        i_star = delay.feedback(spec.delay, st)
         b = spec.nu * g0 ** -0.5 * spec.xi.xi / spec.A  # B(Dv)
         res = minimize_scalar(
             lambda i: -((spec.A * st.head - i) ** 0.5 / 0.5 + i * b),
@@ -142,22 +141,22 @@ class TestFeedback:
 class TestValue:
     def test_homogeneity(self, spec):
         st = lift_vintage(None, positive_history(seed=2))
-        v = value_vintage(spec, st)
+        v = delay.value(spec.delay, st)
         for k in (0.25, 4.0):
-            assert value_vintage(spec, st.scaled(k)) == pytest.approx(
+            assert delay.value(spec.delay, st.scaled(k)) == pytest.approx(
                 k ** 0.5 * v, rel=1e-12)
 
     def test_unit_gamma(self, spec):
         st = lift_vintage(1.0, HistorySegment.constant(2.0, 8, 0.0),
                           enforce_consistency=False)
-        assert value_vintage(spec, st) == pytest.approx(spec.nu / 0.5,
-                                                        rel=1e-12)
+        assert delay.value(spec.delay, st) == pytest.approx(spec.nu / 0.5,
+                                                            rel=1e-12)
 
     def test_rejects_nonpositive_gamma(self, spec):
         st = lift_vintage(-1.0, HistorySegment.constant(2.0, 8, 0.0),
                           enforce_consistency=False)
         with pytest.raises(DomainError):
-            value_vintage(spec, st)
+            delay.value(spec.delay, st)
 
 
 class TestPositivityKernel:
@@ -195,7 +194,7 @@ class TestSimulate:
     def test_balanced_growth_rate(self, spec):
         iota = HistorySegment.constant(2.0, 200, 1.0)
         traj = simulate_vintage(spec, iota, 20.0)
-        g0s = np.array([gamma0(st, spec.xi.xi) for st in traj.states])
+        g0s = np.array([delay.gamma(st, spec.xi.xi) for st in traj.states])
         slope = np.polyfit(traj.times, np.log(g0s), 1)[0]
         assert slope == pytest.approx(spec.growth_rate, abs=1e-3)
 
@@ -249,7 +248,7 @@ class TestSimulate:
         from scipy.integrate import trapezoid
         iota = positive_history(m=400, seed=13)
         st = lift_vintage(None, iota)
-        direct = feedback_vintage(spec, st)
+        direct = delay.feedback(spec.delay, st)
         s = iota.nodes
         w = positivity_kernel(spec, s)
         via_kernel = float(trapezoid(w * iota.values, dx=iota.dt))
@@ -290,9 +289,9 @@ def test_coarse_dp_oracle_brackets_value(spec):
     seed = _rollout(handle, st, T_end, dt, 1.0).controls[:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
                                 seed, n_controls=33)
-    v = value_vintage(spec, st)
+    v = delay.value(spec.delay, st)
     assert bracket.contains(v, 0.03)
     # the value constant printed with the +sigma exponent lands far outside
     wrong_nu = spec.mpc ** 0.5 * (spec.A / spec.xi.xi) ** 0.5
-    g0 = gamma0(st, spec.xi.xi)
+    g0 = delay.gamma(st, spec.xi.xi)
     assert not bracket.contains(wrong_nu * g0 ** 0.5 / 0.5, 0.03)
