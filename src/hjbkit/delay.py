@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, DomainExitError, GridError
+from .errors import AssumptionError, DomainError, DomainExitError, GridError
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative, trapezoid)
 from .verify import ModelHandle, OracleProblem
@@ -130,12 +130,13 @@ def _advance(model: DelayModel, head: float, tail: np.ndarray, u: float,
     return head + dt * (model.b * u + tail[-1]), vals
 
 
-def shift(model: DelayModel, state: StructuralState, u: float,
-          dt: float) -> StructuralState:
-    """The state one sample on, holding the control at u (see
-    :func:`_advance`)."""
-    head, vals = _advance(model, state.head, state.tail.values, u, dt)
-    return StructuralState(head, HistorySegment(state.tail.d, vals))
+def shift(model: DelayModel, state: StructuralState,
+          u: float) -> StructuralState:
+    """The state one sample of its own history on, holding the control at
+    u (see :func:`_advance`)."""
+    hist = state.tail
+    head, vals = _advance(model, state.head, hist.values, u, hist.dt)
+    return StructuralState(head, HistorySegment(hist.d, vals))
 
 
 def _checked_history(model: DelayModel,
@@ -242,8 +243,20 @@ def hjb_residual(model: DelayModel, state: StructuralState) -> float:
     return abs(residual) / scale
 
 
-def make_handle(model: DelayModel) -> ModelHandle:
-    """Uniform verification interface; states are lifted structural states."""
+def make_handle(model: DelayModel, dt: float) -> ModelHandle:
+    """Uniform verification interface; states are lifted structural states
+    whose history spacing is the step dt, a positive number (a ValueError
+    otherwise).  A step shifts one sample, so it refuses a state of any
+    other spacing (a GridError)."""
+    if not dt > 0.0:  # NaN too
+        raise ValueError(f"dt must be positive, got {dt}")
+
+    def step(state, u):
+        if state.tail.dt != dt:
+            raise GridError(f"history spacing {state.tail.dt} is not the "
+                            f"handle's step {dt}")
+        return shift(model, state, u)
+
     def payoff(st, u):
         c = model.a * st.head - u
         if c < 0.0:
@@ -253,25 +266,29 @@ def make_handle(model: DelayModel) -> ModelHandle:
     return ModelHandle(
         value=functools.partial(value, model),
         feedback=functools.partial(feedback, model),
-        step=functools.partial(shift, model),
+        step=step,
         running_payoff=payoff,
         rho=model.rho,
+        dt=dt,
         diagnostics=functools.partial(diagnostics, model),
     )
 
 
-def oracle_problem(model: DelayModel) -> OracleProblem:
+def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
     """The batched step/payoff view the DP oracle runs on, over batches of
-    heads (k,) and tails (k, m+1).  It has no value callback, so the oracle
-    cannot peek at the closed form, and it builds no validated state."""
+    heads (k,) and tails (k, m+1) sampled at the step dt.  It has no value
+    callback, so the oracle cannot peek at the closed form, and it builds
+    no validated state.  Its payoff tail bound holds for sigma < 1 only,
+    so any other sigma is an AssumptionError."""
     s, xi = model.sigma, model.xi
+    if not s < 1.0:
+        raise AssumptionError("the DP oracle's payoff tail bound needs "
+                              f"sigma < 1, got sigma = {s}")
 
     def tail_bound(batch, t_abs):
         # any admissible continuation keeps the payoff's argument below
         # M e^{xi (t - t_abs)}, by the renewal comparison with the
         # characteristic supersolution
-        if s >= 1.0:
-            raise NotImplementedError("tail bound implemented for sigma < 1")
         window = batch[1][0][::-1] / model.c  # the batch's first row
         m0 = float(np.max(window * np.exp(
             -xi * np.linspace(-model.lag, 0.0, len(window)))))
@@ -286,18 +303,25 @@ def oracle_problem(model: DelayModel) -> OracleProblem:
         return np.array([-np.inf if c < 0.0 else c ** (1.0 - s) / (1.0 - s)
                          for c in (model.a * batch[0] - u).tolist()])
 
+    def to_batch(st):
+        hist = _checked_history(model, st)
+        if hist.dt != dt:
+            raise GridError(f"history spacing {hist.dt} is not the "
+                            f"problem's step {dt}")
+        return np.array([st.head]), hist.values[np.newaxis]
+
     def batch_in_domain(batch):
         heads, tails = batch
         g = heads + tails @ _trapezoid_weights(xi, tails.shape[1], model.lag)
         return (g > 0.0) & (model.kappa * g < model.room * heads)
 
     return OracleProblem(
-        step=functools.partial(shift_batch, model),
+        step=functools.partial(shift_batch, model, dt=dt),
         running_payoff=batch_payoff,
         rho=model.rho,
+        dt=dt,
         domain_check=batch_in_domain,
-        to_batch=lambda st: (np.array([st.head]),
-                             _checked_history(model, st).values[np.newaxis]),
+        to_batch=to_batch,
         control_bounds=lambda batch: band(model, batch[0]),
         payoff_tail_bound=tail_bound,
     )

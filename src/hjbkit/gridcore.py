@@ -249,7 +249,7 @@ class CNOperator:
     """
 
     def __init__(self, sigma: Field, zeroth: Field, dt: float):
-        if dt <= 0.0:
+        if not dt > 0.0:  # NaN too
             raise ValueError(f"dt must be positive, got {dt}")
         if sigma.min() <= 0.0:
             raise GridError(f"sigma must be positive, min = {sigma.min()}")

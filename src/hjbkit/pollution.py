@@ -151,7 +151,7 @@ def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
     """
     if p0.min() < 0.0:
         raise DomainError(f"initial pollution must be nonnegative, min = {p0.min()}")
-    traj = _rollout(make_handle(spec), p0, T_end, dt)
+    traj = _rollout(make_handle(spec, dt), p0, T_end)
     min_p = min(p.min() for p in traj.states)
     if min_p < -1e-10:
         raise NumericsError(
@@ -185,25 +185,24 @@ def hjb_residual_pollution(spec: PollutionSpec, x: Field,
     return abs(residual) / scale
 
 
-def make_handle(spec: PollutionSpec) -> ModelHandle:
-    """Uniform verification interface over the pollution model.
+def make_handle(spec: PollutionSpec, dt: float) -> ModelHandle:
+    """Uniform verification interface over the pollution model, stepping
+    by dt.
 
     The value, the feedback and the two payoff terms are the public
     functions of this module and :func:`inner_product`; the step works on
-    node arrays, with one factored CN operator per step size.  The optimal
-    investment is the one object ``spec.i_star`` at every step, so along
-    the feedback its utility, and the source ``eta * i`` of the step, are
-    computed once.  A rollout scores each state at both ends of a step, so
-    the disutility of the state last scored is reused too.
+    node arrays, with the one factored CN operator of dt, built here.  The
+    optimal investment is the one object ``spec.i_star`` at every step, so
+    along the feedback its utility, and the source ``eta * i`` of the
+    step, are computed once.  A rollout scores each state at both ends of
+    a step, so the disutility of the state last scored is reused too.
     """
     grid, eta = spec.grid, spec.eta.values
-    ops = {}  # dt -> factored CN operator
+    op = CNOperator(spec.sigma_diff, spec.zeroth, dt)
     source = memo_last(lambda i: eta * i.values)
 
-    def step(p, i, dt):
-        if dt not in ops:
-            ops[dt] = CNOperator(spec.sigma_diff, spec.zeroth, dt)
-        return Field(grid, cn_step(ops[dt], p.values, source(i)))
+    def step(p, i):
+        return Field(grid, cn_step(op, p.values, source(i)))
 
     scored_utility = memo_last(partial(utility, spec))
     scored_disutility = memo_last(partial(inner_product, spec.w_dis))
@@ -214,5 +213,6 @@ def make_handle(spec: PollutionSpec) -> ModelHandle:
         step=step,
         running_payoff=lambda p, i: scored_utility(i) - scored_disutility(p),
         rho=spec.rho,
+        dt=dt,
         scale_control=lambda c, s: Field(c.grid, s * c.values),
     )

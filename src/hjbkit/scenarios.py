@@ -301,7 +301,6 @@ class Scenario:
     spec: object
     handle: ModelHandle
     state0: object
-    dt: float
     T_end: float
     simulate: Callable            # () -> Trajectory
     sample_state: Callable        # (rng, resolution) -> state
@@ -324,7 +323,7 @@ def _circle_parts(config, spec_at: Callable, key: str, residual: Callable,
                   nonzero: bool = False):
     """What both circle models share: the spec at ``numerics.n``, the
     checked initial field ``initial.<key>``, and the Scenario fields spec,
-    state0, dt, the random-state sampler and the residual hook.  The hook
+    state0, the random-state sampler and the residual hook.  The hook
     takes the working spec and its REFERENCE_FACTOR-finer reference spec
     from the state's own grid; ``spec_at`` runs once per resolution."""
     spec_at = functools.cache(_model_errors(config["model"])(spec_at))
@@ -336,7 +335,7 @@ def _circle_parts(config, spec_at: Callable, key: str, residual: Callable,
         n = x.grid.n
         return residual(spec_at(n), x, spec_at(REFERENCE_FACTOR * n))
 
-    return spec, x0, dict(spec=spec, state0=x0, dt=config["numerics"]["dt"],
+    return spec, x0, dict(spec=spec, state0=x0,
                           sample_state=_smooth_positive_circle,
                           residual_fn=residual_fn)
 
@@ -434,7 +433,7 @@ def _build_spatial(config):
         }
 
     return dict(
-        shared, handle=spatial_growth.make_handle(spec),
+        shared, handle=spatial_growth.make_handle(spec, num["dt"]),
         simulate=lambda: spatial_growth.simulate_spatial(
             spec, x0, num["T_end"], num["dt"]),
         derived={"lambda0": spec.eigen.lambda0, "alpha0": spec.alpha0,
@@ -470,7 +469,7 @@ def _build_pollution(config):
         }
 
     return dict(
-        shared, handle=pollution.make_handle(spec),
+        shared, handle=pollution.make_handle(spec, num["dt"]),
         simulate=lambda: pollution.simulate_pollution(
             spec, p0, num["T_end"], num["dt"]),
         derived={"q_const": spec.q_const,
@@ -495,8 +494,8 @@ def _build_vintage(config):
         }
 
     return dict(
-        spec=spec, handle=vintage_dde.make_handle(spec),
-        state0=vintage_dde.lift_vintage(None, iota0), dt=iota0.dt,
+        spec=spec, handle=vintage_dde.make_handle(spec, iota0.dt),
+        state0=vintage_dde.lift_vintage(None, iota0),
         simulate=lambda: vintage_dde.simulate_vintage(
             spec, iota0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),
@@ -536,8 +535,7 @@ def _build_transport(config):
         }
 
     return dict(
-        spec=spec, handle=vintage_transport.make_handle(spec),
-        state0=z0, dt=spec.age.h,
+        spec=spec, handle=vintage_transport.make_handle(spec), state0=z0,
         simulate=lambda: vintage_transport.simulate_transport(
             spec, z0, num["T_end"]),
         sample_state=lambda rng, m_age: _smooth_positive_interval(
@@ -569,8 +567,8 @@ def _build_ttb(config):
         }
 
     return dict(
-        spec=spec, handle=time_to_build.make_handle(spec),
-        state0=time_to_build.structural_state(spec, q0, u0), dt=u0.dt,
+        spec=spec, handle=time_to_build.make_handle(spec, u0.dt),
+        state0=time_to_build.structural_state(spec, q0, u0),
         simulate=lambda: time_to_build.simulate_ttb(
             spec, q0, u0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),
@@ -610,15 +608,14 @@ def verify_scenario(config: dict, seed: int = 0) -> VerifyReport:
     transversality fit needs two times in its last quartile.
     """
     scenario = build_scenario(config)
-    steps = int(round(scenario.T_end / scenario.dt))
+    steps = int(round(scenario.T_end / scenario.handle.dt))
     if steps < 4:
         raise ConfigError(f"{_step_keys(scenario.config)} = {steps} steps; "
                           "verify's transversality fit needs at least 4")
     slope = transversality(scenario.handle, scenario.simulate())
-    vm = value_match(scenario.handle, scenario.state0, scenario.T_end,
-                     scenario.dt)
+    vm = value_match(scenario.handle, scenario.state0, scenario.T_end)
     margin = suboptimality_margin(scenario.handle, scenario.state0,
-                                  scenario.T_end, scenario.dt,
+                                  scenario.T_end,
                                   control_scale=scenario.suboptimal_scale)
     base, refined = residual_study(scenario, np.random.default_rng(seed))
     report = VerifyReport(
@@ -644,7 +641,8 @@ def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
     analytic value of the same coarse state.  A model without an oracle is
     rejected before anything is built; a delay model is built at full
     resolution first, to reject a bad ``numerics.m`` before the coarse
-    rebuild overrides it."""
+    rebuild overrides it.  A model the oracle cannot bound (sigma >= 1)
+    is an AssumptionError before the sweep starts."""
     config = validate_config(config)
     model = config["model"]
     if model not in ("vintage-dde", "time-to-build"):
@@ -653,8 +651,8 @@ def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
     build_scenario(config)
     sc = build_scenario(dict(config, numerics=dict(config["numerics"],
                                                    m=ORACLE_COARSE_CELLS)))
-    seed = _rollout(sc.handle, sc.state0, ORACLE_EFOLDINGS / sc.handle.rho, sc.dt)
-    bracket = brute_force_value(delay.oracle_problem(sc.spec.delay), sc.state0,
-                                sc.dt, seed.controls[:-1],
+    problem = delay.oracle_problem(sc.spec.delay, sc.handle.dt)
+    seed = _rollout(sc.handle, sc.state0, ORACLE_EFOLDINGS / sc.handle.rho)
+    bracket = brute_force_value(problem, sc.state0, seed.controls[:-1],
                                 n_controls=n_controls, budget=budget)
     return bracket, float(sc.handle.value(sc.state0))

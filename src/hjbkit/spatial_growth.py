@@ -19,7 +19,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, closed_form_constant
+from .errors import (AssumptionError, DomainError, NumericsError,
+                     closed_form_constant)
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
                        inner_product, restrict, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
@@ -101,9 +102,15 @@ def _pairing(x: Field, beta: Field) -> float:
 
 
 def value_spatial(spec: SpatialGrowthSpec, x: Field) -> float:
-    """Closed-form value <x, beta>^(1-sigma) / (1-sigma)."""
-    p = _pairing(x, spec.beta)
-    return p ** (1.0 - spec.sigma_crra) / (1.0 - spec.sigma_crra)
+    """Closed-form value <x, beta>^(1-sigma) / (1-sigma); a NumericsError
+    where the power leaves the float range."""
+    p, s = _pairing(x, spec.beta), spec.sigma_crra
+    try:
+        return p ** (1.0 - s) / (1.0 - s)
+    except OverflowError:
+        raise NumericsError(
+            f"value <x, beta>^(1-sigma)/(1-sigma) is past the float range at "
+            f"<x, beta> = {p:.6g}, sigma = {s:.6g}") from None
 
 
 def feedback_spatial(spec: SpatialGrowthSpec, x: Field) -> Field:
@@ -133,7 +140,7 @@ def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
     """
     if x0.min() < 0.0:
         raise DomainError(f"initial capital must be nonnegative, min = {x0.min()}")
-    traj = _rollout(make_handle(spec), x0, T_end, dt)
+    traj = _rollout(make_handle(spec, dt), x0, T_end)
     negative = [t for t, y in zip(traj.times, traj.states) if y.min() < 0.0]
     traj.meta = {
         "positivity_ok": not negative,
@@ -176,23 +183,22 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
     return abs(residual) / scale
 
 
-def make_handle(spec: SpatialGrowthSpec) -> ModelHandle:
-    """Uniform verification interface over the spatial model.
+def make_handle(spec: SpatialGrowthSpec, dt: float) -> ModelHandle:
+    """Uniform verification interface over the spatial model, stepping by
+    dt.
 
     The value, the feedback and the payoff are the public functions of
     this module; the feedback is the domain test, raising DomainError off
-    the half-space.  The step works on node arrays, with one factored CN
-    operator per step size.  A rollout scores each control at both ends of
-    its step, so the utility of the control last scored is reused (the
-    payoff does not depend on the state).
+    the half-space.  The step works on node arrays, with the one factored
+    CN operator of dt, built here.  A rollout scores each control at both
+    ends of its step, so the utility of the control last scored is reused
+    (the payoff does not depend on the state).
     """
     grid, N = spec.grid, spec.N_pop.values
-    ops = {}  # dt -> factored CN operator
+    op = CNOperator(grid.constant(1.0), spec.A_coeff, dt)
 
-    def step(y, c, dt):
-        if dt not in ops:
-            ops[dt] = CNOperator(grid.constant(1.0), spec.A_coeff, dt)
-        return Field(grid, cn_step(ops[dt], y.values, -1.0 * (c.values * N)))
+    def step(y, c):
+        return Field(grid, cn_step(op, y.values, -1.0 * (c.values * N)))
 
     scored_utility = memo_last(partial(utility, spec))
 
@@ -202,6 +208,7 @@ def make_handle(spec: SpatialGrowthSpec) -> ModelHandle:
         step=step,
         running_payoff=lambda y, c: scored_utility(c),
         rho=spec.rho,
+        dt=dt,
         scale_control=lambda c, s: Field(c.grid, s * c.values),
         diagnostics=lambda y: {"pairing": inner_product(y, spec.beta),
                                "min_state": y.min()},

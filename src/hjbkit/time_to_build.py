@@ -60,8 +60,10 @@ class TTBSpec:
     @property
     def utility_rescale(self) -> float:
         """Factor (Atilde/A)^(1-sigma) converting the (q-u)-form payoff to
-        consumption units."""
-        return (self.Atilde / self.A) ** (1.0 - self.sigma_crra)
+        consumption units, whose range :func:`build_ttb_spec` checks."""
+        with np.errstate(all="ignore"):  # judged by closed_form_constant
+            return float(np.float64(self.Atilde / self.A)
+                         ** (1.0 - self.sigma_crra))
 
     @cached_property
     def delay(self) -> DelayModel:
@@ -101,8 +103,11 @@ def build_ttb_spec(A: float, delta_dep: float, d: float, sigma_crra: float,
     alpha_mpc = (rho - xi * (1.0 - sigma_crra)) / (sigma_crra * xi)
     with np.errstate(all="ignore"):  # judged by closed_form_constant
         nu = np.float64(alpha_mpc) ** (-sigma_crra) / xi
-    return TTBSpec(A, delta_dep, d, sigma_crra, rho, Atilde, root,
+    spec = TTBSpec(A, delta_dep, d, sigma_crra, rho, Atilde, root,
                    float(alpha_mpc), closed_form_constant("nu", nu, sigma_crra))
+    closed_form_constant("(Atilde/A)^(1-sigma)", spec.utility_rescale,
+                         sigma_crra)
+    return spec
 
 
 def to_output_coords(spec: TTBSpec, k_history: HistorySegment,
@@ -274,6 +279,6 @@ def hjb_residual_ttb(spec: TTBSpec, state: StructuralState) -> float:
     return delay.hjb_residual(spec.delay, state)
 
 
-def make_handle(spec: TTBSpec) -> ModelHandle:
-    """Uniform verification interface; states are lifted structural states."""
-    return delay.make_handle(spec.delay)
+def make_handle(spec: TTBSpec, dt: float) -> ModelHandle:
+    """Uniform verification interface over lifted states sampled at dt."""
+    return delay.make_handle(spec.delay, dt)

@@ -44,10 +44,11 @@ class OracleProblem:
     the closed-form value.
 
     A batch is a tuple of arrays sharing a leading row axis, one row per
-    state.  ``step(batch, u, dt)``, ``running_payoff(batch, u)`` and
-    ``domain_check(batch)`` act row by row, with ``u`` a scalar or one
-    control per row; ``step`` raises :class:`GridError` on a non-finite
-    state.  ``to_batch`` stacks one validated state into a batch; no
+    state.  ``step(batch, u)`` advances by the problem's step ``dt``;
+    it, ``running_payoff(batch, u)`` and ``domain_check(batch)`` act row
+    by row, with ``u`` a scalar or one control per row; ``step`` raises
+    :class:`GridError` on a non-finite state.  ``to_batch`` stacks one
+    validated state into a batch, refusing one the step does not fit; no
     callback turns a row back into one.  ``control_bounds(batch)`` gives
     the admissible box of each row, and ``payoff_tail_bound(batch, time)``
     an upper bound on the remaining discounted payoff of any admissible
@@ -57,6 +58,7 @@ class OracleProblem:
     step: Callable
     running_payoff: Callable
     rho: float
+    dt: float
     domain_check: Callable
     to_batch: Callable
     control_bounds: Callable
@@ -65,12 +67,14 @@ class OracleProblem:
 
 @dataclass
 class ModelHandle:
-    """Uniform face over one model instance.
+    """Uniform face over one model instance, made for one step size.
 
-    ``feedback`` raises :class:`DomainError` on a state outside the
-    domain, the model's one statement of it; ``scale_control(u, s)``
-    scales a control by s (the default a float one); ``diagnostics``
-    (state -> dict) summarizes a state that left the domain.
+    ``step(state, u)`` advances by ``dt``, fixed when the handle is made,
+    as the model's grid is; ``feedback`` raises :class:`DomainError` on a
+    state outside the domain, the model's one statement of it;
+    ``scale_control(u, s)`` scales a control by s (the default a float
+    one); ``diagnostics`` (state -> dict) summarizes a state that left the
+    domain.
     """
 
     value: Callable
@@ -78,6 +82,7 @@ class ModelHandle:
     step: Callable
     running_payoff: Callable
     rho: float
+    dt: float
     scale_control: Callable = lambda control, s: s * control
     diagnostics: Callable | None = None
 
@@ -109,20 +114,22 @@ class ValueMatch:
         return self.payoff + self.tail
 
 
-def _rollout(handle: ModelHandle, state0, T_end: float, dt: float,
+def _rollout(handle: ModelHandle, state0, T_end: float,
              control_scale: float = 1.0) -> Trajectory:
     """The :class:`Trajectory` of the (scaled) feedback over [0, T_end],
-    in ``int(round(T_end / dt))`` steps of a positive dt.
+    in ``int(round(T_end / dt))`` steps of the handle's dt.
 
     Controls are held constant on each step (the handle's step map
     integrates that piecewise-constant policy), and the payoff trapezoid
     uses the step's own control at both endpoints, so the run evaluates an
     explicit admissible policy with O(dt^2) quadrature error regardless of
     horizon length.  A state whose feedback raises :class:`DomainError`
-    aborts the run with the handle's diagnostics of that state.
+    aborts the run with the handle's diagnostics of that state.  numpy's
+    floating-point errors raise inside the run, so an overflow is never
+    carried on as an inf: it is a :class:`NumericsError` at the time of
+    its step, as is Python's OverflowError.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = handle.dt
     n_steps = int(round(T_end / dt))
     times = dt * np.arange(n_steps + 1)
     disc = np.exp(-handle.rho * times)
@@ -141,19 +148,26 @@ def _rollout(handle: ModelHandle, state0, T_end: float, dt: float,
         controls.append(u)
         return u
 
-    state = state0
-    for k in range(n_steps):
-        u = control(state, times[k])
-        g_left = handle.running_payoff(state, u)
-        state = handle.step(state, u, dt)
-        g_right = handle.running_payoff(state, u)
-        running[k + 1] = running[k] + 0.5 * dt * (
-            disc[k] * g_left + disc[k + 1] * g_right)
-    control(state, times[-1])
+    state, t = state0, times[0]
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for k in range(n_steps):
+                t = times[k]
+                u = control(state, t)
+                g_left = handle.running_payoff(state, u)
+                state = handle.step(state, u)
+                g_right = handle.running_payoff(state, u)
+                running[k + 1] = running[k] + 0.5 * dt * (
+                    disc[k] * g_left + disc[k + 1] * g_right)
+            t = times[-1]
+            control(state, t)
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericsError(f"closed loop left the float range at t = "
+                            f"{t:.6g} ({exc})") from None
     return Trajectory(times, states, controls, running)
 
 
-def value_match(handle: ModelHandle, state0, T_end: float, dt: float,
+def value_match(handle: ModelHandle, state0, T_end: float,
                 control_scale: float = 1.0) -> ValueMatch:
     """Truncated payoff + discounted analytic tail vs. the analytic value.
 
@@ -163,7 +177,7 @@ def value_match(handle: ModelHandle, state0, T_end: float, dt: float,
     (suboptimality direction of the verification theorem).
     """
     return match_run(handle, state0,
-                     _rollout(handle, state0, T_end, dt, control_scale))
+                     _rollout(handle, state0, T_end, control_scale))
 
 
 def match_run(handle: ModelHandle, state0, traj: Trajectory) -> ValueMatch:
@@ -177,11 +191,11 @@ def match_run(handle: ModelHandle, state0, traj: Trajectory) -> ValueMatch:
     return ValueMatch(analytic, traj.payoff, tail, rel_gap)
 
 
-def dpp_check(handle: ModelHandle, state0, r: float, dt: float) -> float:
+def dpp_check(handle: ModelHandle, state0, r: float) -> float:
     """Relative gap in the dynamic-programming identity on [0, r] along the
     feedback (zero at r = 0, O(dt^2) for a single step, growing linearly
-    in r at fixed dt)."""
-    return value_match(handle, state0, r, dt).rel_gap if r else 0.0
+    in r at the handle's dt)."""
+    return value_match(handle, state0, r).rel_gap if r else 0.0
 
 
 def transversality(handle: ModelHandle, traj) -> float:
@@ -189,24 +203,26 @@ def transversality(handle: ModelHandle, traj) -> float:
 
     A negative slope is finite-time evidence for the vanishing-discounted-
     value condition closing the infinite-horizon verification argument.
-    Below 4 steps the last quartile is one time, a ValueError.
+    Only the fitted states are valued.  Below 4 steps the last quartile
+    is one time, a ValueError.
     """
-    times = traj.times
-    if len(times) < 5:
-        raise ValueError(f"transversality needs 5 times, got {len(times)}")
-    vals = np.array([abs(handle.value(s)) for s in traj.states])
+    n = len(traj.times)
+    if n < 5:
+        raise ValueError(f"transversality needs 5 times, got {n}")
+    q = 3 * n // 4
+    times = traj.times[q:]
+    vals = np.array([abs(handle.value(s)) for s in traj.states[q:]])
     vals = np.maximum(vals, 1e-300)
     logs = -handle.rho * times + np.log(vals)
-    q = 3 * len(times) // 4
-    return float(np.polyfit(times[q:], logs[q:], 1)[0])
+    return float(np.polyfit(times, logs, 1)[0])
 
 
 def suboptimality_margin(handle: ModelHandle, state0, T_end: float,
-                         dt: float, control_scale: float = 0.5) -> float:
+                         control_scale: float = 0.5) -> float:
     """How far a deliberately perturbed control scores below the value:
     (analytic - (payoff+tail)) / |analytic|.  Positive for genuinely
     suboptimal controls."""
-    vm = value_match(handle, state0, T_end, dt, control_scale=control_scale)
+    vm = value_match(handle, state0, T_end, control_scale=control_scale)
     return (vm.analytic - vm.total) / max(abs(vm.analytic), 1e-300)
 
 
@@ -235,15 +251,16 @@ ORACLE_CONTROL_LEVELS = 33
 ORACLE_BUDGET = 20_000_000
 
 
-def brute_force_value(problem: OracleProblem, state0, dt: float,
-                      seed_controls, n_controls: int = ORACLE_CONTROL_LEVELS,
+def brute_force_value(problem: OracleProblem, state0, seed_controls,
+                      n_controls: int = ORACLE_CONTROL_LEVELS,
                       span: float = 0.5, span_min: float = 4e-3,
                       max_passes: int = 12,
                       budget: int = ORACLE_BUDGET) -> OracleBracket:
     """Backward-sweep dynamic programming over a tube of control levels.
 
     The control path starts from ``seed_controls`` (one entry per step of
-    dt, so its length sets the horizon; typically the feedback path) and
+    the problem's dt, so its length sets the horizon; typically the
+    feedback path) and
     is improved by repeated backward-in-time sweeps: at each step the
     control tries ``n_controls`` levels spanning ``+-span`` (relative)
     around the current choice, clipped to the admissible box, and keeps
@@ -264,7 +281,7 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
     callback exists on :class:`OracleProblem`).
     """
     controls = list(seed_controls)
-    n_steps = len(controls)
+    n_steps, dt = len(controls), problem.dt
     times = dt * np.arange(n_steps + 1)
     disc = np.exp(-problem.rho * times)
     evals = 0
@@ -283,7 +300,7 @@ def brute_force_value(problem: OracleProblem, state0, dt: float,
     def cell(batch, u, k):
         """Step k holding u, and its control-consistent trapezoid cell."""
         g_left = problem.running_payoff(batch, u)
-        batch = problem.step(batch, u, dt)
+        batch = problem.step(batch, u)
         g_right = problem.running_payoff(batch, u)
         return batch, 0.5 * dt * (disc[k] * g_left + disc[k + 1] * g_right)
 

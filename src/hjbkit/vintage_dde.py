@@ -55,9 +55,12 @@ class VintageSpec:
 
     @property
     def feedback_coefficient(self) -> float:
-        """nu^(-1/sigma) (A/xi)^(1/sigma) = mpc * A / xi."""
+        """nu^(-1/sigma) (A/xi)^(1/sigma) = mpc * A / xi, in the power form,
+        whose range :func:`build_vintage_spec` checks."""
         s = self.sigma_crra
-        return self.nu ** (-1.0 / s) * (self.A / self.xi.xi) ** (1.0 / s)
+        with np.errstate(all="ignore"):  # judged by closed_form_constant
+            return float(np.float64(self.nu) ** (-1.0 / s)
+                         * np.float64(self.A / self.xi.xi) ** (1.0 / s))
 
     @property
     def growth_rate(self) -> float:
@@ -91,8 +94,10 @@ def build_vintage_spec(A: float, T_scrap: float, sigma_crra: float,
     g = (rho - xi * (1.0 - sigma_crra)) / sigma_crra
     with np.errstate(all="ignore"):  # judged by closed_form_constant
         nu = np.float64(g) ** -sigma_crra * np.float64(A / xi) ** (1 - sigma_crra)
-    return VintageSpec(A, T_scrap, sigma_crra, rho, root,
+    spec = VintageSpec(A, T_scrap, sigma_crra, rho, root,
                        closed_form_constant("nu", nu, sigma_crra))
+    closed_form_constant("kappa", spec.feedback_coefficient, sigma_crra)
+    return spec
 
 
 def lift_vintage(k0: float | None, iota: HistorySegment,
@@ -189,6 +194,6 @@ def hjb_residual_vintage(spec: VintageSpec, state: StructuralState) -> float:
     return delay.hjb_residual(spec.delay, state)
 
 
-def make_handle(spec: VintageSpec) -> ModelHandle:
-    """Uniform verification interface; states are lifted structural states."""
-    return delay.make_handle(spec.delay)
+def make_handle(spec: VintageSpec, dt: float) -> ModelHandle:
+    """Uniform verification interface over lifted states sampled at dt."""
+    return delay.make_handle(spec.delay, dt)

@@ -216,7 +216,7 @@ def simulate_transport(spec: TransportSpec, z0, T_end: float, u0=None,
                spec.u1_star if u1 is None else spec.age.profile(u1))
     handle = make_handle(spec)
     handle.feedback = lambda z: control
-    traj = _rollout(handle, spec.age.profile(z0).copy(), T_end, spec.age.h)
+    traj = _rollout(handle, spec.age.profile(z0).copy(), T_end)
     traj.meta = {"min_state": float(min(z.min() for z in traj.states))}
     return traj
 
@@ -243,13 +243,15 @@ def hjb_residual_transport(spec: TransportSpec, x) -> float:
 def make_handle(spec: TransportSpec) -> ModelHandle:
     """Uniform verification interface; controls are (u0, u1) pairs.
 
-    The optimal feedback is one shared pair, and the terms of a control
-    (its source-cell integrals and its cost) are computed once per control
-    object; the state term of the payoff is computed once per state, which
-    the rollout scores at both ends of a step."""
+    The step is the age step h (CFL = 1): it moves the profile one age
+    cell, with the constant decay e^{-mu h}, so no other step can be
+    asked for.  The optimal feedback is one shared pair, and the terms of
+    a control (its source-cell integrals and its cost) are computed once
+    per control object; the state term of the payoff is computed once per
+    state, which the rollout scores at both ends of a step."""
     h, quad = spec.age.h, spec.age.quad
     optimal = (spec.u0_star, spec.u1_star)
-    decay = memo_last(lambda dt: np.exp(-spec.mu * dt))
+    decay = np.exp(-spec.mu * h)
     revenue = memo_last(lambda z: quad(spec.alpha_rev * z))
 
     @memo_last
@@ -259,9 +261,9 @@ def make_handle(spec: TransportSpec) -> ModelHandle:
                 quad(spec.q1 * u1_now + spec.beta1 * u1_now ** 2),
                 spec.q0 * u0_now, spec.beta0 * u0_now ** 2)
 
-    def step(z, control, dt):
+    def step(z, control):
         z_new = np.empty_like(z)
-        z_new[1:] = decay(dt) * z[:-1] + control_terms(control)[0]
+        z_new[1:] = decay * z[:-1] + control_terms(control)[0]
         z_new[0] = control[0]
         return z_new
 
@@ -275,5 +277,6 @@ def make_handle(spec: TransportSpec) -> ModelHandle:
         step=step,
         running_payoff=payoff,
         rho=spec.rho,
+        dt=h,
         scale_control=lambda c, s: (s * c[0], s * c[1]),
     )

@@ -91,8 +91,8 @@ def test_criterion_4_value_matching(scenarios):
     all_ok = True
     for name in MODELS:
         sc = scenarios[name]
-        vm = value_match(sc.handle, sc.state0, sc.T_end, sc.dt)
-        margin = suboptimality_margin(sc.handle, sc.state0, sc.T_end, sc.dt,
+        vm = value_match(sc.handle, sc.state0, sc.T_end)
+        margin = suboptimality_margin(sc.handle, sc.state0, sc.T_end,
                                       control_scale=sc.suboptimal_scale)
         ok = vm.rel_gap < 5e-3 and margin > 5e-3
         all_ok &= ok

@@ -468,6 +468,31 @@ class TestOracle:
         data = json.loads((tmp_path / "oracle.json").read_text())
         assert data["partial"] is True
 
+    @pytest.mark.parametrize("model, sigma", [("vintage-dde", 1.5),
+                                              ("vintage-dde", 2.0),
+                                              ("time-to-build", 1.5)])
+    def test_sigma_above_one_exits_2_before_the_sweep(self, tmp_path, capsys,
+                                                      monkeypatch, model,
+                                                      sigma):
+        # the payoff tail bound holds for sigma < 1 only; the model itself
+        # is valid there, so the refusal is the oracle's, made up front
+        import hjbkit.scenarios as scenarios
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the DP sweep ran")
+
+        monkeypatch.setattr(scenarios, "brute_force_value", no_sweep)
+        cfg = default_config(model)
+        cfg["params"]["sigma"] = sigma
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli(["oracle", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sigma < 1" in err and f"sigma = {sigma}" in err
+        assert not (out / "oracle.json").exists()
+
 
 def test_console_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "hjbkit.cli", "--help"],

@@ -7,11 +7,13 @@ A mutation drops a key, swaps a number for a string, a non-finite value,
 zero or a negative, or swaps a profile for a non-object.  Grid resolutions
 are only ever replaced from a small fixed set, so no example allocates a
 large grid.  A deterministic sweep also scales each valid number of every
-default configuration by 10^k, k in {-12, -6, 6, 12}, one at a time.
+default configuration by 10^k, k in {-12, -6, 6, 12}, one at a time, and
+another scales every pair of them by 10^j and 10^k, j, k in {-6, 6}.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -158,6 +160,37 @@ def test_extreme_valid_number_exits_with_a_documented_code(model, path, k,
     config = default_config(model)
     _cheap(config)
     _parent(config, path)[path[-1]] *= 10.0 ** k
+    _assert_documented_exit(config, command)
+
+
+# every pair of numbers of a default config, each times 10^-6 or 10^6; and
+# rows off that grid: a large spatial sigma with a small start, whose value
+# (x0 1.4e-5), payoff (1e-6) or probe payoff (2e-5) leaves the float range
+SIGMA, X0 = ("params", "sigma"), ("initial", "x0", "value")
+PAIR_CASES = [
+    (model, first, 10.0 ** j, second, 10.0 ** k)
+    for model in MODELS
+    for first, second in itertools.combinations(
+        _numeric_paths(default_config(model)), 2)
+    for j in (-6, 6)
+    for k in (-6, 6)
+] + [("spatial-growth", SIGMA, 100.0, X0, x0) for x0 in (1e-6, 1.4e-5, 2e-5)]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize(
+    "model, first, a, second, b", PAIR_CASES,
+    ids=[f"{m}-{'.'.join(p)}-x{a:g}-{'.'.join(q)}-x{b:g}"
+         for m, p, a, q, b in PAIR_CASES])
+def test_extreme_valid_pair_exits_with_a_documented_code(model, first, a,
+                                                         second, b, command):
+    # two finite numbers of a default config scaled together, on small
+    # grids and a short horizon: a documented code, no traceback and
+    # strict JSON outputs, as for one number
+    config = default_config(model)
+    _cheap(config)
+    _parent(config, first)[first[-1]] *= a
+    _parent(config, second)[second[-1]] *= b
     _assert_documented_exit(config, command)
 
 

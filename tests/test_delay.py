@@ -2,20 +2,21 @@
 array-native closed loops of the delay and age models checked bit for bit
 against loops written over the public, validating functions."""
 
+import dataclasses
 import functools
 import warnings
 
 import numpy as np
 import pytest
 
-from hjbkit import delay
+from hjbkit import delay, time_to_build, vintage_dde
 from hjbkit.errors import DomainError, DomainExitError, GridError
 from hjbkit.errors import AssumptionError
 from hjbkit.gridcore import (AgeGrid, HistorySegment, StructuralState,
                              discounted_quadrature)
 from hjbkit.scenarios import build_scenario, default_config, _delay_test_state
 from hjbkit.time_to_build import build_ttb_spec, structural_state
-from hjbkit.verify import ModelHandle, _rollout
+from hjbkit.verify import ModelHandle, _rollout, brute_force_value
 from hjbkit.vintage_dde import build_vintage_spec, lift_vintage
 from hjbkit.vintage_transport import (_source_cell_integrals,
                                       build_transport_spec, make_handle,
@@ -80,7 +81,7 @@ def reference_simulate(model, state0, T_end):
         integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
         if n == n_steps:
             break
-        pred = delay.shift(model, state, u, dt)
+        pred = delay.shift(model, state, u)
         u_pred = control(pred, float(times[n + 1])) if b else 0.0
         x0 = x0 + 0.5 * dt * ((b * u + tail[-1]) + (b * u_pred + tail[-2]))
         state = StructuralState(x0, pred.tail)
@@ -262,7 +263,7 @@ def in_domain(model, state):
     return g > 0.0 and model.kappa * g < model.room * state.head
 
 
-def public_delay_handle(model):
+def public_delay_handle(model, dt):
     """The delay handle written over the public functions, with the domain
     tested apart from the feedback; the feedback must raise DomainError on
     exactly the states that test rejects."""
@@ -278,8 +279,9 @@ def public_delay_handle(model):
         value=functools.partial(delay.value, model),
         feedback=feedback,
         step=functools.partial(delay.shift, model),
-        running_payoff=delay.make_handle(model).running_payoff,
+        running_payoff=delay.make_handle(model, dt).running_payoff,
         rho=model.rho,
+        dt=dt,
         diagnostics=functools.partial(delay.diagnostics, model),
     )
 
@@ -289,8 +291,8 @@ class TestDelayHandle:
     def test_rollout_equals_public_functions(self, case, scale):
         model, state0 = case
         dt = state0.tail.dt
-        got = _rollout(delay.make_handle(model), state0, 60 * dt, dt, scale)
-        want = _rollout(public_delay_handle(model), state0, 60 * dt, dt, scale)
+        got = _rollout(delay.make_handle(model, dt), state0, 60 * dt, scale)
+        want = _rollout(public_delay_handle(model, dt), state0, 60 * dt, scale)
         assert_same_run(got, (want.times, want.states, want.controls,
                               want.running_payoff))
 
@@ -308,18 +310,84 @@ class TestDelayHandle:
         steep = build_vintage_spec(1.0, 2.0, 0.5, rho)
         state0, model = vintage_start(steep), steep.delay
         exc = assert_same_exit(
-            lambda: _rollout(delay.make_handle(model), state0, 400 * 0.05,
-                             0.05, scale),
-            lambda: _rollout(public_delay_handle(model), state0, 400 * 0.05,
-                             0.05, scale))
+            lambda: _rollout(delay.make_handle(model, 0.05), state0,
+                             400 * 0.05, scale),
+            lambda: _rollout(public_delay_handle(model, 0.05), state0,
+                             400 * 0.05, scale))
         assert exc.time > 1.0
 
     def test_non_finite_control_raises(self, case):
         model, state0 = case
-        for handle in (delay.make_handle(model), public_delay_handle(model)):
+        dt = state0.tail.dt
+        for handle in (delay.make_handle(model, dt),
+                       public_delay_handle(model, dt)):
             with pytest.raises(GridError):
-                _rollout(handle, state0, 5 * state0.tail.dt, state0.tail.dt,
-                         control_scale=np.inf)
+                _rollout(handle, state0, 5 * dt, control_scale=np.inf)
+
+
+class TestStepSize:
+    """A handle and the oracle's problem are made for one step, the
+    spacing of the histories they shift; any other step would shift one
+    sample anyway and integrate silently wrong, so it is refused."""
+
+    def test_shift_steps_the_states_own_spacing(self, case):
+        model, state0 = case
+        u = delay.feedback(model, state0)
+        for m in (M, 2 * M):
+            state = StructuralState(state0.head, HistorySegment.constant(
+                state0.tail.d, m, state0.tail.values[-1]))
+            got = delay.shift(model, state, u)
+            assert got.head == state.head + state.tail.dt * (
+                model.b * u + state.tail.values[-1])
+            assert got.tail.m == m
+
+    def test_handle_refuses_another_spacing(self, case):
+        model, state0 = case
+        dt = state0.tail.dt
+        handle = delay.make_handle(model, 2.0 * dt)
+        assert handle.dt == 2.0 * dt
+        with pytest.raises(GridError, match="spacing"):
+            handle.step(state0, delay.feedback(model, state0))
+        with pytest.raises(GridError, match="spacing"):
+            _rollout(handle, state0, 10 * dt)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.05, np.nan])
+    def test_handle_needs_a_positive_step(self, case, dt):
+        # no history has such a spacing; refused when the handle is made,
+        # before a rollout divides its horizon by it
+        model, _ = case
+        with pytest.raises(ValueError, match="dt must be positive"):
+            delay.make_handle(model, dt)
+
+    @pytest.mark.parametrize("module, name", [(vintage_dde, "vintage"),
+                                              (time_to_build, "ttb")])
+    def test_model_handles_refuse_another_spacing(self, module, name):
+        build, start = CASES[name]
+        spec = build()
+        state0 = start(spec)
+        handle = module.make_handle(spec, 2.0 * state0.tail.dt)
+        with pytest.raises(GridError, match="spacing"):
+            handle.step(state0, handle.feedback(state0))
+
+    def test_oracle_problem_refuses_another_spacing(self, case):
+        model, state0 = case
+        dt = state0.tail.dt
+        seed = _rollout(delay.make_handle(model, dt), state0,
+                        4 * dt).controls[:-1]
+        problem = delay.oracle_problem(model, 2.0 * dt)
+        assert problem.dt == 2.0 * dt
+        with pytest.raises(GridError, match="spacing"):
+            problem.to_batch(state0)
+        with pytest.raises(GridError, match="spacing"):
+            brute_force_value(problem, state0, seed)
+        assert delay.oracle_problem(model, dt).to_batch(state0)[0][0] \
+            == state0.head
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    def test_oracle_problem_needs_sigma_below_one(self, sigma):
+        model = dataclasses.replace(hand_model(0.5, 0.3), sigma=sigma)
+        with pytest.raises(AssumptionError, match="sigma < 1"):
+            delay.oracle_problem(model, 0.25)
 
 
 def reference_transport_handle(spec):
@@ -327,10 +395,10 @@ def reference_transport_handle(spec):
     step and payoff recomputes them."""
     h = spec.age.h
 
-    def step(z, control, dt):
+    def step(z, control):
         u0_now, u1_now = control
         z_new = np.empty_like(z)
-        z_new[1:] = np.exp(-spec.mu * dt) * z[:-1] \
+        z_new[1:] = np.exp(-spec.mu * h) * z[:-1] \
             + _source_cell_integrals(u1_now, spec.mu, h)
         z_new[0] = u0_now
         return z_new
@@ -355,6 +423,7 @@ def reference_transport_handle(spec):
         step=step,
         running_payoff=payoff,
         rho=spec.rho,
+        dt=h,
         scale_control=lambda c, s: (s * c[0], s * c[1]),
     )
 
@@ -378,16 +447,26 @@ class TestTransportHandle:
     def test_rollout_equals_reference(self, skewed_transport, scale):
         spec = skewed_transport
         z0 = initial_profile(spec.age)
-        got = _rollout(make_handle(spec), z0, 80 * spec.age.h, spec.age.h,
-                       scale)
+        got = _rollout(make_handle(spec), z0, 80 * spec.age.h, scale)
         want = _rollout(reference_transport_handle(spec), z0, 80 * spec.age.h,
-                        spec.age.h, scale)
+                        scale)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.running_payoff, want.running_payoff)
         for a, b in zip(got.states, want.states):
             assert np.array_equal(a, b)
         for a, b in zip(got.controls, want.controls):
             assert a[0] == b[0] and np.array_equal(a[1], b[1])
+
+    def test_step_is_the_age_step(self, skewed_transport):
+        # the step moves one age cell, so the handle takes no step size
+        spec = skewed_transport
+        handle = make_handle(spec)
+        assert handle.dt == spec.age.h
+        z0 = initial_profile(spec.age)
+        with pytest.raises(TypeError):
+            make_handle(spec, spec.age.h)
+        with pytest.raises(TypeError):
+            handle.step(z0, handle.feedback(z0), spec.age.h)
 
     def test_feedback_is_one_shared_pair(self, skewed_transport):
         handle = make_handle(skewed_transport)
@@ -405,9 +484,7 @@ class TestTransportHandle:
         for u in controls:
             for z in (z1, z2, z1):
                 assert handle.running_payoff(z, u) == ref.running_payoff(z, u)
-                for dt in (spec.age.h, 0.5 * spec.age.h):
-                    assert np.array_equal(handle.step(z, u, dt),
-                                          ref.step(z, u, dt))
+                assert np.array_equal(handle.step(z, u), ref.step(z, u))
 
     def test_value_equals_reference(self, skewed_transport):
         spec = skewed_transport

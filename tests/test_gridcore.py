@@ -29,11 +29,11 @@ def test_circle_handles_reject_a_field_on_another_grid():
     from hjbkit import pollution, spatial_growth
     one, other = GRID.constant(1.0), CircleGrid(128).constant(1.0)
     spatial = spatial_growth.make_handle(spatial_growth.build_spatial_spec(
-        GRID.constant(0.04), one, 0.5, 0.05))
+        GRID.constant(0.04), one, 0.5, 0.05), 0.01)
     spec = pollution.build_pollution_spec(
         GRID.constant(1.3), GRID.constant(0.1), one, GRID.constant(2.0),
         GRID.constant(0.5), one, 0.05)
-    emitting = pollution.make_handle(spec)
+    emitting = pollution.make_handle(spec, 0.02)
     for call in (lambda: spatial.feedback(other),
                  lambda: spatial.running_payoff(one, other),
                  lambda: emitting.running_payoff(other, spec.i_star),

@@ -189,11 +189,11 @@ class TestHJBResidual:
 def test_value_match_and_suboptimality():
     from hjbkit.verify import suboptimality_margin, value_match
     spec = wavy_spec()
-    handle = make_handle(spec)
+    handle = make_handle(spec, 0.02)
     p0 = GRID.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-    vm = value_match(handle, p0, 60.0, 0.02)
+    vm = value_match(handle, p0, 60.0)
     assert vm.rel_gap < 5e-3
-    assert suboptimality_margin(handle, p0, 60.0, 0.02) > 5e-3
+    assert suboptimality_margin(handle, p0, 60.0) > 5e-3
 
 
 def skewed_spec(grid=CircleGrid(96)):
@@ -218,7 +218,8 @@ class TestHandleArrays:
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_callbacks_match_field_functions(self, spec, scale):
-        handle, dt = make_handle(spec), 0.02
+        dt = 0.02
+        handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
                         spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         p = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
@@ -228,14 +229,14 @@ class TestHandleArrays:
             if scale != 1.0:
                 i = handle.scale_control(i, scale)
             assert handle.running_payoff(p, i) == running_gain(spec, p, i)
-            nxt = handle.step(p, i, dt)
+            nxt = handle.step(p, i)
             want = cn_step(op, p.values, spec.eta.values * i.values)
             assert np.array_equal(nxt.values, want)
             assert handle.running_payoff(nxt, i) == running_gain(spec, nxt, i)
             p = nxt
 
     def test_value_and_feedback_are_the_public_functions(self, spec):
-        handle = make_handle(spec)
+        handle = make_handle(spec, 0.02)
         for callback, fn in ((handle.value, value_pollution),
                              (handle.feedback, feedback_pollution)):
             assert callback.func is fn
@@ -243,7 +244,7 @@ class TestHandleArrays:
 
     def test_payoff_follows_a_new_control(self, spec):
         # the reused utility belongs to the control object last scored
-        handle = make_handle(spec)
+        handle = make_handle(spec, 0.02)
         p = spec.grid.constant(0.5)
         for i in (spec.i_star, spec.grid.field(0.5 * spec.i_star.values),
                   spec.i_star, spec.grid.field(2.0 * spec.i_star.values)):
@@ -251,24 +252,26 @@ class TestHandleArrays:
 
     def test_step_follows_a_new_control(self, spec):
         # the reused source eta * i belongs to the control object last given
-        handle, dt = make_handle(spec), 0.02
+        dt = 0.02
+        handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
                         spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         p = spec.grid.constant(0.5)
         for i in (spec.i_star, spec.grid.field(0.5 * spec.i_star.values),
                   spec.i_star, spec.grid.field(2.0 * spec.i_star.values)):
             want = cn_step(op, p.values, spec.eta.values * i.values)
-            assert np.array_equal(handle.step(p, i, dt).values, want)
+            assert np.array_equal(handle.step(p, i).values, want)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_matches_field_loop(self, spec, scale):
         # the closed loop written out in array arithmetic
-        handle, dt, n_steps = make_handle(spec), 0.05, 25
+        dt, n_steps = 0.05, 25
+        handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
                         spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         a, g = spec.a_prod.values, spec.gamma.values
         p0 = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-        traj = _rollout(handle, p0, n_steps * dt, dt, control_scale=scale)
+        traj = _rollout(handle, p0, n_steps * dt, control_scale=scale)
         states, controls, running = (traj.states, traj.controls,
                                      traj.running_payoff)
 

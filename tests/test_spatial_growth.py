@@ -103,14 +103,14 @@ class TestFeedback:
         # Field does not check finiteness, and the model states its domain
         # once: a NaN pairing must fail it, not steer, score or residual
         nan = const_spec.grid.constant(np.nan)
-        handle = make_handle(const_spec)
+        handle = make_handle(const_spec, 0.01)
         for fn in (handle.feedback, lambda y: feedback_spatial(const_spec, y),
                    lambda y: value_spatial(const_spec, y),
                    lambda y: hjb_residual_spatial(const_spec, y)):
             with pytest.raises(DomainError):
                 fn(nan)
         with pytest.raises(DomainExitError) as err:
-            _rollout(handle, nan, 5 * 0.01, 0.01)
+            _rollout(handle, nan, 5 * 0.01)
         assert err.value.time == 0.0
         assert set(err.value.diagnostics) == {"pairing", "min_state"}
         assert np.isnan(err.value.diagnostics["pairing"])
@@ -230,11 +230,11 @@ class TestHJBResidual:
 
 def test_value_match_and_suboptimality(wavy_spec):
     from hjbkit.verify import suboptimality_margin, value_match
-    handle = make_handle(wavy_spec)
+    handle = make_handle(wavy_spec, 0.01)
     x0 = wavy_spec.grid.constant(1.0)
-    vm = value_match(handle, x0, 40.0, 0.01)
+    vm = value_match(handle, x0, 40.0)
     assert vm.rel_gap < 5e-3
-    assert suboptimality_margin(handle, x0, 40.0, 0.01) > 5e-3
+    assert suboptimality_margin(handle, x0, 40.0) > 5e-3
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +258,8 @@ class TestHandleArrays:
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_callbacks_match_field_functions(self, spec, scale):
-        handle, dt = make_handle(spec), 0.01
+        dt = 0.01
+        handle = make_handle(spec, dt)
         op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
         y = smooth_positive(spec.grid, 4)
         for _ in range(3):
@@ -269,14 +270,14 @@ class TestHandleArrays:
             if scale != 1.0:
                 c = handle.scale_control(c, scale)
             assert handle.running_payoff(y, c) == utility(spec, c)
-            nxt = handle.step(y, c, dt)
+            nxt = handle.step(y, c)
             want = cn_step(op, y.values, -1.0 * (c.values * spec.N_pop.values))
             assert np.array_equal(nxt.values, want)
             assert handle.running_payoff(nxt, c) == utility(spec, c)
             y = nxt
 
     def test_value_and_feedback_are_the_public_functions(self, spec):
-        handle = make_handle(spec)
+        handle = make_handle(spec, 0.01)
         for callback, fn in ((handle.value, value_spatial),
                              (handle.feedback, feedback_spatial)):
             assert callback.func is fn
@@ -284,7 +285,7 @@ class TestHandleArrays:
 
     def test_payoff_follows_a_new_control(self, spec):
         # the reused utility belongs to the control object last scored
-        handle = make_handle(spec)
+        handle = make_handle(spec, 0.01)
         y = smooth_positive(spec.grid, 6)
         c = handle.feedback(y)
         for control in (c, c.grid.field(0.5 * c.values), c,
@@ -294,11 +295,12 @@ class TestHandleArrays:
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_matches_field_loop(self, spec, scale):
         # the closed loop written out in array arithmetic
-        handle, dt, n_steps = make_handle(spec), 0.02, 25
+        dt, n_steps = 0.02, 25
+        handle = make_handle(spec, dt)
         op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
         s, N = spec.sigma_crra, spec.N_pop
         y0 = smooth_positive(spec.grid, 8)
-        traj = _rollout(handle, y0, n_steps * dt, dt, control_scale=scale)
+        traj = _rollout(handle, y0, n_steps * dt, control_scale=scale)
         states, controls, running = (traj.states, traj.controls,
                                      traj.running_payoff)
         y, total = y0, 0.0

@@ -187,7 +187,7 @@ class TestSimulate:
     def test_value_match_with_tail(self, spec):
         from hjbkit.verify import value_match
         q0, u0, st = default_state(spec)
-        vm = value_match(make_handle(spec), st, 30.0, u0.dt)
+        vm = value_match(make_handle(spec, u0.dt), st, 30.0)
         assert vm.rel_gap < 5e-3
 
     def test_control_stays_in_band(self, spec):
@@ -289,10 +289,9 @@ def test_coarse_dp_oracle_brackets_value(spec):
     from hjbkit.verify import _rollout, brute_force_value
     u0 = HistorySegment.constant(spec.d, 8, 1.0)
     st = structural_state(spec, 1.0, u0)
-    handle = make_handle(spec)
-    dt, T_end = u0.dt, 5.0 / spec.rho
-    seed = _rollout(handle, st, T_end, dt, 1.0).controls[:-1]
-    bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
+    handle = make_handle(spec, u0.dt)
+    seed = _rollout(handle, st, 5.0 / spec.rho, 1.0).controls[:-1]
+    bracket = brute_force_value(delay.oracle_problem(spec.delay, u0.dt), st,
                                 seed, n_controls=9, max_passes=3)
     v = delay.value(spec.delay, st)
     assert bracket.contains(v, 0.03)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjbkit.scenarios import build_scenario, default_config, verify_scenario
+from hjbkit.scenarios import (build_scenario, default_config, oracle_scenario,
+                              verify_scenario)
 from hjbkit.verify import value_match
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -64,7 +65,7 @@ def test_scenario_calls_are_traced(model):
     try:
         sc = build_scenario(cfg)
         sc.simulate()
-        value_match(sc.handle, sc.state0, sc.T_end, sc.dt)
+        value_match(sc.handle, sc.state0, sc.T_end)
         (res,) = (v for k, v in cfg["numerics"].items()
                   if k in ("n", "m", "m_age"))
         sc.residual_fn(sc.sample_state(np.random.default_rng(0), res))
@@ -123,3 +124,18 @@ def test_verify_meets_perfbench_coverage_counts(model):
     assert trace.calls["gridcore.cn_step"] == rollouts * steps
     module = MODEL_NAMES[model][0]
     assert trace.calls[f"{module}.{simulate}"] == 1
+
+
+def test_oracle_meets_perfbench_coverage_counts():
+    # perfbench's coverage check matches the evaluations and passes its
+    # tracer records from brute_force_value against those oracle.json
+    # reports; a call that escaped the wrapper would read 0
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        bracket, _ = oracle_scenario(default_config("vintage-dde"))
+    finally:
+        trace.uninstall()
+    assert trace.calls["verify.brute_force_value"] == 1
+    assert (trace.oracle_evaluations, trace.oracle_passes) == (
+        bracket.evaluations, bracket.passes)

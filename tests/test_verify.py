@@ -9,7 +9,8 @@ from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_han
 from hjbkit.spatial_growth import simulate_spatial
 from hjbkit.vintage_dde import (build_vintage_spec, lift_vintage,
                                 make_handle as vintage_handle)
-from hjbkit.verify import (OracleProblem, VerifyReport, brute_force_value,
+from hjbkit.verify import (ModelHandle, OracleProblem, VerifyReport,
+                           brute_force_value,
                            dpp_check, suboptimality_margin, transversality,
                            value_match, _rollout)
 
@@ -19,7 +20,7 @@ def spatial():
     grid = CircleGrid(128)
     spec = build_spatial_spec(grid.constant(0.04), grid.constant(1.0),
                               0.5, 0.05)
-    return spec, spatial_handle(spec), grid.constant(1.0)
+    return spec, spatial_handle(spec, 0.01), grid.constant(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -27,19 +28,19 @@ def vintage():
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     iota = HistorySegment.constant(2.0, 8, 1.0)
     state = lift_vintage(None, iota)
-    return spec, vintage_handle(spec), state
+    return spec, vintage_handle(spec, iota.dt), state
 
 
 @pytest.fixture(scope="module")
 def problem(vintage):
     """The DP oracle's batched view of the vintage fixture's model."""
-    return delay.oracle_problem(vintage[0].delay)
+    return delay.oracle_problem(vintage[0].delay, vintage[1].dt)
 
 
 class TestValueMatch:
     def test_identity_along_feedback(self, spatial):
         _, handle, x0 = spatial
-        vm = value_match(handle, x0, 20.0, 0.01)
+        vm = value_match(handle, x0, 20.0)
         assert vm.rel_gap < 5e-3
         assert vm.total == pytest.approx(vm.payoff + vm.tail)
 
@@ -49,31 +50,33 @@ class TestValueMatch:
         for m in (50, 100):
             iota = HistorySegment.constant(2.0, m, 1.0)
             st = lift_vintage(None, iota)
-            handle = vintage_handle(spec)
-            gaps.append(value_match(handle, st, 20.0, iota.dt).rel_gap)
+            handle = vintage_handle(spec, iota.dt)
+            gaps.append(value_match(handle, st, 20.0).rel_gap)
         assert gaps[1] < 0.6 * gaps[0]
 
     def test_suboptimal_scores_strictly_lower(self, spatial):
         _, handle, x0 = spatial
-        margin = suboptimality_margin(handle, x0, 20.0, 0.01)
+        margin = suboptimality_margin(handle, x0, 20.0)
         assert margin > 5e-3
 
 
 class TestDPP:
     def test_zero_window(self, spatial):
         _, handle, x0 = spatial
-        assert dpp_check(handle, x0, 0.0, 0.01) == 0.0
+        assert dpp_check(handle, x0, 0.0) == 0.0
 
     def test_single_step_second_order(self, spatial):
-        _, handle, x0 = spatial
-        gaps = [dpp_check(handle, x0, dt, dt) for dt in (0.02, 0.01)]
+        # one handle per step size: a handle integrates the one it was
+        # made for
+        spec, _, x0 = spatial
+        gaps = [dpp_check(spatial_handle(spec, dt), x0, dt)
+                for dt in (0.02, 0.01)]
         assert gaps[0] < 1e-5
         assert gaps[1] < 0.4 * gaps[0]
 
     def test_gap_grows_with_window(self, vintage):
         _, handle, st = vintage
-        dt = 0.25
-        gaps = [dpp_check(handle, st, r, dt) for r in (1.0, 4.0, 8.0)]
+        gaps = [dpp_check(handle, st, r) for r in (1.0, 4.0, 8.0)]
         assert gaps[0] < gaps[1] < gaps[2]
 
 
@@ -93,6 +96,30 @@ class TestTransversality:
                                                              abs=1e-10)
 
 
+    def test_only_the_fitted_quartile_is_valued(self, spatial):
+        # a value that raises on the first three quarters of the states
+        # must not be reached, and the slope must keep its bits
+        spec, handle, x0 = spatial
+        n = 41
+        times = 0.05 * np.arange(n)
+        q = 3 * n // 4
+        scales = np.exp(0.02 * times)
+        traj = Trajectory(times, list(range(n)), [None] * n, np.zeros(n))
+
+        def value(k):
+            if k < q:
+                raise AssertionError(f"state {k} is outside the fit")
+            return handle.value(x0) * scales[k]
+
+        probe = ModelHandle(value=value, feedback=None, step=None,
+                            running_payoff=None, rho=spec.rho, dt=0.05)
+        # the fit as written over every state's value
+        logs = -spec.rho * times + np.log(
+            np.abs([handle.value(x0) * scales[k] for k in range(n)]))
+        want = float(np.polyfit(times[q:], logs[q:], 1)[0])
+        assert transversality(probe, traj) == want
+        assert want == pytest.approx(0.02 - spec.rho, abs=1e-12)
+
     @pytest.mark.parametrize("steps", [3, 4])
     def test_fit_needs_four_steps(self, spatial, steps):
         # three steps leave one time in the last quartile, no slope
@@ -107,7 +134,7 @@ class TestTransversality:
             assert np.isfinite(transversality(handle, traj))
 
 
-def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
+def scalar_sweep(handle, model, state0, T_end, seed, n_controls=33,
                  span=0.5, span_min=4e-3, max_passes=12):
     """Reference for ``brute_force_value``: the same backward sweep, one
     candidate at a time on validated states through the handle's scalar
@@ -115,6 +142,7 @@ def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
     prefix.  Returns (lo, hi, evaluations, passes) and counts of the
     candidate runs that left the domain before the horizon but after their
     own step, and of the candidates that clipping made duplicates."""
+    dt = handle.dt
     n_steps = int(round(T_end / dt))
     disc = np.exp(-handle.rho * dt * np.arange(n_steps + 1))
     counts = {"evaluations": 0, "exits": 0, "duplicates": 0}
@@ -126,7 +154,7 @@ def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
 
     def cell(state, u, k):
         g_left = handle.running_payoff(state, u)
-        nxt = handle.step(state, u, dt)
+        nxt = handle.step(state, u)
         g_right = handle.running_payoff(nxt, u)
         return nxt, 0.5 * dt * (disc[k] * g_left + disc[k + 1] * g_right)
 
@@ -172,15 +200,15 @@ def scalar_sweep(handle, model, state0, dt, T_end, seed, n_controls=33,
                 best, final = best_j, best_final
         if best - at_pass_start < 1e-7 * max(1.0, abs(best)):
             cur_span *= 0.5
-    problem = delay.oracle_problem(model)
+    problem = delay.oracle_problem(model, dt)
     tail = problem.payoff_tail_bound(problem.to_batch(final), dt * n_steps)
     return (float(best), float(best + tail), counts["evaluations"],
             passes), counts
 
 
 class TestBruteForce:
-    def seed_for(self, handle, state, dt, T_end):
-        traj = _rollout(handle, state, T_end, dt, 1.0)
+    def seed_for(self, handle, state, T_end):
+        traj = _rollout(handle, state, T_end, 1.0)
         return [float(c) for c in traj.controls[:-1]]
 
     def test_oracle_problem_has_no_value_callback(self, problem):
@@ -192,20 +220,20 @@ class TestBruteForce:
         # whose history spans another lag is refused, as simulate does
         st = lift_vintage(None, HistorySegment.constant(3.0, 8, 1.0))
         with pytest.raises(ValueError, match="history covers"):
-            brute_force_value(problem, st, 0.375, [1.0] * 4)
+            brute_force_value(problem, st, [1.0] * 4)
 
     def test_single_level_returns_seed_policy_payoff(self, vintage, problem):
         _, handle, st = vintage
-        dt, T_end = 0.25, 4.0
-        seed = self.seed_for(handle, st, dt, T_end)
-        bracket = brute_force_value(problem, st, dt, seed,
+        dt = handle.dt
+        seed = self.seed_for(handle, st, 4.0)
+        bracket = brute_force_value(problem, st, seed,
                                     n_controls=1, max_passes=1)
         # recompute the seed policy payoff by hand
         state = st
         total = 0.0
         for k, u in enumerate(seed):
             g_left = handle.running_payoff(state, u)
-            state = handle.step(state, u, dt)
+            state = handle.step(state, u)
             g_right = handle.running_payoff(state, u)
             total += 0.5 * dt * (np.exp(-handle.rho * k * dt) * g_left
                                  + np.exp(-handle.rho * (k + 1) * dt) * g_right)
@@ -216,15 +244,15 @@ class TestBruteForce:
         # zero tail, single step, single sweep: the recursion's base case
         # must coincide with a static maximization over its own control grid
         _, handle, st = vintage
-        dt = 0.25
-        seed = self.seed_for(handle, st, dt, dt)
+        dt = handle.dt
+        seed = self.seed_for(handle, st, dt)
         span = 0.5
-        bracket = brute_force_value(problem, st, dt, seed,
+        bracket = brute_force_value(problem, st, seed,
                                     n_controls=33, span=span, max_passes=1)
 
         def cell(u):
             g_left = handle.running_payoff(st, u)
-            nxt = handle.step(st, u, dt)
+            nxt = handle.step(st, u)
             return 0.5 * dt * (g_left + np.exp(-handle.rho * dt)
                                * handle.running_payoff(nxt, u))
 
@@ -234,9 +262,8 @@ class TestBruteForce:
 
     def test_bracket_contains_analytic_value(self, vintage, problem):
         spec, handle, st = vintage
-        dt, T_end = 0.25, 5.0 / spec.rho
-        seed = self.seed_for(handle, st, dt, T_end)
-        bracket = brute_force_value(problem, st, dt, seed, n_controls=33)
+        seed = self.seed_for(handle, st, 5.0 / spec.rho)
+        bracket = brute_force_value(problem, st, seed, n_controls=33)
         assert bracket.contains(delay.value(spec.delay, st), 0.03)
         assert bracket.lo <= bracket.hi
         assert bracket.tail_bound > 0.0
@@ -244,11 +271,9 @@ class TestBruteForce:
     def test_budget_enforced(self, vintage, problem):
         from hjbkit.verify import OracleBudgetError
         _, handle, st = vintage
-        dt, T_end = 0.25, 10.0
-        seed = self.seed_for(handle, st, dt, T_end)
+        seed = self.seed_for(handle, st, 10.0)
         with pytest.raises(OracleBudgetError):
-            brute_force_value(problem, st, dt, seed, n_controls=33,
-                              budget=100)
+            brute_force_value(problem, st, seed, n_controls=33, budget=100)
 
     @pytest.mark.parametrize("sigma, k0, n_controls, span, T_end, exercised", [
         (0.5, None, 9, 0.5, 3.0, None),
@@ -267,14 +292,14 @@ class TestBruteForce:
                                                    exercised):
         # the vintage fixture's model, with sigma varied
         spec = build_vintage_spec(1.0, 2.0, sigma, 0.45)
-        handle = vintage_handle(spec)
+        dt = 0.25
+        handle = vintage_handle(spec, dt)
         st = lift_vintage(k0, HistorySegment.constant(2.0, 8, 1.0),
                           enforce_consistency=False)
-        dt = 0.25
-        seed = self.seed_for(handle, st, dt, T_end)
-        bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
+        seed = self.seed_for(handle, st, T_end)
+        bracket = brute_force_value(delay.oracle_problem(spec.delay, dt), st,
                                     seed, n_controls=n_controls, span=span)
-        want, counts = scalar_sweep(handle, spec.delay, st, dt, T_end, seed,
+        want, counts = scalar_sweep(handle, spec.delay, st, T_end, seed,
                                     n_controls, span)
         assert (bracket.lo, bracket.hi, bracket.evaluations,
                 bracket.passes) == want
@@ -283,11 +308,10 @@ class TestBruteForce:
 
     def test_non_finite_batch_state_raises(self, vintage, problem):
         _, handle, st = vintage
-        dt, T_end = 0.25, 3.0
-        seed = self.seed_for(handle, st, dt, T_end)
+        seed = self.seed_for(handle, st, 3.0)
         seed[2] = np.inf
         with pytest.raises(GridError, match="non-finite"):
-            brute_force_value(problem, st, dt, seed)
+            brute_force_value(problem, st, seed)
 
     def test_suboptimality_direction_random_perturbations(self):
         # any admissible perturbed control scores at most the value, for
@@ -301,9 +325,21 @@ class TestBruteForce:
             v = sc.handle.value(sc.state0)
             for _ in range(5):
                 scale = float(rng.uniform(0.4, 0.95))
-                vm = value_match(sc.handle, sc.state0, sc.T_end, sc.dt,
+                vm = value_match(sc.handle, sc.state0, sc.T_end,
                                  control_scale=scale)
                 assert vm.total <= v + 1e-6 * max(abs(v), 1.0), name
+
+
+@pytest.mark.parametrize("model", ["spatial-growth", "pollution"])
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+def test_circle_handle_needs_a_positive_step(model, dt):
+    # the handle factors its one CN operator when it is made, so a step
+    # it cannot take is refused there, before any rollout
+    from hjbkit import pollution, spatial_growth
+    module = spatial_growth if model == "spatial-growth" else pollution
+    spec = build_scenario(default_config(model)).spec
+    with pytest.raises(ValueError, match="dt must be positive"):
+        module.make_handle(spec, dt)
 
 
 def test_rollout_reports_domain_exit():
@@ -311,11 +347,11 @@ def test_rollout_reports_domain_exit():
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     iota = HistorySegment.constant(2.0, 50, 1.0)
     st = lift_vintage(1e-3, iota, enforce_consistency=False)
-    handle = vintage_handle(spec)
+    handle = vintage_handle(spec, iota.dt)
     with pytest.raises(DomainError):
         handle.feedback(st)
     with pytest.raises(DomainExitError):
-        _rollout(handle, st, 10 * iota.dt, iota.dt, 1.0)
+        _rollout(handle, st, 10 * iota.dt, 1.0)
 
 
 
@@ -328,7 +364,7 @@ def test_both_closed_loops_word_a_domain_exit_alike():
     with pytest.raises(DomainExitError) as heun:
         sc.simulate()
     with pytest.raises(DomainExitError) as rollout:
-        value_match(sc.handle, sc.state0, sc.T_end, sc.dt)
+        value_match(sc.handle, sc.state0, sc.T_end)
     assert str(heun.value) == str(rollout.value)
     assert heun.value.time == rollout.value.time == 0.0
     assert heun.value.diagnostics == rollout.value.diagnostics

@@ -202,7 +202,7 @@ class TestSimulate:
         from hjbkit.verify import value_match
         iota = HistorySegment.constant(2.0, 200, 1.0)
         st = lift_vintage(None, iota)
-        vm = value_match(make_handle(spec), st, 25.0, iota.dt)
+        vm = value_match(make_handle(spec, iota.dt), st, 25.0)
         assert vm.rel_gap < 5e-3
 
     def test_homogeneous_scaling_of_trajectories(self, spec):
@@ -284,10 +284,9 @@ def test_coarse_dp_oracle_brackets_value(spec):
     from hjbkit.verify import _rollout, brute_force_value
     iota = HistorySegment.constant(2.0, 8, 1.0)
     st = lift_vintage(None, iota)
-    handle = make_handle(spec)
-    dt, T_end = iota.dt, 5.0 / spec.rho
-    seed = _rollout(handle, st, T_end, dt, 1.0).controls[:-1]
-    bracket = brute_force_value(delay.oracle_problem(spec.delay), st, dt,
+    handle = make_handle(spec, iota.dt)
+    seed = _rollout(handle, st, 5.0 / spec.rho, 1.0).controls[:-1]
+    bracket = brute_force_value(delay.oracle_problem(spec.delay, iota.dt), st,
                                 seed, n_controls=33)
     v = delay.value(spec.delay, st)
     assert bracket.contains(v, 0.03)

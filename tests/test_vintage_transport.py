@@ -263,6 +263,6 @@ def test_value_match_and_suboptimality(spec):
     from hjbkit.verify import suboptimality_margin, value_match
     handle = make_handle(spec)
     z0 = initial_profile(spec.age)
-    vm = value_match(handle, z0, 30.0, spec.age.h)
+    vm = value_match(handle, z0, 30.0)
     assert vm.rel_gap < 5e-3
-    assert suboptimality_margin(handle, z0, 30.0, spec.age.h) > 5e-3
+    assert suboptimality_margin(handle, z0, 30.0) > 5e-3
