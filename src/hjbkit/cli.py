@@ -29,8 +29,7 @@ from .errors import (AssumptionError, ConfigError, DomainExitError,
 from .scenarios import (MODELS, build_scenario, default_config,
                         oracle_scenario, refine_config, validate_config,
                         verify_scenario)
-from .verify import (ORACLE_BUDGET, ORACLE_CONTROL_LEVELS, OracleBudgetError,
-                     match_run)
+from .verify import match_run
 
 EXIT_OK = 0
 EXIT_ASSUMPTION = 2
@@ -148,23 +147,15 @@ def cmd_oracle(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        bracket, analytic = oracle_scenario(config, n_controls=args.levels,
-                                            budget=args.budget)
-    except OracleBudgetError as exc:
-        _write_json(out / "oracle.json",
-                    {"model": config["model"], "partial": True,
-                     "error": str(exc)})
-        print(f"oracle budget exceeded: {exc}")
-        return EXIT_TOLERANCE
+    bracket, analytic = oracle_scenario(config)
     slack = config["tolerances"]["oracle_slack"]
     contained = bracket.contains(analytic, slack)
     _write_json(out / "oracle.json", {
         "model": config["model"],
-        "partial": False,
         "bracket_lo": bracket.lo,
         "bracket_hi": bracket.hi,
         "truncated_value": bracket.lo,
+        "duality_gap": bracket.gap,
         "tail_bound": bracket.tail_bound,
         "analytic_value": analytic,
         "slack": slack,
@@ -197,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="double the resolution (and halve dt) k times")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random test-state sampling in verify")
-        if name == "oracle":
-            p.add_argument("--levels", type=int, default=ORACLE_CONTROL_LEVELS,
-                           help="control levels per step in the DP sweep")
-            p.add_argument("--budget", type=int, default=ORACLE_BUDGET,
-                           help="payoff-evaluation budget before the DP "
-                                "aborts with a partial report")
         p.set_defaults(fn=fn)
     return parser
 
@@ -210,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args) -> None:
     """Integer flags below their least meaningful value are configuration
     errors, not silent no-ops or numpy tracebacks."""
-    for flag, least in (("seed", 0), ("refine", 0), ("levels", 1),
-                        ("budget", 1)):
-        value = getattr(args, flag, least)
+    for flag, least in (("seed", 0), ("refine", 0)):
+        value = getattr(args, flag)
         if value < least:
             raise ConfigError(f"--{flag} must be an integer >= {least}, "
                               f"got {value}")

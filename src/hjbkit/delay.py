@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, DomainExitError, GridError
+from .errors import (AssumptionError, DomainError, DomainExitError,
+                     GridError, NumericsError)
 from .gridcore import (HistorySegment, StructuralState, Trajectory,
                        discounted_quadrature, fd_derivative, trapezoid)
 from .verify import ModelHandle, OracleProblem
@@ -173,7 +174,8 @@ def simulate(model: DelayModel, state0: StructuralState,
     fixed-point refinement of the feedback.  The head advances by the
     trapezoid of its drift, with the feedback re-evaluated at the Euler
     predictor when the drift has an undelayed part (b != 0).  A domain
-    exit aborts with the offending time and diagnostics.
+    exit aborts with the offending time and diagnostics, and an overflow
+    is a NumericsError at the time of its step, as in ``verify._rollout``.
     """
     hist = _checked_history(model, state0)
     dt = hist.dt
@@ -195,27 +197,34 @@ def simulate(model: DelayModel, state0: StructuralState,
     integrand = np.empty(n_steps + 1)
     x0, tail = state0.head, hist.values.copy()
     state = StructuralState(x0, HistorySegment(hist.d, tail))
-    for n in range(n_steps + 1):
-        t = float(times[n])
-        # the state's tail is owned by this step until recorded
-        tail[0] = c * control(x0, tail, t)
-        u = control(x0, tail, t)
-        tail[0] = c * u
-        states.append(state)
-        controls.append(u)
-        integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
-        if n == n_steps:
-            break
-        # Euler predictor; its window is the next state's, whose other
-        # samples were finite already
-        head, vals = _advance(model, x0, tail, u, dt)
-        if not (math.isfinite(head) and math.isfinite(vals[0])):
-            raise GridError(f"predictor is not finite: head {head}, newest "
-                            f"sample {vals[0]}")
-        u_pred = control(head, vals, float(times[n + 1])) if b else 0.0
-        x0 = x0 + 0.5 * dt * ((b * u + tail[-1]) + (b * u_pred + tail[-2]))
-        tail = vals
-        state = StructuralState(x0, HistorySegment(hist.d, tail))
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for n in range(n_steps + 1):
+                t = float(times[n])
+                # the state's tail is owned by this step until recorded
+                tail[0] = c * control(x0, tail, t)
+                u = control(x0, tail, t)
+                tail[0] = c * u
+                states.append(state)
+                controls.append(u)
+                integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
+                if n == n_steps:
+                    break
+                # Euler predictor; its window is the next state's, whose
+                # other samples were finite already
+                head, vals = _advance(model, x0, tail, u, dt)
+                if not (math.isfinite(head) and math.isfinite(vals[0])):
+                    raise GridError(f"predictor is not finite: head {head}, "
+                                    f"newest sample {vals[0]}")
+                u_pred = control(head, vals, float(times[n + 1])) \
+                    if b else 0.0
+                x0 = x0 + 0.5 * dt * ((b * u + tail[-1])
+                                      + (b * u_pred + tail[-2]))
+                tail = vals
+                state = StructuralState(x0, HistorySegment(hist.d, tail))
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericsError(f"closed loop left the float range at t = "
+                            f"{t:.6g} ({exc})") from None
     running = discounted_quadrature(times, integrand, model.rho)
     return Trajectory(times, states, controls, running)
 
@@ -276,7 +285,8 @@ def make_handle(model: DelayModel, dt: float) -> ModelHandle:
 
 def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
     """The batched step/payoff view the DP oracle runs on, over batches of
-    heads (k,) and tails (k, m+1) sampled at the step dt.  It has no value
+    heads (k,) and tails (k, m+1) sampled at the step dt, with the domain
+    as the slacks Gamma and room x0 - kappa Gamma.  It has no value
     callback, so the oracle cannot peek at the closed form, and it builds
     no validated state.  Its payoff tail bound holds for sigma < 1 only,
     so any other sigma is an AssumptionError."""
@@ -296,12 +306,9 @@ def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
         return np.exp(-model.rho * t_abs) * M ** (1.0 - s) / (
             (1.0 - s) * (model.rho - xi * (1.0 - s)))
 
-    def batch_payoff(batch, u):
-        # the power is taken per row in scalar arithmetic: numpy's array
-        # power may differ from it in the last bit, and the oracle must
-        # score exactly what the handle's scalar payoff scores
-        return np.array([-np.inf if c < 0.0 else c ** (1.0 - s) / (1.0 - s)
-                         for c in (model.a * batch[0] - u).tolist()])
+    def utility(c):
+        p = c ** -s
+        return c * p / (1.0 - s), p, -s * p / c
 
     def to_batch(st):
         hist = _checked_history(model, st)
@@ -310,17 +317,18 @@ def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
                             f"problem's step {dt}")
         return np.array([st.head]), hist.values[np.newaxis]
 
-    def batch_in_domain(batch):
+    def domain_slacks(batch):
         heads, tails = batch
         g = heads + tails @ _trapezoid_weights(xi, tails.shape[1], model.lag)
-        return (g > 0.0) & (model.kappa * g < model.room * heads)
+        return np.column_stack([g, model.room * heads - model.kappa * g])
 
     return OracleProblem(
         step=functools.partial(shift_batch, model, dt=dt),
-        running_payoff=batch_payoff,
+        consumption=lambda batch, u: model.a * batch[0] - u,
+        utility=utility,
         rho=model.rho,
         dt=dt,
-        domain_check=batch_in_domain,
+        domain_slacks=domain_slacks,
         to_batch=to_batch,
         control_bounds=lambda batch: band(model, batch[0]),
         payoff_tail_bound=tail_bound,

@@ -23,13 +23,12 @@ import numpy as np
 
 from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
-from .errors import AssumptionError, ConfigError, DomainError
+from .errors import AssumptionError, ConfigError, DomainError, NumericsError
 from .gridcore import (AgeGrid, CircleGrid, HistorySegment, StructuralState,
                        inner_product, quad_circle)
-from .verify import (ORACLE_BUDGET, ORACLE_CONTROL_LEVELS, ModelHandle,
-                     OracleBracket, VerifyReport, brute_force_value,
-                     suboptimality_margin, transversality, value_match,
-                     _rollout)
+from .verify import (ModelHandle, OracleBracket, VerifyReport,
+                     brute_force_value, suboptimality_margin, transversality,
+                     value_match, _rollout)
 
 DEFAULT_TOLERANCES = {
     "residual": 1e-5,        # max relative HJB defect at criterion resolution
@@ -588,14 +587,21 @@ def _build_ttb(config):
 
 def residual_study(scenario: Scenario, rng) -> tuple[list, list]:
     """HJB residuals at 10 random in-domain states, at the criterion
-    resolution and at its 2x refinement (same random draws at both)."""
+    resolution and at its 2x refinement (same random draws at both); an
+    overflow, or a division by an underflowed zero, is a NumericsError."""
     res = RESIDUAL_RESOLUTION[scenario.name]
     base, refined = [], []
-    for _ in range(10):
-        seed_child = rng.integers(0, 2 ** 63 - 1)
-        for r, sink in ((res, base), (2 * res, refined)):
-            state = scenario.sample_state(np.random.default_rng(seed_child), r)
-            sink.append(scenario.residual_fn(state))
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for _ in range(10):
+                seed_child = rng.integers(0, 2 ** 63 - 1)
+                for r, sink in ((res, base), (2 * res, refined)):
+                    state = scenario.sample_state(
+                        np.random.default_rng(seed_child), r)
+                    sink.append(scenario.residual_fn(state))
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericsError("HJB residual left the float range "
+                            f"({exc})") from None
     return base, refined
 
 
@@ -633,16 +639,19 @@ def verify_scenario(config: dict, seed: int = 0) -> VerifyReport:
 
 ORACLE_COARSE_CELLS = 8
 ORACLE_EFOLDINGS = 5.0
+# the longest DP oracle horizon, in steps: its Newton solve takes O(n^3)
+# time and O(n^2) memory, about 3 s and 55 MiB more at 500 steps
+ORACLE_MAX_STEPS = 500
 
 
-def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
-                    budget: int = ORACLE_BUDGET) -> tuple[OracleBracket, float]:
+def oracle_scenario(config: dict) -> tuple[OracleBracket, float]:
     """Coarse-scale DP oracle for a delay model: returns the bracket and the
     analytic value of the same coarse state.  A model without an oracle is
     rejected before anything is built; a delay model is built at full
     resolution first, to reject a bad ``numerics.m`` before the coarse
     rebuild overrides it.  A model the oracle cannot bound (sigma >= 1)
-    is an AssumptionError before the sweep starts."""
+    is an AssumptionError, and a horizon of more than ORACLE_MAX_STEPS
+    steps a ConfigError, both before the seed rollout."""
     config = validate_config(config)
     model = config["model"]
     if model not in ("vintage-dde", "time-to-build"):
@@ -652,7 +661,13 @@ def oracle_scenario(config: dict, n_controls: int = ORACLE_CONTROL_LEVELS,
     sc = build_scenario(dict(config, numerics=dict(config["numerics"],
                                                    m=ORACLE_COARSE_CELLS)))
     problem = delay.oracle_problem(sc.spec.delay, sc.handle.dt)
-    seed = _rollout(sc.handle, sc.state0, ORACLE_EFOLDINGS / sc.handle.rho)
-    bracket = brute_force_value(problem, sc.state0, seed.controls[:-1],
-                                n_controls=n_controls, budget=budget)
+    T_end = ORACLE_EFOLDINGS / sc.handle.rho
+    steps = int(round(T_end / sc.handle.dt))
+    if steps > ORACLE_MAX_STEPS:
+        raise ConfigError(
+            f"the DP oracle's horizon {ORACLE_EFOLDINGS:g} / params.rho in "
+            f"steps of params.{_STEP_SPAN[model]} / {ORACLE_COARSE_CELLS} is "
+            f"{steps} steps, more than its {ORACLE_MAX_STEPS}")
+    seed = _rollout(sc.handle, sc.state0, T_end)
+    bracket = brute_force_value(problem, sc.state0, seed.controls[:-1])
     return bracket, float(sc.handle.value(sc.state0))

@@ -15,12 +15,12 @@ payoff).  On top of it:
 * ``transversality`` -- log-slope of t -> e^{-rho t} |v(y(t))| over the
   trajectory's last quartile (a finite-time surrogate for the asymptotic
   transversality conditions, which are limsup/liminf statements).
-* ``brute_force_value`` -- a backward-sweep dynamic-programming oracle over
-  a tube of control perturbations around the feedback path, with zero
-  terminal value and an explicit truncation bound; the seed path's length
-  sets the horizon.  It certifies the closed-form value from below and
-  brackets it from above without ever evaluating the value callback (it
-  runs on an :class:`OracleProblem`).
+* ``brute_force_value`` -- the dynamic-programming oracle: the optimum of
+  the truncated problem (zero terminal value, the seed path's length sets
+  the horizon) by a log-barrier Newton solve with a certified duality
+  gap, plus an explicit truncation bound.  It certifies the closed-form
+  value from below and brackets it from above without ever evaluating
+  the value callback (it runs on an :class:`OracleProblem`).
 """
 
 from __future__ import annotations
@@ -34,32 +34,33 @@ from .errors import DomainError, DomainExitError, NumericsError
 from .gridcore import Trajectory
 
 
-class OracleBudgetError(NumericsError):
-    """The DP oracle ran out of its evaluation budget."""
-
-
 @dataclass(frozen=True)
 class OracleProblem:
     """Batched step/payoff view of a model, structurally unable to peek at
     the closed-form value.
 
     A batch is a tuple of arrays sharing a leading row axis, one row per
-    state.  ``step(batch, u)`` advances by the problem's step ``dt``;
-    it, ``running_payoff(batch, u)`` and ``domain_check(batch)`` act row
-    by row, with ``u`` a scalar or one control per row; ``step`` raises
-    :class:`GridError` on a non-finite state.  ``to_batch`` stacks one
+    state, and each callback acts row by row, with ``u`` a scalar or one
+    control per row.  ``step(batch, u)`` advances by the problem's step
+    ``dt`` and raises :class:`GridError` on a non-finite state.  A row
+    holding u earns ``utility(consumption(batch, u))``: the consumption is
+    affine in the row and u, and ``utility(c)`` returns the concave
+    utility of c > 0 with its first and second derivatives.  A row is
+    admissible where the affine ``domain_slacks(batch)`` (rows, k) are
+    positive, and its control inside the open band ``control_bounds(
+    batch)`` with a positive consumption.  ``to_batch`` stacks one
     validated state into a batch, refusing one the step does not fit; no
-    callback turns a row back into one.  ``control_bounds(batch)`` gives
-    the admissible box of each row, and ``payoff_tail_bound(batch, time)``
-    an upper bound on the remaining discounted payoff of any admissible
-    continuation from the batch's first row.
+    callback turns a row back into one.  ``payoff_tail_bound(batch,
+    time)`` is an upper bound on the remaining discounted payoff of any
+    admissible continuation from the batch's first row.
     """
 
     step: Callable
-    running_payoff: Callable
+    consumption: Callable
+    utility: Callable
     rho: float
     dt: float
-    domain_check: Callable
+    domain_slacks: Callable
     to_batch: Callable
     control_bounds: Callable
     payoff_tail_bound: Callable
@@ -228,157 +229,138 @@ def suboptimality_margin(handle: ModelHandle, state0, T_end: float,
 
 @dataclass
 class OracleBracket:
-    """Outcome of the DP oracle: the best truncated-horizon payoff found,
-    the reported truncation bound, and the implied bracket [lo, hi]."""
+    """Outcome of the DP oracle: the truncated payoff ``lo`` of the policy
+    ``controls``, the certified ``gap`` to the truncated optimum, the
+    truncation bound and the implied bracket [lo, hi]; ``passes`` counts
+    Newton steps and ``evaluations`` consumption evaluations."""
 
     lo: float
+    gap: float
     tail_bound: float
     evaluations: int
     passes: int
+    controls: np.ndarray | None
 
     @property
     def hi(self) -> float:
-        return self.lo + self.tail_bound
+        return self.lo + self.gap + self.tail_bound
 
     def contains(self, value: float, slack: float) -> bool:
         width = slack * max(abs(self.lo), abs(self.hi), 1e-300)
         return self.lo - width <= value <= self.hi + width
 
 
-# the DP oracle's defaults: control levels per step, and payoff
-# evaluations before it gives up
-ORACLE_CONTROL_LEVELS = 33
-ORACLE_BUDGET = 20_000_000
+# the DP oracle's cap on Newton steps (its default problems take 47 and 66)
+ORACLE_NEWTON_STEPS = 500
 
 
-def brute_force_value(problem: OracleProblem, state0, seed_controls,
-                      n_controls: int = ORACLE_CONTROL_LEVELS,
-                      span: float = 0.5, span_min: float = 4e-3,
-                      max_passes: int = 12,
-                      budget: int = ORACLE_BUDGET) -> OracleBracket:
-    """Backward-sweep dynamic programming over a tube of control levels.
+def brute_force_value(problem: OracleProblem, state0,
+                      seed_controls) -> OracleBracket:
+    """The truncated problem's optimum, by a log-barrier Newton solve.
 
-    The control path starts from ``seed_controls`` (one entry per step of
-    the problem's dt, so its length sets the horizon; typically the
-    feedback path) and
-    is improved by repeated backward-in-time sweeps: at each step the
-    control tries ``n_controls`` levels spanning ``+-span`` (relative)
-    around the current choice, clipped to the admissible box, and keeps
-    whatever maximizes the remaining discounted payoff with ZERO terminal
-    value.  The span halves whenever a sweep stops paying.  For these
-    concave problems the sweeps converge to the truncated-discrete optimum,
-    which bounds the analytic value from below; adding the truncation bound
-    gives the upper bracket edge.  ``lo`` always corresponds to an
-    explicitly evaluated feasible policy, whatever the pass count.
+    A policy holds one control per step of the problem's dt, one per entry
+    of ``seed_controls`` (strictly admissible, typically the feedback
+    path), and earns ``_rollout``'s control-consistent trapezoid with ZERO
+    terminal value.  The dynamics are linear, so consumptions and slacks
+    are affine in the controls: one batch run of a zero-control row and a
+    unit impulse per step gives that map exactly (a unit added to a seed's
+    large controls would be lost to rounding).  Newton's method on the
+    concave t*payoff + sum(log slacks) starts at the seed, raises t
+    twenty-fold per centering and stops once the duality gap M/t of its M
+    slacks is below 1e-9 of the payoff.  Iterates stay strictly inside
+    (fraction to the boundary, then halving), judged on barrier
+    differences, which t*payoff would swallow.
 
-    All candidates of one step are scored together, as one batch run
-    forward to the horizon, and the states and payoffs before each step
-    are walked once per sweep, since a backward sweep never changes the
-    controls ahead of its current step.  ``evaluations`` still counts two
-    payoff evaluations per candidate per step, up to a domain exit.
-
-    The recursion consumes only the step/payoff callbacks (no value
-    callback exists on :class:`OracleProblem`).
+    ``lo`` is the payoff of the solution replayed through the callbacks,
+    as ``controls``, pulled toward the seed where an active constraint
+    replays a hair outside; ``gap`` is M/t plus what the pull lost.  A
+    non-finite state is a GridError, a seed leaving the set a
+    DomainExitError, and a singular or overflowing solve, or one of more
+    than ORACLE_NEWTON_STEPS steps, a NumericsError.
     """
-    controls = list(seed_controls)
-    n_steps, dt = len(controls), problem.dt
-    times = dt * np.arange(n_steps + 1)
-    disc = np.exp(-problem.rho * times)
+    seed = np.array(seed_controls, dtype=float)
+    n = len(seed)
+    disc = np.exp(-problem.rho * problem.dt * np.arange(n + 1))
+    weights = 0.5 * problem.dt * np.concatenate([disc[:-1], disc[1:]])
     evals = 0
 
-    def rows(batch, keep):
-        return tuple(a[keep] for a in batch)
-
-    def clip(candidates, state):
-        """Candidates clipped to just inside the admissible box of the
-        one-row batch ``state``, duplicates dropped (first one kept)."""
-        lo, hi = (float(b[0]) for b in problem.control_bounds(state))
-        eps = 1e-12 * max(1.0, abs(hi))
-        candidates = [min(max(u, lo + eps), hi - eps) for u in candidates]
-        return np.array(list(dict.fromkeys(candidates)))
-
-    def cell(batch, u, k):
-        """Step k holding u, and its control-consistent trapezoid cell."""
-        g_left = problem.running_payoff(batch, u)
-        batch = problem.step(batch, u)
-        g_right = problem.running_payoff(batch, u)
-        return batch, 0.5 * dt * (disc[k] * g_left + disc[k + 1] * g_right)
-
-    def forward(batch, first, start_idx, prefix_payoff):
-        """Payoffs of the truncated problem for each row of ``batch``, which
-        holds its control in ``first`` at step ``start_idx`` and follows
-        ``controls`` after it, with zero tail.  A row that leaves the
-        domain scores -inf and stops counting evaluations.  Returns the
-        payoffs, the final states of the rows still inside and those rows'
-        indices."""
+    def run(controls):
+        """Consumptions (left ends of the steps, then right ends), slacks
+        and final batch of each row of ``controls`` (rows, n)."""
         nonlocal evals
-        n_rows = len(batch[0])
-        live = np.arange(n_rows)
-        total = np.full(n_rows, prefix_payoff)
-        for k in range(start_idx, n_steps):
-            u = first if k == start_idx else controls[k]
-            inside = problem.domain_check(batch)
-            if not inside.all():
-                live, total, batch = live[inside], total[inside], \
-                    rows(batch, inside)
-                if not len(live):
+        batch = tuple(np.repeat(a, len(controls), axis=0)
+                      for a in problem.to_batch(state0))
+        left, right, slacks = [], [], []
+        for k in range(n):
+            u = controls[:, k]
+            lo, hi = problem.control_bounds(batch)
+            slacks += [u - lo, hi - u, problem.domain_slacks(batch)]
+            left.append(problem.consumption(batch, u))
+            batch = problem.step(batch, u)
+            right.append(problem.consumption(batch, u))
+        evals += 2 * n * len(controls)
+        cons = np.column_stack(left + right)
+        return cons, np.column_stack(
+            slacks + [problem.domain_slacks(batch), cons]), batch
+
+    def replay(controls):
+        """The payoff and final batch of one policy; no payoff unless it
+        stays strictly inside."""
+        cons, slacks, final = run(controls[np.newaxis])
+        if not slacks.min() > 0.0:
+            return None, final
+        return float(weights @ problem.utility(cons[0])[0]), final
+
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            f_seed, _ = replay(seed)
+            if f_seed is None:
+                raise DomainExitError(
+                    0.0, message="seed control path leaves the domain")
+            cons, slacks, _ = run(np.vstack([np.zeros(n), np.eye(n)]))
+            c0, cmap = cons[0], cons[1:] - cons[0]
+            s0, smap = slacks[0], slacks[1:] - slacks[0]
+            u, t, passes = seed, s0.size / (1e-3 * abs(f_seed)), 0
+            while True:
+                c, s = c0 + u @ cmap, s0 + u @ smap
+                g, g1, g2 = problem.utility(c)
+                f = float(weights @ g)
+                grad = t * (cmap @ (weights * g1)) + smap @ (1.0 / s)
+                hess = (t * (cmap * (weights * g2)) @ cmap.T
+                        - (smap / s ** 2) @ smap.T)
+                du = np.linalg.solve(hess, -grad)
+                decrement = grad @ du
+                if decrement <= 2e-9:  # centered at t
+                    if s0.size / t <= 1e-9 * abs(f):
+                        break
+                    t *= 20.0
+                    continue
+                passes += 1
+                if passes > ORACLE_NEWTON_STEPS:
+                    raise NumericsError(f"DP oracle took {ORACLE_NEWTON_STEPS}"
+                                        " Newton steps short of its gap")
+                dc, ds = du @ cmap, du @ smap
+                shrink = ds < 0.0
+                alpha = min(1.0, 0.99 * np.min(-s[shrink] / ds[shrink],
+                                               initial=np.inf))
+                # t*f's rounding, 1e-15 of it, is forgiven as in IPOPT
+                while (t * weights @ (problem.utility(c + alpha * dc)[0] - g)
+                       + np.log1p(alpha * ds / s).sum()
+                       < 0.25 * alpha * decrement - 1e-15 * t * abs(f)):
+                    alpha *= 0.5
+                u = u + alpha * du
+            for theta in (0.0, *np.logspace(-15, 0, 16)):
+                pulled = u + theta * (seed - u)
+                lo, final = replay(pulled)
+                if lo is not None:
                     break
-                if k == start_idx:
-                    u = u[inside]
-            batch, gain = cell(batch, u, k)
-            evals += 2 * len(live)
-            total += gain
-        inside = problem.domain_check(batch)
-        values = np.full(n_rows, -np.inf)
-        values[live[inside]] = total[inside]
-        return values, rows(batch, inside), live[inside]
-
-    start = problem.to_batch(state0)
-    values, final, _ = forward(start, np.array(controls[:1]), 0, 0.0)
-    best = values[0]
-    if not np.isfinite(best):
-        raise DomainExitError(0.0,
-                              message="seed control path leaves the domain")
-
-    offsets = np.linspace(-1.0, 1.0, n_controls) if n_controls > 1 \
-        else np.array([0.0])
-    cur_span = span
-    passes = 0
-    while passes < max_passes and cur_span > span_min:
-        best_at_pass_start = best
-        passes += 1
-        # the state and accumulated payoff at each step, walked once per
-        # pass (no domain test, no evaluations counted): a backward sweep
-        # never changes the controls ahead of its current step
-        states, prefixes = [start], [0.0]
-        for k in range(n_steps - 1):
-            state, gain = cell(states[-1], controls[k], k)
-            states.append(state)
-            prefixes.append(prefixes[-1] + gain[0])
-        for j in range(n_steps - 1, -1, -1):
-            state = states[j]
-            base = controls[j]
-            candidates = clip((base * (1.0 + cur_span * offsets)).tolist(),
-                              state)
-            values, finals, live = forward(
-                rows(state, np.zeros(len(candidates), dtype=int)),
-                candidates, j, prefixes[j])
-            i = int(np.argmax(values))  # the first of the best candidates
-            if values[i] > -np.inf:
-                controls[j] = float(candidates[i])
-                if values[i] > best:
-                    best = values[i]
-                    final = rows(finals, live == i)
-            if evals > budget:
-                raise OracleBudgetError(
-                    f"DP oracle exceeded its evaluation budget ({budget})"
-                )
-        if best - best_at_pass_start < 1e-7 * max(1.0, abs(best)):
-            cur_span *= 0.5  # sweep stopped paying at this resolution
-
-    tail_bound = float(problem.payoff_tail_bound(final, times[-1]))
-    return OracleBracket(lo=float(best), tail_bound=tail_bound,
-                         evaluations=evals, passes=passes)
+            tail_bound = problem.payoff_tail_bound(final, n * problem.dt)
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        raise NumericsError(f"DP oracle's Newton solve failed ({exc})") \
+            from None
+    return OracleBracket(lo=lo, gap=s0.size / t + max(0.0, f - lo),
+                         tail_bound=float(tail_bound), evaluations=evals,
+                         passes=passes, controls=pulled)
 
 
 @dataclass

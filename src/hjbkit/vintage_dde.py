@@ -124,12 +124,6 @@ def lift_vintage(k0: float | None, iota: HistorySegment,
     return StructuralState(float(k0), tail)
 
 
-def unlift_vintage(state: StructuralState) -> tuple[float, HistorySegment]:
-    """Inverse of :func:`lift_vintage` (the tail map is an involution)."""
-    iota = HistorySegment(state.tail.d, -state.tail.values[::-1])
-    return state.head, iota
-
-
 def gamma0_from_history(iota: HistorySegment, xi: float) -> float:
     """Cross-check form Gamma0 = int_{-T}^0 iota(u) (1 - e^{-xi(u+T)}) du,
     valid when the head equals the history integral."""

@@ -64,18 +64,6 @@ class TransportSpec:
                             / (4.0 * self.rho * self.beta1))
 
 
-def age_cutoff_for_infinite_horizon(rho: float, mu: float,
-                                    tol: float = 1e-10) -> float:
-    """Finite age cutoff S with e^{-(rho+mu) S} < tol, used as a documented
-    truncation of the sbar = infinity case (requires rho + mu > 0)."""
-    if rho + mu <= 0.0:
-        raise AssumptionError(
-            "the infinite-age surrogate needs rho > -mu, got "
-            f"rho = {rho}, mu = {mu}"
-        )
-    return float(-np.log(tol) / (rho + mu))
-
-
 def build_transport_spec(mu: float, rho: float, age: AgeGrid,
                          alpha_rev, q0: float, beta0: float,
                          q1, beta1) -> TransportSpec:

@@ -108,8 +108,10 @@ def test_criterion_5_oracle_containment(ttb_oracle):
     # tests share (conftest.py); its wall time includes oracle_scenario's
     _, data, elapsed = ttb_oracle
     results["time-to-build"] = (
-        OracleBracket(lo=data["bracket_lo"], tail_bound=data["tail_bound"],
-                      evaluations=data["evaluations"], passes=data["passes"]),
+        OracleBracket(lo=data["bracket_lo"], gap=data["duality_gap"],
+                      tail_bound=data["tail_bound"],
+                      evaluations=data["evaluations"], passes=data["passes"],
+                      controls=None),
         data["analytic_value"], elapsed)
     details = []
     all_ok = True

@@ -251,13 +251,10 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command, content):
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "--model", "vintage-dde", "--seed", "-1"], "--seed"),
     (["run", "--model", "vintage-dde", "--refine", "-5"], "--refine"),
-    (["oracle", "--model", "vintage-dde", "--levels", "0"], "--levels"),
-    (["oracle", "--model", "vintage-dde", "--budget", "-1"], "--budget"),
 ])
 def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv, flag):
-    # a negative seed used to raise inside numpy, a negative refine
-    # silently coarsened the grid, zero levels silently ran one and a
-    # negative budget read as a tolerance failure (exit 3)
+    # a negative seed used to raise inside numpy, and a negative refine
+    # silently coarsened the grid
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert flag in err
@@ -453,20 +450,28 @@ class TestOracle:
         assert data["bracket_lo"] <= data["analytic_value"] \
             <= data["bracket_hi"] * 1.03
 
-    def test_single_level_equals_seed_policy(self, tmp_path):
-        code = run_cli(["oracle", "--model", "vintage-dde",
-                        "--out", str(tmp_path), "--levels", "1"])
-        data = json.loads((tmp_path / "oracle.json").read_text())
-        # one control level: the bracket's low edge is the feedback payoff
-        assert code == 0
-        assert data["passes"] >= 1
+    def test_horizon_past_the_step_cap_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        # 5 / rho at sigma 0.99 is 1,000 steps of T / 8: the solve would
+        # take O(n^3) time, so it is refused before the seed rollout
+        import hjbkit.scenarios as scenarios
 
-    def test_budget_exceeded_flags_partial_report(self, tmp_path, capsys):
-        code = run_cli(["oracle", "--model", "vintage-dde",
-                        "--out", str(tmp_path), "--budget", "50"])
-        assert code == 3
-        data = json.loads((tmp_path / "oracle.json").read_text())
-        assert data["partial"] is True
+        def no_run(*args, **kwargs):
+            raise AssertionError("the oracle rolled out or solved")
+
+        monkeypatch.setattr(scenarios, "_rollout", no_run)
+        monkeypatch.setattr(scenarios, "brute_force_value", no_run)
+        cfg = default_config("vintage-dde")
+        cfg["params"].update(sigma=0.99, rho=0.02)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli(["oracle", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "params.rho" in err and "params.T" in err
+        assert f"1000 steps, more than its {scenarios.ORACLE_MAX_STEPS}" in err
+        assert not (out / "oracle.json").exists()
 
     @pytest.mark.parametrize("model, sigma", [("vintage-dde", 1.5),
                                               ("vintage-dde", 2.0),
@@ -507,7 +512,8 @@ from hjbkit import cli
 out = sys.argv[1]
 for argv in (["run", "--model", "vintage-dde"],
              ["verify", "--model", "time-to-build", "--seed", "3"],
-             ["verify", "--model", "vintage-transport", "--seed", "3"]):
+             ["verify", "--model", "vintage-transport", "--seed", "3"],
+             ["oracle", "--model", "vintage-dde"]):
     assert cli.main(argv + ["--out", f"{out}/{argv[0]}-{argv[2]}"]) == 0
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert not loaded, (argv, loaded[:5])

@@ -8,7 +8,7 @@ from hjbkit.gridcore import HistorySegment
 from hjbkit.vintage_dde import (build_vintage_spec, gamma0_from_history,
                                 hjb_residual_vintage, interior_condition,
                                 lift_vintage, make_handle, positivity_kernel,
-                                simulate_vintage, unlift_vintage)
+                                simulate_vintage)
 
 XI_REF = 0.796812130020020  # frozen: bisection of z = 1*(1 - e^{-2z})
 
@@ -57,8 +57,8 @@ class TestLift:
     def test_involution(self):
         iota = positive_history(seed=3)
         st = lift_vintage(None, iota)
-        _, back = unlift_vintage(st)
-        assert np.array_equal(back.values, iota.values)
+        # the tail map is an involution: reflecting back gives the history
+        assert np.array_equal(-st.tail.values[::-1], iota.values)
 
     def test_constant_history(self):
         c, T = 0.7, 2.0
@@ -287,7 +287,7 @@ def test_coarse_dp_oracle_brackets_value(spec):
     handle = make_handle(spec, iota.dt)
     seed = _rollout(handle, st, 5.0 / spec.rho, 1.0).controls[:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay, iota.dt), st,
-                                seed, n_controls=33)
+                                seed)
     v = delay.value(spec.delay, st)
     assert bracket.contains(v, 0.03)
     # the value constant printed with the +sigma exponent lands far outside

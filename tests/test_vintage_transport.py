@@ -3,8 +3,7 @@ import pytest
 
 from hjbkit.errors import AssumptionError
 from hjbkit.gridcore import AgeGrid
-from hjbkit.vintage_transport import (age_cutoff_for_infinite_horizon,
-                                      build_transport_spec,
+from hjbkit.vintage_transport import (build_transport_spec,
                                       hamiltonian_transport,
                                       hjb_residual_transport, make_handle,
                                       optimal_trajectory_closed_form,
@@ -69,12 +68,6 @@ class TestBuildSpec:
         assert spec.q0 <= spec.abar[0]
         bad = make_spec(q0=0.9)  # q0 above abar(0) ~ 0.77
         assert not bad.positivity_ok
-
-    def test_infinite_age_cutoff(self):
-        S = age_cutoff_for_infinite_horizon(0.06, 0.15)
-        assert np.exp(-(0.06 + 0.15) * S) < 1e-10
-        with pytest.raises(AssumptionError):
-            age_cutoff_for_infinite_horizon(-0.2, 0.1)
 
 
 class TestValue:
