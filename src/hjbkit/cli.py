@@ -90,17 +90,27 @@ def _load_config(args) -> dict:
     return config
 
 
+# rows of trajectory.csv whose columns are computed, and written, at once
+CSV_CHUNK = 64
+
+
 def _write_trajectory_csv(path: Path, scenario, traj) -> None:
-    first = scenario.state_columns(traj.states[0], traj.controls[0])
-    header = ["t"] + list(first) + ["running_payoff"]
+    """One row per time: t, the scenario's state columns, the running
+    payoff.  The columns are computed a chunk of CSV_CHUNK rows at a time,
+    and each chunk is written before the next is computed."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, t in enumerate(traj.times):
-            cols = scenario.state_columns(traj.states[k], traj.controls[k])
-            writer.writerow([repr(float(t))]
-                            + [repr(float(v)) for v in cols.values()]
-                            + [repr(float(traj.running_payoff[k]))])
+        for start in range(0, len(traj.times), CSV_CHUNK):
+            rows = slice(start, start + CSV_CHUNK)
+            cols = scenario.state_columns(traj.states[rows],
+                                          traj.controls[rows])
+            if not start:
+                writer.writerow(["t", *cols, "running_payoff"])
+            columns = (traj.times[rows], *cols.values(),
+                       traj.running_payoff[rows])
+            writer.writerows(zip(*(
+                [repr(v) for v in np.asarray(col, dtype=float).tolist()]
+                for col in columns)))
 
 
 def cmd_run(args) -> int:

@@ -57,6 +57,16 @@ class CircleGrid:
     def from_function(self, fn) -> "Field":
         return Field(self, np.asarray(fn(self.nodes), dtype=float))
 
+    def nodal(self, x):
+        """``x``, checked to be an array of this grid's n node values: a
+        wrong shape is a GridError here, never a numpy broadcast error
+        later."""
+        shape = getattr(x, "shape", None)
+        if shape != (self.n,):
+            raise GridError(f"expected an array of {self.n} node values, got "
+                            f"{type(x).__name__} of shape {shape}")
+        return x
+
 
 @dataclass(frozen=True)
 class Field:
@@ -114,7 +124,13 @@ def trapezoid(y: np.ndarray, dx: float) -> float:
 def inner_product(f: Field, g: Field) -> float:
     """L2 pairing <f, g> = integral of f*g over the circle."""
     f._check(g)
-    return float(f.grid.h * (f.values * g.values).sum())
+    return nodal_inner(f.grid, f.values, g.values)
+
+
+def nodal_inner(grid: CircleGrid, x, g: np.ndarray) -> float:
+    """L2 pairing of the node values ``x`` with the node values ``g`` of a
+    profile on ``grid``; a GridError unless x holds n of them."""
+    return float(grid.h * np.add.reduce(grid.nodal(x) * g))
 
 
 def _stencil_coefficients(sigma: Field, zeroth: Field):
@@ -211,17 +227,21 @@ class CyclicTridiagonal:
         return x
 
 
-def check_defect(ax, x, rhs):
+def check_defect(ax, x, rhs, scratch=(None, None)):
     """Raise :class:`NumericsError` unless ``x`` is finite and its product
     ``ax`` with the matrix matches ``rhs`` to ``1e-8 * max|rhs|``.
 
     LAPACK does not flag (near-)singular systems -- it returns a
     backward-stable but meaningless vector -- so every solve verifies its
-    defect against the right-hand side.
+    defect against the right-hand side.  ``scratch``, a float and a bool
+    array of x's shape, takes the temporaries.
     """
-    defect = np.maximum.reduce(np.abs(ax - rhs))
-    if np.count_nonzero(np.isfinite(x)) != x.size \
-            or defect > 1e-8 * max(np.maximum.reduce(np.abs(rhs)), 1e-300):
+    diff, finite = scratch
+    diff = np.subtract(ax, rhs, out=diff)
+    defect = np.maximum.reduce(np.abs(diff, out=diff))
+    if np.count_nonzero(np.isfinite(x, out=finite)) != x.size \
+            or defect > 1e-8 * max(np.maximum.reduce(np.abs(rhs, out=diff)),
+                                   1e-300):
         raise NumericsError(
             f"cyclic tridiagonal solve failed its residual check (defect "
             f"{defect:.3e}); the system is singular or severely "
@@ -265,10 +285,12 @@ class CNOperator:
         self.implicit = CyclicTridiagonal(*self._rows[0])
         j = np.arange(n)
         self._neighbours = np.array((j - 1, j, j + 1))  # taken mod n
-        # scratch buffers, rewritten by every product
+        # scratch buffers, rewritten by every product and every step
         self._gathered = np.empty((3, n))
         self._terms = np.empty((2, 3, n))
         self._products = np.empty((2, n))
+        self._rhs = np.empty(n)
+        self._defect = (np.empty(n), np.empty(n, dtype=bool))
         self._last = None  # the state whose E x is in _products[1]
 
     def _product(self, x):
@@ -285,22 +307,25 @@ def cn_step(op: CNOperator, y: np.ndarray, source: np.ndarray) -> np.ndarray:
     ``(I - dt/2 L) y+ = (I + dt/2 L) y + dt*source`` for the values of y+.
 
     ``y`` and ``source`` are 1-D arrays on the operator's grid.  The scheme
-    is A-stable and second order.  The result is read-only: the operator
-    keeps its explicit product, and reuses it when the next step starts
-    from this very array.
+    is A-stable and second order.  The right-hand side and the defect are
+    formed in the operator's scratch buffers; the result is a fresh
+    read-only array: the operator keeps its explicit product, and reuses
+    it when the next step starts from this very array.
     """
     n = op.n
-    if np.shape(y) != (n,) or np.shape(source) != (n,):
+    if getattr(y, "shape", None) != (n,) \
+            or getattr(source, "shape", None) != (n,):
         raise GridError(f"cn_step needs {n} node values, got shapes "
                         f"{np.shape(y)} and {np.shape(source)}")
     if y is op._last:
         explicit = op._products[1]
     else:
         explicit = op._product(np.asarray(y, dtype=float))[1]
-    rhs = explicit + op.dt * source
+    rhs = np.multiply(op.dt, source, out=op._rhs)
+    np.add(explicit, rhs, out=rhs)
     op._last = None  # the product below overwrites E y
     x = op.implicit.back_solve(rhs)
-    check_defect(op._product(x)[0], x, rhs)
+    check_defect(op._product(x)[0], x, rhs, op._defect)
     x.flags.writeable = False
     op._last = x
     return x

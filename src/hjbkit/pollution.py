@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       inner_product, quad_circle, restrict, sl_apply)
+                       inner_product, nodal_inner, quad_circle, restrict,
+                       sl_apply)
 from .spectral import solve_elliptic
 from .verify import ModelHandle, _rollout, memo_last
 
@@ -109,25 +110,28 @@ def build_pollution_spec(sigma_diff: Field, delta_dec: Field, eta: Field,
                          rho, alpha, i_star, float(q_const))
 
 
-def value_pollution(spec: PollutionSpec, p0: Field) -> float:
-    """Affine value -<alpha, p0> + q, defined on the whole state space."""
-    return -inner_product(spec.alpha_shadow, p0) + spec.q_const
+def value_pollution(spec: PollutionSpec, p0: np.ndarray) -> float:
+    """Affine value -<alpha, p0> + q of the node values p0, defined on the
+    whole state space."""
+    return -nodal_inner(spec.grid, p0, spec.alpha_shadow.values) \
+        + spec.q_const
 
 
-def feedback_pollution(spec: PollutionSpec, p: Field) -> Field:
-    """The optimal investment ``spec.i_star``, the same at every state."""
-    return spec.i_star
+def feedback_pollution(spec: PollutionSpec, p: np.ndarray) -> np.ndarray:
+    """The node values of the optimal investment ``spec.i_star``, the same
+    array at every state p."""
+    spec.grid.nodal(p)
+    return spec.i_star.values
 
 
-def utility(spec: PollutionSpec, i: Field) -> float:
+def utility(spec: PollutionSpec, i: np.ndarray) -> float:
     """Utility of consumption, the integral of ((a-1) i)^(1-gamma) /
-    (1-gamma), of an investment profile i; a NumericsError where that
-    power leaves the float range."""
-    spec.a_prod._check(i)
+    (1-gamma), of an investment profile's node values i; a NumericsError
+    where that power leaves the float range."""
     g1 = 1.0 - spec.gamma.values
     with np.errstate(all="ignore"):  # judged below
-        total = float(spec.grid.h * (((spec.a_prod.values - 1.0) * i.values)
-                                     ** g1 / g1).sum())
+        total = float(spec.grid.h * (((spec.a_prod.values - 1.0)
+                                      * spec.grid.nodal(i)) ** g1 / g1).sum())
     if not math.isfinite(total):
         raise NumericsError(
             f"utility of consumption is {total} in floating point at gamma "
@@ -135,16 +139,22 @@ def utility(spec: PollutionSpec, i: Field) -> float:
     return total
 
 
-def running_gain(spec: PollutionSpec, p: Field, i: Field) -> float:
+def disutility(spec: PollutionSpec, p: np.ndarray) -> float:
+    """Pollution disutility <w, p> of the node values p."""
+    return nodal_inner(spec.grid, p, spec.w_dis.values)
+
+
+def running_gain(spec: PollutionSpec, p: np.ndarray, i: np.ndarray) -> float:
     """Utility-of-consumption minus pollution disutility <w, p> at one
     instant."""
-    return utility(spec, i) - inner_product(spec.w_dis, p)
+    return utility(spec, i) - disutility(spec, p)
 
 
-def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
+def simulate_pollution(spec: PollutionSpec, p0: np.ndarray, T_end: float,
                        dt: float) -> Trajectory:
-    """Forward Crank-Nicolson run under the (constant-in-time) optimal
-    investment: the verification rollout over :func:`make_handle`.
+    """Forward Crank-Nicolson run from the node values p0 under the
+    (constant-in-time) optimal investment: the verification rollout over
+    :func:`make_handle`.
 
     The discrete maximum principle is asserted: with p0 >= 0 and a
     nonnegative source the trajectory must stay above -1e-10.
@@ -152,7 +162,7 @@ def simulate_pollution(spec: PollutionSpec, p0: Field, T_end: float,
     if p0.min() < 0.0:
         raise DomainError(f"initial pollution must be nonnegative, min = {p0.min()}")
     traj = _rollout(make_handle(spec, dt), p0, T_end)
-    min_p = min(p.min() for p in traj.states)
+    min_p = float(min(p.min() for p in traj.states))
     if min_p < -1e-10:
         raise NumericsError(
             f"discrete maximum principle violated: min p = {min_p}"
@@ -189,23 +199,23 @@ def make_handle(spec: PollutionSpec, dt: float) -> ModelHandle:
     """Uniform verification interface over the pollution model, stepping
     by dt.
 
-    The value, the feedback and the two payoff terms are the public
-    functions of this module and :func:`inner_product`; the step works on
-    node arrays, with the one factored CN operator of dt, built here.  The
-    optimal investment is the one object ``spec.i_star`` at every step, so
+    States and controls are node arrays.  The value, the feedback and the
+    two payoff terms are the public functions of this module; the step
+    uses the one factored CN operator of dt, built here.  The optimal
+    investment is the one array ``spec.i_star.values`` at every step, so
     along the feedback its utility, and the source ``eta * i`` of the
     step, are computed once.  A rollout scores each state at both ends of
     a step, so the disutility of the state last scored is reused too.
     """
     grid, eta = spec.grid, spec.eta.values
     op = CNOperator(spec.sigma_diff, spec.zeroth, dt)
-    source = memo_last(lambda i: eta * i.values)
+    source = memo_last(lambda i: eta * grid.nodal(i))
 
     def step(p, i):
-        return Field(grid, cn_step(op, p.values, source(i)))
+        return cn_step(op, p, source(i))
 
     scored_utility = memo_last(partial(utility, spec))
-    scored_disutility = memo_last(partial(inner_product, spec.w_dis))
+    scored_disutility = memo_last(partial(disutility, spec))
 
     return ModelHandle(
         value=partial(value_pollution, spec),
@@ -214,5 +224,4 @@ def make_handle(spec: PollutionSpec, dt: float) -> ModelHandle:
         running_payoff=lambda p, i: scored_utility(i) - scored_disutility(p),
         rho=spec.rho,
         dt=dt,
-        scale_control=lambda c, s: Field(c.grid, s * c.values),
     )

@@ -25,7 +25,7 @@ from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
 from .errors import AssumptionError, ConfigError, DomainError, NumericsError
 from .gridcore import (AgeGrid, CircleGrid, HistorySegment, StructuralState,
-                       inner_product, quad_circle)
+                       quad_circle)
 from .verify import (ModelHandle, OracleBracket, VerifyReport,
                      brute_force_value, suboptimality_margin, transversality,
                      value_match, _rollout)
@@ -305,7 +305,7 @@ class Scenario:
     sample_state: Callable        # (rng, resolution) -> state
     residual_fn: Callable         # (state) -> float, at the state's resolution
     derived: dict                 # derived analytic constants for reports
-    state_columns: Callable       # (state, control) -> dict of CSV columns
+    state_columns: Callable       # (states, controls) -> {column: values}
     suboptimal_scale: float = 0.5    # feedback scaling for the probe control
 
 
@@ -321,14 +321,15 @@ def _smooth_positive_circle(rng, n: int):
 def _circle_parts(config, spec_at: Callable, key: str, residual: Callable,
                   nonzero: bool = False):
     """What both circle models share: the spec at ``numerics.n``, the
-    checked initial field ``initial.<key>``, and the Scenario fields spec,
+    checked node values ``initial.<key>``, and the Scenario fields spec,
     state0, the random-state sampler and the residual hook.  The hook
     takes the working spec and its REFERENCE_FACTOR-finer reference spec
-    from the state's own grid; ``spec_at`` runs once per resolution."""
+    from the test state's own grid; ``spec_at`` runs once per
+    resolution."""
     spec_at = functools.cache(_model_errors(config["model"])(spec_at))
     spec = spec_at(config["numerics"]["n"])
-    x0 = spec.grid.from_function(circle_profile(config["initial"][key]))
-    _check_initial(key, x0.values, nonzero)
+    x0 = spec.grid.from_function(circle_profile(config["initial"][key])).values
+    _check_initial(key, x0, nonzero)
 
     def residual_fn(x):
         n = x.grid.n
@@ -423,12 +424,13 @@ def _build_spatial(config):
                                      spatial_growth.hjb_residual_spatial,
                                      nonzero=True)
 
-    def columns(state, control):
+    def columns(states, controls):
+        X, C, h = np.array(states), np.array(controls), spec.grid.h
         return {
-            "total_capital": quad_circle(state),
-            "beta_pairing": inner_product(state, spec.beta),
-            "min_capital": state.min(),
-            "total_consumption": inner_product(control, spec.N_pop),
+            "total_capital": h * X.sum(axis=1),
+            "beta_pairing": h * (X * spec.beta.values).sum(axis=1),
+            "min_capital": X.min(axis=1),
+            "total_consumption": h * (C * spec.N_pop.values).sum(axis=1),
         }
 
     return dict(
@@ -459,12 +461,13 @@ def _build_pollution(config):
     spec, p0, shared = _circle_parts(config, spec_at, "p0",
                                      pollution.hjb_residual_pollution)
 
-    def columns(state, control):
+    def columns(states, controls):
+        X, C, h = np.array(states), np.array(controls), spec.grid.h
         return {
-            "total_pollution": quad_circle(state),
-            "min_pollution": state.min(),
-            "max_pollution": state.max(),
-            "total_emission": inner_product(spec.eta, control),
+            "total_pollution": h * X.sum(axis=1),
+            "min_pollution": X.min(axis=1),
+            "max_pollution": X.max(axis=1),
+            "total_emission": h * (C * spec.eta.values).sum(axis=1),
         }
 
     return dict(
@@ -485,11 +488,11 @@ def _build_vintage(config):
     iota0 = HistorySegment.from_function(p["T"], num["m"], iota_fn)
     _check_initial("iota0", iota0.values, nonzero=True)
 
-    def columns(state, control):
+    def columns(states, controls):
         return {
-            "capital": state.head,
-            "investment": float(control),
-            "gamma0": delay.gamma(state, spec.xi.xi),
+            "capital": [state.head for state in states],
+            "investment": controls,
+            "gamma0": [delay.gamma(state, spec.xi.xi) for state in states],
         }
 
     return dict(
@@ -525,12 +528,11 @@ def _build_transport(config):
     z0 = z0_fn(spec.age.nodes)
     _check_initial("z0", z0)
 
-    def columns(state, control):
-        u0_now, _ = control
+    def columns(states, controls):
         return {
-            "total_capital": spec.age.quad(state),
-            "min_capital": float(np.min(state)),
-            "boundary_investment": float(u0_now),
+            "total_capital": [spec.age.quad(state) for state in states],
+            "min_capital": [np.min(state) for state in states],
+            "boundary_investment": [u0_now for u0_now, _ in controls],
         }
 
     return dict(
@@ -556,13 +558,14 @@ def _build_ttb(config):
     u0 = HistorySegment.from_function(p["d"], num["m"], u0_fn)
     q0 = init["q0"]
 
-    def columns(state, control):
+    def columns(states, controls):
+        output = np.array([state.head for state in states])
         return {
-            "output": state.head,
-            "control": float(control),
-            "gamma": delay.gamma(state, spec.xi.xi),
+            "output": output,
+            "control": controls,
+            "gamma": [delay.gamma(state, spec.xi.xi) for state in states],
             "consumption": (spec.Atilde / spec.A)
-            * (state.head - float(control)),
+            * (output - np.asarray(controls, dtype=float)),
         }
 
     return dict(

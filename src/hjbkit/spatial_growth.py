@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (AssumptionError, DomainError, NumericsError,
                      closed_form_constant)
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       inner_product, restrict, sl_apply)
+                       inner_product, nodal_inner, restrict, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
 from .verify import ModelHandle, _rollout, memo_last
 
@@ -90,10 +90,14 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
                              alpha0, beta)
 
 
-def _pairing(x: Field, beta: Field) -> float:
+def pairing(spec: SpatialGrowthSpec, x: np.ndarray) -> float:
+    """The pairing <x, beta> of a state's node values x."""
+    return nodal_inner(spec.grid, x, spec.beta.values)
+
+
+def _in_domain(p: float) -> float:
     """The pairing p = <x, beta>, or a DomainError off the half-space (a
     NaN pairing is off it too)."""
-    p = inner_product(x, beta)
     if not p > 0.0:
         raise DomainError(
             f"state outside the value function's domain: <x, beta> = {p} <= 0"
@@ -101,10 +105,10 @@ def _pairing(x: Field, beta: Field) -> float:
     return p
 
 
-def value_spatial(spec: SpatialGrowthSpec, x: Field) -> float:
-    """Closed-form value <x, beta>^(1-sigma) / (1-sigma); a NumericsError
-    where the power leaves the float range."""
-    p, s = _pairing(x, spec.beta), spec.sigma_crra
+def value_spatial(spec: SpatialGrowthSpec, x: np.ndarray) -> float:
+    """Closed-form value <x, beta>^(1-sigma) / (1-sigma) of the node values
+    x; a NumericsError where the power leaves the float range."""
+    p, s = _in_domain(pairing(spec, x)), spec.sigma_crra
     try:
         return p ** (1.0 - s) / (1.0 - s)
     except OverflowError:
@@ -113,30 +117,30 @@ def value_spatial(spec: SpatialGrowthSpec, x: Field) -> float:
             f"<x, beta> = {p:.6g}, sigma = {s:.6g}") from None
 
 
-def feedback_spatial(spec: SpatialGrowthSpec, x: Field) -> Field:
-    """Optimal consumption profile c*(theta) = <x, beta> beta^(-1/sigma)."""
-    return Field(spec.grid, spec.consumption_profile * _pairing(x, spec.beta))
+def feedback_spatial(spec: SpatialGrowthSpec, x: np.ndarray) -> np.ndarray:
+    """Node values of the optimal consumption profile c*(theta) =
+    <x, beta> beta^(-1/sigma)."""
+    return spec.consumption_profile * _in_domain(pairing(spec, x))
 
 
-def utility(spec: SpatialGrowthSpec, c: Field) -> float:
-    """Benthamite utility integral of a consumption profile."""
-    spec.N_pop._check(c)
+def utility(spec: SpatialGrowthSpec, c: np.ndarray) -> float:
+    """Benthamite utility integral of a consumption profile's node values."""
     s = spec.sigma_crra
-    return float(spec.grid.h * ((c.values ** float(1.0 - s))
-                                * spec.N_pop.values).sum()) / (1.0 - s)
+    terms = (spec.grid.nodal(c) ** float(1.0 - s)) * spec.N_pop.values
+    return float(spec.grid.h * np.add.reduce(terms)) / (1.0 - s)
 
 
-def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
+def simulate_spatial(spec: SpatialGrowthSpec, x0: np.ndarray, T_end: float,
                      dt: float) -> Trajectory:
     """Closed-loop Crank-Nicolson run under the consumption feedback.
 
-    This is the verification rollout over :func:`make_handle`: the
-    feedback is held over each step and enters the CN right-hand side as
-    an explicit source; the linear part stays implicit.  Positivity of the
-    state is reported, not enforced: ``meta['positivity_ok']`` turns False
-    at the first time min y < 0 (the run itself continues while
-    <y, beta> > 0 holds, and a domain exit, at t = 0 too, reports the
-    pairing and the state's minimum).
+    This is the verification rollout over :func:`make_handle`, from the
+    node values x0: the feedback is held over each step and enters the CN
+    right-hand side as an explicit source; the linear part stays
+    implicit.  Positivity of the state is reported, not enforced:
+    ``meta['positivity_ok']`` turns False at the first time min y < 0 (the
+    run itself continues while <y, beta> > 0 holds, and a domain exit, at
+    t = 0 too, reports the pairing and the state's minimum).
     """
     if x0.min() < 0.0:
         raise DomainError(f"initial capital must be nonnegative, min = {x0.min()}")
@@ -145,8 +149,8 @@ def simulate_spatial(spec: SpatialGrowthSpec, x0: Field, T_end: float,
     traj.meta = {
         "positivity_ok": not negative,
         "first_negative_time": float(negative[0]) if negative else None,
-        "pairing_initial": inner_product(x0, spec.beta),
-        "pairing_final": inner_product(traj.states[-1], spec.beta),
+        "pairing_initial": pairing(spec, x0),
+        "pairing_final": pairing(spec, traj.states[-1]),
     }
     return traj
 
@@ -169,7 +173,7 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
     if ref_spec is not None:
         beta = restrict(ref_spec.beta, spec.grid)
     s = spec.sigma_crra
-    p = _pairing(x, beta)
+    p = _in_domain(inner_product(x, beta))
     v = p ** (1.0 - s) / (1.0 - s)
     # drift term <x, A_h Dv> with the stencil acting on the gradient
     grad_coeff = p ** (-s)
@@ -187,18 +191,19 @@ def make_handle(spec: SpatialGrowthSpec, dt: float) -> ModelHandle:
     """Uniform verification interface over the spatial model, stepping by
     dt.
 
-    The value, the feedback and the payoff are the public functions of
-    this module; the feedback is the domain test, raising DomainError off
-    the half-space.  The step works on node arrays, with the one factored
-    CN operator of dt, built here.  A rollout scores each control at both
-    ends of its step, so the utility of the control last scored is reused
-    (the payoff does not depend on the state).
+    States and controls are node arrays.  The value, the feedback and the
+    payoff are the public functions of this module; the feedback is the
+    domain test, raising DomainError off the half-space.  The step uses
+    the one factored CN operator of dt, built here.  A rollout scores each
+    control at both ends of its step, so the utility of the control last
+    scored is reused (the payoff does not depend on the state).
     """
-    grid, N = spec.grid, spec.N_pop.values
+    # c * (-N) is -1.0 * (c * N) bit for bit: rounding is sign-symmetric
+    grid, minus_N = spec.grid, -1.0 * spec.N_pop.values
     op = CNOperator(grid.constant(1.0), spec.A_coeff, dt)
 
     def step(y, c):
-        return Field(grid, cn_step(op, y.values, -1.0 * (c.values * N)))
+        return cn_step(op, y, grid.nodal(c) * minus_N)
 
     scored_utility = memo_last(partial(utility, spec))
 
@@ -209,7 +214,6 @@ def make_handle(spec: SpatialGrowthSpec, dt: float) -> ModelHandle:
         running_payoff=lambda y, c: scored_utility(c),
         rho=spec.rho,
         dt=dt,
-        scale_control=lambda c, s: Field(c.grid, s * c.values),
-        diagnostics=lambda y: {"pairing": inner_product(y, spec.beta),
-                               "min_state": y.min()},
+        diagnostics=lambda y: {"pairing": pairing(spec, y),
+                               "min_state": float(y.min())},
     )

@@ -25,6 +25,7 @@ payoff).  On top of it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -73,9 +74,9 @@ class ModelHandle:
     ``step(state, u)`` advances by ``dt``, fixed when the handle is made,
     as the model's grid is; ``feedback`` raises :class:`DomainError` on a
     state outside the domain, the model's one statement of it;
-    ``scale_control(u, s)`` scales a control by s (the default a float
-    one); ``diagnostics`` (state -> dict) summarizes a state that left the
-    domain.
+    ``scale_control(u, s)`` scales a control by s (the default a float or
+    an array one); ``diagnostics`` (state -> dict) summarizes a state that
+    left the domain.
     """
 
     value: Callable
@@ -126,20 +127,24 @@ def _rollout(handle: ModelHandle, state0, T_end: float,
     explicit admissible policy with O(dt^2) quadrature error regardless of
     horizon length.  A state whose feedback raises :class:`DomainError`
     aborts the run with the handle's diagnostics of that state.  numpy's
-    floating-point errors raise inside the run, so an overflow is never
-    carried on as an inf: it is a :class:`NumericsError` at the time of
-    its step, as is Python's OverflowError.
+    floating-point errors raise inside the run, and the running payoff, a
+    sum of Python floats, is tested for finiteness at every step, so an
+    overflow is never carried on as an inf: it is a :class:`NumericsError`
+    at the time of its step, as is Python's OverflowError.
     """
     dt = handle.dt
     n_steps = int(round(T_end / dt))
     times = dt * np.arange(n_steps + 1)
     disc = np.exp(-handle.rho * times)
+    half = 0.5 * dt
+    feedback, step = handle.feedback, handle.step
+    payoff = handle.running_payoff
     states, controls = [], []
     running = np.zeros(n_steps + 1)
 
     def control(state, t):
         try:
-            u = handle.feedback(state)
+            u = feedback(state)
         except DomainError as exc:
             diag = handle.diagnostics(state) if handle.diagnostics else None
             raise DomainExitError(float(t), diag) from exc
@@ -149,17 +154,20 @@ def _rollout(handle: ModelHandle, state0, T_end: float,
         controls.append(u)
         return u
 
-    state, t = state0, times[0]
+    state, t, total = state0, times[0], 0.0
     try:
         with np.errstate(all="raise", under="ignore"):
             for k in range(n_steps):
                 t = times[k]
                 u = control(state, t)
-                g_left = handle.running_payoff(state, u)
-                state = handle.step(state, u)
-                g_right = handle.running_payoff(state, u)
-                running[k + 1] = running[k] + 0.5 * dt * (
-                    disc[k] * g_left + disc[k + 1] * g_right)
+                g_left = payoff(state, u)
+                state = step(state, u)
+                g_right = payoff(state, u)
+                total += half * (disc.item(k) * g_left
+                                 + disc.item(k + 1) * g_right)
+                if not math.isfinite(total):
+                    raise FloatingPointError(f"running payoff {total}")
+                running[k + 1] = total
             t = times[-1]
             control(state, t)
     except (FloatingPointError, OverflowError) as exc:

@@ -174,7 +174,8 @@ def test_criterion_8_balanced_growth(scenarios):
 
     sc = scenarios["spatial-growth"]
     traj = sc.simulate()
-    pair = np.array([inner_product(y, sc.spec.beta) for y in traj.states])
+    pair = np.array([inner_product(sc.spec.grid.field(y), sc.spec.beta)
+                     for y in traj.states])
     slope = np.polyfit(traj.times, np.log(pair), 1)[0]
     ok = abs(slope - sc.spec.growth_rate) < 1e-3
     all_ok &= ok

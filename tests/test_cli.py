@@ -1,13 +1,16 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from hjbkit.cli import main
+from hjbkit.cli import CSV_CHUNK, _write_trajectory_csv, main
 from hjbkit.errors import ConfigError
-from hjbkit.scenarios import (MODELS, default_config, refine_config,
-                              validate_config)
+from hjbkit.scenarios import (MODELS, build_scenario, default_config,
+                              refine_config, validate_config)
 
 
 def run_cli(args):
@@ -79,6 +82,63 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"work budget") as err:
             validate_config(cfg)
         assert named in str(err.value)
+
+
+def _reference_row(sc, state, control):
+    """The CSV columns of one row, from the model's public functions."""
+    from hjbkit import delay
+    from hjbkit.gridcore import inner_product, quad_circle
+    spec = sc.spec
+    if sc.name == "spatial-growth":
+        x, c = spec.grid.field(state), spec.grid.field(control)
+        return [quad_circle(x), inner_product(x, spec.beta), x.min(),
+                inner_product(c, spec.N_pop)]
+    if sc.name == "pollution":
+        x, i = spec.grid.field(state), spec.grid.field(control)
+        return [quad_circle(x), x.min(), x.max(), inner_product(spec.eta, i)]
+    if sc.name == "vintage-transport":
+        return [spec.age.quad(state), float(np.min(state)),
+                float(control[0])]
+    gamma = delay.gamma(state, spec.xi.xi)
+    if sc.name == "vintage-dde":
+        return [state.head, float(control), gamma]
+    return [state.head, float(control), gamma,
+            (spec.Atilde / spec.A) * (state.head - float(control))]
+
+
+CSV_HEADERS = {
+    "spatial-growth": "total_capital,beta_pairing,min_capital,"
+                      "total_consumption",
+    "pollution": "total_pollution,min_pollution,max_pollution,"
+                 "total_emission",
+    "vintage-dde": "capital,investment,gamma0",
+    "vintage-transport": "total_capital,min_capital,boundary_investment",
+    "time-to-build": "output,control,gamma,consumption",
+}
+
+
+@pytest.mark.parametrize("short", [False, True])
+@pytest.mark.parametrize("model", sorted(CSV_HEADERS))
+def test_chunked_csv_matches_a_per_row_reference(tmp_path, model, short):
+    # trajectory.csv is written a chunk of rows at a time; its bytes must
+    # be those of one row at a time from the public functions, over
+    # several chunks and over a horizon shorter than one
+    cfg = default_config(model)
+    if short:
+        cfg["numerics"]["T_end"] = 5 * build_scenario(cfg).handle.dt
+    sc = build_scenario(cfg)
+    traj = sc.simulate()
+    assert (len(traj.times) < CSV_CHUNK) == short
+    path = tmp_path / "trajectory.csv"
+    _write_trajectory_csv(path, sc, traj)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["t", *CSV_HEADERS[model].split(","), "running_payoff"])
+    for k, t in enumerate(traj.times):
+        row = [t, *_reference_row(sc, traj.states[k], traj.controls[k]),
+               traj.running_payoff[k]]
+        writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 class TestRun:

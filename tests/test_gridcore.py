@@ -24,22 +24,33 @@ def test_grid_spacing_closes_the_circle():
 
 
 def test_circle_handles_reject_a_field_on_another_grid():
-    # the handles call the public model functions, whose pairings check
-    # the grid; a bare numpy broadcast error would not be a GridError
+    # the handles call the public model functions, which check the length
+    # of their node arrays; a bare numpy broadcast error would not be a
+    # GridError.  A Field is not a node array, on any grid.
     from hjbkit import pollution, spatial_growth
-    one, other = GRID.constant(1.0), CircleGrid(128).constant(1.0)
+    one = GRID.constant(1.0).values
     spatial = spatial_growth.make_handle(spatial_growth.build_spatial_spec(
-        GRID.constant(0.04), one, 0.5, 0.05), 0.01)
+        GRID.constant(0.04), GRID.constant(1.0), 0.5, 0.05), 0.01)
     spec = pollution.build_pollution_spec(
-        GRID.constant(1.3), GRID.constant(0.1), one, GRID.constant(2.0),
-        GRID.constant(0.5), one, 0.05)
+        GRID.constant(1.3), GRID.constant(0.1), GRID.constant(1.0),
+        GRID.constant(2.0), GRID.constant(0.5), GRID.constant(1.0), 0.05)
     emitting = pollution.make_handle(spec, 0.02)
-    for call in (lambda: spatial.feedback(other),
-                 lambda: spatial.running_payoff(one, other),
-                 lambda: emitting.running_payoff(other, spec.i_star),
-                 lambda: emitting.running_payoff(one, other)):
-        with pytest.raises(GridError):
-            call()
+    c, i = spatial.feedback(one), spec.i_star.values
+    for other in (CircleGrid(128).constant(1.0).values,
+                  CircleGrid(128).constant(1.0), GRID.constant(1.0)):
+        for call in (lambda: spatial.feedback(other),
+                     lambda: spatial.value(other),
+                     lambda: spatial.running_payoff(one, other),
+                     lambda: spatial.step(other, c),
+                     lambda: spatial.step(one, other),
+                     lambda: emitting.feedback(other),
+                     lambda: emitting.value(other),
+                     lambda: emitting.running_payoff(other, i),
+                     lambda: emitting.running_payoff(one, other),
+                     lambda: emitting.step(other, i),
+                     lambda: emitting.step(one, other)):
+            with pytest.raises(GridError):
+                call()
 
 
 class TestQuadCircle:
@@ -330,6 +341,27 @@ class TestCnStep:
         assert np.array_equal(cn_step(op, y, source),
                               cn_step(CNOperator(sigma, zeroth, op.dt), y,
                                       source))
+
+    def test_results_share_no_memory_with_the_scratch(self):
+        # the right-hand side and the defect are formed in the operator's
+        # buffers, which every step rewrites: each result must be a fresh
+        # read-only array that later steps leave bit for bit as it was
+        _, _, op = self._varying_operator()
+        scratch = [op._products, op._gathered, op._terms, op._rhs,
+                   *op._defect]
+        scratch += [v for k, v in vars(op).items()
+                    if isinstance(v, np.ndarray) and k != "_last"]
+        rng = np.random.default_rng(11)
+        y = 1.0 + rng.random(GRID.n)
+        results, bits = [], []
+        for _ in range(6):
+            y = cn_step(op, y, rng.random(GRID.n))
+            assert not y.flags.writeable
+            for other in scratch + results:
+                assert not np.shares_memory(y, other)
+            results.append(y)
+            bits.append(y.tobytes())
+        assert [r.tobytes() for r in results] == bits
 
     def test_result_is_read_only(self):
         _, _, op = self._varying_operator()

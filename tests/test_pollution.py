@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from hjbkit.errors import NumericsError
+from hjbkit.errors import GridError, NumericsError
 from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
                              quad_circle)
 from hjbkit.pollution import (build_pollution_spec, hjb_residual_pollution,
@@ -113,21 +113,21 @@ class TestOptimalInvestment:
 class TestValue:
     def test_zero_state(self):
         spec = wavy_spec()
-        assert value_pollution(spec, GRID.constant(0.0)) == spec.q_const
+        assert value_pollution(spec, np.zeros(GRID.n)) == spec.q_const
 
     def test_affinity(self):
         spec = wavy_spec()
         rng = np.random.default_rng(9)
-        p1 = GRID.field(rng.random(GRID.n))
-        p2 = GRID.field(rng.random(GRID.n))
-        v0 = value_pollution(spec, GRID.constant(0.0))
-        lhs = value_pollution(spec, GRID.field(p1.values + p2.values)) - v0
+        p1 = rng.random(GRID.n)
+        p2 = rng.random(GRID.n)
+        v0 = value_pollution(spec, np.zeros(GRID.n))
+        lhs = value_pollution(spec, p1 + p2) - v0
         rhs = (value_pollution(spec, p1) - v0) + (value_pollution(spec, p2) - v0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_constant_data_closed_form(self):
         spec = constant_spec()
-        v = value_pollution(spec, GRID.constant(1.0))
+        v = value_pollution(spec, np.ones(GRID.n))
         assert v == pytest.approx(spec.q_const - 2 * np.pi / 0.15, rel=1e-10)
 
 
@@ -148,12 +148,12 @@ class TestSimulate:
     def test_steady_state(self):
         spec = constant_spec()
         target = spec.eta.values[0] * spec.i_star.values[0] / 0.1
-        traj = simulate_pollution(spec, GRID.constant(1.0), 160.0, 0.05)
-        assert np.allclose(traj.states[-1].values, target, atol=1e-6)
+        traj = simulate_pollution(spec, np.ones(GRID.n), 160.0, 0.05)
+        assert np.allclose(traj.states[-1], target, atol=1e-6)
 
     def test_maximum_principle_flag(self):
         spec = wavy_spec()
-        traj = simulate_pollution(spec, GRID.constant(0.5), 10.0, 0.02)
+        traj = simulate_pollution(spec, np.full(GRID.n, 0.5), 10.0, 0.02)
         assert traj.meta["min_state"] >= -1e-10
 
 
@@ -190,7 +190,7 @@ def test_value_match_and_suboptimality():
     from hjbkit.verify import suboptimality_margin, value_match
     spec = wavy_spec()
     handle = make_handle(spec, 0.02)
-    p0 = GRID.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
+    p0 = GRID.from_function(lambda t: 1.0 + 0.5 * np.cos(t)).values
     vm = value_match(handle, p0, 60.0)
     assert vm.rel_gap < 5e-3
     assert suboptimality_margin(handle, p0, 60.0) > 5e-3
@@ -209,31 +209,44 @@ def skewed_spec(grid=CircleGrid(96)):
 
 
 class TestHandleArrays:
-    """The handle steps and scores on node arrays; every number must be
-    the bits the public Field functions and a fresh CN operator give."""
+    """The handle steps and scores on node arrays with the public
+    functions; every number must be the bits that the Field functions at
+    the edges and a fresh CN operator give."""
 
     @pytest.fixture(params=["wavy", "skewed"])
     def spec(self, request):
         return {"wavy": wavy_spec, "skewed": skewed_spec}[request.param]()
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
-    def test_callbacks_match_field_functions(self, spec, scale):
+    def test_callbacks_match_public_functions(self, spec, scale):
         dt = 0.02
         handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
                         spec.grid.field(-1.0 * spec.delta_dec.values), dt)
-        p = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
+        p = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t)).values
         for _ in range(3):
             i = handle.feedback(p)
-            assert np.array_equal(i.values, spec.i_star.values)
+            assert np.array_equal(i, spec.i_star.values)
             if scale != 1.0:
                 i = handle.scale_control(i, scale)
             assert handle.running_payoff(p, i) == running_gain(spec, p, i)
             nxt = handle.step(p, i)
-            want = cn_step(op, p.values, spec.eta.values * i.values)
-            assert np.array_equal(nxt.values, want)
+            assert type(nxt) is np.ndarray
+            want = cn_step(op, p, spec.eta.values * i)
+            assert np.array_equal(nxt, want)
             assert handle.running_payoff(nxt, i) == running_gain(spec, nxt, i)
             p = nxt
+
+    def test_payoff_terms_match_the_field_functions(self, spec):
+        p = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
+        i = spec.i_star
+        a, g = spec.a_prod.values, spec.gamma.values
+        want = quad_circle(spec.grid.field(
+            ((a - 1.0) * i.values) ** (1.0 - g) / (1.0 - g))) \
+            - inner_product(spec.w_dis, p)
+        assert running_gain(spec, p.values, i.values) == want
+        assert value_pollution(spec, p.values) == \
+            -inner_product(spec.alpha_shadow, p) + spec.q_const
 
     def test_value_and_feedback_are_the_public_functions(self, spec):
         handle = make_handle(spec, 0.02)
@@ -245,9 +258,9 @@ class TestHandleArrays:
     def test_payoff_follows_a_new_control(self, spec):
         # the reused utility belongs to the control object last scored
         handle = make_handle(spec, 0.02)
-        p = spec.grid.constant(0.5)
-        for i in (spec.i_star, spec.grid.field(0.5 * spec.i_star.values),
-                  spec.i_star, spec.grid.field(2.0 * spec.i_star.values)):
+        p = np.full(spec.grid.n, 0.5)
+        i_star = spec.i_star.values
+        for i in (i_star, 0.5 * i_star, i_star, 2.0 * i_star):
             assert handle.running_payoff(p, i) == running_gain(spec, p, i)
 
     def test_step_follows_a_new_control(self, spec):
@@ -256,22 +269,22 @@ class TestHandleArrays:
         handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
                         spec.grid.field(-1.0 * spec.delta_dec.values), dt)
-        p = spec.grid.constant(0.5)
-        for i in (spec.i_star, spec.grid.field(0.5 * spec.i_star.values),
-                  spec.i_star, spec.grid.field(2.0 * spec.i_star.values)):
-            want = cn_step(op, p.values, spec.eta.values * i.values)
-            assert np.array_equal(handle.step(p, i).values, want)
+        p = np.full(spec.grid.n, 0.5)
+        i_star = spec.i_star.values
+        for i in (i_star, 0.5 * i_star, i_star, 2.0 * i_star):
+            want = cn_step(op, p, spec.eta.values * i)
+            assert np.array_equal(handle.step(p, i), want)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_matches_field_loop(self, spec, scale):
-        # the closed loop written out in array arithmetic
+        # the closed loop written out with the Field functions
         dt, n_steps = 0.05, 25
         handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
                         spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         a, g = spec.a_prod.values, spec.gamma.values
         p0 = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-        traj = _rollout(handle, p0, n_steps * dt, control_scale=scale)
+        traj = _rollout(handle, p0.values, n_steps * dt, control_scale=scale)
         states, controls, running = (traj.states, traj.controls,
                                      traj.running_payoff)
 
@@ -284,12 +297,27 @@ class TestHandleArrays:
         for k in range(n_steps):
             i = spec.i_star if scale == 1.0 \
                 else spec.grid.field(scale * spec.i_star.values)
-            assert np.array_equal(controls[k].values, i.values)
+            assert np.array_equal(controls[k], i.values)
             g_left = gain(p, i)
             p = spec.grid.field(cn_step(op, p.values,
                                         spec.eta.values * i.values))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g_left
                                  + np.exp(-spec.rho * (dt * (k + 1)))
                                  * gain(p, i))
-            assert np.array_equal(states[k + 1].values, p.values)
+            assert np.array_equal(states[k + 1], p.values)
             assert running[k + 1] == total
+
+    @pytest.mark.parametrize("bad", [95, 129, (1, 96)])
+    def test_a_wrong_shape_is_a_grid_error(self, spec, bad):
+        # a node array of another length, or of another shape, must be a
+        # GridError from every callback, never a numpy broadcast error
+        handle = make_handle(spec, 0.02)
+        p, i, wrong = np.ones(spec.grid.n), spec.i_star.values, np.ones(bad)
+        for call in (lambda: handle.feedback(wrong),
+                     lambda: handle.value(wrong),
+                     lambda: handle.running_payoff(wrong, i),
+                     lambda: handle.running_payoff(p, wrong),
+                     lambda: handle.step(wrong, i),
+                     lambda: handle.step(p, wrong)):
+            with pytest.raises(GridError):
+                call()

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 
-from hjbkit.errors import AssumptionError, DomainError, DomainExitError
+from hjbkit.errors import (AssumptionError, DomainError, DomainExitError,
+                           GridError)
 from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
                              quad_circle)
 from hjbkit.spatial_growth import (build_spatial_spec, feedback_spatial,
-                                   hjb_residual_spatial, make_handle,
+                                   hjb_residual_spatial, make_handle, pairing,
                                    simulate_spatial, utility, value_spatial)
 from hjbkit.verify import _rollout
 from hjbkit.spectral import rayleigh_residual
@@ -60,35 +61,33 @@ class TestBuildSpec:
 
 class TestValue:
     def test_unit_pairing(self, const_spec):
-        x = const_spec.grid.field(const_spec.beta.values * (
-            1.0 / inner_product(const_spec.beta, const_spec.beta)))
+        x = const_spec.beta.values * (
+            1.0 / inner_product(const_spec.beta, const_spec.beta))
         assert value_spatial(const_spec, x) == pytest.approx(2.0, rel=1e-12)
 
     def test_homogeneity(self, wavy_spec):
-        x = smooth_positive(wavy_spec.grid, 1)
+        x = smooth_positive(wavy_spec.grid, 1).values
         v1 = value_spatial(wavy_spec, x)
         for k in (0.5, 3.0):
-            assert value_spatial(wavy_spec, x.grid.field(k * x.values)) \
-                == pytest.approx(
+            assert value_spatial(wavy_spec, k * x) == pytest.approx(
                 k ** 0.5 * v1, rel=1e-12)
 
     def test_eigenstate_value(self, const_spec):
         # <e0, beta> = alpha0, so v(e0) = alpha0^{1-sigma}/(1-sigma)
-        v = value_spatial(const_spec, const_spec.eigen.e0)
+        v = value_spatial(const_spec, const_spec.eigen.e0.values)
         assert v == pytest.approx(const_spec.alpha0 ** 0.5 / 0.5, rel=1e-10)
 
     def test_domain_violation(self, const_spec):
         with pytest.raises(DomainError):
-            value_spatial(const_spec, const_spec.grid.field(
-                -1.0 * const_spec.grid.constant(1.0).values))
+            value_spatial(const_spec,
+                          -1.0 * const_spec.grid.constant(1.0).values)
 
     def test_concavity_on_segments(self, wavy_spec):
         rng = np.random.default_rng(3)
         for seed in range(5):
-            x1 = smooth_positive(wavy_spec.grid, 10 + seed)
-            x2 = smooth_positive(wavy_spec.grid, 20 + seed)
-            mid = value_spatial(wavy_spec, x1.grid.field(
-                0.5 * x1.values + 0.5 * x2.values))
+            x1 = smooth_positive(wavy_spec.grid, 10 + seed).values
+            x2 = smooth_positive(wavy_spec.grid, 20 + seed).values
+            mid = value_spatial(wavy_spec, 0.5 * x1 + 0.5 * x2)
             assert mid >= 0.5 * (value_spatial(wavy_spec, x1)
                                  + value_spatial(wavy_spec, x2)) - 1e-12
 
@@ -96,19 +95,22 @@ class TestValue:
 class TestFeedback:
     def test_domain_edge(self, const_spec):
         with pytest.raises(DomainError):
-            feedback_spatial(const_spec, const_spec.grid.field(
-                0.0 * const_spec.grid.constant(1.0).values))
+            feedback_spatial(const_spec,
+                             0.0 * const_spec.grid.constant(1.0).values)
 
     def test_nan_state_is_outside_the_domain(self, const_spec):
-        # Field does not check finiteness, and the model states its domain
-        # once: a NaN pairing must fail it, not steer, score or residual
-        nan = const_spec.grid.constant(np.nan)
+        # node arrays and Fields are not checked for finiteness, and the
+        # model states its domain once: a NaN pairing must fail it, not
+        # steer, score or residual
+        nan_field = const_spec.grid.constant(np.nan)
+        nan = nan_field.values
         handle = make_handle(const_spec, 0.01)
         for fn in (handle.feedback, lambda y: feedback_spatial(const_spec, y),
-                   lambda y: value_spatial(const_spec, y),
-                   lambda y: hjb_residual_spatial(const_spec, y)):
+                   lambda y: value_spatial(const_spec, y)):
             with pytest.raises(DomainError):
                 fn(nan)
+        with pytest.raises(DomainError):
+            hjb_residual_spatial(const_spec, nan_field)
         with pytest.raises(DomainExitError) as err:
             _rollout(handle, nan, 5 * 0.01)
         assert err.value.time == 0.0
@@ -117,9 +119,9 @@ class TestFeedback:
         assert np.isnan(err.value.diagnostics["min_state"])
 
     def test_constant_spec_gives_constant_consumption(self, const_spec):
-        x = smooth_positive(const_spec.grid, 2)
+        x = smooth_positive(const_spec.grid, 2).values
         c = feedback_spatial(const_spec, x)
-        assert np.allclose(c.values, c.values[0], rtol=1e-12)
+        assert np.allclose(c, c[0], rtol=1e-12)
 
     def test_foc_against_scalar_maximizer(self, wavy_spec):
         # c* maximizes u -> u^{1-s}/(1-s) N - u N p pointwise; the golden
@@ -145,25 +147,26 @@ class TestFeedback:
             return (a + b) / 2
 
         x = smooth_positive(wavy_spec.grid, 5)
-        c = feedback_spatial(wavy_spec, x)
-        p = wavy_spec.grid.field(inner_product(x, wavy_spec.beta) ** (-0.5)
-                                 * wavy_spec.beta.values)
+        c = feedback_spatial(wavy_spec, x.values)
+        p = (inner_product(x, wavy_spec.beta) ** (-0.5)
+             * wavy_spec.beta.values)
         rng = np.random.default_rng(7)
         with mp.workdps(40):
             for j in rng.integers(0, wavy_spec.grid.n, size=5):
-                pj = mp.mpf(float(p.values[j]))
+                pj = mp.mpf(float(p[j]))
                 best = golden_max(
                     lambda u: 2 * mp.sqrt(u) - u * pj, 1e-6, 10.0 / pj ** 2)
-                assert c.values[j] == pytest.approx(float(best), abs=1e-9)
+                assert c[j] == pytest.approx(float(best), abs=1e-9)
 
 
 class TestSimulate:
     def test_one_step_growth_identity(self, const_spec):
         dt = 1e-3
-        x0 = const_spec.grid.field(0.1 * const_spec.eigen.e0.values)
+        grid = const_spec.grid
+        x0 = 0.1 * const_spec.eigen.e0.values
         traj = simulate_spatial(const_spec, x0, dt, dt)
-        ratio = (inner_product(traj.states[-1], const_spec.beta)
-                 / inner_product(x0, const_spec.beta))
+        ratio = (inner_product(grid.field(traj.states[-1]), const_spec.beta)
+                 / inner_product(grid.field(x0), const_spec.beta))
         g = const_spec.growth_rate
         assert ratio == pytest.approx(np.exp(g * dt), abs=5 * dt ** 2)
 
@@ -181,23 +184,25 @@ class TestSimulate:
             2 * np.pi * np.exp(0.04 * n * dt), rel=1e-6)
 
     def test_balanced_growth_slope(self, wavy_spec):
-        x0 = wavy_spec.grid.constant(1.0)
+        x0 = wavy_spec.grid.constant(1.0).values
         traj = simulate_spatial(wavy_spec, x0, 40.0, 0.01)
-        pairings = np.array([inner_product(y, wavy_spec.beta)
+        pairings = np.array([inner_product(wavy_spec.grid.field(y),
+                                           wavy_spec.beta)
                              for y in traj.states])
         slope = np.polyfit(traj.times, np.log(pairings), 1)[0]
         assert slope == pytest.approx(wavy_spec.growth_rate, abs=1e-3)
 
     def test_positivity_reported_not_enforced(self, const_spec):
-        traj = simulate_spatial(const_spec, const_spec.grid.constant(1.0),
+        traj = simulate_spatial(const_spec,
+                                const_spec.grid.constant(1.0).values,
                                 1.0, 0.01)
         assert traj.meta["positivity_ok"] is True
         assert traj.meta["first_negative_time"] is None
 
     def test_rejects_bad_dt(self, const_spec):
         with pytest.raises(ValueError):
-            simulate_spatial(const_spec, const_spec.grid.constant(1.0),
-                             1.0, 0.0)
+            simulate_spatial(const_spec,
+                             const_spec.grid.constant(1.0).values, 1.0, 0.0)
 
 
 class TestHJBResidual:
@@ -231,7 +236,7 @@ class TestHJBResidual:
 def test_value_match_and_suboptimality(wavy_spec):
     from hjbkit.verify import suboptimality_margin, value_match
     handle = make_handle(wavy_spec, 0.01)
-    x0 = wavy_spec.grid.constant(1.0)
+    x0 = wavy_spec.grid.constant(1.0).values
     vm = value_match(handle, x0, 40.0)
     assert vm.rel_gap < 5e-3
     assert suboptimality_margin(handle, x0, 40.0) > 5e-3
@@ -248,31 +253,33 @@ def skewed_spec():
 
 
 class TestHandleArrays:
-    """The handle steps, steers and scores on node arrays; every number
-    must be the bits the public Field functions and a fresh CN operator
-    give."""
+    """The handle steps, steers and scores on node arrays with the public
+    functions; every number must be the bits that the Field functions at
+    the edges and a fresh CN operator give."""
 
     @pytest.fixture(params=["wavy", "skewed"])
     def spec(self, request, wavy_spec, skewed_spec):
         return {"wavy": wavy_spec, "skewed": skewed_spec}[request.param]
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
-    def test_callbacks_match_field_functions(self, spec, scale):
+    def test_callbacks_match_public_functions(self, spec, scale):
         dt = 0.01
         handle = make_handle(spec, dt)
         op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
-        y = smooth_positive(spec.grid, 4)
+        y = smooth_positive(spec.grid, 4).values
         for _ in range(3):
             assert handle.diagnostics(y)["pairing"] == inner_product(
-                y, spec.beta)
+                spec.grid.field(y), spec.beta)
             c = handle.feedback(y)
-            assert np.array_equal(c.values, feedback_spatial(spec, y).values)
+            assert type(c) is np.ndarray
+            assert np.array_equal(c, feedback_spatial(spec, y))
             if scale != 1.0:
                 c = handle.scale_control(c, scale)
             assert handle.running_payoff(y, c) == utility(spec, c)
             nxt = handle.step(y, c)
-            want = cn_step(op, y.values, -1.0 * (c.values * spec.N_pop.values))
-            assert np.array_equal(nxt.values, want)
+            assert type(nxt) is np.ndarray
+            want = cn_step(op, y, -1.0 * (c * spec.N_pop.values))
+            assert np.array_equal(nxt, want)
             assert handle.running_payoff(nxt, c) == utility(spec, c)
             y = nxt
 
@@ -286,21 +293,20 @@ class TestHandleArrays:
     def test_payoff_follows_a_new_control(self, spec):
         # the reused utility belongs to the control object last scored
         handle = make_handle(spec, 0.01)
-        y = smooth_positive(spec.grid, 6)
+        y = smooth_positive(spec.grid, 6).values
         c = handle.feedback(y)
-        for control in (c, c.grid.field(0.5 * c.values), c,
-                        c.grid.field(2.0 * c.values)):
+        for control in (c, 0.5 * c, c, 2.0 * c):
             assert handle.running_payoff(y, control) == utility(spec, control)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_matches_field_loop(self, spec, scale):
-        # the closed loop written out in array arithmetic
+        # the closed loop written out with the Field functions
         dt, n_steps = 0.02, 25
         handle = make_handle(spec, dt)
         op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
         s, N = spec.sigma_crra, spec.N_pop
         y0 = smooth_positive(spec.grid, 8)
-        traj = _rollout(handle, y0, n_steps * dt, control_scale=scale)
+        traj = _rollout(handle, y0.values, n_steps * dt, control_scale=scale)
         states, controls, running = (traj.states, traj.controls,
                                      traj.running_payoff)
         y, total = y0, 0.0
@@ -309,12 +315,29 @@ class TestHandleArrays:
             c = spec.grid.field(p * (spec.beta.values ** (-1.0 / s)))
             if scale != 1.0:
                 c = spec.grid.field(scale * c.values)
-            assert np.array_equal(controls[k].values, c.values)
+            assert np.array_equal(controls[k], c.values)
             g = quad_circle(spec.grid.field((c.values ** (1.0 - s))
                                             * N.values)) / (1.0 - s)
             y = spec.grid.field(cn_step(op, y.values,
                                         -1.0 * (c.values * N.values)))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g
                                  + np.exp(-spec.rho * (dt * (k + 1))) * g)
-            assert np.array_equal(states[k + 1].values, y.values)
+            assert np.array_equal(states[k + 1], y.values)
             assert running[k + 1] == total
+
+    @pytest.mark.parametrize("bad", [95, 97, (96, 1), (1, 96)])
+    def test_a_wrong_shape_is_a_grid_error(self, spec, bad):
+        # a node array of another length, or of another shape, must be a
+        # GridError from every callback, never a numpy broadcast error
+        handle = make_handle(spec, 0.01)
+        y = smooth_positive(spec.grid, 3).values
+        c = handle.feedback(y)
+        wrong = np.ones(bad)
+        for call in (lambda: handle.feedback(wrong),
+                     lambda: handle.value(wrong),
+                     lambda: handle.running_payoff(y, wrong),
+                     lambda: handle.step(wrong, c),
+                     lambda: handle.step(y, wrong),
+                     lambda: pairing(spec, wrong)):
+            with pytest.raises(GridError):
+                call()

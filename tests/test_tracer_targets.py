@@ -126,6 +126,24 @@ def test_verify_meets_perfbench_coverage_counts(model):
     assert trace.calls[f"{module}.{simulate}"] == 1
 
 
+@pytest.mark.parametrize("model", ["spatial-growth", "pollution"])
+def test_circle_field_count_does_not_grow_with_the_horizon(model):
+    # the circle closed loop steps, steers and scores on node arrays, and
+    # builds Fields only at its edges: twice the steps, the same count
+    counts = []
+    for T_end in (0.2, 0.4):
+        cfg = default_config(model)
+        cfg["numerics"]["T_end"] = T_end
+        trace = tracer.Tracer()
+        trace.install()
+        try:
+            verify_scenario(cfg)
+        finally:
+            trace.uninstall()
+        counts.append(trace.counts["gridcore.Field"])
+    assert counts[0] == counts[1] > 0
+
+
 def test_oracle_meets_perfbench_coverage_counts():
     # perfbench's coverage check matches the evaluations and passes its
     # tracer records from brute_force_value against those oracle.json

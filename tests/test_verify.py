@@ -6,7 +6,8 @@ import pytest
 from oracle_helpers import golden_max
 
 from hjbkit import delay
-from hjbkit.errors import DomainError, DomainExitError, GridError
+from hjbkit.errors import (DomainError, DomainExitError, GridError,
+                           NumericsError)
 from hjbkit.gridcore import CircleGrid, HistorySegment, Trajectory
 from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_handle
@@ -24,7 +25,7 @@ def spatial():
     grid = CircleGrid(128)
     spec = build_spatial_spec(grid.constant(0.04), grid.constant(1.0),
                               0.5, 0.05)
-    return spec, spatial_handle(spec, 0.01), grid.constant(1.0)
+    return spec, spatial_handle(spec, 0.01), grid.constant(1.0).values
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +297,33 @@ def test_circle_handle_needs_a_positive_step(model, dt):
     spec = build_scenario(default_config(model)).spec
     with pytest.raises(ValueError, match="dt must be positive"):
         module.make_handle(spec, dt)
+
+
+def _payoff_stub(payoff_at):
+    """A handle on the step counter k (the state), with steps of 0.1, held
+    control 0 and the payoff ``payoff_at(k)``."""
+    return ModelHandle(value=None, feedback=lambda k: 0.0,
+                       step=lambda k, u: k + 1,
+                       running_payoff=lambda k, u: payoff_at(k),
+                       rho=1e-3, dt=0.1)
+
+
+def test_rollout_reports_where_the_payoff_left_the_float_range():
+    # from step 6 on the payoff is 1e308: step 5's trapezoid still fits,
+    # step 6's sum of two such values does not, and the running payoff
+    # must not carry the inf on
+    handle = _payoff_stub(lambda k: 1e308 if k >= 6 else 1.0)
+    with pytest.raises(NumericsError,
+                       match=r"left the float range at t = 0\.6 "):
+        _rollout(handle, 0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rollout_rejects_a_non_finite_payoff(bad):
+    handle = _payoff_stub(lambda k: bad if k == 3 else 1.0)
+    with pytest.raises(NumericsError,
+                       match=r"left the float range at t = 0\.2 "):
+        _rollout(handle, 0, 2.0)
 
 
 def test_rollout_reports_domain_exit():
