@@ -17,6 +17,10 @@ and with u the control,
 with u kept in the band [(a - room) x0, a x0].  Only the constants of
 :class:`DelayModel` tell the models apart; each model module builds them
 from its own parameters and keeps its own coordinate lift.
+
+The closed loops run on state arrays: x of m + 2 entries holds the head
+x[0] and the tail's m + 1 samples x[1:] on [-L, 0] at the spacing L/m,
+oldest first (the layout of ``StructuralState.array``).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 
 from .errors import (AssumptionError, DomainError, DomainExitError,
                      GridError, NumericsError)
-from .gridcore import (HistorySegment, StructuralState, Trajectory,
-                       discounted_quadrature, fd_derivative, trapezoid)
+from .gridcore import (StructuralState, Trajectory, discounted_quadrature,
+                       fd_derivative, trapezoid)
 from .verify import ModelHandle, OracleProblem
 
 
@@ -61,12 +65,26 @@ def _trapezoid_weights(xi: float, samples: int, lag: float) -> np.ndarray:
     return w
 
 
-def gamma(state: StructuralState, xi: float) -> float:
-    """Equivalent capital x0 + int_{-L}^0 e^{xi s} x1(s) ds (trapezoid rule,
-    with the weights cached per (xi, m, L))."""
-    x1 = state.tail.values
-    return state.head + float(_trapezoid_weights(xi, len(x1), state.tail.d)
-                              @ x1)
+def _state(model: DelayModel, x, dt: float | None = None):
+    """``x``, checked to be a state array of m + 2 >= 6 entries, at the
+    spacing L/m = dt where dt is given: anything else, a StructuralState
+    too, is a GridError here, never a numpy error later."""
+    shape = getattr(x, "shape", ())
+    if len(shape) != 1 or shape[0] < 6 \
+            or dt is not None and model.lag / (shape[0] - 2) != dt:
+        raise GridError(
+            "expected a state array of m + 2 >= 6 entries at the spacing "
+            f"L/m{'' if dt is None else f' = {dt}'}, L = {model.lag}; got "
+            f"{type(x).__name__} of shape {shape}")
+    return x
+
+
+def gamma(x: np.ndarray, xi: float, lag: float) -> float:
+    """Equivalent capital x0 + int_{-L}^0 e^{xi s} x1(s) ds of a state
+    array x on [-lag, 0] (trapezoid rule, with the weights cached per
+    (xi, m, L))."""
+    return x.item(0) + float(_trapezoid_weights(xi, len(x) - 1, lag)
+                             .dot(x[1:]))
 
 
 def _positive(g: float) -> float:
@@ -79,9 +97,10 @@ def _value_of(model: DelayModel, g: float) -> float:
     return model.nu * _positive(g) ** (1.0 - model.sigma) / (1.0 - model.sigma)
 
 
-def value(model: DelayModel, state: StructuralState) -> float:
-    """Closed-form value nu * Gamma^(1-sigma) / (1-sigma)."""
-    return _value_of(model, gamma(state, model.xi))
+def value(model: DelayModel, x: np.ndarray, dt: float | None = None) -> float:
+    """Closed-form value nu * Gamma^(1-sigma) / (1-sigma) of a state array
+    (at the spacing dt, where given)."""
+    return _value_of(model, gamma(_state(model, x, dt), model.xi, model.lag))
 
 
 def _steer(model: DelayModel, head: float, g: float) -> float:
@@ -100,11 +119,13 @@ def _report(model: DelayModel, head: float, g: float) -> dict:
     return {model.head_name: head, "gamma": g}
 
 
-def feedback(model: DelayModel, state: StructuralState) -> float:
-    """Optimal control u* = a x0 - kappa Gamma; off the open set where it
-    lies strictly above the band's lower edge, the violated inequality is
-    named."""
-    return _steer(model, state.head, gamma(state, model.xi))
+def feedback(model: DelayModel, x: np.ndarray,
+             dt: float | None = None) -> float:
+    """Optimal control u* = a x0 - kappa Gamma of a state array (at the
+    spacing dt, where given); off the open set where it lies strictly
+    above the band's lower edge, the violated inequality is named."""
+    x = _state(model, x, dt)
+    return _steer(model, x.item(0), gamma(x, model.xi, model.lag))
 
 
 def band(model: DelayModel, x0):
@@ -113,46 +134,34 @@ def band(model: DelayModel, x0):
     return (model.a - model.room) * x0, model.a * x0
 
 
-def diagnostics(model: DelayModel, state: StructuralState) -> dict:
-    """Head and equivalent capital of a state, for domain-exit reports."""
-    return _report(model, state.head, gamma(state, model.xi))
+def diagnostics(model: DelayModel, x: np.ndarray) -> dict:
+    """Head and Gamma of a state array, for domain-exit reports."""
+    return _report(model, x.item(0), gamma(x, model.xi, model.lag))
 
 
-def _advance(model: DelayModel, head: float, tail: np.ndarray, u: float,
-             dt: float) -> tuple:
-    """Exact integration of a control held at u over one sample, written
-    directly on the tail: the delayed term c*u(t-L) is the tail's last
-    entry, the newest window slot is x1[0] (a placeholder for u, corrected
-    first), and shifting the window prepends c*u and drops the last entry.
-    Returns the new head and tail samples, unchecked."""
-    vals = np.empty_like(tail)
-    vals[0] = vals[1] = model.c * u  # corrected newest slot and its copy
-    vals[2:] = tail[1:-1]
-    return head + dt * (model.b * u + tail[-1]), vals
-
-
-def shift(model: DelayModel, state: StructuralState,
-          u: float) -> StructuralState:
-    """The state one sample of its own history on, holding the control at
-    u (see :func:`_advance`)."""
-    hist = state.tail
-    head, vals = _advance(model, state.head, hist.values, u, hist.dt)
-    return StructuralState(head, HistorySegment(hist.d, vals))
-
-
-def _checked_history(model: DelayModel,
-                     state: StructuralState) -> HistorySegment:
-    hist = state.tail
-    if not np.isclose(hist.d, model.lag, rtol=1e-12):
-        raise ValueError(
-            f"history covers [-{hist.d}, 0], expected [-{model.lag}, 0]")
-    return hist
+def shift(model: DelayModel, x: np.ndarray, u: float,
+          dt: float | None = None) -> np.ndarray:
+    """The state array one sample of its own history on (at the spacing
+    dt, where given), holding the control at u: the delayed term c*u(t-L)
+    is the last entry, the newest window slot x[1] a placeholder for u
+    (corrected first), and the window prepends c*u and drops its last
+    entry.  A non-finite head or newest sample is a GridError."""
+    n = len(_state(model, x, dt))
+    head = x.item(0) + model.lag / (n - 2) * (model.b * u + x[-1])
+    new = model.c * u
+    if not (math.isfinite(head) and math.isfinite(new)):
+        raise GridError(f"step left a non-finite state: head {head}, "
+                        f"newest sample {new}")
+    out = np.empty(n)
+    out[0], out[1], out[2] = head, new, new
+    out[3:] = x[2:-1]
+    return out
 
 
 def shift_batch(model: DelayModel, batch: tuple, u, dt: float) -> tuple:
     """:func:`shift` on a batch of heads (k,) and tails (k, m+1), with u a
     scalar or one control per row.  A non-finite state raises GridError,
-    as the validating containers do."""
+    as :func:`shift` does."""
     heads, tails = batch
     vals = np.empty_like(tails)
     vals[:, 0] = vals[:, 1] = model.c * u
@@ -164,27 +173,29 @@ def shift_batch(model: DelayModel, batch: tuple, u, dt: float) -> tuple:
     return heads, vals
 
 
-def simulate(model: DelayModel, state0: StructuralState,
+def simulate(model: DelayModel, state0: np.ndarray,
              T_end: float) -> Trajectory:
-    """Closed-loop Heun integration of x0' = b u(t) + c u(t-L).
+    """Closed-loop Heun integration of x0' = b u(t) + c u(t-L) from the
+    state array state0, which is not written.
 
     The step dt is the history spacing L/m, so the delayed term is always
-    a stored sample and the window shifts exactly.  The newest slot starts
-    as a placeholder (the previous control) and is corrected by one
-    fixed-point refinement of the feedback.  The head advances by the
-    trapezoid of its drift, with the feedback re-evaluated at the Euler
-    predictor when the drift has an undelayed part (b != 0).  A domain
-    exit aborts with the offending time and diagnostics, and an overflow
-    is a NumericsError at the time of its step, as in ``verify._rollout``.
+    a stored sample and the window shifts exactly (:func:`shift`, whose
+    result is the Euler predictor).  The newest slot starts as a
+    placeholder (the previous control) and is corrected by one fixed-point
+    refinement of the feedback.  The head advances by the trapezoid of its
+    drift, with the feedback re-evaluated at the predictor when the drift
+    has an undelayed part (b != 0).  A domain exit aborts with the
+    offending time and diagnostics, and an overflow is a NumericsError at
+    the time of its step, as in ``verify._rollout``.
     """
-    hist = _checked_history(model, state0)
-    dt = hist.dt
+    x = np.array(_state(model, state0), dtype=float)
+    dt = model.lag / (len(x) - 2)
 
-    # Gamma is x0 + w @ tail, gamma()'s arithmetic on its cached weights
-    w = _trapezoid_weights(model.xi, hist.m + 1, hist.d)
+    # Gamma is x0 + w.tail, gamma()'s arithmetic on its cached weights
+    w = _trapezoid_weights(model.xi, len(x) - 1, model.lag)
 
     def control(x0, tail, t):
-        g = x0 + float(w @ tail)
+        g = x0 + float(w.dot(tail))
         try:
             return _steer(model, x0, g)
         except DomainError as exc:
@@ -195,33 +206,25 @@ def simulate(model: DelayModel, state0: StructuralState,
     times = dt * np.arange(n_steps + 1)
     states, controls = [], []
     integrand = np.empty(n_steps + 1)
-    x0, tail = state0.head, hist.values.copy()
-    state = StructuralState(x0, HistorySegment(hist.d, tail))
     try:
         with np.errstate(all="raise", under="ignore"):
             for n in range(n_steps + 1):
                 t = float(times[n])
-                # the state's tail is owned by this step until recorded
+                # the state is owned by this step until recorded
+                x0, tail = x.item(0), x[1:]
                 tail[0] = c * control(x0, tail, t)
                 u = control(x0, tail, t)
                 tail[0] = c * u
-                states.append(state)
+                states.append(x)
                 controls.append(u)
                 integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
                 if n == n_steps:
                     break
-                # Euler predictor; its window is the next state's, whose
-                # other samples were finite already
-                head, vals = _advance(model, x0, tail, u, dt)
-                if not (math.isfinite(head) and math.isfinite(vals[0])):
-                    raise GridError(f"predictor is not finite: head {head}, "
-                                    f"newest sample {vals[0]}")
-                u_pred = control(head, vals, float(times[n + 1])) \
+                x = shift(model, x, u)  # the Euler predictor
+                u_pred = control(x.item(0), x[1:], float(times[n + 1])) \
                     if b else 0.0
-                x0 = x0 + 0.5 * dt * ((b * u + tail[-1])
-                                      + (b * u_pred + tail[-2]))
-                tail = vals
-                state = StructuralState(x0, HistorySegment(hist.d, tail))
+                x[0] = x0 + 0.5 * dt * ((b * u + tail[-1])
+                                        + (b * u_pred + tail[-2]))
     except (FloatingPointError, OverflowError) as exc:
         raise NumericsError(f"closed loop left the float range at t = "
                             f"{t:.6g} ({exc})") from None
@@ -235,7 +238,7 @@ def hjb_residual(model: DelayModel, state: StructuralState) -> float:
     control's price p pairs the gradient with b at the head and c at the
     tail's newest point s = -L, both taken exactly)."""
     s = model.sigma
-    g = gamma(state, model.xi)
+    g = gamma(state.array(model.lag), model.xi, model.lag)
     v = _value_of(model, g)
     grad_coeff = model.nu * g ** (-s)
     h = state.tail.dt
@@ -253,29 +256,25 @@ def hjb_residual(model: DelayModel, state: StructuralState) -> float:
 
 
 def make_handle(model: DelayModel, dt: float) -> ModelHandle:
-    """Uniform verification interface; states are lifted structural states
-    whose history spacing is the step dt, a positive number (a ValueError
-    otherwise).  A step shifts one sample, so it refuses a state of any
-    other spacing (a GridError)."""
+    """Uniform verification interface over state arrays whose spacing is
+    the step dt, a positive number (a ValueError otherwise).  A step
+    shifts one sample, so the value, feedback, step and payoff refuse an
+    array of any other length, or anything else, with a GridError naming
+    the spacing."""
     if not dt > 0.0:  # NaN too
         raise ValueError(f"dt must be positive, got {dt}")
+    s = model.sigma
 
-    def step(state, u):
-        if state.tail.dt != dt:
-            raise GridError(f"history spacing {state.tail.dt} is not the "
-                            f"handle's step {dt}")
-        return shift(model, state, u)
-
-    def payoff(st, u):
-        c = model.a * st.head - u
+    def payoff(x, u):
+        c = model.a * _state(model, x, dt).item(0) - u
         if c < 0.0:
             return -np.inf  # inadmissible consumption, flags the policy
-        return c ** (1.0 - model.sigma) / (1.0 - model.sigma)
+        return c ** (1.0 - s) / (1.0 - s)
 
     return ModelHandle(
-        value=functools.partial(value, model),
-        feedback=functools.partial(feedback, model),
-        step=step,
+        value=functools.partial(value, model, dt=dt),
+        feedback=functools.partial(feedback, model, dt=dt),
+        step=functools.partial(shift, model, dt=dt),
         running_payoff=payoff,
         rho=model.rho,
         dt=dt,
@@ -286,7 +285,8 @@ def make_handle(model: DelayModel, dt: float) -> ModelHandle:
 def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
     """The batched step/payoff view the DP oracle runs on, over batches of
     heads (k,) and tails (k, m+1) sampled at the step dt, with the domain
-    as the slacks Gamma and room x0 - kappa Gamma.  It has no value
+    as the slacks Gamma and room x0 - kappa Gamma; ``to_batch`` takes a
+    state array at that spacing (a GridError otherwise).  It has no value
     callback, so the oracle cannot peek at the closed form, and it builds
     no validated state.  Its payoff tail bound holds for sigma < 1 only,
     so any other sigma is an AssumptionError."""
@@ -310,12 +310,9 @@ def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
         p = c ** -s
         return c * p / (1.0 - s), p, -s * p / c
 
-    def to_batch(st):
-        hist = _checked_history(model, st)
-        if hist.dt != dt:
-            raise GridError(f"history spacing {hist.dt} is not the "
-                            f"problem's step {dt}")
-        return np.array([st.head]), hist.values[np.newaxis]
+    def to_batch(x):
+        x = _state(model, x, dt)
+        return np.array([x.item(0)]), x[np.newaxis, 1:]
 
     def domain_slacks(batch):
         heads, tails = batch

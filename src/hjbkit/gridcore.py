@@ -406,9 +406,15 @@ class StructuralState:
         if not math.isfinite(self.head):
             raise GridError(f"head must be finite, got {self.head}")
 
-    def scaled(self, k: float) -> "StructuralState":
-        return StructuralState(k * self.head,
-                               HistorySegment(self.tail.d, k * self.tail.values))
+    def array(self, lag: float) -> np.ndarray:
+        """The head and the tail samples in one array of m + 2 entries,
+        oldest sample first: the state the delay closed loops run on.  An
+        array holds no lag of its own, so the tail must cover the model's
+        [-lag, 0] (a ValueError otherwise)."""
+        if not np.isclose(self.tail.d, lag, rtol=1e-12):
+            raise ValueError(f"history covers [-{self.tail.d}, 0], "
+                             f"expected [-{lag}, 0]")
+        return np.concatenate(([self.head], self.tail.values))
 
 
 @dataclass(frozen=True)

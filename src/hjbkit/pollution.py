@@ -71,7 +71,9 @@ def build_pollution_spec(sigma_diff: Field, delta_dec: Field, eta: Field,
                          a_prod: Field, gamma: Field, w_dis: Field,
                          rho: float) -> PollutionSpec:
     """Validate coefficients, solve the shadow-price equation and assemble
-    the state-independent policy and the constant q."""
+    the state-independent policy and the constant q.  The spec's profile
+    arrays are read-only, and it keeps copies of the fields passed in, so
+    the caller's arrays stay as they were."""
     grid = sigma_diff.grid
     for f, name in [(delta_dec, "delta"), (eta, "eta"), (a_prod, "a"),
                     (gamma, "gamma"), (w_dis, "w")]:
@@ -106,8 +108,12 @@ def build_pollution_spec(sigma_diff: Field, delta_dec: Field, eta: Field,
     i_star = Field(grid, _investment_from_foc(a_prod.values, g, eta_alpha))
     q_const = quad_circle(Field(grid, _sup_values(a_prod.values, g,
                                                   eta_alpha))) / rho
-    return PollutionSpec(sigma_diff, delta_dec, eta, a_prod, gamma, w_dis,
-                         rho, alpha, i_star, float(q_const))
+    # the spec's profiles are read-only: the feedback hands out i_star's
+    given = [Field(grid, f.values.copy()) for f in
+             (sigma_diff, delta_dec, eta, a_prod, gamma, w_dis)]
+    for f in (*given, alpha, i_star):
+        f.values.flags.writeable = False
+    return PollutionSpec(*given, rho, alpha, i_star, float(q_const))
 
 
 def value_pollution(spec: PollutionSpec, p0: np.ndarray) -> float:
@@ -119,7 +125,7 @@ def value_pollution(spec: PollutionSpec, p0: np.ndarray) -> float:
 
 def feedback_pollution(spec: PollutionSpec, p: np.ndarray) -> np.ndarray:
     """The node values of the optimal investment ``spec.i_star``, the same
-    array at every state p."""
+    read-only array at every state p."""
     spec.grid.nodal(p)
     return spec.i_star.values
 

@@ -369,19 +369,19 @@ def _delay_test_state(model: delay.DelayModel, rng, m: int) -> StructuralState:
     A state ``delay.feedback`` rejects, or an empty interval (head 0, no
     division), is an AssumptionError."""
     window = _smooth_positive_interval(rng, np.linspace(-model.lag, 0.0, m + 1))
-    tail = HistorySegment(model.lag, model.c * window[::-1])
-    part = delay.gamma(StructuralState(0.0, tail), model.xi)
+    x = np.concatenate(([0.0], model.c * window[::-1]))
+    part = delay.gamma(x, model.xi, model.lag)
     edge = model.kappa / model.room
     lo, hi = (edge, 1.0) if part > 0.0 else (0.0, min(edge, 1.0))
     theta = lo + (hi - lo) * rng.uniform(0.1, 0.9)
     head = model.kappa * part / (theta * model.room - model.kappa) \
         if lo < hi else 0.0
-    state = StructuralState(head, tail)
+    x[0] = head
     try:
-        delay.feedback(model, state)
+        delay.feedback(model, x)
     except DomainError as exc:
         raise AssumptionError(f"no interior test state: {exc}") from None
-    return state
+    return StructuralState(head, HistorySegment(model.lag, x[1:]))
 
 
 @contextlib.contextmanager
@@ -490,14 +490,15 @@ def _build_vintage(config):
 
     def columns(states, controls):
         return {
-            "capital": [state.head for state in states],
+            "capital": [x.item(0) for x in states],
             "investment": controls,
-            "gamma0": [delay.gamma(state, spec.xi.xi) for state in states],
+            "gamma0": [delay.gamma(x, spec.xi.xi, spec.T_scrap)
+                       for x in states],
         }
 
     return dict(
         spec=spec, handle=vintage_dde.make_handle(spec, iota0.dt),
-        state0=vintage_dde.lift_vintage(None, iota0),
+        state0=vintage_dde.lift_vintage(None, iota0).array(spec.T_scrap),
         simulate=lambda: vintage_dde.simulate_vintage(
             spec, iota0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),
@@ -559,18 +560,18 @@ def _build_ttb(config):
     q0 = init["q0"]
 
     def columns(states, controls):
-        output = np.array([state.head for state in states])
+        output = np.array([x.item(0) for x in states])
         return {
             "output": output,
             "control": controls,
-            "gamma": [delay.gamma(state, spec.xi.xi) for state in states],
+            "gamma": [delay.gamma(x, spec.xi.xi, spec.d) for x in states],
             "consumption": (spec.Atilde / spec.A)
             * (output - np.asarray(controls, dtype=float)),
         }
 
     return dict(
         spec=spec, handle=time_to_build.make_handle(spec, u0.dt),
-        state0=time_to_build.structural_state(spec, q0, u0),
+        state0=time_to_build.structural_state(spec, q0, u0).array(spec.d),
         simulate=lambda: time_to_build.simulate_ttb(
             spec, q0, u0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),

@@ -56,7 +56,9 @@ class SpatialGrowthSpec:
 
 def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
                        rho: float) -> SpatialGrowthSpec:
-    """Compute the eigenpair and the closed-form constants alpha0, beta."""
+    """Compute the eigenpair and the closed-form constants alpha0, beta.
+    The spec's profile arrays are read-only, and it keeps copies of the
+    fields passed in, so the caller's arrays stay as they were."""
     grid = A_coeff.grid
     if N_pop.min() <= 0.0:
         raise ValueError(f"population density must be positive, min = {N_pop.min()}")
@@ -86,6 +88,9 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
     alpha0 = closed_form_constant("alpha0", alpha0, sigma_crra)
     closed_form_constant("alpha0^(1-sigma)", value_scale, sigma_crra)
     beta = Field(grid, alpha0 * eigen.e0.values)
+    A_coeff, N_pop = (Field(grid, f.values.copy()) for f in (A_coeff, N_pop))
+    for f in (A_coeff, N_pop, eigen.e0, beta):
+        f.values.flags.writeable = False
     return SpatialGrowthSpec(A_coeff, N_pop, sigma_crra, rho, eigen,
                              alpha0, beta)
 

@@ -149,11 +149,12 @@ def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
     The step dt is d/m, so the delayed control is a stored sample; the
     output advance is the exact trapezoid of the (purely delayed)
     right-hand side, so the path error is O(dt^2).  Domain exits abort
-    with diagnostics; band violations of the control are flagged.
+    with diagnostics; band violations of the control are flagged.  A
+    control history on a lag other than d is a ValueError.
     """
-    traj = delay.simulate(spec.delay, structural_state(spec, q0, u0_history),
-                          T_end)
-    q = np.array([st.head for st in traj.states])
+    traj = delay.simulate(
+        spec.delay, structural_state(spec, q0, u0_history).array(spec.d), T_end)
+    q = np.array([x.item(0) for x in traj.states])
     u = np.array(traj.controls)
     lo, hi = delay.band(spec.delay, q)
     consumption = (spec.Atilde / spec.A) * (q - u)
@@ -230,11 +231,12 @@ def integrate_openloop_dde(spec: TTBSpec, q0: float,
     xi, al = spec.xi.xi, spec.alpha_mpc
     At = spec.Atilde
     exd = np.exp(-xi * spec.d)
-    state0 = structural_state(spec, q0, u0_history)
+    x0 = structural_state(spec, q0, u0_history).array(spec.d)
 
     u_full = np.empty(m + n_steps + 1)
     u_full[:m] = u0_history.values[:m]  # u on [-d, 0), m samples
-    u_full[m] = (1.0 - al) * q0 - al * (delay.gamma(state0, xi) - state0.head)
+    u_full[m] = (1.0 - al) * q0 - al * (
+        delay.gamma(x0, xi, spec.d) - x0.item(0))
     window_weights = np.exp(-xi * dt * np.arange(m + 1))
 
     def rhs_pieces(n, idx):
@@ -280,5 +282,5 @@ def hjb_residual_ttb(spec: TTBSpec, state: StructuralState) -> float:
 
 
 def make_handle(spec: TTBSpec, dt: float) -> ModelHandle:
-    """Uniform verification interface over lifted states sampled at dt."""
+    """Uniform verification interface over state arrays sampled at dt."""
     return delay.make_handle(spec.delay, dt)

@@ -163,14 +163,15 @@ def simulate_vintage(spec: VintageSpec, iota0: HistorySegment,
     refinement of the feedback).  The capital advance is a Heun (trapezoid)
     step with the feedback re-evaluated at the predictor, keeping the path
     second-order in dt.  A domain exit aborts with the offending time and
-    state diagnostics.
+    state diagnostics.  A history on a lag other than T is a ValueError.
     """
     if iota0.values.min() < 0.0 or not np.any(iota0.values > 0.0):
         raise DomainError("initial investments must be nonnegative and not "
                           "identically zero")
-    traj = delay.simulate(spec.delay, lift_vintage(None, iota0), T_end)
+    traj = delay.simulate(spec.delay,
+                          lift_vintage(None, iota0).array(spec.T_scrap), T_end)
     min_i = min(traj.controls)
-    min_k = min(st.head for st in traj.states)
+    min_k = min(x.item(0) for x in traj.states)
     traj.meta = {"min_investment": float(min_i), "min_capital": float(min_k),
                  "positivity_ok": bool(min_i > 0.0 and min_k > 0.0)}
     return traj
@@ -189,5 +190,5 @@ def hjb_residual_vintage(spec: VintageSpec, state: StructuralState) -> float:
 
 
 def make_handle(spec: VintageSpec, dt: float) -> ModelHandle:
-    """Uniform verification interface over lifted states sampled at dt."""
+    """Uniform verification interface over state arrays sampled at dt."""
     return delay.make_handle(spec.delay, dt)

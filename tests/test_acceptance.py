@@ -184,8 +184,8 @@ def test_criterion_8_balanced_growth(scenarios):
     for name in ("vintage-dde", "time-to-build"):
         sc = scenarios[name]
         traj = sc.simulate()
-        xi = sc.spec.xi.xi
-        gs = np.array([delay.gamma(st, xi) for st in traj.states])
+        xi, lag = sc.spec.xi.xi, sc.spec.delay.lag
+        gs = np.array([delay.gamma(x, xi, lag) for x in traj.states])
         slope = np.polyfit(traj.times, np.log(gs), 1)[0]
         ok = abs(slope - sc.spec.growth_rate) < 1e-3
         all_ok &= ok

@@ -99,11 +99,11 @@ def _reference_row(sc, state, control):
     if sc.name == "vintage-transport":
         return [spec.age.quad(state), float(np.min(state)),
                 float(control[0])]
-    gamma = delay.gamma(state, spec.xi.xi)
+    head, gamma = state[0], delay.gamma(state, spec.xi.xi, spec.delay.lag)
     if sc.name == "vintage-dde":
-        return [state.head, float(control), gamma]
-    return [state.head, float(control), gamma,
-            (spec.Atilde / spec.A) * (state.head - float(control))]
+        return [head, float(control), gamma]
+    return [head, float(control), gamma,
+            (spec.Atilde / spec.A) * (head - float(control))]
 
 
 CSV_HEADERS = {

@@ -1,6 +1,6 @@
 """The delay core's tail integral and residual test states, and the
-array-native closed loops of the delay and age models checked bit for bit
-against loops written over the public, validating functions."""
+closed loops of the delay and age models, on state arrays, checked bit for
+bit against loops written over the public functions."""
 
 import dataclasses
 import functools
@@ -25,15 +25,13 @@ from hjbkit.vintage_transport import (_source_cell_integrals,
 
 def tail_integral(d, m, c, rate):
     """int_{-d}^0 e^{rate s} c ds by delay.gamma, on a zero head."""
-    return delay.gamma(StructuralState(0.0, HistorySegment.constant(d, m, c)),
-                       rate)
+    return delay.gamma(np.r_[0.0, np.full(m + 1, c)], rate, d)
 
 
 class TestTailIntegral:
     def test_zero_history(self):
         assert tail_integral(1.0, 8, 0.0, 1.0) == 0.0
-        st = StructuralState(1.5, HistorySegment.constant(1.0, 8, 0.0))
-        assert delay.gamma(st, 1.0) == 1.5
+        assert delay.gamma(np.r_[1.5, np.zeros(9)], 1.0, 1.0) == 1.5
 
     def test_plain_length(self):
         assert tail_integral(2.0, 16, 1.0, 0.0) == pytest.approx(2.0,
@@ -50,11 +48,16 @@ class TestTailIntegral:
 
 # -- the Heun loop -----------------------------------------------------------
 
+def spacing(model, x):
+    """The step L/m of a state array of m + 2 entries."""
+    return model.lag / (len(x) - 2)
+
+
 def reference_simulate(model, state0, T_end):
-    """delay.simulate as it was written over validated states: the
-    predictor is a StructuralState and each step builds two."""
-    hist = state0.tail
-    dt = hist.dt
+    """delay.simulate written over the public functions: the feedback is
+    delay.feedback, with no weights of its own, and the predictor is the
+    state delay.shift returns, whose head is then corrected."""
+    dt = spacing(model, state0)
 
     def control(state, t):
         try:
@@ -67,24 +70,23 @@ def reference_simulate(model, state0, T_end):
     times = dt * np.arange(n_steps + 1)
     states, controls = [], []
     integrand = np.empty(n_steps + 1)
-    state = StructuralState(state0.head,
-                            HistorySegment(hist.d, hist.values.copy()))
+    state = state0.copy()
     for n in range(n_steps + 1):
         t = float(times[n])
-        tail = state.tail.values
-        tail[0] = c * control(state, t)
+        state[1] = c * control(state, t)
         u = control(state, t)
-        tail[0] = c * u
+        state[1] = c * u
         states.append(state)
         controls.append(u)
-        x0 = state.head
+        x0 = state[0]
         integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
         if n == n_steps:
             break
         pred = delay.shift(model, state, u)
         u_pred = control(pred, float(times[n + 1])) if b else 0.0
-        x0 = x0 + 0.5 * dt * ((b * u + tail[-1]) + (b * u_pred + tail[-2]))
-        state = StructuralState(x0, pred.tail)
+        pred[0] = x0 + 0.5 * dt * ((b * u + state[-1])
+                                   + (b * u_pred + state[-2]))
+        state = pred
     running = discounted_quadrature(times, integrand, model.rho)
     return times, states, controls, running
 
@@ -100,8 +102,8 @@ def found_ttb_config():
 
 def consumption_share(model, state):
     """kappa*Gamma over its band room*x0: in (0, 1) inside the domain."""
-    return model.kappa * delay.gamma(state, model.xi) / (model.room
-                                                          * state.head)
+    return model.kappa * delay.gamma(state.array(model.lag), model.xi,
+                                     state.tail.d) / (model.room * state.head)
 
 
 def hand_model(c, kappa, room=1.2):
@@ -122,7 +124,7 @@ class TestDelayTestStates:
             state = sc.sample_state(np.random.default_rng(seed), m)
             assert state.tail.m == m
             lower, _ = delay.band(model, state.head)
-            assert delay.feedback(model, state) > lower
+            assert delay.feedback(model, state.array(model.lag)) > lower
             assert 0.0 < consumption_share(model, state) < 1.0
 
     @pytest.mark.parametrize("c, kappa", [(-0.5, 0.3), (-0.5, 3.0),
@@ -136,7 +138,7 @@ class TestDelayTestStates:
             for seed in range(10):
                 state = _delay_test_state(model, np.random.default_rng(seed),
                                           16)
-                delay.feedback(model, state)
+                delay.feedback(model, state.array(model.lag))
                 share = consumption_share(model, state)
                 width = hi - lo
                 assert lo + 0.1 * width - 1e-12 <= share \
@@ -181,7 +183,7 @@ CASES = {
 def case(request):
     build, start = CASES[request.param]
     spec = build()
-    return spec.delay, start(spec)
+    return spec.delay, start(spec).array(spec.delay.lag)
 
 
 def assert_same_run(got, want):
@@ -191,9 +193,8 @@ def assert_same_run(got, want):
     assert np.array_equal(got.running_payoff, running)
     assert len(got.states) == len(states)
     for a, b in zip(got.states, states):
-        assert a.head == b.head
-        assert np.array_equal(a.tail.values, b.tail.values)
-        assert a.tail.d == b.tail.d
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
 
 
 def assert_same_exit(run, reference):
@@ -216,18 +217,20 @@ class TestSimulate:
 
     def test_start_state_is_not_written(self, case):
         model, state0 = case
-        before = state0.tail.values.copy()
+        before = state0.copy()
         delay.simulate(model, state0, 1.0)
-        assert np.array_equal(state0.tail.values, before)
+        assert np.array_equal(state0, before)
 
     def test_recorded_tails_are_distinct(self, case):
         model, state0 = case
         states = delay.simulate(model, state0, 1.0).states
-        assert len({id(st.tail.values) for st in states}) == len(states)
+        assert len({id(st) for st in states}) == len(states)
+        assert not any(np.shares_memory(a, b)
+                       for a, b in zip(states, states[1:]))
 
     def test_domain_exit_mid_run(self):
         steep = build_vintage_spec(1.0, 2.0, 0.5, 0.95)
-        state0 = vintage_start(steep)
+        state0 = vintage_start(steep).array(steep.delay.lag)
         exc = assert_same_exit(
             lambda: delay.simulate(steep.delay, state0, 60.0),
             lambda: reference_simulate(steep.delay, state0, 60.0))
@@ -235,8 +238,8 @@ class TestSimulate:
 
     def test_domain_exit_at_start(self):
         sp = build_ttb_spec(0.35, 0.05, 1.0, 0.5, 0.34)
-        state0 = structural_state(sp, 1.0, HistorySegment.constant(1.0, M,
-                                                                   0.12))
+        state0 = structural_state(sp, 1.0, HistorySegment.constant(
+            1.0, M, 0.12)).array(sp.delay.lag)
         exc = assert_same_exit(
             lambda: delay.simulate(sp.delay, state0, 10.0),
             lambda: reference_simulate(sp.delay, state0, 10.0))
@@ -247,7 +250,8 @@ class TestSimulate:
         # the Euler predictor's head overflows, which the loop's own
         # errstate reports as _rollout does, whatever the caller's
         spec = build_vintage_spec(1.0, 2.0, 0.7, 0.45)
-        big = StructuralState(1.79e308, vintage_start(spec).tail)
+        big = vintage_start(spec).array(spec.delay.lag)
+        big[0] = 1.79e308
         with np.errstate(over="ignore"):
             with pytest.raises(GridError):
                 reference_simulate(spec.delay, big, 1.0)
@@ -261,8 +265,8 @@ class TestSimulate:
 def in_domain(model, state):
     """The delay domain stated apart from the feedback, in gamma()'s
     arithmetic: Gamma > 0 and kappa*Gamma < room*x0."""
-    g = delay.gamma(state, model.xi)
-    return g > 0.0 and model.kappa * g < model.room * state.head
+    g = delay.gamma(state, model.xi, model.lag)
+    return g > 0.0 and model.kappa * g < model.room * state[0]
 
 
 def public_delay_handle(model, dt):
@@ -292,7 +296,7 @@ class TestDelayHandle:
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_equals_public_functions(self, case, scale):
         model, state0 = case
-        dt = state0.tail.dt
+        dt = spacing(model, state0)
         got = _rollout(delay.make_handle(model, dt), state0, 60 * dt, scale)
         want = _rollout(public_delay_handle(model, dt), state0, 60 * dt, scale)
         assert_same_run(got, (want.times, want.states, want.controls,
@@ -310,7 +314,7 @@ class TestDelayHandle:
     def test_domain_exit_mid_run(self, rho, scale):
         # the band binds (rho 1.2), or the probe drives Gamma negative
         steep = build_vintage_spec(1.0, 2.0, 0.5, rho)
-        state0, model = vintage_start(steep), steep.delay
+        state0, model = vintage_start(steep).array(steep.delay.lag), steep.delay
         exc = assert_same_exit(
             lambda: _rollout(delay.make_handle(model, 0.05), state0,
                              400 * 0.05, scale),
@@ -320,7 +324,7 @@ class TestDelayHandle:
 
     def test_non_finite_control_raises(self, case):
         model, state0 = case
-        dt = state0.tail.dt
+        dt = spacing(model, state0)
         for handle in (delay.make_handle(model, dt),
                        public_delay_handle(model, dt)):
             with pytest.raises(GridError):
@@ -329,23 +333,22 @@ class TestDelayHandle:
 
 class TestStepSize:
     """A handle and the oracle's problem are made for one step, the
-    spacing of the histories they shift; any other step would shift one
+    spacing of the state arrays they shift; any other step would shift one
     sample anyway and integrate silently wrong, so it is refused."""
 
     def test_shift_steps_the_states_own_spacing(self, case):
         model, state0 = case
         u = delay.feedback(model, state0)
         for m in (M, 2 * M):
-            state = StructuralState(state0.head, HistorySegment.constant(
-                state0.tail.d, m, state0.tail.values[-1]))
+            state = np.r_[state0[0], np.full(m + 1, state0[-1])]
             got = delay.shift(model, state, u)
-            assert got.head == state.head + state.tail.dt * (
-                model.b * u + state.tail.values[-1])
-            assert got.tail.m == m
+            assert got[0] == state[0] + model.lag / m * (
+                model.b * u + state[-1])
+            assert len(got) == m + 2
 
     def test_handle_refuses_another_spacing(self, case):
         model, state0 = case
-        dt = state0.tail.dt
+        dt = spacing(model, state0)
         handle = delay.make_handle(model, 2.0 * dt)
         assert handle.dt == 2.0 * dt
         with pytest.raises(GridError, match="spacing"):
@@ -366,14 +369,14 @@ class TestStepSize:
     def test_model_handles_refuse_another_spacing(self, module, name):
         build, start = CASES[name]
         spec = build()
-        state0 = start(spec)
-        handle = module.make_handle(spec, 2.0 * state0.tail.dt)
+        state0 = start(spec).array(spec.delay.lag)
+        handle = module.make_handle(spec, 2.0 * spacing(spec.delay, state0))
         with pytest.raises(GridError, match="spacing"):
             handle.step(state0, handle.feedback(state0))
 
     def test_oracle_problem_refuses_another_spacing(self, case):
         model, state0 = case
-        dt = state0.tail.dt
+        dt = spacing(model, state0)
         seed = _rollout(delay.make_handle(model, dt), state0,
                         4 * dt).controls[:-1]
         problem = delay.oracle_problem(model, 2.0 * dt)
@@ -383,7 +386,30 @@ class TestStepSize:
         with pytest.raises(GridError, match="spacing"):
             brute_force_value(problem, state0, seed)
         assert delay.oracle_problem(model, dt).to_batch(state0)[0][0] \
-            == state0.head
+            == state0[0]
+
+    @pytest.mark.parametrize("bad", ["short", "long", "tiny", "2-D",
+                                     "structural"])
+    def test_a_wrong_shape_is_a_grid_error(self, case, bad):
+        # a state array of another length, or anything else, must be a
+        # GridError naming the spacing from every callback that takes a
+        # state, never an AttributeError or a numpy broadcast error
+        model, state0 = case
+        dt = spacing(model, state0)
+        handle = delay.make_handle(model, dt)
+        problem = delay.oracle_problem(model, dt)
+        u = handle.feedback(state0)
+        wrong = {"short": state0[:-1], "long": np.r_[state0, state0[-1]],
+                 "tiny": state0[:3], "2-D": state0[np.newaxis],
+                 "structural": StructuralState(state0.item(0), HistorySegment(
+                     model.lag, state0[1:]))}[bad]
+        for call in (lambda: handle.value(wrong),
+                     lambda: handle.feedback(wrong),
+                     lambda: handle.step(wrong, u),
+                     lambda: handle.running_payoff(wrong, u),
+                     lambda: problem.to_batch(wrong)):
+            with pytest.raises(GridError, match="spacing"):
+                call()
 
     @pytest.mark.parametrize("sigma", [1.0, 1.5])
     def test_oracle_problem_needs_sigma_below_one(self, sigma):

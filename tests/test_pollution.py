@@ -321,3 +321,30 @@ class TestHandleArrays:
                      lambda: handle.step(p, wrong)):
             with pytest.raises(GridError):
                 call()
+
+    def test_a_feedback_result_is_read_only(self, spec):
+        # every caller is handed the spec's own i_star array: an in-place
+        # write must fail, not change the spec and every later step
+        handle = make_handle(spec, 0.02)
+        p = np.ones(spec.grid.n)
+        before = spec.i_star.values.copy()
+        i = handle.feedback(p)
+        for write in (lambda: i.__setitem__(0, 0.0),
+                      lambda: i.__imul__(2.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert np.array_equal(spec.i_star.values, before)
+        assert np.array_equal(handle.feedback(p), before)
+        for f in (spec.sigma_diff, spec.delta_dec, spec.eta, spec.a_prod,
+                  spec.gamma, spec.w_dis, spec.alpha_shadow, spec.i_star):
+            assert not f.values.flags.writeable
+
+    def test_the_callers_profiles_stay_writable(self):
+        # the spec keeps read-only copies of the fields passed in; the
+        # caller's own arrays are left alone
+        grid = CircleGrid(32)
+        fields = [grid.constant(v) for v in (1.0, 0.1, 0.5, 2.5, 0.5, 1.0)]
+        spec = build_pollution_spec(*fields, 0.05)
+        for f in fields:
+            f.values[0] += 0.25
+        assert spec.a_prod.values[0] == 2.5

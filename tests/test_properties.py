@@ -45,9 +45,9 @@ def test_value_homogeneity_under_scaling(scale, seed):
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     rng = np.random.default_rng(seed)
     iota = HistorySegment(2.0, 0.2 + rng.random(9))
-    state = lift_vintage(None, iota)
-    v = delay.value(spec.delay, state)
-    assert delay.value(spec.delay, state.scaled(scale)) == pytest.approx(
+    x = lift_vintage(None, iota).array(spec.T_scrap)
+    v = delay.value(spec.delay, x)
+    assert delay.value(spec.delay, scale * x) == pytest.approx(
         scale ** 0.5 * v, rel=1e-11)
 
 

@@ -325,6 +325,23 @@ class TestHandleArrays:
             assert np.array_equal(states[k + 1], y.values)
             assert running[k + 1] == total
 
+    def test_spec_profiles_are_read_only(self, spec):
+        # no caller can change a spec through one of its profiles
+        for f in (spec.A_coeff, spec.N_pop, spec.eigen.e0, spec.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                f.values[0] = 0.0
+
+    def test_the_callers_profiles_stay_writable(self):
+        # the spec keeps read-only copies of the fields passed in; the
+        # caller's own arrays are left alone
+        grid = CircleGrid(32)
+        A, N = grid.from_function(lambda t: 0.04 + 0.01 * np.cos(t)), \
+            grid.constant(1.0)
+        spec = build_spatial_spec(A, N, 0.5, 0.05)
+        A.values[0] += 0.25
+        N.values[0] += 0.25
+        assert spec.N_pop.values[0] == 1.0
+
     @pytest.mark.parametrize("bad", [95, 97, (96, 1), (1, 96)])
     def test_a_wrong_shape_is_a_grid_error(self, spec, bad):
         # a node array of another length, or of another shape, must be a

@@ -20,7 +20,7 @@ def spec():
 
 def default_state(spec, m=200, q0=1.0, level=1.0):
     u0 = HistorySegment.constant(spec.d, m, level)
-    return q0, u0, structural_state(spec, q0, u0)
+    return q0, u0, structural_state(spec, q0, u0).array(spec.d)
 
 
 class TestBuildSpec:
@@ -98,63 +98,63 @@ class TestOutputCoords:
 
 class TestGamma:
     def test_zero_tail(self, spec):
-        st = structural_state(spec, 2.0,
-                              HistorySegment.constant(spec.d, 8, 0.0))
-        assert delay.gamma(st, spec.xi.xi) == 2.0
+        x = structural_state(spec, 2.0,
+                             HistorySegment.constant(spec.d, 8, 0.0)).array(spec.d)
+        assert delay.gamma(x, spec.xi.xi, spec.d) == 2.0
 
     def test_constant_history_characteristic_identity(self, spec):
         # tail = Atilde*c: Gamma = x0 + c (Atilde - xi)/xi, by the identity
         # Atilde e^{-xi d} = xi; both evaluations agree
         c, m = 0.8, 400
         xi = spec.xi.xi
-        _, _, st = default_state(spec, m=m, q0=1.0, level=c)
-        direct = delay.gamma(st, xi)
+        _, _, x = default_state(spec, m=m, q0=1.0, level=c)
+        direct = delay.gamma(x, xi, spec.d)
         closed = 1.0 + c * (spec.Atilde - xi) / xi
         assert direct == pytest.approx(closed, abs=2.0 / m ** 2)
 
     def test_short_lag_limit(self):
         # d -> 0: Gamma -> x0
         sp = build_ttb_spec(0.35, 0.05, 1e-6, 0.5, 0.2)
-        st = structural_state(sp, 1.0,
-                              HistorySegment.constant(1e-6, 8, 1.0))
-        assert delay.gamma(st, sp.xi.xi) == pytest.approx(1.0, abs=1e-6)
+        x = structural_state(sp, 1.0,
+                             HistorySegment.constant(1e-6, 8, 1.0)).array(sp.d)
+        assert delay.gamma(x, sp.xi.xi, 1e-6) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestValue:
     def test_unit_gamma(self, spec):
-        st = structural_state(spec, 1.0,
-                              HistorySegment.constant(spec.d, 8, 0.0))
-        assert delay.value(spec.delay, st) == pytest.approx(spec.nu / 0.5,
-                                                            rel=1e-12)
+        x = structural_state(spec, 1.0,
+                             HistorySegment.constant(spec.d, 8, 0.0)).array(spec.d)
+        assert delay.value(spec.delay, x) == pytest.approx(spec.nu / 0.5,
+                                                           rel=1e-12)
 
     def test_homogeneity(self, spec):
-        _, _, st = default_state(spec)
-        v = delay.value(spec.delay, st)
+        _, _, x = default_state(spec)
+        v = delay.value(spec.delay, x)
         for k in (0.3, 2.0):
-            assert delay.value(spec.delay, st.scaled(k)) == pytest.approx(
+            assert delay.value(spec.delay, k * x) == pytest.approx(
                 k ** 0.5 * v, rel=1e-12)
 
     def test_rejects_nonpositive_gamma(self, spec):
-        st = structural_state(spec, -1.0,
-                              HistorySegment.constant(spec.d, 8, 0.0))
+        x = structural_state(spec, -1.0,
+                             HistorySegment.constant(spec.d, 8, 0.0)).array(spec.d)
         with pytest.raises(DomainError):
-            delay.value(spec.delay, st)
+            delay.value(spec.delay, x)
 
 
 class TestFeedback:
     def test_zero_tail_gives_linear_rule(self, spec):
-        st = structural_state(spec, 2.0,
-                              HistorySegment.constant(spec.d, 8, 0.0))
-        assert delay.feedback(spec.delay, st) == pytest.approx(
+        x = structural_state(spec, 2.0,
+                             HistorySegment.constant(spec.d, 8, 0.0)).array(spec.d)
+        assert delay.feedback(spec.delay, x) == pytest.approx(
             (1.0 - spec.alpha_mpc) * 2.0, rel=1e-12)
 
     def test_foc_against_scalar_maximizer(self, spec):
-        _, _, st = default_state(spec, m=100)
-        u_star = delay.feedback(spec.delay, st)
-        g = delay.gamma(st, spec.xi.xi)
+        _, _, x = default_state(spec, m=100)
+        u_star = delay.feedback(spec.delay, x)
+        g = delay.gamma(x, spec.xi.xi, spec.d)
         p = spec.Atilde * spec.nu * g ** -0.5 * np.exp(-spec.xi.xi * spec.d)
-        lo, hi = delay.band(spec.delay, st.head)
-        best = golden_max(lambda u: u * p + 2.0 * (st.head - u) ** 0.5,
+        lo, hi = delay.band(spec.delay, x[0])
+        best = golden_max(lambda u: u * p + 2.0 * (x[0] - u) ** 0.5,
                           lo, hi * 0.999999999)
         assert u_star == pytest.approx(best, abs=1e-9)
 
@@ -166,28 +166,29 @@ class TestFeedback:
         c = (q0 * bound_coeff - q0) / ((spec.Atilde - spec.xi.xi)
                                        / spec.xi.xi)
         u0 = HistorySegment.constant(spec.d, 400, c * 1.01)
-        st = structural_state(spec, q0, u0)
+        x = structural_state(spec, q0, u0).array(spec.d)
         with pytest.raises(DomainError):
-            delay.feedback(spec.delay, st)
+            delay.feedback(spec.delay, x)
 
     def test_consumption_positive_in_domain(self, spec):
-        _, _, st = default_state(spec)
-        u = delay.feedback(spec.delay, st)
-        assert (spec.Atilde / spec.A) * (st.head - u) > 0.0
+        _, _, x = default_state(spec)
+        u = delay.feedback(spec.delay, x)
+        assert (spec.Atilde / spec.A) * (x[0] - u) > 0.0
 
 
 class TestSimulate:
     def test_balanced_growth_rate(self, spec):
         q0, u0, _ = default_state(spec)
         traj = simulate_ttb(spec, q0, u0, 20.0)
-        gs = np.array([delay.gamma(st, spec.xi.xi) for st in traj.states])
+        gs = np.array([delay.gamma(x, spec.xi.xi, spec.d)
+                       for x in traj.states])
         slope = np.polyfit(traj.times, np.log(gs), 1)[0]
         assert slope == pytest.approx(spec.growth_rate, abs=1e-3)
 
     def test_value_match_with_tail(self, spec):
         from hjbkit.verify import value_match
-        q0, u0, st = default_state(spec)
-        vm = value_match(make_handle(spec, u0.dt), st, 30.0)
+        q0, u0, x = default_state(spec)
+        vm = value_match(make_handle(spec, u0.dt), x, 30.0)
         assert vm.rel_gap < 5e-3
 
     def test_control_stays_in_band(self, spec):
@@ -208,8 +209,8 @@ class TestSimulate:
         t1 = simulate_ttb(spec, q0, u0, 5.0)
         t2 = simulate_ttb(spec, k * q0,
                           HistorySegment(spec.d, k * u0.values), 5.0)
-        assert np.allclose(k * np.array([s.head for s in t1.states]),
-                           np.array([s.head for s in t2.states]), rtol=1e-10)
+        assert np.allclose(k * np.array([x[0] for x in t1.states]),
+                           np.array([x[0] for x in t2.states]), rtol=1e-10)
         assert t2.payoff == pytest.approx(k ** 0.5 * t1.payoff, rel=1e-10)
 
     def test_domain_exit_aborts(self):
@@ -222,6 +223,14 @@ class TestSimulate:
 
 
 class TestOpenLoopDDE:
+    def test_history_off_the_lag_rejected(self, spec):
+        # a state array holds no lag of its own, so a control history on
+        # [-2d, 0] would run at the spacing d/m if not refused
+        u0 = HistorySegment.constant(2.0 * spec.d, 8, 1.0)
+        for run in (simulate_ttb, integrate_openloop_dde):
+            with pytest.raises(ValueError, match="history covers"):
+                run(spec, 1.0, u0, 1.0)
+
     def test_stationary_zero_control_balance(self, spec):
         # a u == 0 path solves the control equation with zero residual
         from hjbkit.gridcore import Trajectory
@@ -286,10 +295,10 @@ class TestHJBResidual:
 def test_coarse_dp_oracle_brackets_value(spec):
     from hjbkit.verify import _rollout, brute_force_value
     u0 = HistorySegment.constant(spec.d, 8, 1.0)
-    st = structural_state(spec, 1.0, u0)
+    x = structural_state(spec, 1.0, u0).array(spec.d)
     handle = make_handle(spec, u0.dt)
-    seed = _rollout(handle, st, 5.0 / spec.rho, 1.0).controls[:-1]
-    bracket = brute_force_value(delay.oracle_problem(spec.delay, u0.dt), st,
+    seed = _rollout(handle, x, 5.0 / spec.rho, 1.0).controls[:-1]
+    bracket = brute_force_value(delay.oracle_problem(spec.delay, u0.dt), x,
                                 seed)
-    v = delay.value(spec.delay, st)
+    v = delay.value(spec.delay, x)
     assert bracket.contains(v, 0.03)

@@ -4,11 +4,13 @@ wraps must still exist, so that a refactor cannot silently break it."""
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hjbkit import cli
 from hjbkit.scenarios import (build_scenario, default_config, oracle_scenario,
                               verify_scenario)
 from hjbkit.verify import value_match
@@ -141,6 +143,52 @@ def test_circle_field_count_does_not_grow_with_the_horizon(model):
         finally:
             trace.uninstall()
         counts.append(trace.counts["gridcore.Field"])
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("model", ["vintage-dde", "time-to-build"])
+def test_delay_commands_meet_perfbench_coverage_counts(model, tmp_path):
+    # perfbench's coverage check expects one simulate_* call per delay run
+    # and verify, reached through the binding its tracer wraps: a command
+    # that called delay.simulate directly would read 0.  verify rolls the
+    # handle out twice (value match, suboptimal probe), one step per step
+    # of the horizon
+    simulate = _perfbench_constant("SIMULATE_OF")[model]
+    module = MODEL_NAMES[model][0]
+    cfg = default_config(model)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    steps = round(cfg["numerics"]["T_end"] / build_scenario(cfg).handle.dt)
+    for command in ("run", "verify"):
+        trace = tracer.Tracer()
+        trace.install()
+        try:
+            code = cli.main([command, "--config", str(config),
+                             "--out", str(tmp_path / command)])
+        finally:
+            trace.uninstall()
+        assert code == 0
+        assert trace.calls[f"{module}.{simulate}"] == 1
+        if command == "verify":
+            assert trace.calls[f"{module}.handle.step"] == 2 * steps
+
+
+@pytest.mark.parametrize("model", ["vintage-dde", "time-to-build"])
+def test_delay_history_count_does_not_grow_with_the_horizon(model):
+    # the delay closed loops step, steer and score on state arrays, and
+    # build HistorySegments only at their edges (the start history, its
+    # lift, the residual test states): twice the steps, the same count
+    counts = []
+    for T_end in (0.2, 0.4):
+        cfg = default_config(model)
+        cfg["numerics"]["T_end"] = T_end
+        trace = tracer.Tracer()
+        trace.install()
+        try:
+            verify_scenario(cfg)
+        finally:
+            trace.uninstall()
+        counts.append(trace.counts["gridcore.HistorySegment"])
     assert counts[0] == counts[1] > 0
 
 

@@ -13,7 +13,8 @@ from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_handle
 from hjbkit.spatial_growth import simulate_spatial
 from hjbkit.vintage_dde import (build_vintage_spec, lift_vintage,
-                                make_handle as vintage_handle)
+                                make_handle as vintage_handle,
+                                simulate_vintage)
 from hjbkit.verify import (ModelHandle, OracleProblem, VerifyReport,
                            brute_force_value,
                            dpp_check, suboptimality_margin, transversality,
@@ -32,7 +33,7 @@ def spatial():
 def vintage():
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     iota = HistorySegment.constant(2.0, 8, 1.0)
-    state = lift_vintage(None, iota)
+    state = lift_vintage(None, iota).array(spec.T_scrap)
     return spec, vintage_handle(spec, iota.dt), state
 
 
@@ -54,7 +55,7 @@ class TestValueMatch:
         gaps = []
         for m in (50, 100):
             iota = HistorySegment.constant(2.0, m, 1.0)
-            st = lift_vintage(None, iota)
+            st = lift_vintage(None, iota).array(spec.T_scrap)
             handle = vintage_handle(spec, iota.dt)
             gaps.append(value_match(handle, st, 20.0).rel_gap)
         assert gaps[1] < 0.6 * gaps[0]
@@ -148,12 +149,18 @@ class TestBruteForce:
         assert isinstance(problem, OracleProblem)
         assert not hasattr(problem, "value")
 
-    def test_history_off_the_model_lag_rejected(self, problem):
+    def test_history_off_the_model_lag_rejected(self, vintage, problem):
         # the batched problem reads the lag from the model, so a start
-        # whose history spans another lag is refused, as simulate does
-        st = lift_vintage(None, HistorySegment.constant(3.0, 8, 1.0))
+        # whose history spans another lag is refused where it is made a
+        # state array, as simulate refuses it; at m = 8 that history's
+        # array has the length of one at the problem's step
+        spec = vintage[0]
+        hist = HistorySegment.constant(3.0, 8, 1.0)
+        st = lift_vintage(None, hist)
         with pytest.raises(ValueError, match="history covers"):
-            brute_force_value(problem, st, [1.0] * 4)
+            brute_force_value(problem, st.array(spec.T_scrap), [1.0] * 4)
+        with pytest.raises(ValueError, match="history covers"):
+            simulate_vintage(spec, hist, 1.0)
 
     def test_one_step_problem_equals_static_maximization(self, vintage,
                                                           problem):
@@ -166,12 +173,12 @@ class TestBruteForce:
         s = model.sigma
 
         def cell(u):
-            nxt = st.head + dt * (model.b * u + st.tail.values[-1])
-            return dt / 2 * ((model.a * st.head - u) ** (1 - s)
+            nxt = st[0] + dt * (model.b * u + st[-1])
+            return dt / 2 * ((model.a * st[0] - u) ** (1 - s)
                              + mp.exp(-handle.rho * dt)
                              * (model.a * nxt - u) ** (1 - s)) / (1 - s)
 
-        lo, hi = delay.band(model, st.head)
+        lo, hi = delay.band(model, st[0])
         with mp.workdps(40):
             best = float(cell(mp.mpf(golden_max(cell, lo, hi))))
         assert len(bracket.controls) == 1
@@ -210,12 +217,12 @@ class TestBruteForce:
             """The trapezoid payoff, or None off the admissible set."""
             state, total = st, 0.0
             for k, u in enumerate(controls):
-                lo, hi = delay.band(model, state.head)
+                lo, hi = delay.band(model, state[0])
                 nxt = handle.step(state, u)
-                g = delay.gamma(nxt, model.xi)
-                if not (lo < u < hi and model.a * nxt.head - u > 0.0
+                g = delay.gamma(nxt, model.xi, model.lag)
+                if not (lo < u < hi and model.a * nxt[0] - u > 0.0
                         and 0.0 < g and model.kappa * g
-                        < model.room * nxt.head):
+                        < model.room * nxt[0]):
                     return None
                 total += 0.5 * dt * (
                     disc[k] * handle.running_payoff(state, u)
@@ -330,7 +337,7 @@ def test_rollout_reports_domain_exit():
     # a lifted pair with a tiny head sits outside the feedback's domain
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     iota = HistorySegment.constant(2.0, 50, 1.0)
-    st = lift_vintage(1e-3, iota, enforce_consistency=False)
+    st = lift_vintage(1e-3, iota, enforce_consistency=False).array(spec.T_scrap)
     handle = vintage_handle(spec, iota.dt)
     with pytest.raises(DomainError):
         handle.feedback(st)

@@ -77,86 +77,87 @@ class TestLift:
 
 class TestGamma0:
     def test_zero_tail(self, spec):
-        st = lift_vintage(1.5, HistorySegment.constant(2.0, 8, 0.0),
-                          enforce_consistency=False)
-        assert delay.gamma(st, spec.xi.xi) == 1.5
+        x = lift_vintage(1.5, HistorySegment.constant(2.0, 8, 0.0),
+                         enforce_consistency=False).array(spec.T_scrap)
+        assert delay.gamma(x, spec.xi.xi, 2.0) == 1.5
 
     def test_constant_history_closed_form(self, spec):
         # Gamma0 = c [T - (1 - e^{-xi T})/xi] for iota = c
         c, T, m = 1.3, 2.0, 400
         xi = spec.xi.xi
         iota = HistorySegment.constant(T, m, c)
-        st = lift_vintage(None, iota)
+        x = lift_vintage(None, iota).array(spec.T_scrap)
         exact = c * (T - (1.0 - np.exp(-xi * T)) / xi)
-        assert delay.gamma(st, xi) == pytest.approx(exact, abs=2.0 / m ** 2)
+        assert delay.gamma(x, xi, T) == pytest.approx(exact, abs=2.0 / m ** 2)
         assert gamma0_from_history(iota, xi) == pytest.approx(
-            delay.gamma(st, xi), abs=1e-12)
+            delay.gamma(x, xi, T), abs=1e-12)
 
     def test_zero_rate_limit(self, spec):
         iota = positive_history(seed=5)
-        st = lift_vintage(None, iota)
+        x = lift_vintage(None, iota).array(spec.T_scrap)
         from scipy.integrate import trapezoid
-        expected = st.head + trapezoid(st.tail.values, dx=st.tail.dt)
-        assert delay.gamma(st, 0.0) == pytest.approx(expected, rel=1e-12)
+        expected = x[0] + trapezoid(x[1:], dx=iota.dt)
+        assert delay.gamma(x, 0.0, iota.d) == pytest.approx(expected,
+                                                            rel=1e-12)
 
 
 class TestFeedback:
     def test_interior_value(self, spec):
         # default scenario numbers: xi, nu, Gamma0 composed per the formulas
         iota = HistorySegment.constant(2.0, 400, 1.0)
-        st = lift_vintage(None, iota)
-        g0 = delay.gamma(st, spec.xi.xi)
-        i_star = delay.feedback(spec.delay, st)
-        expected = spec.A * st.head - spec.nu ** -2.0 * (
+        x = lift_vintage(None, iota).array(spec.T_scrap)
+        g0 = delay.gamma(x, spec.xi.xi, 2.0)
+        i_star = delay.feedback(spec.delay, x)
+        expected = spec.A * x[0] - spec.nu ** -2.0 * (
             spec.A / spec.xi.xi) ** 2.0 * g0
         assert i_star == pytest.approx(expected, rel=1e-12)
-        assert 0.0 < i_star < spec.A * st.head
+        assert 0.0 < i_star < spec.A * x[0]
 
     def test_domain_edge_rejected(self, spec):
         # scale the head down until A x0 equals the feedback consumption
         iota = HistorySegment.constant(2.0, 100, 1.0)
-        st = lift_vintage(None, iota)
-        g0 = delay.gamma(st, spec.xi.xi)
-        tail_part = g0 - st.head
+        x = lift_vintage(None, iota).array(spec.T_scrap)
+        g0 = delay.gamma(x, spec.xi.xi, 2.0)
+        tail_part = g0 - x[0]
         coeff = spec.feedback_coefficient
         # head solving A h = coeff (h + tail_part) exactly
         h_edge = coeff * tail_part / (spec.A - coeff)
-        bad = lift_vintage(h_edge, iota, enforce_consistency=False)
+        bad = lift_vintage(h_edge, iota, enforce_consistency=False).array(spec.T_scrap)
         with pytest.raises(DomainError):
             delay.feedback(spec.delay, bad)
 
     def test_foc_against_scalar_maximizer(self, spec):
         iota = positive_history(seed=8)
-        st = lift_vintage(None, iota)
-        g0 = delay.gamma(st, spec.xi.xi)
-        i_star = delay.feedback(spec.delay, st)
+        x = lift_vintage(None, iota).array(spec.T_scrap)
+        g0 = delay.gamma(x, spec.xi.xi, iota.d)
+        i_star = delay.feedback(spec.delay, x)
         b = spec.nu * g0 ** -0.5 * spec.xi.xi / spec.A  # B(Dv)
         res = minimize_scalar(
-            lambda i: -((spec.A * st.head - i) ** 0.5 / 0.5 + i * b),
-            bracket=(0.0, i_star, spec.A * st.head * 0.999999),
+            lambda i: -((spec.A * x[0] - i) ** 0.5 / 0.5 + i * b),
+            bracket=(0.0, i_star, spec.A * x[0] * 0.999999),
             method="golden", options={"xtol": 1e-14})
         assert i_star == pytest.approx(res.x, abs=1e-9)
 
 
 class TestValue:
     def test_homogeneity(self, spec):
-        st = lift_vintage(None, positive_history(seed=2))
-        v = delay.value(spec.delay, st)
+        x = lift_vintage(None, positive_history(seed=2)).array(spec.T_scrap)
+        v = delay.value(spec.delay, x)
         for k in (0.25, 4.0):
-            assert delay.value(spec.delay, st.scaled(k)) == pytest.approx(
+            assert delay.value(spec.delay, k * x) == pytest.approx(
                 k ** 0.5 * v, rel=1e-12)
 
     def test_unit_gamma(self, spec):
-        st = lift_vintage(1.0, HistorySegment.constant(2.0, 8, 0.0),
-                          enforce_consistency=False)
-        assert delay.value(spec.delay, st) == pytest.approx(spec.nu / 0.5,
-                                                            rel=1e-12)
+        x = lift_vintage(1.0, HistorySegment.constant(2.0, 8, 0.0),
+                         enforce_consistency=False).array(spec.T_scrap)
+        assert delay.value(spec.delay, x) == pytest.approx(spec.nu / 0.5,
+                                                           rel=1e-12)
 
     def test_rejects_nonpositive_gamma(self, spec):
-        st = lift_vintage(-1.0, HistorySegment.constant(2.0, 8, 0.0),
-                          enforce_consistency=False)
+        x = lift_vintage(-1.0, HistorySegment.constant(2.0, 8, 0.0),
+                         enforce_consistency=False).array(spec.T_scrap)
         with pytest.raises(DomainError):
-            delay.value(spec.delay, st)
+            delay.value(spec.delay, x)
 
 
 class TestPositivityKernel:
@@ -194,15 +195,16 @@ class TestSimulate:
     def test_balanced_growth_rate(self, spec):
         iota = HistorySegment.constant(2.0, 200, 1.0)
         traj = simulate_vintage(spec, iota, 20.0)
-        g0s = np.array([delay.gamma(st, spec.xi.xi) for st in traj.states])
+        g0s = np.array([delay.gamma(x, spec.xi.xi, 2.0)
+                        for x in traj.states])
         slope = np.polyfit(traj.times, np.log(g0s), 1)[0]
         assert slope == pytest.approx(spec.growth_rate, abs=1e-3)
 
     def test_value_match_with_tail(self, spec):
         from hjbkit.verify import value_match
         iota = HistorySegment.constant(2.0, 200, 1.0)
-        st = lift_vintage(None, iota)
-        vm = value_match(make_handle(spec, iota.dt), st, 25.0)
+        x = lift_vintage(None, iota).array(spec.T_scrap)
+        vm = value_match(make_handle(spec, iota.dt), x, 25.0)
         assert vm.rel_gap < 5e-3
 
     def test_homogeneous_scaling_of_trajectories(self, spec):
@@ -211,8 +213,8 @@ class TestSimulate:
         scaled = HistorySegment(2.0, k * iota.values)
         t1 = simulate_vintage(spec, iota, 5.0)
         t2 = simulate_vintage(spec, scaled, 5.0)
-        assert np.allclose(k * np.array([s.head for s in t1.states]),
-                           np.array([s.head for s in t2.states]), rtol=1e-10)
+        assert np.allclose(k * np.array([x[0] for x in t1.states]),
+                           np.array([x[0] for x in t2.states]), rtol=1e-10)
         assert t2.payoff == pytest.approx(k ** 0.5 * t1.payoff, rel=1e-10)
 
     def test_lifting_is_bookkeeping(self, spec):
@@ -231,9 +233,8 @@ class TestSimulate:
             for n in (0, m // 2, len(traj.times) - 1):
                 window = controls[n: n + m + 1]
                 # tail bookkeeping: x1 = -reversed(window), bit-exact
-                assert np.array_equal(traj.states[n].tail.values,
-                                      -window[::-1])
-                head = traj.states[n].head
+                assert np.array_equal(traj.states[n][1:], -window[::-1])
+                head = traj.states[n].item(0)
                 worst = max(worst, abs(head - float(trapezoid(window, dx=dt)))
                             / max(1.0, head))
             drifts.append(worst)
@@ -247,8 +248,7 @@ class TestSimulate:
         # Gamma0-form feedback up to quadrature error
         from scipy.integrate import trapezoid
         iota = positive_history(m=400, seed=13)
-        st = lift_vintage(None, iota)
-        direct = delay.feedback(spec.delay, st)
+        direct = delay.feedback(spec.delay, lift_vintage(None, iota).array(spec.T_scrap))
         s = iota.nodes
         w = positivity_kernel(spec, s)
         via_kernel = float(trapezoid(w * iota.values, dx=iota.dt))
@@ -264,6 +264,12 @@ class TestSimulate:
             simulate_vintage(steep, iota, 60.0)
         assert err.value.time > 0.0
         assert "capital" in err.value.diagnostics
+
+    def test_history_off_the_lag_rejected(self, spec):
+        # a state array holds no lag of its own, so a history on [-3, 0]
+        # would run at the spacing T/m of the model's T = 2 if not refused
+        with pytest.raises(ValueError, match="history covers"):
+            simulate_vintage(spec, HistorySegment.constant(3.0, 8, 1.0), 1.0)
 
 
 class TestHJBResidual:
@@ -283,14 +289,14 @@ class TestHJBResidual:
 def test_coarse_dp_oracle_brackets_value(spec):
     from hjbkit.verify import _rollout, brute_force_value
     iota = HistorySegment.constant(2.0, 8, 1.0)
-    st = lift_vintage(None, iota)
+    x = lift_vintage(None, iota).array(spec.T_scrap)
     handle = make_handle(spec, iota.dt)
-    seed = _rollout(handle, st, 5.0 / spec.rho, 1.0).controls[:-1]
-    bracket = brute_force_value(delay.oracle_problem(spec.delay, iota.dt), st,
+    seed = _rollout(handle, x, 5.0 / spec.rho, 1.0).controls[:-1]
+    bracket = brute_force_value(delay.oracle_problem(spec.delay, iota.dt), x,
                                 seed)
-    v = delay.value(spec.delay, st)
+    v = delay.value(spec.delay, x)
     assert bracket.contains(v, 0.03)
     # the value constant printed with the +sigma exponent lands far outside
     wrong_nu = spec.mpc ** 0.5 * (spec.A / spec.xi.xi) ** 0.5
-    g0 = delay.gamma(st, spec.xi.xi)
+    g0 = delay.gamma(x, spec.xi.xi, 2.0)
     assert not bracket.contains(wrong_nu * g0 ** 0.5 / 0.5, 0.03)
