@@ -16,11 +16,13 @@ and with u the control,
 
 with u kept in the band [(a - room) x0, a x0].  Only the constants of
 :class:`DelayModel` tell the models apart; each model module builds them
-from its own parameters and keeps its own coordinate lift.
+from its own parameters.
 
-The closed loops run on state arrays: x of m + 2 entries holds the head
-x[0] and the tail's m + 1 samples x[1:] on [-L, 0] at the spacing L/m,
-oldest first (the layout of ``StructuralState.array``).
+Every state is one array: x of m + 2 entries holds the head x[0] and the
+tail's m + 1 samples x[1:] on [-L, 0] at the spacing L/m, oldest first.
+:func:`lift` makes it from a head and a control history, and the closed
+loops, the residual and the DP oracle's batches (one row per state) all
+run on it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import (AssumptionError, DomainError, DomainExitError,
                      GridError, NumericsError)
-from .gridcore import (StructuralState, Trajectory, discounted_quadrature,
+from .gridcore import (HistorySegment, Trajectory, discounted_quadrature,
                        fd_derivative, trapezoid)
 from .verify import ModelHandle, OracleProblem
 
@@ -67,7 +69,7 @@ def _trapezoid_weights(xi: float, samples: int, lag: float) -> np.ndarray:
 
 def _state(model: DelayModel, x, dt: float | None = None):
     """``x``, checked to be a state array of m + 2 >= 6 entries, at the
-    spacing L/m = dt where dt is given: anything else, a StructuralState
+    spacing L/m = dt where dt is given: anything else, a HistorySegment
     too, is a GridError here, never a numpy error later."""
     shape = getattr(x, "shape", ())
     if len(shape) != 1 or shape[0] < 6 \
@@ -76,6 +78,23 @@ def _state(model: DelayModel, x, dt: float | None = None):
             "expected a state array of m + 2 >= 6 entries at the spacing "
             f"L/m{'' if dt is None else f' = {dt}'}, L = {model.lag}; got "
             f"{type(x).__name__} of shape {shape}")
+    return x
+
+
+def lift(model: DelayModel, head: float,
+         history: HistorySegment) -> np.ndarray:
+    """The state array [head, *(c * reversed history)] of a head and the
+    control history on [-L, 0]: the tail x1(s) = c u(-L-s) holds the
+    newest control at s = -L.  A history on a lag other than L is a
+    ValueError, and a non-finite head (or a tail overflowing c * u) a
+    GridError."""
+    if not np.isclose(history.d, model.lag, rtol=1e-12):
+        raise ValueError(f"history covers [-{history.d}, 0], "
+                         f"expected [-{model.lag}, 0]")
+    x = np.concatenate(([head], model.c * history.values[::-1]))
+    if not np.isfinite(x).all():
+        raise GridError(f"a lifted state must be finite, got head {head} "
+                        f"and tail extremes {x[1:].min()}, {x[1:].max()}")
     return x
 
 
@@ -158,19 +177,19 @@ def shift(model: DelayModel, x: np.ndarray, u: float,
     return out
 
 
-def shift_batch(model: DelayModel, batch: tuple, u, dt: float) -> tuple:
-    """:func:`shift` on a batch of heads (k,) and tails (k, m+1), with u a
-    scalar or one control per row.  A non-finite state raises GridError,
-    as :func:`shift` does."""
-    heads, tails = batch
-    vals = np.empty_like(tails)
-    vals[:, 0] = vals[:, 1] = model.c * u
-    vals[:, 2:] = tails[:, 1:-1]
-    heads = heads + dt * (model.b * u + tails[:, -1])
+def shift_batch(model: DelayModel, batch: np.ndarray, u,
+                dt: float) -> np.ndarray:
+    """:func:`shift` on a batch (k, m+2) of state rows, with u a scalar or
+    one control per row.  A non-finite state raises GridError, as
+    :func:`shift` does."""
+    out = np.empty_like(batch)
+    out[:, 0] = batch[:, 0] + dt * (model.b * u + batch[:, -1])
+    out[:, 1] = out[:, 2] = model.c * u
+    out[:, 3:] = batch[:, 2:-1]
     # the shifted samples were finite already; only the new ones can fail
-    if not (np.isfinite(heads).all() and np.isfinite(vals[:, 0]).all()):
+    if not (np.isfinite(out[:, 0]).all() and np.isfinite(out[:, 1]).all()):
         raise GridError("batched step produced a non-finite state")
-    return heads, vals
+    return out
 
 
 def simulate(model: DelayModel, state0: np.ndarray,
@@ -232,22 +251,23 @@ def simulate(model: DelayModel, state0: np.ndarray,
     return Trajectory(times, states, controls, running)
 
 
-def hjb_residual(model: DelayModel, state: StructuralState) -> float:
-    """Relative defect of the closed form in the discrete stationary HJB
-    (finite-difference generator on the gradient's lag profile; the
-    control's price p pairs the gradient with b at the head and c at the
-    tail's newest point s = -L, both taken exactly)."""
+def hjb_residual(model: DelayModel, x: np.ndarray) -> float:
+    """Relative defect of the closed form in the discrete stationary HJB at
+    a state array, on its own m (finite-difference generator on the
+    gradient's lag profile; the control's price p pairs the gradient with
+    b at the head and c at the tail's newest point s = -L, both taken
+    exactly)."""
     s = model.sigma
-    g = gamma(state.array(model.lag), model.xi, model.lag)
+    g = gamma(_state(model, x), model.xi, model.lag)
     v = _value_of(model, g)
     grad_coeff = model.nu * g ** (-s)
-    h = state.tail.dt
-    weight = np.exp(model.xi * state.tail.nodes)
+    h = model.lag / (len(x) - 2)
+    weight = np.exp(model.xi * np.linspace(-model.lag, 0.0, len(x) - 1))
     dweight = fd_derivative(weight, h)
     # <A Dv, x> = coeff * int (d/ds weight) * x1
-    drift = grad_coeff * trapezoid(dweight * state.tail.values, h)
+    drift = grad_coeff * trapezoid(dweight * x[1:], h)
     p = grad_coeff * (model.b * weight[-1] + model.c * weight[0])
-    x0 = model.a * state.head
+    x0 = model.a * x.item(0)
     u_star = x0 - p ** (-1.0 / s)
     ham = (x0 - u_star) ** (1.0 - s) / (1.0 - s) + u_star * p
     residual = model.rho * v - drift - ham
@@ -283,10 +303,10 @@ def make_handle(model: DelayModel, dt: float) -> ModelHandle:
 
 
 def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
-    """The batched step/payoff view the DP oracle runs on, over batches of
-    heads (k,) and tails (k, m+1) sampled at the step dt, with the domain
-    as the slacks Gamma and room x0 - kappa Gamma; ``to_batch`` takes a
-    state array at that spacing (a GridError otherwise).  It has no value
+    """The batched step/payoff view the DP oracle runs on, over batches
+    (k, m+2) of state rows sampled at the step dt, with the domain as the
+    slacks Gamma and room x0 - kappa Gamma; ``to_batch`` takes a state
+    array at that spacing (a GridError otherwise).  It has no value
     callback, so the oracle cannot peek at the closed form, and it builds
     no validated state.  Its payoff tail bound holds for sigma < 1 only,
     so any other sigma is an AssumptionError."""
@@ -299,10 +319,10 @@ def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
         # any admissible continuation keeps the payoff's argument below
         # M e^{xi (t - t_abs)}, by the renewal comparison with the
         # characteristic supersolution
-        window = batch[1][0][::-1] / model.c  # the batch's first row
+        window = batch[0, :0:-1] / model.c  # the batch's first row
         m0 = float(np.max(window * np.exp(
             -xi * np.linspace(-model.lag, 0.0, len(window)))))
-        M = max(model.head_envelope * batch[0][0], m0, 0.0)
+        M = max(model.head_envelope * batch[0, 0], m0, 0.0)
         return np.exp(-model.rho * t_abs) * M ** (1.0 - s) / (
             (1.0 - s) * (model.rho - xi * (1.0 - s)))
 
@@ -310,23 +330,20 @@ def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
         p = c ** -s
         return c * p / (1.0 - s), p, -s * p / c
 
-    def to_batch(x):
-        x = _state(model, x, dt)
-        return np.array([x.item(0)]), x[np.newaxis, 1:]
-
     def domain_slacks(batch):
-        heads, tails = batch
-        g = heads + tails @ _trapezoid_weights(xi, tails.shape[1], model.lag)
+        heads = batch[:, 0]
+        g = heads + batch[:, 1:] @ _trapezoid_weights(xi, batch.shape[1] - 1,
+                                                      model.lag)
         return np.column_stack([g, model.room * heads - model.kappa * g])
 
     return OracleProblem(
         step=functools.partial(shift_batch, model, dt=dt),
-        consumption=lambda batch, u: model.a * batch[0] - u,
+        consumption=lambda batch, u: model.a * batch[:, 0] - u,
         utility=utility,
         rho=model.rho,
         dt=dt,
         domain_slacks=domain_slacks,
-        to_batch=to_batch,
-        control_bounds=lambda batch: band(model, batch[0]),
+        to_batch=lambda x: _state(model, x, dt)[np.newaxis],
+        control_bounds=lambda batch: band(model, batch[:, 0]),
         payoff_tail_bound=tail_bound,
     )

@@ -362,8 +362,8 @@ class HistorySegment:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.d <= 0.0:
-            raise GridError(f"delay must be positive, got {self.d}")
+        if not 0.0 < self.d < math.inf:  # NaN too
+            raise GridError(f"delay must be finite and positive, got {self.d}")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or len(vals) < 5:
             raise GridError(
@@ -396,28 +396,6 @@ class HistorySegment:
 
 
 @dataclass(frozen=True)
-class StructuralState:
-    """Lifted state of a delay model: scalar head x0 plus lag tail x1."""
-
-    head: float
-    tail: HistorySegment
-
-    def __post_init__(self):
-        if not math.isfinite(self.head):
-            raise GridError(f"head must be finite, got {self.head}")
-
-    def array(self, lag: float) -> np.ndarray:
-        """The head and the tail samples in one array of m + 2 entries,
-        oldest sample first: the state the delay closed loops run on.  An
-        array holds no lag of its own, so the tail must cover the model's
-        [-lag, 0] (a ValueError otherwise)."""
-        if not np.isclose(self.tail.d, lag, rtol=1e-12):
-            raise ValueError(f"history covers [-{self.tail.d}, 0], "
-                             f"expected [-{lag}, 0]")
-        return np.concatenate(([self.head], self.tail.values))
-
-
-@dataclass(frozen=True)
 class AgeGrid:
     """Uniform node grid on the age interval [0, sbar] with m cells."""
 
@@ -425,8 +403,9 @@ class AgeGrid:
     m: int
 
     def __post_init__(self):
-        if self.sbar <= 0.0:
-            raise GridError(f"sbar must be positive, got {self.sbar}")
+        if not 0.0 < self.sbar < math.inf:  # NaN too
+            raise GridError(
+                f"sbar must be finite and positive, got {self.sbar}")
         if self.m < 4:
             raise GridError(f"age grid needs m >= 4 cells, got {self.m}")
 

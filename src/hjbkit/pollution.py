@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       inner_product, nodal_inner, quad_circle, restrict,
-                       sl_apply)
+                       nodal_inner, quad_circle, restrict, sl_apply)
 from .spectral import solve_elliptic
 from .verify import ModelHandle, _rollout, memo_last
 
@@ -177,9 +176,10 @@ def simulate_pollution(spec: PollutionSpec, p0: np.ndarray, T_end: float,
     return traj
 
 
-def hjb_residual_pollution(spec: PollutionSpec, x: Field,
+def hjb_residual_pollution(spec: PollutionSpec, x: np.ndarray,
                            ref_spec: PollutionSpec | None = None) -> float:
-    """Relative defect of the affine value function in the discrete HJB.
+    """Relative defect of the affine value function in the discrete HJB at
+    the node values x.
 
     The x-dependent parts cancel analytically, so with the model's own
     shadow price the number isolates the elliptic-solve error; with a
@@ -191,13 +191,13 @@ def hjb_residual_pollution(spec: PollutionSpec, x: Field,
     else:
         alpha = restrict(ref_spec.alpha_shadow, spec.grid)
         q = ref_spec.q_const
-    v = -inner_product(alpha, x) + q
+    v = -nodal_inner(spec.grid, x, alpha.values) + q
     A_alpha = sl_apply(spec.sigma_diff, spec.zeroth, alpha)
-    drift, disutility = inner_product(x, A_alpha), inner_product(spec.w_dis, x)
+    drift = nodal_inner(spec.grid, x, A_alpha.values)
+    dis = disutility(spec, x)
     # rho*v = -<x, A alpha> - <w, x> + rho*q  (sup term equals rho*q)
-    residual = spec.rho * v + drift + disutility - spec.rho * q
-    scale = max(abs(spec.rho * v), abs(drift), abs(disutility),
-                abs(spec.rho * q))
+    residual = spec.rho * v + drift + dis - spec.rho * q
+    scale = max(abs(spec.rho * v), abs(drift), abs(dis), abs(spec.rho * q))
     return abs(residual) / scale
 
 

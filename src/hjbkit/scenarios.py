@@ -24,8 +24,7 @@ import numpy as np
 from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
 from .errors import AssumptionError, ConfigError, DomainError, NumericsError
-from .gridcore import (AgeGrid, CircleGrid, HistorySegment, StructuralState,
-                       quad_circle)
+from .gridcore import AgeGrid, CircleGrid, HistorySegment, quad_circle
 from .verify import (ModelHandle, OracleBracket, VerifyReport,
                      brute_force_value, suboptimality_margin, transversality,
                      value_match, _rollout)
@@ -299,11 +298,11 @@ class Scenario:
     config: dict
     spec: object
     handle: ModelHandle
-    state0: object
+    state0: np.ndarray            # the array the closed loop runs on
     T_end: float
     simulate: Callable            # () -> Trajectory
-    sample_state: Callable        # (rng, resolution) -> state
-    residual_fn: Callable         # (state) -> float, at the state's resolution
+    sample_state: Callable        # (rng, resolution) -> state array
+    residual_fn: Callable         # (state array) -> float, at its resolution
     derived: dict                 # derived analytic constants for reports
     state_columns: Callable       # (states, controls) -> {column: values}
     suboptimal_scale: float = 0.5    # feedback scaling for the probe control
@@ -313,9 +312,8 @@ def _smooth_positive_circle(rng, n: int):
     grid = CircleGrid(n)
     theta = grid.nodes
     c = rng.normal(size=5) * np.array([0.4, 0.3, 0.2, 0.1, 0.05])
-    vals = np.exp(c[0] + c[1] * np.cos(theta) + c[2] * np.sin(theta)
+    return np.exp(c[0] + c[1] * np.cos(theta) + c[2] * np.sin(theta)
                   + c[3] * np.cos(2 * theta) + c[4] * np.sin(2 * theta))
-    return grid.field(vals)
 
 
 def _circle_parts(config, spec_at: Callable, key: str, residual: Callable,
@@ -332,7 +330,7 @@ def _circle_parts(config, spec_at: Callable, key: str, residual: Callable,
     _check_initial(key, x0, nonzero)
 
     def residual_fn(x):
-        n = x.grid.n
+        n = len(x)
         return residual(spec_at(n), x, spec_at(REFERENCE_FACTOR * n))
 
     return spec, x0, dict(spec=spec, state0=x0,
@@ -359,8 +357,8 @@ def _smooth_positive_interval(rng, nodes, scale=1.0):
                           + c[3] * np.cos(2 * x))
 
 
-def _delay_test_state(model: delay.DelayModel, rng, m: int) -> StructuralState:
-    """A random state on m intervals inside a delay model's domain: the
+def _delay_test_state(model: delay.DelayModel, rng, m: int) -> np.ndarray:
+    """A random state array on m intervals inside a delay model's domain: the
     tail c * reversed(window) of a smooth positive control window, whose
     share of Gamma is ``part``, and the head x0 = kappa*part / (theta*room
     - kappa) that makes consumption kappa*Gamma a share theta of its band
@@ -381,7 +379,7 @@ def _delay_test_state(model: delay.DelayModel, rng, m: int) -> StructuralState:
         delay.feedback(model, x)
     except DomainError as exc:
         raise AssumptionError(f"no interior test state: {exc}") from None
-    return StructuralState(head, HistorySegment(model.lag, x[1:]))
+    return x
 
 
 @contextlib.contextmanager
@@ -498,7 +496,7 @@ def _build_vintage(config):
 
     return dict(
         spec=spec, handle=vintage_dde.make_handle(spec, iota0.dt),
-        state0=vintage_dde.lift_vintage(None, iota0).array(spec.T_scrap),
+        state0=vintage_dde.lift_vintage(spec, None, iota0),
         simulate=lambda: vintage_dde.simulate_vintage(
             spec, iota0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),
@@ -571,7 +569,7 @@ def _build_ttb(config):
 
     return dict(
         spec=spec, handle=time_to_build.make_handle(spec, u0.dt),
-        state0=time_to_build.structural_state(spec, q0, u0).array(spec.d),
+        state0=time_to_build.structural_state(spec, q0, u0),
         simulate=lambda: time_to_build.simulate_ttb(
             spec, q0, u0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),

@@ -160,10 +160,10 @@ def simulate_spatial(spec: SpatialGrowthSpec, x0: np.ndarray, T_end: float,
     return traj
 
 
-def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
+def hjb_residual_spatial(spec: SpatialGrowthSpec, x: np.ndarray,
                          ref_spec: SpatialGrowthSpec | None = None) -> float:
     """Relative defect of the closed-form value in the discrete stationary
-    HJB equation at x.
+    HJB equation at the node values x.
 
     All generator actions are evaluated numerically (stencil on the
     gradient, grid quadrature for the supremum term) instead of through the
@@ -178,15 +178,15 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: Field,
     if ref_spec is not None:
         beta = restrict(ref_spec.beta, spec.grid)
     s = spec.sigma_crra
-    p = _in_domain(inner_product(x, beta))
+    p = _in_domain(nodal_inner(spec.grid, x, beta.values))
     v = p ** (1.0 - s) / (1.0 - s)
     # drift term <x, A_h Dv> with the stencil acting on the gradient
     grad_coeff = p ** (-s)
     A_beta = sl_apply(spec.grid.constant(1.0), spec.A_coeff, beta)
-    drift = grad_coeff * inner_product(x, A_beta)
+    drift = grad_coeff * nodal_inner(spec.grid, x, A_beta.values)
     # closed-form supremum: sigma/(1-sigma) * int N * Dv^((sigma-1)/sigma)
-    ham = (s / (1.0 - s)) * p ** (1.0 - s) * inner_product(
-        spec.N_pop, Field(spec.grid, beta.values ** (1.0 - 1.0 / s)))
+    ham = (s / (1.0 - s)) * p ** (1.0 - s) * nodal_inner(
+        spec.grid, beta.values ** (1.0 - 1.0 / s), spec.N_pop.values)
     residual = spec.rho * v - drift - ham
     scale = max(abs(spec.rho * v), abs(drift), abs(ham))
     return abs(residual) / scale

@@ -31,8 +31,8 @@ import numpy as np
 from . import delay
 from .delay import DelayModel
 from .errors import AssumptionError, closed_form_constant
-from .gridcore import (HistorySegment, StructuralState, Trajectory,
-                       discounted_quadrature, fd_derivative, trapezoid)
+from .gridcore import (HistorySegment, Trajectory, discounted_quadrature,
+                       fd_derivative, trapezoid)
 from .spectral import CharRoot, char_root_ttb
 from .verify import ModelHandle
 
@@ -134,12 +134,11 @@ def to_output_coords(spec: TTBSpec, k_history: HistorySegment,
 
 
 def structural_state(spec: TTBSpec, q: float,
-                     u_history: HistorySegment) -> StructuralState:
-    """Lift (q, recent controls) to (x0, x1) with x1(s) = Atilde u(t-d-s);
+                     u_history: HistorySegment) -> np.ndarray:
+    """The state array of (q, recent controls), x1(s) = Atilde u(t-d-s):
     on the sampled grid the tail is the reversed control history times
-    Atilde."""
-    tail = HistorySegment(u_history.d, spec.Atilde * u_history.values[::-1])
-    return StructuralState(float(q), tail)
+    Atilde (:func:`delay.lift`, which refuses a history on another lag)."""
+    return delay.lift(spec.delay, q, u_history)
 
 
 def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
@@ -152,8 +151,8 @@ def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
     with diagnostics; band violations of the control are flagged.  A
     control history on a lag other than d is a ValueError.
     """
-    traj = delay.simulate(
-        spec.delay, structural_state(spec, q0, u0_history).array(spec.d), T_end)
+    traj = delay.simulate(spec.delay, structural_state(spec, q0, u0_history),
+                          T_end)
     q = np.array([x.item(0) for x in traj.states])
     u = np.array(traj.controls)
     lo, hi = delay.band(spec.delay, q)
@@ -231,7 +230,7 @@ def integrate_openloop_dde(spec: TTBSpec, q0: float,
     xi, al = spec.xi.xi, spec.alpha_mpc
     At = spec.Atilde
     exd = np.exp(-xi * spec.d)
-    x0 = structural_state(spec, q0, u0_history).array(spec.d)
+    x0 = structural_state(spec, q0, u0_history)
 
     u_full = np.empty(m + n_steps + 1)
     u_full[:m] = u0_history.values[:m]  # u on [-d, 0), m samples
@@ -273,12 +272,12 @@ def integrate_openloop_dde(spec: TTBSpec, q0: float,
     return Trajectory(times, states, list(u), payoff, {"outputs": q})
 
 
-def hjb_residual_ttb(spec: TTBSpec, state: StructuralState) -> float:
-    """Relative defect of the closed form in the discrete stationary HJB,
-    with the generator acting on the gradient's lag profile by finite
-    differences and the lag-endpoint evaluation delta_{-d} taken exactly;
-    genuinely O(m^-2)."""
-    return delay.hjb_residual(spec.delay, state)
+def hjb_residual_ttb(spec: TTBSpec, x: np.ndarray) -> float:
+    """Relative defect of the closed form in the discrete stationary HJB at
+    a state array, with the generator acting on the gradient's lag profile
+    by finite differences and the lag-endpoint evaluation delta_{-d} taken
+    exactly; genuinely O(m^-2)."""
+    return delay.hjb_residual(spec.delay, x)
 
 
 def make_handle(spec: TTBSpec, dt: float) -> ModelHandle:

@@ -40,20 +40,19 @@ class OracleProblem:
     """Batched step/payoff view of a model, structurally unable to peek at
     the closed-form value.
 
-    A batch is a tuple of arrays sharing a leading row axis, one row per
-    state, and each callback acts row by row, with ``u`` a scalar or one
-    control per row.  ``step(batch, u)`` advances by the problem's step
-    ``dt`` and raises :class:`GridError` on a non-finite state.  A row
-    holding u earns ``utility(consumption(batch, u))``: the consumption is
-    affine in the row and u, and ``utility(c)`` returns the concave
-    utility of c > 0 with its first and second derivatives.  A row is
-    admissible where the affine ``domain_slacks(batch)`` (rows, k) are
-    positive, and its control inside the open band ``control_bounds(
-    batch)`` with a positive consumption.  ``to_batch`` stacks one
-    validated state into a batch, refusing one the step does not fit; no
-    callback turns a row back into one.  ``payoff_tail_bound(batch,
-    time)`` is an upper bound on the remaining discounted payoff of any
-    admissible continuation from the batch's first row.
+    A batch is one 2-D array of state rows, and each callback acts row by
+    row, with ``u`` a scalar or one control per row.  ``step(batch, u)``
+    advances by the problem's step ``dt`` and raises :class:`GridError` on
+    a non-finite state.  A row holding u earns ``utility(consumption(
+    batch, u))``: the consumption is affine in the row and u, and
+    ``utility(c)`` returns the concave utility of c > 0 with its first and
+    second derivatives.  A row is admissible where the affine
+    ``domain_slacks(batch)`` (rows, k) are positive, and its control
+    inside the open band ``control_bounds(batch)`` with a positive
+    consumption.  ``to_batch`` makes one checked state array a batch of
+    one row, refusing one the step does not fit.  ``payoff_tail_bound(
+    batch, time)`` is an upper bound on the remaining discounted payoff of
+    any admissible continuation from the batch's first row.
     """
 
     step: Callable
@@ -296,8 +295,7 @@ def brute_force_value(problem: OracleProblem, state0,
         """Consumptions (left ends of the steps, then right ends), slacks
         and final batch of each row of ``controls`` (rows, n)."""
         nonlocal evals
-        batch = tuple(np.repeat(a, len(controls), axis=0)
-                      for a in problem.to_batch(state0))
+        batch = np.repeat(problem.to_batch(state0), len(controls), axis=0)
         left, right, slacks = [], [], []
         for k in range(n):
             u = controls[:, k]

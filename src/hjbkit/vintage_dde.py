@@ -30,7 +30,7 @@ import numpy as np
 from . import delay
 from .delay import DelayModel
 from .errors import AssumptionError, DomainError, closed_form_constant
-from .gridcore import HistorySegment, StructuralState, Trajectory, trapezoid
+from .gridcore import HistorySegment, Trajectory, trapezoid
 from .spectral import CharRoot, char_root_vintage
 from .verify import ModelHandle
 
@@ -100,9 +100,10 @@ def build_vintage_spec(A: float, T_scrap: float, sigma_crra: float,
     return spec
 
 
-def lift_vintage(k0: float | None, iota: HistorySegment,
-                 enforce_consistency: bool = True) -> StructuralState:
-    """Structural state (x0, x1) from an investment history.
+def lift_vintage(spec: VintageSpec, k0: float | None, iota: HistorySegment,
+                 enforce_consistency: bool = True) -> np.ndarray:
+    """The state array of (x0, x1) from an investment history on [-T, 0]
+    (:func:`delay.lift`, which refuses a history on another lag).
 
     x1 is the involution x1(s) = -iota(-T-s), i.e. the sampled history
     reversed and negated.  By default k0 must equal the trapezoid integral
@@ -120,8 +121,7 @@ def lift_vintage(k0: float | None, iota: HistorySegment,
             f"{integral}; pass enforce_consistency=False to lift the "
             "pair anyway"
         )
-    tail = HistorySegment(iota.d, -iota.values[::-1])
-    return StructuralState(float(k0), tail)
+    return delay.lift(spec.delay, k0, iota)
 
 
 def gamma0_from_history(iota: HistorySegment, xi: float) -> float:
@@ -168,8 +168,7 @@ def simulate_vintage(spec: VintageSpec, iota0: HistorySegment,
     if iota0.values.min() < 0.0 or not np.any(iota0.values > 0.0):
         raise DomainError("initial investments must be nonnegative and not "
                           "identically zero")
-    traj = delay.simulate(spec.delay,
-                          lift_vintage(None, iota0).array(spec.T_scrap), T_end)
+    traj = delay.simulate(spec.delay, lift_vintage(spec, None, iota0), T_end)
     min_i = min(traj.controls)
     min_k = min(x.item(0) for x in traj.states)
     traj.meta = {"min_investment": float(min_i), "min_capital": float(min_k),
@@ -177,8 +176,9 @@ def simulate_vintage(spec: VintageSpec, iota0: HistorySegment,
     return traj
 
 
-def hjb_residual_vintage(spec: VintageSpec, state: StructuralState) -> float:
-    """Relative defect of the closed form in the discrete stationary HJB.
+def hjb_residual_vintage(spec: VintageSpec, x: np.ndarray) -> float:
+    """Relative defect of the closed form in the discrete stationary HJB at
+    a state array.
 
     The generator acts on the gradient's lag profile nu*Gamma0^(-sigma)*
     e^{xi s} by second-order finite differences (one-sided at the ends),
@@ -186,7 +186,7 @@ def hjb_residual_vintage(spec: VintageSpec, state: StructuralState) -> float:
     boundary pairing B(Dv) uses the exact endpoint values.  The residual is
     therefore a genuine O(m^-2) truncation-error measurement.
     """
-    return delay.hjb_residual(spec.delay, state)
+    return delay.hjb_residual(spec.delay, x)
 
 
 def make_handle(spec: VintageSpec, dt: float) -> ModelHandle:

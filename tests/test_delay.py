@@ -12,8 +12,7 @@ import pytest
 from hjbkit import delay, time_to_build, vintage_dde
 from hjbkit.errors import DomainError, DomainExitError, GridError
 from hjbkit.errors import AssumptionError, NumericsError
-from hjbkit.gridcore import (AgeGrid, HistorySegment, StructuralState,
-                             discounted_quadrature)
+from hjbkit.gridcore import AgeGrid, HistorySegment, discounted_quadrature
 from hjbkit.scenarios import build_scenario, default_config, _delay_test_state
 from hjbkit.time_to_build import build_ttb_spec, structural_state
 from hjbkit.verify import ModelHandle, _rollout, brute_force_value
@@ -102,8 +101,8 @@ def found_ttb_config():
 
 def consumption_share(model, state):
     """kappa*Gamma over its band room*x0: in (0, 1) inside the domain."""
-    return model.kappa * delay.gamma(state.array(model.lag), model.xi,
-                                     state.tail.d) / (model.room * state.head)
+    return model.kappa * delay.gamma(state, model.xi, model.lag) \
+        / (model.room * state[0])
 
 
 def hand_model(c, kappa, room=1.2):
@@ -122,9 +121,9 @@ class TestDelayTestStates:
         model = sc.spec.delay
         for seed in range(10):
             state = sc.sample_state(np.random.default_rng(seed), m)
-            assert state.tail.m == m
-            lower, _ = delay.band(model, state.head)
-            assert delay.feedback(model, state.array(model.lag)) > lower
+            assert len(state) == m + 2
+            lower, _ = delay.band(model, state[0])
+            assert delay.feedback(model, state) > lower
             assert 0.0 < consumption_share(model, state) < 1.0
 
     @pytest.mark.parametrize("c, kappa", [(-0.5, 0.3), (-0.5, 3.0),
@@ -138,7 +137,7 @@ class TestDelayTestStates:
             for seed in range(10):
                 state = _delay_test_state(model, np.random.default_rng(seed),
                                           16)
-                delay.feedback(model, state.array(model.lag))
+                delay.feedback(model, state)
                 share = consumption_share(model, state)
                 width = hi - lo
                 assert lo + 0.1 * width - 1e-12 <= share \
@@ -161,7 +160,7 @@ M = 40  # history samples: off the defaults' 200
 def vintage_start(spec, m=M):
     iota = HistorySegment.from_function(
         spec.T_scrap, m, lambda s: 1.0 + 0.3 * np.sin(2.0 * s) + 0.1 * s)
-    return lift_vintage(None, iota)
+    return lift_vintage(spec, None, iota)
 
 
 def ttb_start(spec, m=M):
@@ -183,7 +182,50 @@ CASES = {
 def case(request):
     build, start = CASES[request.param]
     spec = build()
-    return spec.delay, start(spec).array(spec.delay.lag)
+    return spec.delay, start(spec)
+
+
+def model_lift(name, head, hist):
+    """The lift of the CASES model ``name``, built, of a head and history
+    (vintage's head need not be the history's integral)."""
+    spec = CASES[name][0]()
+    if name == "vintage":
+        return lift_vintage(spec, head, hist, enforce_consistency=False)
+    return structural_state(spec, head, hist)
+
+
+class TestLift:
+    """Both models' lifts go through delay.lift, the one edge where a
+    history still knows its lag."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_history_on_another_lag_rejected(self, name):
+        lag = CASES[name][0]().delay.lag
+        with pytest.raises(ValueError, match="history covers"):
+            model_lift(name, 1.0, HistorySegment.constant(lag + 1.0, 8, 1.0))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("head", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_head_rejected(self, name, head):
+        lag = CASES[name][0]().delay.lag
+        with pytest.raises(GridError):
+            model_lift(name, head, HistorySegment.constant(lag, 8, 0.0))
+
+    def test_overflowing_tail_rejected(self):
+        # c * u past the float range would start a loop on an infinite tail
+        hist = HistorySegment.constant(1.0, 8, 1e300)
+        with np.errstate(over="ignore"), \
+                pytest.raises(GridError, match="finite"):
+            delay.lift(hand_model(1e10, 0.3), 1.0, hist)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_model_lift_is_c_times_the_reversed_history(self, name):
+        model = CASES[name][0]().delay
+        hist = HistorySegment.from_function(model.lag, 8, np.exp)
+        got = model_lift(name, 1.5, hist)
+        assert np.array_equal(got, delay.lift(model, 1.5, hist))
+        assert got[0] == 1.5
+        assert np.array_equal(got[1:], model.c * hist.values[::-1])
 
 
 def assert_same_run(got, want):
@@ -230,7 +272,7 @@ class TestSimulate:
 
     def test_domain_exit_mid_run(self):
         steep = build_vintage_spec(1.0, 2.0, 0.5, 0.95)
-        state0 = vintage_start(steep).array(steep.delay.lag)
+        state0 = vintage_start(steep)
         exc = assert_same_exit(
             lambda: delay.simulate(steep.delay, state0, 60.0),
             lambda: reference_simulate(steep.delay, state0, 60.0))
@@ -239,7 +281,7 @@ class TestSimulate:
     def test_domain_exit_at_start(self):
         sp = build_ttb_spec(0.35, 0.05, 1.0, 0.5, 0.34)
         state0 = structural_state(sp, 1.0, HistorySegment.constant(
-            1.0, M, 0.12)).array(sp.delay.lag)
+            1.0, M, 0.12))
         exc = assert_same_exit(
             lambda: delay.simulate(sp.delay, state0, 10.0),
             lambda: reference_simulate(sp.delay, state0, 10.0))
@@ -250,7 +292,7 @@ class TestSimulate:
         # the Euler predictor's head overflows, which the loop's own
         # errstate reports as _rollout does, whatever the caller's
         spec = build_vintage_spec(1.0, 2.0, 0.7, 0.45)
-        big = vintage_start(spec).array(spec.delay.lag)
+        big = vintage_start(spec)
         big[0] = 1.79e308
         with np.errstate(over="ignore"):
             with pytest.raises(GridError):
@@ -314,7 +356,7 @@ class TestDelayHandle:
     def test_domain_exit_mid_run(self, rho, scale):
         # the band binds (rho 1.2), or the probe drives Gamma negative
         steep = build_vintage_spec(1.0, 2.0, 0.5, rho)
-        state0, model = vintage_start(steep).array(steep.delay.lag), steep.delay
+        state0, model = vintage_start(steep), steep.delay
         exc = assert_same_exit(
             lambda: _rollout(delay.make_handle(model, 0.05), state0,
                              400 * 0.05, scale),
@@ -369,7 +411,7 @@ class TestStepSize:
     def test_model_handles_refuse_another_spacing(self, module, name):
         build, start = CASES[name]
         spec = build()
-        state0 = start(spec).array(spec.delay.lag)
+        state0 = start(spec)
         handle = module.make_handle(spec, 2.0 * spacing(spec.delay, state0))
         with pytest.raises(GridError, match="spacing"):
             handle.step(state0, handle.feedback(state0))
@@ -389,11 +431,13 @@ class TestStepSize:
             == state0[0]
 
     @pytest.mark.parametrize("bad", ["short", "long", "tiny", "2-D",
-                                     "structural"])
+                                     "history"])
     def test_a_wrong_shape_is_a_grid_error(self, case, bad):
         # a state array of another length, or anything else, must be a
         # GridError naming the spacing from every callback that takes a
-        # state, never an AttributeError or a numpy broadcast error
+        # state, never an AttributeError or a numpy broadcast error.  The
+        # residual is taken at a state's own m, so a shorter or longer
+        # array is a state to it, just one at another spacing
         model, state0 = case
         dt = spacing(model, state0)
         handle = delay.make_handle(model, dt)
@@ -401,13 +445,17 @@ class TestStepSize:
         u = handle.feedback(state0)
         wrong = {"short": state0[:-1], "long": np.r_[state0, state0[-1]],
                  "tiny": state0[:3], "2-D": state0[np.newaxis],
-                 "structural": StructuralState(state0.item(0), HistorySegment(
-                     model.lag, state0[1:]))}[bad]
-        for call in (lambda: handle.value(wrong),
-                     lambda: handle.feedback(wrong),
-                     lambda: handle.step(wrong, u),
-                     lambda: handle.running_payoff(wrong, u),
-                     lambda: problem.to_batch(wrong)):
+                 "history": HistorySegment(model.lag, state0[1:])}[bad]
+        calls = [lambda: handle.value(wrong),
+                 lambda: handle.feedback(wrong),
+                 lambda: handle.step(wrong, u),
+                 lambda: handle.running_payoff(wrong, u),
+                 lambda: problem.to_batch(wrong)]
+        if bad in ("short", "long"):
+            assert np.isfinite(delay.hjb_residual(model, wrong))
+        else:
+            calls.append(lambda: delay.hjb_residual(model, wrong))
+        for call in calls:
             with pytest.raises(GridError, match="spacing"):
                 call()
 

@@ -5,7 +5,7 @@ import sympy as sp
 
 from hjbkit.errors import GridError, NumericsError
 from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
-                             StructuralState, AgeGrid, Trajectory, cn_step,
+                             AgeGrid, Trajectory, cn_step,
                              inner_product, quad_circle,
                              sl_apply, solve_periodic_tridiagonal,
                              apply_periodic_tridiagonal, trapezoid)
@@ -24,13 +24,14 @@ def test_grid_spacing_closes_the_circle():
 
 
 def test_circle_handles_reject_a_field_on_another_grid():
-    # the handles call the public model functions, which check the length
-    # of their node arrays; a bare numpy broadcast error would not be a
-    # GridError.  A Field is not a node array, on any grid.
+    # the handles and the residuals call the public model functions, which
+    # check the length of their node arrays; a bare numpy broadcast error
+    # would not be a GridError.  A Field is not a node array, on any grid.
     from hjbkit import pollution, spatial_growth
     one = GRID.constant(1.0).values
-    spatial = spatial_growth.make_handle(spatial_growth.build_spatial_spec(
-        GRID.constant(0.04), GRID.constant(1.0), 0.5, 0.05), 0.01)
+    growth = spatial_growth.build_spatial_spec(
+        GRID.constant(0.04), GRID.constant(1.0), 0.5, 0.05)
+    spatial = spatial_growth.make_handle(growth, 0.01)
     spec = pollution.build_pollution_spec(
         GRID.constant(1.3), GRID.constant(0.1), GRID.constant(1.0),
         GRID.constant(2.0), GRID.constant(0.5), GRID.constant(1.0), 0.05)
@@ -48,7 +49,10 @@ def test_circle_handles_reject_a_field_on_another_grid():
                      lambda: emitting.running_payoff(other, i),
                      lambda: emitting.running_payoff(one, other),
                      lambda: emitting.step(other, i),
-                     lambda: emitting.step(one, other)):
+                     lambda: emitting.step(one, other),
+                     lambda: spatial_growth.hjb_residual_spatial(growth,
+                                                                 other),
+                     lambda: pollution.hjb_residual_pollution(spec, other)):
             with pytest.raises(GridError):
                 call()
 
@@ -370,9 +374,14 @@ class TestCnStep:
             y[0] = 2.0
 
 
-def test_structural_state_rejects_nonfinite_head():
-    with pytest.raises(GridError):
-        StructuralState(np.nan, HistorySegment.constant(1.0, 8, 0.0))
+@pytest.mark.parametrize("span", [np.nan, np.inf, -np.inf, 0.0])
+def test_spans_must_be_finite_and_positive(span):
+    # a NaN span fails every comparison, so "span <= 0" let it through,
+    # and with it a NaN or infinite spacing
+    with pytest.raises(GridError, match="finite and positive"):
+        HistorySegment(span, np.ones(9))
+    with pytest.raises(GridError, match="finite and positive"):
+        AgeGrid(span, 8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -162,7 +162,7 @@ class TestHJBResidual:
         spec = wavy_spec()
         rng = np.random.default_rng(2)
         for _ in range(5):
-            x = GRID.field(rng.normal(size=GRID.n))
+            x = rng.normal(size=GRID.n)
             assert hjb_residual_pollution(spec, x) < 1e-8
 
     def test_reference_residual_refines(self):
@@ -179,7 +179,7 @@ class TestHJBResidual:
                 c = rng.normal(size=3)
                 x = spec.grid.from_function(
                     lambda t: np.exp(0.3 * (c[0] + c[1] * np.cos(t)
-                                            + c[2] * np.sin(t))))
+                                            + c[2] * np.sin(t)))).values
                 vals.append(hjb_residual_pollution(spec, x, ref))
             results.append(max(vals))
         assert results[0] < 1e-5

@@ -102,15 +102,14 @@ class TestFeedback:
         # node arrays and Fields are not checked for finiteness, and the
         # model states its domain once: a NaN pairing must fail it, not
         # steer, score or residual
-        nan_field = const_spec.grid.constant(np.nan)
-        nan = nan_field.values
+        nan = const_spec.grid.constant(np.nan).values
         handle = make_handle(const_spec, 0.01)
         for fn in (handle.feedback, lambda y: feedback_spatial(const_spec, y),
                    lambda y: value_spatial(const_spec, y)):
             with pytest.raises(DomainError):
                 fn(nan)
         with pytest.raises(DomainError):
-            hjb_residual_spatial(const_spec, nan_field)
+            hjb_residual_spatial(const_spec, nan)
         with pytest.raises(DomainExitError) as err:
             _rollout(handle, nan, 5 * 0.01)
         assert err.value.time == 0.0
@@ -207,13 +206,13 @@ class TestSimulate:
 
 class TestHJBResidual:
     def test_constant_spec_near_exact(self, const_spec):
-        r = hjb_residual_spatial(const_spec, const_spec.eigen.e0)
+        r = hjb_residual_spatial(const_spec, const_spec.eigen.e0.values)
         assert r < 1e-6
 
     def test_homogeneity_invariance(self, wavy_spec):
-        x = smooth_positive(wavy_spec.grid, 11)
+        x = smooth_positive(wavy_spec.grid, 11).values
         r1 = hjb_residual_spatial(wavy_spec, x)
-        r2 = hjb_residual_spatial(wavy_spec, x.grid.field(7.0 * x.values))
+        r2 = hjb_residual_spatial(wavy_spec, 7.0 * x)
         assert abs(r1 - r2) < 1e-10
 
     def test_reference_residual_refines_at_second_order(self):
@@ -226,7 +225,8 @@ class TestHJBResidual:
             ref_grid = CircleGrid(4 * n)
             ref = build_spatial_spec(ref_grid.from_function(A_fn),
                                      ref_grid.constant(1.0), 0.5, 0.05)
-            vals = [hjb_residual_spatial(spec, smooth_positive(grid, s), ref)
+            vals = [hjb_residual_spatial(spec, smooth_positive(grid, s).values,
+                                         ref)
                     for s in range(5)]
             results.append(max(vals))
         assert results[0] < 1e-5

@@ -20,7 +20,7 @@ def spec():
 
 def default_state(spec, m=200, q0=1.0, level=1.0):
     u0 = HistorySegment.constant(spec.d, m, level)
-    return q0, u0, structural_state(spec, q0, u0).array(spec.d)
+    return q0, u0, structural_state(spec, q0, u0)
 
 
 class TestBuildSpec:
@@ -99,7 +99,7 @@ class TestOutputCoords:
 class TestGamma:
     def test_zero_tail(self, spec):
         x = structural_state(spec, 2.0,
-                             HistorySegment.constant(spec.d, 8, 0.0)).array(spec.d)
+                             HistorySegment.constant(spec.d, 8, 0.0))
         assert delay.gamma(x, spec.xi.xi, spec.d) == 2.0
 
     def test_constant_history_characteristic_identity(self, spec):
@@ -116,14 +116,14 @@ class TestGamma:
         # d -> 0: Gamma -> x0
         sp = build_ttb_spec(0.35, 0.05, 1e-6, 0.5, 0.2)
         x = structural_state(sp, 1.0,
-                             HistorySegment.constant(1e-6, 8, 1.0)).array(sp.d)
+                             HistorySegment.constant(1e-6, 8, 1.0))
         assert delay.gamma(x, sp.xi.xi, 1e-6) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestValue:
     def test_unit_gamma(self, spec):
         x = structural_state(spec, 1.0,
-                             HistorySegment.constant(spec.d, 8, 0.0)).array(spec.d)
+                             HistorySegment.constant(spec.d, 8, 0.0))
         assert delay.value(spec.delay, x) == pytest.approx(spec.nu / 0.5,
                                                            rel=1e-12)
 
@@ -136,7 +136,7 @@ class TestValue:
 
     def test_rejects_nonpositive_gamma(self, spec):
         x = structural_state(spec, -1.0,
-                             HistorySegment.constant(spec.d, 8, 0.0)).array(spec.d)
+                             HistorySegment.constant(spec.d, 8, 0.0))
         with pytest.raises(DomainError):
             delay.value(spec.delay, x)
 
@@ -144,7 +144,7 @@ class TestValue:
 class TestFeedback:
     def test_zero_tail_gives_linear_rule(self, spec):
         x = structural_state(spec, 2.0,
-                             HistorySegment.constant(spec.d, 8, 0.0)).array(spec.d)
+                             HistorySegment.constant(spec.d, 8, 0.0))
         assert delay.feedback(spec.delay, x) == pytest.approx(
             (1.0 - spec.alpha_mpc) * 2.0, rel=1e-12)
 
@@ -166,7 +166,7 @@ class TestFeedback:
         c = (q0 * bound_coeff - q0) / ((spec.Atilde - spec.xi.xi)
                                        / spec.xi.xi)
         u0 = HistorySegment.constant(spec.d, 400, c * 1.01)
-        x = structural_state(spec, q0, u0).array(spec.d)
+        x = structural_state(spec, q0, u0)
         with pytest.raises(DomainError):
             delay.feedback(spec.delay, x)
 
@@ -295,7 +295,7 @@ class TestHJBResidual:
 def test_coarse_dp_oracle_brackets_value(spec):
     from hjbkit.verify import _rollout, brute_force_value
     u0 = HistorySegment.constant(spec.d, 8, 1.0)
-    x = structural_state(spec, 1.0, u0).array(spec.d)
+    x = structural_state(spec, 1.0, u0)
     handle = make_handle(spec, u0.dt)
     seed = _rollout(handle, x, 5.0 / spec.rho, 1.0).controls[:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay, u0.dt), x,

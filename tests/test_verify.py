@@ -33,7 +33,7 @@ def spatial():
 def vintage():
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     iota = HistorySegment.constant(2.0, 8, 1.0)
-    state = lift_vintage(None, iota).array(spec.T_scrap)
+    state = lift_vintage(spec, None, iota)
     return spec, vintage_handle(spec, iota.dt), state
 
 
@@ -55,7 +55,7 @@ class TestValueMatch:
         gaps = []
         for m in (50, 100):
             iota = HistorySegment.constant(2.0, m, 1.0)
-            st = lift_vintage(None, iota).array(spec.T_scrap)
+            st = lift_vintage(spec, None, iota)
             handle = vintage_handle(spec, iota.dt)
             gaps.append(value_match(handle, st, 20.0).rel_gap)
         assert gaps[1] < 0.6 * gaps[0]
@@ -149,16 +149,16 @@ class TestBruteForce:
         assert isinstance(problem, OracleProblem)
         assert not hasattr(problem, "value")
 
-    def test_history_off_the_model_lag_rejected(self, vintage, problem):
+    def test_history_off_the_model_lag_rejected(self, vintage):
         # the batched problem reads the lag from the model, so a start
         # whose history spans another lag is refused where it is made a
-        # state array, as simulate refuses it; at m = 8 that history's
-        # array has the length of one at the problem's step
+        # state array, by the lift that simulate calls too; at m = 8 that
+        # history's array would have the length of one at the problem's
+        # step
         spec = vintage[0]
         hist = HistorySegment.constant(3.0, 8, 1.0)
-        st = lift_vintage(None, hist)
         with pytest.raises(ValueError, match="history covers"):
-            brute_force_value(problem, st.array(spec.T_scrap), [1.0] * 4)
+            lift_vintage(spec, None, hist)
         with pytest.raises(ValueError, match="history covers"):
             simulate_vintage(spec, hist, 1.0)
 
@@ -337,7 +337,7 @@ def test_rollout_reports_domain_exit():
     # a lifted pair with a tiny head sits outside the feedback's domain
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     iota = HistorySegment.constant(2.0, 50, 1.0)
-    st = lift_vintage(1e-3, iota, enforce_consistency=False).array(spec.T_scrap)
+    st = lift_vintage(spec, 1e-3, iota, enforce_consistency=False)
     handle = vintage_handle(spec, iota.dt)
     with pytest.raises(DomainError):
         handle.feedback(st)

@@ -48,37 +48,37 @@ class TestBuildSpec:
 
 
 class TestLift:
-    def test_zero_history(self):
+    def test_zero_history(self, spec):
         iota = HistorySegment.constant(2.0, 8, 0.0)
-        st = lift_vintage(3.0, iota, enforce_consistency=False)
-        assert st.head == 3.0
-        assert np.all(st.tail.values == 0.0)
+        st = lift_vintage(spec, 3.0, iota, enforce_consistency=False)
+        assert st[0] == 3.0
+        assert np.all(st[1:] == 0.0)
 
-    def test_involution(self):
+    def test_involution(self, spec):
         iota = positive_history(seed=3)
-        st = lift_vintage(None, iota)
+        st = lift_vintage(spec, None, iota)
         # the tail map is an involution: reflecting back gives the history
-        assert np.array_equal(-st.tail.values[::-1], iota.values)
+        assert np.array_equal(-st[1:][::-1], iota.values)
 
-    def test_constant_history(self):
+    def test_constant_history(self, spec):
         c, T = 0.7, 2.0
         iota = HistorySegment.constant(T, 100, c)
-        st = lift_vintage(c * T, iota)
-        assert np.allclose(st.tail.values, -c)
-        assert st.head == pytest.approx(c * T)
+        st = lift_vintage(spec, c * T, iota)
+        assert np.allclose(st[1:], -c)
+        assert st[0] == pytest.approx(c * T)
 
-    def test_consistency_enforced(self):
+    def test_consistency_enforced(self, spec):
         iota = HistorySegment.constant(2.0, 8, 1.0)
         with pytest.raises(ValueError):
-            lift_vintage(5.0, iota)
-        st = lift_vintage(5.0, iota, enforce_consistency=False)
-        assert st.head == 5.0
+            lift_vintage(spec, 5.0, iota)
+        st = lift_vintage(spec, 5.0, iota, enforce_consistency=False)
+        assert st[0] == 5.0
 
 
 class TestGamma0:
     def test_zero_tail(self, spec):
-        x = lift_vintage(1.5, HistorySegment.constant(2.0, 8, 0.0),
-                         enforce_consistency=False).array(spec.T_scrap)
+        x = lift_vintage(spec, 1.5, HistorySegment.constant(2.0, 8, 0.0),
+                         enforce_consistency=False)
         assert delay.gamma(x, spec.xi.xi, 2.0) == 1.5
 
     def test_constant_history_closed_form(self, spec):
@@ -86,7 +86,7 @@ class TestGamma0:
         c, T, m = 1.3, 2.0, 400
         xi = spec.xi.xi
         iota = HistorySegment.constant(T, m, c)
-        x = lift_vintage(None, iota).array(spec.T_scrap)
+        x = lift_vintage(spec, None, iota)
         exact = c * (T - (1.0 - np.exp(-xi * T)) / xi)
         assert delay.gamma(x, xi, T) == pytest.approx(exact, abs=2.0 / m ** 2)
         assert gamma0_from_history(iota, xi) == pytest.approx(
@@ -94,7 +94,7 @@ class TestGamma0:
 
     def test_zero_rate_limit(self, spec):
         iota = positive_history(seed=5)
-        x = lift_vintage(None, iota).array(spec.T_scrap)
+        x = lift_vintage(spec, None, iota)
         from scipy.integrate import trapezoid
         expected = x[0] + trapezoid(x[1:], dx=iota.dt)
         assert delay.gamma(x, 0.0, iota.d) == pytest.approx(expected,
@@ -105,7 +105,7 @@ class TestFeedback:
     def test_interior_value(self, spec):
         # default scenario numbers: xi, nu, Gamma0 composed per the formulas
         iota = HistorySegment.constant(2.0, 400, 1.0)
-        x = lift_vintage(None, iota).array(spec.T_scrap)
+        x = lift_vintage(spec, None, iota)
         g0 = delay.gamma(x, spec.xi.xi, 2.0)
         i_star = delay.feedback(spec.delay, x)
         expected = spec.A * x[0] - spec.nu ** -2.0 * (
@@ -116,19 +116,19 @@ class TestFeedback:
     def test_domain_edge_rejected(self, spec):
         # scale the head down until A x0 equals the feedback consumption
         iota = HistorySegment.constant(2.0, 100, 1.0)
-        x = lift_vintage(None, iota).array(spec.T_scrap)
+        x = lift_vintage(spec, None, iota)
         g0 = delay.gamma(x, spec.xi.xi, 2.0)
         tail_part = g0 - x[0]
         coeff = spec.feedback_coefficient
         # head solving A h = coeff (h + tail_part) exactly
         h_edge = coeff * tail_part / (spec.A - coeff)
-        bad = lift_vintage(h_edge, iota, enforce_consistency=False).array(spec.T_scrap)
+        bad = lift_vintage(spec, h_edge, iota, enforce_consistency=False)
         with pytest.raises(DomainError):
             delay.feedback(spec.delay, bad)
 
     def test_foc_against_scalar_maximizer(self, spec):
         iota = positive_history(seed=8)
-        x = lift_vintage(None, iota).array(spec.T_scrap)
+        x = lift_vintage(spec, None, iota)
         g0 = delay.gamma(x, spec.xi.xi, iota.d)
         i_star = delay.feedback(spec.delay, x)
         b = spec.nu * g0 ** -0.5 * spec.xi.xi / spec.A  # B(Dv)
@@ -141,21 +141,21 @@ class TestFeedback:
 
 class TestValue:
     def test_homogeneity(self, spec):
-        x = lift_vintage(None, positive_history(seed=2)).array(spec.T_scrap)
+        x = lift_vintage(spec, None, positive_history(seed=2))
         v = delay.value(spec.delay, x)
         for k in (0.25, 4.0):
             assert delay.value(spec.delay, k * x) == pytest.approx(
                 k ** 0.5 * v, rel=1e-12)
 
     def test_unit_gamma(self, spec):
-        x = lift_vintage(1.0, HistorySegment.constant(2.0, 8, 0.0),
-                         enforce_consistency=False).array(spec.T_scrap)
+        x = lift_vintage(spec, 1.0, HistorySegment.constant(2.0, 8, 0.0),
+                         enforce_consistency=False)
         assert delay.value(spec.delay, x) == pytest.approx(spec.nu / 0.5,
                                                            rel=1e-12)
 
     def test_rejects_nonpositive_gamma(self, spec):
-        x = lift_vintage(-1.0, HistorySegment.constant(2.0, 8, 0.0),
-                         enforce_consistency=False).array(spec.T_scrap)
+        x = lift_vintage(spec, -1.0, HistorySegment.constant(2.0, 8, 0.0),
+                         enforce_consistency=False)
         with pytest.raises(DomainError):
             delay.value(spec.delay, x)
 
@@ -203,7 +203,7 @@ class TestSimulate:
     def test_value_match_with_tail(self, spec):
         from hjbkit.verify import value_match
         iota = HistorySegment.constant(2.0, 200, 1.0)
-        x = lift_vintage(None, iota).array(spec.T_scrap)
+        x = lift_vintage(spec, None, iota)
         vm = value_match(make_handle(spec, iota.dt), x, 25.0)
         assert vm.rel_gap < 5e-3
 
@@ -248,7 +248,7 @@ class TestSimulate:
         # Gamma0-form feedback up to quadrature error
         from scipy.integrate import trapezoid
         iota = positive_history(m=400, seed=13)
-        direct = delay.feedback(spec.delay, lift_vintage(None, iota).array(spec.T_scrap))
+        direct = delay.feedback(spec.delay, lift_vintage(spec, None, iota))
         s = iota.nodes
         w = positivity_kernel(spec, s)
         via_kernel = float(trapezoid(w * iota.values, dx=iota.dt))
@@ -276,10 +276,8 @@ class TestHJBResidual:
     def test_refines_at_second_order(self, spec):
         worst = []
         for m in (400, 800):
-            vals = [hjb_residual_vintage(spec,
-                                         lift_vintage(None,
-                                                      positive_history(m=m,
-                                                                       seed=s)))
+            vals = [hjb_residual_vintage(spec, lift_vintage(
+                        spec, None, positive_history(m=m, seed=s)))
                     for s in range(5)]
             worst.append(max(vals))
         assert worst[0] < 1e-5
@@ -289,7 +287,7 @@ class TestHJBResidual:
 def test_coarse_dp_oracle_brackets_value(spec):
     from hjbkit.verify import _rollout, brute_force_value
     iota = HistorySegment.constant(2.0, 8, 1.0)
-    x = lift_vintage(None, iota).array(spec.T_scrap)
+    x = lift_vintage(spec, None, iota)
     handle = make_handle(spec, iota.dt)
     seed = _rollout(handle, x, 5.0 / spec.rho, 1.0).controls[:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay, iota.dt), x,
