@@ -19,7 +19,11 @@ threads.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -172,6 +176,57 @@ def apply_periodic_tridiagonal(lo, di, up, v):
     return lo * before + di * v + up * after
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def lapack_gttr():
+    """LAPACK ``(dgttrf, dgttrs)`` from scipy's compiled module
+    ``scipy.linalg._flapack``.
+
+    The module is loaded from its file in scipy's ``linalg`` directory,
+    found without importing scipy, so the ``scipy.linalg`` package, about
+    0.25 s of imports that hjbkit has no use for, is never run.  It is
+    registered in ``sys.modules`` under its own name: it is loaded once per
+    process, and a later ``import scipy.linalg`` reuses it, so
+    ``scipy.linalg.lapack.dgttrf`` is the very routine returned here.  Where
+    that load cannot be done, the same routines come from the public
+    ``scipy.linalg.lapack``, only slower.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        module = _load_flapack()
+    if module is None:
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        return dgttrf, dgttrs
+    return module.dgttrf, module.dgttrs
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack`` loaded from its file and registered in
+    ``sys.modules``, or None if there is no such file or it fails to load
+    outside its package."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    spec = importlib.machinery.PathFinder.find_spec(
+        _FLAPACK,
+        [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
+    if spec is None:
+        return None
+    # no lock: loading an extension module again, as a racing thread
+    # might, returns the very module object of the first load
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        # e.g. a build whose compiled modules need scipy/__init__.py to set
+        # up the shared-library path first
+        sys.modules.pop(_FLAPACK, None)
+        return None
+    return module
+
+
 class CyclicTridiagonal:
     """Factored cyclic tridiagonal matrix with rows lo,di,up (indices mod n).
 
@@ -179,12 +234,13 @@ class CyclicTridiagonal:
     off as a rank-one update of a plain tridiagonal matrix, which LAPACK
     factors once (``gttrf``).  The correction vector and the rank-one
     denominator depend only on the matrix, so each :meth:`solve` is one
-    ``gttrs`` back-solve plus the update.
+    ``gttrs`` back-solve plus the update.  Both routines come from
+    :func:`lapack_gttr`, loaded when the first matrix is built: only the
+    circle models build one.
     """
 
     def __init__(self, lo, di, up):
-        # lazy: scipy.linalg takes ~0.2 s to import; only circle models use it
-        from scipy.linalg.lapack import dgttrf, dgttrs
+        dgttrf, dgttrs = lapack_gttr()
         n = len(di)
         if n < 3:
             raise GridError("cyclic tridiagonal solve needs n >= 3")
@@ -222,26 +278,26 @@ class CyclicTridiagonal:
 
     def solve(self, rhs):
         x = self.back_solve(rhs)
-        check_defect(apply_periodic_tridiagonal(self.lo, self.di, self.up, x),
-                     x, rhs)
+        check_defect(np.stack((
+            apply_periodic_tridiagonal(self.lo, self.di, self.up, x) - rhs,
+            rhs)))
         return x
 
 
-def check_defect(ax, x, rhs, scratch=(None, None)):
-    """Raise :class:`NumericsError` unless ``x`` is finite and its product
-    ``ax`` with the matrix matches ``rhs`` to ``1e-8 * max|rhs|``.
+def check_defect(residual):
+    """Raise :class:`NumericsError` unless a solution x of ``A x = rhs`` is
+    finite and its defect is at most ``1e-8 * max|rhs|``.
 
     LAPACK does not flag (near-)singular systems -- it returns a
     backward-stable but meaningless vector -- so every solve verifies its
-    defect against the right-hand side.  ``scratch``, a float and a bool
-    array of x's shape, takes the temporaries.
+    defect against the right-hand side.  ``residual`` is a ``(2, n)``
+    scratch array, overwritten here: row 0 holds ``A x - rhs``, row 1
+    ``rhs``.  Row j of ``A x`` has the term ``di[j] * x[j]``, so a
+    non-finite ``x[j]`` makes the defect inf or NaN, and a non-finite rhs
+    makes the tolerance inf or NaN: both fail the one comparison below.
     """
-    diff, finite = scratch
-    diff = np.subtract(ax, rhs, out=diff)
-    defect = np.maximum.reduce(np.abs(diff, out=diff))
-    if np.count_nonzero(np.isfinite(x, out=finite)) != x.size \
-            or defect > 1e-8 * max(np.maximum.reduce(np.abs(rhs, out=diff)),
-                                   1e-300):
+    defect, top = np.maximum.reduce(np.abs(residual, out=residual), axis=1)
+    if not defect <= 1e-8 * max(top, 1e-300) < math.inf:
         raise NumericsError(
             f"cyclic tridiagonal solve failed its residual check (defect "
             f"{defect:.3e}); the system is singular or severely "
@@ -289,8 +345,8 @@ class CNOperator:
         self._gathered = np.empty((3, n))
         self._terms = np.empty((2, 3, n))
         self._products = np.empty((2, n))
-        self._rhs = np.empty(n)
-        self._defect = (np.empty(n), np.empty(n, dtype=bool))
+        # (A x - rhs, rhs): the right-hand side and the defect check's input
+        self._residual = np.empty((2, n))
         self._last = None  # the state whose E x is in _products[1]
 
     def _product(self, x):
@@ -321,11 +377,13 @@ def cn_step(op: CNOperator, y: np.ndarray, source: np.ndarray) -> np.ndarray:
         explicit = op._products[1]
     else:
         explicit = op._product(np.asarray(y, dtype=float))[1]
-    rhs = np.multiply(op.dt, source, out=op._rhs)
+    residual = op._residual
+    rhs = np.multiply(op.dt, source, out=residual[1])
     np.add(explicit, rhs, out=rhs)
     op._last = None  # the product below overwrites E y
     x = op.implicit.back_solve(rhs)
-    check_defect(op._product(x)[0], x, rhs, op._defect)
+    np.subtract(op._product(x)[0], rhs, out=residual[0])
+    check_defect(residual)
     x.flags.writeable = False
     op._last = x
     return x

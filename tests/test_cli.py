@@ -568,6 +568,7 @@ def test_console_entry_point_help():
 
 COLD_START = """
 import sys
+import numpy as np
 from hjbkit import cli
 out = sys.argv[1]
 for argv in (["run", "--model", "vintage-dde"],
@@ -577,15 +578,27 @@ for argv in (["run", "--model", "vintage-dde"],
     assert cli.main(argv + ["--out", f"{out}/{argv[0]}-{argv[2]}"]) == 0
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert not loaded, (argv, loaded[:5])
-from hjbkit.scenarios import build_scenario, default_config
-build_scenario(default_config("spatial-growth"))
-assert "scipy.linalg" in sys.modules
+for argv in (["run", "--model", "spatial-growth"],
+             ["verify", "--model", "pollution", "--seed", "3"]):
+    assert cli.main(argv + ["--out", f"{out}/{argv[0]}-{argv[2]}"]) == 0
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert "scipy.linalg" not in sys.modules, (argv, loaded[:5])
+    assert "scipy.linalg._flapack" in sys.modules, (argv, loaded[:5])
+import scipy.linalg.lapack
+from hjbkit.gridcore import CyclicTridiagonal, lapack_gttr
+dgttrf, dgttrs = lapack_gttr()
+assert dgttrf is scipy.linalg.lapack.dgttrf
+assert dgttrs is scipy.linalg.lapack.dgttrs
+solver = CyclicTridiagonal(*(c * np.ones(8) for c in (1.0, 4.0, 1.0)))
+assert solver._gttrs is scipy.linalg.lapack.dgttrs
 """
 
 
 def test_delay_and_age_commands_load_no_scipy(tmp_path):
-    # scipy costs most of a cold start; only the circle models' cyclic
-    # solve needs it, and it is imported when that solver is first built
+    # scipy.linalg costs most of a cold start; only the circle models'
+    # cyclic solve needs scipy, and it loads just the compiled LAPACK
+    # module, when that solver is first built.  A later import of
+    # scipy.linalg must reuse that module, so both call the same routines
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

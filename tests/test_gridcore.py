@@ -1,3 +1,7 @@
+import importlib.machinery
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,7 +11,8 @@ from hjbkit.errors import GridError, NumericsError
 from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
                              AgeGrid, Trajectory, cn_step,
                              inner_product, quad_circle,
-                             sl_apply, solve_periodic_tridiagonal,
+                             lapack_gttr, sl_apply,
+                             solve_periodic_tridiagonal,
                              apply_periodic_tridiagonal, trapezoid)
 
 GRID = CircleGrid(64)
@@ -183,14 +188,56 @@ class TestCyclicSolve:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_solution_reported(self, bad):
-        # a non-finite right-hand side makes the defect nan (or the
-        # tolerance inf), so only the finiteness test can reject it
+        # a non-finite right-hand side makes the tolerance nan or inf, so
+        # the defect check's one comparison fails whatever the defect is
         n = 16
         rhs = np.ones(n)
         rhs[5] = bad
         with pytest.raises(NumericsError, match="residual check"):
             solve_periodic_tridiagonal(np.ones(n), 4.0 * np.ones(n),
                                        np.ones(n), rhs)
+
+    def test_lapack_routines_without_scipy(self, monkeypatch, tmp_path):
+        # scipy neither imported nor on the path: the loader must say that
+        # scipy is missing, not fail on the finder's None
+        for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+            monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(sys, "path", [str(tmp_path)])
+        with pytest.raises(ModuleNotFoundError) as err:
+            lapack_gttr()
+        assert err.value.name == "scipy"
+
+    def test_lapack_routines_fall_back_to_the_public_module(
+            self, monkeypatch):
+        # no compiled module where it is looked for: the routines come from
+        # scipy.linalg.lapack, and nothing is registered under its name
+        import scipy.linalg.lapack
+        find_spec = importlib.machinery.PathFinder.find_spec
+        monkeypatch.setattr(
+            importlib.machinery.PathFinder, "find_spec",
+            lambda name, *args: None if name == "scipy.linalg._flapack"
+            else find_spec(name, *args))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        dgttrf, dgttrs = lapack_gttr()
+        assert dgttrf is scipy.linalg.lapack.dgttrf
+        assert dgttrs is scipy.linalg.lapack.dgttrs
+        assert "scipy.linalg._flapack" not in sys.modules
+
+    def test_lapack_routines_fall_back_when_the_load_fails(
+            self, monkeypatch):
+        # the file is there but cannot be loaded outside its package, as
+        # where scipy/__init__.py must first set up the library path
+        import scipy.linalg.lapack
+
+        def fail(spec):
+            raise ImportError(f"cannot load {spec.name} on its own")
+
+        monkeypatch.setattr(importlib.util, "module_from_spec", fail)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        dgttrf, dgttrs = lapack_gttr()
+        assert dgttrf is scipy.linalg.lapack.dgttrf
+        assert dgttrs is scipy.linalg.lapack.dgttrs
+        assert "scipy.linalg._flapack" not in sys.modules
 
 
 class TestCnStep:
@@ -351,8 +398,7 @@ class TestCnStep:
         # buffers, which every step rewrites: each result must be a fresh
         # read-only array that later steps leave bit for bit as it was
         _, _, op = self._varying_operator()
-        scratch = [op._products, op._gathered, op._terms, op._rhs,
-                   *op._defect]
+        scratch = [op._products, op._gathered, op._terms, op._residual]
         scratch += [v for k, v in vars(op).items()
                     if isinstance(v, np.ndarray) and k != "_last"]
         rng = np.random.default_rng(11)
