@@ -332,7 +332,7 @@ class CNOperator:
         lo, di, up = _stencil_coefficients(sigma, zeroth)
         half = 0.5 * dt
         n = sigma.grid.n
-        self.sigma, self.dt, self.n = sigma, dt, n
+        self.dt, self.n = dt, n
         # rows[k, i, j]: coefficient of x[j-1], x[j], x[j+1] (i = 0, 1, 2)
         # in row j of A (k = 0) and of E (k = 1)
         self._rows = np.array(((-half * lo, 1.0 - half * di, -half * up),

@@ -149,12 +149,6 @@ def disutility(spec: PollutionSpec, p: np.ndarray) -> float:
     return nodal_inner(spec.grid, p, spec.w_dis.values)
 
 
-def running_gain(spec: PollutionSpec, p: np.ndarray, i: np.ndarray) -> float:
-    """Utility-of-consumption minus pollution disutility <w, p> at one
-    instant."""
-    return utility(spec, i) - disutility(spec, p)
-
-
 def simulate_pollution(spec: PollutionSpec, p0: np.ndarray, T_end: float,
                        dt: float) -> Trajectory:
     """Forward Crank-Nicolson run from the node values p0 under the
@@ -177,20 +171,18 @@ def simulate_pollution(spec: PollutionSpec, p0: np.ndarray, T_end: float,
 
 
 def hjb_residual_pollution(spec: PollutionSpec, x: np.ndarray,
-                           ref_spec: PollutionSpec | None = None) -> float:
+                           ref_spec: PollutionSpec) -> float:
     """Relative defect of the affine value function in the discrete HJB at
-    the node values x.
+    the node values x, with the shadow price of ``ref_spec`` restricted to
+    this grid.
 
-    The x-dependent parts cancel analytically, so with the model's own
-    shadow price the number isolates the elliptic-solve error; with a
-    ``ref_spec`` from a finer grid (restricted to this one) it measures the
-    stencil's O(h^2) truncation error on the near-exact shadow price.
+    The x-dependent parts cancel analytically, so with ``ref_spec = spec``
+    the number isolates the elliptic-solve error; with a ``ref_spec`` from
+    a finer grid it measures the stencil's O(h^2) truncation error on the
+    near-exact shadow price.
     """
-    if ref_spec is None:
-        alpha, q = spec.alpha_shadow, spec.q_const
-    else:
-        alpha = restrict(ref_spec.alpha_shadow, spec.grid)
-        q = ref_spec.q_const
+    alpha = restrict(ref_spec.alpha_shadow, spec.grid)
+    q = ref_spec.q_const
     v = -nodal_inner(spec.grid, x, alpha.values) + q
     A_alpha = sl_apply(spec.sigma_diff, spec.zeroth, alpha)
     drift = nodal_inner(spec.grid, x, A_alpha.values)

@@ -46,6 +46,26 @@ REFERENCE_FACTOR = 4  # reference-grid refinement for the parabolic residuals
 # ---------------------------------------------------------------------------
 # profile descriptors
 
+# each profile type's own keys, beside "type"
+_PROFILE_KEYS = {"constant": ("value",),
+                 "harmonic": ("mean", "cos", "sin", "k"),
+                 "exponential": ("scale", "rate"), "linear": ("start", "end"),
+                 "power_decreasing": ("start", "power")}
+
+
+def _profile_type(desc: dict, domain: str, types: tuple) -> str:
+    """The descriptor's type, one of ``types``; any other type, or a key
+    that type does not read, is a ConfigError."""
+    kind = desc.get("type")
+    if kind not in types:
+        raise ConfigError(f"unknown {domain} profile type {kind!r}")
+    unknown = set(desc) - {"type", *_PROFILE_KEYS[kind]}
+    if unknown:
+        raise ConfigError(f"unknown keys in {kind!r} profile: "
+                          f"{sorted(unknown)}")
+    return kind
+
+
 def _number(desc: dict, key: str, default: float | None = None) -> float:
     kind = desc.get("type")
     if key not in desc and default is None:
@@ -54,26 +74,30 @@ def _number(desc: dict, key: str, default: float | None = None) -> float:
 
 
 def circle_profile(desc: dict) -> Callable:
-    """Profile on the circle: constant or a single-harmonic perturbation."""
-    kind = desc.get("type")
+    """Profile on the circle: constant or a single-harmonic perturbation
+    of integer wave number ``k``."""
+    kind = _profile_type(desc, "circle", ("constant", "harmonic"))
     if kind == "constant":
         v = _number(desc, "value")
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), v)
-    if kind == "harmonic":
-        mean = _number(desc, "mean")
-        cos_a = _number(desc, "cos", 0.0)
-        sin_a = _number(desc, "sin", 0.0)
-        k = int(_number(desc, "k", 1))
-        return lambda theta: (mean + cos_a * np.cos(k * np.asarray(theta))
-                              + sin_a * np.sin(k * np.asarray(theta)))
-    raise ConfigError(f"unknown circle profile type {kind!r}")
+    mean = _number(desc, "mean")
+    cos_a = _number(desc, "cos", 0.0)
+    sin_a = _number(desc, "sin", 0.0)
+    k = _number(desc, "k", 1)
+    if k != int(k):
+        raise ConfigError(f"'harmonic' profile key 'k' must be an integer, "
+                          f"got {desc['k']!r}")
+    k = int(k)
+    return lambda theta: (mean + cos_a * np.cos(k * np.asarray(theta))
+                          + sin_a * np.sin(k * np.asarray(theta)))
 
 
 def interval_profile(desc: dict, lo: float, hi: float) -> Callable:
     """Profile on the interval [lo, hi] (lag or age coordinate); ``linear``
     runs from ``start`` at lo to ``end`` at hi, ``power_decreasing`` from
     ``start`` at lo down to 0 at hi."""
-    kind = desc.get("type")
+    kind = _profile_type(desc, "interval", ("constant", "exponential",
+                                            "linear", "power_decreasing"))
     if kind == "constant":
         v = _number(desc, "value")
         return lambda s: np.full_like(np.asarray(s, dtype=float), v)
@@ -89,19 +113,17 @@ def interval_profile(desc: dict, lo: float, hi: float) -> Callable:
             return a + (b - a) * (s - lo) / (hi - lo)
 
         return fn
-    if kind == "power_decreasing":
-        start = _number(desc, "start")
-        p = _number(desc, "power", 1.0)
-        if p <= 0.0:  # else the profile does not fall to 0 at hi
-            raise ConfigError(f"{kind!r} profile key 'power' must be "
-                              f"positive, got {p}")
+    start = _number(desc, "start")
+    p = _number(desc, "power", 1.0)
+    if p <= 0.0:  # else the profile does not fall to 0 at hi
+        raise ConfigError(f"{kind!r} profile key 'power' must be "
+                          f"positive, got {p}")
 
-        def fn(s):
-            s = np.asarray(s, dtype=float)
-            return start * (1.0 - (s - lo) / (hi - lo)) ** p
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        return start * (1.0 - (s - lo) / (hi - lo)) ** p
 
-        return fn
-    raise ConfigError(f"unknown interval profile type {kind!r}")
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +518,7 @@ def _build_vintage(config):
 
     return dict(
         spec=spec, handle=vintage_dde.make_handle(spec, iota0.dt),
-        state0=vintage_dde.lift_vintage(spec, None, iota0),
+        state0=vintage_dde.lift_vintage(spec, iota0),
         simulate=lambda: vintage_dde.simulate_vintage(
             spec, iota0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),
@@ -569,7 +591,7 @@ def _build_ttb(config):
 
     return dict(
         spec=spec, handle=time_to_build.make_handle(spec, u0.dt),
-        state0=time_to_build.structural_state(spec, q0, u0),
+        state0=delay.lift(spec.delay, q0, u0),
         simulate=lambda: time_to_build.simulate_ttb(
             spec, q0, u0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),

@@ -161,22 +161,20 @@ def simulate_spatial(spec: SpatialGrowthSpec, x0: np.ndarray, T_end: float,
 
 
 def hjb_residual_spatial(spec: SpatialGrowthSpec, x: np.ndarray,
-                         ref_spec: SpatialGrowthSpec | None = None) -> float:
+                         ref_spec: SpatialGrowthSpec) -> float:
     """Relative defect of the closed-form value in the discrete stationary
     HJB equation at the node values x.
 
     All generator actions are evaluated numerically (stencil on the
     gradient, grid quadrature for the supremum term) instead of through the
     eigen identity, so the number measures how well the closed form
-    satisfies the discretized equation.  With ``ref_spec`` built on a finer
-    grid (an integer multiple of this one), its eigen data are restricted
-    to the working grid and the residual then exposes the O(h^2) truncation
-    error of the stencil; without it the residual collapses to the eigen
-    iteration tolerance.
+    satisfies the discretized equation.  The eigen data come from
+    ``ref_spec``, restricted to the working grid.  Built on a finer grid
+    (an integer multiple of this one), it exposes the O(h^2) truncation
+    error of the stencil; ``ref_spec = spec`` collapses the residual to
+    the eigen iteration tolerance.
     """
-    beta = spec.beta
-    if ref_spec is not None:
-        beta = restrict(ref_spec.beta, spec.grid)
+    beta = restrict(ref_spec.beta, spec.grid)
     s = spec.sigma_crra
     p = _in_domain(nodal_inner(spec.grid, x, beta.values))
     v = p ** (1.0 - s) / (1.0 - s)

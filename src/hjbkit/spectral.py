@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AssumptionError, NumericsError
 from .gridcore import (AgeGrid, CyclicTridiagonal, Field,
                        _stencil_coefficients, apply_periodic_tridiagonal,
-                       inner_product, sl_apply, solve_periodic_tridiagonal)
+                       solve_periodic_tridiagonal)
 
 EIGEN_TOL = 1e-10         # eigen-residual at which the power iteration stops
 EIGEN_MAX_ITER = 10_000   # iterations before it reports non-convergence
@@ -215,12 +215,3 @@ def char_root_ttb(Atilde: float, d: float) -> CharRoot:
 
     xi, resid = _bisect_then_newton(f, fp, 0.0, Atilde)
     return CharRoot(float(xi), float(resid))
-
-
-def rayleigh_residual(A_coeff: Field, pair: EigenPair) -> float:
-    """Discrete defect ||L e0 - lambda0 e0|| / ||e0|| of an eigenpair."""
-    grid = pair.e0.grid
-    Lv = sl_apply(grid.constant(1.0), A_coeff, pair.e0).values
-    num = np.sqrt(grid.h * np.sum((Lv - pair.lambda0 * pair.e0.values) ** 2))
-    den = np.sqrt(inner_product(pair.e0, pair.e0))
-    return float(num / den)

@@ -10,8 +10,8 @@ payoff).  On top of it:
 * ``value_match`` -- the infinite-horizon identity: truncated discounted
   payoff plus the discounted analytic tail must reproduce the analytic
   value along the optimal feedback; any admissible control scores at most
-  that (suboptimality direction).
-* ``dpp_check`` -- the same identity on a short window [0, r].
+  that (suboptimality direction, ``suboptimality_margin``); on a short
+  horizon [0, r] it is the dynamic-programming identity itself.
 * ``transversality`` -- log-slope of t -> e^{-rho t} |v(y(t))| over the
   trajectory's last quartile (a finite-time surrogate for the asymptotic
   transversality conditions, which are limsup/liminf statements).
@@ -25,6 +25,7 @@ payoff).  On top of it:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -115,9 +116,8 @@ class ValueMatch:
         return self.payoff + self.tail
 
 
-def _rollout(handle: ModelHandle, state0, T_end: float,
-             control_scale: float = 1.0) -> Trajectory:
-    """The :class:`Trajectory` of the (scaled) feedback over [0, T_end],
+def _rollout(handle: ModelHandle, state0, T_end: float) -> Trajectory:
+    """The :class:`Trajectory` of the feedback over [0, T_end],
     in ``int(round(T_end / dt))`` steps of the handle's dt.
 
     Controls are held constant on each step (the handle's step map
@@ -147,8 +147,6 @@ def _rollout(handle: ModelHandle, state0, T_end: float,
         except DomainError as exc:
             diag = handle.diagnostics(state) if handle.diagnostics else None
             raise DomainExitError(float(t), diag) from exc
-        if control_scale != 1.0:
-            u = handle.scale_control(u, control_scale)
         states.append(state)
         controls.append(u)
         return u
@@ -175,17 +173,16 @@ def _rollout(handle: ModelHandle, state0, T_end: float,
     return Trajectory(times, states, controls, running)
 
 
-def value_match(handle: ModelHandle, state0, T_end: float,
-                control_scale: float = 1.0) -> ValueMatch:
+def value_match(handle: ModelHandle, state0, T_end: float) -> ValueMatch:
     """Truncated payoff + discounted analytic tail vs. the analytic value.
 
     Along the optimal feedback the identity is exact in the continuum, so
-    the relative gap measures pure discretization error; with
-    ``control_scale != 1`` the result must fall strictly below the value
-    (suboptimality direction of the verification theorem).
+    the relative gap measures pure discretization error; along any other
+    admissible feedback (a :func:`scaled` handle, say) the result must
+    fall strictly below the value (suboptimality direction of the
+    verification theorem).
     """
-    return match_run(handle, state0,
-                     _rollout(handle, state0, T_end, control_scale))
+    return match_run(handle, state0, _rollout(handle, state0, T_end))
 
 
 def match_run(handle: ModelHandle, state0, traj: Trajectory) -> ValueMatch:
@@ -197,13 +194,6 @@ def match_run(handle: ModelHandle, state0, traj: Trajectory) -> ValueMatch:
     analytic = float(handle.value(state0))
     rel_gap = abs(traj.payoff + tail - analytic) / max(abs(analytic), 1e-300)
     return ValueMatch(analytic, traj.payoff, tail, rel_gap)
-
-
-def dpp_check(handle: ModelHandle, state0, r: float) -> float:
-    """Relative gap in the dynamic-programming identity on [0, r] along the
-    feedback (zero at r = 0, O(dt^2) for a single step, growing linearly
-    in r at the handle's dt)."""
-    return value_match(handle, state0, r).rel_gap if r else 0.0
 
 
 def transversality(handle: ModelHandle, traj) -> float:
@@ -225,12 +215,21 @@ def transversality(handle: ModelHandle, traj) -> float:
     return float(np.polyfit(times, logs, 1)[0])
 
 
+def scaled(handle: ModelHandle, s: float) -> ModelHandle:
+    """``handle`` with its feedback scaled by s (``handle.scale_control``):
+    the suboptimal probe's policy.  A scale of 1 gives the feedback's
+    controls exactly."""
+    feedback, scale = handle.feedback, handle.scale_control
+    return dataclasses.replace(handle,
+                               feedback=lambda x: scale(feedback(x), s))
+
+
 def suboptimality_margin(handle: ModelHandle, state0, T_end: float,
                          control_scale: float = 0.5) -> float:
-    """How far a deliberately perturbed control scores below the value:
-    (analytic - (payoff+tail)) / |analytic|.  Positive for genuinely
-    suboptimal controls."""
-    vm = value_match(handle, state0, T_end, control_scale=control_scale)
+    """How far the feedback scaled by ``control_scale`` scores below the
+    value: (analytic - (payoff+tail)) / |analytic|.  Positive for
+    genuinely suboptimal controls."""
+    vm = value_match(scaled(handle, control_scale), state0, T_end)
     return (vm.analytic - vm.total) / max(abs(vm.analytic), 1e-300)
 
 

@@ -100,56 +100,22 @@ def build_vintage_spec(A: float, T_scrap: float, sigma_crra: float,
     return spec
 
 
-def lift_vintage(spec: VintageSpec, k0: float | None, iota: HistorySegment,
-                 enforce_consistency: bool = True) -> np.ndarray:
+def lift_vintage(spec: VintageSpec, iota: HistorySegment) -> np.ndarray:
     """The state array of (x0, x1) from an investment history on [-T, 0]
     (:func:`delay.lift`, which refuses a history on another lag).
 
-    x1 is the involution x1(s) = -iota(-T-s), i.e. the sampled history
-    reversed and negated.  By default k0 must equal the trapezoid integral
-    of iota (pass ``enforce_consistency=False`` to lift an arbitrary pair,
-    which the value function's domain allows).  ``k0=None`` uses the
-    integral itself.
+    The head x0 is the capital, the trapezoid integral of iota, and x1 is
+    the involution x1(s) = -iota(-T-s), i.e. the sampled history reversed
+    and negated.  A state with any other head, which the value function's
+    domain allows, is ``delay.lift(spec.delay, x0, iota)``.
     """
-    integral = trapezoid(iota.values, iota.dt)
-    if k0 is None:
-        k0 = integral
-    elif enforce_consistency and not np.isclose(k0, integral, rtol=1e-9,
-                                                atol=1e-12):
-        raise ValueError(
-            f"k0 = {k0} is inconsistent with the history integral "
-            f"{integral}; pass enforce_consistency=False to lift the "
-            "pair anyway"
-        )
-    return delay.lift(spec.delay, k0, iota)
-
-
-def gamma0_from_history(iota: HistorySegment, xi: float) -> float:
-    """Cross-check form Gamma0 = int_{-T}^0 iota(u) (1 - e^{-xi(u+T)}) du,
-    valid when the head equals the history integral."""
-    u = iota.nodes
-    w = 1.0 - np.exp(-xi * (u + iota.d))
-    return trapezoid(w * iota.values, iota.dt)
+    return delay.lift(spec.delay, trapezoid(iota.values, iota.dt), iota)
 
 
 def interior_condition(spec: VintageSpec) -> bool:
     """Sufficient parameter condition (rho - xi(1-sigma))/sigma < A for the
     closed loop to stay in the domain with positive investment."""
     return spec.mpc < spec.A
-
-
-def positivity_kernel(spec: VintageSpec, s) -> np.ndarray | float:
-    """Weight w(s) = A - mpc*(A/xi)*(1 - e^{xi(-T-s)}) on [-T, 0].
-
-    Along the closed loop, i(t) = int_{-T}^0 w(s) i(t+s) ds; when the
-    interior condition holds, min_s w(s) = A - mpc > 0, so positive
-    histories propagate positive investment.
-    """
-    s = np.asarray(s, dtype=float)
-    xi = spec.xi.xi
-    out = spec.A - spec.mpc * (spec.A / xi) * (
-        1.0 - np.exp(xi * (-spec.T_scrap - s)))
-    return out if out.ndim else float(out)
 
 
 def simulate_vintage(spec: VintageSpec, iota0: HistorySegment,
@@ -168,7 +134,7 @@ def simulate_vintage(spec: VintageSpec, iota0: HistorySegment,
     if iota0.values.min() < 0.0 or not np.any(iota0.values > 0.0):
         raise DomainError("initial investments must be nonnegative and not "
                           "identically zero")
-    traj = delay.simulate(spec.delay, lift_vintage(spec, None, iota0), T_end)
+    traj = delay.simulate(spec.delay, lift_vintage(spec, iota0), T_end)
     min_i = min(traj.controls)
     min_k = min(x.item(0) for x in traj.states)
     traj.meta = {"min_investment": float(min_i), "min_capital": float(min_k),

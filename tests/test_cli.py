@@ -292,7 +292,54 @@ def test_bad_input_exits_2(tmp_path, capsys, model, block, key, value,
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ['{"model": "vintage-dde", "params"',
+# one descriptor of each profile type, at a key that reads it
+PROFILES = [
+    ("spatial-growth", "initial", "x0", {"type": "constant", "value": 1.0}),
+    ("spatial-growth", "params", "A",
+     {"type": "harmonic", "mean": 0.04, "cos": 0.01}),
+    ("vintage-dde", "initial", "iota0", {"type": "constant", "value": 1.0}),
+    ("vintage-dde", "initial", "iota0",
+     {"type": "exponential", "scale": 1.0, "rate": 0.1}),
+    ("vintage-dde", "initial", "iota0",
+     {"type": "linear", "start": 1.0, "end": 2.0}),
+    ("vintage-transport", "params", "alpha",
+     {"type": "power_decreasing", "start": 1.0, "power": 1.0}),
+]
+
+
+@pytest.mark.parametrize("model, block, key, desc", PROFILES,
+                         ids=[f"{k}-{d['type']}" for _, _, k, d in PROFILES])
+def test_profile_with_an_unknown_key_exits_2(tmp_path, capsys, model, block,
+                                             key, desc):
+    # a misspelt key ("coz" for "cos") must not build a profile without it
+    cfg = default_config(model)
+    cfg[block][key] = dict(desc, coz=0.5)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "coz" in err and "Traceback" not in err
+
+
+def test_harmonic_wave_number_must_be_an_integer(tmp_path, capsys):
+    from hjbkit.scenarios import circle_profile
+    theta = np.linspace(0.0, 6.0, 7)
+    whole = {"type": "harmonic", "mean": 0.0, "cos": 1.0, "k": 2}
+    assert np.array_equal(circle_profile(dict(whole, k=2.0))(theta),
+                          circle_profile(whole)(theta))
+    cfg = default_config("spatial-growth")
+    cfg["params"]["A"] = {"type": "harmonic", "mean": 0.04, "cos": 0.01,
+                          "k": 2.7}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'k' must be an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content",['{"model": "vintage-dde", "params"',
                                      "5", None])
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_unreadable_config_exits_2(tmp_path, capsys, command, content):

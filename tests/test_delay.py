@@ -14,8 +14,8 @@ from hjbkit.errors import DomainError, DomainExitError, GridError
 from hjbkit.errors import AssumptionError, NumericsError
 from hjbkit.gridcore import AgeGrid, HistorySegment, discounted_quadrature
 from hjbkit.scenarios import build_scenario, default_config, _delay_test_state
-from hjbkit.time_to_build import build_ttb_spec, structural_state
-from hjbkit.verify import ModelHandle, _rollout, brute_force_value
+from hjbkit.time_to_build import build_ttb_spec
+from hjbkit.verify import ModelHandle, _rollout, brute_force_value, scaled
 from hjbkit.vintage_dde import build_vintage_spec, lift_vintage
 from hjbkit.vintage_transport import (_source_cell_integrals,
                                       build_transport_spec, make_handle,
@@ -160,13 +160,13 @@ M = 40  # history samples: off the defaults' 200
 def vintage_start(spec, m=M):
     iota = HistorySegment.from_function(
         spec.T_scrap, m, lambda s: 1.0 + 0.3 * np.sin(2.0 * s) + 0.1 * s)
-    return lift_vintage(spec, None, iota)
+    return lift_vintage(spec, iota)
 
 
 def ttb_start(spec, m=M):
     u0 = HistorySegment.from_function(
         spec.d, m, lambda s: 0.5 + 0.2 * np.cos(3.0 * s))
-    return structural_state(spec, 1.0, u0)
+    return delay.lift(spec.delay, 1.0, u0)
 
 
 # sigma 0.7 on both delay models; vintage has b != 0 (predictor feedback),
@@ -186,17 +186,15 @@ def case(request):
 
 
 def model_lift(name, head, hist):
-    """The lift of the CASES model ``name``, built, of a head and history
-    (vintage's head need not be the history's integral)."""
-    spec = CASES[name][0]()
-    if name == "vintage":
-        return lift_vintage(spec, head, hist, enforce_consistency=False)
-    return structural_state(spec, head, hist)
+    """The lift of a head and history by the CASES model ``name``, built:
+    delay.lift on its constants, the one lift of an arbitrary head."""
+    return delay.lift(CASES[name][0]().delay, head, hist)
 
 
 class TestLift:
     """Both models' lifts go through delay.lift, the one edge where a
-    history still knows its lag."""
+    history still knows its lag; lift_vintage heads it with the history's
+    integral."""
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_history_on_another_lag_rejected(self, name):
@@ -223,7 +221,6 @@ class TestLift:
         model = CASES[name][0]().delay
         hist = HistorySegment.from_function(model.lag, 8, np.exp)
         got = model_lift(name, 1.5, hist)
-        assert np.array_equal(got, delay.lift(model, 1.5, hist))
         assert got[0] == 1.5
         assert np.array_equal(got[1:], model.c * hist.values[::-1])
 
@@ -280,7 +277,7 @@ class TestSimulate:
 
     def test_domain_exit_at_start(self):
         sp = build_ttb_spec(0.35, 0.05, 1.0, 0.5, 0.34)
-        state0 = structural_state(sp, 1.0, HistorySegment.constant(
+        state0 = delay.lift(sp.delay, 1.0, HistorySegment.constant(
             1.0, M, 0.12))
         exc = assert_same_exit(
             lambda: delay.simulate(sp.delay, state0, 10.0),
@@ -311,6 +308,12 @@ def in_domain(model, state):
     return g > 0.0 and model.kappa * g < model.room * state[0]
 
 
+def policy(handle, scale):
+    """The handle itself at scale 1, else the suboptimal probe's handle,
+    its feedback scaled."""
+    return handle if scale == 1.0 else scaled(handle, scale)
+
+
 def public_delay_handle(model, dt):
     """The delay handle written over the public functions, with the domain
     tested apart from the feedback; the feedback must raise DomainError on
@@ -339,8 +342,10 @@ class TestDelayHandle:
     def test_rollout_equals_public_functions(self, case, scale):
         model, state0 = case
         dt = spacing(model, state0)
-        got = _rollout(delay.make_handle(model, dt), state0, 60 * dt, scale)
-        want = _rollout(public_delay_handle(model, dt), state0, 60 * dt, scale)
+        got = _rollout(policy(delay.make_handle(model, dt), scale), state0,
+                       60 * dt)
+        want = _rollout(policy(public_delay_handle(model, dt), scale), state0,
+                        60 * dt)
         assert_same_run(got, (want.times, want.states, want.controls,
                               want.running_payoff))
 
@@ -358,10 +363,10 @@ class TestDelayHandle:
         steep = build_vintage_spec(1.0, 2.0, 0.5, rho)
         state0, model = vintage_start(steep), steep.delay
         exc = assert_same_exit(
-            lambda: _rollout(delay.make_handle(model, 0.05), state0,
-                             400 * 0.05, scale),
-            lambda: _rollout(public_delay_handle(model, 0.05), state0,
-                             400 * 0.05, scale))
+            lambda: _rollout(policy(delay.make_handle(model, 0.05), scale),
+                             state0, 400 * 0.05),
+            lambda: _rollout(policy(public_delay_handle(model, 0.05), scale),
+                             state0, 400 * 0.05))
         assert exc.time > 1.0
 
     def test_non_finite_control_raises(self, case):
@@ -370,7 +375,7 @@ class TestDelayHandle:
         for handle in (delay.make_handle(model, dt),
                        public_delay_handle(model, dt)):
             with pytest.raises(GridError):
-                _rollout(handle, state0, 5 * dt, control_scale=np.inf)
+                _rollout(scaled(handle, np.inf), state0, 5 * dt)
 
 
 class TestStepSize:
@@ -523,9 +528,9 @@ class TestTransportHandle:
     def test_rollout_equals_reference(self, skewed_transport, scale):
         spec = skewed_transport
         z0 = initial_profile(spec.age)
-        got = _rollout(make_handle(spec), z0, 80 * spec.age.h, scale)
-        want = _rollout(reference_transport_handle(spec), z0, 80 * spec.age.h,
-                        scale)
+        got = _rollout(policy(make_handle(spec), scale), z0, 80 * spec.age.h)
+        want = _rollout(policy(reference_transport_handle(spec), scale), z0,
+                        80 * spec.age.h)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.running_payoff, want.running_payoff)
         for a, b in zip(got.states, want.states):

@@ -55,9 +55,10 @@ def test_circle_handles_reject_a_field_on_another_grid():
                      lambda: emitting.running_payoff(one, other),
                      lambda: emitting.step(other, i),
                      lambda: emitting.step(one, other),
-                     lambda: spatial_growth.hjb_residual_spatial(growth,
-                                                                 other),
-                     lambda: pollution.hjb_residual_pollution(spec, other)):
+                     lambda: spatial_growth.hjb_residual_spatial(
+                         growth, other, growth),
+                     lambda: pollution.hjb_residual_pollution(spec, other,
+                                                              spec)):
             with pytest.raises(GridError):
                 call()
 

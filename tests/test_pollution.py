@@ -6,9 +6,10 @@ from hjbkit.errors import GridError, NumericsError
 from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
                              quad_circle)
 from hjbkit.pollution import (build_pollution_spec, hjb_residual_pollution,
-                              feedback_pollution, make_handle, running_gain,
+                              feedback_pollution, make_handle,
                               simulate_pollution, value_pollution)
-from hjbkit.verify import _rollout
+from hjbkit.verify import _rollout, scaled
+from reference import running_gain
 
 GRID = CircleGrid(128)
 
@@ -163,7 +164,7 @@ class TestHJBResidual:
         rng = np.random.default_rng(2)
         for _ in range(5):
             x = rng.normal(size=GRID.n)
-            assert hjb_residual_pollution(spec, x) < 1e-8
+            assert hjb_residual_pollution(spec, x, spec) < 1e-8
 
     def test_reference_residual_refines(self):
         def make(n):
@@ -284,7 +285,8 @@ class TestHandleArrays:
                         spec.grid.field(-1.0 * spec.delta_dec.values), dt)
         a, g = spec.a_prod.values, spec.gamma.values
         p0 = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-        traj = _rollout(handle, p0.values, n_steps * dt, control_scale=scale)
+        probe = handle if scale == 1.0 else scaled(handle, scale)
+        traj = _rollout(probe, p0.values, n_steps * dt)
         states, controls, running = (traj.states, traj.controls,
                                      traj.running_payoff)
 

@@ -45,7 +45,7 @@ def test_value_homogeneity_under_scaling(scale, seed):
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     rng = np.random.default_rng(seed)
     iota = HistorySegment(2.0, 0.2 + rng.random(9))
-    x = lift_vintage(spec, None, iota)
+    x = lift_vintage(spec, iota)
     v = delay.value(spec.delay, x)
     assert delay.value(spec.delay, scale * x) == pytest.approx(
         scale ** 0.5 * v, rel=1e-11)

@@ -9,8 +9,8 @@ from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
 from hjbkit.spatial_growth import (build_spatial_spec, feedback_spatial,
                                    hjb_residual_spatial, make_handle, pairing,
                                    simulate_spatial, utility, value_spatial)
-from hjbkit.verify import _rollout
-from hjbkit.spectral import rayleigh_residual
+from hjbkit.verify import _rollout, scaled
+from reference import rayleigh_residual
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ class TestFeedback:
             with pytest.raises(DomainError):
                 fn(nan)
         with pytest.raises(DomainError):
-            hjb_residual_spatial(const_spec, nan)
+            hjb_residual_spatial(const_spec, nan, const_spec)
         with pytest.raises(DomainExitError) as err:
             _rollout(handle, nan, 5 * 0.01)
         assert err.value.time == 0.0
@@ -206,13 +206,14 @@ class TestSimulate:
 
 class TestHJBResidual:
     def test_constant_spec_near_exact(self, const_spec):
-        r = hjb_residual_spatial(const_spec, const_spec.eigen.e0.values)
+        r = hjb_residual_spatial(const_spec, const_spec.eigen.e0.values,
+                                 const_spec)
         assert r < 1e-6
 
     def test_homogeneity_invariance(self, wavy_spec):
         x = smooth_positive(wavy_spec.grid, 11).values
-        r1 = hjb_residual_spatial(wavy_spec, x)
-        r2 = hjb_residual_spatial(wavy_spec, 7.0 * x)
+        r1 = hjb_residual_spatial(wavy_spec, x, wavy_spec)
+        r2 = hjb_residual_spatial(wavy_spec, 7.0 * x, wavy_spec)
         assert abs(r1 - r2) < 1e-10
 
     def test_reference_residual_refines_at_second_order(self):
@@ -306,7 +307,8 @@ class TestHandleArrays:
         op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
         s, N = spec.sigma_crra, spec.N_pop
         y0 = smooth_positive(spec.grid, 8)
-        traj = _rollout(handle, y0.values, n_steps * dt, control_scale=scale)
+        probe = handle if scale == 1.0 else scaled(handle, scale)
+        traj = _rollout(probe, y0.values, n_steps * dt)
         states, controls, running = (traj.states, traj.controls,
                                      traj.running_payoff)
         y, total = y0, 0.0

