@@ -17,7 +17,6 @@ fixed seed: no timestamps, sorted keys, and full-precision floats.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -97,20 +96,23 @@ CSV_CHUNK = 64
 def _write_trajectory_csv(path: Path, scenario, traj) -> None:
     """One row per time: t, the scenario's state columns, the running
     payoff.  The columns are computed a chunk of CSV_CHUNK rows at a time,
-    and each chunk is written before the next is computed."""
+    and each chunk is written, as one string, before the next is computed.
+    A row is the ``repr`` of its floats joined by commas and ended by
+    CRLF: the bytes of ``csv.writer``, since no float's repr (nor any
+    column name) needs quoting."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
         for start in range(0, len(traj.times), CSV_CHUNK):
             rows = slice(start, start + CSV_CHUNK)
             cols = scenario.state_columns(traj.states[rows],
                                           traj.controls[rows])
             if not start:
-                writer.writerow(["t", *cols, "running_payoff"])
+                fh.write(",".join(["t", *cols, "running_payoff"]) + "\r\n")
             columns = (traj.times[rows], *cols.values(),
                        traj.running_payoff[rows])
-            writer.writerows(zip(*(
-                [repr(v) for v in np.asarray(col, dtype=float).tolist()]
-                for col in columns)))
+            fh.write("".join(
+                ",".join(map(repr, row)) + "\r\n"
+                for row in zip(*(np.asarray(col, dtype=float).tolist()
+                                 for col in columns))))
 
 
 def cmd_run(args) -> int:

@@ -116,10 +116,10 @@ def _value_of(model: DelayModel, g: float) -> float:
     return model.nu * _positive(g) ** (1.0 - model.sigma) / (1.0 - model.sigma)
 
 
-def value(model: DelayModel, x: np.ndarray, dt: float | None = None) -> float:
-    """Closed-form value nu * Gamma^(1-sigma) / (1-sigma) of a state array
-    (at the spacing dt, where given)."""
-    return _value_of(model, gamma(_state(model, x, dt), model.xi, model.lag))
+def value(model: DelayModel, x: np.ndarray) -> float:
+    """Closed-form value nu * Gamma^(1-sigma) / (1-sigma) of a state
+    array."""
+    return _value_of(model, gamma(_state(model, x), model.xi, model.lag))
 
 
 def _steer(model: DelayModel, head: float, g: float) -> float:
@@ -138,12 +138,11 @@ def _report(model: DelayModel, head: float, g: float) -> dict:
     return {model.head_name: head, "gamma": g}
 
 
-def feedback(model: DelayModel, x: np.ndarray,
-             dt: float | None = None) -> float:
-    """Optimal control u* = a x0 - kappa Gamma of a state array (at the
-    spacing dt, where given); off the open set where it lies strictly
-    above the band's lower edge, the violated inequality is named."""
-    x = _state(model, x, dt)
+def feedback(model: DelayModel, x: np.ndarray) -> float:
+    """Optimal control u* = a x0 - kappa Gamma of a state array; off the
+    open set where it lies strictly above the band's lower edge, the
+    violated inequality is named."""
+    x = _state(model, x)
     return _steer(model, x.item(0), gamma(x, model.xi, model.lag))
 
 
@@ -158,20 +157,26 @@ def diagnostics(model: DelayModel, x: np.ndarray) -> dict:
     return _report(model, x.item(0), gamma(x, model.xi, model.lag))
 
 
-def shift(model: DelayModel, x: np.ndarray, u: float,
-          dt: float | None = None) -> np.ndarray:
-    """The state array one sample of its own history on (at the spacing
-    dt, where given), holding the control at u: the delayed term c*u(t-L)
-    is the last entry, the newest window slot x[1] a placeholder for u
-    (corrected first), and the window prepends c*u and drops its last
-    entry.  A non-finite head or newest sample is a GridError."""
-    n = len(_state(model, x, dt))
-    head = x.item(0) + model.lag / (n - 2) * (model.b * u + x[-1])
+def shift(model: DelayModel, x: np.ndarray, u: float) -> np.ndarray:
+    """The state array one sample of its own history on, holding the
+    control at u: the delayed term c*u(t-L) is the last entry, the newest
+    window slot x[1] a placeholder for u (corrected first), and the window
+    prepends c*u and drops its last entry.  A non-finite head or newest
+    sample is a GridError."""
+    return _shift(model, x, u, model.lag / (len(_state(model, x)) - 2))
+
+
+def _shift(model: DelayModel, x: np.ndarray, u: float,
+           dt: float) -> np.ndarray:
+    """:func:`shift` of a state array already known to have the spacing
+    dt.  The head keeps x[-1]'s numpy-scalar arithmetic, so an overflow
+    under a loop's errstate raises there."""
+    head = x.item(0) + dt * (model.b * u + x[-1])
     new = model.c * u
     if not (math.isfinite(head) and math.isfinite(new)):
         raise GridError(f"step left a non-finite state: head {head}, "
                         f"newest sample {new}")
-    out = np.empty(n)
+    out = np.empty(len(x))
     out[0], out[1], out[2] = head, new, new
     out[3:] = x[2:-1]
     return out
@@ -198,8 +203,9 @@ def simulate(model: DelayModel, state0: np.ndarray,
     state array state0, which is not written.
 
     The step dt is the history spacing L/m, so the delayed term is always
-    a stored sample and the window shifts exactly (:func:`shift`, whose
-    result is the Euler predictor).  The newest slot starts as a
+    a stored sample and the window shifts exactly (:func:`shift`'s
+    arithmetic, whose result is the Euler predictor; the loop's own array
+    needs no spacing check).  The newest slot starts as a
     placeholder (the previous control) and is corrected by one fixed-point
     refinement of the feedback.  The head advances by the trapezoid of its
     drift, with the feedback re-evaluated at the predictor when the drift
@@ -223,12 +229,13 @@ def simulate(model: DelayModel, state0: np.ndarray,
     a, b, c, s = model.a, model.b, model.c, model.sigma
     n_steps = int(round(T_end / dt))
     times = dt * np.arange(n_steps + 1)
+    at = times.tolist()
     states, controls = [], []
     integrand = np.empty(n_steps + 1)
     try:
         with np.errstate(all="raise", under="ignore"):
             for n in range(n_steps + 1):
-                t = float(times[n])
+                t = at[n]
                 # the state is owned by this step until recorded
                 x0, tail = x.item(0), x[1:]
                 tail[0] = c * control(x0, tail, t)
@@ -239,9 +246,8 @@ def simulate(model: DelayModel, state0: np.ndarray,
                 integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
                 if n == n_steps:
                     break
-                x = shift(model, x, u)  # the Euler predictor
-                u_pred = control(x.item(0), x[1:], float(times[n + 1])) \
-                    if b else 0.0
+                x = _shift(model, x, u, dt)  # the Euler predictor
+                u_pred = control(x.item(0), x[1:], at[n + 1]) if b else 0.0
                 x[0] = x0 + 0.5 * dt * ((b * u + tail[-1])
                                         + (b * u_pred + tail[-2]))
     except (FloatingPointError, OverflowError) as exc:
@@ -280,21 +286,45 @@ def make_handle(model: DelayModel, dt: float) -> ModelHandle:
     the step dt, a positive number (a ValueError otherwise).  A step
     shifts one sample, so the value, feedback, step and payoff refuse an
     array of any other length, or anything else, with a GridError naming
-    the spacing."""
+    the spacing.
+
+    The handle binds what dt fixes.  One is the one length m + 2 whose
+    spacing L/m is dt (:func:`_state`'s rule; L/m == dt holds for at most
+    one m): each callback compares its input's shape with it, and sends
+    anything else to :func:`_state` for its GridError.  The other is
+    Gamma's m + 1 trapezoid weights, so the value and feedback run
+    :func:`gamma`'s arithmetic without a cache lookup."""
     if not dt > 0.0:  # NaN too
         raise ValueError(f"dt must be positive, got {dt}")
-    s = model.sigma
+    s, a = model.sigma, model.a
+    ratio = model.lag / dt
+    m = round(ratio) if math.isfinite(ratio) else 0
+    # the one length at the spacing dt, or None: then _state refuses all
+    shape = (m + 2,) if m >= 4 and model.lag / m == dt else None
+    w = _trapezoid_weights(model.xi, m + 1, model.lag) if shape else None
+
+    def checked(x):
+        if shape is None or getattr(x, "shape", None) != shape:
+            return _state(model, x, dt)
+        return x
+
+    def head_and_gamma(x):
+        head = checked(x).item(0)
+        return head, head + float(w.dot(x[1:]))
+
+    def step(x, u):
+        return _shift(model, checked(x), u, dt)
 
     def payoff(x, u):
-        c = model.a * _state(model, x, dt).item(0) - u
+        c = a * checked(x).item(0) - u
         if c < 0.0:
             return -np.inf  # inadmissible consumption, flags the policy
         return c ** (1.0 - s) / (1.0 - s)
 
     return ModelHandle(
-        value=functools.partial(value, model, dt=dt),
-        feedback=functools.partial(feedback, model, dt=dt),
-        step=functools.partial(shift, model, dt=dt),
+        value=lambda x: _value_of(model, head_and_gamma(x)[1]),
+        feedback=lambda x: _steer(model, *head_and_gamma(x)),
+        step=step,
         running_payoff=payoff,
         rho=model.rho,
         dt=dt,

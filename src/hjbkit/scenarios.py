@@ -232,7 +232,12 @@ def validate_config(config: dict) -> dict:
                 cleaned[key] = dict(val)
             else:
                 x = _finite(f"{block}.{key}", val)
-                cleaned[key] = int(x) if key in RESOLUTION_KEYS else x
+                if key in RESOLUTION_KEYS:
+                    if x != int(x):
+                        raise ConfigError(f"{block}.{key} must be an "
+                                          f"integer, got {val!r}")
+                    x = int(x)
+                cleaned[key] = x
             if key in ("dt", "T_end") and cleaned[key] <= 0.0:
                 raise ConfigError(f"{block}.{key} must be positive, got {val}")
         out[block] = cleaned

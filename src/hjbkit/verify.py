@@ -218,10 +218,23 @@ def transversality(handle: ModelHandle, traj) -> float:
 def scaled(handle: ModelHandle, s: float) -> ModelHandle:
     """``handle`` with its feedback scaled by s (``handle.scale_control``):
     the suboptimal probe's policy.  A scale of 1 gives the feedback's
-    controls exactly."""
-    feedback, scale = handle.feedback, handle.scale_control
-    return dataclasses.replace(handle,
-                               feedback=lambda x: scale(feedback(x), s))
+    controls exactly.  The scaled control is kept per feedback control
+    object (:func:`memo_last`), so a constant policy, one object at every
+    state, stays one object scaled, and the handle's own per-control
+    memos hit along the probe as they do along the feedback.  Its arrays
+    are read-only, since every step that holds it shares it."""
+    feedback, scale_control = handle.feedback, handle.scale_control
+    scale = memo_last(lambda control: _read_only(scale_control(control, s)))
+    return dataclasses.replace(handle, feedback=lambda x: scale(feedback(x)))
+
+
+def _read_only(control):
+    """``control`` with its arrays (itself, or a tuple's entries) made
+    read-only."""
+    for part in control if isinstance(control, tuple) else (control,):
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return control
 
 
 def suboptimality_margin(handle: ModelHandle, state0, T_end: float,

@@ -41,7 +41,8 @@ _MONOTONE_SLACK = 1e-12
 @dataclass(frozen=True)
 class TransportSpec:
     """Payoff/coefficient profiles on the age grid plus the derived
-    resolvent shadow price and the open-loop optimal controls."""
+    resolvent shadow price and the open-loop optimal controls; the
+    profiles are read-only arrays (copies of the ones passed in)."""
 
     mu: float
     rho: float
@@ -79,9 +80,10 @@ def build_transport_spec(mu: float, rho: float, age: AgeGrid,
         raise ValueError(f"depreciation mu must be nonnegative, got {mu}")
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    alpha_rev = age.profile(alpha_rev)
-    q1 = age.profile(q1)
-    beta1 = age.profile(beta1)
+    # read-only copies: the handle reuses a control's terms by identity,
+    # so nothing may write through the u1_star it hands out
+    alpha_rev, q1, beta1 = (age.profile(p).copy()
+                            for p in (alpha_rev, q1, beta1))
     problems = []
     if alpha_rev.min() < 0.0:
         problems.append(f"revenue alpha must be nonnegative (min {alpha_rev.min()})")
@@ -107,6 +109,8 @@ def build_transport_spec(mu: float, rho: float, age: AgeGrid,
     u0_star = (abar[0] - q0) / (2.0 * beta0)
     u1_star = (abar - q1) / (2.0 * beta1)
     positivity_ok = bool(q0 <= abar[0] and np.all(q1 <= abar + 1e-15))
+    for profile in (alpha_rev, q1, beta1, abar, u1_star):
+        profile.flags.writeable = False
     return TransportSpec(mu, rho, age, alpha_rev, float(q0), float(beta0),
                          q1, beta1, abar, float(u0_star), u1_star,
                          positivity_ok)

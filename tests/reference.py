@@ -5,9 +5,14 @@ computes another way: the time-to-build open-loop control equation
 (integrated directly, and as a defect of a closed-loop path), the
 capital-to-output coordinate change, the transport model's closed-form
 characteristics, the vintage model's Gamma0 kernel form and positivity
-kernel, the eigenpair's Rayleigh defect and the pollution model's running
-gain.  None of them is run by the command line or the benchmark.
+kernel, the eigenpair's Rayleigh defect, the pollution model's running
+gain, the suboptimal probe with no reuse of its scaled controls, and a
+``csv.writer`` trajectory file.  None of them is run by the command line
+or the benchmark.
 """
+
+import csv
+import dataclasses
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from hjbkit.pollution import PollutionSpec, disutility, utility
 from hjbkit.spectral import EigenPair
 from hjbkit.time_to_build import TTBSpec
 from hjbkit.vintage_dde import VintageSpec
+from hjbkit.verify import ModelHandle, value_match
 from hjbkit.vintage_transport import TransportSpec
 
 
@@ -239,3 +245,34 @@ def running_gain(spec: PollutionSpec, p: np.ndarray, i: np.ndarray) -> float:
     """Utility-of-consumption minus pollution disutility <w, p> at one
     instant."""
     return utility(spec, i) - disutility(spec, p)
+
+
+def unmemoized_suboptimality_margin(handle: ModelHandle, state0,
+                                    T_end: float, control_scale: float
+                                    ) -> float:
+    """verify.suboptimality_margin on a probe that scales the feedback's
+    control afresh at every state, so no per-control term of the handle
+    is ever reused along it."""
+    scale = handle.scale_control
+    probe = dataclasses.replace(
+        handle, feedback=lambda x: scale(handle.feedback(x), control_scale))
+    vm = value_match(probe, state0, T_end)
+    return (vm.analytic - vm.total) / max(abs(vm.analytic), 1e-300)
+
+
+def write_trajectory_csv(path, scenario, traj, chunk: int = 64) -> None:
+    """trajectory.csv through ``csv.writer``, each row's floats as their
+    ``repr``: the bytes ``hjbkit run`` must write."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for start in range(0, len(traj.times), chunk):
+            rows = slice(start, start + chunk)
+            cols = scenario.state_columns(traj.states[rows],
+                                          traj.controls[rows])
+            if not start:
+                writer.writerow(["t", *cols, "running_payoff"])
+            columns = (traj.times[rows], *cols.values(),
+                       traj.running_payoff[rows])
+            writer.writerows(zip(*(
+                [repr(v) for v in np.asarray(col, dtype=float).tolist()]
+                for col in columns)))

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from reference import write_trajectory_csv
 
 from hjbkit.cli import CSV_CHUNK, _write_trajectory_csv, main
 from hjbkit.errors import ConfigError
@@ -337,6 +338,41 @@ def test_harmonic_wave_number_must_be_an_integer(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "'k' must be an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, model", [("n", "spatial-growth"),
+                                        ("m", "vintage-dde"),
+                                        ("m_age", "vintage-transport")])
+def test_grid_size_must_be_an_integer(tmp_path, capsys, key, model):
+    # a grid size with a fraction is refused, never truncated, as a
+    # harmonic k is; an integral float still reads as its integer
+    cfg = default_config(model)
+    size = cfg["numerics"][key]
+    cfg["numerics"][key] = float(size)
+    assert validate_config(cfg)["numerics"][key] == size
+    cfg["numerics"][key] = size + 0.7
+    with pytest.raises(ConfigError,
+                       match=f"numerics.{key} must be an integer"):
+        validate_config(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli(["run", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"numerics.{key} must be an integer, got {size + 0.7!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_run_writes_the_bytes_of_csv_writer(tmp_path, model):
+    # the writer joins each chunk's rows itself; the file must be the one
+    # csv.writer writes from the same run
+    assert run_cli(["run", "--model", model, "--out", str(tmp_path)]) == 0
+    sc = build_scenario(default_config(model))
+    want = tmp_path / "want.csv"
+    write_trajectory_csv(want, sc, sc.simulate(), CSV_CHUNK)
+    assert (tmp_path / "trajectory.csv").read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("content",['{"model": "vintage-dde", "params"',

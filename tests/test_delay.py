@@ -464,6 +464,49 @@ class TestStepSize:
             with pytest.raises(GridError, match="spacing"):
                 call()
 
+    @pytest.mark.parametrize("bad", ["short", "batch", "history",
+                                     "no length"])
+    def test_handle_refusals_are_state_checks(self, case, bad):
+        # the handle binds the one length at its spacing; anything else
+        # reaches _state, so each callback raises _state's own GridError
+        model, state0 = case
+        dt = spacing(model, state0)
+        wrong = {"short": state0[:-1], "no length": state0,
+                 "batch": np.stack([state0, state0]),
+                 "history": HistorySegment(model.lag, state0[1:])}[bad]
+        if bad == "no length":
+            dt *= 0.7  # L/m == dt for no m
+            assert all(model.lag / m != dt for m in range(4, 10 * M))
+        with pytest.raises(GridError) as want:
+            delay._state(model, wrong, dt)
+        handle = delay.make_handle(model, dt)
+        u = delay.feedback(model, state0)
+        for call in (lambda: handle.value(wrong),
+                     lambda: handle.feedback(wrong),
+                     lambda: handle.step(wrong, u),
+                     lambda: handle.running_payoff(wrong, u)):
+            with pytest.raises(GridError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("skew", [1.0, 1.0 + 2e-16, 0.5, 1.5])
+    def test_handle_takes_the_lengths_state_takes(self, case, skew):
+        # the bound length is _state's rule, never a length of its own
+        model, state0 = case
+        for cells in (1, 3, 4, 7, 8, 50, 200):
+            dt = model.lag / cells * skew
+            handle = delay.make_handle(model, dt)
+            for n in range(2 * cells + 8):
+                x = np.r_[state0[0], np.full(n - 1, state0[-1])] if n \
+                    else np.empty(0)
+                try:
+                    delay._state(model, x, dt)
+                except GridError:
+                    with pytest.raises(GridError):
+                        handle.step(x, 0.0)
+                else:
+                    assert len(handle.step(x, 0.0)) == n
+
     @pytest.mark.parametrize("sigma", [1.0, 1.5])
     def test_oracle_problem_needs_sigma_below_one(self, sigma):
         model = dataclasses.replace(hand_model(0.5, 0.3), sigma=sigma)

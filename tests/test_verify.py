@@ -1,15 +1,18 @@
 import dataclasses
+import importlib
 
 import mpmath as mp
 import numpy as np
 import pytest
 from oracle_helpers import golden_max
+from reference import unmemoized_suboptimality_margin
 
 from hjbkit import delay
 from hjbkit.errors import (DomainError, DomainExitError, GridError,
                            NumericsError)
 from hjbkit.gridcore import CircleGrid, HistorySegment, Trajectory
-from hjbkit.scenarios import build_scenario, default_config
+from hjbkit.scenarios import (MODELS, build_scenario, default_config,
+                              verify_scenario)
 from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_handle
 from hjbkit.spatial_growth import simulate_spatial
 from hjbkit.vintage_dde import (build_vintage_spec, lift_vintage,
@@ -295,6 +298,57 @@ class TestBruteForce:
                 vm = value_match(scaled(sc.handle, scale), sc.state0,
                                  sc.T_end)
                 assert vm.total <= v + 1e-6 * max(abs(v), 1.0), name
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_probe_margin_equals_an_unmemoized_probe(model):
+    # keeping the scaled control per feedback control object changes no
+    # bit of the suboptimal probe's margin
+    sc = build_scenario(default_config(model))
+    got = suboptimality_margin(sc.handle, sc.state0, sc.T_end,
+                               control_scale=sc.suboptimal_scale)
+    want = unmemoized_suboptimality_margin(sc.handle, sc.state0, sc.T_end,
+                                           sc.suboptimal_scale)
+    assert got == want
+
+
+@pytest.mark.parametrize("model, module, name", [
+    ("pollution", "pollution", "utility"),
+    ("vintage-transport", "vintage_transport", "_source_cell_integrals")])
+def test_a_constant_policy_is_scored_once_per_rollout(monkeypatch, model,
+                                                      module, name):
+    # the optimal policy of these models is one control object at every
+    # state, and so is its scaling along the suboptimal probe: a term of
+    # the control alone is computed once per rollout, of the three that
+    # verify runs (the closed loop, the value match and the probe)
+    mod = importlib.import_module(f"hjbkit.{module}")
+    original, calls = getattr(mod, name), []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(mod, name, counted)
+    verify_scenario(default_config(model))
+    assert 0 < len(calls) <= 3
+
+
+@pytest.mark.parametrize("model", ["spatial-growth", "pollution",
+                                   "vintage-transport"])
+def test_a_scaled_control_is_read_only(model):
+    # a constant policy's scaled control is one object held by every step
+    # of the probe, so no write may go through a recorded control
+    sc = build_scenario(default_config(model))
+    traj = _rollout(scaled(sc.handle, 0.5), sc.state0, 5 * sc.handle.dt)
+    first = traj.controls[0]
+    arrays = [p for p in (first if isinstance(first, tuple) else (first,))
+              if isinstance(p, np.ndarray)]
+    assert arrays
+    for part in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0.0
+    if model != "spatial-growth":  # its feedback depends on the state
+        assert traj.controls[-1] is first
 
 
 @pytest.mark.parametrize("model", ["spatial-growth", "pollution"])

@@ -71,6 +71,30 @@ class TestBuildSpec:
         assert not bad.positivity_ok
 
 
+    def test_profiles_are_read_only_copies(self):
+        # the handle hands out u1_star and reuses a control's terms by
+        # identity, so no write may go through a spec profile; the
+        # caller's own arrays are copied, not frozen or changed
+        age = AgeGrid(2.0, 50)
+        s = age.nodes
+        given = [1.0 - s / 2.0, 0.1 * (1.0 - s / 2.0) ** 2, np.full(51, 0.5)]
+        before = [a.copy() for a in given]
+        sp = build_transport_spec(0.1, 0.05, age, given[0], 0.2, 0.6,
+                                  given[1], given[2])
+        for profile in (sp.alpha_rev, sp.q1, sp.beta1, sp.abar, sp.u1_star):
+            with pytest.raises(ValueError, match="read-only"):
+                profile[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                profile *= 2.0
+        _, u1 = make_handle(sp).feedback(initial_profile(age))
+        assert u1 is sp.u1_star
+        for a, b in zip(given, before):
+            assert a.flags.writeable and np.array_equal(a, b)
+            a[0] += 1.0
+        assert sp.alpha_rev[0] == before[0][0]
+        assert sp.q1[0] == before[1][0] and sp.beta1[0] == before[2][0]
+
+
 class TestValue:
     def test_zero_state_constant_part(self, spec):
         v0 = value_transport(spec, np.zeros(spec.age.m + 1))
