@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AssumptionError, DomainError, DomainExitError,
                      GridError, NumericsError)
@@ -182,21 +183,6 @@ def _shift(model: DelayModel, x: np.ndarray, u: float,
     return out
 
 
-def shift_batch(model: DelayModel, batch: np.ndarray, u,
-                dt: float) -> np.ndarray:
-    """:func:`shift` on a batch (k, m+2) of state rows, with u a scalar or
-    one control per row.  A non-finite state raises GridError, as
-    :func:`shift` does."""
-    out = np.empty_like(batch)
-    out[:, 0] = batch[:, 0] + dt * (model.b * u + batch[:, -1])
-    out[:, 1] = out[:, 2] = model.c * u
-    out[:, 3:] = batch[:, 2:-1]
-    # the shifted samples were finite already; only the new ones can fail
-    if not (np.isfinite(out[:, 0]).all() and np.isfinite(out[:, 1]).all()):
-        raise GridError("batched step produced a non-finite state")
-    return out
-
-
 def simulate(model: DelayModel, state0: np.ndarray,
              T_end: float) -> Trajectory:
     """Closed-loop Heun integration of x0' = b u(t) + c u(t-L) from the
@@ -333,13 +319,19 @@ def make_handle(model: DelayModel, dt: float) -> ModelHandle:
 
 
 def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
-    """The batched step/payoff view the DP oracle runs on, over batches
-    (k, m+2) of state rows sampled at the step dt, with the domain as the
-    slacks Gamma and room x0 - kappa Gamma; ``to_batch`` takes a state
-    array at that spacing (a GridError otherwise).  It has no value
-    callback, so the oracle cannot peek at the closed form, and it builds
-    no validated state.  Its payoff tail bound holds for sigma < 1 only,
-    so any other sigma is an AssumptionError."""
+    """The batched view the DP oracle runs on, for state arrays sampled at
+    the step dt, with the domain as the slacks Gamma and room x0 - kappa
+    Gamma.  It has no value callback, so the oracle cannot peek at the
+    closed form, and it builds no validated state.  Its payoff tail bound
+    holds for sigma < 1 only, so any other sigma is an AssumptionError.
+
+    ``run`` builds every state of every row with no loop over the steps,
+    in :func:`shift`'s arithmetic.  Past its newest slot (c times the last
+    control, or the start's placeholder), each tail is a sliding window
+    over [c u reversed, start tail]; the heads are one in-order cumulative
+    sum of [x0, dt (b u_k + oldest_k)]; Gamma is one product of the tails,
+    stacked step-major as a loop's batches are, with the trapezoid
+    weights."""
     s, xi = model.sigma, model.xi
     if not s < 1.0:
         raise AssumptionError("the DP oracle's payoff tail bound needs "
@@ -360,20 +352,39 @@ def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
         p = c ** -s
         return c * p / (1.0 - s), p, -s * p / c
 
-    def domain_slacks(batch):
-        heads = batch[:, 0]
-        g = heads + batch[:, 1:] @ _trapezoid_weights(xi, batch.shape[1] - 1,
-                                                      model.lag)
-        return np.column_stack([g, model.room * heads - model.kappa * g])
+    def run(state0, controls):
+        x = _state(model, state0, dt)
+        rows, n = controls.shape
+        m = len(x) - 2
+        new = model.c * controls
+        if not (np.isfinite(x).all() and np.isfinite(new).all()):
+            raise GridError("a batch run needs a finite start state and "
+                            "controls: got a non-finite one, or c * u")
+        windows = sliding_window_view(
+            np.concatenate([new[:, ::-1], np.broadcast_to(x[2:], (rows, m))],
+                           axis=1), m, axis=1)[:, ::-1]  # (rows, n + 1, m)
+        heads = np.cumsum(np.column_stack([np.full(rows, x.item(0)), dt * (
+            model.b * controls + windows[:, :-1, -1])]), axis=1)
+        tails = np.empty((n + 1, rows, m + 1))
+        tails[:, :, 1:] = windows.transpose(1, 0, 2)
+        tails[0, :, 0] = x.item(1)
+        tails[1:, :, 0] = new.T
+        g = heads + (tails @ _trapezoid_weights(xi, m + 1, model.lag)).T
+        final = np.column_stack([heads[:, -1], tails[-1]])
+        del tails  # (n + 1) x rows x (m + 1): freed before the slacks
+        lo, hi = band(model, heads)
+        left, right = hi[:, :-1] - controls, hi[:, 1:] - controls
+        room = model.room * heads - model.kappa * g
+        cons = np.concatenate([left, right], axis=1)
+        per_step = np.stack([controls - lo[:, :-1], left, g[:, :-1],
+                             room[:, :-1]], axis=2).reshape(rows, 4 * n)
+        return cons, np.concatenate([per_step, g[:, -1:], room[:, -1:],
+                                     cons], axis=1), final
 
     return OracleProblem(
-        step=functools.partial(shift_batch, model, dt=dt),
-        consumption=lambda batch, u: model.a * batch[:, 0] - u,
+        run=run,
         utility=utility,
         rho=model.rho,
         dt=dt,
-        domain_slacks=domain_slacks,
-        to_batch=lambda x: _state(model, x, dt)[np.newaxis],
-        control_bounds=lambda batch: band(model, batch[:, 0]),
         payoff_tail_bound=tail_bound,
     )

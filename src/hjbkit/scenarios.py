@@ -669,7 +669,7 @@ def verify_scenario(config: dict, seed: int = 0) -> VerifyReport:
 ORACLE_COARSE_CELLS = 8
 ORACLE_EFOLDINGS = 5.0
 # the longest DP oracle horizon, in steps: its Newton solve takes O(n^3)
-# time and O(n^2) memory, about 3 s and 55 MiB more at 500 steps
+# time and O(n^2) memory, about 2.5 s and 54 MiB more at 500 steps
 ORACLE_MAX_STEPS = 500
 
 
@@ -679,8 +679,8 @@ def oracle_scenario(config: dict) -> tuple[OracleBracket, float]:
     rejected before anything is built; a delay model is built at full
     resolution first, to reject a bad ``numerics.m`` before the coarse
     rebuild overrides it.  A model the oracle cannot bound (sigma >= 1)
-    is an AssumptionError, and a horizon of more than ORACLE_MAX_STEPS
-    steps a ConfigError, both before the seed rollout."""
+    is an AssumptionError, and a horizon of fewer than 1 or more than
+    ORACLE_MAX_STEPS steps a ConfigError, both before the seed rollout."""
     config = validate_config(config)
     model = config["model"]
     if model not in ("vintage-dde", "time-to-build"):
@@ -692,11 +692,12 @@ def oracle_scenario(config: dict) -> tuple[OracleBracket, float]:
     problem = delay.oracle_problem(sc.spec.delay, sc.handle.dt)
     T_end = ORACLE_EFOLDINGS / sc.handle.rho
     steps = int(round(T_end / sc.handle.dt))
-    if steps > ORACLE_MAX_STEPS:
+    if not 1 <= steps <= ORACLE_MAX_STEPS:
         raise ConfigError(
             f"the DP oracle's horizon {ORACLE_EFOLDINGS:g} / params.rho in "
             f"steps of params.{_STEP_SPAN[model]} / {ORACLE_COARSE_CELLS} is "
-            f"{steps} steps, more than its {ORACLE_MAX_STEPS}")
+            f"{steps} steps, " + ("fewer than 1" if steps < 1 else
+                                  f"more than its {ORACLE_MAX_STEPS}"))
     seed = _rollout(sc.handle, sc.state0, T_end)
     bracket = brute_force_value(problem, sc.state0, seed.controls[:-1])
     return bracket, float(sc.handle.value(sc.state0))

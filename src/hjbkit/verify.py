@@ -38,32 +38,29 @@ from .gridcore import Trajectory
 
 @dataclass(frozen=True)
 class OracleProblem:
-    """Batched step/payoff view of a model, structurally unable to peek at
+    """Batched run/payoff view of a model, structurally unable to peek at
     the closed-form value.
 
-    A batch is one 2-D array of state rows, and each callback acts row by
-    row, with ``u`` a scalar or one control per row.  ``step(batch, u)``
-    advances by the problem's step ``dt`` and raises :class:`GridError` on
-    a non-finite state.  A row holding u earns ``utility(consumption(
-    batch, u))``: the consumption is affine in the row and u, and
-    ``utility(c)`` returns the concave utility of c > 0 with its first and
-    second derivatives.  A row is admissible where the affine
-    ``domain_slacks(batch)`` (rows, k) are positive, and its control
-    inside the open band ``control_bounds(batch)`` with a positive
-    consumption.  ``to_batch`` makes one checked state array a batch of
-    one row, refusing one the step does not fit.  ``payoff_tail_bound(
+    ``run(state0, controls)`` plays each row of ``controls`` (rows, n), one
+    control per step of the problem's ``dt``, from the start state array
+    ``state0``, and returns three arrays.  The consumptions (rows, 2n), at
+    the left ends of the steps and then at their right ends.  The slacks,
+    positive where the row is admissible: per step, the two of the control
+    band (u - lo, hi - u) and the domain's slacks at the state the step
+    starts from; then the domain's slacks at the final state; then the
+    consumptions.  And the final batch (rows, m + 2) of state rows.
+    Consumptions and slacks are affine in the controls.  ``run`` refuses a
+    start the step does not fit, and a non-finite start or control, with
+    a GridError.  ``utility(c)`` is the concave utility of consumptions
+    c > 0 with its first and second derivatives.  ``payoff_tail_bound(
     batch, time)`` is an upper bound on the remaining discounted payoff of
     any admissible continuation from the batch's first row.
     """
 
-    step: Callable
-    consumption: Callable
+    run: Callable
     utility: Callable
     rho: float
     dt: float
-    domain_slacks: Callable
-    to_batch: Callable
-    control_bounds: Callable
     payoff_tail_bound: Callable
 
 
@@ -281,45 +278,35 @@ def brute_force_value(problem: OracleProblem, state0,
     of ``seed_controls`` (strictly admissible, typically the feedback
     path), and earns ``_rollout``'s control-consistent trapezoid with ZERO
     terminal value.  The dynamics are linear, so consumptions and slacks
-    are affine in the controls: one batch run of a zero-control row and a
-    unit impulse per step gives that map exactly (a unit added to a seed's
-    large controls would be lost to rounding).  Newton's method on the
-    concave t*payoff + sum(log slacks) starts at the seed, raises t
+    are affine in the controls: one ``problem.run`` of a zero-control row
+    and a unit impulse per step gives that map exactly (a unit added to a
+    seed's large controls would be lost to rounding).  Newton's method on
+    the concave t*payoff + sum(log slacks) starts at the seed, raises t
     twenty-fold per centering and stops once the duality gap M/t of its M
     slacks is below 1e-9 of the payoff.  Iterates stay strictly inside
     (fraction to the boundary, then halving), judged on barrier
     differences, which t*payoff would swallow.
 
-    ``lo`` is the payoff of the solution replayed through the callbacks,
-    as ``controls``, pulled toward the seed where an active constraint
-    replays a hair outside; ``gap`` is M/t plus what the pull lost.  A
-    non-finite state is a GridError, a seed leaving the set a
-    DomainExitError, and a singular or overflowing solve, or one of more
-    than ORACLE_NEWTON_STEPS steps, a NumericsError.
+    ``lo`` is the payoff of the solution replayed through ``run`` as one
+    row, as ``controls``, pulled toward the seed where an active
+    constraint replays a hair outside; ``gap`` is M/t plus what the pull
+    lost.  An empty seed is a ValueError, a non-finite state or control a
+    GridError, a seed leaving the set a DomainExitError, and a singular or
+    overflowing solve, or one of more than ORACLE_NEWTON_STEPS steps, a
+    NumericsError.
     """
     seed = np.array(seed_controls, dtype=float)
     n = len(seed)
+    if n == 0:
+        raise ValueError("the DP oracle's seed is empty: no step to solve")
     disc = np.exp(-problem.rho * problem.dt * np.arange(n + 1))
     weights = 0.5 * problem.dt * np.concatenate([disc[:-1], disc[1:]])
     evals = 0
 
     def run(controls):
-        """Consumptions (left ends of the steps, then right ends), slacks
-        and final batch of each row of ``controls`` (rows, n)."""
         nonlocal evals
-        batch = np.repeat(problem.to_batch(state0), len(controls), axis=0)
-        left, right, slacks = [], [], []
-        for k in range(n):
-            u = controls[:, k]
-            lo, hi = problem.control_bounds(batch)
-            slacks += [u - lo, hi - u, problem.domain_slacks(batch)]
-            left.append(problem.consumption(batch, u))
-            batch = problem.step(batch, u)
-            right.append(problem.consumption(batch, u))
         evals += 2 * n * len(controls)
-        cons = np.column_stack(left + right)
-        return cons, np.column_stack(
-            slacks + [problem.domain_slacks(batch), cons]), batch
+        return problem.run(state0, controls)
 
     def replay(controls):
         """The payoff and final batch of one policy; no payoff unless it

@@ -6,9 +6,10 @@ computes another way: the time-to-build open-loop control equation
 capital-to-output coordinate change, the transport model's closed-form
 characteristics, the vintage model's Gamma0 kernel form and positivity
 kernel, the eigenpair's Rayleigh defect, the pollution model's running
-gain, the suboptimal probe with no reuse of its scaled controls, and a
-``csv.writer`` trajectory file.  None of them is run by the command line
-or the benchmark.
+gain, the suboptimal probe with no reuse of its scaled controls, the DP
+oracle's batch run as a loop over the steps, and a ``csv.writer``
+trajectory file.  None of them is run by the command line or the
+benchmark.
 """
 
 import csv
@@ -258,6 +259,38 @@ def unmemoized_suboptimality_margin(handle: ModelHandle, state0,
         handle, feedback=lambda x: scale(handle.feedback(x), control_scale))
     vm = value_match(probe, state0, T_end)
     return (vm.analytic - vm.total) / max(abs(vm.analytic), 1e-300)
+
+
+def oracle_batch_run(model, dt: float, state0: np.ndarray,
+                     controls: np.ndarray):
+    """``run`` of ``delay.oracle_problem(model, dt)`` as a loop over the
+    steps: a batch of state rows, one per row of ``controls``, advanced
+    one step at a time by delay.shift's arithmetic on every row, with the
+    band, consumptions and domain slacks read off each batch."""
+    w = delay._trapezoid_weights(model.xi, len(state0) - 1, model.lag)
+
+    def domain_slacks(batch):
+        g = batch[:, 0] + batch[:, 1:] @ w
+        return [g, model.room * batch[:, 0] - model.kappa * g]
+
+    def step(batch, u):
+        out = np.empty_like(batch)
+        out[:, 0] = batch[:, 0] + dt * (model.b * u + batch[:, -1])
+        out[:, 1] = out[:, 2] = model.c * u
+        out[:, 3:] = batch[:, 2:-1]
+        return out
+
+    batch = np.repeat(state0[np.newaxis], len(controls), axis=0)
+    left, right, slacks = [], [], []
+    for u in controls.T:
+        lo, hi = delay.band(model, batch[:, 0])
+        slacks += [u - lo, hi - u, *domain_slacks(batch)]
+        left.append(model.a * batch[:, 0] - u)
+        batch = step(batch, u)
+        right.append(model.a * batch[:, 0] - u)
+    cons = np.column_stack(left + right)
+    slacks = np.column_stack(slacks + domain_slacks(batch) + [cons])
+    return cons, slacks, batch
 
 
 def write_trajectory_csv(path, scenario, traj, chunk: int = 64) -> None:

@@ -616,6 +616,28 @@ class TestOracle:
         assert f"1000 steps, more than its {scenarios.ORACLE_MAX_STEPS}" in err
         assert not (out / "oracle.json").exists()
 
+    def test_zero_step_horizon_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 5 / rho at rho 1 in steps of T / 8 = 12.5 rounds to no step at
+        # all: refused before the seed rollout, as a horizon past the cap
+        import hjbkit.scenarios as scenarios
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the oracle rolled out or solved")
+
+        monkeypatch.setattr(scenarios, "_rollout", no_run)
+        monkeypatch.setattr(scenarios, "brute_force_value", no_run)
+        cfg = default_config("vintage-dde")
+        cfg["params"].update(T=100.0, rho=1.0)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run_cli(["oracle", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "params.rho" in err and "params.T" in err
+        assert "0 steps, fewer than 1" in err
+        assert not (out / "oracle.json").exists()
+
     @pytest.mark.parametrize("model, sigma", [("vintage-dde", 1.5),
                                               ("vintage-dde", 2.0),
                                               ("time-to-build", 1.5)])

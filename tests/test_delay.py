@@ -1,6 +1,7 @@
-"""The delay core's tail integral and residual test states, and the
-closed loops of the delay and age models, on state arrays, checked bit for
-bit against loops written over the public functions."""
+"""The delay core's tail integral and residual test states, the closed
+loops of the delay and age models, on state arrays, and the DP oracle's
+batch run, checked bit for bit against loops written over the public
+functions."""
 
 import dataclasses
 import functools
@@ -8,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import oracle_batch_run
 
 from hjbkit import delay, time_to_build, vintage_dde
 from hjbkit.errors import DomainError, DomainExitError, GridError
@@ -429,11 +431,12 @@ class TestStepSize:
         problem = delay.oracle_problem(model, 2.0 * dt)
         assert problem.dt == 2.0 * dt
         with pytest.raises(GridError, match="spacing"):
-            problem.to_batch(state0)
+            problem.run(state0, np.array([seed]))
         with pytest.raises(GridError, match="spacing"):
             brute_force_value(problem, state0, seed)
-        assert delay.oracle_problem(model, dt).to_batch(state0)[0][0] \
-            == state0[0]
+        cons, _, _ = delay.oracle_problem(model, dt).run(state0,
+                                                        np.array([seed]))
+        assert cons[0, 0] == model.a * state0[0] - seed[0]
 
     @pytest.mark.parametrize("bad", ["short", "long", "tiny", "2-D",
                                      "history"])
@@ -455,7 +458,7 @@ class TestStepSize:
                  lambda: handle.feedback(wrong),
                  lambda: handle.step(wrong, u),
                  lambda: handle.running_payoff(wrong, u),
-                 lambda: problem.to_batch(wrong)]
+                 lambda: problem.run(wrong, np.full((1, 3), u))]
         if bad in ("short", "long"):
             assert np.isfinite(delay.hjb_residual(model, wrong))
         else:
@@ -512,6 +515,68 @@ class TestStepSize:
         model = dataclasses.replace(hand_model(0.5, 0.3), sigma=sigma)
         with pytest.raises(AssumptionError, match="sigma < 1"):
             delay.oracle_problem(model, 0.25)
+
+
+ORACLE_RUNS = {"vintage-dde, 5/rho": ("vintage-dde", 8, 5.0, 44),
+               "time-to-build, 5/rho": ("time-to-build", 8, 5.0, 200),
+               "vintage-dde m 16, 20/rho": ("vintage-dde", 16, 20.0, 356)}
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_RUNS))
+def oracle_run(request):
+    """A delay default at the oracle's m: its model, step and start, the
+    feedback's seed over the horizon, and the steps that horizon takes."""
+    name, m, efoldings, steps = ORACLE_RUNS[request.param]
+    cfg = default_config(name)
+    cfg["numerics"]["m"] = m
+    sc = build_scenario(cfg)
+    model, dt = sc.spec.delay, sc.handle.dt
+    seed = np.array(_rollout(sc.handle, sc.state0,
+                             efoldings / model.rho).controls[:-1])
+    return model, dt, sc.state0, seed, steps
+
+
+class TestOracleRun:
+    """The oracle problem's whole-horizon ``run`` against the per-step
+    batch loop of tests/reference.py, bit for bit."""
+
+    def assert_same(self, oracle_run, controls, state0=None):
+        model, dt, default_start, _, _ = oracle_run
+        state0 = default_start if state0 is None else state0
+        got = delay.oracle_problem(model, dt).run(state0, controls)
+        want = oracle_batch_run(model, dt, state0, controls)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_one_row_runs_match_the_step_loop(self, oracle_run):
+        state0, seed, steps = oracle_run[2:]
+        assert len(seed) == steps
+        rng = np.random.default_rng(7)
+        jitter = 0.01 * rng.standard_normal(steps)
+        self.assert_same(oracle_run, seed[np.newaxis])
+        self.assert_same(oracle_run, (seed * (1.0 + jitter))[np.newaxis])
+        # a start whose every tail sample differs, its placeholder too
+        start = state0 * (1.0 + 0.01 * rng.standard_normal(len(state0)))
+        self.assert_same(oracle_run, seed[np.newaxis], start)
+
+    def test_impulse_batch_matches_the_step_loop(self, oracle_run):
+        # the rows brute_force_value builds its affine map from
+        n = oracle_run[4]
+        self.assert_same(oracle_run, np.vstack([np.zeros(n), np.eye(n)]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_control_or_start_is_a_grid_error(self, oracle_run,
+                                                           bad):
+        model, dt, state0, seed, _ = oracle_run
+        run = delay.oracle_problem(model, dt).run
+        controls = np.array([seed, seed])
+        controls[1, 2] = bad
+        with pytest.raises(GridError, match="non-finite"):
+            run(state0, controls)
+        start = state0.copy()
+        start[-1] = bad
+        with pytest.raises(GridError, match="non-finite"):
+            run(start, seed[np.newaxis])
 
 
 def reference_transport_handle(spec):

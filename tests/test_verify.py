@@ -254,19 +254,20 @@ class TestBruteForce:
         spec, handle, st = vintage
         seed = self.seed_for(handle, st, 5.0 / spec.rho)
         plain = brute_force_value(problem, st, seed)
+        # each step's slacks start with the band's two, u - lo and hi - u
+        band = np.arange(4 * len(seed)).reshape(-1, 4)[:, :2].ravel()
 
-        def narrower(batch):
-            lo, hi = problem.control_bounds(batch)
-            return (lo + 1e-6, hi - 1e-6) if len(lo) == 1 else (lo, hi)
+        def narrower(state0, controls):
+            cons, slacks, final = problem.run(state0, controls)
+            if len(controls) == 1:
+                slacks[:, band] -= 1e-6
+            return cons, slacks, final
 
         pulled = brute_force_value(
-            dataclasses.replace(problem, control_bounds=narrower), st, seed)
+            dataclasses.replace(problem, run=narrower), st, seed)
         assert pulled.lo < plain.lo <= pulled.lo + pulled.gap
-        batch = problem.to_batch(st)
-        for u in pulled.controls:
-            lo, hi = narrower(batch)
-            assert lo[0] < u < hi[0]
-            batch = problem.step(batch, u)
+        _, slacks, _ = narrower(st, pulled.controls[np.newaxis])
+        assert (slacks[0, band] > 0.0).all()
 
     def test_bracket_contains_analytic_value(self, vintage, problem):
         spec, handle, st = vintage
@@ -282,6 +283,18 @@ class TestBruteForce:
         seed[2] = np.inf
         with pytest.raises(GridError, match="non-finite"):
             brute_force_value(problem, st, seed)
+
+    def test_overflowing_batch_state_raises(self, vintage, problem):
+        # the head, dt * u summed over the steps, passes the float range
+        _, handle, st = vintage
+        seed = np.full(len(self.seed_for(handle, st, 3.0)), 1e308)
+        with pytest.raises(NumericsError, match="overflow"):
+            brute_force_value(problem, st, seed)
+
+    def test_empty_seed_raises(self, vintage, problem):
+        # a zero-step horizon has no controls to solve for
+        with pytest.raises(ValueError, match="empty"):
+            brute_force_value(problem, vintage[2], [])
 
     def test_suboptimality_direction_random_perturbations(self):
         # any admissible perturbed control scores at most the value, for
