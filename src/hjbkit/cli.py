@@ -17,6 +17,7 @@ fixed seed: no timestamps, sorted keys, and full-precision floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -48,6 +49,29 @@ def _json_ready(obj):
     return obj
 
 
+def _output_dir(args) -> Path:
+    """``--out``, created if absent; a path that cannot be a directory is
+    a ConfigError naming it."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc}") from None
+    return out
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """``path`` open for writing text; a file that cannot be written is a
+    ConfigError naming it."""
+    try:
+        with path.open("w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(path: Path, obj) -> None:
     """Strict JSON: a NaN or infinite figure is a NumericsError, and the
     file is not written."""
@@ -57,7 +81,8 @@ def _write_json(path: Path, obj) -> None:
     except ValueError as exc:
         raise NumericsError(f"{path.name} would hold a non-finite figure: "
                             f"{exc}") from None
-    path.write_text(text + "\n")
+    with _writing(path) as fh:
+        fh.write(text + "\n")
 
 
 def _read_config(path: str) -> dict:
@@ -100,7 +125,7 @@ def _write_trajectory_csv(path: Path, scenario, traj) -> None:
     A row is the ``repr`` of its floats joined by commas and ended by
     CRLF: the bytes of ``csv.writer``, since no float's repr (nor any
     column name) needs quoting."""
-    with path.open("w", newline="") as fh:
+    with _writing(path) as fh:
         for start in range(0, len(traj.times), CSV_CHUNK):
             rows = slice(start, start + CSV_CHUNK)
             cols = scenario.state_columns(traj.states[rows],
@@ -117,8 +142,7 @@ def _write_trajectory_csv(path: Path, scenario, traj) -> None:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     scenario = build_scenario(config)
     traj = scenario.simulate()
     vm = match_run(scenario.handle, scenario.state0, traj)
@@ -141,8 +165,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     report = verify_scenario(config, seed=args.seed)
     _write_json(out / "report.json", report.to_dict())
     status = "PASS" if report.passed else "FAIL"
@@ -157,8 +180,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     bracket, analytic = oracle_scenario(config)
     slack = config["tolerances"]["oracle_slack"]
     contained = bracket.contains(analytic, slack)

@@ -158,20 +158,14 @@ def diagnostics(model: DelayModel, x: np.ndarray) -> dict:
     return _report(model, x.item(0), gamma(x, model.xi, model.lag))
 
 
-def shift(model: DelayModel, x: np.ndarray, u: float) -> np.ndarray:
-    """The state array one sample of its own history on, holding the
-    control at u: the delayed term c*u(t-L) is the last entry, the newest
-    window slot x[1] a placeholder for u (corrected first), and the window
-    prepends c*u and drops its last entry.  A non-finite head or newest
-    sample is a GridError."""
-    return _shift(model, x, u, model.lag / (len(_state(model, x)) - 2))
-
-
 def _shift(model: DelayModel, x: np.ndarray, u: float,
            dt: float) -> np.ndarray:
-    """:func:`shift` of a state array already known to have the spacing
-    dt.  The head keeps x[-1]'s numpy-scalar arithmetic, so an overflow
-    under a loop's errstate raises there."""
+    """The state array x, of spacing dt, one sample on, holding the
+    control at u: the delayed term c*u(t-L) is the last entry, the newest
+    slot x[1] a placeholder for u (corrected first), and the window
+    prepends c*u and drops its last entry.  A non-finite head or newest
+    sample is a GridError; the head keeps x[-1]'s numpy-scalar arithmetic,
+    so an overflow under a loop's errstate raises there."""
     head = x.item(0) + dt * (model.b * u + x[-1])
     new = model.c * u
     if not (math.isfinite(head) and math.isfinite(new)):
@@ -189,7 +183,7 @@ def simulate(model: DelayModel, state0: np.ndarray,
     state array state0, which is not written.
 
     The step dt is the history spacing L/m, so the delayed term is always
-    a stored sample and the window shifts exactly (:func:`shift`'s
+    a stored sample and the window shifts exactly (:func:`_shift`'s
     arithmetic, whose result is the Euler predictor; the loop's own array
     needs no spacing check).  The newest slot starts as a
     placeholder (the previous control) and is corrected by one fixed-point
@@ -326,7 +320,7 @@ def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
     holds for sigma < 1 only, so any other sigma is an AssumptionError.
 
     ``run`` builds every state of every row with no loop over the steps,
-    in :func:`shift`'s arithmetic.  Past its newest slot (c times the last
+    in :func:`_shift`'s arithmetic.  Past its newest slot (c times the last
     control, or the start's placeholder), each tail is a sliding window
     over [c u reversed, start tail]; the heads are one in-order cumulative
     sum of [x0, dt (b u_k + oldest_k)]; Gamma is one product of the tails,

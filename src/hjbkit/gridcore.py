@@ -52,9 +52,6 @@ class CircleGrid:
     def nodes(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n) / self.n
 
-    def field(self, values) -> "Field":
-        return Field(self, np.asarray(values, dtype=float))
-
     def constant(self, c: float) -> "Field":
         return Field(self, np.full(self.n, float(c)))
 
@@ -337,7 +334,6 @@ class CNOperator:
         # in row j of A (k = 0) and of E (k = 1)
         self._rows = np.array(((-half * lo, 1.0 - half * di, -half * up),
                                (half * lo, 1.0 + half * di, half * up)))
-        self.explicit = tuple(self._rows[1])
         self.implicit = CyclicTridiagonal(*self._rows[0])
         j = np.arange(n)
         self._neighbours = np.array((j - 1, j, j + 1))  # taken mod n
@@ -439,10 +435,6 @@ class HistorySegment:
     def dt(self) -> float:
         return self.d / self.m
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(-self.d, 0.0, self.m + 1)
-
     @classmethod
     def from_function(cls, d: float, m: int, fn) -> "HistorySegment":
         s = np.linspace(-d, 0.0, m + 1)
@@ -513,10 +505,6 @@ class Trajectory:
                            or not np.allclose(steps, steps[0], rtol=1e-9)):
             raise ValueError("times must increase with a constant step")
         object.__setattr__(self, "times", t)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def payoff(self) -> float:

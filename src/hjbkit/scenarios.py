@@ -242,7 +242,9 @@ def validate_config(config: dict) -> dict:
                 raise ConfigError(f"{block}.{key} must be positive, got {val}")
         out[block] = cleaned
     tol = dict(DEFAULT_TOLERANCES)
-    extra = config.get("tolerances") or {}
+    extra = {} if config.get("tolerances") is None else config["tolerances"]
+    if not isinstance(extra, dict):
+        raise ConfigError("block 'tolerances' must be an object")
     unknown_tol = set(extra) - set(tol)
     if unknown_tol:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown_tol)}")
@@ -517,7 +519,7 @@ def _build_vintage(config):
         return {
             "capital": [x.item(0) for x in states],
             "investment": controls,
-            "gamma0": [delay.gamma(x, spec.xi.xi, spec.T_scrap)
+            "gamma0": [delay.gamma(x, spec.xi, spec.T_scrap)
                        for x in states],
         }
 
@@ -528,7 +530,7 @@ def _build_vintage(config):
             spec, iota0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),
         residual_fn=lambda st: vintage_dde.hjb_residual_vintage(spec, st),
-        derived={"xi": spec.xi.xi, "nu": spec.nu, "mpc": spec.mpc,
+        derived={"xi": spec.xi, "nu": spec.nu, "mpc": spec.mpc,
                  "growth_rate": spec.growth_rate,
                  "interior_condition": vintage_dde.interior_condition(spec)},
         state_columns=columns,
@@ -589,7 +591,7 @@ def _build_ttb(config):
         return {
             "output": output,
             "control": controls,
-            "gamma": [delay.gamma(x, spec.xi.xi, spec.d) for x in states],
+            "gamma": [delay.gamma(x, spec.xi, spec.d) for x in states],
             "consumption": (spec.Atilde / spec.A)
             * (output - np.asarray(controls, dtype=float)),
         }
@@ -601,7 +603,7 @@ def _build_ttb(config):
             spec, q0, u0, num["T_end"]),
         sample_state=functools.partial(_delay_test_state, spec.delay),
         residual_fn=lambda st: time_to_build.hjb_residual_ttb(spec, st),
-        derived={"xi": spec.xi.xi, "nu": spec.nu, "alpha_mpc": spec.alpha_mpc,
+        derived={"xi": spec.xi, "nu": spec.nu, "alpha_mpc": spec.alpha_mpc,
                  "Atilde": spec.Atilde, "growth_rate": spec.growth_rate},
         state_columns=columns,
         # the optimal adjusted investment is small next to the output at

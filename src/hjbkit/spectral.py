@@ -34,15 +34,6 @@ class EigenPair:
     e0: Field
 
 
-@dataclass(frozen=True)
-class CharRoot:
-    """Positive root of a transcendental characteristic equation, with the
-    defining equation's defect at the root."""
-
-    xi: float
-    residual: float
-
-
 def principal_eigenpair(A_coeff: Field) -> EigenPair:
     """Largest eigenpair of the discrete operator f -> f'' + A_coeff * f on
     A_coeff's grid.
@@ -140,7 +131,8 @@ def transport_resolvent(alpha: np.ndarray, rho: float, mu: float,
 
 
 def _bisect_then_newton(f, fprime, lo, hi, target_resid=1e-12):
-    """Certified bracket bisection followed by Newton polish."""
+    """Certified bracket bisection followed by Newton polish, to a root x
+    with |f(x)| < target_resid (a NumericsError otherwise)."""
     flo = f(lo)
     fhi = f(hi)
     if flo * fhi > 0.0:
@@ -163,7 +155,7 @@ def _bisect_then_newton(f, fprime, lo, hi, target_resid=1e-12):
     for _ in range(50):
         fx = f(x)
         if abs(fx) < target_resid:
-            return x, fx
+            return float(x)
         dfx = fprime(x)
         if dfx == 0.0:
             break
@@ -171,10 +163,10 @@ def _bisect_then_newton(f, fprime, lo, hi, target_resid=1e-12):
     fx = f(x)
     if abs(fx) >= target_resid:
         raise NumericsError(f"root polish stalled at residual {fx:.3e}")
-    return x, fx
+    return float(x)
 
 
-def char_root_vintage(A: float, T: float) -> CharRoot:
+def char_root_vintage(A: float, T: float) -> float:
     """Unique positive root of z = A(1 - exp(-zT)).
 
     Exists iff A*T > 1; then f(z) = A(1 - exp(-zT)) - z is positive just
@@ -194,18 +186,17 @@ def char_root_vintage(A: float, T: float) -> CharRoot:
     def fp(z):
         return A * T * np.exp(-z * T) - 1.0
 
-    xi, resid = _bisect_then_newton(f, fp, A * 1e-12, A)
-    return CharRoot(float(xi), float(resid))
+    return _bisect_then_newton(f, fp, A * 1e-12, A)
 
 
-def char_root_ttb(Atilde: float, d: float) -> CharRoot:
+def char_root_ttb(Atilde: float, d: float) -> float:
     """Unique positive root of z = Atilde * exp(-z d); equals Atilde at d = 0."""
     if Atilde <= 0.0:
         raise ValueError(f"Atilde must be positive, got {Atilde}")
     if d < 0.0:
         raise ValueError(f"delay must be nonnegative, got {d}")
     if d == 0.0:
-        return CharRoot(float(Atilde), 0.0)
+        return float(Atilde)
 
     def f(z):
         return Atilde * np.exp(-z * d) - z
@@ -213,5 +204,4 @@ def char_root_ttb(Atilde: float, d: float) -> CharRoot:
     def fp(z):
         return -Atilde * d * np.exp(-z * d) - 1.0
 
-    xi, resid = _bisect_then_newton(f, fp, 0.0, Atilde)
-    return CharRoot(float(xi), float(resid))
+    return _bisect_then_newton(f, fp, 0.0, Atilde)

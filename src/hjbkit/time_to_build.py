@@ -32,7 +32,7 @@ from . import delay
 from .delay import DelayModel
 from .errors import AssumptionError, closed_form_constant
 from .gridcore import HistorySegment, Trajectory
-from .spectral import CharRoot, char_root_ttb
+from .spectral import char_root_ttb
 from .verify import ModelHandle
 
 
@@ -47,14 +47,14 @@ class TTBSpec:
     sigma_crra: float
     rho: float
     Atilde: float
-    xi: CharRoot
+    xi: float
     alpha_mpc: float
     nu: float
 
     @property
     def growth_rate(self) -> float:
         """Closed-loop growth rate (xi - rho)/sigma of Gamma."""
-        return (self.xi.xi - self.rho) / self.sigma_crra
+        return (self.xi - self.rho) / self.sigma_crra
 
     @property
     def utility_rescale(self) -> float:
@@ -68,7 +68,7 @@ class TTBSpec:
     def delay(self) -> DelayModel:
         """Delay-core constants; the output is not determined by the
         control window, so it enters the tail bound's envelope."""
-        return DelayModel(lag=self.d, xi=self.xi.xi, nu=self.nu,
+        return DelayModel(lag=self.d, xi=self.xi, nu=self.nu,
                           sigma=self.sigma_crra, rho=self.rho, a=1.0, b=0.0,
                           c=self.Atilde, kappa=self.alpha_mpc,
                           room=self.A / self.Atilde, head_envelope=1.0,
@@ -92,8 +92,7 @@ def build_ttb_spec(A: float, delta_dep: float, d: float, sigma_crra: float,
         raise AssumptionError(
             f"net productivity must be positive: A - delta = {Atilde}"
         )
-    root = char_root_ttb(Atilde, d)
-    xi = root.xi
+    xi = char_root_ttb(Atilde, d)
     if rho <= xi * (1.0 - sigma_crra):
         raise AssumptionError(
             "finite-utility condition failed: need rho > xi*(1-sigma), "
@@ -102,7 +101,7 @@ def build_ttb_spec(A: float, delta_dep: float, d: float, sigma_crra: float,
     alpha_mpc = (rho - xi * (1.0 - sigma_crra)) / (sigma_crra * xi)
     with np.errstate(all="ignore"):  # judged by closed_form_constant
         nu = np.float64(alpha_mpc) ** (-sigma_crra) / xi
-    spec = TTBSpec(A, delta_dep, d, sigma_crra, rho, Atilde, root,
+    spec = TTBSpec(A, delta_dep, d, sigma_crra, rho, Atilde, xi,
                    float(alpha_mpc), closed_form_constant("nu", nu, sigma_crra))
     closed_form_constant("(Atilde/A)^(1-sigma)", spec.utility_rescale,
                          sigma_crra)

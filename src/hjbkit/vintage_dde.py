@@ -31,7 +31,7 @@ from . import delay
 from .delay import DelayModel
 from .errors import AssumptionError, DomainError, closed_form_constant
 from .gridcore import HistorySegment, Trajectory, trapezoid
-from .spectral import CharRoot, char_root_vintage
+from .spectral import char_root_vintage
 from .verify import ModelHandle
 
 
@@ -44,14 +44,14 @@ class VintageSpec:
     T_scrap: float
     sigma_crra: float
     rho: float
-    xi: CharRoot
+    xi: float
     nu: float
 
     @property
     def mpc(self) -> float:
         """Marginal propensity to consume out of equivalent capital,
         (rho - xi(1-sigma))/sigma; consumption is mpc*(A/xi)*Gamma0."""
-        return (self.rho - self.xi.xi * (1.0 - self.sigma_crra)) / self.sigma_crra
+        return (self.rho - self.xi * (1.0 - self.sigma_crra)) / self.sigma_crra
 
     @property
     def feedback_coefficient(self) -> float:
@@ -60,18 +60,18 @@ class VintageSpec:
         s = self.sigma_crra
         with np.errstate(all="ignore"):  # judged by closed_form_constant
             return float(np.float64(self.nu) ** (-1.0 / s)
-                         * np.float64(self.A / self.xi.xi) ** (1.0 / s))
+                         * np.float64(self.A / self.xi) ** (1.0 / s))
 
     @property
     def growth_rate(self) -> float:
         """Closed-loop growth rate (xi - rho)/sigma of Gamma0."""
-        return (self.xi.xi - self.rho) / self.sigma_crra
+        return (self.xi - self.rho) / self.sigma_crra
 
     @cached_property
     def delay(self) -> DelayModel:
         """Delay-core constants; the head is the window's integral, so it
         adds nothing to the tail bound's envelope."""
-        return DelayModel(lag=self.T_scrap, xi=self.xi.xi, nu=self.nu,
+        return DelayModel(lag=self.T_scrap, xi=self.xi, nu=self.nu,
                           sigma=self.sigma_crra, rho=self.rho, a=self.A,
                           b=1.0, c=-1.0, kappa=self.feedback_coefficient,
                           room=self.A, head_envelope=0.0,
@@ -84,8 +84,7 @@ def build_vintage_spec(A: float, T_scrap: float, sigma_crra: float,
         raise ValueError(f"sigma must be positive and != 1, got {sigma_crra}")
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    root = char_root_vintage(A, T_scrap)  # enforces the growth condition A*T > 1
-    xi = root.xi
+    xi = char_root_vintage(A, T_scrap)  # enforces the growth condition A*T > 1
     if rho <= xi * (1.0 - sigma_crra):
         raise AssumptionError(
             "finite-utility condition failed: need rho > xi*(1-sigma), "
@@ -94,7 +93,7 @@ def build_vintage_spec(A: float, T_scrap: float, sigma_crra: float,
     g = (rho - xi * (1.0 - sigma_crra)) / sigma_crra
     with np.errstate(all="ignore"):  # judged by closed_form_constant
         nu = np.float64(g) ** -sigma_crra * np.float64(A / xi) ** (1 - sigma_crra)
-    spec = VintageSpec(A, T_scrap, sigma_crra, rho, root,
+    spec = VintageSpec(A, T_scrap, sigma_crra, rho, xi,
                        closed_form_constant("nu", nu, sigma_crra))
     closed_form_constant("kappa", spec.feedback_coefficient, sigma_crra)
     return spec

@@ -66,14 +66,14 @@ def openloop_dde_residual(spec: TTBSpec, traj: Trajectory) -> float:
     leaves an O(dt + m^-2) residual that shrinks under refinement.
     """
     u = np.asarray([float(c) for c in traj.controls])
-    dt = traj.dt
+    dt = traj.times[1] - traj.times[0]
     m = int(round(spec.d / dt))
     if not np.isclose(m * dt, spec.d, rtol=1e-9):
         raise ValueError("trajectory step does not divide the lag")
     if len(u) < m + 3:
         raise ValueError("trajectory too short: need at least one lag plus "
                          "two samples for the centered derivative")
-    xi = spec.xi.xi
+    xi = spec.xi
     al = spec.alpha_mpc
     worst = 0.0
     window_weights = np.exp(-xi * dt * np.arange(m + 1))
@@ -113,7 +113,7 @@ def integrate_openloop_dde(spec: TTBSpec, q0: float,
     m = u0_history.m
     n_steps = int(round(T_end / dt))
     times = dt * np.arange(n_steps + 1)
-    xi, al = spec.xi.xi, spec.alpha_mpc
+    xi, al = spec.xi, spec.alpha_mpc
     At = spec.Atilde
     exd = np.exp(-xi * spec.d)
     x0 = delay.lift(spec.delay, q0, u0_history)
@@ -214,7 +214,7 @@ def optimal_trajectory_closed_form(spec: TransportSpec, z0, t: float) -> np.ndar
 def gamma0_from_history(iota: HistorySegment, xi: float) -> float:
     """Cross-check form Gamma0 = int_{-T}^0 iota(u) (1 - e^{-xi(u+T)}) du,
     valid when the head equals the history integral."""
-    u = iota.nodes
+    u = np.linspace(-iota.d, 0.0, iota.m + 1)
     w = 1.0 - np.exp(-xi * (u + iota.d))
     return trapezoid(w * iota.values, iota.dt)
 
@@ -227,7 +227,7 @@ def positivity_kernel(spec: VintageSpec, s) -> np.ndarray | float:
     histories propagate positive investment.
     """
     s = np.asarray(s, dtype=float)
-    xi = spec.xi.xi
+    xi = spec.xi
     out = spec.A - spec.mpc * (spec.A / xi) * (
         1.0 - np.exp(xi * (-spec.T_scrap - s)))
     return out if out.ndim else float(out)
@@ -265,7 +265,7 @@ def oracle_batch_run(model, dt: float, state0: np.ndarray,
                      controls: np.ndarray):
     """``run`` of ``delay.oracle_problem(model, dt)`` as a loop over the
     steps: a batch of state rows, one per row of ``controls``, advanced
-    one step at a time by delay.shift's arithmetic on every row, with the
+    one step at a time by delay._shift's arithmetic on every row, with the
     band, consumptions and domain slacks read off each batch."""
     w = delay._trapezoid_weights(model.xi, len(state0) - 1, model.lag)
 

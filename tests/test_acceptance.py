@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from hjbkit.gridcore import CircleGrid, HistorySegment, inner_product, quad_circle
+from hjbkit.gridcore import (CircleGrid, Field, HistorySegment, inner_product,
+                             quad_circle)
 from hjbkit.scenarios import (MODELS, build_scenario, default_config,
                               oracle_scenario, residual_study)
 from hjbkit.spectral import char_root_ttb, char_root_vintage, principal_eigenpair
@@ -54,12 +55,13 @@ def test_criterion_1_eigen_correctness():
 
 
 def test_criterion_2_characteristic_roots():
-    r1 = char_root_vintage(1.0, 2.0)
-    r2 = char_root_ttb(0.3, 1.0)
-    ok_resid = abs(r1.residual) < 1e-12 and abs(r2.residual) < 1e-12
+    # each root's defect in its defining equation, evaluated here
+    xi1, xi2 = char_root_vintage(1.0, 2.0), char_root_ttb(0.3, 1.0)
+    r1, r2 = -np.expm1(-2.0 * xi1) - xi1, 0.3 * np.exp(-xi2) - xi2
+    ok_resid = abs(r1) < 1e-12 and abs(r2) < 1e-12
     xi_star, d = 0.2, 2.0
     round_trip = char_root_ttb(xi_star * np.exp(xi_star * d), d)
-    ok_round = abs(round_trip.xi - xi_star) < 1e-12
+    ok_round = abs(round_trip - xi_star) < 1e-12
     from hjbkit.errors import AssumptionError
     try:
         char_root_vintage(1.0, 1.0)
@@ -67,8 +69,8 @@ def test_criterion_2_characteristic_roots():
     except AssumptionError:
         ok_reject = True
     report(2, ok_resid and ok_round and ok_reject,
-           f"residuals ({abs(r1.residual):.1e}, {abs(r2.residual):.1e}) "
-           f"< 1e-12, inversion gap {abs(round_trip.xi - xi_star):.1e}, "
+           f"residuals ({abs(r1):.1e}, {abs(r2):.1e}) "
+           f"< 1e-12, inversion gap {abs(round_trip - xi_star):.1e}, "
            f"A*T <= 1 rejected: {ok_reject}")
 
 
@@ -175,7 +177,7 @@ def test_criterion_8_balanced_growth(scenarios):
 
     sc = scenarios["spatial-growth"]
     traj = sc.simulate()
-    pair = np.array([inner_product(sc.spec.grid.field(y), sc.spec.beta)
+    pair = np.array([inner_product(Field(sc.spec.grid, y), sc.spec.beta)
                      for y in traj.states])
     slope = np.polyfit(traj.times, np.log(pair), 1)[0]
     ok = abs(slope - sc.spec.growth_rate) < 1e-3
@@ -185,7 +187,7 @@ def test_criterion_8_balanced_growth(scenarios):
     for name in ("vintage-dde", "time-to-build"):
         sc = scenarios[name]
         traj = sc.simulate()
-        xi, lag = sc.spec.xi.xi, sc.spec.delay.lag
+        xi, lag = sc.spec.xi, sc.spec.delay.lag
         gs = np.array([delay.gamma(x, xi, lag) for x in traj.states])
         slope = np.polyfit(traj.times, np.log(gs), 1)[0]
         ok = abs(slope - sc.spec.growth_rate) < 1e-3

@@ -3,7 +3,17 @@ function and class there is used as code somewhere other than its own
 definition -- in ``src/``, in the benchmark's ``perfbench/*.py`` or in a
 README ```python example.  A name only the tests call belongs in
 ``tests/reference.py``.  A docstring, comment or string mention is not a
-use: the check reads names and attributes from the syntax tree."""
+use: the check reads names and attributes from the syntax tree.  In a
+module, a bare name is a use only where that module imports the name or
+defines it at top level, so a local variable that shares a function's
+name does not keep the function.
+
+The same holds for the public members of those classes: each method,
+property and ``self`` attribute is read as an attribute somewhere.  An
+attribute is matched by name alone, so members that share a name (such
+as ``dt`` or ``nodes``) count as used together.  The exceptions'
+attributes in ``errors.py`` are for whoever catches them, and the
+dataclass fields are the records' contents, so neither is checked."""
 
 import ast
 import re
@@ -27,6 +37,19 @@ def _names(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _module_uses(tree) -> Counter:
+    """:func:`_names` of a module, with a bare name kept only where the
+    module imports it or defines it at top level."""
+    own = {alias.asname or alias.name for node in ast.walk(tree)
+           if isinstance(node, (ast.Import, ast.ImportFrom))
+           for alias in node.names}
+    own.update(node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    return _names(tree) - Counter(node.id for node in ast.walk(tree)
+                                  if isinstance(node, ast.Name)
+                                  and node.id not in own)
+
+
 def _definitions():
     """(module, name, references inside its own definition) of every
     public top-level function and class."""
@@ -37,14 +60,42 @@ def _definitions():
                 yield path.stem, node.name, _names(node)[node.name]
 
 
-USES = sum((_names(ast.parse(path.read_text())) for path in USERS),
-           Counter()) + sum((_names(ast.parse(code)) for code in EXAMPLES),
-                            Counter())
+def _members():
+    """(module, class, member) of every public method, property and
+    ``self`` attribute of a public class outside ``errors.py``."""
+    for path in SRC:
+        if path.stem == "errors":
+            continue
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            names = [node.name for node in cls.body
+                     if isinstance(node, ast.FunctionDef)]
+            names += [node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"]
+            for name in dict.fromkeys(names):
+                if not name.startswith("_"):
+                    yield path.stem, cls.name, name
+
+
+USER_TREES = [ast.parse(path.read_text()) for path in USERS]
+EXAMPLE_TREES = [ast.parse(code) for code in EXAMPLES]
+USES = sum(map(_module_uses, USER_TREES), Counter()) \
+    + sum(map(_names, EXAMPLE_TREES), Counter())
+READS = Counter(node.attr for tree in USER_TREES + EXAMPLE_TREES
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load))
 DEFINITIONS = list(_definitions())
+MEMBERS = list(_members())
 
 
 def test_the_sources_define_public_names():
     assert len(DEFINITIONS) > 50
+    assert len(MEMBERS) > 20
 
 
 @pytest.mark.parametrize("module, name, own", DEFINITIONS,
@@ -53,3 +104,11 @@ def test_public_name_is_used(module, name, own):
     assert USES[name] > own, (
         f"{module}.{name} is used nowhere but its own definition in src/, "
         "perfbench/ or README's examples")
+
+
+@pytest.mark.parametrize("module, cls, name", MEMBERS,
+                         ids=[f"{m}.{c}.{n}" for m, c, n in MEMBERS])
+def test_public_member_is_read(module, cls, name):
+    assert READS[name], (
+        f"{module}.{cls}.{name} is read nowhere in src/, perfbench/ or "
+        "README's examples")

@@ -10,6 +10,7 @@ from reference import write_trajectory_csv
 
 from hjbkit.cli import CSV_CHUNK, _write_trajectory_csv, main
 from hjbkit.errors import ConfigError
+from hjbkit.gridcore import Field
 from hjbkit.scenarios import (MODELS, build_scenario, default_config,
                               refine_config, validate_config)
 
@@ -25,6 +26,14 @@ class TestConfigValidation:
             cfg = validate_config(default_config(model))
             assert cfg["model"] == model
             assert "tolerances" in cfg
+
+    def test_absent_or_null_tolerances_keep_the_defaults(self):
+        cfg = default_config("vintage-dde")
+        want = validate_config(cfg)["tolerances"]
+        cfg["tolerances"] = None
+        assert validate_config(cfg)["tolerances"] == want
+        del cfg["tolerances"]
+        assert validate_config(cfg)["tolerances"] == want
 
     def test_missing_key_named(self):
         cfg = default_config("vintage-dde")
@@ -91,16 +100,16 @@ def _reference_row(sc, state, control):
     from hjbkit.gridcore import inner_product, quad_circle
     spec = sc.spec
     if sc.name == "spatial-growth":
-        x, c = spec.grid.field(state), spec.grid.field(control)
+        x, c = Field(spec.grid, state), Field(spec.grid, control)
         return [quad_circle(x), inner_product(x, spec.beta), x.min(),
                 inner_product(c, spec.N_pop)]
     if sc.name == "pollution":
-        x, i = spec.grid.field(state), spec.grid.field(control)
+        x, i = Field(spec.grid, state), Field(spec.grid, control)
         return [quad_circle(x), x.min(), x.max(), inner_product(spec.eta, i)]
     if sc.name == "vintage-transport":
         return [spec.age.quad(state), float(np.min(state)),
                 float(control[0])]
-    head, gamma = state[0], delay.gamma(state, spec.xi.xi, spec.delay.lag)
+    head, gamma = state[0], delay.gamma(state, spec.xi, spec.delay.lag)
     if sc.name == "vintage-dde":
         return [head, float(control), gamma]
     return [head, float(control), gamma,
@@ -431,6 +440,49 @@ def test_tiny_dt_exits_2(tmp_path, capsys):
     assert "numerics.T_end / numerics.dt x numerics.n" in err
     assert "work budget" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("block", [5, True, 0, [], [1], "x"],
+                         ids=["5", "true", "0", "[]", "[1]", "x"])
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+def test_tolerances_block_must_be_an_object(tmp_path, capsys, command,
+                                            block):
+    # 5 and true used to end in a TypeError traceback, 0, false and []
+    # passed as "no overrides", and [1] read as an unknown tolerance key
+    cfg = default_config("vintage-dde")
+    cfg["tolerances"] = block
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "block 'tolerances' must be an object" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, written", [
+    ("run", "trajectory.csv"), ("verify", "report.json"),
+    ("oracle", "oracle.json")])
+@pytest.mark.parametrize("where", ["file", "under-a-file", "directory"])
+def test_unusable_out_exits_2(tmp_path, capsys, command, written, where):
+    # --out naming a file, or a path under one, used to end in a
+    # FileExistsError or NotADirectoryError traceback; an output file that
+    # cannot be written (here a directory in its place) is named the same
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker if where == "file" else blocker / "out"
+    named = out
+    if where == "directory":
+        out = tmp_path / "out"
+        named = out / written
+        named.mkdir(parents=True)
+    assert run_cli([command, "--model", "vintage-dde", "--out",
+                    str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
 
 
 class TestVerify:

@@ -57,8 +57,9 @@ def spacing(model, x):
 def reference_simulate(model, state0, T_end):
     """delay.simulate written over the public functions: the feedback is
     delay.feedback, with no weights of its own, and the predictor is the
-    state delay.shift returns, whose head is then corrected."""
+    state a handle's step returns, whose head is then corrected."""
     dt = spacing(model, state0)
+    step = delay.make_handle(model, dt).step
 
     def control(state, t):
         try:
@@ -83,7 +84,7 @@ def reference_simulate(model, state0, T_end):
         integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
         if n == n_steps:
             break
-        pred = delay.shift(model, state, u)
+        pred = step(state, u)
         u_pred = control(pred, float(times[n + 1])) if b else 0.0
         pred[0] = x0 + 0.5 * dt * ((b * u + state[-1])
                                    + (b * u_pred + state[-2]))
@@ -317,9 +318,11 @@ def policy(handle, scale):
 
 
 def public_delay_handle(model, dt):
-    """The delay handle written over the public functions, with the domain
-    tested apart from the feedback; the feedback must raise DomainError on
-    exactly the states that test rejects."""
+    """The delay handle's value and feedback written over the public
+    functions, with the domain tested apart from the feedback; the feedback
+    must raise DomainError on exactly the states that test rejects.  The
+    step and payoff are the handle's own."""
+    own = delay.make_handle(model, dt)
 
     def feedback(state):
         if in_domain(model, state):
@@ -331,8 +334,8 @@ def public_delay_handle(model, dt):
     return ModelHandle(
         value=functools.partial(delay.value, model),
         feedback=feedback,
-        step=functools.partial(delay.shift, model),
-        running_payoff=delay.make_handle(model, dt).running_payoff,
+        step=own.step,
+        running_payoff=own.running_payoff,
         rho=model.rho,
         dt=dt,
         diagnostics=functools.partial(delay.diagnostics, model),
@@ -390,7 +393,7 @@ class TestStepSize:
         u = delay.feedback(model, state0)
         for m in (M, 2 * M):
             state = np.r_[state0[0], np.full(m + 1, state0[-1])]
-            got = delay.shift(model, state, u)
+            got = delay.make_handle(model, model.lag / m).step(state, u)
             assert got[0] == state[0] + model.lag / m * (
                 model.b * u + state[-1])
             assert len(got) == m + 2

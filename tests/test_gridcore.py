@@ -8,12 +8,13 @@ import scipy.integrate
 import sympy as sp
 
 from hjbkit.errors import GridError, NumericsError
-from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
+from hjbkit.gridcore import (CircleGrid, CNOperator, Field, HistorySegment,
                              AgeGrid, Trajectory, cn_step,
                              inner_product, quad_circle,
                              lapack_gttr, sl_apply,
                              solve_periodic_tridiagonal,
-                             apply_periodic_tridiagonal, trapezoid)
+                             apply_periodic_tridiagonal, trapezoid,
+                             _stencil_coefficients)
 
 GRID = CircleGrid(64)
 THETA = GRID.nodes
@@ -144,8 +145,8 @@ class TestSlApply:
         sigma = GRID.from_function(lambda t: 1.0 + 0.3 * np.sin(t))
         zeroth = GRID.from_function(lambda t: 0.5 * np.cos(2 * t))
         for _ in range(5):
-            f = GRID.field(rng.normal(size=GRID.n))
-            g = GRID.field(rng.normal(size=GRID.n))
+            f = Field(GRID, rng.normal(size=GRID.n))
+            g = Field(GRID, rng.normal(size=GRID.n))
             lhs = inner_product(sl_apply(sigma, zeroth, f), g)
             rhs = inner_product(f, sl_apply(sigma, zeroth, g))
             assert abs(lhs - rhs) < 1e-10
@@ -244,7 +245,7 @@ class TestCyclicSolve:
 class TestCnStep:
     def test_constant_invariant_under_pure_diffusion(self):
         y = GRID.constant(3.2)
-        out = GRID.field(cn_step(
+        out = Field(GRID, cn_step(
             CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.05),
             y.values, GRID.constant(0.0).values))
         assert np.allclose(out.values, 3.2, atol=1e-13)
@@ -253,7 +254,7 @@ class TestCnStep:
         # constant-in-theta state: CN reduces to the scalar map
         lam, dt = -0.4, 0.02
         y = GRID.constant(1.0)
-        out = GRID.field(cn_step(
+        out = Field(GRID, cn_step(
             CNOperator(GRID.constant(1.0), GRID.constant(lam), dt),
             y.values, GRID.constant(0.0).values))
         expected = (1.0 + lam * dt / 2.0) / (1.0 - lam * dt / 2.0)
@@ -266,18 +267,18 @@ class TestCnStep:
         y = g.from_function(np.cos)
         sigma, zeroth, src = g.constant(1.0), g.constant(0.0), g.constant(0.0)
         for _ in range(int(round(t_end / dt))):
-            y = g.field(cn_step(CNOperator(sigma, zeroth, dt), y.values,
-                                src.values))
+            y = Field(g, cn_step(CNOperator(sigma, zeroth, dt), y.values,
+                                 src.values))
         # discrete decay rate is the stencil eigenvalue, off by O(h^2)
         err = np.max(np.abs(y.values - np.exp(-t_end) * np.cos(g.nodes)))
         assert err < t_end * ((2 * np.pi / n) ** 2 + dt ** 2)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(11)
-        y = GRID.field(1.0 + 0.5 * rng.random(GRID.n))
+        y = Field(GRID, 1.0 + 0.5 * rng.random(GRID.n))
         sigma = GRID.from_function(lambda t: 1.0 + 0.4 * np.cos(t))
-        out = GRID.field(cn_step(CNOperator(sigma, GRID.constant(0.0), 0.1),
-                                 y.values, GRID.constant(0.0).values))
+        out = Field(GRID, cn_step(CNOperator(sigma, GRID.constant(0.0), 0.1),
+                                  y.values, GRID.constant(0.0).values))
         assert abs(quad_circle(out) - quad_circle(y)) < 1e-10
 
     def test_rejects_bad_dt(self):
@@ -293,14 +294,14 @@ class TestCnStep:
         src = g.from_function(lambda t: 1.0 + np.sin(3.0 * t))
         y = g.from_function(lambda t: 2.0 + np.cos(t))
         # dense L from the stencil's action on the unit vectors
-        L = np.column_stack([sl_apply(sigma, zeroth, g.field(e)).values
+        L = np.column_stack([sl_apply(sigma, zeroth, Field(g, e)).values
                              for e in np.eye(n)])
         eye = np.eye(n)
         want = np.linalg.solve(eye - 0.5 * dt * L,
                                (eye + 0.5 * dt * L) @ y.values
                                + dt * src.values)
-        out = g.field(cn_step(CNOperator(sigma, zeroth, dt), y.values,
-                              src.values))
+        out = Field(g, cn_step(CNOperator(sigma, zeroth, dt), y.values,
+                               src.values))
         assert np.allclose(out.values, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n, check", [(16, "rank-one update"),
@@ -342,10 +343,10 @@ class TestCnStep:
         op = CNOperator(sigma, zeroth, 0.05)
         y = fresh = GRID.from_function(np.cos)
         for _ in range(5):
-            y = GRID.field(cn_step(op, y.values, GRID.constant(0.5).values))
-            fresh = GRID.field(cn_step(CNOperator(sigma, zeroth, 0.05),
-                                       fresh.values,
-                                       GRID.constant(0.5).values))
+            y = Field(GRID, cn_step(op, y.values, GRID.constant(0.5).values))
+            fresh = Field(GRID, cn_step(CNOperator(sigma, zeroth, 0.05),
+                                        fresh.values,
+                                        GRID.constant(0.5).values))
         assert np.array_equal(y.values, fresh.values)
 
     @staticmethod
@@ -357,15 +358,18 @@ class TestCnStep:
     def test_fused_step_matches_reference(self):
         # the stacked product must give the bits of a separate explicit
         # matvec followed by a fresh cyclic solve, step after step
-        _, _, op = self._varying_operator()
+        sigma, zeroth, op = self._varying_operator()
         imp = op.implicit
+        lo, di, up = _stencil_coefficients(sigma, zeroth)
+        half = 0.5 * op.dt
+        explicit = (half * lo, 1.0 + half * di, half * up)  # I + dt/2 L
         rng = np.random.default_rng(5)
         y = 1.0 + rng.random(GRID.n)
         for _ in range(200):
             source = rng.random(GRID.n)
             want = solve_periodic_tridiagonal(
                 imp.lo, imp.di, imp.up,
-                apply_periodic_tridiagonal(*op.explicit, y) + op.dt * source)
+                apply_periodic_tridiagonal(*explicit, y) + op.dt * source)
             y = cn_step(op, y, source)
             assert (y == want).all()
 

@@ -3,8 +3,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from hjbkit.errors import GridError, NumericsError
-from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
-                             quad_circle)
+from hjbkit.gridcore import (CircleGrid, CNOperator, Field, cn_step,
+                             inner_product, quad_circle)
 from hjbkit.pollution import (build_pollution_spec, hjb_residual_pollution,
                               feedback_pollution, make_handle,
                               simulate_pollution, value_pollution)
@@ -139,9 +139,9 @@ class TestSimulate:
         p = GRID.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
         masses = [quad_circle(p)]
         for _ in range(200):
-            p = GRID.field(cn_step(
+            p = Field(GRID, cn_step(
                 CNOperator(spec.sigma_diff,
-                           GRID.field(-1.0 * spec.delta_dec.values), 0.05),
+                           Field(GRID, -1.0 * spec.delta_dec.values), 0.05),
                 p.values, GRID.constant(0.0).values))
             masses.append(quad_circle(p))
         assert np.all(np.diff(masses) < 0.0)
@@ -223,7 +223,7 @@ class TestHandleArrays:
         dt = 0.02
         handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
-                        spec.grid.field(-1.0 * spec.delta_dec.values), dt)
+                        Field(spec.grid, -1.0 * spec.delta_dec.values), dt)
         p = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t)).values
         for _ in range(3):
             i = handle.feedback(p)
@@ -242,7 +242,7 @@ class TestHandleArrays:
         p = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
         i = spec.i_star
         a, g = spec.a_prod.values, spec.gamma.values
-        want = quad_circle(spec.grid.field(
+        want = quad_circle(Field(spec.grid,
             ((a - 1.0) * i.values) ** (1.0 - g) / (1.0 - g))) \
             - inner_product(spec.w_dis, p)
         assert running_gain(spec, p.values, i.values) == want
@@ -269,7 +269,7 @@ class TestHandleArrays:
         dt = 0.02
         handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
-                        spec.grid.field(-1.0 * spec.delta_dec.values), dt)
+                        Field(spec.grid, -1.0 * spec.delta_dec.values), dt)
         p = np.full(spec.grid.n, 0.5)
         i_star = spec.i_star.values
         for i in (i_star, 0.5 * i_star, i_star, 2.0 * i_star):
@@ -282,7 +282,7 @@ class TestHandleArrays:
         dt, n_steps = 0.05, 25
         handle = make_handle(spec, dt)
         op = CNOperator(spec.sigma_diff,
-                        spec.grid.field(-1.0 * spec.delta_dec.values), dt)
+                        Field(spec.grid, -1.0 * spec.delta_dec.values), dt)
         a, g = spec.a_prod.values, spec.gamma.values
         p0 = spec.grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
         probe = handle if scale == 1.0 else scaled(handle, scale)
@@ -291,18 +291,18 @@ class TestHandleArrays:
                                      traj.running_payoff)
 
         def gain(p, i):
-            util = quad_circle(spec.grid.field(
+            util = quad_circle(Field(spec.grid,
                 ((a - 1.0) * i.values) ** (1.0 - g) / (1.0 - g)))
             return util - inner_product(spec.w_dis, p)
 
         p, total = p0, 0.0
         for k in range(n_steps):
             i = spec.i_star if scale == 1.0 \
-                else spec.grid.field(scale * spec.i_star.values)
+                else Field(spec.grid, scale * spec.i_star.values)
             assert np.array_equal(controls[k], i.values)
             g_left = gain(p, i)
-            p = spec.grid.field(cn_step(op, p.values,
-                                        spec.eta.values * i.values))
+            p = Field(spec.grid, cn_step(op, p.values,
+                                         spec.eta.values * i.values))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g_left
                                  + np.exp(-spec.rho * (dt * (k + 1)))
                                  * gain(p, i))

@@ -4,8 +4,8 @@ import pytest
 
 from hjbkit.errors import (AssumptionError, DomainError, DomainExitError,
                            GridError)
-from hjbkit.gridcore import (CircleGrid, CNOperator, cn_step, inner_product,
-                             quad_circle)
+from hjbkit.gridcore import (CircleGrid, CNOperator, Field, cn_step,
+                             inner_product, quad_circle)
 from hjbkit.spatial_growth import (build_spatial_spec, feedback_spatial,
                                    hjb_residual_spatial, make_handle, pairing,
                                    simulate_spatial, utility, value_spatial)
@@ -31,8 +31,8 @@ def smooth_positive(grid, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=5) * np.array([0.4, 0.3, 0.2, 0.1, 0.05])
     t = grid.nodes
-    return grid.field(np.exp(c[0] + c[1] * np.cos(t) + c[2] * np.sin(t)
-                             + c[3] * np.cos(2 * t) + c[4] * np.sin(2 * t)))
+    return Field(grid, np.exp(c[0] + c[1] * np.cos(t) + c[2] * np.sin(t)
+                              + c[3] * np.cos(2 * t) + c[4] * np.sin(2 * t)))
 
 
 class TestBuildSpec:
@@ -164,8 +164,8 @@ class TestSimulate:
         grid = const_spec.grid
         x0 = 0.1 * const_spec.eigen.e0.values
         traj = simulate_spatial(const_spec, x0, dt, dt)
-        ratio = (inner_product(grid.field(traj.states[-1]), const_spec.beta)
-                 / inner_product(grid.field(x0), const_spec.beta))
+        ratio = (inner_product(Field(grid, traj.states[-1]), const_spec.beta)
+                 / inner_product(Field(grid, x0), const_spec.beta))
         g = const_spec.growth_rate
         assert ratio == pytest.approx(np.exp(g * dt), abs=5 * dt ** 2)
 
@@ -176,7 +176,7 @@ class TestSimulate:
         y = grid.constant(1.0)
         dt, n = 1e-2, 100
         for _ in range(n):
-            y = grid.field(cn_step(
+            y = Field(grid, cn_step(
                 CNOperator(grid.constant(1.0), const_spec.A_coeff, dt),
                 y.values, grid.constant(0.0).values))
         assert quad_circle(y) == pytest.approx(
@@ -185,7 +185,7 @@ class TestSimulate:
     def test_balanced_growth_slope(self, wavy_spec):
         x0 = wavy_spec.grid.constant(1.0).values
         traj = simulate_spatial(wavy_spec, x0, 40.0, 0.01)
-        pairings = np.array([inner_product(wavy_spec.grid.field(y),
+        pairings = np.array([inner_product(Field(wavy_spec.grid, y),
                                            wavy_spec.beta)
                              for y in traj.states])
         slope = np.polyfit(traj.times, np.log(pairings), 1)[0]
@@ -270,7 +270,7 @@ class TestHandleArrays:
         y = smooth_positive(spec.grid, 4).values
         for _ in range(3):
             assert handle.diagnostics(y)["pairing"] == inner_product(
-                spec.grid.field(y), spec.beta)
+                Field(spec.grid, y), spec.beta)
             c = handle.feedback(y)
             assert type(c) is np.ndarray
             assert np.array_equal(c, feedback_spatial(spec, y))
@@ -314,14 +314,14 @@ class TestHandleArrays:
         y, total = y0, 0.0
         for k in range(n_steps):
             p = inner_product(y, spec.beta)
-            c = spec.grid.field(p * (spec.beta.values ** (-1.0 / s)))
+            c = Field(spec.grid, p * (spec.beta.values ** (-1.0 / s)))
             if scale != 1.0:
-                c = spec.grid.field(scale * c.values)
+                c = Field(spec.grid, scale * c.values)
             assert np.array_equal(controls[k], c.values)
-            g = quad_circle(spec.grid.field((c.values ** (1.0 - s))
-                                            * N.values)) / (1.0 - s)
-            y = spec.grid.field(cn_step(op, y.values,
-                                        -1.0 * (c.values * N.values)))
+            g = quad_circle(Field(spec.grid, (c.values ** (1.0 - s))
+                                             * N.values)) / (1.0 - s)
+            y = Field(spec.grid, cn_step(op, y.values,
+                                         -1.0 * (c.values * N.values)))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g
                                  + np.exp(-spec.rho * (dt * (k + 1))) * g)
             assert np.array_equal(states[k + 1], y.values)

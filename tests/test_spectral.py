@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hjbkit.errors import AssumptionError
-from hjbkit.gridcore import (AgeGrid, CircleGrid, inner_product, quad_circle,
+from hjbkit.gridcore import (AgeGrid, CircleGrid, Field, inner_product,
+                             quad_circle,
                              _stencil_coefficients,
                              apply_periodic_tridiagonal)
 from hjbkit.spectral import (char_root_ttb, char_root_vintage,
@@ -70,7 +71,7 @@ class TestPrincipalEigenpair:
         A = grid.from_function(lambda t: 0.3 * np.cos(t))
         base = principal_eigenpair(A)
         for c in (-2.0, 0.7):
-            shifted = principal_eigenpair(grid.field(A.values + c))
+            shifted = principal_eigenpair(Field(grid, A.values + c))
             assert shifted.lambda0 == pytest.approx(base.lambda0 + c, abs=1e-9)
             assert np.allclose(shifted.e0.values, base.e0.values, atol=1e-10)
 
@@ -108,11 +109,11 @@ class TestSolveElliptic:
         rng = np.random.default_rng(5)
         sigma = grid.from_function(lambda t: 1.0 + 0.4 * np.cos(2 * t))
         delta = grid.from_function(lambda t: 0.2 + 0.1 * np.sin(t))
-        w = grid.field(rng.normal(size=grid.n))
+        w = Field(grid, rng.normal(size=grid.n))
         rho = 0.7
         alpha = solve_elliptic(rho, sigma, delta, w)
         lo, di, up = _stencil_coefficients(sigma,
-                                           grid.field(-1.0 * delta.values))
+                                           Field(grid, -1.0 * delta.values))
         back = rho * alpha.values - apply_periodic_tridiagonal(lo, di, up,
                                                                alpha.values)
         assert np.max(np.abs(back - w.values)) < 1e-10
@@ -164,15 +165,15 @@ class TestTransportResolvent:
 class TestCharRoots:
     def test_vintage_frozen_oracle(self):
         # frozen from an independent 200-step bisection of A(1-e^{-zT}) - z
-        root = char_root_vintage(1.0, 2.0)
-        assert root.xi == pytest.approx(0.796812130020020, abs=1e-12)
-        assert abs(root.residual) < 1e-12
-        root2 = char_root_vintage(2.0, 1.0)
-        assert root2.xi == pytest.approx(1.593624260040040, abs=1e-12)
+        xi = char_root_vintage(1.0, 2.0)
+        assert xi == pytest.approx(0.796812130020020, abs=1e-12)
+        assert abs(-np.expm1(-2.0 * xi) - xi) < 1e-12
+        assert char_root_vintage(2.0, 1.0) == pytest.approx(1.593624260040040,
+                                                            abs=1e-12)
 
     def test_vintage_matches_fresh_bisection(self):
         for A, T in [(0.8, 2.0), (1.5, 1.2), (3.0, 0.6)]:
-            xi = char_root_vintage(A, T).xi
+            xi = char_root_vintage(A, T)
             oracle = bisect_root(lambda z: A * (1 - np.exp(-z * T)) - z,
                                  1e-12, A)
             assert xi == pytest.approx(oracle, abs=1e-10)
@@ -183,7 +184,7 @@ class TestCharRoots:
         import mpmath as mp
         for k in range(3, 13):
             A, T = 1.0, 1.0 + 10.0 ** -k
-            xi = char_root_vintage(A, T).xi
+            xi = char_root_vintage(A, T)
             assert xi > 0.0, k
             if k <= 7:
                 with mp.workdps(50):
@@ -201,24 +202,22 @@ class TestCharRoots:
 
     def test_vintage_monotone_in_A(self):
         T = 1.5
-        roots = [char_root_vintage(A, T).xi for A in np.linspace(0.8, 3.0, 12)]
+        roots = [char_root_vintage(A, T) for A in np.linspace(0.8, 3.0, 12)]
         assert np.all(np.diff(roots) > 0.0)
 
     def test_ttb_no_delay(self):
-        root = char_root_ttb(0.7, 0.0)
-        assert root.xi == 0.7
-        assert root.residual == 0.0
+        assert char_root_ttb(0.7, 0.0) == 0.7
 
     def test_ttb_inversion_round_trip(self):
         # choose xi* = 0.2, d = 2, define Atilde so the root is exactly xi*
         xi_star, d = 0.2, 2.0
-        root = char_root_ttb(xi_star * np.exp(xi_star * d), d)
-        assert root.xi == pytest.approx(xi_star, abs=1e-12)
+        xi = char_root_ttb(xi_star * np.exp(xi_star * d), d)
+        assert xi == pytest.approx(xi_star, abs=1e-12)
 
     def test_ttb_frozen_oracle(self):
-        root = char_root_ttb(0.3, 1.0)
-        assert root.xi == pytest.approx(0.236755310788559, abs=1e-12)
-        assert abs(root.residual) < 1e-12
+        xi = char_root_ttb(0.3, 1.0)
+        assert xi == pytest.approx(0.236755310788559, abs=1e-12)
+        assert abs(0.3 * np.exp(-xi) - xi) < 1e-12
 
     def test_ttb_rejects_nonpositive(self):
         with pytest.raises(ValueError):

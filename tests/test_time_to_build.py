@@ -26,14 +26,14 @@ def default_state(spec, m=200, q0=1.0, level=1.0):
 class TestBuildSpec:
     def test_derived_constants(self, spec):
         assert spec.Atilde == pytest.approx(0.3, rel=1e-14)
-        assert spec.xi.xi == pytest.approx(XI_REF, abs=1e-12)
+        assert spec.xi == pytest.approx(XI_REF, abs=1e-12)
         al = (0.2 - XI_REF * 0.5) / (0.5 * XI_REF)
         assert spec.alpha_mpc == pytest.approx(al, rel=1e-12)
         assert spec.nu == pytest.approx(al ** -0.5 / XI_REF, rel=1e-12)
 
     def test_characteristic_identity(self, spec):
-        assert spec.Atilde * np.exp(-spec.xi.xi * spec.d) == pytest.approx(
-            spec.xi.xi, abs=1e-12)
+        assert spec.Atilde * np.exp(-spec.xi * spec.d) == pytest.approx(
+            spec.xi, abs=1e-12)
 
     def test_rejects_nonpositive_net_productivity(self):
         with pytest.raises(AssumptionError):
@@ -100,13 +100,13 @@ class TestGamma:
     def test_zero_tail(self, spec):
         x = delay.lift(spec.delay, 2.0,
                        HistorySegment.constant(spec.d, 8, 0.0))
-        assert delay.gamma(x, spec.xi.xi, spec.d) == 2.0
+        assert delay.gamma(x, spec.xi, spec.d) == 2.0
 
     def test_constant_history_characteristic_identity(self, spec):
         # tail = Atilde*c: Gamma = x0 + c (Atilde - xi)/xi, by the identity
         # Atilde e^{-xi d} = xi; both evaluations agree
         c, m = 0.8, 400
-        xi = spec.xi.xi
+        xi = spec.xi
         _, _, x = default_state(spec, m=m, q0=1.0, level=c)
         direct = delay.gamma(x, xi, spec.d)
         closed = 1.0 + c * (spec.Atilde - xi) / xi
@@ -117,7 +117,7 @@ class TestGamma:
         sp = build_ttb_spec(0.35, 0.05, 1e-6, 0.5, 0.2)
         x = delay.lift(sp.delay, 1.0,
                        HistorySegment.constant(1e-6, 8, 1.0))
-        assert delay.gamma(x, sp.xi.xi, 1e-6) == pytest.approx(1.0, abs=1e-6)
+        assert delay.gamma(x, sp.xi, 1e-6) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestValue:
@@ -151,8 +151,8 @@ class TestFeedback:
     def test_foc_against_scalar_maximizer(self, spec):
         _, _, x = default_state(spec, m=100)
         u_star = delay.feedback(spec.delay, x)
-        g = delay.gamma(x, spec.xi.xi, spec.d)
-        p = spec.Atilde * spec.nu * g ** -0.5 * np.exp(-spec.xi.xi * spec.d)
+        g = delay.gamma(x, spec.xi, spec.d)
+        p = spec.Atilde * spec.nu * g ** -0.5 * np.exp(-spec.xi * spec.d)
         lo, hi = delay.band(spec.delay, x[0])
         best = golden_max(lambda u: u * p + 2.0 * (x[0] - u) ** 0.5,
                           lo, hi * 0.999999999)
@@ -163,8 +163,8 @@ class TestFeedback:
         bound_coeff = spec.A / (spec.alpha_mpc * spec.Atilde)
         q0 = 1.0
         # constant tail level c solving Gamma = q0 * bound_coeff
-        c = (q0 * bound_coeff - q0) / ((spec.Atilde - spec.xi.xi)
-                                       / spec.xi.xi)
+        c = (q0 * bound_coeff - q0) / ((spec.Atilde - spec.xi)
+                                       / spec.xi)
         u0 = HistorySegment.constant(spec.d, 400, c * 1.01)
         x = delay.lift(spec.delay, q0, u0)
         with pytest.raises(DomainError):
@@ -180,7 +180,7 @@ class TestSimulate:
     def test_balanced_growth_rate(self, spec):
         q0, u0, _ = default_state(spec)
         traj = simulate_ttb(spec, q0, u0, 20.0)
-        gs = np.array([delay.gamma(x, spec.xi.xi, spec.d)
+        gs = np.array([delay.gamma(x, spec.xi, spec.d)
                        for x in traj.states])
         slope = np.polyfit(traj.times, np.log(gs), 1)[0]
         assert slope == pytest.approx(spec.growth_rate, abs=1e-3)
@@ -254,7 +254,7 @@ class TestOpenLoopDDE:
         # identical initial data, two independent integration routes; the
         # constant history level is chosen feedback-consistent (no control
         # jump at t = 0), so both routes integrate a smooth path
-        xi, al = spec.xi.xi, spec.alpha_mpc
+        xi, al = spec.xi, spec.alpha_mpc
         q0 = 1.0
         c = (1.0 - al) * q0 / (1.0 + al * (spec.Atilde - xi) / xi)
         u0 = HistorySegment.constant(spec.d, 200, c)

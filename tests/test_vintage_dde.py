@@ -28,7 +28,7 @@ def positive_history(m=200, T=2.0, seed=0):
 
 class TestBuildSpec:
     def test_derived_constants(self, spec):
-        assert spec.xi.xi == pytest.approx(XI_REF, abs=1e-12)
+        assert spec.xi == pytest.approx(XI_REF, abs=1e-12)
         g = (0.45 - XI_REF * 0.5) / 0.5
         assert spec.mpc == pytest.approx(g, rel=1e-12)
         # value constant: the HJB fixes nu = mpc^(-sigma) (A/xi)^(1-sigma)
@@ -77,12 +77,12 @@ class TestLift:
 class TestGamma0:
     def test_zero_tail(self, spec):
         x = delay.lift(spec.delay, 1.5, HistorySegment.constant(2.0, 8, 0.0))
-        assert delay.gamma(x, spec.xi.xi, 2.0) == 1.5
+        assert delay.gamma(x, spec.xi, 2.0) == 1.5
 
     def test_constant_history_closed_form(self, spec):
         # Gamma0 = c [T - (1 - e^{-xi T})/xi] for iota = c
         c, T, m = 1.3, 2.0, 400
-        xi = spec.xi.xi
+        xi = spec.xi
         iota = HistorySegment.constant(T, m, c)
         x = lift_vintage(spec, iota)
         exact = c * (T - (1.0 - np.exp(-xi * T)) / xi)
@@ -104,10 +104,10 @@ class TestFeedback:
         # default scenario numbers: xi, nu, Gamma0 composed per the formulas
         iota = HistorySegment.constant(2.0, 400, 1.0)
         x = lift_vintage(spec, iota)
-        g0 = delay.gamma(x, spec.xi.xi, 2.0)
+        g0 = delay.gamma(x, spec.xi, 2.0)
         i_star = delay.feedback(spec.delay, x)
         expected = spec.A * x[0] - spec.nu ** -2.0 * (
-            spec.A / spec.xi.xi) ** 2.0 * g0
+            spec.A / spec.xi) ** 2.0 * g0
         assert i_star == pytest.approx(expected, rel=1e-12)
         assert 0.0 < i_star < spec.A * x[0]
 
@@ -115,7 +115,7 @@ class TestFeedback:
         # scale the head down until A x0 equals the feedback consumption
         iota = HistorySegment.constant(2.0, 100, 1.0)
         x = lift_vintage(spec, iota)
-        g0 = delay.gamma(x, spec.xi.xi, 2.0)
+        g0 = delay.gamma(x, spec.xi, 2.0)
         tail_part = g0 - x[0]
         coeff = spec.feedback_coefficient
         # head solving A h = coeff (h + tail_part) exactly
@@ -127,9 +127,9 @@ class TestFeedback:
     def test_foc_against_scalar_maximizer(self, spec):
         iota = positive_history(seed=8)
         x = lift_vintage(spec, iota)
-        g0 = delay.gamma(x, spec.xi.xi, iota.d)
+        g0 = delay.gamma(x, spec.xi, iota.d)
         i_star = delay.feedback(spec.delay, x)
-        b = spec.nu * g0 ** -0.5 * spec.xi.xi / spec.A  # B(Dv)
+        b = spec.nu * g0 ** -0.5 * spec.xi / spec.A  # B(Dv)
         res = minimize_scalar(
             lambda i: -((spec.A * x[0] - i) ** 0.5 / 0.5 + i * b),
             bracket=(0.0, i_star, spec.A * x[0] * 0.999999),
@@ -191,7 +191,7 @@ class TestSimulate:
     def test_balanced_growth_rate(self, spec):
         iota = HistorySegment.constant(2.0, 200, 1.0)
         traj = simulate_vintage(spec, iota, 20.0)
-        g0s = np.array([delay.gamma(x, spec.xi.xi, 2.0)
+        g0s = np.array([delay.gamma(x, spec.xi, 2.0)
                         for x in traj.states])
         slope = np.polyfit(traj.times, np.log(g0s), 1)[0]
         assert slope == pytest.approx(spec.growth_rate, abs=1e-3)
@@ -222,7 +222,7 @@ class TestSimulate:
         for m in (100, 200):
             iota = HistorySegment.constant(2.0, m, 1.0)
             traj = simulate_vintage(spec, iota, 4.0)
-            dt = traj.dt
+            dt = iota.dt  # the loop steps the history's spacing
             controls = np.concatenate([iota.values[:-1],
                                        [float(c) for c in traj.controls]])
             worst = 0.0
@@ -245,7 +245,7 @@ class TestSimulate:
         from scipy.integrate import trapezoid
         iota = positive_history(m=400, seed=13)
         direct = delay.feedback(spec.delay, lift_vintage(spec, iota))
-        s = iota.nodes
+        s = np.linspace(-iota.d, 0.0, iota.m + 1)
         w = positivity_kernel(spec, s)
         via_kernel = float(trapezoid(w * iota.values, dx=iota.dt))
         assert direct == pytest.approx(via_kernel, abs=5.0 / 400 ** 2)
@@ -291,6 +291,6 @@ def test_coarse_dp_oracle_brackets_value(spec):
     v = delay.value(spec.delay, x)
     assert bracket.contains(v, 0.03)
     # the value constant printed with the +sigma exponent lands far outside
-    wrong_nu = spec.mpc ** 0.5 * (spec.A / spec.xi.xi) ** 0.5
-    g0 = delay.gamma(x, spec.xi.xi, 2.0)
+    wrong_nu = spec.mpc ** 0.5 * (spec.A / spec.xi) ** 0.5
+    g0 = delay.gamma(x, spec.xi, 2.0)
     assert not bracket.contains(wrong_nu * g0 ** 0.5 / 0.5, 0.03)
