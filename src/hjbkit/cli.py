@@ -109,7 +109,7 @@ def _load_config(args) -> dict:
         config = validate_config(default_config(args.model))
     else:
         raise ConfigError("provide --config <path> or --model <name>")
-    if args.refine:
+    if vars(args).get("refine"):  # run and verify take --refine
         config = refine_config(config, args.refine)
     return config
 
@@ -218,10 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=MODELS,
                        help="use the named model's default scenario")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--refine", type=int, default=0,
-                       help="double the resolution (and halve dt) k times")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for random test-state sampling in verify")
+        if name != "oracle":
+            p.add_argument("--refine", type=int, default=0,
+                           help="double the resolution (and halve dt) k times")
+        if name == "verify":
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for random test-state sampling")
         p.set_defaults(fn=fn)
     return parser
 
@@ -229,11 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args) -> None:
     """Integer flags below their least meaningful value are configuration
     errors, not silent no-ops or numpy tracebacks."""
-    for flag, least in (("seed", 0), ("refine", 0)):
-        value = getattr(args, flag)
-        if value < least:
-            raise ConfigError(f"--{flag} must be an integer >= {least}, "
-                              f"got {value}")
+    for flag in ("seed", "refine"):
+        value = vars(args).get(flag, 0)  # 0 where the command lacks it
+        if value < 0:
+            raise ConfigError(f"--{flag} must be an integer >= 0, got {value}")
 
 
 def main(argv=None) -> int:

@@ -367,13 +367,10 @@ def oracle_problem(model: DelayModel, dt: float) -> OracleProblem:
         final = np.column_stack([heads[:, -1], tails[-1]])
         del tails  # (n + 1) x rows x (m + 1): freed before the slacks
         lo, hi = band(model, heads)
-        left, right = hi[:, :-1] - controls, hi[:, 1:] - controls
         room = model.room * heads - model.kappa * g
-        cons = np.concatenate([left, right], axis=1)
-        per_step = np.stack([controls - lo[:, :-1], left, g[:, :-1],
-                             room[:, :-1]], axis=2).reshape(rows, 4 * n)
-        return cons, np.concatenate([per_step, g[:, -1:], room[:, -1:],
-                                     cons], axis=1), final
+        return np.concatenate([hi[:, :-1] - controls, hi[:, 1:] - controls,
+                               controls - lo[:, :-1], g, room],
+                              axis=1), final
 
     return OracleProblem(
         run=run,

@@ -671,7 +671,7 @@ def verify_scenario(config: dict, seed: int = 0) -> VerifyReport:
 ORACLE_COARSE_CELLS = 8
 ORACLE_EFOLDINGS = 5.0
 # the longest DP oracle horizon, in steps: its Newton solve takes O(n^3)
-# time and O(n^2) memory, about 2.5 s and 54 MiB more at 500 steps
+# time and O(n^2) memory, about 1.2 s and 36 MiB more at 500 steps
 ORACLE_MAX_STEPS = 500
 
 

@@ -43,18 +43,17 @@ class OracleProblem:
 
     ``run(state0, controls)`` plays each row of ``controls`` (rows, n), one
     control per step of the problem's ``dt``, from the start state array
-    ``state0``, and returns three arrays.  The consumptions (rows, 2n), at
-    the left ends of the steps and then at their right ends.  The slacks,
-    positive where the row is admissible: per step, the two of the control
-    band (u - lo, hi - u) and the domain's slacks at the state the step
-    starts from; then the domain's slacks at the final state; then the
-    consumptions.  And the final batch (rows, m + 2) of state rows.
-    Consumptions and slacks are affine in the controls.  ``run`` refuses a
-    start the step does not fit, and a non-finite start or control, with
-    a GridError.  ``utility(c)`` is the concave utility of consumptions
-    c > 0 with its first and second derivatives.  ``payoff_tail_bound(
-    batch, time)`` is an upper bound on the remaining discounted payoff of
-    any admissible continuation from the batch's first row.
+    ``state0``, and returns two arrays.  The slacks (rows, 5n + 2), positive
+    where the row is admissible, state each constraint once: the consumptions
+    at the left and then the right ends of the steps (2n), the band's lower
+    edge u - lo (n; its upper edge is the left consumption), and the domain's
+    two slacks at every state (n + 1 each).  And the final batch (rows, m + 2)
+    of state rows.  The slacks are affine in the controls.  ``run`` refuses a
+    start the step does not fit, and a non-finite start or control, with a
+    GridError.  ``utility(c)`` is the concave utility of consumptions c > 0
+    with its first and second derivatives.  ``payoff_tail_bound(batch, time)``
+    is an upper bound on the remaining discounted payoff of any admissible
+    continuation from the batch's first row.
     """
 
     run: Callable
@@ -277,15 +276,15 @@ def brute_force_value(problem: OracleProblem, state0,
     A policy holds one control per step of the problem's dt, one per entry
     of ``seed_controls`` (strictly admissible, typically the feedback
     path), and earns ``_rollout``'s control-consistent trapezoid with ZERO
-    terminal value.  The dynamics are linear, so consumptions and slacks
-    are affine in the controls: one ``problem.run`` of a zero-control row
-    and a unit impulse per step gives that map exactly (a unit added to a
-    seed's large controls would be lost to rounding).  Newton's method on
-    the concave t*payoff + sum(log slacks) starts at the seed, raises t
-    twenty-fold per centering and stops once the duality gap M/t of its M
-    slacks is below 1e-9 of the payoff.  Iterates stay strictly inside
-    (fraction to the boundary, then halving), judged on barrier
-    differences, which t*payoff would swallow.
+    terminal value.  The dynamics are linear, so the slacks, the 2n
+    consumptions first, are affine in the controls: one ``problem.run`` of
+    a zero-control row and a unit impulse per step gives that map exactly
+    (a unit added to a seed's large controls would be lost to rounding).
+    Newton's method on the concave t*payoff + sum(log slacks) starts at
+    the seed, raises t twenty-fold per centering and stops once the
+    duality gap M/t of its M slacks is below 1e-9 of the payoff.  Iterates
+    stay strictly inside (fraction to the boundary, then halving), judged
+    on barrier differences, which t*payoff would swallow.
 
     ``lo`` is the payoff of the solution replayed through ``run`` as one
     row, as ``controls``, pulled toward the seed where an active
@@ -311,10 +310,10 @@ def brute_force_value(problem: OracleProblem, state0,
     def replay(controls):
         """The payoff and final batch of one policy; no payoff unless it
         stays strictly inside."""
-        cons, slacks, final = run(controls[np.newaxis])
+        slacks, final = run(controls[np.newaxis])
         if not slacks.min() > 0.0:
             return None, final
-        return float(weights @ problem.utility(cons[0])[0]), final
+        return float(weights @ problem.utility(slacks[0, :2 * n])[0]), final
 
     try:
         with np.errstate(all="raise", under="ignore"):
@@ -322,18 +321,20 @@ def brute_force_value(problem: OracleProblem, state0,
             if f_seed is None:
                 raise DomainExitError(
                     0.0, message="seed control path leaves the domain")
-            cons, slacks, _ = run(np.vstack([np.zeros(n), np.eye(n)]))
-            c0, cmap = cons[0], cons[1:] - cons[0]
+            slacks, _ = run(np.vstack([np.zeros(n), np.eye(n)]))
             s0, smap = slacks[0], slacks[1:] - slacks[0]
             u, t, passes = seed, s0.size / (1e-3 * abs(f_seed)), 0
             while True:
-                c, s = c0 + u @ cmap, s0 + u @ smap
+                s = s0 + u @ smap
+                c = s[:2 * n]
                 g, g1, g2 = problem.utility(c)
                 f = float(weights @ g)
-                grad = t * (cmap @ (weights * g1)) + smap @ (1.0 / s)
-                hess = (t * (cmap * (weights * g2)) @ cmap.T
-                        - (smap / s ** 2) @ smap.T)
-                du = np.linalg.solve(hess, -grad)
+                # the barrier's diagonal, plus t*payoff's on the consumptions
+                d1, d2 = 1.0 / s, -1.0 / s ** 2
+                d1[:2 * n] += t * weights * g1
+                d2[:2 * n] += t * weights * g2
+                grad = smap @ d1
+                du = np.linalg.solve((smap * d2) @ smap.T, -grad)
                 decrement = grad @ du
                 if decrement <= 2e-9:  # centered at t
                     if s0.size / t <= 1e-9 * abs(f):
@@ -344,7 +345,8 @@ def brute_force_value(problem: OracleProblem, state0,
                 if passes > ORACLE_NEWTON_STEPS:
                     raise NumericsError(f"DP oracle took {ORACLE_NEWTON_STEPS}"
                                         " Newton steps short of its gap")
-                dc, ds = du @ cmap, du @ smap
+                ds = du @ smap
+                dc = ds[:2 * n]
                 shrink = ds < 0.0
                 alpha = min(1.0, 0.99 * np.min(-s[shrink] / ds[shrink],
                                                initial=np.inf))

@@ -266,7 +266,8 @@ def oracle_batch_run(model, dt: float, state0: np.ndarray,
     """``run`` of ``delay.oracle_problem(model, dt)`` as a loop over the
     steps: a batch of state rows, one per row of ``controls``, advanced
     one step at a time by delay._shift's arithmetic on every row, with the
-    band, consumptions and domain slacks read off each batch."""
+    consumptions, the band's lower edge and the domain slacks read off
+    each batch."""
     w = delay._trapezoid_weights(model.xi, len(state0) - 1, model.lag)
 
     def domain_slacks(batch):
@@ -281,16 +282,20 @@ def oracle_batch_run(model, dt: float, state0: np.ndarray,
         return out
 
     batch = np.repeat(state0[np.newaxis], len(controls), axis=0)
-    left, right, slacks = [], [], []
+    left, right, lower, gammas, rooms = [], [], [], [], []
     for u in controls.T:
         lo, hi = delay.band(model, batch[:, 0])
-        slacks += [u - lo, hi - u, *domain_slacks(batch)]
-        left.append(model.a * batch[:, 0] - u)
+        left.append(hi - u)
+        lower.append(u - lo)
+        g, room = domain_slacks(batch)
+        gammas.append(g)
+        rooms.append(room)
         batch = step(batch, u)
         right.append(model.a * batch[:, 0] - u)
-    cons = np.column_stack(left + right)
-    slacks = np.column_stack(slacks + domain_slacks(batch) + [cons])
-    return cons, slacks, batch
+    g, room = domain_slacks(batch)
+    slacks = np.column_stack(left + right + lower + gammas + [g]
+                             + rooms + [room])
+    return slacks, batch
 
 
 def write_trajectory_csv(path, scenario, traj, chunk: int = 64) -> None:

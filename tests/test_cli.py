@@ -417,13 +417,29 @@ def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv, flag):
 @pytest.mark.parametrize("argv", [
     ["run", "--model", "spatial-growth", "--refine", "40"],
     ["verify", "--model", "time-to-build", "--refine", "40"],
-    ["oracle", "--model", "vintage-dde", "--refine", "1000000000"],
 ])
 def test_refinement_past_work_budget_exits_2(tmp_path, capsys, argv):
     # 2**40 times the default grid used to be allocated as asked
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "work budget" in err and "numerics." in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "vintage-dde", "--seed", "1"],
+    ["oracle", "--model", "vintage-dde", "--seed", "1"],
+    ["oracle", "--model", "vintage-dde", "--refine", "1"],
+])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    # --seed is verify's and --refine run's and verify's: elsewhere they
+    # changed no output
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[3]} 1" in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
 

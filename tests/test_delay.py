@@ -437,9 +437,9 @@ class TestStepSize:
             problem.run(state0, np.array([seed]))
         with pytest.raises(GridError, match="spacing"):
             brute_force_value(problem, state0, seed)
-        cons, _, _ = delay.oracle_problem(model, dt).run(state0,
-                                                        np.array([seed]))
-        assert cons[0, 0] == model.a * state0[0] - seed[0]
+        slacks, _ = delay.oracle_problem(model, dt).run(state0,
+                                                       np.array([seed]))
+        assert slacks[0, 0] == model.a * state0[0] - seed[0]
 
     @pytest.mark.parametrize("bad", ["short", "long", "tiny", "2-D",
                                      "history"])
@@ -566,6 +566,25 @@ class TestOracleRun:
         # the rows brute_force_value builds its affine map from
         n = oracle_run[4]
         self.assert_same(oracle_run, np.vstack([np.zeros(n), np.eye(n)]))
+
+    def test_impulse_slacks_hold_each_constraint_once(self, oracle_run):
+        # 5n + 2 distinct slacks, the first 2n the consumptions a x0 - u
+        # at the left and right ends of each step, stepped row by row
+        model, dt, state0, _, n = oracle_run
+        controls = np.vstack([np.zeros(n), np.eye(n)])
+        slacks, _ = delay.oracle_problem(model, dt).run(state0, controls)
+        assert slacks.shape == (n + 1, 5 * n + 2)
+        assert np.unique(slacks, axis=1).shape[1] == 5 * n + 2
+        step = delay.make_handle(model, dt).step
+        for row, us in zip(slacks, controls):
+            heads = [state0[0]]
+            x = state0
+            for u in us:
+                x = step(x, u)
+                heads.append(x[0])
+            heads = model.a * np.array(heads)
+            np.testing.assert_array_equal(
+                row[:2 * n], np.r_[heads[:-1] - us, heads[1:] - us])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_a_non_finite_control_or_start_is_a_grid_error(self, oracle_run,
