@@ -163,12 +163,17 @@ def _shift(model: DelayModel, x: np.ndarray, u: float,
     """The state array x, of spacing dt, one sample on, holding the
     control at u: the delayed term c*u(t-L) is the last entry, the newest
     slot x[1] a placeholder for u (corrected first), and the window
-    prepends c*u and drops its last entry.  A non-finite head or newest
-    sample is a GridError; the head keeps x[-1]'s numpy-scalar arithmetic,
-    so an overflow under a loop's errstate raises there."""
-    head = x.item(0) + dt * (model.b * u + x[-1])
+    prepends c*u and drops its last entry.  The new head is Python-float
+    arithmetic.  A non-finite new head or newest sample is a
+    FloatingPointError when x's head, x's last sample and u are finite (an
+    overflow, whatever the caller's errstate), and a GridError otherwise."""
+    x0, oldest = x.item(0), x.item(-1)
+    head = x0 + dt * (model.b * u + oldest)
     new = model.c * u
     if not (math.isfinite(head) and math.isfinite(new)):
+        if math.isfinite(x0) and math.isfinite(oldest) and math.isfinite(u):
+            raise FloatingPointError(f"overflow in a step: head {head}, "
+                                     f"newest sample {new}")
         raise GridError(f"step left a non-finite state: head {head}, "
                         f"newest sample {new}")
     out = np.empty(len(x))

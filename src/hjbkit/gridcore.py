@@ -11,10 +11,10 @@ Everything downstream lives on one of three discretizations:
 
 All containers are plain immutable data and the operations below are pure
 functions, so values can be shared freely across threads.  The one
-exception is :class:`CNOperator`: it keeps scratch buffers and the explicit
-product of the state it last returned, so an operator belongs to one
-model handle (which builds one per step size) and is not shared across
-threads.
+exception is :class:`CNOperator`: it keeps scratch buffers, the explicit
+product of the state it last returned and the scaled read-only source it
+last saw, so an operator belongs to one model handle (which builds one per
+step size) and is not shared across threads.
 """
 
 from __future__ import annotations
@@ -293,7 +293,8 @@ def check_defect(residual):
     non-finite ``x[j]`` makes the defect inf or NaN, and a non-finite rhs
     makes the tolerance inf or NaN: both fail the one comparison below.
     """
-    defect, top = np.maximum.reduce(np.abs(residual, out=residual), axis=1)
+    defect, top = np.maximum.reduce(np.abs(residual, out=residual),
+                                    axis=1).tolist()
     if not defect <= 1e-8 * max(top, 1e-300) < math.inf:
         raise NumericsError(
             f"cyclic tridiagonal solve failed its residual check (defect "
@@ -341,17 +342,23 @@ class CNOperator:
         self._gathered = np.empty((3, n))
         self._terms = np.empty((2, 3, n))
         self._products = np.empty((2, n))
+        self._ax, self._ex = self._products  # views of the rows A x and E x
         # (A x - rhs, rhs): the right-hand side and the defect check's input
         self._residual = np.empty((2, n))
-        self._last = None  # the state whose E x is in _products[1]
+        self._defect, self._rhs = self._residual
+        self._shape = (n,)
+        self._last = None  # the state whose E x is in _ex
+        # dt * source of the read-only source last seen, by identity
+        self._source, self._dt_source = None, np.empty(n)
 
     def _product(self, x):
-        """``(A x, E x)`` as the rows of a scratch array that the next call
-        overwrites.  Each row sums ``lo*x[j-1] + di*x[j] + up*x[j+1]`` in
-        that order, the bits of :func:`apply_periodic_tridiagonal`."""
+        """``A x`` and ``E x`` into the scratch rows ``_ax`` and ``_ex``,
+        which the next call overwrites.  Each row sums ``lo*x[j-1] +
+        di*x[j] + up*x[j+1]`` in that order, the bits of
+        :func:`apply_periodic_tridiagonal`."""
         x.take(self._neighbours, out=self._gathered, mode="wrap")
         np.multiply(self._rows, self._gathered, out=self._terms)
-        return np.add.reduce(self._terms, axis=1, out=self._products)
+        np.add.reduce(self._terms, axis=1, out=self._products)
 
 
 def cn_step(op: CNOperator, y: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -362,24 +369,28 @@ def cn_step(op: CNOperator, y: np.ndarray, source: np.ndarray) -> np.ndarray:
     is A-stable and second order.  The right-hand side and the defect are
     formed in the operator's scratch buffers; the result is a fresh
     read-only array: the operator keeps its explicit product, and reuses
-    it when the next step starts from this very array.
+    it when the next step starts from this very array.  It keeps
+    ``dt*source`` of a read-only source array the same way, for the next
+    step given that very array.
     """
-    n = op.n
-    if getattr(y, "shape", None) != (n,) \
-            or getattr(source, "shape", None) != (n,):
-        raise GridError(f"cn_step needs {n} node values, got shapes "
+    shape = op._shape
+    if getattr(y, "shape", None) != shape \
+            or getattr(source, "shape", None) != shape:
+        raise GridError(f"cn_step needs {op.n} node values, got shapes "
                         f"{np.shape(y)} and {np.shape(source)}")
-    if y is op._last:
-        explicit = op._products[1]
-    else:
-        explicit = op._product(np.asarray(y, dtype=float))[1]
-    residual = op._residual
-    rhs = np.multiply(op.dt, source, out=residual[1])
-    np.add(explicit, rhs, out=rhs)
-    op._last = None  # the product below overwrites E y
+    last, op._last = op._last, None  # each product below overwrites E y
+    if y is not last:
+        op._product(np.asarray(y, dtype=float))
+    if source is not op._source:
+        op._source = None  # until _dt_source holds dt * source
+        np.multiply(op.dt, source, out=op._dt_source)
+        if isinstance(source, np.ndarray) and not source.flags.writeable:
+            op._source = source
+    rhs = np.add(op._ex, op._dt_source, out=op._rhs)
     x = op.implicit.back_solve(rhs)
-    np.subtract(op._product(x)[0], rhs, out=residual[0])
-    check_defect(residual)
+    op._product(x)
+    np.subtract(op._ax, rhs, out=op._defect)
+    check_defect(op._residual)
     x.flags.writeable = False
     op._last = x
     return x
@@ -509,6 +520,14 @@ class Trajectory:
     @property
     def payoff(self) -> float:
         return float(self.running_payoff[-1])
+
+
+def state_minima(states) -> np.ndarray:
+    """The minimum of each of ``states``, a sequence of arrays of one shape,
+    by one whole-array reduction per chunk of at most 64 states: a long run
+    is copied a chunk at a time, never whole."""
+    return np.concatenate([np.min(states[i:i + 64], axis=1)
+                           for i in range(0, len(states), 64)])
 
 
 def discounted_quadrature(times: np.ndarray, integrand: np.ndarray,

@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       nodal_inner, quad_circle, restrict, sl_apply)
+                       nodal_inner, quad_circle, restrict, sl_apply,
+                       state_minima)
 from .spectral import solve_elliptic
-from .verify import ModelHandle, _rollout, memo_last
+from .verify import ModelHandle, _read_only, _rollout, memo_last
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def simulate_pollution(spec: PollutionSpec, p0: np.ndarray, T_end: float,
     if p0.min() < 0.0:
         raise DomainError(f"initial pollution must be nonnegative, min = {p0.min()}")
     traj = _rollout(make_handle(spec, dt), p0, T_end)
-    min_p = float(min(p.min() for p in traj.states))
+    min_p = float(state_minima(traj.states).min())
     if min_p < -1e-10:
         raise NumericsError(
             f"discrete maximum principle violated: min p = {min_p}"
@@ -207,7 +208,8 @@ def make_handle(spec: PollutionSpec, dt: float) -> ModelHandle:
     """
     grid, eta = spec.grid, spec.eta.values
     op = CNOperator(spec.sigma_diff, spec.zeroth, dt)
-    source = memo_last(lambda i: eta * grid.nodal(i))
+    # read-only, so the operator keeps dt * source while it is passed again
+    source = memo_last(lambda i: _read_only(eta * grid.nodal(i)))
 
     def step(p, i):
         return cn_step(op, p, source(i))

@@ -24,7 +24,8 @@ import numpy as np
 from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
 from .errors import AssumptionError, ConfigError, DomainError, NumericsError
-from .gridcore import AgeGrid, CircleGrid, HistorySegment, quad_circle
+from .gridcore import (AgeGrid, CircleGrid, HistorySegment, quad_circle,
+                       state_minima)
 from .verify import (ModelHandle, OracleBracket, VerifyReport,
                      brute_force_value, suboptimality_margin, transversality,
                      value_match, _rollout)
@@ -559,7 +560,7 @@ def _build_transport(config):
     def columns(states, controls):
         return {
             "total_capital": [spec.age.quad(state) for state in states],
-            "min_capital": [np.min(state) for state in states],
+            "min_capital": state_minima(states),
             "boundary_investment": [u0_now for u0_now, _ in controls],
         }
 

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import (AssumptionError, DomainError, NumericsError,
                      closed_form_constant)
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       inner_product, nodal_inner, restrict, sl_apply)
+                       inner_product, nodal_inner, restrict, sl_apply,
+                       state_minima)
 from .spectral import EigenPair, principal_eigenpair
 from .verify import ModelHandle, _rollout, memo_last
 
@@ -150,10 +151,11 @@ def simulate_spatial(spec: SpatialGrowthSpec, x0: np.ndarray, T_end: float,
     if x0.min() < 0.0:
         raise DomainError(f"initial capital must be nonnegative, min = {x0.min()}")
     traj = _rollout(make_handle(spec, dt), x0, T_end)
-    negative = [t for t, y in zip(traj.times, traj.states) if y.min() < 0.0]
+    negative = np.flatnonzero(state_minima(traj.states) < 0.0)
+    first = float(traj.times[negative[0]]) if negative.size else None
     traj.meta = {
-        "positivity_ok": not negative,
-        "first_negative_time": float(negative[0]) if negative else None,
+        "positivity_ok": first is None,
+        "first_negative_time": first,
         "pairing_initial": pairing(spec, x0),
         "pairing_final": pairing(spec, traj.states[-1]),
     }

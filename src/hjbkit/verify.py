@@ -129,44 +129,37 @@ def _rollout(handle: ModelHandle, state0, T_end: float) -> Trajectory:
     """
     dt = handle.dt
     n_steps = int(round(T_end / dt))
-    times = dt * np.arange(n_steps + 1)
-    disc = np.exp(-handle.rho * times)
+    times = dt * np.arange(n_steps + 1)  # times[k] is dt * k, bit for bit
+    disc = np.exp(-handle.rho * times).tolist()
     half = 0.5 * dt
     feedback, step = handle.feedback, handle.step
     payoff = handle.running_payoff
-    states, controls = [], []
-    running = np.zeros(n_steps + 1)
-
-    def control(state, t):
-        try:
-            u = feedback(state)
-        except DomainError as exc:
-            diag = handle.diagnostics(state) if handle.diagnostics else None
-            raise DomainExitError(float(t), diag) from exc
-        states.append(state)
-        controls.append(u)
-        return u
-
-    state, t, total = state0, times[0], 0.0
+    states, controls, running = [], [], [0.0]
+    state, total = state0, 0.0
     try:
         with np.errstate(all="raise", under="ignore"):
-            for k in range(n_steps):
-                t = times[k]
-                u = control(state, t)
+            for k in range(n_steps + 1):
+                try:
+                    u = feedback(state)
+                except DomainError as exc:
+                    diag = handle.diagnostics(state) \
+                        if handle.diagnostics else None
+                    raise DomainExitError(dt * k, diag) from exc
+                states.append(state)
+                controls.append(u)
+                if k == n_steps:
+                    break
                 g_left = payoff(state, u)
                 state = step(state, u)
-                g_right = payoff(state, u)
-                total += half * (disc.item(k) * g_left
-                                 + disc.item(k + 1) * g_right)
+                total += half * (disc[k] * g_left
+                                 + disc[k + 1] * payoff(state, u))
                 if not math.isfinite(total):
                     raise FloatingPointError(f"running payoff {total}")
-                running[k + 1] = total
-            t = times[-1]
-            control(state, t)
+                running.append(total)
     except (FloatingPointError, OverflowError) as exc:
         raise NumericsError(f"closed loop left the float range at t = "
-                            f"{t:.6g} ({exc})") from None
-    return Trajectory(times, states, controls, running)
+                            f"{dt * k:.6g} ({exc})") from None
+    return Trajectory(times, states, controls, np.array(running))
 
 
 def value_match(handle: ModelHandle, state0, T_end: float) -> ValueMatch:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionError
-from .gridcore import AgeGrid, Trajectory, fd_derivative
+from .gridcore import AgeGrid, Trajectory, fd_derivative, state_minima
 from .spectral import _exp_cell_weights, transport_resolvent
 from .verify import ModelHandle, _rollout, memo_last
 
@@ -152,7 +152,7 @@ def simulate_transport(spec: TransportSpec, z0, T_end: float) -> Trajectory:
     boundary injection).
     """
     traj = _rollout(make_handle(spec), spec.age.profile(z0).copy(), T_end)
-    traj.meta = {"min_state": float(min(z.min() for z in traj.states))}
+    traj.meta = {"min_state": float(state_minima(traj.states).min())}
     return traj
 
 

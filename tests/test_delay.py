@@ -289,17 +289,40 @@ class TestSimulate:
 
     def test_non_finite_predictor_raises(self):
         # a head at the edge of the float range: the control is finite but
-        # the Euler predictor's head overflows, which the loop's own
-        # errstate reports as _rollout does, whatever the caller's
+        # the Euler predictor's head overflows.  A step raises
+        # FloatingPointError whatever the caller's errstate, and both
+        # closed loops report it at its time, as a NumericsError
         spec = build_vintage_spec(1.0, 2.0, 0.7, 0.45)
+        model = spec.delay
         big = vintage_start(spec)
         big[0] = 1.79e308
+        handle = delay.make_handle(model, spacing(model, big))
+        u = delay.feedback(model, big)
+        assert np.isfinite(u)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            handle.step(big, u)
         with np.errstate(over="ignore"):
-            with pytest.raises(GridError):
-                reference_simulate(spec.delay, big, 1.0)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                reference_simulate(model, big, 1.0)
             with pytest.raises(NumericsError,
                                match="left the float range at t = 0 "):
-                delay.simulate(spec.delay, big, 1.0)
+                delay.simulate(model, big, 1.0)
+            with pytest.raises(NumericsError,
+                               match="left the float range at t = 0 "):
+                _rollout(handle, big, 1.0)
+
+    def test_non_finite_step_input_is_a_grid_error(self):
+        spec = build_vintage_spec(1.0, 2.0, 0.7, 0.45)
+        model, state0 = spec.delay, vintage_start(spec)
+        step = delay.make_handle(model, spacing(model, state0)).step
+        u = delay.feedback(model, state0)
+        for k, bad in ((0, np.inf), (0, np.nan), (-1, np.inf)):
+            x = state0.copy()
+            x[k] = bad
+            with pytest.raises(GridError, match="non-finite"):
+                step(x, u)
+        with pytest.raises(GridError, match="non-finite"):
+            step(state0, np.nan)
 
 
 # -- the handles' rollouts ---------------------------------------------------

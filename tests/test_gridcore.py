@@ -13,8 +13,8 @@ from hjbkit.gridcore import (CircleGrid, CNOperator, Field, HistorySegment,
                              inner_product, quad_circle,
                              lapack_gttr, sl_apply,
                              solve_periodic_tridiagonal,
-                             apply_periodic_tridiagonal, trapezoid,
-                             _stencil_coefficients)
+                             apply_periodic_tridiagonal, state_minima,
+                             trapezoid, _stencil_coefficients)
 
 GRID = CircleGrid(64)
 THETA = GRID.nodes
@@ -242,6 +242,14 @@ class TestCyclicSolve:
         assert "scipy.linalg._flapack" not in sys.modules
 
 
+def test_state_minima_match_each_states_minimum():
+    # 130 states: two full chunks of 64 and a partial one
+    rng = np.random.default_rng(3)
+    states = [rng.normal(size=7) for _ in range(130)]
+    assert np.array_equal(state_minima(states), [y.min() for y in states])
+    assert np.array_equal(state_minima(states[:1]), [states[0].min()])
+
+
 class TestCnStep:
     def test_constant_invariant_under_pure_diffusion(self):
         y = GRID.constant(3.2)
@@ -394,6 +402,40 @@ class TestCnStep:
         y = cn_step(op, shared_b, source)
         with pytest.raises(NumericsError, match="residual check"):
             cn_step(op, y, np.full(GRID.n, np.nan))
+        assert np.array_equal(cn_step(op, y, source),
+                              cn_step(CNOperator(sigma, zeroth, op.dt), y,
+                                      source))
+
+    def test_kept_source_product_is_safe(self):
+        # dt * source is kept for a read-only source and reused when the
+        # next step passes that very array; any other array, read-only or
+        # not, is scaled anew, and so is a writable one passed again after
+        # an in-place write: the bits of fresh operators on copies
+        sigma, zeroth, op = self._varying_operator()
+        kept = [GRID.constant(0.5).values, GRID.from_function(np.sin).values]
+        for source in kept:
+            source.flags.writeable = False
+        writable = np.zeros(GRID.n)
+        y = want = GRID.from_function(np.cos).values
+        for source in (kept[0], kept[0], kept[1], kept[1], kept[0].copy(),
+                       kept[0], writable, writable, kept[0]):
+            y = cn_step(op, y, source)
+            want = cn_step(CNOperator(sigma, zeroth, op.dt), want,
+                           source.copy())
+            assert np.array_equal(y, want)
+            writable += 0.25
+
+    def test_an_overflowing_step_leaves_no_product_behind(self):
+        # alternating values of 2e307 overflow the rows' sums, not their
+        # terms: the scratch rows are written before the raise, and the
+        # next step from the last result must not take them for its product
+        sigma, zeroth = GRID.constant(1.0), GRID.constant(-0.3)
+        op = CNOperator(sigma, zeroth, 0.05)
+        source = GRID.constant(0.5).values
+        y = cn_step(op, GRID.from_function(np.cos).values, source)
+        with np.errstate(all="raise"), \
+                pytest.raises(FloatingPointError, match="reduce"):
+            cn_step(op, 2e307 * (-1.0) ** np.arange(GRID.n), source)
         assert np.array_equal(cn_step(op, y, source),
                               cn_step(CNOperator(sigma, zeroth, op.dt), y,
                                       source))

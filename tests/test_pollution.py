@@ -8,6 +8,7 @@ from hjbkit.gridcore import (CircleGrid, CNOperator, Field, cn_step,
 from hjbkit.pollution import (build_pollution_spec, hjb_residual_pollution,
                               feedback_pollution, make_handle,
                               simulate_pollution, value_pollution)
+from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.verify import _rollout, scaled
 from reference import running_gain
 
@@ -156,6 +157,19 @@ class TestSimulate:
         spec = wavy_spec()
         traj = simulate_pollution(spec, np.full(GRID.n, 0.5), 10.0, 0.02)
         assert traj.meta["min_state"] >= -1e-10
+
+    def test_maximum_principle_violation_reports_the_minimum(self):
+        # a spike of 1000 at one node: Crank-Nicolson at dt 0.02 overshoots
+        # below zero next to it, and the run reports the least state value
+        spec = build_scenario(default_config("pollution")).spec
+        p0 = np.zeros(spec.grid.n)
+        p0[0] = 1000.0
+        states = _rollout(make_handle(spec, 0.02), p0, 0.08).states
+        least = float(min(p.min() for p in states))
+        with pytest.raises(NumericsError, match="maximum principle") as exc:
+            simulate_pollution(spec, p0, 0.08, 0.02)
+        assert str(exc.value).endswith(f"min p = {least!r}")
+        assert least == -777.3950231728334
 
 
 class TestHJBResidual:

@@ -6,6 +6,7 @@ from hjbkit.errors import (AssumptionError, DomainError, DomainExitError,
                            GridError)
 from hjbkit.gridcore import (CircleGrid, CNOperator, Field, cn_step,
                              inner_product, quad_circle)
+from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import (build_spatial_spec, feedback_spatial,
                                    hjb_residual_spatial, make_handle, pairing,
                                    simulate_spatial, utility, value_spatial)
@@ -197,6 +198,18 @@ class TestSimulate:
                                 1.0, 0.01)
         assert traj.meta["positivity_ok"] is True
         assert traj.meta["first_negative_time"] is None
+
+    def test_first_negative_time_is_the_first_state_below_zero(self):
+        # capital 2 on half the circle and 0 on the other: the consumption
+        # drawn where there is no capital drives those nodes negative
+        spec = build_scenario(default_config("spatial-growth")).spec
+        n = spec.grid.n
+        x0 = np.r_[np.full(n // 2, 2.0), np.zeros(n - n // 2)]
+        traj = simulate_spatial(spec, x0, 1.0, 0.01)
+        negative = [t for t, y in zip(traj.times, traj.states)
+                    if y.min() < 0.0]
+        assert traj.meta["positivity_ok"] is False
+        assert traj.meta["first_negative_time"] == negative[0] == 0.01
 
     def test_rejects_bad_dt(self, const_spec):
         with pytest.raises(ValueError):
