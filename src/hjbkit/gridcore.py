@@ -22,6 +22,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -36,13 +37,19 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class CircleGrid:
-    """Uniform periodic grid with nodes theta_j = 2*pi*j/n."""
+    """Uniform periodic grid with nodes theta_j = 2*pi*j/n.
+
+    A function on the circle is the read-only array of its n node values;
+    the grid checks such arrays (:meth:`nodal`) and owns their one
+    quadrature (:meth:`quad`, :meth:`inner`).
+    """
 
     n: int
 
     def __post_init__(self):
-        if self.n < 8:
-            raise GridError(f"circle grid needs n >= 8 nodes, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 8:
+            raise GridError(
+                f"circle grid needs an integer n >= 8 nodes, got {self.n!r}")
 
     @cached_property
     def h(self) -> float:
@@ -68,15 +75,37 @@ class CircleGrid:
                             f"{type(x).__name__} of shape {shape}")
         return x
 
+    def quad(self, x) -> float:
+        """Integral over the circle of the node values x by the rectangle
+        rule, h * sum(x).
+
+        On a uniform periodic grid this rule is exact for constants and
+        kills the first n/2 - 1 Fourier harmonics to machine precision (it
+        is the trapezoid rule of periodic functions), hence spectrally
+        accurate for smooth integrands.
+        """
+        return float(self.h * np.add.reduce(self.nodal(x)))
+
+    def inner(self, x, g) -> float:
+        """L2 pairing <x, g>, the integral of x*g, of two arrays of node
+        values."""
+        return float(self.h * np.add.reduce(self.nodal(x) * self.nodal(g)))
+
+    def restrict(self, fine):
+        """The samples at this grid's nodes of the node values ``fine`` on a
+        grid that is an integer refinement of this one."""
+        factor = len(fine) // self.n
+        if factor < 1 or np.shape(fine) != (factor * self.n,):
+            raise GridError(f"expected node values on an integer refinement "
+                            f"of the {self.n}-node grid, got shape "
+                            f"{np.shape(fine)}")
+        return fine[::factor]
+
 
 @dataclass(frozen=True)
 class Field:
-    """Real-valued function sampled on a :class:`CircleGrid`.
-
-    A Field has no arithmetic: formulas act on its node ``values``.  Each
-    function of two Fields calls :meth:`_check`, so mixing grids raises
-    :class:`GridError`.
-    """
+    """Real-valued function sampled on a :class:`CircleGrid`: the profile
+    type the spec builders take in, which they unwrap to node arrays."""
 
     grid: CircleGrid
     values: np.ndarray
@@ -89,31 +118,6 @@ class Field:
             )
         object.__setattr__(self, "values", vals)
 
-    def _check(self, other: "Field") -> None:
-        if not isinstance(other, Field):
-            raise TypeError(f"expected Field, got {type(other).__name__}")
-        if other.grid.n != self.grid.n:
-            raise GridError(
-                f"grid mismatch: n={self.grid.n} vs n={other.grid.n}"
-            )
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-
-def quad_circle(f: Field) -> float:
-    """Integral over the circle by the rectangle rule, h * sum(f).
-
-    On a uniform periodic grid this rule is exact for constants and kills
-    the first n/2 - 1 Fourier harmonics to machine precision (it is the
-    trapezoid rule of periodic functions), hence spectrally accurate for
-    smooth integrands.
-    """
-    return float(f.grid.h * f.values.sum())
-
 
 def trapezoid(y: np.ndarray, dx: float) -> float:
     """Composite trapezoid rule for samples ``y`` spaced ``dx`` apart
@@ -122,48 +126,36 @@ def trapezoid(y: np.ndarray, dx: float) -> float:
     return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
 
 
-def inner_product(f: Field, g: Field) -> float:
-    """L2 pairing <f, g> = integral of f*g over the circle."""
-    f._check(g)
-    return nodal_inner(f.grid, f.values, g.values)
-
-
-def nodal_inner(grid: CircleGrid, x, g: np.ndarray) -> float:
-    """L2 pairing of the node values ``x`` with the node values ``g`` of a
-    profile on ``grid``; a GridError unless x holds n of them."""
-    return float(grid.h * np.add.reduce(grid.nodal(x) * g))
-
-
-def _stencil_coefficients(sigma: Field, zeroth: Field):
-    """Periodic tridiagonal coefficients of f -> (sigma f')' + zeroth*f.
+def _stencil_coefficients(grid: CircleGrid, sigma, zeroth):
+    """Periodic tridiagonal coefficients of f -> (sigma f')' + zeroth*f, of
+    node arrays sigma > 0 and zeroth on ``grid``.
 
     Returns ``(lo, di, up)`` where row j of the operator reads
     ``lo[j]*f[j-1] + di[j]*f[j] + up[j]*f[j+1]`` with indices mod n.
     ``lo[0]`` and ``up[-1]`` are the periodic corner entries.
     """
-    sigma._check(zeroth)
-    h2 = sigma.grid.h ** 2
-    s = sigma.values
+    s, zeroth = grid.nodal(sigma), grid.nodal(zeroth)
+    if s.min() <= 0.0:
+        raise GridError(f"sigma must be positive, min = {s.min()}")
+    h2 = grid.h ** 2
     s_plus = 0.5 * (s + np.roll(s, -1))   # sigma_{j+1/2}
     s_minus = np.roll(s_plus, 1)          # sigma_{j-1/2}
     lo = s_minus / h2
     up = s_plus / h2
-    di = -(s_plus + s_minus) / h2 + zeroth.values
+    di = -(s_plus + s_minus) / h2 + zeroth
     return lo, di, up
 
 
-def sl_apply(sigma: Field, zeroth: Field, f: Field) -> Field:
-    """Apply the divergence-form operator f -> (sigma f')' + zeroth*f.
+def sl_apply(grid: CircleGrid, sigma, zeroth, f):
+    """Apply the divergence-form operator f -> (sigma f')' + zeroth*f to the
+    node values f.
 
     Second-order centered stencil with arithmetic-mean interface values
     sigma_{j+1/2}; the periodic wrap makes the discrete operator exactly
     self-adjoint for the grid inner product.
     """
-    if sigma.min() <= 0.0:
-        raise GridError(f"sigma must be positive, min = {sigma.min()}")
-    sigma._check(f)
-    lo, di, up = _stencil_coefficients(sigma, zeroth)
-    return Field(f.grid, apply_periodic_tridiagonal(lo, di, up, f.values))
+    lo, di, up = _stencil_coefficients(grid, sigma, zeroth)
+    return apply_periodic_tridiagonal(lo, di, up, grid.nodal(f))
 
 
 def apply_periodic_tridiagonal(lo, di, up, v):
@@ -311,7 +303,8 @@ def solve_periodic_tridiagonal(lo, di, up, rhs):
 
 class CNOperator:
     """Crank-Nicolson step operator of y' = L y + source with
-    L = (sigma y')' + zeroth*y and a fixed step dt.
+    L = (sigma y')' + zeroth*y on ``grid``, of node arrays sigma and zeroth,
+    and a fixed step dt.
 
     It holds the implicit side ``A = I - dt/2 L`` factored, and the rows of
     ``A`` and of the explicit side ``E = I + dt/2 L`` stacked, so that one
@@ -322,14 +315,12 @@ class CNOperator:
     dt * max(zeroth) < 2 otherwise.
     """
 
-    def __init__(self, sigma: Field, zeroth: Field, dt: float):
-        if not dt > 0.0:  # NaN too
-            raise ValueError(f"dt must be positive, got {dt}")
-        if sigma.min() <= 0.0:
-            raise GridError(f"sigma must be positive, min = {sigma.min()}")
-        lo, di, up = _stencil_coefficients(sigma, zeroth)
+    def __init__(self, grid: CircleGrid, sigma, zeroth, dt: float):
+        if not 0.0 < dt < math.inf:  # NaN too
+            raise ValueError(f"dt must be finite and positive, got {dt}")
+        lo, di, up = _stencil_coefficients(grid, sigma, zeroth)
         half = 0.5 * dt
-        n = sigma.grid.n
+        n = grid.n
         self.dt, self.n = dt, n
         # rows[k, i, j]: coefficient of x[j-1], x[j], x[j+1] (i = 0, 1, 2)
         # in row j of A (k = 0) and of E (k = 1)
@@ -406,15 +397,6 @@ def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def restrict(fine: Field, grid: CircleGrid) -> Field:
-    """Samples of ``fine`` at the nodes of ``grid``, of which its grid must
-    be an integer refinement."""
-    factor = fine.grid.n // grid.n
-    if factor * grid.n != fine.grid.n:
-        raise ValueError("reference grid must be an integer refinement")
-    return Field(grid, fine.values[::factor])
-
-
 @dataclass(frozen=True)
 class HistorySegment:
     """Uniform samples of a lag function on [-d, 0].
@@ -467,8 +449,9 @@ class AgeGrid:
         if not 0.0 < self.sbar < math.inf:  # NaN too
             raise GridError(
                 f"sbar must be finite and positive, got {self.sbar}")
-        if self.m < 4:
-            raise GridError(f"age grid needs m >= 4 cells, got {self.m}")
+        if not isinstance(self.m, numbers.Integral) or self.m < 4:
+            raise GridError(
+                f"age grid needs an integer m >= 4 cells, got {self.m!r}")
 
     @property
     def h(self) -> float:

@@ -26,35 +26,32 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       nodal_inner, quad_circle, restrict, sl_apply,
-                       state_minima)
+                       sl_apply, state_minima)
 from .spectral import solve_elliptic
 from .verify import ModelHandle, _read_only, _rollout, memo_last
 
 
 @dataclass(frozen=True)
 class PollutionSpec:
-    """Coefficient profiles plus the derived shadow price and policy."""
+    """Coefficient profiles plus the derived shadow price and policy, as
+    read-only node arrays on ``grid``."""
 
-    sigma_diff: Field
-    delta_dec: Field
-    eta: Field
-    a_prod: Field
-    gamma: Field
-    w_dis: Field
+    grid: CircleGrid
+    sigma_diff: np.ndarray
+    delta_dec: np.ndarray
+    eta: np.ndarray
+    a_prod: np.ndarray
+    gamma: np.ndarray
+    w_dis: np.ndarray
     rho: float
-    alpha_shadow: Field
-    i_star: Field
+    alpha_shadow: np.ndarray
+    i_star: np.ndarray
     q_const: float
 
     @cached_property
-    def grid(self) -> CircleGrid:
-        return self.sigma_diff.grid
-
-    @cached_property
-    def zeroth(self) -> Field:
+    def zeroth(self) -> np.ndarray:
         """-delta, the zeroth-order coefficient of the generator."""
-        return Field(self.grid, -1.0 * self.delta_dec.values)
+        return _read_only(-1.0 * self.delta_dec)
 
 
 def _investment_from_foc(a, gamma, eta_alpha):
@@ -73,12 +70,15 @@ def build_pollution_spec(sigma_diff: Field, delta_dec: Field, eta: Field,
     """Validate coefficients, solve the shadow-price equation and assemble
     the state-independent policy and the constant q.  The spec's profile
     arrays are read-only, and it keeps copies of the fields passed in, so
-    the caller's arrays stay as they were."""
+    the caller's arrays stay as they were; a field on another grid than
+    sigma_diff's is a GridError."""
     grid = sigma_diff.grid
+    given = [_read_only(grid.nodal(f.values).copy()) for f in
+             (sigma_diff, delta_dec, eta, a_prod, gamma, w_dis)]
+    sigma_diff, delta_dec, eta, a_prod, g, w_dis = given
     for f, name in [(delta_dec, "delta"), (eta, "eta"), (a_prod, "a"),
-                    (gamma, "gamma"), (w_dis, "w")]:
-        sigma_diff._check(f)
-        if not np.all(np.isfinite(f.values)):
+                    (g, "gamma"), (w_dis, "w")]:
+        if not np.all(np.isfinite(f)):
             raise ValueError(f"{name} must be finite")
     if sigma_diff.min() <= 0.0:
         raise ValueError(f"diffusivity sigma must be positive, min = {sigma_diff.min()}")
@@ -90,7 +90,6 @@ def build_pollution_spec(sigma_diff: Field, delta_dec: Field, eta: Field,
         raise ValueError(f"productivity a must exceed 1, min = {a_prod.min()}")
     if w_dis.min() <= 0.0:
         raise ValueError(f"disutility weight w must be positive, min = {w_dis.min()}")
-    g = gamma.values
     if g.min() <= 0.0 or np.any(g == 1.0):
         raise ValueError("gamma must be positive and != 1")
     if not (np.all(g < 1.0) or np.all(g > 1.0)):
@@ -98,46 +97,41 @@ def build_pollution_spec(sigma_diff: Field, delta_dec: Field, eta: Field,
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
 
-    alpha = solve_elliptic(rho, sigma_diff, delta_dec, w_dis)
-    eta_alpha = eta.values * alpha.values
+    alpha = solve_elliptic(grid, rho, sigma_diff, delta_dec, w_dis)
+    eta_alpha = eta * alpha
     if np.any(eta_alpha <= 0.0):
         raise NumericsError(
             "eta*alpha vanishes somewhere: the pointwise investment problem "
             "is unbounded for gamma < 1 and has no interior maximizer"
         )
-    i_star = Field(grid, _investment_from_foc(a_prod.values, g, eta_alpha))
-    q_const = quad_circle(Field(grid, _sup_values(a_prod.values, g,
-                                                  eta_alpha))) / rho
-    # the spec's profiles are read-only: the feedback hands out i_star's
-    given = [Field(grid, f.values.copy()) for f in
-             (sigma_diff, delta_dec, eta, a_prod, gamma, w_dis)]
-    for f in (*given, alpha, i_star):
-        f.values.flags.writeable = False
-    return PollutionSpec(*given, rho, alpha, i_star, float(q_const))
+    i_star = _investment_from_foc(a_prod, g, eta_alpha)
+    q_const = grid.quad(_sup_values(a_prod, g, eta_alpha)) / rho
+    # the spec's profiles are read-only: the feedback hands out i_star
+    _read_only((alpha, i_star))
+    return PollutionSpec(grid, *given, rho, alpha, i_star, float(q_const))
 
 
 def value_pollution(spec: PollutionSpec, p0: np.ndarray) -> float:
     """Affine value -<alpha, p0> + q of the node values p0, defined on the
     whole state space."""
-    return -nodal_inner(spec.grid, p0, spec.alpha_shadow.values) \
-        + spec.q_const
+    return -spec.grid.inner(p0, spec.alpha_shadow) + spec.q_const
 
 
 def feedback_pollution(spec: PollutionSpec, p: np.ndarray) -> np.ndarray:
     """The node values of the optimal investment ``spec.i_star``, the same
     read-only array at every state p."""
     spec.grid.nodal(p)
-    return spec.i_star.values
+    return spec.i_star
 
 
 def utility(spec: PollutionSpec, i: np.ndarray) -> float:
     """Utility of consumption, the integral of ((a-1) i)^(1-gamma) /
     (1-gamma), of an investment profile's node values i; a NumericsError
     where that power leaves the float range."""
-    g1 = 1.0 - spec.gamma.values
+    g1 = 1.0 - spec.gamma
     with np.errstate(all="ignore"):  # judged below
-        total = float(spec.grid.h * (((spec.a_prod.values - 1.0)
-                                      * spec.grid.nodal(i)) ** g1 / g1).sum())
+        total = spec.grid.quad(
+            ((spec.a_prod - 1.0) * spec.grid.nodal(i)) ** g1 / g1)
     if not math.isfinite(total):
         raise NumericsError(
             f"utility of consumption is {total} in floating point at gamma "
@@ -147,7 +141,7 @@ def utility(spec: PollutionSpec, i: np.ndarray) -> float:
 
 def disutility(spec: PollutionSpec, p: np.ndarray) -> float:
     """Pollution disutility <w, p> of the node values p."""
-    return nodal_inner(spec.grid, p, spec.w_dis.values)
+    return spec.grid.inner(p, spec.w_dis)
 
 
 def simulate_pollution(spec: PollutionSpec, p0: np.ndarray, T_end: float,
@@ -182,11 +176,10 @@ def hjb_residual_pollution(spec: PollutionSpec, x: np.ndarray,
     a finer grid it measures the stencil's O(h^2) truncation error on the
     near-exact shadow price.
     """
-    alpha = restrict(ref_spec.alpha_shadow, spec.grid)
-    q = ref_spec.q_const
-    v = -nodal_inner(spec.grid, x, alpha.values) + q
-    A_alpha = sl_apply(spec.sigma_diff, spec.zeroth, alpha)
-    drift = nodal_inner(spec.grid, x, A_alpha.values)
+    grid, q = spec.grid, ref_spec.q_const
+    alpha = grid.restrict(ref_spec.alpha_shadow)
+    v = -grid.inner(x, alpha) + q
+    drift = grid.inner(x, sl_apply(grid, spec.sigma_diff, spec.zeroth, alpha))
     dis = disutility(spec, x)
     # rho*v = -<x, A alpha> - <w, x> + rho*q  (sup term equals rho*q)
     residual = spec.rho * v + drift + dis - spec.rho * q
@@ -201,13 +194,13 @@ def make_handle(spec: PollutionSpec, dt: float) -> ModelHandle:
     States and controls are node arrays.  The value, the feedback and the
     two payoff terms are the public functions of this module; the step
     uses the one factored CN operator of dt, built here.  The optimal
-    investment is the one array ``spec.i_star.values`` at every step, so
+    investment is the one array ``spec.i_star`` at every step, so
     along the feedback its utility, and the source ``eta * i`` of the
     step, are computed once.  A rollout scores each state at both ends of
     a step, so the disutility of the state last scored is reused too.
     """
-    grid, eta = spec.grid, spec.eta.values
-    op = CNOperator(spec.sigma_diff, spec.zeroth, dt)
+    grid, eta = spec.grid, spec.eta
+    op = CNOperator(grid, spec.sigma_diff, spec.zeroth, dt)
     # read-only, so the operator keeps dt * source while it is passed again
     source = memo_last(lambda i: _read_only(eta * grid.nodal(i)))
 

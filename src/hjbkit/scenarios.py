@@ -16,6 +16,8 @@ import contextlib
 import copy
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +26,7 @@ import numpy as np
 from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
 from .errors import AssumptionError, ConfigError, DomainError, NumericsError
-from .gridcore import (AgeGrid, CircleGrid, HistorySegment, quad_circle,
-                       state_minima)
+from .gridcore import AgeGrid, CircleGrid, HistorySegment, state_minima
 from .verify import (ModelHandle, OracleBracket, VerifyReport,
                      brute_force_value, suboptimality_margin, transversality,
                      value_match, _rollout)
@@ -249,7 +250,11 @@ def validate_config(config: dict) -> dict:
     unknown_tol = set(extra) - set(tol)
     if unknown_tol:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown_tol)}")
-    tol.update({k: _finite(f"tolerances.{k}", v) for k, v in extra.items()})
+    for key, val in extra.items():
+        tol[key] = _finite(f"tolerances.{key}", val)
+        if tol[key] < 0.0:
+            raise ConfigError(f"tolerances.{key} must be nonnegative, "
+                              f"got {val!r}")
     out["tolerances"] = tol
     _check_work(out)
     return out
@@ -287,14 +292,13 @@ def _step_keys(config: dict) -> str:
 
 
 def _finite(name: str, val) -> float:
-    """``val`` as a finite float, or a ConfigError naming ``name``."""
-    try:
-        x = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {val!r}") from None
-    if not math.isfinite(x):
+    """``val``, a real number that is not a boolean, as a finite float, or a
+    ConfigError naming ``name``: a string or a boolean is no number."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    if not abs(val) <= sys.float_info.max:  # NaN, and an int past the range
         raise ConfigError(f"{name} must be finite, got {val!r}")
-    return x
+    return float(val)
 
 
 def refine_config(config: dict, k: int) -> dict:
@@ -456,9 +460,9 @@ def _build_spatial(config):
         X, C, h = np.array(states), np.array(controls), spec.grid.h
         return {
             "total_capital": h * X.sum(axis=1),
-            "beta_pairing": h * (X * spec.beta.values).sum(axis=1),
+            "beta_pairing": h * (X * spec.beta).sum(axis=1),
             "min_capital": X.min(axis=1),
-            "total_consumption": h * (C * spec.N_pop.values).sum(axis=1),
+            "total_consumption": h * (C * spec.N_pop).sum(axis=1),
         }
 
     return dict(
@@ -479,11 +483,11 @@ def _build_pollution(config):
     def spec_at(n):
         g = CircleGrid(n)
         fields = {key: g.from_function(fn) for key, fn in fns.items()}
-        if fields["eta"].min() <= 0.0:
+        eta = fields["eta"].values
+        if eta.min() <= 0.0:
             # eta*alpha = 0 leaves the pointwise investment problem
             # without an interior maximizer
-            raise ConfigError("params.eta must be positive, min = "
-                              f"{fields['eta'].min()}")
+            raise ConfigError(f"params.eta must be positive, min = {eta.min()}")
         return pollution.build_pollution_spec(*fields.values(), p["rho"])
 
     spec, p0, shared = _circle_parts(config, spec_at, "p0",
@@ -495,7 +499,7 @@ def _build_pollution(config):
             "total_pollution": h * X.sum(axis=1),
             "min_pollution": X.min(axis=1),
             "max_pollution": X.max(axis=1),
-            "total_emission": h * (C * spec.eta.values).sum(axis=1),
+            "total_emission": h * (C * spec.eta).sum(axis=1),
         }
 
     return dict(
@@ -503,7 +507,7 @@ def _build_pollution(config):
         simulate=lambda: pollution.simulate_pollution(
             spec, p0, num["T_end"], num["dt"]),
         derived={"q_const": spec.q_const,
-                 "alpha_shadow_mean": quad_circle(spec.alpha_shadow)
+                 "alpha_shadow_mean": spec.grid.quad(spec.alpha_shadow)
                  / (2.0 * math.pi)},
         state_columns=columns,
     )

@@ -22,27 +22,24 @@ import numpy as np
 from .errors import (AssumptionError, DomainError, NumericsError,
                      closed_form_constant)
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       inner_product, nodal_inner, restrict, sl_apply,
-                       state_minima)
+                       sl_apply, state_minima)
 from .spectral import EigenPair, principal_eigenpair
-from .verify import ModelHandle, _rollout, memo_last
+from .verify import ModelHandle, _read_only, _rollout, memo_last
 
 
 @dataclass(frozen=True)
 class SpatialGrowthSpec:
-    """Parameters plus derived spectral quantities of the spatial AK model."""
+    """Parameters plus derived spectral quantities of the spatial AK model;
+    the profiles are read-only node arrays on ``grid``."""
 
-    A_coeff: Field
-    N_pop: Field
+    grid: CircleGrid
+    A_coeff: np.ndarray
+    N_pop: np.ndarray
     sigma_crra: float
     rho: float
     eigen: EigenPair
     alpha0: float
-    beta: Field
-
-    @cached_property
-    def grid(self) -> CircleGrid:
-        return self.A_coeff.grid
+    beta: np.ndarray
 
     @property
     def growth_rate(self) -> float:
@@ -52,24 +49,27 @@ class SpatialGrowthSpec:
     @cached_property
     def consumption_profile(self) -> np.ndarray:
         """beta^(-1/sigma), the shape of every optimal consumption profile."""
-        return self.beta.values ** float(-1.0 / self.sigma_crra)
+        return _read_only(self.beta ** float(-1.0 / self.sigma_crra))
 
 
 def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
                        rho: float) -> SpatialGrowthSpec:
     """Compute the eigenpair and the closed-form constants alpha0, beta.
     The spec's profile arrays are read-only, and it keeps copies of the
-    fields passed in, so the caller's arrays stay as they were."""
+    fields passed in, so the caller's arrays stay as they were; a field on
+    another grid than A_coeff's is a GridError."""
     grid = A_coeff.grid
+    A_coeff, N_pop = (_read_only(grid.nodal(f.values).copy())
+                      for f in (A_coeff, N_pop))
     if N_pop.min() <= 0.0:
         raise ValueError(f"population density must be positive, min = {N_pop.min()}")
-    if not np.all(np.isfinite(A_coeff.values)):
+    if not np.all(np.isfinite(A_coeff)):
         raise ValueError("technology profile must be finite")
     if sigma_crra <= 0.0 or sigma_crra == 1.0:
         raise ValueError(f"sigma must be positive and != 1, got {sigma_crra}")
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    eigen = principal_eigenpair(A_coeff)
+    eigen = principal_eigenpair(grid, A_coeff)
     lam0 = eigen.lambda0
     # the margin guard keeps the exact-boundary case rejected despite the
     # eigensolver's last-digit wobble
@@ -79,8 +79,7 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
             f"got rho = {rho}, lambda0*(1-sigma) = {lam0 * (1.0 - sigma_crra)}"
         )
     with np.errstate(all="ignore"):  # judged by closed_form_constant
-        weight = inner_product(
-            Field(grid, eigen.e0.values ** (1.0 - 1.0 / sigma_crra)), N_pop)
+        weight = grid.inner(eigen.e0 ** (1.0 - 1.0 / sigma_crra), N_pop)
         base = sigma_crra / (rho - lam0 * (1.0 - sigma_crra)) * weight
         alpha0 = np.float64(base) ** (sigma_crra / (1.0 - sigma_crra))
         # the value's constant: v(x) = alpha0^(1-sigma) <x, e0>^(1-sigma)
@@ -88,17 +87,15 @@ def build_spatial_spec(A_coeff: Field, N_pop: Field, sigma_crra: float,
         value_scale = alpha0 ** (1.0 - sigma_crra)
     alpha0 = closed_form_constant("alpha0", alpha0, sigma_crra)
     closed_form_constant("alpha0^(1-sigma)", value_scale, sigma_crra)
-    beta = Field(grid, alpha0 * eigen.e0.values)
-    A_coeff, N_pop = (Field(grid, f.values.copy()) for f in (A_coeff, N_pop))
-    for f in (A_coeff, N_pop, eigen.e0, beta):
-        f.values.flags.writeable = False
-    return SpatialGrowthSpec(A_coeff, N_pop, sigma_crra, rho, eigen,
+    beta = alpha0 * eigen.e0
+    _read_only((eigen.e0, beta))
+    return SpatialGrowthSpec(grid, A_coeff, N_pop, sigma_crra, rho, eigen,
                              alpha0, beta)
 
 
 def pairing(spec: SpatialGrowthSpec, x: np.ndarray) -> float:
     """The pairing <x, beta> of a state's node values x."""
-    return nodal_inner(spec.grid, x, spec.beta.values)
+    return spec.grid.inner(x, spec.beta)
 
 
 def _in_domain(p: float) -> float:
@@ -132,8 +129,8 @@ def feedback_spatial(spec: SpatialGrowthSpec, x: np.ndarray) -> np.ndarray:
 def utility(spec: SpatialGrowthSpec, c: np.ndarray) -> float:
     """Benthamite utility integral of a consumption profile's node values."""
     s = spec.sigma_crra
-    terms = (spec.grid.nodal(c) ** float(1.0 - s)) * spec.N_pop.values
-    return float(spec.grid.h * np.add.reduce(terms)) / (1.0 - s)
+    return spec.grid.quad(spec.grid.nodal(c) ** float(1.0 - s)
+                          * spec.N_pop) / (1.0 - s)
 
 
 def simulate_spatial(spec: SpatialGrowthSpec, x0: np.ndarray, T_end: float,
@@ -176,17 +173,17 @@ def hjb_residual_spatial(spec: SpatialGrowthSpec, x: np.ndarray,
     error of the stencil; ``ref_spec = spec`` collapses the residual to
     the eigen iteration tolerance.
     """
-    beta = restrict(ref_spec.beta, spec.grid)
-    s = spec.sigma_crra
-    p = _in_domain(nodal_inner(spec.grid, x, beta.values))
+    grid, s = spec.grid, spec.sigma_crra
+    beta = grid.restrict(ref_spec.beta)
+    p = _in_domain(grid.inner(x, beta))
     v = p ** (1.0 - s) / (1.0 - s)
     # drift term <x, A_h Dv> with the stencil acting on the gradient
     grad_coeff = p ** (-s)
-    A_beta = sl_apply(spec.grid.constant(1.0), spec.A_coeff, beta)
-    drift = grad_coeff * nodal_inner(spec.grid, x, A_beta.values)
+    A_beta = sl_apply(grid, np.ones(grid.n), spec.A_coeff, beta)
+    drift = grad_coeff * grid.inner(x, A_beta)
     # closed-form supremum: sigma/(1-sigma) * int N * Dv^((sigma-1)/sigma)
-    ham = (s / (1.0 - s)) * p ** (1.0 - s) * nodal_inner(
-        spec.grid, beta.values ** (1.0 - 1.0 / s), spec.N_pop.values)
+    ham = (s / (1.0 - s)) * p ** (1.0 - s) * grid.inner(
+        beta ** (1.0 - 1.0 / s), spec.N_pop)
     residual = spec.rho * v - drift - ham
     scale = max(abs(spec.rho * v), abs(drift), abs(ham))
     return abs(residual) / scale
@@ -204,8 +201,8 @@ def make_handle(spec: SpatialGrowthSpec, dt: float) -> ModelHandle:
     scored is reused (the payoff does not depend on the state).
     """
     # c * (-N) is -1.0 * (c * N) bit for bit: rounding is sign-symmetric
-    grid, minus_N = spec.grid, -1.0 * spec.N_pop.values
-    op = CNOperator(grid.constant(1.0), spec.A_coeff, dt)
+    grid, minus_N = spec.grid, -1.0 * spec.N_pop
+    op = CNOperator(grid, np.ones(grid.n), spec.A_coeff, dt)
 
     def step(y, c):
         return cn_step(op, y, grid.nodal(c) * minus_N)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, NumericsError
-from .gridcore import (AgeGrid, CyclicTridiagonal, Field,
+from .gridcore import (AgeGrid, CircleGrid, CyclicTridiagonal,
                        _stencil_coefficients, apply_periodic_tridiagonal,
                        solve_periodic_tridiagonal)
 
@@ -28,15 +28,16 @@ EIGEN_MAX_ITER = 10_000   # iterations before it reports non-convergence
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Principal eigenvalue and positive, L2-normalized eigenfunction."""
+    """Principal eigenvalue and the node values of the positive,
+    L2-normalized eigenfunction."""
 
     lambda0: float
-    e0: Field
+    e0: np.ndarray
 
 
-def principal_eigenpair(A_coeff: Field) -> EigenPair:
+def principal_eigenpair(grid: CircleGrid, A_coeff) -> EigenPair:
     """Largest eigenpair of the discrete operator f -> f'' + A_coeff * f on
-    A_coeff's grid.
+    ``grid``, for the node values A_coeff.
 
     Shifted inverse power iteration: with shift s = max(A) + 1 the matrix
     s*I - L is positive definite and its smallest eigenvalue corresponds to
@@ -44,11 +45,10 @@ def principal_eigenpair(A_coeff: Field) -> EigenPair:
     positive eigenvector from a constant start.  The sign is fixed by a
     positive mean, and strict positivity is asserted.
     """
-    grid = A_coeff.grid
-    if not np.all(np.isfinite(A_coeff.values)):
+    if not np.all(np.isfinite(grid.nodal(A_coeff))):
         raise ValueError("A_coeff must be finite")
-    lo, di, up = _stencil_coefficients(grid.constant(1.0), A_coeff)
-    shift = float(A_coeff.values.max()) + 1.0
+    lo, di, up = _stencil_coefficients(grid, np.ones(grid.n), A_coeff)
+    shift = float(A_coeff.max()) + 1.0
     shifted = CyclicTridiagonal(-lo, shift - di, -up)  # factored once
 
     v = np.full(grid.n, 1.0 / np.sqrt(2.0 * np.pi))
@@ -73,11 +73,12 @@ def principal_eigenpair(A_coeff: Field) -> EigenPair:
             "principal eigenvector is not strictly positive "
             f"(min = {v.min():.3e}); the discrete operator should not allow this"
         )
-    return EigenPair(float(lam), Field(grid, v))
+    return EigenPair(float(lam), v)
 
 
-def solve_elliptic(rho: float, sigma: Field, delta: Field, w: Field) -> Field:
-    """Solve (rho - L) alpha = w with L f = (sigma f')' - delta f.
+def solve_elliptic(grid: CircleGrid, rho: float, sigma, delta, w):
+    """Solve (rho - L) alpha = w with L f = (sigma f')' - delta f for the
+    node values alpha, given those of sigma, delta and w on ``grid``.
 
     For rho > 0 and delta >= 0 the matrix rho*I - L is strictly diagonally
     dominant, so the cyclic tridiagonal solve cannot be singular; the
@@ -85,14 +86,10 @@ def solve_elliptic(rho: float, sigma: Field, delta: Field, w: Field) -> Field:
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    if delta.min() < 0.0:
+    if grid.nodal(delta).min() < 0.0:
         raise ValueError(f"delta must be nonnegative, min = {delta.min()}")
-    if sigma.min() <= 0.0:
-        raise ValueError(f"sigma must be positive, min = {sigma.min()}")
-    sigma._check(w)
-    lo, di, up = _stencil_coefficients(sigma, Field(delta.grid, -delta.values))
-    alpha = solve_periodic_tridiagonal(-lo, rho - di, -up, w.values)
-    return Field(w.grid, alpha)
+    lo, di, up = _stencil_coefficients(grid, sigma, -delta)
+    return solve_periodic_tridiagonal(-lo, rho - di, -up, grid.nodal(w))
 
 
 def _exp_cell_weights(k: float, h: float):

@@ -18,9 +18,9 @@ import dataclasses
 import numpy as np
 
 from hjbkit import delay
-from hjbkit.gridcore import (Field, HistorySegment, Trajectory,
-                             discounted_quadrature, fd_derivative,
-                             inner_product, sl_apply, trapezoid)
+from hjbkit.gridcore import (CircleGrid, HistorySegment, Trajectory,
+                             discounted_quadrature, fd_derivative, sl_apply,
+                             trapezoid)
 from hjbkit.pollution import PollutionSpec, disutility, utility
 from hjbkit.spectral import EigenPair
 from hjbkit.time_to_build import TTBSpec
@@ -233,12 +233,13 @@ def positivity_kernel(spec: VintageSpec, s) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def rayleigh_residual(A_coeff: Field, pair: EigenPair) -> float:
-    """Discrete defect ||L e0 - lambda0 e0|| / ||e0|| of an eigenpair."""
-    grid = pair.e0.grid
-    Lv = sl_apply(grid.constant(1.0), A_coeff, pair.e0).values
-    num = np.sqrt(grid.h * np.sum((Lv - pair.lambda0 * pair.e0.values) ** 2))
-    den = np.sqrt(inner_product(pair.e0, pair.e0))
+def rayleigh_residual(grid: CircleGrid, A_coeff: np.ndarray,
+                      pair: EigenPair) -> float:
+    """Discrete defect ||L e0 - lambda0 e0|| / ||e0|| of an eigenpair of
+    the node values A_coeff."""
+    Lv = sl_apply(grid, np.ones(grid.n), A_coeff, pair.e0)
+    num = np.sqrt(grid.h * np.sum((Lv - pair.lambda0 * pair.e0) ** 2))
+    den = np.sqrt(grid.inner(pair.e0, pair.e0))
     return float(num / den)
 
 

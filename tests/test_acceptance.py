@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hjbkit.gridcore import (CircleGrid, Field, HistorySegment, inner_product,
-                             quad_circle)
+from hjbkit.gridcore import CircleGrid, HistorySegment
 from hjbkit.scenarios import (MODELS, build_scenario, default_config,
                               oracle_scenario, residual_study)
 from hjbkit.spectral import char_root_ttb, char_root_vintage, principal_eigenpair
@@ -31,14 +30,14 @@ def scenarios():
 
 def test_criterion_1_eigen_correctness():
     grid = CircleGrid(256)
-    pair = principal_eigenpair(grid.constant(0.7))
+    pair = principal_eigenpair(grid, np.full(grid.n, 0.7))
     ok1 = abs(pair.lambda0 - 0.7) < 1e-8
-    ok2 = np.max(np.abs(pair.e0.values - 1.0 / np.sqrt(2 * np.pi))) < 1e-8
+    ok2 = np.max(np.abs(pair.e0 - 1.0 / np.sqrt(2 * np.pi))) < 1e-8
 
-    A = grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-    wavy = principal_eigenpair(A)
+    A = 1.0 + 0.5 * np.cos(grid.nodes)
+    wavy = principal_eigenpair(grid, A)
     from hjbkit.gridcore import _stencil_coefficients
-    lo, di, up = _stencil_coefficients(grid.constant(1.0), A)
+    lo, di, up = _stencil_coefficients(grid, np.ones(grid.n), A)
     dense = np.zeros((grid.n, grid.n))
     for j in range(grid.n):
         dense[j, (j - 1) % grid.n] += lo[j]
@@ -46,7 +45,7 @@ def test_criterion_1_eigen_correctness():
         dense[j, (j + 1) % grid.n] += up[j]
     lam_dense = np.linalg.eigvalsh(dense).max()
     ok3 = abs(wavy.lambda0 - lam_dense) < 1e-9
-    mean_A = quad_circle(A) / (2 * np.pi)
+    mean_A = grid.quad(A) / (2 * np.pi)
     ok4 = mean_A <= wavy.lambda0 <= A.max()
     report(1, ok1 and ok2 and ok3 and ok4,
            f"constant eigenpair within 1e-8 ({abs(pair.lambda0 - 0.7):.1e}), "
@@ -177,7 +176,7 @@ def test_criterion_8_balanced_growth(scenarios):
 
     sc = scenarios["spatial-growth"]
     traj = sc.simulate()
-    pair = np.array([inner_product(Field(sc.spec.grid, y), sc.spec.beta)
+    pair = np.array([sc.spec.grid.inner(y, sc.spec.beta)
                      for y in traj.states])
     slope = np.polyfit(traj.times, np.log(pair), 1)[0]
     ok = abs(slope - sc.spec.growth_rate) < 1e-3
@@ -203,14 +202,14 @@ def test_criterion_9_paper_discrepancies(scenarios):
     sc = scenarios["pollution"]
     spec = sc.spec
     j = 7  # any location with a != 2
-    a, eta, gamma = (float(spec.a_prod.values[j]), float(spec.eta.values[j]),
-                     float(spec.gamma.values[j]))
-    alpha = float(spec.alpha_shadow.values[j])
+    a, eta, gamma = (float(spec.a_prod[j]), float(spec.eta[j]),
+                     float(spec.gamma[j]))
+    alpha = float(spec.alpha_shadow[j])
     assert abs(a - 2.0) > 0.05
     best = golden_max(
         lambda i: ((a - 1) * i) ** (1 - gamma) / (1 - gamma) - eta * i * alpha,
         1e-9, 1.0)
-    corrected = float(spec.i_star.values[j])
+    corrected = float(spec.i_star[j])
     printed = (1.0 / (a - 1.0)) * (eta * alpha) ** (-1.0 / gamma)
     ok_pollution = (abs(corrected - best) < 1e-8
                     and abs(printed - best) > 1e3 * max(abs(corrected - best),

@@ -13,7 +13,11 @@ property and ``self`` attribute is read as an attribute somewhere.  An
 attribute is matched by name alone, so members that share a name (such
 as ``dt`` or ``nodes``) count as used together.  The exceptions'
 attributes in ``errors.py`` are for whoever catches them, and the
-dataclass fields are the records' contents, so neither is checked."""
+dataclass fields are the records' contents, so neither is checked.
+
+Below the two circle spec builders the circle models run on node arrays:
+``gridcore.Field`` is only the profile type that ``build_spatial_spec``
+and ``build_pollution_spec`` take in, and no other module names it."""
 
 import ast
 import re
@@ -112,3 +116,41 @@ def test_public_member_is_read(module, cls, name):
     assert READS[name], (
         f"{module}.{cls}.{name} is read nowhere in src/, perfbench/ or "
         "README's examples")
+
+
+# the one function of each module that may name Field, in its signature
+FIELD_TAKERS = {"spatial_growth": "build_spatial_spec",
+                "pollution": "build_pollution_spec"}
+
+
+def _field_mentions(tree, taker):
+    """Line numbers of the names, attributes and imports ``Field`` in a
+    module, apart from its import from gridcore and the argument
+    annotations of ``taker``; and how many such annotations there are."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gridcore":
+            allowed.update(map(id, node.names))
+        if isinstance(node, ast.FunctionDef) and node.name == taker:
+            allowed.update(id(sub) for arg in node.args.args
+                           if arg.annotation is not None
+                           for sub in ast.walk(arg.annotation))
+    mentions = [node for node in ast.walk(tree)
+                if (isinstance(node, ast.Name) and node.id == "Field")
+                or (isinstance(node, ast.Attribute) and node.attr == "Field")
+                or (isinstance(node, ast.alias) and node.name == "Field")]
+    kept = [node for node in mentions if id(node) not in allowed]
+    return ([getattr(node, "lineno", "import") for node in kept],
+            len(mentions) - len(kept))
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.stem != "gridcore"],
+                         ids=lambda p: p.stem)
+def test_field_is_named_only_by_the_spec_builders(path):
+    taker = FIELD_TAKERS.get(path.stem)
+    stray, signature = _field_mentions(ast.parse(path.read_text()), taker)
+    assert not stray, (
+        f"{path.stem} names Field at lines {stray}: below the spec builders "
+        "the circle models take a CircleGrid and node arrays")
+    if taker:  # the import and at least one profile argument
+        assert signature >= 2

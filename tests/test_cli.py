@@ -10,9 +10,8 @@ from reference import write_trajectory_csv
 
 from hjbkit.cli import CSV_CHUNK, _write_trajectory_csv, main
 from hjbkit.errors import ConfigError
-from hjbkit.gridcore import Field
-from hjbkit.scenarios import (MODELS, build_scenario, default_config,
-                              refine_config, validate_config)
+from hjbkit.scenarios import (DEFAULT_TOLERANCES, MODELS, build_scenario,
+                              default_config, refine_config, validate_config)
 
 
 def run_cli(args):
@@ -97,15 +96,15 @@ class TestConfigValidation:
 def _reference_row(sc, state, control):
     """The CSV columns of one row, from the model's public functions."""
     from hjbkit import delay
-    from hjbkit.gridcore import inner_product, quad_circle
     spec = sc.spec
     if sc.name == "spatial-growth":
-        x, c = Field(spec.grid, state), Field(spec.grid, control)
-        return [quad_circle(x), inner_product(x, spec.beta), x.min(),
-                inner_product(c, spec.N_pop)]
+        g = spec.grid
+        return [g.quad(state), g.inner(state, spec.beta), float(state.min()),
+                g.inner(control, spec.N_pop)]
     if sc.name == "pollution":
-        x, i = Field(spec.grid, state), Field(spec.grid, control)
-        return [quad_circle(x), x.min(), x.max(), inner_product(spec.eta, i)]
+        g = spec.grid
+        return [g.quad(state), float(state.min()), float(state.max()),
+                g.inner(spec.eta, control)]
     if sc.name == "vintage-transport":
         return [spec.age.quad(state), float(np.min(state)),
                 float(control[0])]
@@ -265,6 +264,16 @@ BAD_INPUTS = [
     ("vintage-transport", "params", "mu", -0.1, "mu"),
     ("spatial-growth", "numerics", "dt", -0.01, "numerics.dt"),
     ("vintage-dde", "params", "rho", "abc", "params.rho"),
+    # a number must be a JSON number: float() would read these
+    ("vintage-dde", "params", "rho", True, "params.rho"),
+    ("vintage-dde", "params", "rho", "0.3", "params.rho"),
+    ("vintage-dde", "numerics", "m", "200", "numerics.m"),
+    ("vintage-dde", "params", "rho", 10 ** 400, "params.rho"),  # past float
+    ("time-to-build", "params", "d", True, "params.d"),  # d = 1 is default
+    ("spatial-growth", "initial", "x0", {"type": "constant", "value": "1.0"},
+     "'value'"),
+    ("pollution", "params", "a", {"type": "harmonic", "mean": True},
+     "'mean'"),
     ("vintage-dde", "params", "rho", float("nan"), "params.rho"),
     ("time-to-build", "numerics", "T_end", float("inf"), "numerics.T_end"),
     ("vintage-dde", "initial", "iota0", {"type": "constant"}, "'value'"),
@@ -371,6 +380,37 @@ def test_grid_size_must_be_an_integer(tmp_path, capsys, key, model):
     assert f"numerics.{key} must be an integer, got {size + 0.7!r}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, said", [
+    ("value_match", "0.01", "must be a number"),
+    ("residual", True, "must be a number"),
+    ("value_match", -1, "must be nonnegative"),
+    ("oracle_slack", -0.5, "must be nonnegative"),
+    ("residual", -1e-300, "must be nonnegative"),
+])
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, command, key, value, said):
+    # a negative tolerance is a configuration error, never a tolerance
+    # failure (exit 3) that no run could pass
+    cfg = dict(default_config("vintage-dde"), tolerances={key: value})
+    with pytest.raises(ConfigError, match=f"tolerances.{key} {said}"):
+        validate_config(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli([command, "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"tolerances.{key} {said}" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "oracle.json").exists()
+
+
+def test_zero_tolerances_are_allowed():
+    cfg = dict(default_config("vintage-dde"),
+               tolerances={key: 0 for key in DEFAULT_TOLERANCES})
+    assert validate_config(cfg)["tolerances"] == dict.fromkeys(
+        DEFAULT_TOLERANCES, 0.0)
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -8,9 +8,8 @@ import scipy.integrate
 import sympy as sp
 
 from hjbkit.errors import GridError, NumericsError
-from hjbkit.gridcore import (CircleGrid, CNOperator, Field, HistorySegment,
+from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
                              AgeGrid, Trajectory, cn_step,
-                             inner_product, quad_circle,
                              lapack_gttr, sl_apply,
                              solve_periodic_tridiagonal,
                              apply_periodic_tridiagonal, state_minima,
@@ -20,9 +19,32 @@ GRID = CircleGrid(64)
 THETA = GRID.nodes
 
 
+def const(c, grid=GRID):
+    """The node values of the constant c on ``grid``."""
+    return np.full(grid.n, float(c))
+
+
 def test_grid_rejects_small_n():
     with pytest.raises(GridError):
         CircleGrid(7)
+
+
+@pytest.mark.parametrize("n", [8.5, 64.0, "64", None])
+def test_circle_grid_rejects_a_non_integer_size(n):
+    # 8.5 would give 9 nodes spaced 2*pi/8.5 apart, which overrun the circle
+    with pytest.raises(GridError, match="integer n"):
+        CircleGrid(n)
+
+
+@pytest.mark.parametrize("m", [10.5, 8.0, "8"])
+def test_age_grid_rejects_a_non_integer_size(m):
+    with pytest.raises(GridError, match="integer m"):
+        AgeGrid(2.0, m)
+
+
+def test_grids_take_numpy_integer_sizes():
+    assert CircleGrid(np.int64(16)).nodes.shape == (16,)
+    assert AgeGrid(2.0, np.int64(8)).nodes.shape == (9,)
 
 
 def test_grid_spacing_closes_the_circle():
@@ -34,7 +56,7 @@ def test_circle_handles_reject_a_field_on_another_grid():
     # check the length of their node arrays; a bare numpy broadcast error
     # would not be a GridError.  A Field is not a node array, on any grid.
     from hjbkit import pollution, spatial_growth
-    one = GRID.constant(1.0).values
+    one = const(1.0)
     growth = spatial_growth.build_spatial_spec(
         GRID.constant(0.04), GRID.constant(1.0), 0.5, 0.05)
     spatial = spatial_growth.make_handle(growth, 0.01)
@@ -42,8 +64,8 @@ def test_circle_handles_reject_a_field_on_another_grid():
         GRID.constant(1.3), GRID.constant(0.1), GRID.constant(1.0),
         GRID.constant(2.0), GRID.constant(0.5), GRID.constant(1.0), 0.05)
     emitting = pollution.make_handle(spec, 0.02)
-    c, i = spatial.feedback(one), spec.i_star.values
-    for other in (CircleGrid(128).constant(1.0).values,
+    c, i = spatial.feedback(one), spec.i_star
+    for other in (const(1.0, CircleGrid(128)),
                   CircleGrid(128).constant(1.0), GRID.constant(1.0)):
         for call in (lambda: spatial.feedback(other),
                      lambda: spatial.value(other),
@@ -66,42 +88,73 @@ def test_circle_handles_reject_a_field_on_another_grid():
 
 class TestQuadCircle:
     def test_constant(self):
-        assert quad_circle(GRID.constant(1.0)) == pytest.approx(2.0 * np.pi,
-                                                                rel=1e-14)
+        assert GRID.quad(const(1.0)) == pytest.approx(2.0 * np.pi, rel=1e-14)
 
     def test_odd_harmonic_vanishes(self):
-        assert abs(quad_circle(GRID.from_function(np.cos))) < 1e-12
+        assert abs(GRID.quad(np.cos(THETA))) < 1e-12
 
     def test_cos_squared(self):
         # analytic: int_0^{2pi} cos^2 = pi
-        f = GRID.from_function(lambda t: np.cos(t) ** 2)
-        assert quad_circle(f) == pytest.approx(np.pi, abs=1e-12)
+        assert GRID.quad(np.cos(THETA) ** 2) == pytest.approx(np.pi,
+                                                              abs=1e-12)
 
     def test_kills_low_harmonics(self):
         # rectangle rule on a periodic grid integrates e^{ik t} exactly
         # for 1 <= k <= n/2 - 1
         for k in (1, 5, 31):
-            f = GRID.from_function(lambda t: np.cos(k * t))
-            assert abs(quad_circle(f)) < 1e-12
+            assert abs(GRID.quad(np.cos(k * THETA))) < 1e-12
+
+    def test_keeps_its_bits(self):
+        # h * sum(x) in numpy's pairwise order: the seeded outputs rest on
+        # these bits
+        x = np.random.default_rng(2).normal(size=GRID.n)
+        assert GRID.quad(x) == float(GRID.h * x.sum())
+
+    def test_rejects_other_grid(self):
+        for x in (const(1.0, CircleGrid(32)), GRID.constant(1.0), [1.0] * 64):
+            with pytest.raises(GridError, match="64 node values"):
+                GRID.quad(x)
 
 
 class TestInnerProduct:
     def test_constants(self):
-        one = GRID.constant(1.0)
-        assert inner_product(one, one) == pytest.approx(2.0 * np.pi, rel=1e-14)
+        one = const(1.0)
+        assert GRID.inner(one, one) == pytest.approx(2.0 * np.pi, rel=1e-14)
 
     def test_orthogonality(self):
-        c = GRID.from_function(np.cos)
-        s = GRID.from_function(np.sin)
-        assert abs(inner_product(c, s)) < 1e-12
+        assert abs(GRID.inner(np.cos(THETA), np.sin(THETA))) < 1e-12
 
     def test_cos_norm(self):
-        c = GRID.from_function(np.cos)
-        assert inner_product(c, c) == pytest.approx(np.pi, abs=1e-12)
+        c = np.cos(THETA)
+        assert GRID.inner(c, c) == pytest.approx(np.pi, abs=1e-12)
+
+    def test_keeps_its_bits(self):
+        x, g = np.random.default_rng(3).normal(size=(2, GRID.n))
+        assert GRID.inner(x, g) == float(GRID.h * (x * g).sum())
 
     def test_grid_mismatch(self):
-        with pytest.raises(GridError):
-            inner_product(GRID.constant(1.0), CircleGrid(32).constant(1.0))
+        for pair in ((const(1.0), const(1.0, CircleGrid(32))),
+                     (const(1.0, CircleGrid(32)), const(1.0))):
+            with pytest.raises(GridError):
+                GRID.inner(*pair)
+
+
+class TestRestrict:
+    def test_takes_every_factor_th_node(self):
+        fine = np.cos(CircleGrid(4 * GRID.n).nodes)
+        coarse = GRID.restrict(fine)
+        assert np.array_equal(coarse, fine[::4])
+        assert np.allclose(coarse, np.cos(THETA), rtol=0.0, atol=1e-15)
+        assert np.array_equal(GRID.restrict(const(2.0)), const(2.0))
+
+    @pytest.mark.parametrize("n_fine", [32, 96, 65, 0])
+    def test_rejects_a_non_refinement(self, n_fine):
+        with pytest.raises(GridError, match="integer refinement"):
+            GRID.restrict(np.ones(n_fine))
+
+    def test_rejects_a_2d_array(self):
+        with pytest.raises(GridError, match="integer refinement"):
+            GRID.restrict(np.ones((2 * GRID.n, 2)))
 
 
 class TestSlApply:
@@ -109,15 +162,14 @@ class TestSlApply:
         # f = cos: f'' = -cos, second-order accurate
         n = 256
         g = CircleGrid(n)
-        f = g.from_function(np.cos)
-        out = sl_apply(g.constant(1.0), g.constant(0.0), f)
-        err = np.max(np.abs(out.values + np.cos(g.nodes)))
+        out = sl_apply(g, const(1.0, g), const(0.0, g), np.cos(g.nodes))
+        err = np.max(np.abs(out + np.cos(g.nodes)))
         assert err < 2.0 * (g.h ** 2)
 
     def test_constants_exact(self):
         c = 0.7
-        out = sl_apply(GRID.constant(1.0), GRID.constant(c), GRID.constant(1.0))
-        assert np.allclose(out.values, c, atol=1e-13)
+        out = sl_apply(GRID, const(1.0), const(c), const(1.0))
+        assert np.allclose(out, c, atol=1e-13)
 
     def test_variable_sigma_against_symbolic_oracle(self):
         # oracle: expand (sigma f')' symbolically and sample it
@@ -129,26 +181,33 @@ class TestSlApply:
         errs = []
         for n in (128, 256):
             g = CircleGrid(n)
-            sigma = g.from_function(lambda x: 1.0 + 0.5 * np.cos(x))
-            f = g.from_function(np.sin)
-            out = sl_apply(sigma, g.constant(0.0), f)
-            errs.append(np.max(np.abs(out.values - oracle(g.nodes))))
+            sigma = 1.0 + 0.5 * np.cos(g.nodes)
+            out = sl_apply(g, sigma, const(0.0, g), np.sin(g.nodes))
+            errs.append(np.max(np.abs(out - oracle(g.nodes))))
         assert errs[0] < 5.0 * (2 * np.pi / 128) ** 2
         assert errs[1] < errs[0] / 3.0  # second order
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(GridError):
-            sl_apply(GRID.constant(0.0), GRID.constant(0.0), GRID.constant(1.0))
+            sl_apply(GRID, const(0.0), const(0.0), const(1.0))
+
+    def test_rejects_other_grid(self):
+        other = const(1.0, CircleGrid(32))
+        for args in ((other, const(0.0), const(1.0)),
+                     (const(1.0), other, const(1.0)),
+                     (const(1.0), const(0.0), other)):
+            with pytest.raises(GridError, match="64 node values"):
+                sl_apply(GRID, *args)
 
     def test_self_adjointness(self):
         rng = np.random.default_rng(7)
-        sigma = GRID.from_function(lambda t: 1.0 + 0.3 * np.sin(t))
-        zeroth = GRID.from_function(lambda t: 0.5 * np.cos(2 * t))
+        sigma = 1.0 + 0.3 * np.sin(THETA)
+        zeroth = 0.5 * np.cos(2 * THETA)
         for _ in range(5):
-            f = Field(GRID, rng.normal(size=GRID.n))
-            g = Field(GRID, rng.normal(size=GRID.n))
-            lhs = inner_product(sl_apply(sigma, zeroth, f), g)
-            rhs = inner_product(f, sl_apply(sigma, zeroth, g))
+            f = rng.normal(size=GRID.n)
+            g = rng.normal(size=GRID.n)
+            lhs = GRID.inner(sl_apply(GRID, sigma, zeroth, f), g)
+            rhs = GRID.inner(f, sl_apply(GRID, sigma, zeroth, g))
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -252,65 +311,65 @@ def test_state_minima_match_each_states_minimum():
 
 class TestCnStep:
     def test_constant_invariant_under_pure_diffusion(self):
-        y = GRID.constant(3.2)
-        out = Field(GRID, cn_step(
-            CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.05),
-            y.values, GRID.constant(0.0).values))
-        assert np.allclose(out.values, 3.2, atol=1e-13)
+        out = cn_step(CNOperator(GRID, const(1.0), const(0.0), 0.05),
+                      const(3.2), const(0.0))
+        assert np.allclose(out, 3.2, atol=1e-13)
 
     def test_scalar_reduction(self):
         # constant-in-theta state: CN reduces to the scalar map
         lam, dt = -0.4, 0.02
-        y = GRID.constant(1.0)
-        out = Field(GRID, cn_step(
-            CNOperator(GRID.constant(1.0), GRID.constant(lam), dt),
-            y.values, GRID.constant(0.0).values))
+        out = cn_step(CNOperator(GRID, const(1.0), const(lam), dt),
+                      const(1.0), const(0.0))
         expected = (1.0 + lam * dt / 2.0) / (1.0 - lam * dt / 2.0)
-        assert np.allclose(out.values, expected, atol=1e-13)
+        assert np.allclose(out, expected, atol=1e-13)
 
     def test_heat_decay(self):
         # y0 = cos decays like e^{-t} cos under the heat flow
         n, dt, t_end = 128, 1e-3, 0.5
         g = CircleGrid(n)
-        y = g.from_function(np.cos)
-        sigma, zeroth, src = g.constant(1.0), g.constant(0.0), g.constant(0.0)
+        y = np.cos(g.nodes)
+        sigma, zeroth, src = const(1.0, g), const(0.0, g), const(0.0, g)
         for _ in range(int(round(t_end / dt))):
-            y = Field(g, cn_step(CNOperator(sigma, zeroth, dt), y.values,
-                                 src.values))
+            y = cn_step(CNOperator(g, sigma, zeroth, dt), y, src)
         # discrete decay rate is the stencil eigenvalue, off by O(h^2)
-        err = np.max(np.abs(y.values - np.exp(-t_end) * np.cos(g.nodes)))
+        err = np.max(np.abs(y - np.exp(-t_end) * np.cos(g.nodes)))
         assert err < t_end * ((2 * np.pi / n) ** 2 + dt ** 2)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(11)
-        y = Field(GRID, 1.0 + 0.5 * rng.random(GRID.n))
-        sigma = GRID.from_function(lambda t: 1.0 + 0.4 * np.cos(t))
-        out = Field(GRID, cn_step(CNOperator(sigma, GRID.constant(0.0), 0.1),
-                                  y.values, GRID.constant(0.0).values))
-        assert abs(quad_circle(out) - quad_circle(y)) < 1e-10
+        y = 1.0 + 0.5 * rng.random(GRID.n)
+        sigma = 1.0 + 0.4 * np.cos(THETA)
+        out = cn_step(CNOperator(GRID, sigma, const(0.0), 0.1), y, const(0.0))
+        assert abs(GRID.quad(out) - GRID.quad(y)) < 1e-10
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            cn_step(CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.0),
-                    GRID.constant(1.0).values, GRID.constant(0.0).values)
+            cn_step(CNOperator(GRID, const(1.0), const(0.0), 0.0),
+                    const(1.0), const(0.0))
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, -0.1])
+    def test_rejects_a_non_finite_dt(self, dt):
+        # an infinite step must be refused here, never reach the
+        # factorization and fail there as a singular system
+        with pytest.raises(ValueError, match="finite and positive"):
+            CNOperator(GRID, const(1.0), const(0.0), dt)
 
     def test_against_dense(self):
         n, dt = 24, 0.3
         g = CircleGrid(n)
-        sigma = g.from_function(lambda t: 1.0 + 0.5 * np.sin(t))
-        zeroth = g.from_function(lambda t: 0.3 * np.cos(2.0 * t) - 0.2)
-        src = g.from_function(lambda t: 1.0 + np.sin(3.0 * t))
-        y = g.from_function(lambda t: 2.0 + np.cos(t))
+        t = g.nodes
+        sigma = 1.0 + 0.5 * np.sin(t)
+        zeroth = 0.3 * np.cos(2.0 * t) - 0.2
+        src = 1.0 + np.sin(3.0 * t)
+        y = 2.0 + np.cos(t)
         # dense L from the stencil's action on the unit vectors
-        L = np.column_stack([sl_apply(sigma, zeroth, Field(g, e)).values
+        L = np.column_stack([sl_apply(g, sigma, zeroth, e)
                              for e in np.eye(n)])
         eye = np.eye(n)
         want = np.linalg.solve(eye - 0.5 * dt * L,
-                               (eye + 0.5 * dt * L) @ y.values
-                               + dt * src.values)
-        out = Field(g, cn_step(CNOperator(sigma, zeroth, dt), y.values,
-                               src.values))
-        assert np.allclose(out.values, want, rtol=0.0, atol=1e-12)
+                               (eye + 0.5 * dt * L) @ y + dt * src)
+        out = cn_step(CNOperator(g, sigma, zeroth, dt), y, src)
+        assert np.allclose(out, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n, check", [(16, "rank-one update"),
                                           (64, "residual check")])
@@ -321,54 +380,55 @@ class TestCnStep:
         # built; at n = 64 it does not, and the solve's defect check fires
         g, dt = CircleGrid(n), 0.1
         with pytest.raises(NumericsError, match=check):
-            op = CNOperator(g.constant(1.0), g.constant(2.0 / dt), dt)
-            cn_step(op, g.constant(1.0).values, g.constant(0.0).values)
+            op = CNOperator(g, const(1.0, g), const(2.0 / dt, g), dt)
+            cn_step(op, const(1.0, g), const(0.0, g))
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(GridError):
-            CNOperator(GRID.constant(0.0), GRID.constant(0.0), 0.1)
+            CNOperator(GRID, const(0.0), const(0.0), 0.1)
 
     def test_rejects_other_grid(self):
-        op = CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.1)
+        op = CNOperator(GRID, const(1.0), const(0.0), 0.1)
         other = CircleGrid(32)
         with pytest.raises(GridError):
-            cn_step(op, other.constant(1.0).values, GRID.constant(0.0).values)
+            cn_step(op, const(1.0, other), const(0.0))
         with pytest.raises(GridError):
-            cn_step(op, GRID.constant(1.0).values, other.constant(0.0).values)
+            cn_step(op, const(1.0), const(0.0, other))
+        with pytest.raises(GridError):
+            CNOperator(GRID, const(1.0, other), const(0.0), 0.1)
 
     @pytest.mark.parametrize("y_len, source_len", [(GRID.n - 1, GRID.n),
                                                    (GRID.n, GRID.n + 1),
                                                    (0, GRID.n)])
     def test_rejects_wrong_length(self, y_len, source_len):
-        op = CNOperator(GRID.constant(1.0), GRID.constant(0.0), 0.1)
+        op = CNOperator(GRID, const(1.0), const(0.0), 0.1)
         with pytest.raises(GridError, match=f"needs {GRID.n} node values"):
             cn_step(op, np.ones(y_len), np.zeros(source_len))
 
     def test_operator_reuse_matches_fresh(self):
         # one factorization serves every step of a given dt
-        sigma = GRID.from_function(lambda t: 1.0 + 0.4 * np.cos(t))
-        zeroth = GRID.constant(-0.3)
-        op = CNOperator(sigma, zeroth, 0.05)
-        y = fresh = GRID.from_function(np.cos)
+        sigma = 1.0 + 0.4 * np.cos(THETA)
+        zeroth = const(-0.3)
+        op = CNOperator(GRID, sigma, zeroth, 0.05)
+        y = fresh = np.cos(THETA)
         for _ in range(5):
-            y = Field(GRID, cn_step(op, y.values, GRID.constant(0.5).values))
-            fresh = Field(GRID, cn_step(CNOperator(sigma, zeroth, 0.05),
-                                        fresh.values,
-                                        GRID.constant(0.5).values))
-        assert np.array_equal(y.values, fresh.values)
+            y = cn_step(op, y, const(0.5))
+            fresh = cn_step(CNOperator(GRID, sigma, zeroth, 0.05), fresh,
+                            const(0.5))
+        assert np.array_equal(y, fresh)
 
     @staticmethod
     def _varying_operator(dt=0.05):
-        sigma = GRID.from_function(lambda t: 1.0 + 0.4 * np.cos(t))
-        zeroth = GRID.from_function(lambda t: 0.2 * np.sin(2.0 * t) - 0.3)
-        return sigma, zeroth, CNOperator(sigma, zeroth, dt)
+        sigma = 1.0 + 0.4 * np.cos(THETA)
+        zeroth = 0.2 * np.sin(2.0 * THETA) - 0.3
+        return sigma, zeroth, CNOperator(GRID, sigma, zeroth, dt)
 
     def test_fused_step_matches_reference(self):
         # the stacked product must give the bits of a separate explicit
         # matvec followed by a fresh cyclic solve, step after step
         sigma, zeroth, op = self._varying_operator()
         imp = op.implicit
-        lo, di, up = _stencil_coefficients(sigma, zeroth)
+        lo, di, up = _stencil_coefficients(GRID, sigma, zeroth)
         half = 0.5 * op.dt
         explicit = (half * lo, 1.0 + half * di, half * up)  # I + dt/2 L
         rng = np.random.default_rng(5)
@@ -385,25 +445,25 @@ class TestCnStep:
         # two trajectories alternating on one operator, and a step from a
         # copy of the last result, give the bits of fresh operators
         sigma, zeroth, op = self._varying_operator()
-        source = GRID.constant(0.5).values
-        a = shared_a = GRID.from_function(np.cos).values
-        b = shared_b = GRID.from_function(np.sin).values
+        source = const(0.5)
+        a = shared_a = np.cos(THETA)
+        b = shared_b = np.sin(THETA)
         for _ in range(20):
             shared_a = cn_step(op, shared_a, source)
             shared_b = cn_step(op, shared_b, source)
-            a = cn_step(CNOperator(sigma, zeroth, op.dt), a, source)
-            b = cn_step(CNOperator(sigma, zeroth, op.dt), b, source)
+            a = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), a, source)
+            b = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), b, source)
             assert np.array_equal(shared_a, a)
             assert np.array_equal(shared_b, b)
         copied = cn_step(op, shared_b.copy(), source)
-        want = cn_step(CNOperator(sigma, zeroth, op.dt), b, source)
+        want = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), b, source)
         assert np.array_equal(copied, want)
         # a step that fails its check must not leave its product behind
         y = cn_step(op, shared_b, source)
         with pytest.raises(NumericsError, match="residual check"):
             cn_step(op, y, np.full(GRID.n, np.nan))
         assert np.array_equal(cn_step(op, y, source),
-                              cn_step(CNOperator(sigma, zeroth, op.dt), y,
+                              cn_step(CNOperator(GRID, sigma, zeroth, op.dt), y,
                                       source))
 
     def test_kept_source_product_is_safe(self):
@@ -412,15 +472,15 @@ class TestCnStep:
         # not, is scaled anew, and so is a writable one passed again after
         # an in-place write: the bits of fresh operators on copies
         sigma, zeroth, op = self._varying_operator()
-        kept = [GRID.constant(0.5).values, GRID.from_function(np.sin).values]
+        kept = [const(0.5), np.sin(THETA)]
         for source in kept:
             source.flags.writeable = False
         writable = np.zeros(GRID.n)
-        y = want = GRID.from_function(np.cos).values
+        y = want = np.cos(THETA)
         for source in (kept[0], kept[0], kept[1], kept[1], kept[0].copy(),
                        kept[0], writable, writable, kept[0]):
             y = cn_step(op, y, source)
-            want = cn_step(CNOperator(sigma, zeroth, op.dt), want,
+            want = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), want,
                            source.copy())
             assert np.array_equal(y, want)
             writable += 0.25
@@ -429,15 +489,15 @@ class TestCnStep:
         # alternating values of 2e307 overflow the rows' sums, not their
         # terms: the scratch rows are written before the raise, and the
         # next step from the last result must not take them for its product
-        sigma, zeroth = GRID.constant(1.0), GRID.constant(-0.3)
-        op = CNOperator(sigma, zeroth, 0.05)
-        source = GRID.constant(0.5).values
-        y = cn_step(op, GRID.from_function(np.cos).values, source)
+        sigma, zeroth = const(1.0), const(-0.3)
+        op = CNOperator(GRID, sigma, zeroth, 0.05)
+        source = const(0.5)
+        y = cn_step(op, np.cos(THETA), source)
         with np.errstate(all="raise"), \
                 pytest.raises(FloatingPointError, match="reduce"):
             cn_step(op, 2e307 * (-1.0) ** np.arange(GRID.n), source)
         assert np.array_equal(cn_step(op, y, source),
-                              cn_step(CNOperator(sigma, zeroth, op.dt), y,
+                              cn_step(CNOperator(GRID, sigma, zeroth, op.dt), y,
                                       source))
 
     def test_results_share_no_memory_with_the_scratch(self):
@@ -462,7 +522,7 @@ class TestCnStep:
 
     def test_result_is_read_only(self):
         _, _, op = self._varying_operator()
-        y = cn_step(op, GRID.constant(1.0).values, GRID.constant(0.0).values)
+        y = cn_step(op, const(1.0), const(0.0))
         with pytest.raises(ValueError):
             y[0] = 2.0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjbkit.gridcore import AgeGrid, CircleGrid, HistorySegment, quad_circle
+from hjbkit.gridcore import AgeGrid, CircleGrid, HistorySegment
 from hjbkit.spectral import char_root_vintage, transport_resolvent
 
 GRID = CircleGrid(64)
@@ -14,14 +14,13 @@ finite_floats = st.floats(min_value=-100.0, max_value=100.0,
 @given(k=st.integers(min_value=1, max_value=31), phase=finite_floats)
 @settings(max_examples=30, deadline=None)
 def test_quad_kills_low_harmonics(k, phase):
-    f = GRID.from_function(lambda t: np.cos(k * t + phase))
-    assert abs(quad_circle(f)) < 1e-10
+    assert abs(GRID.quad(np.cos(k * GRID.nodes + phase))) < 1e-10
 
 
 @given(c=finite_floats)
 @settings(max_examples=20, deadline=None)
 def test_quad_exact_for_constants(c):
-    assert quad_circle(GRID.constant(c)) == pytest.approx(2 * np.pi * c,
+    assert GRID.quad(np.full(GRID.n, c)) == pytest.approx(2 * np.pi * c,
                                                           rel=1e-13,
                                                           abs=1e-12)
 

@@ -4,8 +4,7 @@ import pytest
 
 from hjbkit.errors import (AssumptionError, DomainError, DomainExitError,
                            GridError)
-from hjbkit.gridcore import (CircleGrid, CNOperator, Field, cn_step,
-                             inner_product, quad_circle)
+from hjbkit.gridcore import CircleGrid, CNOperator, cn_step
 from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import (build_spatial_spec, feedback_spatial,
                                    hjb_residual_spatial, make_handle, pairing,
@@ -32,8 +31,8 @@ def smooth_positive(grid, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=5) * np.array([0.4, 0.3, 0.2, 0.1, 0.05])
     t = grid.nodes
-    return Field(grid, np.exp(c[0] + c[1] * np.cos(t) + c[2] * np.sin(t)
-                              + c[3] * np.cos(2 * t) + c[4] * np.sin(2 * t)))
+    return np.exp(c[0] + c[1] * np.cos(t) + c[2] * np.sin(t)
+                  + c[3] * np.cos(2 * t) + c[4] * np.sin(2 * t))
 
 
 class TestBuildSpec:
@@ -51,7 +50,8 @@ class TestBuildSpec:
 
     def test_variable_A_eigen_residual(self, wavy_spec):
         assert wavy_spec.beta.min() > 0.0
-        assert rayleigh_residual(wavy_spec.A_coeff, wavy_spec.eigen) < 1e-7
+        assert rayleigh_residual(wavy_spec.grid, wavy_spec.A_coeff,
+                                 wavy_spec.eigen) < 1e-7
 
     def test_rejects_bad_population(self):
         grid = CircleGrid(64)
@@ -59,15 +59,29 @@ class TestBuildSpec:
             build_spatial_spec(grid.constant(0.04), grid.constant(0.0),
                                0.5, 0.05)
 
+    def test_rejects_a_profile_on_another_grid(self):
+        # the builder unwraps both fields on A's grid
+        grid, other = CircleGrid(64), CircleGrid(32)
+        for A, N in ((grid.constant(0.04), other.constant(1.0)),
+                     (other.constant(0.04), grid.constant(1.0))):
+            with pytest.raises(GridError):
+                build_spatial_spec(A, N, 0.5, 0.05)
+
+    def test_spec_holds_node_arrays_on_its_grid(self, wavy_spec):
+        assert wavy_spec.grid == CircleGrid(256)
+        for f in (wavy_spec.A_coeff, wavy_spec.N_pop, wavy_spec.beta,
+                  wavy_spec.eigen.e0):
+            assert type(f) is np.ndarray and f.shape == (256,)
+
 
 class TestValue:
     def test_unit_pairing(self, const_spec):
-        x = const_spec.beta.values * (
-            1.0 / inner_product(const_spec.beta, const_spec.beta))
+        x = const_spec.beta * (
+            1.0 / const_spec.grid.inner(const_spec.beta, const_spec.beta))
         assert value_spatial(const_spec, x) == pytest.approx(2.0, rel=1e-12)
 
     def test_homogeneity(self, wavy_spec):
-        x = smooth_positive(wavy_spec.grid, 1).values
+        x = smooth_positive(wavy_spec.grid, 1)
         v1 = value_spatial(wavy_spec, x)
         for k in (0.5, 3.0):
             assert value_spatial(wavy_spec, k * x) == pytest.approx(
@@ -75,19 +89,18 @@ class TestValue:
 
     def test_eigenstate_value(self, const_spec):
         # <e0, beta> = alpha0, so v(e0) = alpha0^{1-sigma}/(1-sigma)
-        v = value_spatial(const_spec, const_spec.eigen.e0.values)
+        v = value_spatial(const_spec, const_spec.eigen.e0)
         assert v == pytest.approx(const_spec.alpha0 ** 0.5 / 0.5, rel=1e-10)
 
     def test_domain_violation(self, const_spec):
         with pytest.raises(DomainError):
-            value_spatial(const_spec,
-                          -1.0 * const_spec.grid.constant(1.0).values)
+            value_spatial(const_spec, np.full(const_spec.grid.n, -1.0))
 
     def test_concavity_on_segments(self, wavy_spec):
         rng = np.random.default_rng(3)
         for seed in range(5):
-            x1 = smooth_positive(wavy_spec.grid, 10 + seed).values
-            x2 = smooth_positive(wavy_spec.grid, 20 + seed).values
+            x1 = smooth_positive(wavy_spec.grid, 10 + seed)
+            x2 = smooth_positive(wavy_spec.grid, 20 + seed)
             mid = value_spatial(wavy_spec, 0.5 * x1 + 0.5 * x2)
             assert mid >= 0.5 * (value_spatial(wavy_spec, x1)
                                  + value_spatial(wavy_spec, x2)) - 1e-12
@@ -96,14 +109,13 @@ class TestValue:
 class TestFeedback:
     def test_domain_edge(self, const_spec):
         with pytest.raises(DomainError):
-            feedback_spatial(const_spec,
-                             0.0 * const_spec.grid.constant(1.0).values)
+            feedback_spatial(const_spec, np.zeros(const_spec.grid.n))
 
     def test_nan_state_is_outside_the_domain(self, const_spec):
-        # node arrays and Fields are not checked for finiteness, and the
+        # node arrays are not checked for finiteness, and the
         # model states its domain once: a NaN pairing must fail it, not
         # steer, score or residual
-        nan = const_spec.grid.constant(np.nan).values
+        nan = np.full(const_spec.grid.n, np.nan)
         handle = make_handle(const_spec, 0.01)
         for fn in (handle.feedback, lambda y: feedback_spatial(const_spec, y),
                    lambda y: value_spatial(const_spec, y)):
@@ -119,7 +131,7 @@ class TestFeedback:
         assert np.isnan(err.value.diagnostics["min_state"])
 
     def test_constant_spec_gives_constant_consumption(self, const_spec):
-        x = smooth_positive(const_spec.grid, 2).values
+        x = smooth_positive(const_spec.grid, 2)
         c = feedback_spatial(const_spec, x)
         assert np.allclose(c, c[0], rtol=1e-12)
 
@@ -147,9 +159,8 @@ class TestFeedback:
             return (a + b) / 2
 
         x = smooth_positive(wavy_spec.grid, 5)
-        c = feedback_spatial(wavy_spec, x.values)
-        p = (inner_product(x, wavy_spec.beta) ** (-0.5)
-             * wavy_spec.beta.values)
+        c = feedback_spatial(wavy_spec, x)
+        p = wavy_spec.grid.inner(x, wavy_spec.beta) ** (-0.5) * wavy_spec.beta
         rng = np.random.default_rng(7)
         with mp.workdps(40):
             for j in rng.integers(0, wavy_spec.grid.n, size=5):
@@ -163,38 +174,34 @@ class TestSimulate:
     def test_one_step_growth_identity(self, const_spec):
         dt = 1e-3
         grid = const_spec.grid
-        x0 = 0.1 * const_spec.eigen.e0.values
+        x0 = 0.1 * const_spec.eigen.e0
         traj = simulate_spatial(const_spec, x0, dt, dt)
-        ratio = (inner_product(Field(grid, traj.states[-1]), const_spec.beta)
-                 / inner_product(Field(grid, x0), const_spec.beta))
+        ratio = (grid.inner(traj.states[-1], const_spec.beta)
+                 / grid.inner(x0, const_spec.beta))
         g = const_spec.growth_rate
         assert ratio == pytest.approx(np.exp(g * dt), abs=5 * dt ** 2)
 
     def test_uncontrolled_heat_reaction_growth(self, const_spec):
         # source off: masses obey d/dt quad(y) = a quad(y) for constant A
         grid = const_spec.grid
-        from hjbkit.gridcore import CNOperator, cn_step
-        y = grid.constant(1.0)
+        y = np.ones(grid.n)
         dt, n = 1e-2, 100
         for _ in range(n):
-            y = Field(grid, cn_step(
-                CNOperator(grid.constant(1.0), const_spec.A_coeff, dt),
-                y.values, grid.constant(0.0).values))
-        assert quad_circle(y) == pytest.approx(
+            y = cn_step(CNOperator(grid, np.ones(grid.n), const_spec.A_coeff,
+                                   dt), y, np.zeros(grid.n))
+        assert grid.quad(y) == pytest.approx(
             2 * np.pi * np.exp(0.04 * n * dt), rel=1e-6)
 
     def test_balanced_growth_slope(self, wavy_spec):
-        x0 = wavy_spec.grid.constant(1.0).values
+        x0 = np.ones(wavy_spec.grid.n)
         traj = simulate_spatial(wavy_spec, x0, 40.0, 0.01)
-        pairings = np.array([inner_product(Field(wavy_spec.grid, y),
-                                           wavy_spec.beta)
+        pairings = np.array([wavy_spec.grid.inner(y, wavy_spec.beta)
                              for y in traj.states])
         slope = np.polyfit(traj.times, np.log(pairings), 1)[0]
         assert slope == pytest.approx(wavy_spec.growth_rate, abs=1e-3)
 
     def test_positivity_reported_not_enforced(self, const_spec):
-        traj = simulate_spatial(const_spec,
-                                const_spec.grid.constant(1.0).values,
+        traj = simulate_spatial(const_spec, np.ones(const_spec.grid.n),
                                 1.0, 0.01)
         assert traj.meta["positivity_ok"] is True
         assert traj.meta["first_negative_time"] is None
@@ -213,18 +220,16 @@ class TestSimulate:
 
     def test_rejects_bad_dt(self, const_spec):
         with pytest.raises(ValueError):
-            simulate_spatial(const_spec,
-                             const_spec.grid.constant(1.0).values, 1.0, 0.0)
+            simulate_spatial(const_spec, np.ones(const_spec.grid.n), 1.0, 0.0)
 
 
 class TestHJBResidual:
     def test_constant_spec_near_exact(self, const_spec):
-        r = hjb_residual_spatial(const_spec, const_spec.eigen.e0.values,
-                                 const_spec)
+        r = hjb_residual_spatial(const_spec, const_spec.eigen.e0, const_spec)
         assert r < 1e-6
 
     def test_homogeneity_invariance(self, wavy_spec):
-        x = smooth_positive(wavy_spec.grid, 11).values
+        x = smooth_positive(wavy_spec.grid, 11)
         r1 = hjb_residual_spatial(wavy_spec, x, wavy_spec)
         r2 = hjb_residual_spatial(wavy_spec, 7.0 * x, wavy_spec)
         assert abs(r1 - r2) < 1e-10
@@ -239,18 +244,26 @@ class TestHJBResidual:
             ref_grid = CircleGrid(4 * n)
             ref = build_spatial_spec(ref_grid.from_function(A_fn),
                                      ref_grid.constant(1.0), 0.5, 0.05)
-            vals = [hjb_residual_spatial(spec, smooth_positive(grid, s).values,
-                                         ref)
+            vals = [hjb_residual_spatial(spec, smooth_positive(grid, s), ref)
                     for s in range(5)]
             results.append(max(vals))
         assert results[0] < 1e-5
         assert results[1] < 0.5 * results[0]
 
+    def test_reference_must_refine_the_grid(self, wavy_spec):
+        # the reference spec's beta is restricted to the working grid, which
+        # takes a grid whose size is an integer multiple of the working one
+        grid = CircleGrid(96)
+        other = build_spatial_spec(grid.constant(0.04), grid.constant(1.0),
+                                   0.5, 0.05)
+        with pytest.raises(GridError, match="integer refinement"):
+            hjb_residual_spatial(wavy_spec, np.ones(256), other)
+
 
 def test_value_match_and_suboptimality(wavy_spec):
     from hjbkit.verify import suboptimality_margin, value_match
     handle = make_handle(wavy_spec, 0.01)
-    x0 = wavy_spec.grid.constant(1.0).values
+    x0 = np.ones(wavy_spec.grid.n)
     vm = value_match(handle, x0, 40.0)
     assert vm.rel_gap < 5e-3
     assert suboptimality_margin(handle, x0, 40.0) > 5e-3
@@ -268,8 +281,8 @@ def skewed_spec():
 
 class TestHandleArrays:
     """The handle steps, steers and scores on node arrays with the public
-    functions; every number must be the bits that the Field functions at
-    the edges and a fresh CN operator give."""
+    functions; every number must be the bits that the closed forms written
+    out with the grid's quadrature and a fresh CN operator give."""
 
     @pytest.fixture(params=["wavy", "skewed"])
     def spec(self, request, wavy_spec, skewed_spec):
@@ -279,11 +292,11 @@ class TestHandleArrays:
     def test_callbacks_match_public_functions(self, spec, scale):
         dt = 0.01
         handle = make_handle(spec, dt)
-        op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
-        y = smooth_positive(spec.grid, 4).values
+        op = CNOperator(spec.grid, np.ones(spec.grid.n), spec.A_coeff, dt)
+        y = smooth_positive(spec.grid, 4)
         for _ in range(3):
-            assert handle.diagnostics(y)["pairing"] == inner_product(
-                Field(spec.grid, y), spec.beta)
+            assert handle.diagnostics(y)["pairing"] == spec.grid.inner(
+                y, spec.beta)
             c = handle.feedback(y)
             assert type(c) is np.ndarray
             assert np.array_equal(c, feedback_spatial(spec, y))
@@ -292,7 +305,7 @@ class TestHandleArrays:
             assert handle.running_payoff(y, c) == utility(spec, c)
             nxt = handle.step(y, c)
             assert type(nxt) is np.ndarray
-            want = cn_step(op, y, -1.0 * (c * spec.N_pop.values))
+            want = cn_step(op, y, -1.0 * (c * spec.N_pop))
             assert np.array_equal(nxt, want)
             assert handle.running_payoff(nxt, c) == utility(spec, c)
             y = nxt
@@ -307,44 +320,44 @@ class TestHandleArrays:
     def test_payoff_follows_a_new_control(self, spec):
         # the reused utility belongs to the control object last scored
         handle = make_handle(spec, 0.01)
-        y = smooth_positive(spec.grid, 6).values
+        y = smooth_positive(spec.grid, 6)
         c = handle.feedback(y)
         for control in (c, 0.5 * c, c, 2.0 * c):
             assert handle.running_payoff(y, control) == utility(spec, control)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_rollout_matches_field_loop(self, spec, scale):
-        # the closed loop written out with the Field functions
+        # the closed loop written out with the grid's quadrature
         dt, n_steps = 0.02, 25
         handle = make_handle(spec, dt)
-        op = CNOperator(spec.grid.constant(1.0), spec.A_coeff, dt)
+        grid = spec.grid
+        op = CNOperator(grid, np.ones(grid.n), spec.A_coeff, dt)
         s, N = spec.sigma_crra, spec.N_pop
-        y0 = smooth_positive(spec.grid, 8)
+        y0 = smooth_positive(grid, 8)
         probe = handle if scale == 1.0 else scaled(handle, scale)
-        traj = _rollout(probe, y0.values, n_steps * dt)
+        traj = _rollout(probe, y0, n_steps * dt)
         states, controls, running = (traj.states, traj.controls,
                                      traj.running_payoff)
         y, total = y0, 0.0
         for k in range(n_steps):
-            p = inner_product(y, spec.beta)
-            c = Field(spec.grid, p * (spec.beta.values ** (-1.0 / s)))
+            p = grid.inner(y, spec.beta)
+            c = p * (spec.beta ** (-1.0 / s))
             if scale != 1.0:
-                c = Field(spec.grid, scale * c.values)
-            assert np.array_equal(controls[k], c.values)
-            g = quad_circle(Field(spec.grid, (c.values ** (1.0 - s))
-                                             * N.values)) / (1.0 - s)
-            y = Field(spec.grid, cn_step(op, y.values,
-                                         -1.0 * (c.values * N.values)))
+                c = scale * c
+            assert np.array_equal(controls[k], c)
+            g = grid.quad((c ** (1.0 - s)) * N) / (1.0 - s)
+            y = cn_step(op, y, -1.0 * (c * N))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g
                                  + np.exp(-spec.rho * (dt * (k + 1))) * g)
-            assert np.array_equal(states[k + 1], y.values)
+            assert np.array_equal(states[k + 1], y)
             assert running[k + 1] == total
 
     def test_spec_profiles_are_read_only(self, spec):
         # no caller can change a spec through one of its profiles
-        for f in (spec.A_coeff, spec.N_pop, spec.eigen.e0, spec.beta):
+        for f in (spec.A_coeff, spec.N_pop, spec.eigen.e0, spec.beta,
+                  spec.consumption_profile):
             with pytest.raises(ValueError, match="read-only"):
-                f.values[0] = 0.0
+                f[0] = 0.0
 
     def test_the_callers_profiles_stay_writable(self):
         # the spec keeps read-only copies of the fields passed in; the
@@ -355,14 +368,14 @@ class TestHandleArrays:
         spec = build_spatial_spec(A, N, 0.5, 0.05)
         A.values[0] += 0.25
         N.values[0] += 0.25
-        assert spec.N_pop.values[0] == 1.0
+        assert spec.N_pop[0] == 1.0
 
     @pytest.mark.parametrize("bad", [95, 97, (96, 1), (1, 96)])
     def test_a_wrong_shape_is_a_grid_error(self, spec, bad):
         # a node array of another length, or of another shape, must be a
         # GridError from every callback, never a numpy broadcast error
         handle = make_handle(spec, 0.01)
-        y = smooth_positive(spec.grid, 3).values
+        y = smooth_positive(spec.grid, 3)
         c = handle.feedback(y)
         wrong = np.ones(bad)
         for call in (lambda: handle.feedback(wrong),

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from hjbkit.errors import AssumptionError
-from hjbkit.gridcore import (AgeGrid, CircleGrid, Field, inner_product,
-                             quad_circle,
-                             _stencil_coefficients,
+from hjbkit.errors import AssumptionError, GridError
+from hjbkit.gridcore import (AgeGrid, CircleGrid, _stencil_coefficients,
                              apply_periodic_tridiagonal)
 from hjbkit.spectral import (char_root_ttb, char_root_vintage,
                              principal_eigenpair, solve_elliptic,
@@ -14,7 +12,7 @@ from reference import rayleigh_residual
 
 def dense_stencil(grid, sigma, zeroth):
     """Dense matrix of the periodic divergence-form stencil (test oracle)."""
-    lo, di, up = _stencil_coefficients(sigma, zeroth)
+    lo, di, up = _stencil_coefficients(grid, sigma, zeroth)
     n = grid.n
     M = np.zeros((n, n))
     for j in range(n):
@@ -39,56 +37,61 @@ def bisect_root(f, lo, hi, iters=200):
 class TestPrincipalEigenpair:
     def test_constant_coefficient(self):
         grid = CircleGrid(256)
-        pair = principal_eigenpair(grid.constant(0.04))
+        pair = principal_eigenpair(grid, np.full(grid.n, 0.04))
         assert pair.lambda0 == pytest.approx(0.04, abs=1e-8)
-        assert np.allclose(pair.e0.values, 1.0 / np.sqrt(2 * np.pi), atol=1e-8)
+        assert np.allclose(pair.e0, 1.0 / np.sqrt(2 * np.pi), atol=1e-8)
 
     def test_two_sided_bound(self):
         grid = CircleGrid(256)
-        A = grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-        pair = principal_eigenpair(A)
-        mean_A = quad_circle(A) / (2 * np.pi)
+        A = 1.0 + 0.5 * np.cos(grid.nodes)
+        pair = principal_eigenpair(grid, A)
+        mean_A = grid.quad(A) / (2 * np.pi)
         assert mean_A <= pair.lambda0 <= A.max() + 1e-12
 
     def test_against_dense_eigensolver(self):
         grid = CircleGrid(256)
-        A = grid.from_function(lambda t: 1.0 + 0.5 * np.cos(t))
-        pair = principal_eigenpair(A)
-        M = dense_stencil(grid, grid.constant(1.0), A)
+        A = 1.0 + 0.5 * np.cos(grid.nodes)
+        pair = principal_eigenpair(grid, A)
+        M = dense_stencil(grid, np.ones(grid.n), A)
         lam_dense = np.linalg.eigvalsh(M).max()
         assert pair.lambda0 == pytest.approx(lam_dense, abs=1e-9)
 
     def test_normalization_positivity_residual(self):
         grid = CircleGrid(128)
-        A = grid.from_function(lambda t: 0.5 + 0.2 * np.sin(2 * t))
-        pair = principal_eigenpair(A)
-        assert inner_product(pair.e0, pair.e0) == pytest.approx(1.0, abs=1e-10)
+        A = 0.5 + 0.2 * np.sin(2 * grid.nodes)
+        pair = principal_eigenpair(grid, A)
+        assert grid.inner(pair.e0, pair.e0) == pytest.approx(1.0, abs=1e-10)
         assert pair.e0.min() > 0.0
-        assert rayleigh_residual(A, pair) < 1e-8
+        assert rayleigh_residual(grid, A, pair) < 1e-8
 
     def test_shift_covariance(self):
         grid = CircleGrid(128)
-        A = grid.from_function(lambda t: 0.3 * np.cos(t))
-        base = principal_eigenpair(A)
+        A = 0.3 * np.cos(grid.nodes)
+        base = principal_eigenpair(grid, A)
         for c in (-2.0, 0.7):
-            shifted = principal_eigenpair(Field(grid, A.values + c))
+            shifted = principal_eigenpair(grid, A + c)
             assert shifted.lambda0 == pytest.approx(base.lambda0 + c, abs=1e-9)
-            assert np.allclose(shifted.e0.values, base.e0.values, atol=1e-10)
+            assert np.allclose(shifted.e0, base.e0, atol=1e-10)
+
+    def test_rejects_a_profile_on_another_grid(self):
+        with pytest.raises(GridError, match="128 node values"):
+            principal_eigenpair(CircleGrid(128), np.ones(64))
 
 
 class TestSolveElliptic:
     def test_constant_coefficients(self):
         grid = CircleGrid(64)
-        alpha = solve_elliptic(0.05, grid.constant(1.3), grid.constant(0.1),
-                               grid.constant(1.0))
-        assert np.allclose(alpha.values, 1.0 / 0.15, rtol=1e-12)
+        alpha = solve_elliptic(grid, 0.05, np.full(64, 1.3), np.full(64, 0.1),
+                               np.ones(64))
+        assert np.allclose(alpha, 1.0 / 0.15, rtol=1e-12)
 
     def test_positivity(self):
         grid = CircleGrid(128)
-        sigma = grid.from_function(lambda t: 1.0 + 0.5 * np.sin(t))
-        delta = grid.from_function(lambda t: 0.1 + 0.05 * np.cos(t))
-        w = grid.from_function(lambda t: 1.0 + 0.9 * np.sin(t))
-        alpha = solve_elliptic(0.05, sigma, delta, w)
+        t = grid.nodes
+        sigma = 1.0 + 0.5 * np.sin(t)
+        delta = 0.1 + 0.05 * np.cos(t)
+        w = 1.0 + 0.9 * np.sin(t)
+        alpha = solve_elliptic(grid, 0.05, sigma, delta, w)
         assert alpha.min() > 0.0
 
     def test_manufactured_solution(self):
@@ -97,26 +100,34 @@ class TestSolveElliptic:
         errs = []
         for n in (64, 128):
             grid = CircleGrid(n)
-            alpha_star = grid.from_function(lambda t: 2.0 + np.cos(t))
-            w = grid.from_function(lambda t: rho * (2.0 + np.cos(t)) + np.cos(t))
-            alpha = solve_elliptic(rho, grid.constant(1.0), grid.constant(0.0), w)
-            errs.append(np.max(np.abs(alpha.values - alpha_star.values)))
+            t = grid.nodes
+            alpha_star = 2.0 + np.cos(t)
+            w = rho * (2.0 + np.cos(t)) + np.cos(t)
+            alpha = solve_elliptic(grid, rho, np.ones(n), np.zeros(n), w)
+            errs.append(np.max(np.abs(alpha - alpha_star)))
         assert errs[0] < 20.0 * (2 * np.pi / 64) ** 2
         assert errs[1] < errs[0] / 3.0
 
     def test_round_trip(self):
         grid = CircleGrid(96)
         rng = np.random.default_rng(5)
-        sigma = grid.from_function(lambda t: 1.0 + 0.4 * np.cos(2 * t))
-        delta = grid.from_function(lambda t: 0.2 + 0.1 * np.sin(t))
-        w = Field(grid, rng.normal(size=grid.n))
+        t = grid.nodes
+        sigma = 1.0 + 0.4 * np.cos(2 * t)
+        delta = 0.2 + 0.1 * np.sin(t)
+        w = rng.normal(size=grid.n)
         rho = 0.7
-        alpha = solve_elliptic(rho, sigma, delta, w)
-        lo, di, up = _stencil_coefficients(sigma,
-                                           Field(grid, -1.0 * delta.values))
-        back = rho * alpha.values - apply_periodic_tridiagonal(lo, di, up,
-                                                               alpha.values)
-        assert np.max(np.abs(back - w.values)) < 1e-10
+        alpha = solve_elliptic(grid, rho, sigma, delta, w)
+        lo, di, up = _stencil_coefficients(grid, sigma, -1.0 * delta)
+        back = rho * alpha - apply_periodic_tridiagonal(lo, di, up, alpha)
+        assert np.max(np.abs(back - w)) < 1e-10
+
+    @pytest.mark.parametrize("bad", ["sigma", "delta", "w"])
+    def test_rejects_a_profile_on_another_grid(self, bad):
+        grid = CircleGrid(64)
+        args = {"sigma": np.ones(64), "delta": np.zeros(64), "w": np.ones(64)}
+        args[bad] = np.ones(32)
+        with pytest.raises(GridError, match="64 node values"):
+            solve_elliptic(grid, 0.05, **args)
 
 
 class TestTransportResolvent:

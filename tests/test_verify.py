@@ -28,7 +28,7 @@ def spatial():
     grid = CircleGrid(128)
     spec = build_spatial_spec(grid.constant(0.04), grid.constant(1.0),
                               0.5, 0.05)
-    return spec, spatial_handle(spec, 0.01), grid.constant(1.0).values
+    return spec, spatial_handle(spec, 0.01), np.ones(grid.n)
 
 
 @pytest.fixture(scope="module")
@@ -366,14 +366,15 @@ def test_a_scaled_control_is_read_only(model):
 
 
 @pytest.mark.parametrize("model", ["spatial-growth", "pollution"])
-@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
 def test_circle_handle_needs_a_positive_step(model, dt):
     # the handle factors its one CN operator when it is made, so a step
-    # it cannot take is refused there, before any rollout
+    # it cannot take is refused there, before any rollout; an infinite
+    # one too, which the factorization would report as a singular system
     from hjbkit import pollution, spatial_growth
     module = spatial_growth if model == "spatial-growth" else pollution
     spec = build_scenario(default_config(model)).spec
-    with pytest.raises(ValueError, match="dt must be positive"):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
         module.make_handle(spec, dt)
 
 
