@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (AssumptionError, ConfigError, DomainExitError,
                      NumericsError)
+from .gridcore import BLOCK
 from .scenarios import (MODELS, build_scenario, default_config,
                         oracle_scenario, refine_config, validate_config,
                         verify_scenario)
@@ -114,37 +115,24 @@ def _load_config(args) -> dict:
     return config
 
 
-# rows of trajectory.csv whose columns are computed, and written, at once
-CSV_CHUNK = 64
-
-
-def _write_trajectory_csv(path: Path, scenario, traj) -> None:
-    """One row per time: t, the scenario's state columns, the running
-    payoff.  The columns are computed a chunk of CSV_CHUNK rows at a time,
-    and each chunk is written, as one string, before the next is computed.
-    A row is the ``repr`` of its floats joined by commas and ended by
-    CRLF: the bytes of ``csv.writer``, since no float's repr (nor any
-    column name) needs quoting."""
+def _write_trajectory_csv(path: Path, traj) -> None:
+    """One row per time: t, the run's columns, the running payoff, BLOCK
+    rows per string.  A row is the ``repr`` of its floats joined by commas
+    and ended by CRLF: the bytes of ``csv.writer``, since no float's repr
+    (nor any column name) needs quoting."""
+    columns = [traj.times, *traj.columns.values(), traj.running_payoff]
     with _writing(path) as fh:
-        for start in range(0, len(traj.times), CSV_CHUNK):
-            rows = slice(start, start + CSV_CHUNK)
-            cols = scenario.state_columns(traj.states[rows],
-                                          traj.controls[rows])
-            if not start:
-                fh.write(",".join(["t", *cols, "running_payoff"]) + "\r\n")
-            columns = (traj.times[rows], *cols.values(),
-                       traj.running_payoff[rows])
-            fh.write("".join(
-                ",".join(map(repr, row)) + "\r\n"
-                for row in zip(*(np.asarray(col, dtype=float).tolist()
-                                 for col in columns))))
+        fh.write(",".join(["t", *traj.columns, "running_payoff"]) + "\r\n")
+        for start in range(0, len(traj.times), BLOCK):
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in zip(
+                *(col[start:start + BLOCK].tolist() for col in columns))))
 
 
 def cmd_run(args) -> int:
     config = _load_config(args)
     out = _output_dir(args)
     scenario = build_scenario(config)
-    traj = scenario.simulate()
+    traj = scenario.simulate(scenario.state_columns)
     vm = match_run(scenario.handle, scenario.state0, traj)
     summary = {
         "model": scenario.name,
@@ -156,7 +144,7 @@ def cmd_run(args) -> int:
         "value_gap": vm.rel_gap,
         "flags": traj.meta,
     }
-    _write_trajectory_csv(out / "trajectory.csv", scenario, traj)
+    _write_trajectory_csv(out / "trajectory.csv", traj)
     _write_json(out / "summary.json", summary)
     print(f"{scenario.name}: analytic {vm.analytic:.6g}, simulated+tail "
           f"{vm.total:.6g} (gap {vm.rel_gap:.2e}) -> {out}")

@@ -36,8 +36,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AssumptionError, DomainError, DomainExitError,
                      GridError, NumericsError)
-from .gridcore import (HistorySegment, Trajectory, discounted_quadrature,
-                       fd_derivative, trapezoid)
+from .gridcore import (Blocks, HistorySegment, Trajectory, fd_derivative,
+                       trapezoid)
 from .verify import ModelHandle, OracleProblem
 
 
@@ -182,10 +182,10 @@ def _shift(model: DelayModel, x: np.ndarray, u: float,
     return out
 
 
-def simulate(model: DelayModel, state0: np.ndarray,
-             T_end: float) -> Trajectory:
+def simulate(model: DelayModel, state0: np.ndarray, T_end: float,
+             columns=None) -> Trajectory:
     """Closed-loop Heun integration of x0' = b u(t) + c u(t-L) from the
-    state array state0, which is not written.
+    state array state0, which is not written, and its ``columns``.
 
     The step dt is the history spacing L/m, so the delayed term is always
     a stored sample and the window shifts exactly (:func:`_shift`'s
@@ -213,33 +213,39 @@ def simulate(model: DelayModel, state0: np.ndarray,
 
     a, b, c, s = model.a, model.b, model.c, model.sigma
     n_steps = int(round(T_end / dt))
-    times = dt * np.arange(n_steps + 1)
-    at = times.tolist()
-    states, controls = [], []
+    times = dt * np.arange(n_steps + 1)  # times[n] is dt * n, bit for bit
+    blocks = Blocks(columns)
     integrand = np.empty(n_steps + 1)
     try:
         with np.errstate(all="raise", under="ignore"):
             for n in range(n_steps + 1):
-                t = at[n]
+                t = dt * n
                 # the state is owned by this step until recorded
                 x0, tail = x.item(0), x[1:]
                 tail[0] = c * control(x0, tail, t)
                 u = control(x0, tail, t)
                 tail[0] = c * u
-                states.append(x)
-                controls.append(u)
+                blocks.add(x, u)
                 integrand[n] = (a * x0 - u) ** (1.0 - s) / (1.0 - s)
                 if n == n_steps:
                     break
                 x = _shift(model, x, u, dt)  # the Euler predictor
-                u_pred = control(x.item(0), x[1:], at[n + 1]) if b else 0.0
+                u_pred = control(x.item(0), x[1:], dt * (n + 1)) if b else 0.0
                 x[0] = x0 + 0.5 * dt * ((b * u + tail[-1])
                                         + (b * u_pred + tail[-2]))
+            cols = blocks.finish()
     except (FloatingPointError, OverflowError) as exc:
         raise NumericsError(f"closed loop left the float range at t = "
                             f"{t:.6g} ({exc})") from None
-    running = discounted_quadrature(times, integrand, model.rho)
-    return Trajectory(times, states, controls, running)
+    g = np.exp(-model.rho * times) * integrand  # the discounted trapezoid
+    running = np.zeros(n_steps + 1)
+    running[1:] = np.cumsum(0.5 * np.diff(times) * (g[1:] + g[:-1]))
+    return Trajectory(times, running, x, cols)
+
+
+def heads_and_controls(states, controls) -> dict:
+    """A block's columns ``_head`` and ``_control``: a simulator's own."""
+    return {"_head": [x.item(0) for x in states], "_control": controls}
 
 
 def hjb_residual(model: DelayModel, x: np.ndarray) -> float:

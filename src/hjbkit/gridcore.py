@@ -33,6 +33,7 @@ import numpy as np
 from .errors import GridError, NumericsError
 
 TWO_PI = 2.0 * np.pi
+BLOCK = 64  # the states and controls a closed loop holds at once
 
 
 @dataclass(frozen=True)
@@ -476,7 +477,7 @@ class AgeGrid:
 
 @dataclass
 class Trajectory:
-    """Time-stamped closed-loop record: states, controls, running payoff.
+    """Closed-loop record: running payoff, final state, per-time columns.
 
     ``running_payoff[k]`` is the discounted payoff accumulated on
     ``[times[0], times[k]]``; ``meta`` carries model-specific diagnostics
@@ -484,15 +485,15 @@ class Trajectory:
     """
 
     times: np.ndarray
-    states: list
-    controls: list
     running_payoff: np.ndarray
+    final: object
+    columns: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if len(t) != len(self.states) or len(t) != len(self.controls) \
-                or len(t) != len(self.running_payoff):
+        if any(len(col) != len(t) for col in
+               (self.running_payoff, *self.columns.values())):
             raise ValueError("trajectory arrays must share one length")
         steps = np.diff(t)
         if len(steps) and (np.any(steps <= 0.0)
@@ -505,20 +506,36 @@ class Trajectory:
         return float(self.running_payoff[-1])
 
 
-def state_minima(states) -> np.ndarray:
-    """The minimum of each of ``states``, a sequence of arrays of one shape,
-    by one whole-array reduction per chunk of at most 64 states: a long run
-    is copied a chunk at a time, never whole."""
-    return np.concatenate([np.min(states[i:i + 64], axis=1)
-                           for i in range(0, len(states), 64)])
+class Blocks:
+    """A closed loop's per-time columns, from one block of at most BLOCK
+    consecutive states and controls (from index 0, BLOCK, ...) at a time: a
+    full block, and the last at :meth:`finish`, is mapped by ``columns(states,
+    controls)`` to {name: values} under the creator's errstate, and dropped."""
+
+    def __init__(self, columns=None):
+        self.columns, self.errstate = columns, np.geterr()
+        self.held, self.parts = [], {}  # (state, control) pairs; name: arrays
+
+    def add(self, state, control) -> None:
+        self.held.append((state, control))
+        if len(self.held) == BLOCK:
+            self._drop()
+
+    def _drop(self):
+        if self.columns and self.held:
+            states, controls = map(list, zip(*self.held))
+            with np.errstate(**self.errstate):
+                block = self.columns(states, controls)
+            for k, v in block.items():
+                self.parts.setdefault(k, []).append(np.asarray(v, float))
+        self.held = []
+
+    def finish(self) -> dict:
+        self._drop()
+        return {k: np.concatenate(v) for k, v in self.parts.items()}
 
 
-def discounted_quadrature(times: np.ndarray, integrand: np.ndarray,
-                          rho: float) -> np.ndarray:
-    """Cumulative trapezoid of exp(-rho*t) * integrand along ``times``."""
-    g = np.exp(-rho * np.asarray(times)) * np.asarray(integrand)
-    out = np.zeros_like(g)
-    if len(g) > 1:
-        steps = np.diff(times)
-        out[1:] = np.cumsum(0.5 * steps * (g[1:] + g[:-1]))
-    return out
+def joined(columns, own):
+    """``columns``'s columns (if any), then ``own``'s, under other names."""
+    return own if columns is None else lambda states, controls: {
+        **columns(states, controls), **own(states, controls)}

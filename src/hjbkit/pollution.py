@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       sl_apply, state_minima)
+                       joined, sl_apply)
 from .spectral import solve_elliptic
 from .verify import ModelHandle, _read_only, _rollout, memo_last
 
@@ -145,18 +145,19 @@ def disutility(spec: PollutionSpec, p: np.ndarray) -> float:
 
 
 def simulate_pollution(spec: PollutionSpec, p0: np.ndarray, T_end: float,
-                       dt: float) -> Trajectory:
+                       dt: float, columns=None) -> Trajectory:
     """Forward Crank-Nicolson run from the node values p0 under the
     (constant-in-time) optimal investment: the verification rollout over
-    :func:`make_handle`.
+    :func:`make_handle`, with the caller's ``columns``.
 
     The discrete maximum principle is asserted: with p0 >= 0 and a
     nonnegative source the trajectory must stay above -1e-10.
     """
     if p0.min() < 0.0:
         raise DomainError(f"initial pollution must be nonnegative, min = {p0.min()}")
-    traj = _rollout(make_handle(spec, dt), p0, T_end)
-    min_p = float(state_minima(traj.states).min())
+    traj = _rollout(make_handle(spec, dt), p0, T_end, joined(
+        columns, lambda X, C: {"_min": np.min(X, axis=1)}))
+    min_p = float(traj.columns.pop("_min").min())
     if min_p < -1e-10:
         raise NumericsError(
             f"discrete maximum principle violated: min p = {min_p}"

@@ -26,7 +26,7 @@ import numpy as np
 from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
                vintage_transport)
 from .errors import AssumptionError, ConfigError, DomainError, NumericsError
-from .gridcore import AgeGrid, CircleGrid, HistorySegment, state_minima
+from .gridcore import AgeGrid, CircleGrid, HistorySegment
 from .verify import (ModelHandle, OracleBracket, VerifyReport,
                      brute_force_value, suboptimality_margin, transversality,
                      value_match, _rollout)
@@ -133,10 +133,9 @@ def interval_profile(desc: dict, lo: float, hi: float) -> Callable:
 
 RESOLUTION_KEYS = ("n", "m", "m_age")  # grid sizes: the only integer keys
 
-# The most steps x state size one closed-loop run may take: about 100 times
-# the largest default (spatial-growth, 4,000 steps of 256 nodes).  A rollout
-# keeps every state, about 8 bytes per unit of work (up to twice that when
-# each control is a profile too).
+# The most steps x state size one closed-loop run may take, a time bound:
+# about 100 times the largest default (spatial-growth, 4,000 steps of 256
+# nodes).  A run keeps O(steps) scalars and one gridcore.BLOCK of states.
 WORK_BUDGET = 1e8
 
 # the lag or age span whose m cells set a delay model's step, dt = span/m
@@ -334,7 +333,7 @@ class Scenario:
     handle: ModelHandle
     state0: np.ndarray            # the array the closed loop runs on
     T_end: float
-    simulate: Callable            # () -> Trajectory
+    simulate: Callable            # (columns=None) -> Trajectory
     sample_state: Callable        # (rng, resolution) -> state array
     residual_fn: Callable         # (state array) -> float, at its resolution
     derived: dict                 # derived analytic constants for reports
@@ -467,8 +466,8 @@ def _build_spatial(config):
 
     return dict(
         shared, handle=spatial_growth.make_handle(spec, num["dt"]),
-        simulate=lambda: spatial_growth.simulate_spatial(
-            spec, x0, num["T_end"], num["dt"]),
+        simulate=lambda columns=None: spatial_growth.simulate_spatial(
+            spec, x0, num["T_end"], num["dt"], columns),
         derived={"lambda0": spec.eigen.lambda0, "alpha0": spec.alpha0,
                  "growth_rate": spec.growth_rate},
         state_columns=columns,
@@ -504,8 +503,8 @@ def _build_pollution(config):
 
     return dict(
         shared, handle=pollution.make_handle(spec, num["dt"]),
-        simulate=lambda: pollution.simulate_pollution(
-            spec, p0, num["T_end"], num["dt"]),
+        simulate=lambda columns=None: pollution.simulate_pollution(
+            spec, p0, num["T_end"], num["dt"], columns),
         derived={"q_const": spec.q_const,
                  "alpha_shadow_mean": spec.grid.quad(spec.alpha_shadow)
                  / (2.0 * math.pi)},
@@ -531,8 +530,8 @@ def _build_vintage(config):
     return dict(
         spec=spec, handle=vintage_dde.make_handle(spec, iota0.dt),
         state0=vintage_dde.lift_vintage(spec, iota0),
-        simulate=lambda: vintage_dde.simulate_vintage(
-            spec, iota0, num["T_end"]),
+        simulate=lambda columns=None: vintage_dde.simulate_vintage(
+            spec, iota0, num["T_end"], columns),
         sample_state=functools.partial(_delay_test_state, spec.delay),
         residual_fn=lambda st: vintage_dde.hjb_residual_vintage(spec, st),
         derived={"xi": spec.xi, "nu": spec.nu, "mpc": spec.mpc,
@@ -562,16 +561,17 @@ def _build_transport(config):
     _check_initial("z0", z0)
 
     def columns(states, controls):
+        Z, h = np.array(states), spec.age.h  # total: AgeGrid.quad's bits
         return {
-            "total_capital": [spec.age.quad(state) for state in states],
-            "min_capital": state_minima(states),
+            "total_capital": (h * (Z[:, 1:] + Z[:, :-1]) / 2.0).sum(axis=1),
+            "min_capital": np.min(Z, axis=1),
             "boundary_investment": [u0_now for u0_now, _ in controls],
         }
 
     return dict(
         spec=spec, handle=vintage_transport.make_handle(spec), state0=z0,
-        simulate=lambda: vintage_transport.simulate_transport(
-            spec, z0, num["T_end"]),
+        simulate=lambda columns=None: vintage_transport.simulate_transport(
+            spec, z0, num["T_end"], columns),
         sample_state=lambda rng, m_age: _smooth_positive_interval(
             rng, AgeGrid(p["sbar"], m_age).nodes, scale=0.5),
         # a profile on m_age cells has m_age + 1 nodes
@@ -604,8 +604,8 @@ def _build_ttb(config):
     return dict(
         spec=spec, handle=time_to_build.make_handle(spec, u0.dt),
         state0=delay.lift(spec.delay, q0, u0),
-        simulate=lambda: time_to_build.simulate_ttb(
-            spec, q0, u0, num["T_end"]),
+        simulate=lambda columns=None: time_to_build.simulate_ttb(
+            spec, q0, u0, num["T_end"], columns),
         sample_state=functools.partial(_delay_test_state, spec.delay),
         residual_fn=lambda st: time_to_build.hjb_residual_ttb(spec, st),
         derived={"xi": spec.xi, "nu": spec.nu, "alpha_mpc": spec.alpha_mpc,
@@ -654,7 +654,7 @@ def verify_scenario(config: dict, seed: int = 0) -> VerifyReport:
     if steps < 4:
         raise ConfigError(f"{_step_keys(scenario.config)} = {steps} steps; "
                           "verify's transversality fit needs at least 4")
-    slope = transversality(scenario.handle, scenario.simulate())
+    slope = transversality(scenario.handle, scenario.simulate, steps)
     vm = value_match(scenario.handle, scenario.state0, scenario.T_end)
     margin = suboptimality_margin(scenario.handle, scenario.state0,
                                   scenario.T_end,
@@ -705,6 +705,7 @@ def oracle_scenario(config: dict) -> tuple[OracleBracket, float]:
             f"steps of params.{_STEP_SPAN[model]} / {ORACLE_COARSE_CELLS} is "
             f"{steps} steps, " + ("fewer than 1" if steps < 1 else
                                   f"more than its {ORACLE_MAX_STEPS}"))
-    seed = _rollout(sc.handle, sc.state0, T_end)
-    bracket = brute_force_value(problem, sc.state0, seed.controls[:-1])
+    seed = _rollout(sc.handle, sc.state0, T_end, delay.heads_and_controls)
+    bracket = brute_force_value(problem, sc.state0,
+                                seed.columns["_control"][:-1])
     return bracket, float(sc.handle.value(sc.state0))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (AssumptionError, DomainError, NumericsError,
                      closed_form_constant)
 from .gridcore import (CircleGrid, CNOperator, Field, Trajectory, cn_step,
-                       sl_apply, state_minima)
+                       joined, sl_apply)
 from .spectral import EigenPair, principal_eigenpair
 from .verify import ModelHandle, _read_only, _rollout, memo_last
 
@@ -134,27 +134,28 @@ def utility(spec: SpatialGrowthSpec, c: np.ndarray) -> float:
 
 
 def simulate_spatial(spec: SpatialGrowthSpec, x0: np.ndarray, T_end: float,
-                     dt: float) -> Trajectory:
+                     dt: float, columns=None) -> Trajectory:
     """Closed-loop Crank-Nicolson run under the consumption feedback.
 
     This is the verification rollout over :func:`make_handle`, from the
-    node values x0: the feedback is held over each step and enters the CN
-    right-hand side as an explicit source; the linear part stays
-    implicit.  Positivity of the state is reported, not enforced:
+    node values x0, with ``columns``: the feedback is held over each step
+    and enters the CN right-hand side as an explicit source; the linear
+    part stays implicit.  Positivity of the state is reported, not enforced:
     ``meta['positivity_ok']`` turns False at the first time min y < 0 (the
     run itself continues while <y, beta> > 0 holds, and a domain exit, at
     t = 0 too, reports the pairing and the state's minimum).
     """
     if x0.min() < 0.0:
         raise DomainError(f"initial capital must be nonnegative, min = {x0.min()}")
-    traj = _rollout(make_handle(spec, dt), x0, T_end)
-    negative = np.flatnonzero(state_minima(traj.states) < 0.0)
+    traj = _rollout(make_handle(spec, dt), x0, T_end, joined(
+        columns, lambda X, C: {"_min": np.min(X, axis=1)}))
+    negative = np.flatnonzero(traj.columns.pop("_min") < 0.0)
     first = float(traj.times[negative[0]]) if negative.size else None
     traj.meta = {
         "positivity_ok": first is None,
         "first_negative_time": first,
         "pairing_initial": pairing(spec, x0),
-        "pairing_final": pairing(spec, traj.states[-1]),
+        "pairing_final": pairing(spec, traj.final),
     }
     return traj
 

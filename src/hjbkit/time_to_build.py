@@ -31,7 +31,7 @@ import numpy as np
 from . import delay
 from .delay import DelayModel
 from .errors import AssumptionError, closed_form_constant
-from .gridcore import HistorySegment, Trajectory
+from .gridcore import HistorySegment, Trajectory, joined
 from .spectral import char_root_ttb
 from .verify import ModelHandle
 
@@ -109,19 +109,16 @@ def build_ttb_spec(A: float, delta_dep: float, d: float, sigma_crra: float,
 
 
 def simulate_ttb(spec: TTBSpec, q0: float, u0_history: HistorySegment,
-                 T_end: float) -> Trajectory:
-    """Closed-loop integration of q'(t) = Atilde u(t-d) under the feedback.
-
-    The step dt is d/m, so the delayed control is a stored sample; the
-    output advance is the exact trapezoid of the (purely delayed)
-    right-hand side, so the path error is O(dt^2).  Domain exits abort
-    with diagnostics; band violations of the control are flagged.  A
-    control history on a lag other than d is a ValueError.
+                 T_end: float, columns=None) -> Trajectory:
+    """Closed-loop integration of q'(t) = Atilde u(t-d) under the feedback:
+    ``delay.simulate`` at dt = d/m, with its ``columns``, whose output
+    advance is the exact trapezoid of the (purely delayed) right-hand side.
+    Band violations of the control are flagged.  A control history on a lag
+    other than d is a ValueError.
     """
     traj = delay.simulate(spec.delay, delay.lift(spec.delay, q0, u0_history),
-                          T_end)
-    q = np.array([x.item(0) for x in traj.states])
-    u = np.array(traj.controls)
+                          T_end, joined(columns, delay.heads_and_controls))
+    q, u = traj.columns.pop("_head"), traj.columns.pop("_control")
     lo, hi = delay.band(spec.delay, q)
     consumption = (spec.Atilde / spec.A) * (q - u)
     traj.meta = {

@@ -13,7 +13,7 @@ payoff).  On top of it:
   that (suboptimality direction, ``suboptimality_margin``); on a short
   horizon [0, r] it is the dynamic-programming identity itself.
 * ``transversality`` -- log-slope of t -> e^{-rho t} |v(y(t))| over the
-  trajectory's last quartile (a finite-time surrogate for the asymptotic
+  run's last quartile (a finite-time surrogate for the asymptotic
   transversality conditions, which are limsup/liminf statements).
 * ``brute_force_value`` -- the dynamic-programming oracle: the optimum of
   the truncated problem (zero terminal value, the seed path's length sets
@@ -26,6 +26,7 @@ payoff).  On top of it:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -33,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, DomainExitError, NumericsError
-from .gridcore import Trajectory
+from .gridcore import Blocks, Trajectory
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,11 @@ class ValueMatch:
         return self.payoff + self.tail
 
 
-def _rollout(handle: ModelHandle, state0, T_end: float) -> Trajectory:
+def _rollout(handle: ModelHandle, state0, T_end: float,
+             columns: Callable | None = None) -> Trajectory:
     """The :class:`Trajectory` of the feedback over [0, T_end],
-    in ``int(round(T_end / dt))`` steps of the handle's dt.
+    in ``int(round(T_end / dt))`` steps of the handle's dt, and its
+    ``columns(states, controls)``, mapped a block at a time (:class:`Blocks`).
 
     Controls are held constant on each step (the handle's step map
     integrates that piecewise-constant policy), and the payoff trapezoid
@@ -134,7 +137,7 @@ def _rollout(handle: ModelHandle, state0, T_end: float) -> Trajectory:
     half = 0.5 * dt
     feedback, step = handle.feedback, handle.step
     payoff = handle.running_payoff
-    states, controls, running = [], [], [0.0]
+    blocks, running = Blocks(columns), [0.0]
     state, total = state0, 0.0
     try:
         with np.errstate(all="raise", under="ignore"):
@@ -145,8 +148,7 @@ def _rollout(handle: ModelHandle, state0, T_end: float) -> Trajectory:
                     diag = handle.diagnostics(state) \
                         if handle.diagnostics else None
                     raise DomainExitError(dt * k, diag) from exc
-                states.append(state)
-                controls.append(u)
+                blocks.add(state, u)
                 if k == n_steps:
                     break
                 g_left = payoff(state, u)
@@ -156,10 +158,11 @@ def _rollout(handle: ModelHandle, state0, T_end: float) -> Trajectory:
                 if not math.isfinite(total):
                     raise FloatingPointError(f"running payoff {total}")
                 running.append(total)
+            cols = blocks.finish()
     except (FloatingPointError, OverflowError) as exc:
         raise NumericsError(f"closed loop left the float range at t = "
                             f"{dt * k:.6g} ({exc})") from None
-    return Trajectory(times, states, controls, np.array(running))
+    return Trajectory(times, np.array(running), state, cols)
 
 
 def value_match(handle: ModelHandle, state0, T_end: float) -> ValueMatch:
@@ -179,27 +182,31 @@ def match_run(handle: ModelHandle, state0, traj: Trajectory) -> ValueMatch:
     payoff, plus the analytic value of its final state discounted from its
     final time, against the analytic value of ``state0``."""
     tail = float(np.exp(-handle.rho * traj.times[-1])
-                 * handle.value(traj.states[-1]))
+                 * handle.value(traj.final))
     analytic = float(handle.value(state0))
     rel_gap = abs(traj.payoff + tail - analytic) / max(abs(analytic), 1e-300)
     return ValueMatch(analytic, traj.payoff, tail, rel_gap)
 
 
-def transversality(handle: ModelHandle, traj) -> float:
-    """Log-slope of t -> e^{-rho t} |v(y(t))| over the last quartile.
+def transversality(handle: ModelHandle, simulate: Callable,
+                   steps: int) -> float:
+    """Log-slope of t -> e^{-rho t} |v(y(t))| over the last quartile of
+    the run ``simulate(columns)`` of ``steps`` steps.
 
     A negative slope is finite-time evidence for the vanishing-discounted-
     value condition closing the infinite-horizon verification argument.
-    Only the fitted states are valued.  Below 4 steps the last quartile
-    is one time, a ValueError.
+    Only the fitted states are valued, as a column of the run.  Below 4
+    steps the last quartile is one time, a ValueError.
     """
-    n = len(traj.times)
+    n = steps + 1
     if n < 5:
         raise ValueError(f"transversality needs 5 times, got {n}")
-    q = 3 * n // 4
+    q, index = 3 * n // 4, itertools.count()
+    traj = simulate(lambda states, _: {"value": [
+        abs(handle.value(x)) if next(index) >= q else math.nan
+        for x in states]})
     times = traj.times[q:]
-    vals = np.array([abs(handle.value(s)) for s in traj.states[q:]])
-    vals = np.maximum(vals, 1e-300)
+    vals = np.maximum(traj.columns["value"][q:], 1e-300)
     logs = -handle.rho * times + np.log(vals)
     return float(np.polyfit(times, logs, 1)[0])
 

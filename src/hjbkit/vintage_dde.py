@@ -30,7 +30,7 @@ import numpy as np
 from . import delay
 from .delay import DelayModel
 from .errors import AssumptionError, DomainError, closed_form_constant
-from .gridcore import HistorySegment, Trajectory, trapezoid
+from .gridcore import HistorySegment, Trajectory, joined, trapezoid
 from .spectral import char_root_vintage
 from .verify import ModelHandle
 
@@ -118,24 +118,19 @@ def interior_condition(spec: VintageSpec) -> bool:
 
 
 def simulate_vintage(spec: VintageSpec, iota0: HistorySegment,
-                     T_end: float) -> Trajectory:
-    """Closed-loop integration of k'(t) = i(t) - i(t-T) under the feedback.
-
-    The step is the history spacing (dt = T/m), so the delayed
-    term is always a stored sample and the ring buffer shifts exactly: the
-    window holds the control applied at each of its sample times (the
-    newest slot starts as a placeholder and is corrected by one fixed-point
-    refinement of the feedback).  The capital advance is a Heun (trapezoid)
-    step with the feedback re-evaluated at the predictor, keeping the path
-    second-order in dt.  A domain exit aborts with the offending time and
-    state diagnostics.  A history on a lag other than T is a ValueError.
+                     T_end: float, columns=None) -> Trajectory:
+    """Closed-loop integration of k'(t) = i(t) - i(t-T) under the feedback:
+    ``delay.simulate``'s Heun loop at the history spacing dt = T/m, with its
+    ``columns``; the flags come from the run's heads and controls.  A
+    history on a lag other than T is a ValueError.
     """
     if iota0.values.min() < 0.0 or not np.any(iota0.values > 0.0):
         raise DomainError("initial investments must be nonnegative and not "
                           "identically zero")
-    traj = delay.simulate(spec.delay, lift_vintage(spec, iota0), T_end)
-    min_i = min(traj.controls)
-    min_k = min(x.item(0) for x in traj.states)
+    traj = delay.simulate(spec.delay, lift_vintage(spec, iota0), T_end,
+                          joined(columns, delay.heads_and_controls))
+    min_i = traj.columns.pop("_control").min()
+    min_k = traj.columns.pop("_head").min()
     traj.meta = {"min_investment": float(min_i), "min_capital": float(min_k),
                  "positivity_ok": bool(min_i > 0.0 and min_k > 0.0)}
     return traj

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionError
-from .gridcore import AgeGrid, Trajectory, fd_derivative, state_minima
+from .gridcore import AgeGrid, Trajectory, fd_derivative, joined
 from .spectral import _exp_cell_weights, transport_resolvent
 from .verify import ModelHandle, _rollout, memo_last
 
@@ -141,18 +141,20 @@ def _source_cell_integrals(u1: np.ndarray, mu: float, h: float) -> np.ndarray:
     return u1[1:] * w0 + (u1[:-1] - u1[1:]) * (w1 / h)
 
 
-def simulate_transport(spec: TransportSpec, z0, T_end: float) -> Trajectory:
+def simulate_transport(spec: TransportSpec, z0, T_end: float,
+                       columns=None) -> Trajectory:
     """March the transport PDE under the optimal open-loop controls with
     the exact-shift upwind scheme: the verification rollout over
-    :func:`make_handle`.
+    :func:`make_handle`, with the caller's ``columns``.
 
     The step dt is the age step (CFL = 1), so interior values move one
     age cell per step with decay e^{-mu dt} plus the source integral; the
     boundary node is set directly from u0 (the discrete footprint of the
     boundary injection).
     """
-    traj = _rollout(make_handle(spec), spec.age.profile(z0).copy(), T_end)
-    traj.meta = {"min_state": float(state_minima(traj.states).min())}
+    traj = _rollout(make_handle(spec), spec.age.profile(z0).copy(), T_end,
+                    joined(columns, lambda Z, C: {"_min": np.min(Z, axis=1)}))
+    traj.meta = {"min_state": float(traj.columns.pop("_min").min())}
     return traj
 
 

@@ -9,7 +9,9 @@ kernel, the eigenpair's Rayleigh defect, the pollution model's running
 gain, the suboptimal probe with no reuse of its scaled controls, the DP
 oracle's batch run as a loop over the steps, and a ``csv.writer``
 trajectory file.  None of them is run by the command line or the
-benchmark.
+benchmark.  :class:`Recorder` and :func:`replay` let a test read, and
+feed, a closed loop's every state, which the loops themselves keep only a
+block at a time.
 """
 
 import csv
@@ -18,15 +20,66 @@ import dataclasses
 import numpy as np
 
 from hjbkit import delay
-from hjbkit.gridcore import (CircleGrid, HistorySegment, Trajectory,
-                             discounted_quadrature, fd_derivative, sl_apply,
-                             trapezoid)
+from hjbkit.gridcore import (Blocks, CircleGrid, HistorySegment, Trajectory,
+                             fd_derivative, sl_apply, trapezoid)
 from hjbkit.pollution import PollutionSpec, disutility, utility
 from hjbkit.spectral import EigenPair
 from hjbkit.time_to_build import TTBSpec
 from hjbkit.vintage_dde import VintageSpec
 from hjbkit.verify import ModelHandle, value_match
 from hjbkit.vintage_transport import TransportSpec
+
+
+class Recorder:
+    """A closed loop's columns function that records every block it is
+    handed, so ``states`` and ``controls`` hold the whole run, in order;
+    it adds no column."""
+
+    def __init__(self):
+        self.states, self.controls = [], []
+
+    def __call__(self, states, controls):
+        self.states += states
+        self.controls += controls
+        return {}
+
+
+def recorded(run, *args):
+    """``run(*args, columns)``'s trajectory and the :class:`Recorder` of
+    its states and controls."""
+    rec = Recorder()
+    return run(*args, rec), rec
+
+
+def discounted_quadrature(times: np.ndarray, integrand: np.ndarray,
+                          rho: float) -> np.ndarray:
+    """Cumulative trapezoid of exp(-rho*t) * integrand along ``times``:
+    ``delay.simulate``'s running payoff."""
+    g = np.exp(-rho * np.asarray(times)) * np.asarray(integrand)
+    out = np.zeros_like(g)
+    if len(g) > 1:
+        steps = np.diff(times)
+        out[1:] = np.cumsum(0.5 * steps * (g[1:] + g[:-1]))
+    return out
+
+
+def heads_and_controls(states, controls):
+    """A closed loop's columns ``head``, each state's first entry, and
+    ``control``: the columns of a delay model's run that the tests read."""
+    return {"head": [x.item(0) for x in states], "control": controls}
+
+
+def replay(times, states, controls=None):
+    """A ``simulate(columns)`` that hands ``states`` (and ``controls``,
+    None each by default) at ``times`` to its columns a block at a time,
+    as a closed loop does, with a zero payoff."""
+    def simulate(columns=None):
+        blocks = Blocks(columns)
+        for state, control in zip(states, controls or [None] * len(states)):
+            blocks.add(state, control)
+        return Trajectory(times, np.zeros(len(times)), states[-1],
+                          blocks.finish())
+    return simulate
 
 
 def to_output_coords(spec: TTBSpec, k_history: HistorySegment,
@@ -65,7 +118,7 @@ def openloop_dde_residual(spec: TTBSpec, traj: Trajectory) -> float:
     derivative is a centered difference, so a feedback-consistent path
     leaves an O(dt + m^-2) residual that shrinks under refinement.
     """
-    u = np.asarray([float(c) for c in traj.controls])
+    u = np.asarray(traj.columns["control"], dtype=float)
     dt = traj.times[1] - traj.times[0]
     m = int(round(spec.d / dt))
     if not np.isclose(m * dt, spec.d, rtol=1e-9):
@@ -152,10 +205,9 @@ def integrate_openloop_dde(spec: TTBSpec, q0: float,
     q[0] = q0
     for n in range(n_steps):
         q[n + 1] = q[n] + 0.5 * dt * At * (u_full[n] + u_full[n + 1])
-    states = [None] * (n_steps + 1)
     payoff = discounted_quadrature(times, (q - u) ** (1.0 - spec.sigma_crra)
                                    / (1.0 - spec.sigma_crra), spec.rho)
-    return Trajectory(times, states, list(u), payoff, {"outputs": q})
+    return Trajectory(times, payoff, None, {"control": u}, {"outputs": q})
 
 
 def optimal_trajectory_closed_form(spec: TransportSpec, z0, t: float) -> np.ndarray:
@@ -299,15 +351,16 @@ def oracle_batch_run(model, dt: float, state0: np.ndarray,
     return slacks, batch
 
 
-def write_trajectory_csv(path, scenario, traj, chunk: int = 64) -> None:
+def write_trajectory_csv(path, scenario, traj, rec, chunk: int = 64) -> None:
     """trajectory.csv through ``csv.writer``, each row's floats as their
-    ``repr``: the bytes ``hjbkit run`` must write."""
+    ``repr``: the bytes ``hjbkit run`` must write, with the scenario's
+    columns computed here, a chunk at a time, from the states and controls
+    of ``rec``, the :class:`Recorder` of the run ``traj``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for start in range(0, len(traj.times), chunk):
             rows = slice(start, start + chunk)
-            cols = scenario.state_columns(traj.states[rows],
-                                          traj.controls[rows])
+            cols = scenario.state_columns(rec.states[rows], rec.controls[rows])
             if not start:
                 writer.writerow(["t", *cols, "running_payoff"])
             columns = (traj.times[rows], *cols.values(),

@@ -159,7 +159,7 @@ def test_criterion_7_closed_form_trajectory():
         t_half = sc.spec.age.sbar / 2
         traj = simulate_transport(sc.spec, sc.state0, T_end=t_half)
         z_closed = optimal_trajectory_closed_form(sc.spec, sc.state0, t_half)
-        errs.append(float(np.max(np.abs(z_closed - traj.states[-1]))))
+        errs.append(float(np.max(np.abs(z_closed - traj.final))))
         hs.append(sc.spec.age.h)
     constants = [e / h for e, h in zip(errs, hs)]
     ok = errs[0] < hs[0] and errs[1] <= 0.55 * errs[0]
@@ -175,9 +175,9 @@ def test_criterion_8_balanced_growth(scenarios):
     all_ok = True
 
     sc = scenarios["spatial-growth"]
-    traj = sc.simulate()
-    pair = np.array([sc.spec.grid.inner(y, sc.spec.beta)
-                     for y in traj.states])
+    traj = sc.simulate(lambda states, _: {
+        "pairing": [sc.spec.grid.inner(y, sc.spec.beta) for y in states]})
+    pair = traj.columns["pairing"]
     slope = np.polyfit(traj.times, np.log(pair), 1)[0]
     ok = abs(slope - sc.spec.growth_rate) < 1e-3
     all_ok &= ok
@@ -185,9 +185,10 @@ def test_criterion_8_balanced_growth(scenarios):
 
     for name in ("vintage-dde", "time-to-build"):
         sc = scenarios[name]
-        traj = sc.simulate()
         xi, lag = sc.spec.xi, sc.spec.delay.lag
-        gs = np.array([delay.gamma(x, xi, lag) for x in traj.states])
+        traj = sc.simulate(lambda states, _: {
+            "gamma": [delay.gamma(x, xi, lag) for x in states]})
+        gs = traj.columns["gamma"]
         slope = np.polyfit(traj.times, np.log(gs), 1)[0]
         ok = abs(slope - sc.spec.growth_rate) < 1e-3
         all_ok &= ok

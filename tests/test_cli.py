@@ -6,10 +6,11 @@ import sys
 
 import numpy as np
 import pytest
-from reference import write_trajectory_csv
+from reference import Recorder, recorded, write_trajectory_csv
 
-from hjbkit.cli import CSV_CHUNK, _write_trajectory_csv, main
+from hjbkit.cli import _write_trajectory_csv, main
 from hjbkit.errors import ConfigError
+from hjbkit.gridcore import BLOCK, joined
 from hjbkit.scenarios import (DEFAULT_TOLERANCES, MODELS, build_scenario,
                               default_config, refine_config, validate_config)
 
@@ -136,15 +137,16 @@ def test_chunked_csv_matches_a_per_row_reference(tmp_path, model, short):
     if short:
         cfg["numerics"]["T_end"] = 5 * build_scenario(cfg).handle.dt
     sc = build_scenario(cfg)
-    traj = sc.simulate()
-    assert (len(traj.times) < CSV_CHUNK) == short
+    rec = Recorder()
+    traj = sc.simulate(joined(sc.state_columns, rec))
+    assert (len(traj.times) < BLOCK) == short
     path = tmp_path / "trajectory.csv"
-    _write_trajectory_csv(path, sc, traj)
+    _write_trajectory_csv(path, traj)
     want = io.StringIO(newline="")
     writer = csv.writer(want)
     writer.writerow(["t", *CSV_HEADERS[model].split(","), "running_payoff"])
     for k, t in enumerate(traj.times):
-        row = [t, *_reference_row(sc, traj.states[k], traj.controls[k]),
+        row = [t, *_reference_row(sc, rec.states[k], rec.controls[k]),
                traj.running_payoff[k]]
         writer.writerow([repr(float(v)) for v in row])
     assert path.read_bytes() == want.getvalue().encode()
@@ -420,7 +422,7 @@ def test_run_writes_the_bytes_of_csv_writer(tmp_path, model):
     assert run_cli(["run", "--model", model, "--out", str(tmp_path)]) == 0
     sc = build_scenario(default_config(model))
     want = tmp_path / "want.csv"
-    write_trajectory_csv(want, sc, sc.simulate(), CSV_CHUNK)
+    write_trajectory_csv(want, sc, *recorded(sc.simulate), BLOCK)
     assert (tmp_path / "trajectory.csv").read_bytes() == want.read_bytes()
 
 

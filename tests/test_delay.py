@@ -9,12 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import oracle_batch_run
+from reference import (discounted_quadrature, heads_and_controls,
+                       oracle_batch_run, recorded)
 
 from hjbkit import delay, time_to_build, vintage_dde
 from hjbkit.errors import DomainError, DomainExitError, GridError
 from hjbkit.errors import AssumptionError, NumericsError
-from hjbkit.gridcore import AgeGrid, HistorySegment, discounted_quadrature
+from hjbkit.gridcore import AgeGrid, HistorySegment
 from hjbkit.scenarios import build_scenario, default_config, _delay_test_state
 from hjbkit.time_to_build import build_ttb_spec
 from hjbkit.verify import ModelHandle, _rollout, brute_force_value, scaled
@@ -228,15 +229,18 @@ class TestLift:
         assert np.array_equal(got[1:], model.c * hist.values[::-1])
 
 
-def assert_same_run(got, want):
-    times, states, controls, running = want
+def assert_same_run(run, want):
+    """``run``, a (trajectory, Recorder) pair, and ``want``, a run's
+    (times, states, controls, running payoff), agree bit for bit."""
+    (got, rec), (times, states, controls, running) = run, want
     assert np.array_equal(got.times, times)
-    assert got.controls == controls
+    assert rec.controls == controls
     assert np.array_equal(got.running_payoff, running)
-    assert len(got.states) == len(states)
-    for a, b in zip(got.states, states):
+    assert len(rec.states) == len(states)
+    for a, b in zip(rec.states, states):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
+    assert got.final is rec.states[-1]
 
 
 def assert_same_exit(run, reference):
@@ -254,8 +258,8 @@ def assert_same_exit(run, reference):
 class TestSimulate:
     def test_equals_reference_loop(self, case):
         model, state0 = case
-        traj = delay.simulate(model, state0, 6.0)
-        assert_same_run(traj, reference_simulate(model, state0, 6.0))
+        assert_same_run(recorded(delay.simulate, model, state0, 6.0),
+                        reference_simulate(model, state0, 6.0))
 
     def test_start_state_is_not_written(self, case):
         model, state0 = case
@@ -265,7 +269,7 @@ class TestSimulate:
 
     def test_recorded_tails_are_distinct(self, case):
         model, state0 = case
-        states = delay.simulate(model, state0, 1.0).states
+        states = recorded(delay.simulate, model, state0, 1.0)[1].states
         assert len({id(st) for st in states}) == len(states)
         assert not any(np.shares_memory(a, b)
                        for a, b in zip(states, states[1:]))
@@ -370,11 +374,11 @@ class TestDelayHandle:
     def test_rollout_equals_public_functions(self, case, scale):
         model, state0 = case
         dt = spacing(model, state0)
-        got = _rollout(policy(delay.make_handle(model, dt), scale), state0,
-                       60 * dt)
-        want = _rollout(policy(public_delay_handle(model, dt), scale), state0,
-                        60 * dt)
-        assert_same_run(got, (want.times, want.states, want.controls,
+        got = recorded(_rollout, policy(delay.make_handle(model, dt), scale),
+                       state0, 60 * dt)
+        want, rec = recorded(_rollout, policy(public_delay_handle(model, dt),
+                                              scale), state0, 60 * dt)
+        assert_same_run(got, (want.times, rec.states, rec.controls,
                               want.running_payoff))
 
     def test_nan_gamma_is_outside_the_domain(self, case):
@@ -452,8 +456,8 @@ class TestStepSize:
     def test_oracle_problem_refuses_another_spacing(self, case):
         model, state0 = case
         dt = spacing(model, state0)
-        seed = _rollout(delay.make_handle(model, dt), state0,
-                        4 * dt).controls[:-1]
+        seed = _rollout(delay.make_handle(model, dt), state0, 4 * dt,
+                        heads_and_controls).columns["control"][:-1]
         problem = delay.oracle_problem(model, 2.0 * dt)
         assert problem.dt == 2.0 * dt
         with pytest.raises(GridError, match="spacing"):
@@ -557,8 +561,8 @@ def oracle_run(request):
     cfg["numerics"]["m"] = m
     sc = build_scenario(cfg)
     model, dt = sc.spec.delay, sc.handle.dt
-    seed = np.array(_rollout(sc.handle, sc.state0,
-                             efoldings / model.rho).controls[:-1])
+    seed = _rollout(sc.handle, sc.state0, efoldings / model.rho,
+                    heads_and_controls).columns["control"][:-1]
     return model, dt, sc.state0, seed, steps
 
 
@@ -681,14 +685,16 @@ class TestTransportHandle:
     def test_rollout_equals_reference(self, skewed_transport, scale):
         spec = skewed_transport
         z0 = initial_profile(spec.age)
-        got = _rollout(policy(make_handle(spec), scale), z0, 80 * spec.age.h)
-        want = _rollout(policy(reference_transport_handle(spec), scale), z0,
-                        80 * spec.age.h)
+        got, got_rec = recorded(_rollout, policy(make_handle(spec), scale),
+                                z0, 80 * spec.age.h)
+        want, want_rec = recorded(_rollout, policy(
+            reference_transport_handle(spec), scale), z0, 80 * spec.age.h)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.running_payoff, want.running_payoff)
-        for a, b in zip(got.states, want.states):
+        assert len(got_rec.states) == len(want_rec.states) == 81
+        for a, b in zip(got_rec.states, want_rec.states):
             assert np.array_equal(a, b)
-        for a, b in zip(got.controls, want.controls):
+        for a, b in zip(got_rec.controls, want_rec.controls):
             assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
     def test_step_is_the_age_step(self, skewed_transport):

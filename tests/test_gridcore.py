@@ -8,12 +8,14 @@ import scipy.integrate
 import sympy as sp
 
 from hjbkit.errors import GridError, NumericsError
-from hjbkit.gridcore import (CircleGrid, CNOperator, HistorySegment,
-                             AgeGrid, Trajectory, cn_step,
+from hjbkit.gridcore import (BLOCK, Blocks, CircleGrid, CNOperator,
+                             HistorySegment, AgeGrid, Trajectory, cn_step,
                              lapack_gttr, sl_apply,
                              solve_periodic_tridiagonal,
-                             apply_periodic_tridiagonal, state_minima,
+                             apply_periodic_tridiagonal,
                              trapezoid, _stencil_coefficients)
+from hjbkit.scenarios import build_scenario, default_config
+from reference import recorded
 
 GRID = CircleGrid(64)
 THETA = GRID.nodes
@@ -301,12 +303,61 @@ class TestCyclicSolve:
         assert "scipy.linalg._flapack" not in sys.modules
 
 
-def test_state_minima_match_each_states_minimum():
-    # 130 states: two full chunks of 64 and a partial one
-    rng = np.random.default_rng(3)
-    states = [rng.normal(size=7) for _ in range(130)]
-    assert np.array_equal(state_minima(states), [y.min() for y in states])
-    assert np.array_equal(state_minima(states[:1]), [states[0].min()])
+@pytest.mark.parametrize("model", ["spatial-growth", "pollution",
+                                   "vintage-transport", "vintage-dde",
+                                   "time-to-build"])
+@pytest.mark.parametrize("steps", [0, 129])
+def test_simulators_meta_match_each_states_minimum(model, steps):
+    # 130 states: two full blocks of 64 and a partial one; or just one.
+    # The flags, taken from each block, are those of the recorded states.
+    cfg = default_config(model)
+    cfg["numerics"]["T_end"] = max(steps, 0.5) * build_scenario(
+        cfg).handle.dt
+    sc = build_scenario(cfg)
+    traj, rec = recorded(sc.simulate)
+    assert len(rec.states) == len(traj.times) == steps + 1
+    assert traj.columns == {}
+    heads = np.array([x.item(0) for x in rec.states])
+    if model == "spatial-growth":
+        negative = [t for t, x in zip(traj.times, rec.states) if x.min() < 0]
+        assert traj.meta["first_negative_time"] == \
+            (negative[0] if negative else None)
+    elif model == "vintage-dde":
+        assert traj.meta["min_investment"] == min(rec.controls)
+        assert traj.meta["min_capital"] == heads.min()
+    elif model == "time-to-build":
+        consumption = (sc.spec.Atilde / sc.spec.A) * (
+            heads - np.array(rec.controls))
+        assert traj.meta["min_consumption"] == consumption.min()
+    else:
+        assert traj.meta["min_state"] == min(x.min() for x in rec.states)
+
+
+def test_blocks_map_each_block_of_64_once():
+    # 130 rows: blocks starting at 0, 64 and 128, each mapped when full or
+    # at the end, under the error state of the blocks' creator
+    seen = []
+
+    def columns(states, controls):
+        seen.append((states[0], len(states), np.geterr()["over"]))
+        return {"twice": [2.0 * s for s in states], "u": controls}
+
+    blocks = Blocks(columns)
+    with np.errstate(over="raise"):
+        for k in range(130):
+            blocks.add(float(k), -k)
+            assert len(seen) == (k + 1) // BLOCK
+    cols = blocks.finish()
+    assert seen == [(0.0, 64, "warn"), (64.0, 64, "warn"), (128.0, 2, "warn")]
+    assert np.array_equal(cols["twice"], 2.0 * np.arange(130))
+    assert cols["u"].dtype == float and np.array_equal(cols["u"],
+                                                       -np.arange(130))
+    assert list(cols) == ["twice", "u"]
+    idle = Blocks()  # no columns: blocks are still dropped
+    for _ in range(BLOCK + 1):
+        idle.add(np.zeros(3), None)
+    assert len(idle.held) == 1
+    assert (idle.finish(), idle.held) == ({}, [])
 
 
 class TestCnStep:
@@ -571,6 +622,14 @@ def test_trapezoid_cancelling_terms():
 
 
 def test_trajectory_validates_uniform_times():
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.1, 0.35]), [0, 0, 0], [0, 0, 0],
-                   np.zeros(3))
+    with pytest.raises(ValueError, match="constant step"):
+        Trajectory(np.array([0.0, 0.1, 0.35]), np.zeros(3), None)
+
+
+def test_trajectory_columns_share_the_times_length():
+    times = np.array([0.0, 0.1, 0.2])
+    with pytest.raises(ValueError, match="one length"):
+        Trajectory(times, np.zeros(3), None, {"x": np.zeros(2)})
+    with pytest.raises(ValueError, match="one length"):
+        Trajectory(times, np.zeros(2), None)
+    assert Trajectory(times, np.zeros(3), 7, {"x": np.ones(3)}).final == 7

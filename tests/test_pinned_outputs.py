@@ -5,6 +5,7 @@ numbers catch a change that moves the outputs themselves.  Floats must
 agree to 1e-12 relative, counts exactly.
 """
 
+import csv
 import json
 
 import pytest
@@ -44,6 +45,76 @@ def test_default_run_summary(tmp_path, model):
     summary = json.loads((tmp_path / "summary.json").read_text())
     for key, want in RUN_SUMMARY[model].items():
         assert summary[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
+# rows of each default run's trajectory.csv: the first, the two across the
+# first edge of 64 rows, and the last (data rows, counted from 0)
+TRAJECTORY_ROWS = {
+    "spatial-growth": (
+        ["t", "total_capital", "beta_pairing", "min_capital",
+         "total_consumption", "running_payoff"],
+        {0: [0.0, 6.283185307179586, 658.5553273915472, 1.0,
+             0.37671462808680206, 0.0],
+         63: [0.63, 6.204716236850602, 650.3481138270026, 0.9822561813230681,
+              0.3720198404554538, 1.9023988065284336],
+         64: [0.64, 6.203479338753324, 650.2186686351445, 0.9819995791923992,
+              0.37194579368173525, 1.9320200500823703],
+         4000: [40.0, 2.833687451950173, 297.0230925962494,
+                0.4456283163807435, 0.169906671780762, 46.659833076482215]}),
+    "pollution": (
+        ["t", "total_pollution", "min_pollution", "max_pollution",
+         "total_emission", "running_payoff"],
+        {0: [0.0, 6.283185307179586, 0.5, 1.5, 0.4215830112930008, 0.0],
+         63: [1.26, 6.038422248478411, 0.8255624311396509, 1.0800100377553647,
+              0.4215830112930008, -0.2911765892186543],
+         64: [1.28, 6.034780029289564, 0.8278859445114365, 1.076864191380911,
+              0.4215830112930008, -0.2933484304542442],
+         3000: [60.0, 4.217055918607445, 0.6647258569830973,
+                0.6773438794688041, 0.4215830112930008, 18.611973792746628]}),
+    "vintage-dde": (
+        ["t", "capital", "investment", "gamma0", "running_payoff"],
+        {0: [0.0, 1.9999999999999996, 1.8706143350923927, 0.999110217730903,
+             0.0],
+         63: [0.63, 2.7384125488381525, 2.538120780545147, 1.5466441002991176,
+              0.4388066073835403],
+         64: [0.64, 2.7538637283417833, 2.552177879662386, 1.5574091268523225,
+              0.44554435962501476],
+         2000: [20.0, 1814639.280169034, 1677705.2592143728,
+                1057398.4012882267, 6.086267679846628]}),
+    "vintage-transport": (
+        ["t", "total_capital", "min_capital", "boundary_investment",
+         "running_payoff"],
+        {0: [0.0, 0.30000000000000004, 0.0, 0.6279555916010717, 0.0],
+         63: [0.63, 0.9411190633686373, 0.10283154363774524,
+              0.6279555916010717, -0.029817288242093985],
+         64: [0.64, 0.9502966060092404, 0.10485082271633094,
+              0.6279555916010717, -0.02847523835840289],
+         1000: [10.0, 1.79441304241483, 0.6279555916010717,
+                0.6279555916010717, 2.583253134283505]}),
+    "time-to-build": (
+        ["t", "output", "control", "gamma", "consumption", "running_payoff"],
+        {0: [0.0, 1.0, 0.12665951979372636, 1.2666141377499496,
+             0.7485775544625203, 0.0],
+         63: [0.315, 1.0945000000000036, 0.20070049506133592,
+              1.2962858427456196, 0.7661138613760009, 0.5738707483165895],
+         64: [0.32, 1.0960000000000036, 0.20187191619277722,
+              1.2967623837744562, 0.7663955004061941, 0.5827439897402603],
+         4000: [20.0, 5.159999188396038, 1.360829537382389, 5.509971538978772,
+                3.256431129440271, 11.012021754346224]}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(TRAJECTORY_ROWS))
+def test_default_trajectory_csv_rows(tmp_path, model):
+    assert main(["run", "--model", model, "--out", str(tmp_path)]) == 0
+    with (tmp_path / "trajectory.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    names, pinned = TRAJECTORY_ROWS[model]
+    assert header == names
+    assert len(rows) == max(pinned) + 1
+    for k, want in pinned.items():
+        got = [float(v) for v in rows[k]]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), k
 
 
 # verify --seed 3: the three closed-loop rollouts per circle model (value

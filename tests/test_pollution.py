@@ -9,7 +9,7 @@ from hjbkit.pollution import (build_pollution_spec, hjb_residual_pollution,
                               simulate_pollution, value_pollution)
 from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.verify import _rollout, scaled
-from reference import running_gain
+from reference import recorded, running_gain
 
 GRID = CircleGrid(128)
 
@@ -164,7 +164,7 @@ class TestSimulate:
         spec = constant_spec()
         target = spec.eta[0] * spec.i_star[0] / 0.1
         traj = simulate_pollution(spec, np.ones(GRID.n), 160.0, 0.05)
-        assert np.allclose(traj.states[-1], target, atol=1e-6)
+        assert np.allclose(traj.final, target, atol=1e-6)
 
     def test_maximum_principle_flag(self):
         spec = wavy_spec()
@@ -177,8 +177,8 @@ class TestSimulate:
         spec = build_scenario(default_config("pollution")).spec
         p0 = np.zeros(spec.grid.n)
         p0[0] = 1000.0
-        states = _rollout(make_handle(spec, 0.02), p0, 0.08).states
-        least = float(min(p.min() for p in states))
+        _, rec = recorded(_rollout, make_handle(spec, 0.02), p0, 0.08)
+        least = float(min(p.min() for p in rec.states))
         with pytest.raises(NumericsError, match="maximum principle") as exc:
             simulate_pollution(spec, p0, 0.08, 0.02)
         assert str(exc.value).endswith(f"min p = {least!r}")
@@ -316,8 +316,8 @@ class TestHandleArrays:
         a, g = spec.a_prod, spec.gamma
         p0 = 1.0 + 0.5 * np.cos(grid.nodes)
         probe = handle if scale == 1.0 else scaled(handle, scale)
-        traj = _rollout(probe, p0, n_steps * dt)
-        states, controls, running = (traj.states, traj.controls,
+        traj, rec = recorded(_rollout, probe, p0, n_steps * dt)
+        states, controls, running = (rec.states, rec.controls,
                                      traj.running_payoff)
 
         def gain(p, i):

@@ -10,7 +10,7 @@ from hjbkit.spatial_growth import (build_spatial_spec, feedback_spatial,
                                    hjb_residual_spatial, make_handle, pairing,
                                    simulate_spatial, utility, value_spatial)
 from hjbkit.verify import _rollout, scaled
-from reference import rayleigh_residual
+from reference import rayleigh_residual, recorded
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +176,7 @@ class TestSimulate:
         grid = const_spec.grid
         x0 = 0.1 * const_spec.eigen.e0
         traj = simulate_spatial(const_spec, x0, dt, dt)
-        ratio = (grid.inner(traj.states[-1], const_spec.beta)
+        ratio = (grid.inner(traj.final, const_spec.beta)
                  / grid.inner(x0, const_spec.beta))
         g = const_spec.growth_rate
         assert ratio == pytest.approx(np.exp(g * dt), abs=5 * dt ** 2)
@@ -194,9 +194,11 @@ class TestSimulate:
 
     def test_balanced_growth_slope(self, wavy_spec):
         x0 = np.ones(wavy_spec.grid.n)
-        traj = simulate_spatial(wavy_spec, x0, 40.0, 0.01)
-        pairings = np.array([wavy_spec.grid.inner(y, wavy_spec.beta)
-                             for y in traj.states])
+        traj = simulate_spatial(
+            wavy_spec, x0, 40.0, 0.01, lambda states, controls: {
+                "pairing": [wavy_spec.grid.inner(y, wavy_spec.beta)
+                            for y in states]})
+        pairings = traj.columns["pairing"]
         slope = np.polyfit(traj.times, np.log(pairings), 1)[0]
         assert slope == pytest.approx(wavy_spec.growth_rate, abs=1e-3)
 
@@ -212,8 +214,8 @@ class TestSimulate:
         spec = build_scenario(default_config("spatial-growth")).spec
         n = spec.grid.n
         x0 = np.r_[np.full(n // 2, 2.0), np.zeros(n - n // 2)]
-        traj = simulate_spatial(spec, x0, 1.0, 0.01)
-        negative = [t for t, y in zip(traj.times, traj.states)
+        traj, rec = recorded(simulate_spatial, spec, x0, 1.0, 0.01)
+        negative = [t for t, y in zip(traj.times, rec.states)
                     if y.min() < 0.0]
         assert traj.meta["positivity_ok"] is False
         assert traj.meta["first_negative_time"] == negative[0] == 0.01
@@ -335,8 +337,8 @@ class TestHandleArrays:
         s, N = spec.sigma_crra, spec.N_pop
         y0 = smooth_positive(grid, 8)
         probe = handle if scale == 1.0 else scaled(handle, scale)
-        traj = _rollout(probe, y0, n_steps * dt)
-        states, controls, running = (traj.states, traj.controls,
+        traj, rec = recorded(_rollout, probe, y0, n_steps * dt)
+        states, controls, running = (rec.states, rec.controls,
                                      traj.running_payoff)
         y, total = y0, 0.0
         for k in range(n_steps):

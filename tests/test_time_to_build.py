@@ -7,8 +7,8 @@ from hjbkit.errors import AssumptionError, DomainError, DomainExitError
 from hjbkit.gridcore import HistorySegment
 from hjbkit.time_to_build import (build_ttb_spec, hjb_residual_ttb,
                                   make_handle, simulate_ttb)
-from reference import (integrate_openloop_dde, openloop_dde_residual,
-                       to_output_coords)
+from reference import (heads_and_controls, integrate_openloop_dde,
+                       openloop_dde_residual, to_output_coords)
 
 XI_REF = 0.236755310788559  # frozen: bisection of z = 0.3 e^{-z}
 
@@ -179,9 +179,9 @@ class TestFeedback:
 class TestSimulate:
     def test_balanced_growth_rate(self, spec):
         q0, u0, _ = default_state(spec)
-        traj = simulate_ttb(spec, q0, u0, 20.0)
-        gs = np.array([delay.gamma(x, spec.xi, spec.d)
-                       for x in traj.states])
+        traj = simulate_ttb(spec, q0, u0, 20.0, lambda states, _: {
+            "gamma": [delay.gamma(x, spec.xi, spec.d) for x in states]})
+        gs = traj.columns["gamma"]
         slope = np.polyfit(traj.times, np.log(gs), 1)[0]
         assert slope == pytest.approx(spec.growth_rate, abs=1e-3)
 
@@ -206,11 +206,12 @@ class TestSimulate:
     def test_homogeneous_scaling(self, spec):
         q0, u0, _ = default_state(spec)
         k = 3.0
-        t1 = simulate_ttb(spec, q0, u0, 5.0)
+        t1 = simulate_ttb(spec, q0, u0, 5.0, heads_and_controls)
         t2 = simulate_ttb(spec, k * q0,
-                          HistorySegment(spec.d, k * u0.values), 5.0)
-        assert np.allclose(k * np.array([x[0] for x in t1.states]),
-                           np.array([x[0] for x in t2.states]), rtol=1e-10)
+                          HistorySegment(spec.d, k * u0.values), 5.0,
+                          heads_and_controls)
+        assert np.allclose(k * t1.columns["head"], t2.columns["head"],
+                           rtol=1e-10)
         assert t2.payoff == pytest.approx(k ** 0.5 * t1.payoff, rel=1e-10)
 
     def test_domain_exit_aborts(self):
@@ -238,15 +239,15 @@ class TestOpenLoopDDE:
         dt = spec.d / m
         n = 3 * m
         times = dt * np.arange(n + 1)
-        traj = Trajectory(times, [None] * (n + 1), [0.0] * (n + 1),
-                          np.zeros(n + 1))
+        traj = Trajectory(times, np.zeros(n + 1), None,
+                          {"control": np.zeros(n + 1)})
         assert openloop_dde_residual(spec, traj) < 1e-14
 
     def test_residual_shrinks_under_refinement(self, spec):
         worst = []
         for m in (100, 200):
             q0, u0, _ = default_state(spec, m=m)
-            traj = simulate_ttb(spec, q0, u0, 3.0)
+            traj = simulate_ttb(spec, q0, u0, 3.0, heads_and_controls)
             worst.append(openloop_dde_residual(spec, traj))
         assert worst[1] < 0.6 * worst[0]
 
@@ -258,15 +259,15 @@ class TestOpenLoopDDE:
         q0 = 1.0
         c = (1.0 - al) * q0 / (1.0 + al * (spec.Atilde - xi) / xi)
         u0 = HistorySegment.constant(spec.d, 200, c)
-        traj = simulate_ttb(spec, q0, u0, 2.0 * spec.d)
+        traj = simulate_ttb(spec, q0, u0, 2.0 * spec.d, heads_and_controls)
         dde = integrate_openloop_dde(spec, q0, u0, 2.0 * spec.d)
-        diff = np.max(np.abs(np.array([float(u) for u in traj.controls])
-                             - np.array([float(u) for u in dde.controls])))
+        diff = np.max(np.abs(traj.columns["control"]
+                             - dde.columns["control"]))
         assert diff < 1e-4
 
     def test_too_short_trajectory_rejected(self, spec):
         q0, u0, _ = default_state(spec, m=50)
-        traj = simulate_ttb(spec, q0, u0, 0.5 * spec.d)
+        traj = simulate_ttb(spec, q0, u0, 0.5 * spec.d, heads_and_controls)
         with pytest.raises(ValueError):
             openloop_dde_residual(spec, traj)
 
@@ -297,7 +298,8 @@ def test_coarse_dp_oracle_brackets_value(spec):
     u0 = HistorySegment.constant(spec.d, 8, 1.0)
     x = delay.lift(spec.delay, 1.0, u0)
     handle = make_handle(spec, u0.dt)
-    seed = _rollout(handle, x, 5.0 / spec.rho).controls[:-1]
+    seed = _rollout(handle, x, 5.0 / spec.rho,
+                    heads_and_controls).columns["control"][:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay, u0.dt), x,
                                 seed)
     v = delay.value(spec.delay, x)

@@ -1,16 +1,18 @@
 import dataclasses
 import importlib
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from oracle_helpers import golden_max
-from reference import unmemoized_suboptimality_margin
+from reference import (heads_and_controls, recorded, replay,
+                       unmemoized_suboptimality_margin)
 
 from hjbkit import delay
 from hjbkit.errors import (DomainError, DomainExitError, GridError,
                            NumericsError)
-from hjbkit.gridcore import CircleGrid, HistorySegment, Trajectory
+from hjbkit.gridcore import CircleGrid, HistorySegment
 from hjbkit.scenarios import (MODELS, build_scenario, default_config,
                               verify_scenario)
 from hjbkit.spatial_growth import build_spatial_spec, make_handle as spatial_handle
@@ -95,17 +97,18 @@ class TestDPP:
 class TestTransversality:
     def test_spatial_slope_matches_algebra(self, spatial):
         spec, handle, x0 = spatial
-        traj = simulate_spatial(spec, x0, 60.0, 0.02)
-        slope = transversality(handle, traj)
+        slope = transversality(
+            handle, lambda columns: simulate_spatial(spec, x0, 60.0, 0.02,
+                                                     columns), 3000)
         expected = (1.0 - spec.sigma_crra) * spec.growth_rate - spec.rho
         assert slope == pytest.approx(expected, abs=1e-3)
 
     def test_static_state_decays_at_discount_rate(self, spatial):
         spec, handle, x0 = spatial
         times = 0.05 * np.arange(200)
-        traj = Trajectory(times, [x0] * 200, [None] * 200, np.zeros(200))
-        assert transversality(handle, traj) == pytest.approx(-spec.rho,
-                                                             abs=1e-10)
+        simulate = replay(times, [x0] * 200)
+        assert transversality(handle, simulate, 199) == pytest.approx(
+            -spec.rho, abs=1e-10)
 
 
     def test_only_the_fitted_quartile_is_valued(self, spatial):
@@ -116,7 +119,7 @@ class TestTransversality:
         times = 0.05 * np.arange(n)
         q = 3 * n // 4
         scales = np.exp(0.02 * times)
-        traj = Trajectory(times, list(range(n)), [None] * n, np.zeros(n))
+        simulate = replay(times, list(range(n)))
 
         def value(k):
             if k < q:
@@ -129,27 +132,25 @@ class TestTransversality:
         logs = -spec.rho * times + np.log(
             np.abs([handle.value(x0) * scales[k] for k in range(n)]))
         want = float(np.polyfit(times[q:], logs[q:], 1)[0])
-        assert transversality(probe, traj) == want
+        assert transversality(probe, simulate, n - 1) == want
         assert want == pytest.approx(0.02 - spec.rho, abs=1e-12)
 
     @pytest.mark.parametrize("steps", [3, 4])
     def test_fit_needs_four_steps(self, spatial, steps):
         # three steps leave one time in the last quartile, no slope
         _, handle, x0 = spatial
-        times = 0.05 * np.arange(steps + 1)
-        traj = Trajectory(times, [x0] * (steps + 1), [None] * (steps + 1),
-                          np.zeros(steps + 1))
+        simulate = replay(0.05 * np.arange(steps + 1), [x0] * (steps + 1))
         if steps < 4:
             with pytest.raises(ValueError, match="needs 5 times"):
-                transversality(handle, traj)
+                transversality(handle, simulate, steps)
         else:
-            assert np.isfinite(transversality(handle, traj))
+            assert np.isfinite(transversality(handle, simulate, steps))
 
 
 class TestBruteForce:
     def seed_for(self, handle, state, T_end):
-        traj = _rollout(handle, state, T_end)
-        return [float(c) for c in traj.controls[:-1]]
+        traj = _rollout(handle, state, T_end, heads_and_controls)
+        return [float(c) for c in traj.columns["control"][:-1]]
 
     def test_oracle_problem_has_no_value_callback(self, problem):
         assert isinstance(problem, OracleProblem)
@@ -353,8 +354,9 @@ def test_a_scaled_control_is_read_only(model):
     # a constant policy's scaled control is one object held by every step
     # of the probe, so no write may go through a recorded control
     sc = build_scenario(default_config(model))
-    traj = _rollout(scaled(sc.handle, 0.5), sc.state0, 5 * sc.handle.dt)
-    first = traj.controls[0]
+    _, rec = recorded(_rollout, scaled(sc.handle, 0.5), sc.state0,
+                      5 * sc.handle.dt)
+    first = rec.controls[0]
     arrays = [p for p in (first if isinstance(first, tuple) else (first,))
               if isinstance(p, np.ndarray)]
     assert arrays
@@ -362,7 +364,30 @@ def test_a_scaled_control_is_read_only(model):
         with pytest.raises(ValueError, match="read-only"):
             part[0] = 0.0
     if model != "spatial-growth":  # its feedback depends on the state
-        assert traj.controls[-1] is first
+        assert rec.controls[-1] is first
+
+
+@pytest.mark.parametrize("model", ["spatial-growth", "pollution",
+                                   "time-to-build"])
+def test_a_closed_loop_keeps_one_block_not_the_run(model):
+    # doubling the horizon from 5 to 10 adds at most 200 traced bytes a
+    # step to the run's peak: its O(steps) scalars, not a state (256 node
+    # values, or 202 samples) or a profile control per step
+    peaks = []
+    for T_end in (5.0, 10.0):
+        cfg = default_config(model)
+        cfg["numerics"]["T_end"] = T_end
+        sc = build_scenario(cfg)
+        sc.simulate()  # one-time set-up outside the trace
+        tracemalloc.start()
+        try:
+            steps = len(sc.simulate().times) - 1
+            peaks.append((tracemalloc.get_traced_memory()[1], steps))
+        finally:
+            tracemalloc.stop()
+    (short, n_short), (long, n_long) = peaks
+    assert n_long == 2 * n_short
+    assert long - short <= 200 * (n_long - n_short)
 
 
 @pytest.mark.parametrize("model", ["spatial-growth", "pollution"])

@@ -8,7 +8,8 @@ from hjbkit.gridcore import HistorySegment, trapezoid
 from hjbkit.vintage_dde import (build_vintage_spec, hjb_residual_vintage,
                                 interior_condition, lift_vintage, make_handle,
                                 simulate_vintage)
-from reference import gamma0_from_history, positivity_kernel
+from reference import (gamma0_from_history, heads_and_controls,
+                       positivity_kernel, recorded)
 
 XI_REF = 0.796812130020020  # frozen: bisection of z = 1*(1 - e^{-2z})
 
@@ -190,9 +191,9 @@ class TestSimulate:
 
     def test_balanced_growth_rate(self, spec):
         iota = HistorySegment.constant(2.0, 200, 1.0)
-        traj = simulate_vintage(spec, iota, 20.0)
-        g0s = np.array([delay.gamma(x, spec.xi, 2.0)
-                        for x in traj.states])
+        traj = simulate_vintage(spec, iota, 20.0, lambda states, _: {
+            "gamma0": [delay.gamma(x, spec.xi, 2.0) for x in states]})
+        g0s = traj.columns["gamma0"]
         slope = np.polyfit(traj.times, np.log(g0s), 1)[0]
         assert slope == pytest.approx(spec.growth_rate, abs=1e-3)
 
@@ -207,10 +208,10 @@ class TestSimulate:
         iota = HistorySegment.constant(2.0, 100, 1.0)
         k = 2.5
         scaled = HistorySegment(2.0, k * iota.values)
-        t1 = simulate_vintage(spec, iota, 5.0)
-        t2 = simulate_vintage(spec, scaled, 5.0)
-        assert np.allclose(k * np.array([x[0] for x in t1.states]),
-                           np.array([x[0] for x in t2.states]), rtol=1e-10)
+        t1 = simulate_vintage(spec, iota, 5.0, heads_and_controls)
+        t2 = simulate_vintage(spec, scaled, 5.0, heads_and_controls)
+        assert np.allclose(k * t1.columns["head"], t2.columns["head"],
+                           rtol=1e-10)
         assert t2.payoff == pytest.approx(k ** 0.5 * t1.payoff, rel=1e-10)
 
     def test_lifting_is_bookkeeping(self, spec):
@@ -221,16 +222,16 @@ class TestSimulate:
         drifts = []
         for m in (100, 200):
             iota = HistorySegment.constant(2.0, m, 1.0)
-            traj = simulate_vintage(spec, iota, 4.0)
+            traj, rec = recorded(simulate_vintage, spec, iota, 4.0)
             dt = iota.dt  # the loop steps the history's spacing
             controls = np.concatenate([iota.values[:-1],
-                                       [float(c) for c in traj.controls]])
+                                       [float(c) for c in rec.controls]])
             worst = 0.0
             for n in (0, m // 2, len(traj.times) - 1):
                 window = controls[n: n + m + 1]
                 # tail bookkeeping: x1 = -reversed(window), bit-exact
-                assert np.array_equal(traj.states[n][1:], -window[::-1])
-                head = traj.states[n].item(0)
+                assert np.array_equal(rec.states[n][1:], -window[::-1])
+                head = rec.states[n].item(0)
                 worst = max(worst, abs(head - float(trapezoid(window, dx=dt)))
                             / max(1.0, head))
             drifts.append(worst)
@@ -285,7 +286,8 @@ def test_coarse_dp_oracle_brackets_value(spec):
     iota = HistorySegment.constant(2.0, 8, 1.0)
     x = lift_vintage(spec, iota)
     handle = make_handle(spec, iota.dt)
-    seed = _rollout(handle, x, 5.0 / spec.rho).controls[:-1]
+    seed = _rollout(handle, x, 5.0 / spec.rho,
+                    heads_and_controls).columns["control"][:-1]
     bracket = brute_force_value(delay.oracle_problem(spec.delay, iota.dt), x,
                                 seed)
     v = delay.value(spec.delay, x)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from hjbkit.errors import AssumptionError
-from hjbkit.gridcore import AgeGrid
+from hjbkit.gridcore import AgeGrid, joined
+from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.verify import _rollout, scaled
 from hjbkit.vintage_transport import (build_transport_spec,
                                       hamiltonian_transport,
                                       hjb_residual_transport, make_handle,
                                       simulate_transport, value_transport)
-from reference import optimal_trajectory_closed_form
+from reference import Recorder, optimal_trajectory_closed_form, recorded
 
 
 def make_spec(m_age=200, mu=0.15, rho=0.06, sbar=2.0, q0=0.12, beta0=0.6):
@@ -185,7 +186,7 @@ class TestClosedFormTrajectory:
         t_half = spec.age.sbar / 2
         traj = simulate_transport(spec, z0, T_end=t_half)
         z_closed = optimal_trajectory_closed_form(spec, z0, t_half)
-        err = np.max(np.abs(z_closed - traj.states[-1]))
+        err = np.max(np.abs(z_closed - traj.final))
         assert err < spec.age.h  # within O(h_age)
 
     def test_agreement_shrinks_under_refinement(self):
@@ -197,7 +198,7 @@ class TestClosedFormTrajectory:
             traj = simulate_transport(sp, z0, T_end=t_half)
             errs.append(np.max(np.abs(
                 optimal_trajectory_closed_form(sp, z0, t_half)
-                - traj.states[-1])))
+                - traj.final)))
         assert errs[1] < 0.55 * errs[0]
 
 
@@ -210,7 +211,7 @@ class TestSimulate:
         z0 = np.sin(np.pi * s / 2.0) + 0.2
         # the feedback scaled by 0: no inflow and no source
         traj = _rollout(scaled(make_handle(sp), 0.0), z0, 10 * age.h)
-        shifted = traj.states[-1]
+        shifted = traj.final
         assert np.allclose(shifted[10:], z0[:-10], atol=1e-14)
         assert np.allclose(shifted[:10], 0.0, atol=1e-14)
 
@@ -222,7 +223,7 @@ class TestSimulate:
         traj = simulate_transport(spec, z0, T_end=4.0 * spec.age.sbar)
         stationary = optimal_trajectory_closed_form(
             spec, np.zeros(spec.age.m + 1), 10.0 * spec.age.sbar)
-        assert np.max(np.abs(traj.states[-1] - stationary)) < spec.age.h ** 2
+        assert np.max(np.abs(traj.final - stationary)) < spec.age.h ** 2
 
     def test_positivity_under_footnote_condition(self, spec):
         assert spec.positivity_ok
@@ -232,10 +233,10 @@ class TestSimulate:
 
     def test_open_loop_controls_state_independent(self, spec):
         z0 = initial_profile(spec.age)
-        traj = simulate_transport(spec, z0, T_end=1.0)
-        u0s = {c[0] for c in traj.controls}
+        _, rec = recorded(simulate_transport, spec, z0, 1.0)
+        u0s = {c[0] for c in rec.controls}
         assert u0s == {spec.u0_star}
-        for _, u1 in traj.controls[:3]:
+        for _, u1 in rec.controls[:3]:
             assert np.array_equal(u1, spec.u1_star)
 
 
@@ -284,3 +285,18 @@ def test_value_match_and_suboptimality(spec):
     vm = value_match(handle, z0, 30.0)
     assert vm.rel_gap < 5e-3
     assert suboptimality_margin(handle, z0, 30.0) > 5e-3
+
+
+def test_total_capital_column_is_each_states_quad():
+    # run's total_capital reduces a block's stacked states at once; it must
+    # be AgeGrid.quad of each state, bit for bit, on the default run and
+    # on 130 random profiles (two full blocks and a partial one)
+    sc = build_scenario(default_config("vintage-transport"))
+    rec = Recorder()
+    traj = sc.simulate(joined(sc.state_columns, rec))
+    quad = sc.spec.age.quad
+    assert len(rec.states) == 1001
+    assert list(traj.columns["total_capital"]) == [quad(z) for z in rec.states]
+    states = list(np.random.default_rng(5).lognormal(size=(130, 201)))
+    got = sc.state_columns(states, [(0.0, None)] * 130)["total_capital"]
+    assert list(got) == [quad(z) for z in states]
