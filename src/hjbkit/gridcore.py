@@ -169,8 +169,8 @@ def apply_periodic_tridiagonal(lo, di, up, v):
 _FLAPACK = "scipy.linalg._flapack"
 
 
-def lapack_gttr():
-    """LAPACK ``(dgttrf, dgttrs)`` from scipy's compiled module
+def lapack_pttr():
+    """LAPACK ``(dpttrf, dpttrs)`` from scipy's compiled module
     ``scipy.linalg._flapack``.
 
     The module is loaded from its file in scipy's ``linalg`` directory,
@@ -178,7 +178,7 @@ def lapack_gttr():
     0.25 s of imports that hjbkit has no use for, is never run.  It is
     registered in ``sys.modules`` under its own name: it is loaded once per
     process, and a later ``import scipy.linalg`` reuses it, so
-    ``scipy.linalg.lapack.dgttrf`` is the very routine returned here.  Where
+    ``scipy.linalg.lapack.dpttrf`` is the very routine returned here.  Where
     that load cannot be done, the same routines come from the public
     ``scipy.linalg.lapack``, only slower.
     """
@@ -186,9 +186,9 @@ def lapack_gttr():
     if module is None:
         module = _load_flapack()
     if module is None:
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        return dgttrf, dgttrs
-    return module.dgttrf, module.dgttrs
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        return dpttrf, dpttrs
+    return module.dpttrf, module.dpttrs
 
 
 def _load_flapack():
@@ -218,59 +218,58 @@ def _load_flapack():
 
 
 class CyclicTridiagonal:
-    """Factored cyclic tridiagonal matrix with rows lo,di,up (indices mod n).
+    """Factored symmetric positive definite cyclic tridiagonal matrix: row
+    j is ``up[j-1]*x[j-1] + di[j]*x[j] + up[j]*x[j+1]`` (indices mod n).
 
-    Sherman-Morrison reduction: the two periodic corner entries are split
-    off as a rank-one update of a plain tridiagonal matrix, which LAPACK
-    factors once (``gttrf``).  The correction vector and the rank-one
-    denominator depend only on the matrix, so each :meth:`solve` is one
-    ``gttrs`` back-solve plus the update.  Both routines come from
-    :func:`lapack_gttr`, loaded when the first matrix is built: only the
-    circle models build one.
+    Sherman-Morrison reduction: A = T - |gamma| w w^T with gamma = -di[0],
+    so T, a plain tridiagonal matrix positive definite with A, is factored
+    once by LAPACK (``pttrf``).  The correction vector and the rank-one
+    denominator det A / det T depend only on A, so each :meth:`solve` is
+    one ``pttrs`` back-solve plus the update.  A non-positive pivot or
+    denominator refuses A as not positive definite.  Both routines come
+    from :func:`lapack_pttr`, loaded when the first matrix is built.
     """
 
-    def __init__(self, lo, di, up):
-        dgttrf, dgttrs = lapack_gttr()
+    def __init__(self, di, up):
+        dpttrf, dpttrs = lapack_pttr()
         n = len(di)
         if n < 3:
             raise GridError("cyclic tridiagonal solve needs n >= 3")
-        self.lo, self.di, self.up = lo, di, up
-        corner_tr = lo[0]    # entry (0, n-1)
-        corner_bl = up[-1]   # entry (n-1, 0)
+        self.lo, self.di, self.up = np.roll(up, 1), di, up
+        corner = up[-1]      # entries (0, n-1) and (n-1, 0)
         gamma = -di[0] if di[0] != 0.0 else 1.0
         dmod = di.copy()
         dmod[0] -= gamma
-        dmod[-1] -= corner_tr * corner_bl / gamma
-        *self._lu, info = dgttrf(lo[1:], dmod, up[:-1])
+        dmod[-1] -= corner * corner / gamma
+        *self._ldl, info = dpttrf(dmod, up[:-1])
         if info != 0:
-            raise NumericsError("singular cyclic tridiagonal system: "
-                                f"LAPACK gttrf info {info}")
+            raise NumericsError("cyclic tridiagonal matrix is not positive "
+                                f"definite: LAPACK pttrf info {info}")
         u = np.zeros(n)
-        u[0] = gamma
-        u[-1] = corner_bl
-        z, _ = dgttrs(*self._lu, u)
-        denom = 1.0 + z[0] + corner_tr * z[-1] / gamma
-        if denom == 0.0 or not np.isfinite(denom):
-            raise NumericsError(
-                "singular cyclic tridiagonal system (rank-one update)")
+        u[[0, -1]] = gamma, corner
+        z, _ = dpttrs(*self._ldl, u)
+        denom = 1.0 + z[0] + corner * z[-1] / gamma
+        if not 0.0 < denom < math.inf:  # NaN too
+            raise NumericsError("cyclic tridiagonal matrix is singular or not "
+                                "positive definite (rank-one update)")
         # Python floats: the same bits as numpy scalars, with cheaper
         # arithmetic in the per-solve update
-        self._corner_tr, self._gamma = float(corner_tr), float(gamma)
+        self._corner, self._gamma = float(corner), float(gamma)
         self._z, self._denom = z, float(denom)
-        self._gttrs = dgttrs
+        self._pttrs = dpttrs
 
     def back_solve(self, rhs):
         """The solution of the system, without the defect check."""
-        y, _ = self._gttrs(*self._lu, rhs)
-        y -= ((y.item(0) + self._corner_tr * y.item(-1) / self._gamma)
+        y, _ = self._pttrs(*self._ldl, rhs)
+        y -= ((y.item(0) + self._corner * y.item(-1) / self._gamma)
               / self._denom) * self._z
         return y
 
     def solve(self, rhs):
         x = self.back_solve(rhs)
-        check_defect(np.stack((
-            apply_periodic_tridiagonal(self.lo, self.di, self.up, x) - rhs,
-            rhs)))
+        with np.errstate(invalid="ignore", over="ignore"):  # x may be inf
+            check_defect(np.stack((apply_periodic_tridiagonal(
+                self.lo, self.di, self.up, x) - rhs, rhs)))
         return x
 
 
@@ -296,10 +295,11 @@ def check_defect(residual):
         )
 
 
-def solve_periodic_tridiagonal(lo, di, up, rhs):
-    """Solve the cyclic tridiagonal system with rows lo,di,up (indices mod n)
-    once; see :class:`CyclicTridiagonal` to reuse the factorization."""
-    return CyclicTridiagonal(lo, di, up).solve(rhs)
+def solve_periodic_tridiagonal(di, up, rhs):
+    """Solve the symmetric positive definite cyclic tridiagonal system with
+    diagonal di and superdiagonal up once; see :class:`CyclicTridiagonal`
+    to reuse the factorization."""
+    return CyclicTridiagonal(di, up).solve(rhs)
 
 
 class CNOperator:
@@ -311,9 +311,10 @@ class CNOperator:
     ``A`` and of the explicit side ``E = I + dt/2 L`` stacked, so that one
     product of a state with the stacked rows gives both ``A x`` (the defect
     of the solve that made x) and ``E x`` (the next step's right-hand
-    side).  The implicit matrix is strictly diagonally dominant (hence
-    nonsingular) for every dt > 0 when zeroth <= 0, and for
-    dt * max(zeroth) < 2 otherwise.
+    side).  The implicit matrix is positive definite, as its factorization
+    needs, iff dt * lambda_max(L) < 2 (past that, the CN factor of the top
+    mode is negative and the operator is refused); strict diagonal
+    dominance implies it for all dt when zeroth <= 0, else dt*max(zeroth) < 2.
     """
 
     def __init__(self, grid: CircleGrid, sigma, zeroth, dt: float):
@@ -327,7 +328,11 @@ class CNOperator:
         # in row j of A (k = 0) and of E (k = 1)
         self._rows = np.array(((-half * lo, 1.0 - half * di, -half * up),
                                (half * lo, 1.0 + half * di, half * up)))
-        self.implicit = CyclicTridiagonal(*self._rows[0])
+        try:
+            self.implicit = CyclicTridiagonal(*self._rows[0, 1:])
+        except NumericsError as exc:  # dt * lambda_max(L) >= 2
+            raise NumericsError(f"I - dt/2 L is not positive definite at "
+                                f"dt = {dt:.6g} ({exc})") from None
         j = np.arange(n)
         self._neighbours = np.array((j - 1, j, j + 1))  # taken mod n
         # scratch buffers, rewritten by every product and every step

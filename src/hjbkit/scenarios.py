@@ -23,8 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import (delay, pollution, spatial_growth, time_to_build, vintage_dde,
-               vintage_transport)
 from .errors import AssumptionError, ConfigError, DomainError, NumericsError
 from .gridcore import AgeGrid, CircleGrid, HistorySegment
 from .verify import (ModelHandle, OracleBracket, VerifyReport,
@@ -399,6 +397,7 @@ def _delay_test_state(model: delay.DelayModel, rng, m: int) -> np.ndarray:
     theta > kappa/room if part > 0 and theta < kappa/room if part < 0.
     A state ``delay.feedback`` rejects, or an empty interval (head 0, no
     division), is an AssumptionError."""
+    from . import delay
     window = _smooth_positive_interval(rng, np.linspace(-model.lag, 0.0, m + 1))
     x = np.concatenate(([0.0], model.c * window[::-1]))
     part = delay.gamma(x, model.xi, model.lag)
@@ -443,6 +442,7 @@ def build_scenario(config: dict) -> Scenario:
 
 
 def _build_spatial(config):
+    from . import spatial_growth
     p, num = config["params"], config["numerics"]
     A_fn, N_fn = circle_profile(p["A"]), circle_profile(p["N"])
 
@@ -475,6 +475,7 @@ def _build_spatial(config):
 
 
 def _build_pollution(config):
+    from . import pollution
     p, num = config["params"], config["numerics"]
     fns = {key: circle_profile(p[key])
            for key in ("sigma_diff", "delta", "eta", "a", "gamma", "w")}
@@ -513,6 +514,7 @@ def _build_pollution(config):
 
 
 def _build_vintage(config):
+    from . import delay, vintage_dde
     p, num, init = config["params"], config["numerics"], config["initial"]
     spec = vintage_dde.build_vintage_spec(p["A"], p["T"], p["sigma"], p["rho"])
     iota_fn = interval_profile(init["iota0"], -p["T"], 0.0)
@@ -542,6 +544,7 @@ def _build_vintage(config):
 
 
 def _build_transport(config):
+    from . import vintage_transport
     p, num, init = config["params"], config["numerics"], config["initial"]
     alpha_fn, q1_fn, beta1_fn, z0_fn = (
         interval_profile(desc, 0.0, p["sbar"])
@@ -584,6 +587,7 @@ def _build_transport(config):
 
 
 def _build_ttb(config):
+    from . import delay, time_to_build
     p, num, init = config["params"], config["numerics"], config["initial"]
     spec = time_to_build.build_ttb_spec(p["A"], p["delta"], p["d"],
                                         p["sigma"], p["rho"])
@@ -693,6 +697,7 @@ def oracle_scenario(config: dict) -> tuple[OracleBracket, float]:
     if model not in ("vintage-dde", "time-to-build"):
         raise ConfigError(
             f"the DP oracle applies to the delay models, not {model!r}")
+    from . import delay
     build_scenario(config)
     sc = build_scenario(dict(config, numerics=dict(config["numerics"],
                                                    m=ORACLE_COARSE_CELLS)))

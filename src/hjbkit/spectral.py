@@ -49,7 +49,7 @@ def principal_eigenpair(grid: CircleGrid, A_coeff) -> EigenPair:
         raise ValueError("A_coeff must be finite")
     lo, di, up = _stencil_coefficients(grid, np.ones(grid.n), A_coeff)
     shift = float(A_coeff.max()) + 1.0
-    shifted = CyclicTridiagonal(-lo, shift - di, -up)  # factored once
+    shifted = CyclicTridiagonal(shift - di, -up)  # factored once
 
     v = np.full(grid.n, 1.0 / np.sqrt(2.0 * np.pi))
     for _ in range(EIGEN_MAX_ITER):
@@ -80,16 +80,16 @@ def solve_elliptic(grid: CircleGrid, rho: float, sigma, delta, w):
     """Solve (rho - L) alpha = w with L f = (sigma f')' - delta f for the
     node values alpha, given those of sigma, delta and w on ``grid``.
 
-    For rho > 0 and delta >= 0 the matrix rho*I - L is strictly diagonally
-    dominant, so the cyclic tridiagonal solve cannot be singular; the
-    solution is positive whenever w is positive.
+    For rho > 0 and delta >= 0 the symmetric matrix rho*I - L is strictly
+    diagonally dominant, hence positive definite, as the cyclic solve
+    needs; the solution is positive whenever w is positive.
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     if grid.nodal(delta).min() < 0.0:
         raise ValueError(f"delta must be nonnegative, min = {delta.min()}")
-    lo, di, up = _stencil_coefficients(grid, sigma, -delta)
-    return solve_periodic_tridiagonal(-lo, rho - di, -up, grid.nodal(w))
+    _, di, up = _stencil_coefficients(grid, sigma, -delta)
+    return solve_periodic_tridiagonal(rho - di, -up, grid.nodal(w))
 
 
 def _exp_cell_weights(k: float, h: float):

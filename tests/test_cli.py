@@ -774,11 +774,62 @@ class TestOracle:
         assert not (out / "oracle.json").exists()
 
 
+@pytest.mark.parametrize("dt, code", [(1.0, 3), (0.5, 0)])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_crank_nicolson_step_past_positive_definiteness_exits_3(
+        tmp_path, capsys, command, dt, code):
+    # A = 3 puts the top eigenvalue of L near 3.  At dt = 1 the implicit
+    # side I - dt/2 L is indefinite, and the CN factor of the top mode
+    # negative: that step is refused by name, not left to flip the state
+    # out of the domain.  dt = 0.5 keeps dt * lambda_max(L) < 2
+    cfg = default_config("spatial-growth")
+    cfg["params"].update(A={"type": "constant", "value": 3.0},
+                         N={"type": "constant", "value": 1.0},
+                         sigma=2.0, rho=0.05)
+    cfg["numerics"] = {"n": 64, "dt": dt, "T_end": 10.0}
+    path = tmp_path / "cn.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert ("numerics failure: I - dt/2 L is not positive definite at "
+                "dt = 1 (") in err
+    assert "Traceback" not in err
+
+
 def test_console_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "hjbkit.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+LOADED_MODULES = """
+import sys
+from hjbkit import cli
+assert cli.main(sys.argv[2:]) == 0
+print(*sorted(m for m in sys.modules if m.startswith("hjbkit.")))
+"""
+
+
+@pytest.mark.parametrize("model, unloaded", [
+    ("vintage-dde", ("spatial_growth", "pollution", "time_to_build",
+                     "vintage_transport")),
+    ("spatial-growth", ("delay", "vintage_dde", "time_to_build",
+                        "vintage_transport")),
+])
+def test_a_command_loads_only_its_models_modules(tmp_path, model, unloaded):
+    # the scenario builders import their model's module when they run, so
+    # a fresh interpreter pays only for the model it is asked for
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, str(tmp_path), "run",
+         "--model", model, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert f"hjbkit.{model.replace('-', '_')}" in loaded
+    assert not loaded & {f"hjbkit.{name}" for name in unloaded}
 
 
 COLD_START = """
@@ -800,12 +851,12 @@ for argv in (["run", "--model", "spatial-growth"],
     assert "scipy.linalg" not in sys.modules, (argv, loaded[:5])
     assert "scipy.linalg._flapack" in sys.modules, (argv, loaded[:5])
 import scipy.linalg.lapack
-from hjbkit.gridcore import CyclicTridiagonal, lapack_gttr
-dgttrf, dgttrs = lapack_gttr()
-assert dgttrf is scipy.linalg.lapack.dgttrf
-assert dgttrs is scipy.linalg.lapack.dgttrs
-solver = CyclicTridiagonal(*(c * np.ones(8) for c in (1.0, 4.0, 1.0)))
-assert solver._gttrs is scipy.linalg.lapack.dgttrs
+from hjbkit.gridcore import CyclicTridiagonal, lapack_pttr
+dpttrf, dpttrs = lapack_pttr()
+assert dpttrf is scipy.linalg.lapack.dpttrf
+assert dpttrs is scipy.linalg.lapack.dpttrs
+solver = CyclicTridiagonal(4.0 * np.ones(8), np.ones(8))
+assert solver._pttrs is scipy.linalg.lapack.dpttrs
 """
 
 

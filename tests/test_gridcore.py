@@ -10,7 +10,7 @@ import sympy as sp
 from hjbkit.errors import GridError, NumericsError
 from hjbkit.gridcore import (BLOCK, Blocks, CircleGrid, CNOperator,
                              HistorySegment, AgeGrid, Trajectory, cn_step,
-                             lapack_gttr, sl_apply,
+                             lapack_pttr, sl_apply,
                              solve_periodic_tridiagonal,
                              apply_periodic_tridiagonal,
                              trapezoid, _stencil_coefficients)
@@ -213,41 +213,71 @@ class TestSlApply:
             assert abs(lhs - rhs) < 1e-10
 
 
+def _dense_cyclic(di, up):
+    """The dense symmetric cyclic matrix with diagonal di and
+    superdiagonal up."""
+    n = len(di)
+    dense = np.diag(di)
+    for j in range(n):
+        dense[j, (j + 1) % n] += up[j]
+        dense[(j + 1) % n, j] += up[j]
+    return dense
+
+
 class TestCyclicSolve:
     def test_against_dense(self):
         rng = np.random.default_rng(3)
         n = 24
-        lo = rng.normal(size=n)
         up = rng.normal(size=n)
-        di = 4.0 + rng.normal(size=n)  # diagonally dominant
+        # diagonally dominant, so positive definite
+        di = np.abs(up) + np.abs(np.roll(up, 1)) + 4.0 \
+            + np.abs(rng.normal(size=n))
         rhs = rng.normal(size=n)
-        dense = np.zeros((n, n))
-        for j in range(n):
-            dense[j, (j - 1) % n] += lo[j]
-            dense[j, j] += di[j]
-            dense[j, (j + 1) % n] += up[j]
-        x = solve_periodic_tridiagonal(lo, di, up, rhs)
-        assert np.allclose(dense @ x, rhs, atol=1e-11)
+        x = solve_periodic_tridiagonal(di, up, rhs)
+        assert np.allclose(_dense_cyclic(di, up) @ x, rhs, atol=1e-11)
 
     def test_roundtrip_with_apply(self):
         rng = np.random.default_rng(4)
         n = 50
-        lo, up = rng.normal(size=n), rng.normal(size=n)
-        di = 5.0 + np.abs(rng.normal(size=n))
+        up = rng.normal(size=n)
+        di = np.abs(up) + np.abs(np.roll(up, 1)) + 5.0 \
+            + np.abs(rng.normal(size=n))
         v = rng.normal(size=n)
-        rhs = apply_periodic_tridiagonal(lo, di, up, v)
-        assert np.allclose(solve_periodic_tridiagonal(lo, di, up, rhs), v,
+        rhs = apply_periodic_tridiagonal(np.roll(up, 1), di, up, v)
+        assert np.allclose(solve_periodic_tridiagonal(di, up, rhs), v,
                            atol=1e-11)
 
     def test_singular_system_reported(self):
         # the periodic Laplacian stencil has the constants in its nullspace
         from hjbkit.errors import NumericsError
         n = 16
-        lo = np.ones(n)
         up = np.ones(n)
         di = -2.0 * np.ones(n)
         with pytest.raises(NumericsError):
-            solve_periodic_tridiagonal(lo, di, up, np.ones(n))
+            solve_periodic_tridiagonal(di, up, np.ones(n))
+
+    @pytest.mark.parametrize("diagonal, corner, cause", [
+        # a negative diagonal entry: the reduced matrix has a non-positive
+        # pivot, whichever sign the first diagonal entry has
+        ({0: 4.0, 8: -4.0}, 1.0, "pttrf"),
+        ({0: 0.0, 8: -4.0}, 1.0, "pttrf"),
+        ({0: -4.0, 8: -4.0}, 1.0, "pttrf"),
+        # a large corner: the reduced matrix is positive definite, and the
+        # rank-one denominator, det A / det T, is negative
+        ({0: 1.0, 15: 1.0}, 2.0, "rank-one update"),
+    ])
+    def test_indefinite_system_refused(self, diagonal, corner, cause):
+        # symmetric and nonsingular, but with a negative eigenvalue
+        n = 16
+        di, up = np.full(n, 4.0), np.ones(n)
+        di[list(diagonal)] = list(diagonal.values())
+        up[-1] = corner
+        dense = _dense_cyclic(di, up)
+        assert np.linalg.eigvalsh(dense).min() < -1.0
+        assert abs(np.linalg.det(dense)) > 1.0
+        with pytest.raises(NumericsError,
+                           match=f"not positive definite.*{cause}"):
+            solve_periodic_tridiagonal(di, up, np.ones(n))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_solution_reported(self, bad):
@@ -257,8 +287,7 @@ class TestCyclicSolve:
         rhs = np.ones(n)
         rhs[5] = bad
         with pytest.raises(NumericsError, match="residual check"):
-            solve_periodic_tridiagonal(np.ones(n), 4.0 * np.ones(n),
-                                       np.ones(n), rhs)
+            solve_periodic_tridiagonal(4.0 * np.ones(n), np.ones(n), rhs)
 
     def test_lapack_routines_without_scipy(self, monkeypatch, tmp_path):
         # scipy neither imported nor on the path: the loader must say that
@@ -267,7 +296,7 @@ class TestCyclicSolve:
             monkeypatch.delitem(sys.modules, name)
         monkeypatch.setattr(sys, "path", [str(tmp_path)])
         with pytest.raises(ModuleNotFoundError) as err:
-            lapack_gttr()
+            lapack_pttr()
         assert err.value.name == "scipy"
 
     def test_lapack_routines_fall_back_to_the_public_module(
@@ -281,9 +310,9 @@ class TestCyclicSolve:
             lambda name, *args: None if name == "scipy.linalg._flapack"
             else find_spec(name, *args))
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        dgttrf, dgttrs = lapack_gttr()
-        assert dgttrf is scipy.linalg.lapack.dgttrf
-        assert dgttrs is scipy.linalg.lapack.dgttrs
+        dpttrf, dpttrs = lapack_pttr()
+        assert dpttrf is scipy.linalg.lapack.dpttrf
+        assert dpttrs is scipy.linalg.lapack.dpttrs
         assert "scipy.linalg._flapack" not in sys.modules
 
     def test_lapack_routines_fall_back_when_the_load_fails(
@@ -297,9 +326,9 @@ class TestCyclicSolve:
 
         monkeypatch.setattr(importlib.util, "module_from_spec", fail)
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        dgttrf, dgttrs = lapack_gttr()
-        assert dgttrf is scipy.linalg.lapack.dgttrf
-        assert dgttrs is scipy.linalg.lapack.dgttrs
+        dpttrf, dpttrs = lapack_pttr()
+        assert dpttrf is scipy.linalg.lapack.dpttrf
+        assert dpttrs is scipy.linalg.lapack.dpttrs
         assert "scipy.linalg._flapack" not in sys.modules
 
 
@@ -487,7 +516,7 @@ class TestCnStep:
         for _ in range(200):
             source = rng.random(GRID.n)
             want = solve_periodic_tridiagonal(
-                imp.lo, imp.di, imp.up,
+                imp.di, imp.up,
                 apply_periodic_tridiagonal(*explicit, y) + op.dt * source)
             y = cn_step(op, y, source)
             assert (y == want).all()

@@ -16,14 +16,14 @@ from hjbkit.scenarios import build_scenario, default_config
 from hjbkit.spatial_growth import simulate_spatial
 
 RUN_SUMMARY = {
-    "spatial-growth": {"analytic_value": 51.324665703404136,
-                       "simulated_payoff": 46.659833076482215,
-                       "discounted_tail": 4.664833418508301,
-                       "value_gap": 1.542311809722483e-08},
-    "pollution": {"analytic_value": 20.308391166124707,
-                  "simulated_payoff": 18.611973792746628,
-                  "discounted_tail": 1.6964128042799675,
-                  "value_gap": 2.2498572497770293e-07},
+    "spatial-growth": {"analytic_value": 51.32466570341572,
+                       "simulated_payoff": 46.65983307648005,
+                       "discounted_tail": 4.664833418511979,
+                       "value_gap": 1.5422921926619405e-08},
+    "pollution": {"analytic_value": 20.308391166124757,
+                  "simulated_payoff": 18.61197379274702,
+                  "discounted_tail": 1.6964128042799718,
+                  "value_gap": 2.2498570800869564e-07},
     "vintage-transport": {"analytic_value": 6.175614497187364,
                           "simulated_payoff": 2.583253134283505,
                           "discounted_tail": 3.5908175796451403,
@@ -47,20 +47,47 @@ def test_default_run_summary(tmp_path, model):
         assert summary[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
 
 
+# the circle runs' figures as recorded when each cyclic system was factored
+# as a general tridiagonal matrix (LAPACK gttrf): the symmetric positive
+# definite factorization (pttrf) may move them by rounding, no further
+GENERAL_FACTOR_FIGURES = {
+    "spatial-growth": {"analytic_value": 51.324665703404136,
+                       "simulated_payoff": 46.659833076482215,
+                       "discounted_tail": 4.664833418508301,
+                       "lambda0": 0.040050000322427774,
+                       "alpha0": 262.73213223197087,
+                       "growth_rate": -0.019899999355144457},
+    "pollution": {"analytic_value": 20.308391166124707,
+                  "simulated_payoff": 18.611973792746628,
+                  "discounted_tail": 1.6964128042799675,
+                  "q_const": 62.17177289641897,
+                  "alpha_shadow_mean": 6.6627641369192725},
+}
+
+
+@pytest.mark.parametrize("model", sorted(GENERAL_FACTOR_FIGURES))
+def test_circle_figures_match_the_general_factorization(tmp_path, model):
+    assert main(["run", "--model", model, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary.update(summary.pop("derived"))
+    for key, want in GENERAL_FACTOR_FIGURES[model].items():
+        assert summary[key] == pytest.approx(want, rel=1e-11, abs=0.0), key
+
+
 # rows of each default run's trajectory.csv: the first, the two across the
 # first edge of 64 rows, and the last (data rows, counted from 0)
 TRAJECTORY_ROWS = {
     "spatial-growth": (
         ["t", "total_capital", "beta_pairing", "min_capital",
          "total_consumption", "running_payoff"],
-        {0: [0.0, 6.283185307179586, 658.5553273915472, 1.0,
-             0.37671462808680206, 0.0],
-         63: [0.63, 6.204716236850602, 650.3481138270026, 0.9822561813230681,
-              0.3720198404554538, 1.9023988065284336],
-         64: [0.64, 6.203479338753324, 650.2186686351445, 0.9819995791923992,
-              0.37194579368173525, 1.9320200500823703],
-         4000: [40.0, 2.833687451950173, 297.0230925962494,
-                0.4456283163807435, 0.169906671780762, 46.659833076482215]}),
+        {0: [0.0, 6.283185307179586, 658.5553273918443, 1.0,
+             0.3767146280866322, 0.0],
+         63: [0.63, 6.204716236850709, 650.3481138273073, 0.982256181323085,
+              0.3720198404552924, 1.902398806528013],
+         64: [0.64, 6.203479338753433, 650.2186686354493, 0.9819995791924174,
+              0.37194579368157404, 1.9320200500819433],
+         4000: [40.0, 2.833687451953362, 297.02309259671773,
+                0.4456283163812449, 0.1699066717808766, 46.65983307648005]}),
     "pollution": (
         ["t", "total_pollution", "min_pollution", "max_pollution",
          "total_emission", "running_payoff"],
@@ -120,14 +147,14 @@ def test_default_trajectory_csv_rows(tmp_path, model):
 # verify --seed 3: the three closed-loop rollouts per circle model (value
 # match, suboptimal probe, transversality) all run Crank-Nicolson
 VERIFY_REPORT = {
-    "spatial-growth": {"residual_max": 3.0476551495464385e-07,
-                       "value_match_gap": 1.542311809722483e-08,
-                       "suboptimal_margin": 0.04772946749628844,
-                       "transversality_slope": -0.05995298311700353},
-    "pollution": {"residual_max": 8.130933226786225e-08,
-                  "value_match_gap": 2.2498572497770293e-07,
-                  "suboptimal_margin": 0.2341840627193566,
-                  "transversality_slope": -0.049773021247187556},
+    "spatial-growth": {"residual_max": 3.0476561833969487e-07,
+                       "value_match_gap": 1.5422921926619405e-08,
+                       "suboptimal_margin": 0.047729467496515646,
+                       "transversality_slope": -0.05995298311698964},
+    "pollution": {"residual_max": 8.130990384746412e-08,
+                  "value_match_gap": 2.2498570800869564e-07,
+                  "suboptimal_margin": 0.234184062719361,
+                  "transversality_slope": -0.049773021247187854},
 }
 
 

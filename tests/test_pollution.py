@@ -182,7 +182,7 @@ class TestSimulate:
         with pytest.raises(NumericsError, match="maximum principle") as exc:
             simulate_pollution(spec, p0, 0.08, 0.02)
         assert str(exc.value).endswith(f"min p = {least!r}")
-        assert least == -777.3950231728334
+        assert least == -777.3950231728338
 
 
 class TestHJBResidual:

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjbkit.gridcore import AgeGrid, CircleGrid, HistorySegment
-from hjbkit.spectral import char_root_vintage, transport_resolvent
+from hjbkit.gridcore import (AgeGrid, CircleGrid, CNOperator,
+                             CyclicTridiagonal, HistorySegment,
+                             _stencil_coefficients, sl_apply)
+from hjbkit.spectral import (char_root_vintage, solve_elliptic,
+                             transport_resolvent)
 
 GRID = CircleGrid(64)
 
@@ -61,3 +64,49 @@ def test_transport_resolvent_linearity(seed, rho, mu):
     rhs = transport_resolvent(a1, rho, mu, age) \
         + transport_resolvent(a2, rho, mu, age)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _dense_operator(grid, sigma, zeroth):
+    """The dense matrix of f -> (sigma f')' + zeroth*f on ``grid``."""
+    return np.column_stack([sl_apply(grid, sigma, zeroth, e)
+                            for e in np.eye(grid.n)])
+
+
+def _assert_solves_as_dense(x, dense, rhs):
+    want = np.linalg.solve(dense, rhs)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       spread=st.floats(min_value=0.0, max_value=1.0),
+       scale=st.floats(min_value=0.0, max_value=10.0),
+       dt=st.floats(min_value=1e-3, max_value=1.0),
+       rho=st.floats(min_value=0.05, max_value=2.0))
+@settings(max_examples=50, deadline=None)
+def test_circle_systems_factor_and_solve_as_dense(seed, spread, scale, dt,
+                                                  rho):
+    # the three symmetric positive definite systems the circle models
+    # build: Crank-Nicolson's implicit side I - dt/2 L (zeroth <= 0 or
+    # dt * max(zeroth) < 2), the eigen shift (max A + 1) I - L and the
+    # elliptic rho I - L.  The draws keep each condition number below
+    # about 2e3, so 1e-12 is above the rounding of either solver
+    grid = CircleGrid(16)
+    n, eye = grid.n, np.eye(grid.n)
+    rng = np.random.default_rng(seed)
+    sigma = np.exp(spread * rng.uniform(-1.0, 1.0, n))
+    zeroth = np.minimum(scale * rng.uniform(-1.0, 1.0, n), 1.5 / dt)
+    rhs = rng.normal(size=n)
+
+    op = CNOperator(grid, sigma, zeroth, dt)
+    _assert_solves_as_dense(op.implicit.solve(rhs),
+                            eye - 0.5 * dt * _dense_operator(grid, sigma,
+                                                             zeroth), rhs)
+    _, di, up = _stencil_coefficients(grid, np.ones(n), zeroth)
+    shift = zeroth.max() + 1.0  # as principal_eigenpair shifts
+    _assert_solves_as_dense(
+        CyclicTridiagonal(shift - di, -up).solve(rhs),
+        shift * eye - _dense_operator(grid, np.ones(n), zeroth), rhs)
+    delta = np.abs(zeroth)
+    _assert_solves_as_dense(
+        solve_elliptic(grid, rho, sigma, delta, rhs),
+        rho * eye - _dense_operator(grid, sigma, -delta), rhs)
