@@ -22,8 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (AssumptionError, ConfigError, DomainExitError,
                      NumericsError)
 from .gridcore import BLOCK
@@ -36,18 +34,6 @@ EXIT_OK = 0
 EXIT_ASSUMPTION = 2
 EXIT_TOLERANCE = 3
 EXIT_DOMAIN = 4
-
-
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    return obj
 
 
 def _output_dir(args) -> Path:
@@ -73,12 +59,19 @@ def _writing(path: Path):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _python_value(obj):
+    """json's fallback: a numpy scalar or array as its Python value."""
+    if type(obj).__module__ == "numpy":
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, obj) -> None:
     """Strict JSON: a NaN or infinite figure is a NumericsError, and the
     file is not written."""
     try:
-        text = json.dumps(_json_ready(obj), sort_keys=True, indent=2,
-                          allow_nan=False)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_python_value)
     except ValueError as exc:
         raise NumericsError(f"{path.name} would hold a non-finite figure: "
                             f"{exc}") from None
@@ -148,7 +141,11 @@ def cmd_run(args) -> int:
     _write_json(out / "summary.json", summary)
     print(f"{scenario.name}: analytic {vm.analytic:.6g}, simulated+tail "
           f"{vm.total:.6g} (gap {vm.rel_gap:.2e}) -> {out}")
-    return EXIT_OK
+    tol = config["tolerances"]["value_match"]
+    if vm.rel_gap <= tol:  # verify's value-match test and wording
+        return EXIT_OK
+    print(f"  tolerance failure: value-match gap {vm.rel_gap:.3e} > {tol:.1e}")
+    return EXIT_TOLERANCE
 
 
 def cmd_verify(args) -> int:

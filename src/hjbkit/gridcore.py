@@ -11,10 +11,10 @@ Everything downstream lives on one of three discretizations:
 
 All containers are plain immutable data and the operations below are pure
 functions, so values can be shared freely across threads.  The one
-exception is :class:`CNOperator`: it keeps scratch buffers, the explicit
-product of the state it last returned and the scaled read-only source it
-last saw, so an operator belongs to one model handle (which builds one per
-step size) and is not shared across threads.
+exception is :class:`CNOperator`: it keeps scratch buffers and the
+explicit product of the state it last returned, so an operator belongs to
+one model handle (which builds one per step size) and is not shared
+across threads.
 """
 
 from __future__ import annotations
@@ -303,9 +303,9 @@ def solve_periodic_tridiagonal(di, up, rhs):
 
 
 class CNOperator:
-    """Crank-Nicolson step operator of y' = L y + source with
+    """Crank-Nicolson step operator of y' = L y + f with
     L = (sigma y')' + zeroth*y on ``grid``, of node arrays sigma and zeroth,
-    and a fixed step dt.
+    and a fixed step dt; the caller forms the step's forcing (dt f).
 
     It holds the implicit side ``A = I - dt/2 L`` factored, and the rows of
     ``A`` and of the explicit side ``E = I + dt/2 L`` stacked, so that one
@@ -345,8 +345,6 @@ class CNOperator:
         self._defect, self._rhs = self._residual
         self._shape = (n,)
         self._last = None  # the state whose E x is in _ex
-        # dt * source of the read-only source last seen, by identity
-        self._source, self._dt_source = None, np.empty(n)
 
     def _product(self, x):
         """``A x`` and ``E x`` into the scratch rows ``_ax`` and ``_ex``,
@@ -358,32 +356,26 @@ class CNOperator:
         np.add.reduce(self._terms, axis=1, out=self._products)
 
 
-def cn_step(op: CNOperator, y: np.ndarray, source: np.ndarray) -> np.ndarray:
+def cn_step(op: CNOperator, y: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """One Crank-Nicolson step on node values: solves
-    ``(I - dt/2 L) y+ = (I + dt/2 L) y + dt*source`` for the values of y+.
+    ``(I - dt/2 L) y+ = (I + dt/2 L) y + forcing`` for the values of y+.
 
-    ``y`` and ``source`` are 1-D arrays on the operator's grid.  The scheme
-    is A-stable and second order.  The right-hand side and the defect are
-    formed in the operator's scratch buffers; the result is a fresh
-    read-only array: the operator keeps its explicit product, and reuses
-    it when the next step starts from this very array.  It keeps
-    ``dt*source`` of a read-only source array the same way, for the next
-    step given that very array.
+    ``y`` and ``forcing`` are 1-D arrays on the operator's grid; for
+    y' = L y + f the forcing is ``dt*f``, which the caller forms.  The
+    scheme is A-stable and second order.  The right-hand side and the
+    defect are formed in the operator's scratch buffers; the result is a
+    fresh read-only array: the operator keeps its explicit product, and
+    reuses it when the next step starts from this very array.
     """
     shape = op._shape
     if getattr(y, "shape", None) != shape \
-            or getattr(source, "shape", None) != shape:
+            or getattr(forcing, "shape", None) != shape:
         raise GridError(f"cn_step needs {op.n} node values, got shapes "
-                        f"{np.shape(y)} and {np.shape(source)}")
+                        f"{np.shape(y)} and {np.shape(forcing)}")
     last, op._last = op._last, None  # each product below overwrites E y
     if y is not last:
         op._product(np.asarray(y, dtype=float))
-    if source is not op._source:
-        op._source = None  # until _dt_source holds dt * source
-        np.multiply(op.dt, source, out=op._dt_source)
-        if isinstance(source, np.ndarray) and not source.flags.writeable:
-            op._source = source
-    rhs = np.add(op._ex, op._dt_source, out=op._rhs)
+    rhs = np.add(op._ex, forcing, out=op._rhs)
     x = op.implicit.back_solve(rhs)
     op._product(x)
     np.subtract(op._ax, rhs, out=op._defect)

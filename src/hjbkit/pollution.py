@@ -196,25 +196,21 @@ def make_handle(spec: PollutionSpec, dt: float) -> ModelHandle:
     two payoff terms are the public functions of this module; the step
     uses the one factored CN operator of dt, built here.  The optimal
     investment is the one array ``spec.i_star`` at every step, so
-    along the feedback its utility, and the source ``eta * i`` of the
-    step, are computed once.  A rollout scores each state at both ends of
-    a step, so the disutility of the state last scored is reused too.
+    along the feedback its utility, and the step's forcing dt * eta * i,
+    are computed once.  A rollout scores each state at both ends of a
+    step, so the disutility of the state last scored is reused too.
     """
     grid, eta = spec.grid, spec.eta
     op = CNOperator(grid, spec.sigma_diff, spec.zeroth, dt)
-    # read-only, so the operator keeps dt * source while it is passed again
-    source = memo_last(lambda i: _read_only(eta * grid.nodal(i)))
-
-    def step(p, i):
-        return cn_step(op, p, source(i))
-
+    # read-only, so no caller can change the forcing the memo hands out
+    forcing = memo_last(lambda i: _read_only(dt * (eta * grid.nodal(i))))
     scored_utility = memo_last(partial(utility, spec))
     scored_disutility = memo_last(partial(disutility, spec))
 
     return ModelHandle(
         value=partial(value_pollution, spec),
         feedback=partial(feedback_pollution, spec),
-        step=step,
+        step=lambda p, i: cn_step(op, p, forcing(i)),
         running_payoff=lambda p, i: scored_utility(i) - scored_disutility(p),
         rho=spec.rho,
         dt=dt,

@@ -197,16 +197,19 @@ def make_handle(spec: SpatialGrowthSpec, dt: float) -> ModelHandle:
     States and controls are node arrays.  The value, the feedback and the
     payoff are the public functions of this module; the feedback is the
     domain test, raising DomainError off the half-space.  The step uses
-    the one factored CN operator of dt, built here.  A rollout scores each
-    control at both ends of its step, so the utility of the control last
-    scored is reused (the payoff does not depend on the state).
+    the one factored CN operator of dt, built here, forced by dt * (-c N)
+    (a new array, scaled in place).  A rollout scores each control at both
+    ends of its step, so the utility of the control last scored is reused
+    (the payoff does not depend on the state).
     """
     # c * (-N) is -1.0 * (c * N) bit for bit: rounding is sign-symmetric
     grid, minus_N = spec.grid, -1.0 * spec.N_pop
     op = CNOperator(grid, np.ones(grid.n), spec.A_coeff, dt)
 
     def step(y, c):
-        return cn_step(op, y, grid.nodal(c) * minus_N)
+        forcing = grid.nodal(c) * minus_N
+        forcing *= dt
+        return cn_step(op, y, forcing)
 
     scored_utility = memo_last(partial(utility, spec))
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from reference import Recorder, recorded, write_trajectory_csv
 
-from hjbkit.cli import _write_trajectory_csv, main
-from hjbkit.errors import ConfigError
+from hjbkit.cli import _write_json, _write_trajectory_csv, main
+from hjbkit.errors import ConfigError, NumericsError
 from hjbkit.gridcore import BLOCK, joined
 from hjbkit.scenarios import (DEFAULT_TOLERANCES, MODELS, build_scenario,
                               default_config, refine_config, validate_config)
@@ -257,6 +258,68 @@ class TestRun:
                             "--out", str(tmp_path / cmd)]) == 0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["value_gap"] < 5e-3
+
+    @pytest.mark.parametrize("block, key, value, code", [
+        (None, None, None, 0),
+        # rho * dt >> 1 leaves the discounted trapezoid meaningless: a gap
+        # of 1.24e9, which verify fails on the same config
+        ("params", "rho", 5e10, 3),
+        ("tolerances", "value_match", 0.0, 3),
+    ])
+    def test_exits_3_past_the_value_match_tolerance(self, tmp_path, capsys,
+                                                    block, key, value, code):
+        # the outputs are written first, then the gap is judged with
+        # verify's test and wording
+        cfg = default_config("pollution")
+        if block is not None:
+            cfg.setdefault(block, {})[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(path), "--out", str(out)]) \
+            == code
+        assert (out / "trajectory.csv").stat().st_size > 0
+        summary = json.loads((out / "summary.json").read_text())
+        tol = validate_config(cfg)["tolerances"]["value_match"]
+        gap = summary["value_gap"]
+        assert (gap <= tol) == (code == 0)
+        failure = f"  tolerance failure: value-match gap {gap:.3e} > {tol:.1e}"
+        assert (failure in capsys.readouterr().out.splitlines()) \
+            == (code == 3)
+
+
+@pytest.mark.parametrize("value, want", [
+    (np.bool_(True), True), (np.int64(3), 3), (np.float64(0.1), 0.1),
+    (np.array([1.5, 2.0]), [1.5, 2.0]), ((1.0, 2), [1.0, 2]),
+    ({"b": np.float32(0.5), "a": [np.int32(-1)]}, {"a": [-1], "b": 0.5}),
+])
+def test_json_writer_encodes_numpy_values(tmp_path, value, want):
+    # numpy scalars and arrays are written as their Python values, and an
+    # np.float64 (a float) with float's repr
+    path = tmp_path / "out.json"
+    _write_json(path, {"x": value})
+    assert path.read_text() == json.dumps({"x": want}, sort_keys=True,
+                                          indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, np.float64(-np.inf), np.array([1.0, np.nan]),
+    [np.float32(np.inf)],
+])
+def test_json_writer_refuses_a_non_finite_figure(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(NumericsError, match="non-finite figure"):
+        _write_json(path, {"x": value})
+    assert not path.exists()
+
+
+def test_json_writer_refuses_other_types(tmp_path):
+    # only numpy values get the fallback; anything else is json's TypeError
+    path = tmp_path / "out.json"
+    for value in ({1.0}, object(), 1j):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(path, {"x": value})
+    assert not path.exists()
 
 
 BAD_INPUTS = [

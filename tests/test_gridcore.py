@@ -448,7 +448,7 @@ class TestCnStep:
         eye = np.eye(n)
         want = np.linalg.solve(eye - 0.5 * dt * L,
                                (eye + 0.5 * dt * L) @ y + dt * src)
-        out = cn_step(CNOperator(g, sigma, zeroth, dt), y, src)
+        out = cn_step(CNOperator(g, sigma, zeroth, dt), y, dt * src)
         assert np.allclose(out, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n, check", [(16, "rank-one update"),
@@ -518,7 +518,7 @@ class TestCnStep:
             want = solve_periodic_tridiagonal(
                 imp.di, imp.up,
                 apply_periodic_tridiagonal(*explicit, y) + op.dt * source)
-            y = cn_step(op, y, source)
+            y = cn_step(op, y, op.dt * source)
             assert (y == want).all()
 
     def test_cached_product_is_safe(self):
@@ -546,22 +546,21 @@ class TestCnStep:
                               cn_step(CNOperator(GRID, sigma, zeroth, op.dt), y,
                                       source))
 
-    def test_kept_source_product_is_safe(self):
-        # dt * source is kept for a read-only source and reused when the
-        # next step passes that very array; any other array, read-only or
-        # not, is scaled anew, and so is a writable one passed again after
-        # an in-place write: the bits of fresh operators on copies
+    def test_reused_or_rewritten_forcing_gives_fresh_bits(self):
+        # a forcing passed again to the next step, read-only or not, and
+        # one written in place between steps give the bits of fresh
+        # operators on copies: the operator keeps nothing of a forcing
         sigma, zeroth, op = self._varying_operator()
-        kept = [const(0.5), np.sin(THETA)]
-        for source in kept:
-            source.flags.writeable = False
+        shared = [const(0.5), np.sin(THETA)]
+        shared[0].flags.writeable = False
         writable = np.zeros(GRID.n)
         y = want = np.cos(THETA)
-        for source in (kept[0], kept[0], kept[1], kept[1], kept[0].copy(),
-                       kept[0], writable, writable, kept[0]):
-            y = cn_step(op, y, source)
+        for forcing in (shared[0], shared[0], shared[1], shared[1],
+                        shared[0].copy(), shared[0], writable, writable,
+                        shared[0]):
+            y = cn_step(op, y, forcing)
             want = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), want,
-                           source.copy())
+                           forcing.copy())
             assert np.array_equal(y, want)
             writable += 0.25
 

@@ -264,7 +264,7 @@ class TestHandleArrays:
             assert handle.running_payoff(p, i) == running_gain(spec, p, i)
             nxt = handle.step(p, i)
             assert type(nxt) is np.ndarray
-            want = cn_step(op, p, spec.eta * i)
+            want = cn_step(op, p, dt * (spec.eta * i))
             assert np.array_equal(nxt, want)
             assert handle.running_payoff(nxt, i) == running_gain(spec, nxt, i)
             p = nxt
@@ -296,14 +296,15 @@ class TestHandleArrays:
             assert handle.running_payoff(p, i) == running_gain(spec, p, i)
 
     def test_step_follows_a_new_control(self, spec):
-        # the reused source eta * i belongs to the control object last given
+        # the reused forcing dt * eta * i belongs to the control object last
+        # given
         dt = 0.02
         handle = make_handle(spec, dt)
         op = CNOperator(spec.grid, spec.sigma_diff, -1.0 * spec.delta_dec, dt)
         p = np.full(spec.grid.n, 0.5)
         i_star = spec.i_star
         for i in (i_star, 0.5 * i_star, i_star, 2.0 * i_star):
-            want = cn_step(op, p, spec.eta * i)
+            want = cn_step(op, p, dt * (spec.eta * i))
             assert np.array_equal(handle.step(p, i), want)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
@@ -329,7 +330,7 @@ class TestHandleArrays:
             i = spec.i_star if scale == 1.0 else scale * spec.i_star
             assert np.array_equal(controls[k], i)
             g_left = gain(p, i)
-            p = cn_step(op, p, spec.eta * i)
+            p = cn_step(op, p, dt * (spec.eta * i))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g_left
                                  + np.exp(-spec.rho * (dt * (k + 1)))
                                  * gain(p, i))

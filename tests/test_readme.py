@@ -1,7 +1,7 @@
 """The README's examples hold as printed: each ```python block is
 executed in a fresh namespace, so a changed signature it calls fails
 here; each ``hjbkit`` command line parses; and the layout names every
-module."""
+module and every script under ``tools/``."""
 
 import contextlib
 import io
@@ -47,3 +47,10 @@ def test_readme_layout_names_every_module():
     named = set(re.findall(r"^  (\w+\.py) ", layout, flags=re.MULTILINE))
     modules = {p.name for p in (ROOT / "src" / "hjbkit").glob("*.py")}
     assert named == modules - {"__init__.py"}
+
+
+def test_readme_layout_names_every_tool():
+    layout = re.search(r"^## Layout\n+```\n(.*?)^```$", TEXT,
+                       flags=re.DOTALL | re.MULTILINE).group(1)
+    named = set(re.findall(r"^(tools/\w+\.py) ", layout, flags=re.MULTILINE))
+    assert named == {f"tools/{p.name}" for p in (ROOT / "tools").glob("*.py")}

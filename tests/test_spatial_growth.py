@@ -307,7 +307,7 @@ class TestHandleArrays:
             assert handle.running_payoff(y, c) == utility(spec, c)
             nxt = handle.step(y, c)
             assert type(nxt) is np.ndarray
-            want = cn_step(op, y, -1.0 * (c * spec.N_pop))
+            want = cn_step(op, y, dt * (-1.0 * (c * spec.N_pop)))
             assert np.array_equal(nxt, want)
             assert handle.running_payoff(nxt, c) == utility(spec, c)
             y = nxt
@@ -348,7 +348,7 @@ class TestHandleArrays:
                 c = scale * c
             assert np.array_equal(controls[k], c)
             g = grid.quad((c ** (1.0 - s)) * N) / (1.0 - s)
-            y = cn_step(op, y, -1.0 * (c * N))
+            y = cn_step(op, y, dt * (-1.0 * (c * N)))
             total += 0.5 * dt * (np.exp(-spec.rho * (dt * k)) * g
                                  + np.exp(-spec.rho * (dt * (k + 1))) * g)
             assert np.array_equal(states[k + 1], y)
