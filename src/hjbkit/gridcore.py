@@ -322,8 +322,7 @@ class CNOperator:
             raise ValueError(f"dt must be finite and positive, got {dt}")
         lo, di, up = _stencil_coefficients(grid, sigma, zeroth)
         half = 0.5 * dt
-        n = grid.n
-        self.dt, self.n = dt, n
+        self.n = n = grid.n
         # rows[k, i, j]: coefficient of x[j-1], x[j], x[j+1] (i = 0, 1, 2)
         # in row j of A (k = 0) and of E (k = 1)
         self._rows = np.array(((-half * lo, 1.0 - half * di, -half * up),

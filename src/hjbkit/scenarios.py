@@ -18,7 +18,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -46,84 +46,71 @@ REFERENCE_FACTOR = 4  # reference-grid refinement for the parabolic residuals
 # ---------------------------------------------------------------------------
 # profile descriptors
 
-# each profile type's own keys, beside "type"
-_PROFILE_KEYS = {"constant": ("value",),
-                 "harmonic": ("mean", "cos", "sin", "k"),
-                 "exponential": ("scale", "rate"), "linear": ("start", "end"),
-                 "power_decreasing": ("start", "power")}
+# Each profile type: its own keys beside "type", in read order, with their
+# defaults (None: required); its values at the points s of [lo, hi], from
+# the keys' numbers; and its range rules, {key: (what the key must be,
+# test)}.  A harmonic has an integer wave number k, and a decreasing power
+# is positive, else the profile does not fall to 0 at hi.
+_PROFILES = {
+    "constant": ({"value": None},
+                 lambda s, lo, hi, value: np.full_like(s, value), {}),
+    "harmonic": ({"mean": None, "cos": 0.0, "sin": 0.0, "k": 1},
+                 lambda s, lo, hi, mean, cos, sin, k:
+                 mean + cos * np.cos(int(k) * s) + sin * np.sin(int(k) * s),
+                 {"k": ("an integer", lambda k: k == int(k))}),
+    "exponential": ({"scale": None, "rate": None},
+                    lambda s, lo, hi, scale, rate: scale * np.exp(rate * s),
+                    {}),
+    "linear": ({"start": None, "end": None},
+               lambda s, lo, hi, start, end:
+               start + (end - start) * (s - lo) / (hi - lo), {}),
+    "power_decreasing": ({"start": None, "power": 1.0},
+                         lambda s, lo, hi, start, power:
+                         start * (1.0 - (s - lo) / (hi - lo)) ** power,
+                         {"power": ("positive", lambda p: p > 0.0)}),
+}
 
 
-def _profile_type(desc: dict, domain: str, types: tuple) -> str:
-    """The descriptor's type, one of ``types``; any other type, or a key
-    that type does not read, is a ConfigError."""
+def _profile(desc: dict, domain: str, types: tuple, lo: float,
+             hi: float) -> Callable:
+    """The profile ``desc`` of one of ``types`` on [lo, hi], as a function
+    of the points.  An unknown type or key, a missing key, a key that is
+    no finite number or one that breaks its type's range rule is a
+    ConfigError, checked in that order (the keys in read order)."""
     kind = desc.get("type")
     if kind not in types:
         raise ConfigError(f"unknown {domain} profile type {kind!r}")
-    unknown = set(desc) - {"type", *_PROFILE_KEYS[kind]}
+    keys, formula, rules = _PROFILES[kind]
+    unknown = set(desc) - {"type", *keys}
     if unknown:
         raise ConfigError(f"unknown keys in {kind!r} profile: "
                           f"{sorted(unknown)}")
-    return kind
-
-
-def _number(desc: dict, key: str, default: float | None = None) -> float:
-    kind = desc.get("type")
-    if key not in desc and default is None:
-        raise ConfigError(f"{kind!r} profile is missing key {key!r}")
-    return _finite(f"{kind!r} profile key {key!r}", desc.get(key, default))
+    num = {}
+    for key, default in keys.items():
+        if key not in desc and default is None:
+            raise ConfigError(f"{kind!r} profile is missing key {key!r}")
+        num[key] = _finite(f"{kind!r} profile key {key!r}",
+                           desc.get(key, default))
+    for key, (what, holds) in rules.items():
+        if not holds(num[key]):
+            raise ConfigError(f"{kind!r} profile key {key!r} must be "
+                              f"{what}, got {num[key]}")
+    return lambda s: formula(np.asarray(s, dtype=float), lo, hi, **num)
 
 
 def circle_profile(desc: dict) -> Callable:
     """Profile on the circle: constant or a single-harmonic perturbation
     of integer wave number ``k``."""
-    kind = _profile_type(desc, "circle", ("constant", "harmonic"))
-    if kind == "constant":
-        v = _number(desc, "value")
-        return lambda theta: np.full_like(np.asarray(theta, dtype=float), v)
-    mean = _number(desc, "mean")
-    cos_a = _number(desc, "cos", 0.0)
-    sin_a = _number(desc, "sin", 0.0)
-    k = _number(desc, "k", 1)
-    if k != int(k):
-        raise ConfigError(f"'harmonic' profile key 'k' must be an integer, "
-                          f"got {desc['k']!r}")
-    k = int(k)
-    return lambda theta: (mean + cos_a * np.cos(k * np.asarray(theta))
-                          + sin_a * np.sin(k * np.asarray(theta)))
+    return _profile(desc, "circle", ("constant", "harmonic"),
+                    0.0, 2.0 * math.pi)
 
 
 def interval_profile(desc: dict, lo: float, hi: float) -> Callable:
     """Profile on the interval [lo, hi] (lag or age coordinate); ``linear``
     runs from ``start`` at lo to ``end`` at hi, ``power_decreasing`` from
     ``start`` at lo down to 0 at hi."""
-    kind = _profile_type(desc, "interval", ("constant", "exponential",
-                                            "linear", "power_decreasing"))
-    if kind == "constant":
-        v = _number(desc, "value")
-        return lambda s: np.full_like(np.asarray(s, dtype=float), v)
-    if kind == "exponential":
-        scale = _number(desc, "scale")
-        rate = _number(desc, "rate")
-        return lambda s: scale * np.exp(rate * np.asarray(s, dtype=float))
-    if kind == "linear":
-        a, b = _number(desc, "start"), _number(desc, "end")
-
-        def fn(s):
-            s = np.asarray(s, dtype=float)
-            return a + (b - a) * (s - lo) / (hi - lo)
-
-        return fn
-    start = _number(desc, "start")
-    p = _number(desc, "power", 1.0)
-    if p <= 0.0:  # else the profile does not fall to 0 at hi
-        raise ConfigError(f"{kind!r} profile key 'power' must be "
-                          f"positive, got {p}")
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        return start * (1.0 - (s - lo) / (hi - lo)) ** p
-
-    return fn
+    return _profile(desc, "interval", ("constant", "exponential", "linear",
+                                       "power_decreasing"), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +664,7 @@ def verify_scenario(config: dict, seed: int = 0) -> VerifyReport:
     return report.check()
 
 
+ORACLE_MODELS = ("vintage-dde", "time-to-build")
 ORACLE_COARSE_CELLS = 8
 ORACLE_EFOLDINGS = 5.0
 # the longest DP oracle horizon, in steps: its Newton solve takes O(n^3)
@@ -691,17 +679,23 @@ def oracle_scenario(config: dict) -> tuple[OracleBracket, float]:
     resolution first, to reject a bad ``numerics.m`` before the coarse
     rebuild overrides it.  A model the oracle cannot bound (sigma >= 1)
     is an AssumptionError, and a horizon of fewer than 1 or more than
-    ORACLE_MAX_STEPS steps a ConfigError, both before the seed rollout."""
+    ORACLE_MAX_STEPS steps a ConfigError, both before the seed rollout.
+    The delay models are positively homogeneous (linear dynamics and
+    feedback, v(s x) = s^(1-sigma) v(x)), so the solve runs from the start
+    and seed over s, a power of two near the start's Gamma (1 at the
+    defaults), and the bracket is scaled back: a start of any finite scale
+    gets a bracket."""
     config = validate_config(config)
     model = config["model"]
-    if model not in ("vintage-dde", "time-to-build"):
+    if model not in ORACLE_MODELS:
         raise ConfigError(
             f"the DP oracle applies to the delay models, not {model!r}")
     from . import delay
     build_scenario(config)
     sc = build_scenario(dict(config, numerics=dict(config["numerics"],
                                                    m=ORACLE_COARSE_CELLS)))
-    problem = delay.oracle_problem(sc.spec.delay, sc.handle.dt)
+    dm = sc.spec.delay
+    problem = delay.oracle_problem(dm, sc.handle.dt)
     T_end = ORACLE_EFOLDINGS / sc.handle.rho
     steps = int(round(T_end / sc.handle.dt))
     if not 1 <= steps <= ORACLE_MAX_STEPS:
@@ -711,6 +705,11 @@ def oracle_scenario(config: dict) -> tuple[OracleBracket, float]:
             f"{steps} steps, " + ("fewer than 1" if steps < 1 else
                                   f"more than its {ORACLE_MAX_STEPS}"))
     seed = _rollout(sc.handle, sc.state0, T_end, delay.heads_and_controls)
-    bracket = brute_force_value(problem, sc.state0,
-                                seed.columns["_control"][:-1])
-    return bracket, float(sc.handle.value(sc.state0))
+    g = delay.gamma(sc.state0, dm.xi, dm.lag)
+    s = 2.0 ** min(round(math.log2(g)), 1023)  # exact; no finite g overflows
+    b = brute_force_value(problem, sc.state0 / s,
+                          np.asarray(seed.columns["_control"][:-1]) / s)
+    back = s ** (1.0 - dm.sigma)
+    return (replace(b, lo=b.lo * back, gap=b.gap * back,
+                    tail_bound=b.tail_bound * back, controls=b.controls * s),
+            float(sc.handle.value(sc.state0)))

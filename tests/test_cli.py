@@ -361,6 +361,25 @@ BAD_INPUTS = [
     ("spatial-growth", "params", "sigma", 1.000001, "sigma"),
     ("spatial-growth", "params", "sigma", 1e-12, "sigma"),
     ("vintage-dde", "params", "sigma", 1e6, "sigma"),
+    # each profile type's missing required key and non-number value
+    ("pollution", "params", "a", {"type": "harmonic", "cos": 0.3},
+     "missing key 'mean'"),
+    ("pollution", "params", "a", {"type": "harmonic", "mean": 2.5, "k": "2"},
+     "key 'k' must be a number"),
+    ("vintage-dde", "initial", "iota0", {"type": "exponential", "scale": 1.0},
+     "missing key 'rate'"),
+    ("vintage-dde", "initial", "iota0",
+     {"type": "exponential", "scale": "1", "rate": 0.1},
+     "key 'scale' must be a number"),
+    ("time-to-build", "initial", "u0", {"type": "linear", "start": 1.0},
+     "missing key 'end'"),
+    ("time-to-build", "initial", "u0",
+     {"type": "linear", "start": 1.0, "end": [2.0]}, "key 'end' must be a number"),
+    ("vintage-transport", "params", "alpha",
+     {"type": "power_decreasing", "power": 1.0}, "missing key 'start'"),
+    ("vintage-transport", "params", "alpha",
+     {"type": "power_decreasing", "start": 1.0, "power": None},
+     "key 'power' must be a number"),
 ]
 
 
@@ -376,25 +395,48 @@ def test_bad_input_exits_2(tmp_path, capsys, model, block, key, value,
     assert named in capsys.readouterr().err
 
 
-# one descriptor of each profile type, at a key that reads it
+# one descriptor of each profile type, at a key that reads it, and its
+# values at points s of its span [lo, hi] written out
 PROFILES = [
-    ("spatial-growth", "initial", "x0", {"type": "constant", "value": 1.0}),
+    ("spatial-growth", "initial", "x0", {"type": "constant", "value": 1.0},
+     lambda s, lo, hi: np.full(len(s), 1.0)),
     ("spatial-growth", "params", "A",
-     {"type": "harmonic", "mean": 0.04, "cos": 0.01}),
-    ("vintage-dde", "initial", "iota0", {"type": "constant", "value": 1.0}),
+     {"type": "harmonic", "mean": 0.04, "cos": 0.01},
+     lambda s, lo, hi: 0.04 + 0.01 * np.cos(s) + 0.0 * np.sin(s)),
+    ("pollution", "initial", "p0",
+     {"type": "harmonic", "mean": 1.0, "cos": 0.5, "sin": 0.25, "k": 3},
+     lambda s, lo, hi: 1.0 + 0.5 * np.cos(3 * s) + 0.25 * np.sin(3 * s)),
+    ("vintage-dde", "initial", "iota0", {"type": "constant", "value": 1.0},
+     lambda s, lo, hi: np.full(len(s), 1.0)),
     ("vintage-dde", "initial", "iota0",
-     {"type": "exponential", "scale": 1.0, "rate": 0.1}),
+     {"type": "exponential", "scale": 1.0, "rate": 0.1},
+     lambda s, lo, hi: 1.0 * np.exp(0.1 * s)),
+    ("time-to-build", "initial", "u0",
+     {"type": "exponential", "scale": 2.0, "rate": -0.7},
+     lambda s, lo, hi: 2.0 * np.exp(-0.7 * s)),
     ("vintage-dde", "initial", "iota0",
-     {"type": "linear", "start": 1.0, "end": 2.0}),
+     {"type": "linear", "start": 1.0, "end": 2.0},
+     lambda s, lo, hi: 1.0 + (2.0 - 1.0) * (s - lo) / (hi - lo)),
+    ("time-to-build", "initial", "u0",
+     {"type": "linear", "start": 2.0, "end": 0.3},
+     lambda s, lo, hi: 2.0 + (0.3 - 2.0) * (s - lo) / (hi - lo)),
     ("vintage-transport", "params", "alpha",
-     {"type": "power_decreasing", "start": 1.0, "power": 1.0}),
+     {"type": "power_decreasing", "start": 1.0, "power": 1.0},
+     lambda s, lo, hi: 1.0 * (1.0 - (s - lo) / (hi - lo)) ** 1.0),
+    ("vintage-transport", "params", "q1",
+     {"type": "power_decreasing", "start": 0.1},
+     lambda s, lo, hi: 0.1 * (1.0 - (s - lo) / (hi - lo)) ** 1.0),
+    ("vintage-transport", "initial", "z0",
+     {"type": "power_decreasing", "start": 0.3, "power": 2.5},
+     lambda s, lo, hi: 0.3 * (1.0 - (s - lo) / (hi - lo)) ** 2.5),
 ]
+PROFILE_IDS = [f"{k}-{d['type']}" for _, _, k, d, _ in PROFILES]
 
 
-@pytest.mark.parametrize("model, block, key, desc", PROFILES,
-                         ids=[f"{k}-{d['type']}" for _, _, k, d in PROFILES])
+@pytest.mark.parametrize("model, block, key, desc, formula", PROFILES,
+                         ids=PROFILE_IDS)
 def test_profile_with_an_unknown_key_exits_2(tmp_path, capsys, model, block,
-                                             key, desc):
+                                             key, desc, formula):
     # a misspelt key ("coz" for "cos") must not build a profile without it
     cfg = default_config(model)
     cfg[block][key] = dict(desc, coz=0.5)
@@ -404,6 +446,23 @@ def test_profile_with_an_unknown_key_exits_2(tmp_path, capsys, model, block,
     err = capsys.readouterr().err
     assert code == 2
     assert "coz" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("model, block, key, desc, formula", PROFILES,
+                         ids=PROFILE_IDS)
+def test_profile_values_are_its_formula(model, block, key, desc, formula):
+    # every bit: a circle profile on [0, 2 pi), an interval one on a span
+    # with neither end at 0
+    from hjbkit.scenarios import circle_profile, interval_profile
+    if model in ("spatial-growth", "pollution"):
+        lo, hi = 0.0, 2.0 * math.pi
+        s = np.linspace(lo, hi, 10)[:-1]
+        got = circle_profile(desc)(s)
+    else:
+        lo, hi = -1.5, 0.5
+        s = np.linspace(lo, hi, 9)
+        got = interval_profile(desc, lo, hi)(s)
+    assert np.array_equal(got, formula(s, lo, hi))
 
 
 def test_harmonic_wave_number_must_be_an_integer(tmp_path, capsys):
@@ -835,6 +894,47 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "sigma < 1" in err and f"sigma = {sigma}" in err
         assert not (out / "oracle.json").exists()
+
+    @pytest.mark.parametrize("model, initial", [
+        ("time-to-build", {"q0": 1e300}),
+        *[("vintage-dde", {"iota0": {"type": "constant", "value": v}})
+          for v in (1e300, 1e150, 1e-150, 1e-300)],
+        *[("time-to-build",
+           {"q0": v, "u0": {"type": "constant", "value": v}})
+          for v in (1e300, 1e150, 1e-150, 1e-300)]],
+        ids=["time-to-build-q0-1e300",
+             *[f"{m}-{v}" for m in ("vintage-dde", "time-to-build")
+               for v in ("1e300", "1e150", "1e-150", "1e-300")]])
+    def test_a_start_of_any_scale_gets_a_bracket(self, tmp_path, model,
+                                                 initial):
+        # the solve runs from the start over a power of two near its
+        # Gamma; from the start itself it overflowed or went singular
+        cfg = default_config(model)
+        cfg["initial"].update(initial)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(["oracle", "--config", str(path),
+                        "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads((tmp_path / "oracle.json").read_text())
+        assert data["contained"] is True
+        assert data["bracket_lo"] <= data["analytic_value"] \
+            <= data["bracket_hi"]
+
+    def test_bracket_is_homogeneous_in_the_start(self):
+        # v(s x) = s^(1 - sigma) v(x): a start 2^40 times the default one
+        # at sigma 0.5 gets 2^20 times its bracket
+        from hjbkit.scenarios import oracle_scenario
+        cfg = default_config("time-to-build")
+        base, value = oracle_scenario(cfg)
+        cfg["initial"] = {"q0": 2.0 ** 40,
+                          "u0": {"type": "constant", "value": 2.0 ** 40}}
+        scaled, scaled_value = oracle_scenario(cfg)
+        for got, want in ((scaled.lo, base.lo), (scaled.hi, base.hi),
+                          (scaled_value, value)):
+            assert got == pytest.approx(2.0 ** 20 * want, rel=1e-12)
+        assert np.allclose(scaled.controls, 2.0 ** 40 * base.controls,
+                           rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("dt, code", [(1.0, 3), (0.5, 0)])

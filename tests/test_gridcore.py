@@ -506,10 +506,11 @@ class TestCnStep:
     def test_fused_step_matches_reference(self):
         # the stacked product must give the bits of a separate explicit
         # matvec followed by a fresh cyclic solve, step after step
-        sigma, zeroth, op = self._varying_operator()
+        dt = 0.05
+        sigma, zeroth, op = self._varying_operator(dt)
         imp = op.implicit
         lo, di, up = _stencil_coefficients(GRID, sigma, zeroth)
-        half = 0.5 * op.dt
+        half = 0.5 * dt
         explicit = (half * lo, 1.0 + half * di, half * up)  # I + dt/2 L
         rng = np.random.default_rng(5)
         y = 1.0 + rng.random(GRID.n)
@@ -517,40 +518,42 @@ class TestCnStep:
             source = rng.random(GRID.n)
             want = solve_periodic_tridiagonal(
                 imp.di, imp.up,
-                apply_periodic_tridiagonal(*explicit, y) + op.dt * source)
-            y = cn_step(op, y, op.dt * source)
+                apply_periodic_tridiagonal(*explicit, y) + dt * source)
+            y = cn_step(op, y, dt * source)
             assert (y == want).all()
 
     def test_cached_product_is_safe(self):
         # two trajectories alternating on one operator, and a step from a
         # copy of the last result, give the bits of fresh operators
-        sigma, zeroth, op = self._varying_operator()
+        dt = 0.05
+        sigma, zeroth, op = self._varying_operator(dt)
         source = const(0.5)
         a = shared_a = np.cos(THETA)
         b = shared_b = np.sin(THETA)
         for _ in range(20):
             shared_a = cn_step(op, shared_a, source)
             shared_b = cn_step(op, shared_b, source)
-            a = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), a, source)
-            b = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), b, source)
+            a = cn_step(CNOperator(GRID, sigma, zeroth, dt), a, source)
+            b = cn_step(CNOperator(GRID, sigma, zeroth, dt), b, source)
             assert np.array_equal(shared_a, a)
             assert np.array_equal(shared_b, b)
         copied = cn_step(op, shared_b.copy(), source)
-        want = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), b, source)
+        want = cn_step(CNOperator(GRID, sigma, zeroth, dt), b, source)
         assert np.array_equal(copied, want)
         # a step that fails its check must not leave its product behind
         y = cn_step(op, shared_b, source)
         with pytest.raises(NumericsError, match="residual check"):
             cn_step(op, y, np.full(GRID.n, np.nan))
         assert np.array_equal(cn_step(op, y, source),
-                              cn_step(CNOperator(GRID, sigma, zeroth, op.dt), y,
+                              cn_step(CNOperator(GRID, sigma, zeroth, dt), y,
                                       source))
 
     def test_reused_or_rewritten_forcing_gives_fresh_bits(self):
         # a forcing passed again to the next step, read-only or not, and
         # one written in place between steps give the bits of fresh
         # operators on copies: the operator keeps nothing of a forcing
-        sigma, zeroth, op = self._varying_operator()
+        dt = 0.05
+        sigma, zeroth, op = self._varying_operator(dt)
         shared = [const(0.5), np.sin(THETA)]
         shared[0].flags.writeable = False
         writable = np.zeros(GRID.n)
@@ -559,7 +562,7 @@ class TestCnStep:
                         shared[0].copy(), shared[0], writable, writable,
                         shared[0]):
             y = cn_step(op, y, forcing)
-            want = cn_step(CNOperator(GRID, sigma, zeroth, op.dt), want,
+            want = cn_step(CNOperator(GRID, sigma, zeroth, dt), want,
                            forcing.copy())
             assert np.array_equal(y, want)
             writable += 0.25
@@ -568,15 +571,15 @@ class TestCnStep:
         # alternating values of 2e307 overflow the rows' sums, not their
         # terms: the scratch rows are written before the raise, and the
         # next step from the last result must not take them for its product
-        sigma, zeroth = const(1.0), const(-0.3)
-        op = CNOperator(GRID, sigma, zeroth, 0.05)
+        sigma, zeroth, dt = const(1.0), const(-0.3), 0.05
+        op = CNOperator(GRID, sigma, zeroth, dt)
         source = const(0.5)
         y = cn_step(op, np.cos(THETA), source)
         with np.errstate(all="raise"), \
                 pytest.raises(FloatingPointError, match="reduce"):
             cn_step(op, 2e307 * (-1.0) ** np.arange(GRID.n), source)
         assert np.array_equal(cn_step(op, y, source),
-                              cn_step(CNOperator(GRID, sigma, zeroth, op.dt), y,
+                              cn_step(CNOperator(GRID, sigma, zeroth, dt), y,
                                       source))
 
     def test_results_share_no_memory_with_the_scratch(self):

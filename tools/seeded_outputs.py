@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 from hjbkit.cli import main
-from hjbkit.scenarios import MODELS
+from hjbkit.scenarios import MODELS, ORACLE_MODELS
 
-ORACLE_MODELS = ("vintage-dde", "time-to-build")
 SEEDS = (0, 3)
 
 
